@@ -41,7 +41,6 @@ func main() {
 		addr    = flag.String("addr", ":7009", "listen address (TCP; ignored when -listen is set)")
 		listen  = flag.String("listen", "", "comma-separated listen endpoints, e.g. tcp://:7009,ws://:7010 — serve TCP and WebSocket devices side by side (empty: -addr over TCP)")
 		queue   = flag.Int("queue", 8192, "per-session ingest queue depth (frames)")
-		acqBuf  = flag.Int("acquire-buffer", 256, "double-buffering batch size (frames)")
 		idle    = flag.Duration("idle", 30*time.Second, "idle-session eviction timeout")
 		hbeat   = flag.Duration("heartbeat", 0, "expected device heartbeat interval; pinging sessions are evicted after ~2.5 missed beats (0 = default 5s, negative disables)")
 		wtmo    = flag.Duration("write-timeout", 0, "per-message socket write deadline (0 = default 10s, negative disables)")
@@ -90,7 +89,6 @@ func main() {
 	}
 	srv := server.New(server.Config{
 		QueueFrames:   *queue,
-		AcquireBuffer: *acqBuf,
 		IdleTimeout:   *idle,
 		Heartbeat:     *hbeat,
 		WriteTimeout:  *wtmo,

@@ -232,10 +232,12 @@ func (p *Proxy) acceptLoop() {
 			// the failure a crashed NAT or midbox produces. On a transport
 			// without the linger capability the close degrades to a FIN —
 			// still a teardown, just politer than intended.
-			transport.SetLinger(c, 0)
-			c.Close()
+			// Counted before the close: a peer that has seen the RST must
+			// also see it in Resets().
 			p.resets.Add(1)
 			p.disconnects.Add(1)
+			transport.SetLinger(c, 0)
+			c.Close()
 			p.cfg.Logf("chaos: reset connection on accept")
 			continue
 		}

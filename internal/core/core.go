@@ -177,20 +177,34 @@ func (s *System) BuildStore(frames [][]float64) (*Store, error) {
 	}, nil
 }
 
-// timeRange converts seconds to bucket indices, clamped to the store.
-func (st *Store) timeRange(t0, t1 float64) (int, int) {
-	lo := int(t0 * st.Rate / float64(st.TicksPerBucket))
-	hi := int(t1 * st.Rate / float64(st.TicksPerBucket))
-	if lo < 0 {
-		lo = 0
+// bucketRange converts a [t0, t1] range in seconds to inclusive time-bucket
+// indices, both ends clamped into [0, buckets): ingest folds every frame
+// past the horizon into the final bucket, so a range that starts (or ends)
+// out there reads the final bucket too — exactly as an over-long t1 does —
+// rather than indexing past the channel's rows. The clamp happens before
+// the float → int conversion, which is undefined for out-of-range values.
+// Both stores use it, so they cannot disagree.
+func bucketRange(t0, t1, rate float64, ticksPerBucket, buckets int) (lo, hi int) {
+	clamp := func(t float64) int {
+		b := t * rate / float64(ticksPerBucket)
+		if !(b > 0) { // negative or NaN
+			return 0
+		}
+		if b >= float64(buckets) {
+			return buckets - 1
+		}
+		return int(b)
 	}
-	if hi >= st.TimeBuckets {
-		hi = st.TimeBuckets - 1
-	}
+	lo, hi = clamp(t0), clamp(t1)
 	if hi < lo {
 		hi = lo
 	}
 	return lo, hi
+}
+
+// timeRange converts seconds to bucket indices, clamped to the store.
+func (st *Store) timeRange(t0, t1 float64) (int, int) {
+	return bucketRange(t0, t1, st.Rate, st.TicksPerBucket, st.TimeBuckets)
 }
 
 func (st *Store) box(channel int, t0, t1 float64) (propolyne.Box, error) {

@@ -257,22 +257,9 @@ func (ls *LiveStore) AppendFrames(frames []stream.Frame) (int, error) {
 	return stored, firstErr
 }
 
-// timeRange converts seconds to clamped bucket indices (mirrors
-// Store.timeRange).
+// timeRange converts seconds to clamped bucket indices.
 func (ls *LiveStore) timeRange(t0, t1 float64) (int, int) {
-	tpb := float64(ls.TicksPerBucket())
-	lo := int(t0 * ls.cfg.Rate / tpb)
-	hi := int(t1 * ls.cfg.Rate / tpb)
-	if lo < 0 {
-		lo = 0
-	}
-	if hi >= ls.cfg.TimeBuckets {
-		hi = ls.cfg.TimeBuckets - 1
-	}
-	if hi < lo {
-		hi = lo
-	}
-	return lo, hi
+	return bucketRange(t0, t1, ls.cfg.Rate, ls.TicksPerBucket(), ls.cfg.TimeBuckets)
 }
 
 func (ls *LiveStore) checkChannel(channel int) error {

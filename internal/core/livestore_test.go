@@ -254,6 +254,59 @@ func TestLiveStoreAppendFrames(t *testing.T) {
 	}
 }
 
+// TestRangePastHorizonClampsIntoLastBucket: ingest folds frames past the
+// horizon into the final time bucket, so a range that starts out there
+// must read that bucket — on every channel, the last one included, where
+// an unclamped lower bound used to index past the cube — and the live
+// store and its sealed Store must agree.
+func TestRangePastHorizonClampsIntoLastBucket(t *testing.T) {
+	const channels = 3
+	ls := newLive(t, channels)
+	tpb := ls.TicksPerBucket()
+	lastStart := (liveCfg().TimeBuckets - 1) * tpb // first tick of the final bucket
+	total := lastStart + 150                       // 150 ticks land past the bucketed horizon
+	for i, row := range testFrames(total, channels) {
+		if err := ls.AppendFrame(i, row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := ls.Seal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	horizon := float64(liveCfg().TimeBuckets*tpb) / liveCfg().Rate
+	inLast := float64(total - lastStart)
+	for _, tc := range []struct {
+		name   string
+		t0, t1 float64
+		want   float64
+	}{
+		{"over-long t1", float64(lastStart) / liveCfg().Rate, 1e9, inLast},
+		{"t0 at horizon", horizon, horizon + 1, inLast},
+		{"t0 past horizon", horizon + 5, horizon + 6, inLast},
+		{"t0 far past horizon", 1e12, 2e12, inLast},
+		{"t0 beyond int range", 1e300, 1e300, inLast},
+		{"whole session", 0, 1e300, float64(total)},
+	} {
+		for ch := 0; ch < channels; ch++ {
+			got, err := ls.CountSamples(ch, tc.t0, tc.t1)
+			if err != nil || got != tc.want {
+				t.Errorf("%s: live count(ch %d) = %v, %v; want %v", tc.name, ch, got, err, tc.want)
+			}
+			sealed, err := st.CountSamples(ch, tc.t0, tc.t1)
+			if err != nil || math.Abs(sealed-tc.want) > 1e-6*tc.want {
+				t.Errorf("%s: sealed count(ch %d) = %v, %v; want %v", tc.name, ch, sealed, err, tc.want)
+			}
+			if sum, _, err := ls.Summarize(ch, tc.t0, tc.t1); err != nil || sum.N != tc.want {
+				t.Errorf("%s: summarize(ch %d) N = %v, %v; want %v", tc.name, ch, sum.N, err, tc.want)
+			}
+			if vol, err := ls.BoxVolume(ch, tc.t0, tc.t1); err != nil || vol <= 0 {
+				t.Errorf("%s: box volume(ch %d) = %d, %v", tc.name, ch, vol, err)
+			}
+		}
+	}
+}
+
 // TestLiveStoreConcurrentIngestAndQuery is the server path under -race:
 // one appender, many concurrent exact/approximate readers, and the
 // frame-atomicity invariant (every channel of a frame becomes visible

@@ -44,6 +44,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"aims/internal/core"
@@ -280,14 +281,6 @@ type gathered struct {
 	err  error
 }
 
-// fleetJob is one scatter slot: the matched-session index plus the time it
-// was queued, so a traced evaluation can report how long the session waited
-// for a pool worker (the queue-wait span).
-type fleetJob struct {
-	idx     int
-	created time.Time
-}
-
 // Evaluate runs one fleet query over the given session snapshot (the
 // caller snapshots its registry first; the slice is the scatter set).
 // It always returns a well-formed FleetResult — per-session failures are
@@ -317,66 +310,56 @@ func Evaluate(ctx context.Context, sessions []Session, req Request, cfg Config) 
 		cfg.Observer.FanOut(len(matched))
 	}
 
-	// Scatter: a bounded worker pool pulls session indices; gathers land on
-	// a buffered channel so a straggler finishing after the deadline never
-	// blocks (its result is simply never read).
+	// Scatter: a bounded worker pool claims session indices off a shared
+	// counter — no per-session hand-off, so on an otherwise quiet server a
+	// fleet costs one thread wake-up per worker, not one per session.
+	// Gathers land on a buffered channel so a straggler finishing after
+	// the deadline never blocks (its result is simply never read).
 	workers := cfg.Workers
 	if workers > len(matched) {
 		workers = len(matched)
 	}
-	jobs := make(chan fleetJob)
+	var next atomic.Int64
+	scattered := time.Now()
 	results := make(chan gathered, len(matched))
 	for w := 0; w < workers; w++ {
 		go func() {
-			for j := range jobs {
+			for {
+				idx := int(next.Add(1)) - 1
+				if idx >= len(matched) {
+					return
+				}
 				// Expired already? Return the slot without scanning: the
 				// gather marks it CodeDeadline, and the worker is free for
 				// the next job instead of burning its budget on an answer
 				// nobody will read.
 				select {
 				case <-ctx.Done():
-					results <- gathered{idx: j.idx, err: errDeadlineSlot}
+					results <- gathered{idx: idx, err: errDeadlineSlot}
 					continue
 				default:
 				}
 				t0 := time.Now()
 				var sid obs.SpanID
 				if req.Trace != nil {
-					// One child subtree per session: queue wait (job creation
+					// One child subtree per session: queue wait (scatter start
 					// to worker pickup), then the scan's internal breakdown.
 					// Stamps on a trace a deadline already finished are no-ops.
 					sid = req.Trace.StartSpan(req.TraceParent,
-						fmt.Sprintf("session-%d", matched[j.idx].ID))
-					req.Trace.AddSpan(sid, "queue-wait", j.created, t0)
+						fmt.Sprintf("session-%d", matched[idx].ID))
+					req.Trace.AddSpan(sid, "queue-wait", scattered, t0)
 				}
-				part, err := evalSessionTraced(matched[j.idx], req, req.Trace, sid)
+				part, err := evalSessionTraced(matched[idx], req, req.Trace, sid)
 				if req.Trace != nil {
 					req.Trace.EndSpan(sid)
 				}
 				if cfg.Observer.ScanSeconds != nil {
 					cfg.Observer.ScanSeconds(time.Since(t0).Seconds())
 				}
-				results <- gathered{idx: j.idx, part: part, err: err}
+				results <- gathered{idx: idx, part: part, err: err}
 			}
 		}()
 	}
-	go func() {
-		defer close(jobs)
-		// The creation stamp feeds only the queue-wait span; skip the
-		// per-job clock read entirely on the untraced hot path.
-		traced := req.Trace != nil
-		for i := range matched {
-			var created time.Time
-			if traced {
-				created = time.Now()
-			}
-			select {
-			case jobs <- fleetJob{idx: i, created: created}:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
 
 	// Gather until every slot reports or the deadline fires; slots still
 	// outstanding at the deadline become CodeDeadline failures.

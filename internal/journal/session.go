@@ -10,7 +10,7 @@ import (
 
 // Session is one live session's durability handle: its WAL append side
 // plus snapshot bookkeeping. A single goroutine — the session's
-// acquisition consumer — calls AppendFrames, MaybeSnapshot and Close;
+// appender — calls AppendFrames, MaybeSnapshot and Close;
 // Processed/Degraded/Resumed are safe from any goroutine (the admin plane
 // reads them).
 type Session struct {
@@ -125,7 +125,7 @@ func (s *Session) MaybeSnapshot(ls *core.LiveStore) bool {
 // onto a fresh segment to restore it.
 func (s *Session) Snapshot(ls *core.LiveStore) error {
 	t0 := time.Now()
-	// The caller is the acquisition consumer, so the store holds exactly
+	// The caller is the session's appender, so the store holds exactly
 	// the processed frames: the watermark is read before sealing.
 	watermark := s.processed.Load()
 	st, err := ls.Seal()

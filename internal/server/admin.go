@@ -51,12 +51,10 @@ func (s *Server) Sessions() []SessionInfo {
 			Rate:           sess.rate,
 			FramesStored:   sess.stored.Load(),
 			FramesEnqueued: sess.enqueued.Load(),
+			QueueLen:       sess.q.len(),
 			ShedBatches:    sess.shedB.Load(),
 			ShedFrames:     sess.shedF.Load(),
 			AppendErrors:   sess.badAppend.Load(),
-		}
-		if sess.in != nil {
-			info.QueueLen = len(sess.in)
 		}
 		if sess.jsess != nil {
 			info.Durable = true

@@ -243,11 +243,9 @@ func TestAdminEndpoints(t *testing.T) {
 		}
 	}
 
-	// Acceptance: /tracez returns at least one multi-span trace.
-	rec = get("/tracez?n=50")
-	if rec.Code != 200 {
-		t.Fatalf("/tracez = %d", rec.Code)
-	}
+	// Acceptance: /tracez returns at least one multi-span trace. The query
+	// handler publishes its trace after the response is on the wire, so
+	// poll until it shows up instead of racing it.
 	var tz struct {
 		SampleEvery int `json:"sample_every"`
 		Traces      []struct {
@@ -257,19 +255,27 @@ func TestAdminEndpoints(t *testing.T) {
 			} `json:"spans"`
 		} `json:"traces"`
 	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &tz); err != nil {
-		t.Fatalf("/tracez JSON: %v", err)
-	}
-	if tz.SampleEvery != 1 {
-		t.Errorf("/tracez sample_every = %d, want 1", tz.SampleEvery)
-	}
 	multi := 0
 	kinds := map[string]bool{}
-	for _, tr := range tz.Traces {
-		kinds[tr.Kind] = true
-		if len(tr.Spans) >= 2 {
-			multi++
+	waitFor(func() bool {
+		rec = get("/tracez?n=50")
+		if rec.Code != 200 {
+			t.Fatalf("/tracez = %d", rec.Code)
 		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &tz); err != nil {
+			t.Fatalf("/tracez JSON: %v", err)
+		}
+		multi = 0
+		for _, tr := range tz.Traces {
+			kinds[tr.Kind] = true
+			if len(tr.Spans) >= 2 {
+				multi++
+			}
+		}
+		return kinds["query"]
+	})
+	if tz.SampleEvery != 1 {
+		t.Errorf("/tracez sample_every = %d, want 1", tz.SampleEvery)
 	}
 	if multi == 0 {
 		t.Fatalf("/tracez has no multi-span trace: %s", rec.Body.String())

@@ -1,14 +1,26 @@
 // Package server implements the AIMS middle tier of the paper's Fig. 2
 // three-tier architecture: a concurrent TCP server immersive client
 // devices register with, stream frame batches to, and query while the
-// session is live. Each connection is one session. Ingest runs through the
-// double-buffered acquisition pipeline of internal/stream into a
-// core.LiveStore; exact/approximate/progressive range aggregates are
-// answered against that live store (core/propolyne). Per-session ingest
-// queues are bounded, with a selectable backpressure policy — block the
-// device (lossless) or shed whole batches with an explicit wire error —
-// plus idle-session eviction, graceful shutdown that drains in-flight
-// batches, and an atomic metrics block.
+// session is live. Each connection is one session served by two goroutines
+// — the two threads of the paper's §3.1 recording strategy. The reader owns
+// the socket: it decodes each wire batch, enqueues it whole, acknowledges
+// it and answers exact/approximate/progressive range aggregates against
+// the session's core.LiveStore (core/propolyne). The appender drains the
+// queue, one batch at a time: journal write-ahead, then one
+// LiveStore.AppendFrames, then the counters and the snapshot check.
+//
+// Ordering invariants of that hand-off: a batch is acknowledged (and the
+// session's ackSeq watermark advanced) when it is enqueued or shed, not
+// when it is stored; the queue is FIFO with a single consumer, so batches
+// are journaled and stored in arrival order and a Flush barrier queued
+// behind them is reached only after all of them are stored; the journal
+// record precedes the store append; and on disconnect the reader closes
+// the queue and waits for the appender to drain it before the session is
+// parked or durably closed. The queue is bounded in frames, with a
+// selectable backpressure policy — block the device (lossless) or shed
+// whole batches with an explicit wire error. Around that sit idle-session
+// eviction, graceful shutdown that drains in-flight batches, and an atomic
+// metrics block.
 package server
 
 import (
@@ -58,12 +70,9 @@ func ParsePolicy(s string) (Policy, error) {
 type Config struct {
 	// QueueFrames bounds each session's ingest queue (default 8192).
 	QueueFrames int
-	// AcquireBuffer is the double-buffering batch size of the acquisition
-	// pipeline (default 256 frames).
-	AcquireBuffer int
 	// IdleTimeout evicts sessions with no traffic (default 30 s).
 	IdleTimeout time.Duration
-	// Heartbeat is the liveness window unit for sessions that send wire v4
+	// Heartbeat is the liveness window unit for sessions that send
 	// pings: once a session has pinged, its read deadline tightens to
 	// 2.5×Heartbeat (if shorter than IdleTimeout), so a dead link is
 	// detected in seconds instead of the idle eviction horizon. Default
@@ -77,14 +86,11 @@ type Config struct {
 	// ungracefully, so the device can reconnect and resume exactly where
 	// it left off — store, journal handle and acknowledged watermark all
 	// survive in memory. Default 60 s; negative disables parking (a
-	// reconnect then starts a fresh session, as before wire v4).
+	// reconnect then starts a fresh session).
 	RetainTimeout time.Duration
 	// RetainSessions caps how many disconnected sessions may sit parked at
 	// once (default 1024); beyond it the longest-parked one is finalized.
 	RetainSessions int
-	// FlushLatency bounds how long a partially filled acquisition buffer
-	// may hide tail frames from queries (default 2 ms).
-	FlushLatency time.Duration
 	// Policy is the backpressure policy (default PolicyBlock).
 	Policy Policy
 	// Store templates each session's live store; Rate and HorizonTicks are
@@ -130,9 +136,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.QueueFrames <= 0 {
 		c.QueueFrames = 8192
-	}
-	if c.AcquireBuffer <= 0 {
-		c.AcquireBuffer = 256
 	}
 	if c.IdleTimeout <= 0 {
 		c.IdleTimeout = 30 * time.Second
@@ -398,8 +401,8 @@ func (s *Server) evaluateFleetTraced(fq wire.FleetQuery, tr *obs.Trace, parent o
 }
 
 // DeviceClasses reports the live session count per device class, the
-// admin plane's /fleet listing. Sessions registered without a class (v1
-// clients) group under "".
+// admin plane's /fleet listing. Sessions registered without a class group
+// under "".
 func (s *Server) DeviceClasses() map[string]int {
 	out := make(map[string]int)
 	s.sessions.forEach(func(sess *session) {

@@ -353,6 +353,46 @@ func TestServerRejectsBadVersion(t *testing.T) {
 	}
 }
 
+// TestQueryPastHorizonOnLastChannel: an exact query whose range starts
+// past the session horizon is a legal request from any client. It used to
+// index past the last channel's rows and take the whole server down; it
+// must be answered (the final bucket holds everything past the horizon)
+// and the session must stay usable.
+func TestQueryPastHorizonOnLastChannel(t *testing.T) {
+	const channels = 2
+	_, addr := startServer(t, Config{Store: testStoreCfg()})
+	c, err := wire.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Abort()
+	mins, maxs := ranges(channels)
+	if _, err := c.Hello(wire.Hello{Rate: 100, HorizonTicks: 256, Mins: mins, Maxs: maxs}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SendBatch(clientFrames(0, 300, channels)); err != nil { // 44 frames past the horizon
+		t.Fatal(err)
+	}
+	if _, err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []wire.QueryKind{wire.QueryCount, wire.QueryAverage, wire.QueryVariance} {
+		r, err := c.Query(wire.Query{Kind: kind, Channel: channels - 1, T0: 1e6, T1: 2e6})
+		if err != nil {
+			t.Fatalf("kind %d past the horizon: %v", kind, err)
+		}
+		if !r.Final || r.Code != wire.CodeOK {
+			t.Fatalf("kind %d past the horizon: %+v", kind, r)
+		}
+		if kind == wire.QueryCount && r.Value != 300-252 { // bucket 63 of 64 starts at tick 252
+			t.Fatalf("count past the horizon = %v, want the final bucket's %d frames", r.Value, 300-252)
+		}
+	}
+	if r, err := c.Query(wire.Query{Kind: wire.QueryCount, Channel: 0, T0: 0, T1: 1e6}); err != nil || r.Value != 300 {
+		t.Fatalf("session unusable after the out-of-horizon query: %+v %v", r, err)
+	}
+}
+
 // TestServerShutdownDrainsInFlight: frames acknowledged before shutdown
 // are all stored; the lingering client is told the server is going away.
 func TestServerShutdownDrains(t *testing.T) {
@@ -475,7 +515,7 @@ func TestRegistrySharding(t *testing.T) {
 // barrier everything enqueued has been drained, so the gauge must read
 // zero — and it must never have required walking sessions to compute.
 func TestQueueDepthGauge(t *testing.T) {
-	srv, addr := startServer(t, Config{Store: testStoreCfg(), FlushLatency: time.Millisecond})
+	srv, addr := startServer(t, Config{Store: testStoreCfg()})
 	c, err := wire.Dial(addr)
 	if err != nil {
 		t.Fatal(err)

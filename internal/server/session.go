@@ -18,9 +18,9 @@ import (
 )
 
 // session is one registered device connection: its live store, bounded
-// ingest queue and accounting. The connection's reader goroutine owns all
-// writes to the socket, so responses are naturally ordered; a second
-// goroutine (the acquisition consumer) drains the queue into the store.
+// ingest queue and accounting. Two goroutines serve it. The reader owns the
+// socket — every read and every response write — so responses are naturally
+// ordered; the appender drains the queue into the journal and the store.
 type session struct {
 	id    uint64
 	idStr string // cached decimal form: traces attr it on every query
@@ -31,13 +31,11 @@ type session struct {
 	store *core.LiveStore
 	rate  float64
 	name  string // registration name from the Hello
-	class string // device class from the Hello (v2); "" for v1 clients
-	proto uint8  // protocol version the Hello was encoded at
+	class string // device class from the Hello
 
 	// ackSeq is the acknowledged client-stream watermark: the device-side
 	// frame offset below which every frame has been accepted (enqueued or
-	// knowingly shed). Only meaningful for v4 sessions, whose Batch.Seq
-	// carries absolute frame offsets; owned by the reader goroutine.
+	// knowingly shed). Owned by the reader goroutine.
 	ackSeq  uint64
 	sawPing bool // device heartbeats → liveness window replaces IdleTimeout
 
@@ -47,70 +45,108 @@ type session struct {
 	jsess   *journal.Session
 	resumed bool
 
-	in        chan stream.Frame
+	q         batchQueue
 	enqueued  atomic.Uint64 // frames pushed to the queue (written by the reader goroutine)
 	shedB     atomic.Uint64 // batches shed (written by the reader goroutine)
 	shedF     atomic.Uint64 // frames shed (written by the reader goroutine)
 	stored    atomic.Uint64 // frames appended to the store
 	badAppend atomic.Uint64
 
-	// Sampled ingest batches carry a marker from the reader to the
-	// acquisition consumer so queue wait and append time can be stamped on
-	// the batch's trace. markerTarget caches the head marker's stored-count
-	// target (0 = none) so the unsampled hot path pays one atomic load.
-	markerMu     sync.Mutex
-	markers      []batchMarker
-	markerTarget atomic.Uint64
-
 	closeRequested bool
 }
 
-// batchMarker correlates one sampled ingest batch with the moment the
-// acquisition consumer finishes storing it: when the session's stored
-// count reaches target, the batch's last frame has been appended.
-type batchMarker struct {
-	target      uint64
-	enqueueDone time.Time
-	tr          *obs.Trace
+// queued is one entry of a session's ingest queue: a decoded wire batch on
+// its way to the store, or — frames empty, done set — a Flush barrier.
+type queued struct {
+	frames []stream.Frame
+	done   chan struct{} // barrier: closed by the appender once everything ahead of it is stored
+
+	// A sampled batch's trace changes hands with the entry: the appender
+	// stamps enqueue (decoded → at), queue-wait and append, then finishes it.
+	tr      *obs.Trace
+	decoded time.Time // when the reader finished decoding the batch
+	at      time.Time // when the queue admitted it (stamped by push)
 }
 
-// chanSource adapts the session queue into a stream.TimedSource so ingest
-// runs through the paper's double-buffered acquisition pipeline with
-// bounded batching latency. Every successful receive decrements the
-// server-wide queue-depth gauge its enqueue incremented.
-type chanSource struct {
-	ch    <-chan stream.Frame
-	depth *obs.Gauge
+// batchQueue is the reader → appender hand-off: a FIFO of wire batches
+// bounded by the total frames it holds. One producer (the reader) and one
+// consumer (the appender) means at most one of them is ever waiting, so a
+// single condition variable serves both directions.
+type batchQueue struct {
+	mu     sync.Mutex
+	cond   *sync.Cond
+	limit  int  // Config.QueueFrames
+	shed   bool // PolicyShed: refuse what does not fit instead of waiting
+	items  []queued
+	frames int        // Σ len(items[i].frames)
+	depth  *obs.Gauge // server-wide aims_queue_depth: moves with frames
+	closed bool
 }
 
-func (c chanSource) Next() (stream.Frame, bool) {
-	f, ok := <-c.ch
-	if ok {
-		c.depth.Add(-1)
-	}
-	return f, ok
+func (q *batchQueue) init(limit int, shed bool, depth *obs.Gauge) {
+	q.cond = sync.NewCond(&q.mu)
+	q.limit, q.shed, q.depth = limit, shed, depth
 }
 
-func (c chanSource) NextTimeout(d time.Duration) (stream.Frame, bool, bool) {
-	select {
-	case f, ok := <-c.ch:
-		if ok {
-			c.depth.Add(-1)
+// push enqueues e and reports whether it was admitted. A batch that does
+// not fit (queued + len(batch) > limit) is refused by a shedding queue; a
+// blocking queue waits for the appender to make room, except that an empty
+// queue admits any batch — one larger than the whole bound would otherwise
+// wait forever. Barriers hold no frames and always fit.
+func (q *batchQueue) push(e queued) bool {
+	n := len(e.frames)
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for n > 0 && q.frames+n > q.limit {
+		if q.shed {
+			return false
 		}
-		return f, ok, false
-	default:
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case f, ok := <-c.ch:
-		if ok {
-			c.depth.Add(-1)
+		if q.frames == 0 {
+			break
 		}
-		return f, ok, false
-	case <-t.C:
-		return stream.Frame{}, false, true
+		q.cond.Wait()
 	}
+	e.at = time.Now()
+	q.items = append(q.items, e)
+	q.frames += n
+	q.depth.Add(int64(n))
+	q.cond.Signal()
+	return true
+}
+
+// pop blocks until an entry is queued; ok is false once the queue is
+// closed and drained.
+func (q *batchQueue) pop() (e queued, ok bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for len(q.items) == 0 {
+		if q.closed {
+			return queued{}, false
+		}
+		q.cond.Wait()
+	}
+	e = q.items[0]
+	q.items[0] = queued{} // drop the frames reference with the slot
+	q.items = q.items[1:]
+	q.frames -= len(e.frames)
+	q.depth.Add(-int64(len(e.frames)))
+	q.cond.Signal()
+	return e, true
+}
+
+// close ends the stream: pop drains what is queued, then reports !ok.
+func (q *batchQueue) close() {
+	q.mu.Lock()
+	q.closed = true
+	q.cond.Signal()
+	q.mu.Unlock()
+}
+
+// len returns the frames currently queued.
+func (q *batchQueue) len() int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.frames
 }
 
 func (s *Server) handleConn(conn net.Conn) {
@@ -120,6 +156,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		bw:   bufio.NewWriterSize(conn, 64<<10),
 		br:   bufio.NewReaderSize(conn, 64<<10),
 	}
+	sess.q.init(s.cfg.QueueFrames, s.cfg.Policy == PolicyShed, s.metrics.queueDepth)
 	defer conn.Close()
 
 	if !sess.handshake() {
@@ -127,15 +164,12 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 	s.register(sess)
 	defer s.unregister(sess)
-	w := wire.Welcome{SessionID: sess.id, Code: wire.CodeOK}
+	// The high-watermark tells a resuming device exactly what the server
+	// holds: replay starts there, everything below is deduped.
+	w := wire.Welcome{SessionID: sess.id, Code: wire.CodeOK, AckSeq: sess.ackSeq}
 	if sess.resumed {
 		w.Code = wire.CodeResumed
 		s.metrics.resumesTotal.Inc()
-	}
-	if sess.proto >= 4 {
-		// The high-watermark tells a resuming device exactly what the
-		// server holds: replay starts there, everything below is deduped.
-		w.AckSeq = sess.ackSeq
 	}
 	if sess.write(wire.MsgWelcome, w.Encode()) != nil || sess.flush() != nil {
 		// The link died under the Welcome itself; park so the device's
@@ -148,22 +182,18 @@ func (s *Server) handleConn(conn net.Conn) {
 	s.cfg.Logf("session %d: registered %d channels at %.1f Hz (resumed=%v ack=%d)",
 		sess.id, sess.store.Channels(), sess.rate, sess.resumed, sess.ackSeq)
 
-	// The acquisition consumer: double-buffered batches out of the queue
-	// into the live store.
-	sess.in = make(chan stream.Frame, s.cfg.QueueFrames)
-	ingestDone := make(chan stream.AcquireStats, 1)
+	appended := make(chan struct{})
 	go func() {
-		src := chanSource{ch: sess.in, depth: s.metrics.queueDepth}
-		stats := stream.AcquireFlushing(src, s.cfg.AcquireBuffer, s.cfg.FlushLatency, sess.storeBatch)
-		ingestDone <- stats
+		defer close(appended)
+		sess.appendLoop()
 	}()
 
 	sess.readLoop()
 
-	// Drain: no more enqueues; the consumer stores everything still queued.
-	close(sess.in)
-	<-ingestDone
-	sess.abandonMarkers()
+	// Drain: no more enqueues; the appender stores everything still queued
+	// before the session is parked or durably closed.
+	sess.q.close()
+	<-appended
 
 	if !sess.closeRequested && !s.isClosed() && s.park(sess) {
 		// Ungraceful disconnect of a named session: its state is parked
@@ -239,7 +269,6 @@ func (sess *session) handshake() bool {
 	sess.rate = h.Rate
 	sess.name = h.Name
 	sess.class = h.Class
-	sess.proto = h.Proto
 
 	if d := srv.adoptDetached(h); d != nil {
 		// The device reconnected while its previous incarnation's state was
@@ -289,7 +318,7 @@ func (sess *session) handshake() bool {
 				sess.store = recovered
 				sess.resumed = true
 				// The durable watermark (journaled frames, plus any higher
-				// acknowledged-but-shed offset the WAL recorded) is the v4
+				// acknowledged-but-shed offset the WAL recorded) is the
 				// resume point.
 				sess.ackSeq = jsess.ClientSeq()
 			}
@@ -305,88 +334,57 @@ func (sess *session) sendError(code wire.Code, text string) {
 	}
 }
 
-// storeBatch is the acquisition pipeline's store callback: it appends one
-// double-buffered batch into the live store under a single write-lock
-// acquisition (invalid frames are skipped inside AppendFrames).
-func (sess *session) storeBatch(batch []stream.Frame) {
+// appendLoop is the session's appender goroutine: it stores queued
+// batches in arrival order and releases Flush barriers as it reaches them,
+// blocking (no timer) while the queue is empty. It returns once the queue
+// is closed and drained.
+func (sess *session) appendLoop() {
+	for {
+		e, ok := sess.q.pop()
+		if !ok {
+			return
+		}
+		if e.done != nil {
+			close(e.done)
+			continue
+		}
+		sess.storeBatch(e)
+	}
+}
+
+// storeBatch makes one wire batch durable and visible: one WAL record, then
+// one append into the live store under a single write-lock acquisition
+// (invalid frames are skipped inside AppendFrames).
+func (sess *session) storeBatch(e queued) {
 	m := sess.srv.metrics
 	if sess.jsess != nil {
 		// Write-ahead: the batch hits the journal before the store, so a
 		// crash after this point replays it rather than losing it. Under the
 		// block policy a dead disk stalls here until shutdown gives up.
-		sess.jsess.AppendFrames(batch, func() bool { return !sess.srv.isClosed() })
+		sess.jsess.AppendFrames(e.frames, func() bool { return !sess.srv.isClosed() })
 	}
 	t0 := time.Now()
-	stored, _ := sess.store.AppendFrames(batch)
+	stored, _ := sess.store.AppendFrames(e.frames)
 	end := time.Now()
 	m.appendSeconds.Observe(end.Sub(t0).Seconds())
-	if bad := uint64(len(batch) - stored); bad > 0 {
+	if bad := uint64(len(e.frames) - stored); bad > 0 {
 		sess.badAppend.Add(bad)
 		m.appendErrors.Add(bad)
 	}
-	newStored := sess.stored.Add(uint64(len(batch))) // processed, including bad appends
+	sess.stored.Add(uint64(len(e.frames))) // processed, including bad appends
 	m.framesIngested.Add(uint64(stored))
-	if t := sess.markerTarget.Load(); t != 0 && newStored >= t {
-		sess.completeMarkers(newStored, t0, end)
+	if e.tr != nil {
+		// Queue wait runs from admission to the start of the store append
+		// (so it includes the write-ahead), the append span over the append.
+		m.queueWaitSeconds.Observe(t0.Sub(e.at).Seconds())
+		e.tr.Span("enqueue", e.decoded, e.at)
+		e.tr.Span("queue-wait", e.at, t0)
+		e.tr.Span("append", t0, end)
+		e.tr.Finish()
 	}
 	if sess.jsess != nil {
 		sess.jsess.MaybeSnapshot(sess.store)
 	}
-}
-
-// completeMarkers finishes the traces of every sampled batch whose last
-// frame this append covered: the queue-wait span runs from enqueue
-// completion to append start, the append span over the storing call.
-func (sess *session) completeMarkers(storedNow uint64, appendStart, appendEnd time.Time) {
-	m := sess.srv.metrics
-	sess.markerMu.Lock()
-	for len(sess.markers) > 0 && sess.markers[0].target <= storedNow {
-		mk := sess.markers[0]
-		sess.markers = sess.markers[1:]
-		m.queueWaitSeconds.Observe(appendStart.Sub(mk.enqueueDone).Seconds())
-		mk.tr.Span("queue-wait", mk.enqueueDone, appendStart)
-		mk.tr.Span("append", appendStart, appendEnd)
-		mk.tr.Finish()
-	}
-	if len(sess.markers) > 0 {
-		sess.markerTarget.Store(sess.markers[0].target)
-	} else {
-		sess.markerTarget.Store(0)
-	}
-	sess.markerMu.Unlock()
-}
-
-// abandonMarkers finishes any sampled traces still waiting on the
-// consumer at session teardown (a push/complete race can orphan at most
-// the last marker; its spans end at the drain instead of the append).
-func (sess *session) abandonMarkers() {
-	sess.markerMu.Lock()
-	for _, mk := range sess.markers {
-		mk.tr.Annotate("session-drain")
-		mk.tr.Finish()
-	}
-	sess.markers = nil
-	sess.markerTarget.Store(0)
-	sess.markerMu.Unlock()
-}
-
-// pushMarker hands a sampled batch's trace to the acquisition consumer.
-// If the consumer already stored past the target (it outran the reader),
-// the trace is finished here with the observed wait.
-func (sess *session) pushMarker(target uint64, enqueueDone time.Time, tr *obs.Trace) {
-	m := sess.srv.metrics
-	sess.markerMu.Lock()
-	if sess.stored.Load() >= target {
-		now := time.Now()
-		m.queueWaitSeconds.Observe(now.Sub(enqueueDone).Seconds())
-		tr.Span("queue-wait", enqueueDone, now)
-		tr.Finish()
-		sess.markerMu.Unlock()
-		return
-	}
-	sess.markers = append(sess.markers, batchMarker{target: target, enqueueDone: enqueueDone, tr: tr})
-	sess.markerTarget.Store(sess.markers[0].target)
-	sess.markerMu.Unlock()
 }
 
 // readLoop processes messages until the client closes, errs, idles out or
@@ -404,6 +402,11 @@ func (sess *session) readLoop() {
 			}
 		}
 		sess.conn.SetReadDeadline(time.Now().Add(window))
+		if srv.isClosed() {
+			// Shutdown's wake-up sweep may have landed between two messages,
+			// just before the line above re-armed the deadline past it.
+			sess.conn.SetReadDeadline(time.Now())
+		}
 		typ, payload, err := wire.ReadMessage(sess.br)
 		if err != nil {
 			var ne net.Error
@@ -493,43 +496,44 @@ func (sess *session) handleBatch(payload []byte) bool {
 		tr.SetAttr("frames", strconv.Itoa(len(b.Frames)))
 	}
 	ack := wire.BatchAck{Seq: b.Seq, Code: wire.CodeOK, Stored: uint32(len(b.Frames))}
-	if sess.proto >= 4 {
-		// Idempotent append: v4 batches carry absolute stream offsets, so a
-		// replay after a reconnect is recognised against the acknowledged
-		// watermark. Batches entirely at or below it are acknowledged and
-		// dropped (at-least-once replay becomes exactly-once append); a
-		// batch straddling it has its already-held prefix trimmed.
-		end := b.Seq + uint64(len(b.Frames))
-		if end <= sess.ackSeq {
-			ack.Code = wire.CodeDuplicate
-			srv.metrics.dupBatches.Inc()
-			tr.Annotate("duplicate")
-			tr.Finish()
-			if sess.write(wire.MsgBatchAck, ack.Encode()) != nil {
-				return false
-			}
-			return sess.flushIfIdle()
-		}
-		if b.Seq < sess.ackSeq {
-			b.Frames = b.Frames[sess.ackSeq-b.Seq:]
-			b.Seq = sess.ackSeq
-			srv.metrics.dupBatches.Inc()
-			tr.Annotate("trimmed")
-		} else if b.Seq > sess.ackSeq {
-			// A gap means frames went missing between device and server — a
-			// correct client streams contiguously from the watermark, so
-			// this is corruption or a broken sender. Failing fast tears the
-			// link down; the reconnect resumes from the intact watermark.
-			tr.Finish()
-			sess.sendError(wire.CodeBadMessage, "batch offset ahead of session watermark")
+	// Idempotent append: batches carry absolute stream offsets, so a replay
+	// after a reconnect is recognised against the acknowledged watermark.
+	// Batches entirely at or below it are acknowledged and dropped
+	// (at-least-once replay becomes exactly-once append); a batch
+	// straddling it has its already-held prefix trimmed.
+	if end := b.Seq + uint64(len(b.Frames)); end <= sess.ackSeq {
+		ack.Code = wire.CodeDuplicate
+		srv.metrics.dupBatches.Inc()
+		tr.Annotate("duplicate")
+		tr.Finish()
+		if sess.write(wire.MsgBatchAck, ack.Encode()) != nil {
 			return false
 		}
+		return sess.flushIfIdle()
 	}
-	shed := false
-	if srv.cfg.Policy == PolicyShed && len(sess.in)+len(b.Frames) > cap(sess.in) {
-		shed = true
+	if b.Seq < sess.ackSeq {
+		b.Frames = b.Frames[sess.ackSeq-b.Seq:]
+		b.Seq = sess.ackSeq
+		srv.metrics.dupBatches.Inc()
+		tr.Annotate("trimmed")
+	} else if b.Seq > sess.ackSeq {
+		// A gap means frames went missing between device and server — a
+		// correct client streams contiguously from the watermark, so this
+		// is corruption or a broken sender. Failing fast tears the link
+		// down; the reconnect resumes from the intact watermark.
+		tr.Finish()
+		sess.sendError(wire.CodeBadMessage, "batch offset ahead of session watermark")
+		return false
 	}
-	if shed {
+	// One enqueue per wire batch. Under PolicyBlock a full queue blocks
+	// here: the reader stops draining the socket and the device feels the
+	// backpressure.
+	if sess.q.push(queued{frames: b.Frames, tr: tr, decoded: t1}) {
+		// The trace now belongs to the appender, which finishes it once the
+		// batch's last frame lands in the store.
+		sess.enqueued.Add(uint64(len(b.Frames)))
+		srv.metrics.batchesIngested.Inc()
+	} else {
 		ack.Code = wire.CodeShed
 		sess.shedB.Add(1)
 		sess.shedF.Add(uint64(len(b.Frames)))
@@ -537,40 +541,17 @@ func (sess *session) handleBatch(payload []byte) bool {
 		srv.metrics.framesShed.Add(uint64(len(b.Frames)))
 		tr.Annotate("shed")
 		tr.Finish()
-		if sess.proto >= 4 {
-			// Shed frames are acknowledged as lost and the watermark still
-			// advances — the device must not replay them (by contract shed
-			// is lossy). The journal records the divergence between client
-			// offsets and journaled frames so a post-crash resume reports
-			// the same watermark.
-			sess.ackSeq = b.Seq + uint64(len(b.Frames))
-			if sess.jsess != nil {
-				sess.jsess.RecordAck(sess.ackSeq)
-			}
-		}
-	} else {
-		// Under PolicyBlock a full queue blocks here: the reader stops
-		// draining the socket and the device feels the backpressure. The
-		// depth gauge moves per frame so it stays honest mid-stall.
-		for i := range b.Frames {
-			sess.in <- b.Frames[i]
-			srv.metrics.queueDepth.Add(1)
-		}
-		t2 := time.Now()
-		tr.Span("enqueue", t1, t2)
-		target := sess.enqueued.Add(uint64(len(b.Frames)))
-		srv.metrics.batchesIngested.Inc()
-		if tr != nil {
-			// The acquisition consumer closes the trace once the batch's
-			// last frame lands in the store (queue-wait + append spans).
-			sess.pushMarker(target, t2, tr)
-		}
-		if sess.proto >= 4 {
-			// Enqueued means acknowledged: the watermark covers the batch
-			// even before the consumer journals it (the client's replay
-			// buffer retains acked batches precisely because of this gap).
-			sess.ackSeq = b.Seq + uint64(len(b.Frames))
-		}
+	}
+	// Accepted or shed, the batch is acknowledged and the watermark covers
+	// it. Enqueued means acknowledged even before the appender journals it
+	// (the client's replay buffer retains acked batches precisely because
+	// of this gap); shed frames are acknowledged as lost — by contract shed
+	// is lossy and the device must not replay them — so the journal records
+	// the divergence between client offsets and journaled frames and a
+	// post-crash resume reports the same watermark.
+	sess.ackSeq = b.Seq + uint64(len(b.Frames))
+	if ack.Code == wire.CodeShed && sess.jsess != nil {
+		sess.jsess.RecordAck(sess.ackSeq)
 	}
 	if sess.write(wire.MsgBatchAck, ack.Encode()) != nil {
 		return false
@@ -578,17 +559,19 @@ func (sess *session) handleBatch(payload []byte) bool {
 	return sess.flushIfIdle()
 }
 
-// handleFlush answers the client's drain barrier: every frame enqueued so
-// far is stored before the ack goes out.
+// handleFlush answers the client's drain barrier: a zero-frame entry rides
+// the queue behind every batch enqueued so far, and FIFO order plus the
+// single appender mean that when it is reached all of them are stored.
 func (sess *session) handleFlush() bool {
-	target := sess.enqueued.Load()
-	deadline := time.Now().Add(sess.srv.cfg.IdleTimeout)
-	for sess.stored.Load() < target {
-		if time.Now().After(deadline) {
-			sess.sendError(wire.CodeInternal, "flush barrier timed out")
-			return false
-		}
-		time.Sleep(200 * time.Microsecond)
+	barrier := queued{done: make(chan struct{})}
+	sess.q.push(barrier)
+	deadline := time.NewTimer(sess.srv.cfg.IdleTimeout)
+	defer deadline.Stop()
+	select {
+	case <-barrier.done:
+	case <-deadline.C:
+		sess.sendError(wire.CodeInternal, "flush barrier timed out")
+		return false
 	}
 	ack := wire.FlushAck{Stored: sess.stored.Load() - sess.badAppend.Load()}
 	if sess.write(wire.MsgFlushAck, ack.Encode()) != nil {

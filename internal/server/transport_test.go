@@ -12,11 +12,10 @@ import (
 )
 
 // encodeHelloAt hand-builds a Hello payload at an explicit protocol
-// version, mirroring the layouts DecodeHello accepts across [v1, v4]: a
-// v1 payload ends at the channel ranges; v2+ appends the device class as
-// a strict suffix. Pinning the bytes here (instead of calling
-// Hello.Encode, which always writes the current version) is what makes
-// this a compatibility test.
+// version, in the layout that version's clients sent: a v1 payload ends
+// at the channel ranges; later versions append the device class. Pinning
+// the bytes here (instead of calling Hello.Encode, which always writes the
+// current version) is what makes this a compatibility test.
 func encodeHelloAt(v uint8, rate float64, horizon uint32, name, class string, mins, maxs []float64) []byte {
 	le := binary.LittleEndian
 	b := le.AppendUint32(nil, wire.Magic)
@@ -37,11 +36,12 @@ func encodeHelloAt(v uint8, rate float64, horizon uint32, name, class string, mi
 	return b
 }
 
-// TestHelloCompatMatrixOverTransports speaks every supported protocol
-// version over every transport, raw off the socket: each version must
-// complete the Hello → batch → flush → query → close round trip with
-// identical results, and the Welcome must stay a v1-decodable fixed-size
-// payload for pre-v4 clients (no AckSeq suffix on a fresh session).
+// TestHelloCompatMatrixOverTransports speaks every protocol version over
+// every transport, raw off the socket. The protocol is frozen at
+// wire.Version: that version must complete the Hello → batch → flush →
+// query → close round trip (a fresh session's Welcome carrying no AckSeq
+// suffix), and every other version — the retired v1–v3 included — must be
+// refused with a typed CodeBadVersion.
 func TestHelloCompatMatrixOverTransports(t *testing.T) {
 	const (
 		channels = 2
@@ -50,86 +50,88 @@ func TestHelloCompatMatrixOverTransports(t *testing.T) {
 	forEachTransport(t, func(t *testing.T, scheme string) {
 		_, addr := startServerOn(t, scheme, Config{Store: testStoreCfg()})
 		mins, maxs := ranges(channels)
-		for v := uint8(wire.MinVersion); v <= wire.Version; v++ {
-			v := v
-			t.Run(fmt.Sprintf("v%d", v), func(t *testing.T) {
-				conn, err := transport.Dial(addr)
+		v := wire.Version
+		t.Run(fmt.Sprintf("v%d", v), func(t *testing.T) {
+			conn, err := transport.Dial(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			bw := bufio.NewWriter(conn)
+			br := bufio.NewReader(conn)
+			send := func(typ byte, payload []byte) {
+				t.Helper()
+				if err := wire.WriteMessage(bw, typ, payload); err != nil {
+					t.Fatal(err)
+				}
+				if err := bw.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			expect := func(want byte) []byte {
+				t.Helper()
+				typ, payload, err := wire.ReadMessage(br)
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer conn.Close()
-				bw := bufio.NewWriter(conn)
-				br := bufio.NewReader(conn)
-				send := func(typ byte, payload []byte) {
-					t.Helper()
-					if err := wire.WriteMessage(bw, typ, payload); err != nil {
-						t.Fatal(err)
-					}
-					if err := bw.Flush(); err != nil {
-						t.Fatal(err)
-					}
+				if typ == wire.MsgError {
+					em, _ := wire.DecodeErr(payload)
+					t.Fatalf("server error instead of msg %d: %v", want, em)
 				}
-				expect := func(want byte) []byte {
-					t.Helper()
-					typ, payload, err := wire.ReadMessage(br)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if typ == wire.MsgError {
-						em, _ := wire.DecodeErr(payload)
-						t.Fatalf("server error instead of msg %d: %v", want, em)
-					}
-					if typ != want {
-						t.Fatalf("got msg type %d, want %d", typ, want)
-					}
-					return payload
+				if typ != want {
+					t.Fatalf("got msg type %d, want %d", typ, want)
 				}
+				return payload
+			}
 
-				name := fmt.Sprintf("compat-%s-v%d", scheme, v)
-				send(wire.MsgHello, encodeHelloAt(v, 100, 1<<14, name, "matrix", mins, maxs))
-				w, err := wire.DecodeWelcome(expect(wire.MsgWelcome))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if w.Code != wire.CodeOK {
-					t.Fatalf("welcome code = %v, want OK", w.Code)
-				}
-				if w.AckSeq != 0 {
-					t.Fatalf("fresh session welcome carries AckSeq %d; pre-v4 decoders reject trailing bytes", w.AckSeq)
-				}
+			name := fmt.Sprintf("compat-%s-v%d", scheme, v)
+			send(wire.MsgHello, encodeHelloAt(v, 100, 1<<14, name, "matrix", mins, maxs))
+			w, err := wire.DecodeWelcome(expect(wire.MsgWelcome))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w.Code != wire.CodeOK {
+				t.Fatalf("welcome code = %v, want OK", w.Code)
+			}
+			if w.AckSeq != 0 {
+				t.Fatalf("fresh session welcome carries AckSeq %d", w.AckSeq)
+			}
 
-				batch := clientFrames(int(v), frames, channels)
-				bp, err := wire.EncodeBatch(0, batch, channels)
-				if err != nil {
-					t.Fatal(err)
-				}
-				send(wire.MsgBatch, bp)
-				if ack, err := wire.DecodeBatchAck(expect(wire.MsgBatchAck)); err != nil || ack.Code != wire.CodeOK {
-					t.Fatalf("batch ack: %+v err=%v", ack, err)
-				}
-				send(wire.MsgFlush, nil)
-				if fa, err := wire.DecodeFlushAck(expect(wire.MsgFlushAck)); err != nil || fa.Stored != frames {
-					t.Fatalf("flush ack stored=%d err=%v, want %d", fa.Stored, err, frames)
-				}
+			batch := clientFrames(int(v), frames, channels)
+			bp, err := wire.EncodeBatch(0, batch, channels)
+			if err != nil {
+				t.Fatal(err)
+			}
+			send(wire.MsgBatch, bp)
+			if ack, err := wire.DecodeBatchAck(expect(wire.MsgBatchAck)); err != nil || ack.Code != wire.CodeOK {
+				t.Fatalf("batch ack: %+v err=%v", ack, err)
+			}
+			send(wire.MsgFlush, nil)
+			if fa, err := wire.DecodeFlushAck(expect(wire.MsgFlushAck)); err != nil || fa.Stored != frames {
+				t.Fatalf("flush ack stored=%d err=%v, want %d", fa.Stored, err, frames)
+			}
 
-				send(wire.MsgQuery, wire.Query{Kind: wire.QueryCount, Channel: 0, T0: 0, T1: 1e6}.Encode())
-				r, err := wire.DecodeResult(expect(wire.MsgResult))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !r.Final || r.Value != frames {
-					t.Fatalf("count = %v (final=%v), want %d", r.Value, r.Final, frames)
-				}
+			send(wire.MsgQuery, wire.Query{Kind: wire.QueryCount, Channel: 0, T0: 0, T1: 1e6}.Encode())
+			r, err := wire.DecodeResult(expect(wire.MsgResult))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !r.Final || r.Value != frames {
+				t.Fatalf("count = %v (final=%v), want %d", r.Value, r.Final, frames)
+			}
 
-				send(wire.MsgClose, nil)
-				expect(wire.MsgCloseAck)
-			})
-		}
+			send(wire.MsgClose, nil)
+			expect(wire.MsgCloseAck)
+		})
 
-		// Versions outside [MinVersion, Version] must be refused with a
-		// typed version error, not a hang or a silent close.
-		for _, v := range []uint8{0, wire.Version + 1} {
-			t.Run(fmt.Sprintf("reject-v%d", v), func(t *testing.T) {
+		// Every other version must be refused with a typed version error,
+		// not a hang or a silent close. v1–v3 keep the row names they had
+		// when the server still accepted them.
+		for _, tc := range []struct {
+			name string
+			v    uint8
+		}{{"reject-v0", 0}, {"v1", 1}, {"v2", 2}, {"v3", 3}, {"reject-v5", wire.Version + 1}} {
+			t.Run(tc.name, func(t *testing.T) {
 				conn, err := transport.Dial(addr)
 				if err != nil {
 					t.Fatal(err)
@@ -137,7 +139,7 @@ func TestHelloCompatMatrixOverTransports(t *testing.T) {
 				defer conn.Close()
 				bw := bufio.NewWriter(conn)
 				if err := wire.WriteMessage(bw, wire.MsgHello,
-					encodeHelloAt(v, 100, 1<<14, "bad-version", "", mins, maxs)); err != nil {
+					encodeHelloAt(tc.v, 100, 1<<14, "bad-version", "", mins, maxs)); err != nil {
 					t.Fatal(err)
 				}
 				if err := bw.Flush(); err != nil {

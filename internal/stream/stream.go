@@ -139,7 +139,7 @@ type AcquireStats struct {
 // lossless and Dropped is always 0 here. Use AcquireRealtime to model a
 // fixed-rate device that cannot wait.
 func Acquire(src Source, bufFrames int, store func(batch []Frame)) AcquireStats {
-	return acquire(src, bufFrames, store, true)
+	return acquire(untimed(src), bufFrames, store, true)
 }
 
 // AcquireRealtime is Acquire for a device that produces on a hard clock:
@@ -147,7 +147,15 @@ func Acquire(src Source, bufFrames int, store func(batch []Frame)) AcquireStats 
 // are dropped instead of stalling the device. The returned stats expose the
 // loss, which experiment E11 uses to find the sustainable rate.
 func AcquireRealtime(src Source, bufFrames int, store func(batch []Frame)) AcquireStats {
-	return acquire(src, bufFrames, store, false)
+	return acquire(untimed(src), bufFrames, store, false)
+}
+
+// untimed adapts Source.Next to the loop's fetch: it never reports idle.
+func untimed(src Source) func() (Frame, bool, bool) {
+	return func() (Frame, bool, bool) {
+		f, ok := src.Next()
+		return f, ok, false
+	}
 }
 
 // TimedSource is a Source that can bound its wait for the next frame —
@@ -168,65 +176,20 @@ type TimedSource interface {
 // become queryable within maxLatency rather than at session end. The
 // producer still applies backpressure when both buffers are in flight.
 func AcquireFlushing(src TimedSource, bufFrames int, maxLatency time.Duration, store func(batch []Frame)) AcquireStats {
-	if bufFrames <= 0 {
-		bufFrames = 256
-	}
 	if maxLatency <= 0 {
 		maxLatency = 2 * time.Millisecond
 	}
-	var stats AcquireStats
-	free := make(chan []Frame, 2)
-	full := make(chan []Frame, 2)
-	free <- make([]Frame, 0, bufFrames)
-	free <- make([]Frame, 0, bufFrames)
-
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for batch := range full {
-			store(batch)
-			mu.Lock()
-			stats.Stored += len(batch)
-			stats.Flushes++
-			mu.Unlock()
-			free <- batch[:0]
-		}
-	}()
-
-	cur := <-free
-	for {
-		f, ok, timedOut := src.NextTimeout(maxLatency)
-		if timedOut {
-			if cur != nil && len(cur) > 0 {
-				full <- cur
-				cur = nil
-			}
-			continue
-		}
-		if !ok {
-			break
-		}
-		stats.Produced++
-		if cur == nil {
-			cur = <-free
-		}
-		cur = append(cur, f)
-		if len(cur) == cap(cur) {
-			full <- cur
-			cur = nil
-		}
-	}
-	if cur != nil && len(cur) > 0 {
-		full <- cur
-	}
-	close(full)
-	wg.Wait()
-	return stats
+	next := func() (Frame, bool, bool) { return src.NextTimeout(maxLatency) }
+	return acquire(next, bufFrames, store, true)
 }
 
-func acquire(src Source, bufFrames int, store func(batch []Frame), block bool) AcquireStats {
+// acquire is the double-buffer loop behind all three entry points. next
+// fetches the next frame the way TimedSource.NextTimeout reports it: ok
+// false ends the stream unless idle is set, which means the source is open
+// but quiet and a partially filled buffer is handed over rather than held.
+// With block false, a frame that arrives while the consumer owns both
+// buffers is dropped instead of waited for.
+func acquire(next func() (f Frame, ok, idle bool), bufFrames int, store func(batch []Frame), block bool) AcquireStats {
 	if bufFrames <= 0 {
 		bufFrames = 256
 	}
@@ -252,9 +215,16 @@ func acquire(src Source, bufFrames int, store func(batch []Frame), block bool) A
 		}
 	}()
 
-	cur := <-free
+	cur := <-free // nil while the consumer owns both buffers
 	for {
-		f, ok := src.Next()
+		f, ok, idle := next()
+		if idle {
+			if len(cur) > 0 {
+				full <- cur
+				cur = nil
+			}
+			continue
+		}
 		if !ok {
 			break
 		}
@@ -277,7 +247,7 @@ func acquire(src Source, bufFrames int, store func(batch []Frame), block bool) A
 			cur = nil
 		}
 	}
-	if cur != nil && len(cur) > 0 {
+	if len(cur) > 0 {
 		full <- cur
 	}
 	close(full)

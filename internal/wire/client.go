@@ -32,7 +32,7 @@ type Client struct {
 
 	session     uint64
 	width       int
-	nextSeq     uint64 // absolute frame offset the next SendBatch stamps (v4)
+	nextSeq     uint64 // absolute frame offset the next SendBatch stamps
 	outstanding int
 	shedBatches uint64
 	shedFrames  uint64
@@ -149,7 +149,7 @@ func (c *Client) Hello(h Hello) (Welcome, error) {
 	c.width = h.Channels()
 	if w.AckSeq > c.nextSeq {
 		// The server already holds frames up to AckSeq (a resumed session);
-		// continue the stream from there so v4 watermark dedup never
+		// continue the stream from there so watermark dedup never
 		// misreads fresh frames as replay.
 		c.nextSeq = w.AckSeq
 	}

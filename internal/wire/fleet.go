@@ -2,9 +2,9 @@ package wire
 
 import "fmt"
 
-// Fleet messages (protocol v2): one range-aggregate evaluated over every
-// live session of a device class — the paper's multi-user haptic scenario,
-// where the question is about the *group* of CyberGlove sessions, not one
+// Fleet messages: one range-aggregate evaluated over every live session
+// of a device class — the paper's multi-user haptic scenario, where the
+// question is about the *group* of CyberGlove sessions, not one
 // recording — or over an explicit session-ID set. The server scatters the
 // query across the matching sessions, each contributing frames up to its
 // own high-water mark at scatter time, and merges the per-session answers;
@@ -85,8 +85,7 @@ func (q FleetQuery) Encode() ([]byte, error) {
 	for _, id := range q.Scope.IDs {
 		e.u64(id)
 	}
-	// v3 trace context rides as a strict suffix after the v2 fields, and
-	// only when set — an untraced v3 fleet query is byte-identical to v2.
+	// Trace context rides as a suffix, and only when set.
 	appendTraceContext(&e, q.TraceID, q.TraceSampled)
 	return e.b, nil
 }

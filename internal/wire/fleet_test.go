@@ -7,41 +7,29 @@ import (
 	"testing"
 )
 
-// TestHelloV1Compat hand-encodes a protocol-v1 Hello — no device-class
-// field — and checks a v2 decoder still accepts it, with an empty Class.
-func TestHelloV1Compat(t *testing.T) {
-	h := Hello{
-		Rate:         250,
-		HorizonTicks: 500,
-		Name:         "legacy glove",
-		Mins:         []float64{-1, 0},
-		Maxs:         []float64{1, 9},
-	}
-	var e buf
-	e.u32(Magic)
-	e.u8(1) // protocol v1: payload ends at the channel ranges
-	e.f64(h.Rate)
-	e.u32(h.HorizonTicks)
-	e.str(h.Name)
-	e.u16(uint16(len(h.Mins)))
-	for i := range h.Mins {
-		e.f64(h.Mins[i])
-		e.f64(h.Maxs[i])
-	}
-	got, err := DecodeHello(e.b)
-	if err != nil {
-		t.Fatalf("v1 hello rejected: %v", err)
-	}
-	h.Proto = 1 // DecodeHello stamps the version it negotiated
-	if !reflect.DeepEqual(got, h) {
-		t.Fatalf("v1 round trip: %+v != %+v", got, h)
-	}
-	if got.Class != "" {
-		t.Fatalf("v1 hello decoded class %q", got.Class)
-	}
-	// Trailing garbage after a well-formed v1 payload still fails.
-	if _, err := DecodeHello(append(e.b, 7)); err == nil {
-		t.Fatal("v1 hello with trailing bytes accepted")
+// TestHelloRefusesRetiredVersions hand-encodes Hellos at the retired
+// protocol versions, each in the layout its clients sent (v1 ended at the
+// channel ranges, v2 and v3 appended the device class), and checks the
+// frozen decoder refuses every one.
+func TestHelloRefusesRetiredVersions(t *testing.T) {
+	for v := uint8(1); v < Version; v++ {
+		var e buf
+		e.u32(Magic)
+		e.u8(v)
+		e.f64(250)
+		e.u32(500)
+		e.str("legacy glove")
+		e.u16(2)
+		for _, r := range [][2]float64{{-1, 1}, {0, 9}} {
+			e.f64(r[0])
+			e.f64(r[1])
+		}
+		if v >= 2 {
+			e.str("cyberglove")
+		}
+		if _, err := DecodeHello(e.b); err == nil {
+			t.Errorf("v%d hello accepted", v)
+		}
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 // needs: I/O deadlines on every operation, automatic re-dial with capped
 // exponential backoff and full jitter, session resume by name, and a
 // bounded replay buffer so frames in flight across a disconnect are
-// re-sent at their original offsets — the server's v4 watermark dedup
+// re-sent at their original offsets — the server's watermark dedup
 // turns that at-least-once replay into exactly-once append.
 //
 // The replay ring retains batches even after the server acknowledges

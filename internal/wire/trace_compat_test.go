@@ -1,11 +1,10 @@
 package wire
 
-// Protocol v3 compatibility: trace context is a strict suffix on Query and
-// FleetQuery. Three contracts keep the fleet mixed-version safe (mirroring
-// the Hello MinVersion tests): a v3 peer round-trips the context, a v3
-// server decodes v2 payloads with zero context, and a v2 server — whose
-// decoder rejects trailing bytes — tolerates v3 clients because untraced
-// v3 encodings are byte-identical to v2.
+// Trace context is an optional suffix on Query and FleetQuery, omitted
+// when unset — the one way a frozen message may grow (see Version). These
+// tests pin that layout against hand-built fixed-field payloads: the
+// context round-trips, a payload without the suffix decodes with zero
+// context, and an untraced encoding is byte-identical to the fixed fields.
 
 import (
 	"bytes"

@@ -29,26 +29,20 @@ import (
 // Magic opens every Hello payload ("AIMW").
 const Magic uint32 = 0x41494D57
 
-// Version is the protocol version this package speaks. Version 2 added the
-// device-class tag to Hello (appended after the channel ranges, so a v1
-// payload is a strict prefix of v2) and the fleet query/result messages.
-// Version 3 adds wire-propagated trace context to Query and FleetQuery:
-// a (traceID, sampled) suffix appended after the v2 fields, emitted only
-// when a trace ID is set — so a v3 client not tracing stays byte-identical
-// to v2, and a v2 payload decodes unchanged with no context.
-// Version 4 adds link resilience: Ping/Pong heartbeats, an AckSeq
-// high-watermark suffix on Welcome (emitted only when non-zero, and only
-// to v4 clients, so v3 decoders never see trailing bytes), and a new
-// contract for Batch.Seq — a v4 client stamps each batch with the
-// absolute index of its first frame in the session's stream, which lets
-// the server drop replayed batches at or below its watermark
-// (exactly-once append under at-least-once replay).
+// Version is the one protocol version this package speaks and accepts: a
+// Hello at any other version is refused (CodeBadVersion on the wire), so
+// both ends of a link always agree on every layout below.
+//
+// Forward compatibility, the only rule: decoders reject trailing bytes, so
+// a message may grow only by an optional suffix that is omitted when zero
+// — Welcome.AckSeq and the (TraceID, TraceSampled) context of Query and
+// FleetQuery are encoded that way — which leaves every payload that does
+// not use the new field byte-identical and needs no version bump. Any
+// other change to a layout, or to what a field means, increments Version.
 const Version uint8 = 4
 
-// MinVersion is the oldest protocol version DecodeHello still accepts; a
-// v1 client registers with an empty device class and never sees a fleet
-// message unless it sends one.
-const MinVersion uint8 = 1
+// MinVersion is the oldest protocol version DecodeHello accepts.
+const MinVersion = Version
 
 // MaxPayload bounds a single message (guards the length prefix against
 // garbage and hostile peers).
@@ -71,13 +65,13 @@ const (
 	MsgFlush    byte = 10 // client → server: barrier — drain my queue
 	MsgFlushAck byte = 11 // server → client: barrier reached
 
-	// Fleet messages (protocol v2): one range-aggregate evaluated across
+	// Fleet messages: one range-aggregate evaluated across
 	// every session of a device class (or an explicit session-ID set) and
 	// merged server-side.
 	MsgFleetQuery  byte = 12 // client → server: cross-session aggregate
 	MsgFleetResult byte = 13 // server → client: merged answer + per-session detail
 
-	// Heartbeats (protocol v4): a client pings to prove liveness across an
+	// Heartbeats: a client pings to prove liveness across an
 	// otherwise-idle link; the server echoes the nonce. Once a session has
 	// pinged, the server holds it to the heartbeat window instead of the
 	// (much longer) idle timeout, so a dead link is detected in seconds.
@@ -160,7 +154,7 @@ const (
 	// CodeDuplicate acknowledges a batch the server already holds (its
 	// frames sit at or below the session's append watermark): the batch is
 	// dropped without re-appending, which is what makes at-least-once
-	// replay after a reconnect an exactly-once append (v4).
+	// replay after a reconnect an exactly-once append.
 	CodeDuplicate Code = 13
 )
 
@@ -325,23 +319,15 @@ func (e *buf) done() error {
 
 // Hello registers a device/session: its clock, expected session length in
 // device ticks (0 lets the server choose), and the per-channel value
-// ranges the store's quantisers should span. Class (v2) tags the session
-// with its device class — "cyberglove", "tracker" — so fleet queries can
-// aggregate over every session of a class; v1 clients register with an
-// empty class.
+// ranges the store's quantisers should span. Class tags the session with
+// its device class — "cyberglove", "tracker" — so fleet queries can
+// aggregate over every session of a class; it may be empty.
 type Hello struct {
 	Rate         float64
 	HorizonTicks uint32
 	Name         string
 	Class        string
 	Mins, Maxs   []float64 // len == channel count
-
-	// Proto is the protocol version the peer spoke, filled in by
-	// DecodeHello (Encode always writes this package's Version). The server
-	// gates v4-only behaviour — the Welcome AckSeq suffix, watermark-based
-	// batch dedup — on Proto, because a v3 client's batch Seqs are opaque
-	// ordinals, not frame offsets.
-	Proto uint8
 }
 
 // Channels returns the registered channel count.
@@ -370,17 +356,15 @@ func (h Hello) Encode() ([]byte, error) {
 	return e.b, nil
 }
 
-// DecodeHello parses a Hello payload, checking magic and accepting any
-// version in [MinVersion, Version]. A v1 payload ends at the channel
-// ranges and decodes with an empty Class.
+// DecodeHello parses a Hello payload, checking magic and version.
 func DecodeHello(p []byte) (Hello, error) {
 	d := buf{b: p}
 	if m := d.rdU32(); d.err == nil && m != Magic {
 		return Hello{}, fmt.Errorf("wire: bad magic %#x", m)
 	}
 	v := d.rdU8()
-	if d.err == nil && (v < MinVersion || v > Version) {
-		return Hello{}, fmt.Errorf("wire: version %d outside [%d,%d]", v, MinVersion, Version)
+	if d.err == nil && v != Version {
+		return Hello{}, fmt.Errorf("wire: version %d, want %d", v, Version)
 	}
 	var h Hello
 	h.Rate = d.rdF64()
@@ -398,22 +382,18 @@ func DecodeHello(p []byte) (Hello, error) {
 			h.Maxs[i] = d.rdF64()
 		}
 	}
-	if v >= 2 {
-		h.Class = d.rdStr()
-	}
-	h.Proto = v
+	h.Class = d.rdStr()
 	if h.Rate <= 0 && d.err == nil {
 		return Hello{}, fmt.Errorf("wire: hello rate %v must be positive", h.Rate)
 	}
 	return h, d.done()
 }
 
-// Welcome acknowledges a Hello. AckSeq (v4) is the server's append
+// Welcome acknowledges a Hello. AckSeq is the server's append
 // high-watermark for the session in absolute frame offsets: everything
 // below it is already held (journaled or live), so a resuming client
-// replays only from AckSeq. It rides as a strict suffix emitted only when
-// non-zero, and the server additionally gates emission on the client's
-// hello version — a v3 decoder rejects trailing bytes.
+// replays only from AckSeq. It rides as a suffix emitted only when
+// non-zero.
 type Welcome struct {
 	SessionID uint64
 	Code      Code
@@ -431,8 +411,8 @@ func (w Welcome) Encode() []byte {
 	return e.b
 }
 
-// DecodeWelcome parses a Welcome payload. A v3 payload (no suffix) decodes
-// with AckSeq zero.
+// DecodeWelcome parses a Welcome payload; without the suffix AckSeq is
+// zero.
 func DecodeWelcome(p []byte) (Welcome, error) {
 	d := buf{b: p}
 	w := Welcome{SessionID: d.rdU64(), Code: Code(d.rdU16())}
@@ -442,7 +422,7 @@ func DecodeWelcome(p []byte) (Welcome, error) {
 	return w, d.done()
 }
 
-// Ping is a liveness probe (v4); the server echoes the nonce in a Pong.
+// Ping is a liveness probe; the server echoes the nonce in a Pong.
 type Ping struct {
 	Nonce uint64
 }
@@ -593,13 +573,11 @@ func checkRange(t0, t1 float64) error {
 // Kind over Channel for session time [T0, T1] seconds. Arg carries the
 // coefficient budget (approximate) or max step count (progressive).
 //
-// TraceID/TraceSampled (v3) carry distributed trace context: a non-zero
+// TraceID/TraceSampled carry distributed trace context: a non-zero
 // TraceID names the request's trace end-to-end, and TraceSampled forces
 // the server to retain the trace regardless of its 1/N sampler (the
-// client's -trace flag). The pair rides as a strict suffix after the v2
-// fields and is emitted only when TraceID is non-zero, so an untraced v3
-// query is byte-identical to v2 — a v2 server (whose decoder rejects
-// trailing bytes) tolerates v3 clients that do not trace.
+// client's -trace flag). The pair rides as a suffix emitted only when
+// TraceID is non-zero.
 type Query struct {
 	Kind    QueryKind
 	Channel uint16
@@ -620,7 +598,7 @@ func NewTraceID() uint64 {
 	}
 }
 
-// appendTraceContext appends the v3 trace-context suffix when set.
+// appendTraceContext appends the trace-context suffix when set.
 func appendTraceContext(e *buf, traceID uint64, sampled bool) {
 	if traceID == 0 {
 		return
@@ -633,9 +611,8 @@ func appendTraceContext(e *buf, traceID uint64, sampled bool) {
 	e.u8(flags)
 }
 
-// readTraceContext consumes the optional v3 trace-context suffix: present
-// when payload bytes remain past the v2 fields, absent (zero context) on a
-// v2 payload.
+// readTraceContext consumes the optional trace-context suffix: present
+// when payload bytes remain past the fixed fields.
 func readTraceContext(d *buf) (traceID uint64, sampled bool) {
 	if d.err != nil || d.pos >= len(d.b) {
 		return 0, false
@@ -658,8 +635,7 @@ func (q Query) Encode() []byte {
 }
 
 // DecodeQuery parses a Query payload, rejecting malformed time ranges
-// (NaN/Inf endpoints, T1 < T0) with a *RangeError. A v2 payload decodes
-// with zero trace context.
+// (NaN/Inf endpoints, T1 < T0) with a *RangeError.
 func DecodeQuery(p []byte) (Query, error) {
 	d := buf{b: p}
 	q := Query{

@@ -56,7 +56,6 @@ func TestHelloRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.Proto = Version // DecodeHello stamps the negotiated version
 	if !reflect.DeepEqual(h, got) {
 		t.Fatalf("round trip: %+v != %+v", got, h)
 	}
