@@ -21,6 +21,7 @@ import (
 	"aims/internal/fleet"
 	"aims/internal/propolyne"
 	"aims/internal/sensors"
+	"aims/internal/stream"
 	"aims/internal/svdstream"
 	"aims/internal/synth"
 	"aims/internal/vec"
@@ -303,11 +304,11 @@ func BenchmarkDeviceFrame(b *testing.B) {
 
 // --- Live-ingest seal path (E13's substrate) ---
 
-// benchLiveStore fills a 4-channel default 256×64-per-channel cube with
-// 8192 frames and returns the store plus the next free tick.
-func benchLiveStore(b *testing.B, threshold int) (*core.LiveStore, *rand.Rand, int) {
+// benchLiveStore fills a default 256×64-per-channel cube with 8192 frames
+// and returns the store plus the next free tick.
+func benchLiveStore(b *testing.B, channels, threshold int) (*core.LiveStore, *rand.Rand, int) {
 	b.Helper()
-	const channels, frames = 4, 8192
+	const frames = 8192
 	mins := make([]float64, channels)
 	maxs := make([]float64, channels)
 	for c := range mins {
@@ -336,7 +337,7 @@ func benchLiveStore(b *testing.B, threshold int) (*core.LiveStore, *rand.Rand, i
 
 // benchSealLoop appends delta frames (off the clock) then times the seal.
 func benchSealLoop(b *testing.B, ls *core.LiveStore, rng *rand.Rand, tick, delta int) {
-	fr := make([]float64, 4)
+	fr := make([]float64, ls.Channels())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -359,7 +360,7 @@ func benchSealLoop(b *testing.B, ls *core.LiveStore, rng *rand.Rand, tick, delta
 // BenchmarkLiveStoreSealCold rebuilds the whole engine on every seal
 // (incremental sealing disabled): the pre-delta-log behaviour.
 func BenchmarkLiveStoreSealCold(b *testing.B) {
-	ls, rng, tick := benchLiveStore(b, -1)
+	ls, rng, tick := benchLiveStore(b, 4, -1)
 	benchSealLoop(b, ls, rng, tick, 1)
 }
 
@@ -369,11 +370,50 @@ func BenchmarkLiveStoreSealCold(b *testing.B) {
 func BenchmarkLiveStoreSealIncremental(b *testing.B) {
 	for _, delta := range []int{16, 82, 512} {
 		b.Run(fmt.Sprintf("delta=%d", delta), func(b *testing.B) {
-			ls, rng, tick := benchLiveStore(b, 0)
+			ls, rng, tick := benchLiveStore(b, 4, 0)
 			if _, err := ls.Seal(); err != nil { // first seal: full build, starts tracking
 				b.Fatal(err)
 			}
 			benchSealLoop(b, ls, rng, tick, delta)
+		})
+	}
+}
+
+// BenchmarkLiveApproxAfterAppend times what an analyst querying beside live
+// acquisition pays per answer: append one 128-frame batch, then an
+// approximate COUNT at budget 64 — delta logging, the incremental seal, the
+// plan lookup, the dot product and the data energy behind the error bound
+// together. BenchmarkLiveStoreSealIncremental times the seal alone, so a
+// cube-sized pass after it (E13's blind spot) shows only here.
+func BenchmarkLiveApproxAfterAppend(b *testing.B) {
+	for _, channels := range []int{4, 28} {
+		b.Run(fmt.Sprintf("channels=%d", channels), func(b *testing.B) {
+			ls, rng, tick := benchLiveStore(b, channels, 0)
+			// First query: full build, plan compile and the one energy scan.
+			if _, _, err := ls.ApproximateCount(0, 0, 60, 64); err != nil {
+				b.Fatal(err)
+			}
+			batch := make([]stream.Frame, 128)
+			for j := range batch {
+				batch[j].Values = make([]float64, channels)
+				for c := range batch[j].Values {
+					batch[j].Values[c] = rng.Float64()*20 - 10
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := range batch {
+					batch[j].T = float64(tick) / 100
+					tick++
+				}
+				if n, err := ls.AppendFrames(batch); err != nil || n != len(batch) {
+					b.Fatal(n, err)
+				}
+				if _, _, err := ls.ApproximateCount(0, 0, 60, 64); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
 }

@@ -1,5 +1,5 @@
 // Command aims-bench regenerates every experiment table of the AIMS
-// reproduction (T1, E1–E14 in DESIGN.md). Run it with no arguments for the
+// reproduction (T1, E1–E20, A1–A5 in DESIGN.md). Run it with no arguments for the
 // full suite, or pass experiment IDs to run a subset:
 //
 //	aims-bench            # everything

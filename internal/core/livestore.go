@@ -22,9 +22,10 @@ import (
 // wavelet-transformed ProPolyne Store. The sealed engine is cached and —
 // because the wavelet transform of a point mass is sparse (§3.1.1) —
 // brought up to date incrementally: appends since the last seal are
-// recorded in a compact delta log and replayed through the engine's
-// batched sparse append, so the live-query hot path costs O(delta), not
-// O(cube). A full rebuild happens only on the first seal and when the
+// recorded in a compact delta log of cell offsets and replayed through the
+// engine's AppendOffsets, which also keeps the error bound's data energy
+// current, so the live-query hot path — seal and answer — costs O(delta),
+// not O(cube). A full rebuild happens only on the first seal and when the
 // delta log overflows its threshold.
 //
 // Concurrency: one RWMutex guards the cube, the delta log and the seal
@@ -51,6 +52,7 @@ type LiveStore struct {
 	sealMu        sync.Mutex
 	sealed        *Store
 	sealedVersion uint64
+	spare         []uint32 // the last replayed log, recycled as the next one's buffer
 }
 
 // LiveStoreConfig shapes a live session store.
@@ -184,11 +186,14 @@ func (ls *LiveStore) AppendFrame(tick int, frame []float64) error {
 	}
 	vb := ls.cfg.ValueBins
 	ls.mu.Lock()
+	logging := ls.logDelta(len(frame))
 	for c, v := range frame {
 		bin := ls.quant[c].Quantize(v)
 		idx := (c*ls.cfg.TimeBuckets+tb)*vb + bin
 		ls.cube[idx]++
-		ls.recordDelta(idx)
+		if logging {
+			ls.delta = append(ls.delta, uint32(idx))
+		}
 	}
 	ls.frames++
 	ls.version++
@@ -196,20 +201,21 @@ func (ls *LiveStore) AppendFrame(tick int, frame []float64) error {
 	return nil
 }
 
-// recordDelta logs one cube-cell increment for the incremental seal.
-// Callers must hold ls.mu for writing.
-func (ls *LiveStore) recordDelta(idx int) {
+// logDelta reports whether an append of n cube-cell increments is to log
+// them for the incremental seal — decided once per append, not per
+// increment. Past deltaLimit entries a replay would cost more than a
+// transform, so an append that would outgrow it drops the log instead and
+// the next Seal rebuilds. Callers hold ls.mu for writing.
+func (ls *LiveStore) logDelta(n int) bool {
 	if !ls.track || ls.overflow {
-		return
+		return false
 	}
-	if len(ls.delta) >= ls.deltaLimit {
-		// Past the threshold an incremental replay would cost more than a
-		// transform; drop the log and let the next Seal rebuild.
+	if len(ls.delta)+n > ls.deltaLimit {
 		ls.overflow = true
 		ls.delta = nil
-		return
+		return false
 	}
-	ls.delta = append(ls.delta, uint32(idx))
+	return true
 }
 
 // AppendFrames ingests a batch of stream frames under a single write-lock
@@ -225,6 +231,7 @@ func (ls *LiveStore) AppendFrames(frames []stream.Frame) (int, error) {
 	stored := 0
 	var firstErr error
 	ls.mu.Lock()
+	logging := ls.logDelta(len(frames) * len(ls.quant))
 	for i := range frames {
 		if len(frames[i].Values) != len(ls.quant) {
 			if firstErr == nil {
@@ -247,7 +254,9 @@ func (ls *LiveStore) AppendFrames(frames []stream.Frame) (int, error) {
 			bin := ls.quant[c].Quantize(v)
 			idx := (c*tbuckets+tb)*vb + bin
 			ls.cube[idx]++
-			ls.recordDelta(idx)
+			if logging {
+				ls.delta = append(ls.delta, uint32(idx))
+			}
 		}
 		ls.frames++
 		ls.version++
@@ -330,7 +339,7 @@ func (ls *LiveStore) VarianceValue(channel int, t0, t1 float64) (float64, bool, 
 // Store (the paper's off-line query subsystem) for approximate and
 // progressive evaluation. The sealed store is cached; when appends have
 // advanced the version, Seal replays the delta log through the engine's
-// batched sparse append — O(delta since last seal) — instead of
+// offset append — O(delta since last seal), energy included — instead of
 // retransforming the cube, falling back to a full rebuild on the first
 // seal, after a delta-log overflow, or when incremental sealing is
 // disabled. Because the cached engine is updated in place, a *Store
@@ -352,9 +361,9 @@ func (ls *LiveStore) Seal() (*Store, error) {
 	}
 	if ls.sealed != nil && ls.track && !ls.overflow {
 		// Incremental path: steal the delta log; appends from here on
-		// accumulate a fresh log for the next seal.
+		// accumulate the next seal's log in the buffer the last one left.
 		log := ls.delta
-		ls.delta = nil
+		ls.delta, ls.spare = ls.spare[:0], log
 		ls.mu.Unlock()
 		if err := ls.replayDelta(log); err != nil {
 			ls.mu.Lock()
@@ -418,50 +427,13 @@ func (ls *LiveStore) Seal() (*Store, error) {
 	return st, nil
 }
 
-// replayDelta groups the logged cube-cell increments by cell and applies
-// them to the cached sealed engine as one batched sparse append. Callers
-// hold sealMu, which is what protects ls.sealed here.
+// replayDelta applies the logged cube-cell increments to the cached sealed
+// engine as one batched sparse append. The log's cube offsets are the
+// engine's own: channel is the leading dimension, so padding it to a power
+// of two only adds cells past the cube's end. Callers hold sealMu, which
+// is what protects ls.sealed here.
 func (ls *LiveStore) replayDelta(log []uint32) error {
-	if len(log) == 0 {
-		return nil
-	}
-	eng := ls.sealed.Engine
-	vb := ls.cfg.ValueBins
-	chStride := ls.cfg.TimeBuckets * vb
-	var tuples []propolyne.Tuple
-	if eng.HasWaveletDims() {
-		// Each distinct cell costs a sparse tensor-product scatter, so
-		// collapse duplicate increments into one weighted tuple first.
-		counts := make(map[uint32]float64, len(log))
-		for _, idx := range log {
-			counts[idx]++
-		}
-		tuples = make([]propolyne.Tuple, 0, len(counts))
-		idxs := make([]int, 3*len(counts))
-		for idx, w := range counts {
-			i := int(idx)
-			rem := i % chStride
-			ix := idxs[:3:3]
-			idxs = idxs[3:]
-			ix[0], ix[1], ix[2] = i/chStride, rem/vb, rem%vb
-			tuples = append(tuples, propolyne.Tuple{Index: ix, Weight: w})
-		}
-	} else {
-		// Pure-relational engine: every increment lands on exactly one
-		// coefficient, so dedup would cost more than it saves — stream the
-		// raw log as unit-weight tuples.
-		tuples = make([]propolyne.Tuple, len(log))
-		idxs := make([]int, 3*len(log))
-		for k, idx := range log {
-			i := int(idx)
-			rem := i % chStride
-			ix := idxs[:3:3]
-			idxs = idxs[3:]
-			ix[0], ix[1], ix[2] = i/chStride, rem/vb, rem%vb
-			tuples[k] = propolyne.Tuple{Index: ix, Weight: 1}
-		}
-	}
-	return eng.AppendBatch(tuples)
+	return ls.sealed.Engine.AppendOffsets(log)
 }
 
 // QueryTrace reports what one traced store evaluation cost, layer by

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -119,5 +120,143 @@ func TestSealFallbackAfterReplayError(t *testing.T) {
 	}
 	if len(seals) != 3 || !seals[2].incremental {
 		t.Fatalf("post-recovery seal = %+v, want incremental", seals)
+	}
+}
+
+// gloveRange is the ±10 value range of every channel in these tests.
+func gloveRange(channels int) (mins, maxs []float64) {
+	mins = make([]float64, channels)
+	maxs = make([]float64, channels)
+	for c := range mins {
+		mins[c], maxs[c] = -10, 10
+	}
+	return mins, maxs
+}
+
+// TestSealOffsetReplayPaddedChannels pins the premise of the offset
+// replay: the delta log holds offsets into the channels×buckets×bins count
+// cube, the engine pads channels to a power of two (28 → 32), and because
+// channel is the leading dimension the two offset spaces coincide. An
+// incrementally sealed store must therefore equal a from-scratch rebuild
+// of the same frames cell for cell, padding channels included — on a
+// pure-relational engine (the raw log streamed) and on a hybrid one (the
+// log deduplicated, each cell a tensor-product scatter).
+func TestSealOffsetReplayPaddedChannels(t *testing.T) {
+	const channels = 28
+	mins, maxs := gloveRange(channels)
+	hybrid := liveCfg()
+	hybrid.MaxDegree, hybrid.ValueBins = 1, 64 // value bins go wavelet under D4
+	for _, tc := range []struct {
+		name    string
+		cfg     LiveStoreConfig
+		wavelet bool
+	}{
+		{"pure-relational", liveCfg(), false},
+		{"hybrid", hybrid, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(28))
+			inc, err := NewLiveStore(mins, maxs, tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.cfg.SealDeltaThreshold = -1 // reference: every seal rebuilds
+			ref, err := NewLiveStore(mins, maxs, tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fr := make([]float64, channels)
+			tick := 0
+			for round := 0; round < 6; round++ {
+				for k := 0; k < 40; k++ {
+					for c := range fr {
+						fr[c] = rng.Float64()*20 - 10
+					}
+					if err := inc.AppendFrame(tick, fr); err != nil {
+						t.Fatal(err)
+					}
+					if err := ref.AppendFrame(tick, fr); err != nil {
+						t.Fatal(err)
+					}
+					tick++
+				}
+				stInc, err := inc.Seal() // round 0 builds; every later one replays offsets
+				if err != nil {
+					t.Fatal(err)
+				}
+				stRef, err := ref.Seal()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := stInc.Engine.HasWaveletDims(); got != tc.wavelet {
+					t.Fatalf("sealed to bases %+v, want wavelet dims = %v", stInc.Engine.Bases, tc.wavelet)
+				}
+				a, b := stInc.Engine.Coeffs, stRef.Engine.Coeffs
+				if len(a) != 32*tc.cfg.TimeBuckets*tc.cfg.ValueBins || len(a) != len(b) {
+					t.Fatalf("engine sizes %d / %d, want the 32-channel padded cube", len(a), len(b))
+				}
+				for i := range a {
+					if math.Abs(a[i]-b[i]) > 1e-9 {
+						t.Fatalf("round %d: cell %d replayed to %v, rebuilt to %v", round, i, a[i], b[i])
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestLiveApproxAfterAppendEnergyCurrent runs the live-query cycle —
+// append, then an approximate COUNT — 1000 times on a 28-channel store at
+// the default live geometry. Every answer must sit within its own bound,
+// and the engine's maintained energy must still equal a fresh Σ coeff² at
+// the end: bit for bit, because that geometry seals to a pure-relational
+// engine (all three bases standard), where every update is integer
+// arithmetic.
+func TestLiveApproxAfterAppendEnergyCurrent(t *testing.T) {
+	const channels = 28
+	mins, maxs := gloveRange(channels)
+	ls, err := NewLiveStore(mins, maxs, LiveStoreConfig{Rate: 100, HorizonTicks: 4000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1000))
+	fr := make([]float64, channels)
+	tick := 0
+	for cycle := 0; cycle < 1000; cycle++ {
+		for k := 0; k < 4; k++ {
+			for c := range fr {
+				fr[c] = rng.Float64()*20 - 10
+			}
+			if err := ls.AppendFrame(tick, fr); err != nil {
+				t.Fatal(err)
+			}
+			tick++
+		}
+		ch := rng.Intn(channels)
+		est, bound, err := ls.ApproximateCount(ch, 0, 40, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exact, err := ls.CountSamples(ch, 0, 40)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(exact-est) > bound+1e-6 {
+			t.Fatalf("cycle %d: |%v − %v| exceeds bound %v", cycle, exact, est, bound)
+		}
+	}
+	st, err := ls.Seal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Engine.HasWaveletDims() {
+		t.Fatalf("default live geometry sealed to bases %+v, want pure-relational", st.Engine.Bases)
+	}
+	var fresh float64
+	for _, v := range st.Engine.Coeffs {
+		fresh += v * v
+	}
+	if got := st.Engine.Energy(); got != fresh {
+		t.Fatalf("maintained energy %v != fresh sum %v after 1000 append→query cycles", got, fresh)
 	}
 }

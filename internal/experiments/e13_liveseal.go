@@ -117,9 +117,9 @@ func RunE13(w io.Writer) E13Result {
 		tb.AddRow(delta, fmt.Sprintf("%.2f%%", 100*float64(delta)/frames), ms, fmt.Sprintf("%.1f×", speed))
 	}
 	tb.Note("cold = SealDeltaThreshold<0 (every seal copies the cube and reruns the multi-pass")
-	tb.Note("wavelet transform); incremental seals replay the grouped delta log through the")
-	tb.Note("engine's batched sparse append, so post-append approximate queries during live")
-	tb.Note("ingest cost O(delta since last seal), not O(cube)")
+	tb.Note("wavelet transform); incremental seals replay the delta log's cell offsets through")
+	tb.Note("Engine.AppendOffsets, which keeps the bound's data energy current as it writes, so")
+	tb.Note("seal AND the approximate answer after it cost O(delta since last seal), not O(cube)")
 	tb.Render(w)
 	return res
 }

@@ -65,7 +65,7 @@ func (e *Engine) cellOf(flat int, cells []int) int {
 }
 
 // bandEnergies lazily computes Σ coeff² per subband cell; safe for
-// concurrent use (cacheMu before mu, matching Energy and Append).
+// concurrent use (cacheMu before mu, matching the appends that invalidate it).
 func (e *Engine) bandEnergies() map[int]float64 {
 	e.cacheMu.Lock()
 	defer e.cacheMu.Unlock()

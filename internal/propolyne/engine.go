@@ -19,6 +19,7 @@ package propolyne
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"aims/internal/vec"
@@ -43,14 +44,15 @@ type Engine struct {
 	// (identity along standard dimensions), row-major.
 	Coeffs []float64
 
-	// mu guards Coeffs: queries take the read lock, Append the write
-	// lock, so any number of concurrent readers coexist with a single
-	// writer. cacheMu guards the derived energy caches and is always
-	// acquired BEFORE mu where both are needed. Direct Coeffs access
-	// (tests, the block-store builder) is only safe without concurrent
-	// appends.
-	mu          sync.RWMutex
-	cacheMu     sync.Mutex
+	// mu guards Coeffs and the data energy: queries take the read lock,
+	// appends the write lock, so any number of concurrent readers coexist
+	// with a single writer. cacheMu guards bandEnergy and is always acquired
+	// BEFORE mu where both are needed. Direct Coeffs access (tests, the
+	// block-store builder) is only safe without concurrent appends.
+	mu      sync.RWMutex
+	cacheMu sync.Mutex
+	// energy is Σ coeff², kept current by every coefficient write (bump)
+	// once energyValid.
 	energy      float64
 	energyValid bool
 	// bandEnergy caches per-subband-cell Σ coeff² for the refined bounds;
@@ -129,19 +131,25 @@ func NewWithBases(cube []float64, dims []int, bases []Basis) (*Engine, error) {
 }
 
 // Energy returns Σ coefficient² — the data-energy term of the progressive
-// error bound. Cached between updates; safe for concurrent use.
+// error bound. Appends maintain it incrementally, so the cube is scanned
+// only for an engine whose energy was never computed (fresh from New,
+// ReadEngine or WithApproximation); safe for concurrent use, and readers
+// of a computed value do not exclude each other.
 func (e *Engine) Energy() float64 {
-	e.cacheMu.Lock()
-	defer e.cacheMu.Unlock()
+	e.mu.RLock()
+	s, ok := e.energy, e.energyValid
+	e.mu.RUnlock()
+	if ok {
+		return s
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	if !e.energyValid {
-		e.mu.RLock()
-		var s float64
+		s = 0
 		for _, v := range e.Coeffs {
 			s += v * v
 		}
-		e.mu.RUnlock()
-		e.energy = s
-		e.energyValid = true
+		e.energy, e.energyValid = s, true
 	}
 	return e.energy
 }
@@ -283,38 +291,11 @@ func (e *Engine) Exact(q Query) (float64, Stats, error) {
 // per dimension, so the update touches only the tensor product of those
 // sparse vectors — the low-cost incremental append of §3.1.1.
 func (e *Engine) Append(tuple []int, weight float64) error {
-	if len(tuple) != len(e.Dims) {
-		return fmt.Errorf("propolyne: tuple arity %d != %d", len(tuple), len(e.Dims))
+	off, err := e.cellOffset(tuple)
+	if err != nil {
+		return err
 	}
-	per := make([]wavelet.Sparse, len(e.Dims))
-	for d, v := range tuple {
-		if v < 0 || v >= e.Dims[d] {
-			return fmt.Errorf("propolyne: tuple value %d outside dim %d", v, d)
-		}
-		if e.Bases[d].Standard {
-			per[d] = wavelet.Sparse{v: 1}
-			continue
-		}
-		per[d] = wavelet.DeltaTransform(e.Dims[d], v, 1, e.Bases[d].Filter, e.Levels[d])
-	}
-	strides := e.Dims.Strides()
-	var rec func(d, off int, w float64)
-	rec = func(d, off int, w float64) {
-		if d == len(per) {
-			e.Coeffs[off] += w
-			return
-		}
-		for i, v := range per[d] {
-			rec(d+1, off+i*strides[d], w*v)
-		}
-	}
-	e.cacheMu.Lock()
-	e.mu.Lock()
-	rec(0, 0, weight)
-	e.mu.Unlock()
-	e.energyValid = false
-	e.bandEnergy = nil
-	e.cacheMu.Unlock()
+	scatter(e, []int{off}, []float64{weight})
 	return nil
 }
 
@@ -336,6 +317,22 @@ func (e *Engine) HasWaveletDims() bool {
 	return false
 }
 
+// cellOffset validates one tuple against the schema and returns the flat
+// row-major offset of its cube cell.
+func (e *Engine) cellOffset(tuple []int) (int, error) {
+	if len(tuple) != len(e.Dims) {
+		return 0, fmt.Errorf("propolyne: tuple arity %d != %d", len(tuple), len(e.Dims))
+	}
+	off := 0
+	for d, v := range tuple {
+		if v < 0 || v >= e.Dims[d] {
+			return 0, fmt.Errorf("propolyne: tuple value %d outside dim %d", v, d)
+		}
+		off = off*e.Dims[d] + v
+	}
+	return off, nil
+}
+
 // AppendBatch inserts many weighted tuples in one engine transaction. It
 // is the bulk form of Append, with two batch-level savings: the sparse
 // per-dimension DeltaTransform vectors are computed once per distinct
@@ -348,19 +345,71 @@ func (e *Engine) HasWaveletDims() bool {
 // Validation is up-front and all-or-nothing: a malformed tuple anywhere in
 // the batch leaves the engine untouched.
 func (e *Engine) AppendBatch(tuples []Tuple) error {
-	for _, t := range tuples {
-		if len(t.Index) != len(e.Dims) {
-			return fmt.Errorf("propolyne: tuple arity %d != %d", len(t.Index), len(e.Dims))
+	offs := make([]int, len(tuples))
+	weights := make([]float64, len(tuples))
+	for k, t := range tuples {
+		off, err := e.cellOffset(t.Index)
+		if err != nil {
+			return err
 		}
-		for d, v := range t.Index {
-			if v < 0 || v >= e.Dims[d] {
-				return fmt.Errorf("propolyne: tuple value %d outside dim %d", v, d)
+		offs[k], weights[k] = off, t.Weight
+	}
+	scatter(e, offs, weights)
+	return nil
+}
+
+// AppendOffsets is AppendBatch for a caller that already addresses a cube
+// of the engine's shape: one unit-weight tuple per entry of offs, each the
+// flat row-major offset of its cell — core.LiveStore's delta log, replayed
+// as it was recorded. Validation is up-front and all-or-nothing. offs may
+// be reordered: where wavelet dimensions make every distinct cell a
+// tensor-product scatter, duplicates are first collapsed (sort + run
+// length) into one weighted mass each; on a pure-relational engine a
+// duplicate costs one add, so the log is streamed as is.
+func (e *Engine) AppendOffsets(offs []uint32) error {
+	for _, off := range offs {
+		if int(off) >= len(e.Coeffs) {
+			return fmt.Errorf("propolyne: cell offset %d outside cube of %d cells", off, len(e.Coeffs))
+		}
+	}
+	var weights []float64
+	if e.HasWaveletDims() {
+		slices.Sort(offs)
+		n := 0
+		for _, off := range offs {
+			if n > 0 && off == offs[n-1] {
+				weights[n-1]++
+				continue
 			}
+			offs[n] = off
+			weights = append(weights, 1)
+			n++
 		}
+		offs = offs[:n]
 	}
-	if len(tuples) == 0 {
-		return nil
+	scatter(e, offs, weights)
+	return nil
+}
+
+// bump adds w to one coefficient and returns the change in Σ coeff² it
+// caused, (c+w)² − c² = w·(2c+w). Every coefficient write after
+// construction goes through here; that is what keeps Engine.energy
+// current without rescanning the cube. Callers hold mu for writing.
+func (e *Engine) bump(off int, w float64) float64 {
+	old := e.Coeffs[off]
+	e.Coeffs[off] = old + w
+	return w * (2*old + w)
+}
+
+// scatter adds the point masses weights[k]·δ(offs[k]) — unit masses when
+// weights is nil — to the transformed cube in one engine transaction: the
+// routine behind Append, AppendBatch and AppendOffsets. offs are validated
+// flat row-major cell offsets.
+func scatter[O int | uint32](e *Engine, offs []O, weights []float64) {
+	if len(offs) == 0 {
+		return
 	}
+	strides := e.Dims.Strides()
 	// Memoise the wavelet dims' sparse vectors before taking any lock
 	// (DeltaTransform is the expensive part); standard dims are inline
 	// singletons and need no table.
@@ -373,25 +422,27 @@ func (e *Engine) AppendBatch(tuples []Tuple) error {
 			caches = make([]map[int][]wavelet.Entry, len(e.Dims))
 		}
 		caches[d] = make(map[int][]wavelet.Entry)
-		for _, t := range tuples {
-			v := t.Index[d]
+		for _, off := range offs {
+			v := int(off) / strides[d] % e.Dims[d]
 			if _, ok := caches[d][v]; !ok {
 				caches[d][v] = wavelet.DeltaTransform(e.Dims[d], v, 1, e.Bases[d].Filter, e.Levels[d]).Ordered()
 			}
 		}
 	}
-	strides := e.Dims.Strides()
+	weight := func(k int) float64 {
+		if weights == nil {
+			return 1
+		}
+		return weights[k]
+	}
+	var dE float64
 	e.cacheMu.Lock()
 	e.mu.Lock()
 	if caches == nil {
-		// Pure-relational engine: every tuple lands on exactly one
+		// Pure-relational engine: every mass lands on exactly one
 		// coefficient, so scatter directly without the tensor recursion.
-		for _, t := range tuples {
-			off := 0
-			for d, v := range t.Index {
-				off += v * strides[d]
-			}
-			e.Coeffs[off] += t.Weight
+		for k, off := range offs {
+			dE += e.bump(int(off), weight(k))
 		}
 	} else {
 		per := make([][]wavelet.Entry, len(e.Dims))
@@ -399,15 +450,16 @@ func (e *Engine) AppendBatch(tuples []Tuple) error {
 		var rec func(d, off int, w float64)
 		rec = func(d, off int, w float64) {
 			if d == len(per) {
-				e.Coeffs[off] += w
+				dE += e.bump(off, w)
 				return
 			}
 			for _, en := range per[d] {
 				rec(d+1, off+en.Index*strides[d], w*en.Value)
 			}
 		}
-		for _, t := range tuples {
-			for d, v := range t.Index {
+		for k, off := range offs {
+			for d := range e.Dims {
+				v := int(off) / strides[d] % e.Dims[d]
 				if e.Bases[d].Standard {
 					singles[d] = wavelet.Entry{Index: v, Value: 1}
 					per[d] = singles[d : d+1]
@@ -415,14 +467,15 @@ func (e *Engine) AppendBatch(tuples []Tuple) error {
 					per[d] = caches[d][v]
 				}
 			}
-			rec(0, 0, t.Weight)
+			rec(0, 0, weight(k))
 		}
 	}
+	if e.energyValid {
+		e.energy += dE
+	}
 	e.mu.Unlock()
-	e.energyValid = false
 	e.bandEnergy = nil
 	e.cacheMu.Unlock()
-	return nil
 }
 
 // WithApproximation returns a copy of the engine whose coefficient store

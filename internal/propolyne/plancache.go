@@ -141,9 +141,10 @@ func (c *PlanCache) Purge() {
 
 // PlanTrace reports what one traced query evaluation cost at the plan
 // layer: whether the plan came from cache, how long a miss spent compiling,
-// how long the coefficient dot product ran, and how many query coefficients
-// it spent. Filled by the *Traced query variants; the middle tier stamps
-// the fields into trace spans without propolyne ever importing obs.
+// how long evaluation ran (ordering, the coefficient dot product and the
+// error bound), and how many query coefficients it spent. Filled by the
+// *Traced query variants; the middle tier stamps the fields into trace
+// spans without propolyne ever importing obs.
 type PlanTrace struct {
 	Hit          bool
 	CompileNS    int64

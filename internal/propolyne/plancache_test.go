@@ -1,6 +1,7 @@
 package propolyne
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -168,9 +169,12 @@ func TestPlanCacheSingleflight(t *testing.T) {
 // TestPlanCacheConcurrentWithAppends is the -race stress: readers keep
 // evaluating cached plans while a writer appends batches into the engine.
 // Plans are geometry-only, so appends never invalidate them; the test pins
-// that the cache and the engine locks compose without races.
+// that the cache and the engine locks compose without races — including
+// the budgeted estimate and the data energy the writer keeps current
+// under the same lock hold as the coefficients.
 func TestPlanCacheConcurrentWithAppends(t *testing.T) {
 	e := cacheTestEngine(t, []int{32, 32}, 200)
+	e.Energy() // computed once; from here the appends maintain it
 	c := NewPlanCache(1 << 12)
 	stop := make(chan struct{})
 	var writers, readers sync.WaitGroup
@@ -217,10 +221,21 @@ func TestPlanCacheConcurrentWithAppends(t *testing.T) {
 				if i%16 == 0 {
 					_, _ = p.Ordered()
 				}
+				if _, bound, err := e.EstimateWithBudget(q, 8); err != nil || math.IsNaN(bound) {
+					t.Errorf("EstimateWithBudget: bound %v, err %v", bound, err)
+					return
+				}
+				if e.Energy() <= 0 {
+					t.Error("Energy() not positive on a populated engine")
+					return
+				}
 			}
 		}(g)
 	}
 	readers.Wait()
 	close(stop)
 	writers.Wait()
+	if got, want := e.Energy(), freshEnergy(e); math.Abs(got-want) > 1e-9*want {
+		t.Fatalf("energy after concurrent appends %v, fresh sum %v", got, want)
+	}
 }

@@ -25,14 +25,19 @@ func (e *Engine) Progressive(q Query, maxSteps int) ([]Step, Stats, error) {
 }
 
 // ProgressiveTraced is Progressive with per-call plan provenance: when pt
-// is non-nil it records the plan-cache outcome, the evaluation time of the
-// coefficient walk, and the coefficients spent.
+// is non-nil it records the plan-cache outcome, the evaluation time —
+// ordering (a plan miss sorts here), the data energy behind the bounds and
+// the coefficient walk — and the coefficients spent.
 func (e *Engine) ProgressiveTraced(q Query, maxSteps int, pt *PlanTrace) ([]Step, Stats, error) {
 	p, err := e.planTraced(q, pt)
 	if err != nil {
 		return nil, Stats{}, err
 	}
 	st := p.Stats()
+	var t0 time.Time
+	if pt != nil {
+		t0 = time.Now()
+	}
 	// The retrieval order and suffix query energies are part of the
 	// compiled plan — ordered once, shared by every progressive run.
 	entries, suffix := p.Ordered()
@@ -41,10 +46,6 @@ func (e *Engine) ProgressiveTraced(q Query, maxSteps int, pt *PlanTrace) ([]Step
 	every := 1
 	if maxSteps > 0 && len(entries) > maxSteps {
 		every = (len(entries) + maxSteps - 1) / maxSteps
-	}
-	var t0 time.Time
-	if pt != nil {
-		t0 = time.Now()
 	}
 	var est float64
 	steps := make([]Step, 0, len(entries)/every+1)
@@ -78,11 +79,16 @@ func (e *Engine) EstimateWithBudget(q Query, budget int) (estimate, bound float6
 }
 
 // EstimateWithBudgetTraced is EstimateWithBudget with per-call plan
-// provenance recorded into a non-nil pt.
+// provenance recorded into a non-nil pt; its EvalNS spans ordering, the
+// coefficient walk and the bound.
 func (e *Engine) EstimateWithBudgetTraced(q Query, budget int, pt *PlanTrace) (estimate, bound float64, err error) {
 	p, err := e.planTraced(q, pt)
 	if err != nil {
 		return 0, 0, err
+	}
+	var t0 time.Time
+	if pt != nil {
+		t0 = time.Now()
 	}
 	entries, suffix := p.Ordered()
 	if budget > len(entries) {
@@ -91,21 +97,19 @@ func (e *Engine) EstimateWithBudgetTraced(q Query, budget int, pt *PlanTrace) (e
 	if budget < 0 {
 		budget = 0
 	}
-	var t0 time.Time
-	if pt != nil {
-		t0 = time.Now()
-	}
 	var est float64
 	e.mu.RLock()
 	for i := 0; i < budget; i++ {
 		est += entries[i].Value * e.Coeffs[entries[i].Index]
 	}
 	e.mu.RUnlock()
+	// suffix[budget] is the unevaluated query mass — precomputed at plan
+	// ordering time — and the data energy is maintained by the appends, so
+	// the budgeted path does no per-call energy pass on either side.
+	bound = math.Sqrt(suffix[budget]) * math.Sqrt(e.Energy())
 	if pt != nil {
 		pt.EvalNS = time.Since(t0).Nanoseconds()
 		pt.Coefficients = budget
 	}
-	// suffix[budget] is the unevaluated query mass — precomputed at plan
-	// ordering time, so the budgeted path does no per-call energy pass.
-	return est, math.Sqrt(suffix[budget]) * math.Sqrt(e.Energy()), nil
+	return est, bound, nil
 }

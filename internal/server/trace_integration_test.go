@@ -218,6 +218,78 @@ func TestFleetTraceTreeOverWire(t *testing.T) {
 	}
 }
 
+// TestApproxTraceAccountsForEvaluate pins that the trace tells the truth
+// about a query beside live ingest: a force-sampled approximate COUNT
+// issued right after an append must yield an evaluate span whose children
+// — the incremental seal, the plan lookup and the dot (ordering, walk and
+// bound) — cover at least 90 % of it. A cube-sized pass between an append
+// and its answer (the energy rescan this store used to pay) has no child
+// span and would show here as most of evaluate going unexplained.
+func TestApproxTraceAccountsForEvaluate(t *testing.T) {
+	const channels, batch = 28, 512
+	srv, addr := startServer(t, Config{TraceSample: 1 << 20}) // default live geometry: a 32×256×64 engine
+	h := srv.AdminHandler()
+	sent := 2048
+	c := fleetClient(t, addr, "analyst", "cyberglove", 0, sent, channels)
+	q := wire.Query{Kind: wire.QueryApproxCount, Channel: 3, T0: 0, T1: 20, Arg: 64}
+	if r, err := c.Query(q); err != nil || r.Code != wire.CodeOK {
+		t.Fatalf("warm-up query (first seal, plan compile): %+v, %v", r, err)
+	}
+
+	// One descheduling between two timestamps can dent a single sample, so
+	// the best of a few append→query rounds is judged; an unattributed
+	// cube pass would dent every one of them.
+	var best float64
+	var bestSpans []obs.Span
+	for round := 0; round < 8 && best < 0.9; round++ {
+		frames := clientFrames(round, batch, channels)
+		for i := range frames {
+			frames[i].T = float64(sent+i) / 100
+		}
+		sent += batch
+		if err := c.SendBatch(frames); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		q.TraceID, q.TraceSampled = wire.NewTraceID(), true
+		if r, err := c.Query(q); err != nil || r.Code != wire.CodeOK {
+			t.Fatalf("traced query: %+v, %v", r, err)
+		}
+		snap := getTraceByID(t, h, q.TraceID)
+		var eval obs.Span
+		for _, sp := range snap.Spans {
+			if sp.Name == "evaluate" {
+				eval = sp
+			}
+		}
+		var covered int64
+		sealed := false
+		for _, sp := range snap.Spans {
+			if sp.Parent != eval.ID {
+				continue
+			}
+			switch sp.Name {
+			case "seal":
+				sealed = true
+				covered += sp.DurationNS
+			case "plan-hit", "plan-compile", "dot":
+				covered += sp.DurationNS
+			}
+		}
+		if eval.DurationNS == 0 || !sealed {
+			t.Fatalf("round %d: no evaluate span with a seal child: %+v", round, snap.Spans)
+		}
+		if cov := float64(covered) / float64(eval.DurationNS); cov > best {
+			best, bestSpans = cov, snap.Spans
+		}
+	}
+	if best < 0.9 {
+		t.Fatalf("seal + plan + dot cover %.0f%% of evaluate at best, want ≥ 90%%: %+v", 100*best, bestSpans)
+	}
+}
+
 // TestSlowQueryLogAlwaysOn pins the always-on promise: with a 1ns
 // threshold and the sampler effectively off, an ordinary untraced query
 // still lands in /slowlog with its structured fields, bumps
