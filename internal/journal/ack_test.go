@@ -18,13 +18,13 @@ func TestWALAckRecordRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.append(0, testFrames(10, 2, 0), 2); err != nil {
+	if err := appendOne(w, 0, testFrames(10, 2, 0), 2); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.appendAck(7, 10); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.append(10, testFrames(10, 2, 10), 2); err != nil {
+	if err := appendOne(w, 10, testFrames(10, 2, 10), 2); err != nil {
 		t.Fatal(err)
 	}
 	// An ack beyond the journaled stream: the server acknowledged frames it
@@ -60,7 +60,7 @@ func TestWALAckRotatesSegments(t *testing.T) {
 	}
 	var next uint64
 	for i := 0; i < 30; i++ {
-		if err := w.append(next, testFrames(4, 2, next), 2); err != nil {
+		if err := appendOne(w, next, testFrames(4, 2, next), 2); err != nil {
 			t.Fatal(err)
 		}
 		next += 4
@@ -94,10 +94,10 @@ func TestReplayTrailingDuplicateIsDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.append(0, testFrames(100, 2, 0), 2); err != nil {
+	if err := appendOne(w, 0, testFrames(100, 2, 0), 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.append(100, testFrames(100, 2, 100), 2); err != nil {
+	if err := appendOne(w, 100, testFrames(100, 2, 100), 2); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.close(); err != nil {

@@ -6,9 +6,10 @@
 //
 //   - a per-session, append-only, CRC32C-framed, segmented write-ahead log
 //     the server writes each acquisition batch to before it reaches
-//     core.LiveStore.AppendFrames, with a configurable fsync policy
-//     (per-batch, interval-deferred, or off) and size-based segment
-//     rotation; and
+//     core.LiveStore.AppendFrames — one record per batch, the batches the
+//     session's appender drained together sharing one durability step —
+//     with a configurable fsync policy (per-group, interval-deferred, or
+//     off) and size-based segment rotation; and
 //   - periodic snapshots: the live store is sealed and serialised with
 //     core.Store.WriteTo into a temp file, atomically renamed into place,
 //     and the WAL is truncated up to the snapshot's frame watermark.
@@ -19,7 +20,9 @@
 // (core.RestoreLiveStore), then the WAL tail past the watermark is
 // replayed through the normal AppendFrames path. Torn tails, short reads
 // and corrupt frames are detected by the per-record CRC and the log is
-// truncated at the last valid record instead of failing recovery.
+// truncated at the last valid record instead of failing recovery; replay
+// carries on into the next segment only when its header proves no frame
+// is missing in between (see replayWAL).
 //
 // Under disk backpressure a session degrades according to policy: block
 // (the consumer stalls, the bounded ingest queue fills, and the device
@@ -40,8 +43,11 @@ import (
 type FsyncPolicy int
 
 const (
-	// FsyncBatch syncs after every appended batch: a flush-acked frame is
-	// durable. The safest and slowest policy.
+	// FsyncBatch syncs once per appended group — the run of batches the
+	// session's appender took off its queue in one turn, a single batch
+	// when nothing else was waiting. A flush-acked frame is durable: a
+	// Flush barrier ends the group it is taken with, and is released only
+	// after that group's sync has returned. The safest and slowest policy.
 	FsyncBatch FsyncPolicy = iota
 	// FsyncInterval defers the sync to a timer (Config.FsyncInterval): a
 	// crash loses at most the last interval's frames.
@@ -83,9 +89,9 @@ func (p FsyncPolicy) String() string {
 type DegradePolicy int
 
 const (
-	// DegradeBlock retries the write, stalling the session's acquisition
-	// consumer: the bounded ingest queue fills and the device feels the
-	// backpressure. Lossless, at the price of ingest latency.
+	// DegradeBlock retries the write, stalling the session's appender: the
+	// bounded ingest queue fills and the device feels the backpressure.
+	// Lossless, at the price of ingest latency.
 	DegradeBlock DegradePolicy = iota
 	// DegradeShed drops durability for the session but keeps ingesting:
 	// frames continue into the live store un-journaled and the degradation

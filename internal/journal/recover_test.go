@@ -283,7 +283,8 @@ func TestDegradeShedHealsOnSnapshot(t *testing.T) {
 }
 
 // TestDegradeBlockRetriesUntilDiskReturns: under the block policy the
-// append stalls, retries, and succeeds once the disk heals — losslessly.
+// append stalls, retries, and succeeds once the disk heals — losslessly,
+// even though the failed write left a torn record behind it.
 func TestDegradeBlockRetriesUntilDiskReturns(t *testing.T) {
 	dir := t.TempDir()
 	plan := NewFaultPlan()
@@ -295,7 +296,7 @@ func TestDegradeBlockRetriesUntilDiskReturns(t *testing.T) {
 		t.Fatal(err)
 	}
 	sess.AppendFrames(sineFrames(10, 1, 0), nil)
-	plan.TearAt(plan.Written())
+	plan.TearAt(plan.Written() + 13) // 13 bytes into the second record
 	tries := 0
 	sess.AppendFrames(sineFrames(10, 1, 10), func() bool {
 		tries++
@@ -307,20 +308,22 @@ func TestDegradeBlockRetriesUntilDiskReturns(t *testing.T) {
 	if sess.Degraded() {
 		t.Fatal("block policy degraded despite disk healing")
 	}
+	sess.AppendFrames(sineFrames(10, 1, 20), nil)
 	sess.Close(nil)
 
-	// One batch was torn mid-record, then retried whole on a fresh
-	// segment; replay must see all 20 frames exactly once.
+	// The second batch was torn mid-record, then retried whole on a fresh
+	// segment, and a third followed it there; replay must cut the torn
+	// tail, carry on into that segment, and see all 30 frames exactly once.
 	m2, _ := OpenManager(Config{Dir: dir, SnapshotFrames: -1})
 	recovered, err := m2.Recover(testStoreCfg)
 	if err != nil || len(recovered) != 1 {
 		t.Fatalf("recover: %v (%d)", err, len(recovered))
 	}
-	if recovered[0].Processed != 20 {
-		t.Fatalf("processed=%d, want 20", recovered[0].Processed)
+	if !recovered[0].Truncated || recovered[0].Processed != 30 {
+		t.Fatalf("truncated=%v processed=%d, want the torn tail cut and 30 frames", recovered[0].Truncated, recovered[0].Processed)
 	}
-	if n, _ := recovered[0].Store.CountSamples(0, 0, 32); n != 20 {
-		t.Fatalf("recovered %v frames, want 20", n)
+	if n, _ := recovered[0].Store.CountSamples(0, 0, 32); n != 30 {
+		t.Fatalf("recovered %v frames, want 30", n)
 	}
 }
 

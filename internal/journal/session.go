@@ -10,7 +10,7 @@ import (
 
 // Session is one live session's durability handle: its WAL append side
 // plus snapshot bookkeeping. A single goroutine — the session's
-// appender — calls AppendFrames, MaybeSnapshot and Close;
+// appender — calls AppendGroup, MaybeSnapshot and Close;
 // Processed/Degraded/Resumed are safe from any goroutine (the admin plane
 // reads them).
 type Session struct {
@@ -43,27 +43,43 @@ func (s *Session) Processed() uint64 { return s.processed.Load() }
 // failure. A successful snapshot heals it.
 func (s *Session) Degraded() bool { return s.degraded.Load() }
 
-// AppendFrames journals one acquisition batch before the caller appends it
-// to the live store. The frames count toward the session's processed order
-// whether or not the write lands, so snapshot watermarks stay truthful
-// even while durability is shed.
+// AppendFrames journals one acquisition batch: a group of one.
+func (s *Session) AppendFrames(frames []stream.Frame, keepTrying func() bool) {
+	s.AppendGroup([][]stream.Frame{frames}, keepTrying)
+}
+
+// AppendGroup journals a run of acquisition batches before the caller
+// appends them to the live store: one WAL record per batch, in order, and
+// one durability step (fsync or timer arm, per policy) for the run. The
+// frames count toward the session's processed order whether or not the
+// write lands, so snapshot watermarks stay truthful even while durability
+// is shed.
 //
 // On a write failure the behaviour follows Config.Degrade: DegradeBlock
 // retries (stalling the caller — the bounded ingest queue then applies
 // device backpressure) for as long as keepTrying returns true, then
-// degrades; DegradeShed degrades immediately. Degradation is reported once
+// degrades; DegradeShed degrades immediately. A retry resumes at the first
+// record that did not reach the log whole. Degradation is reported once
 // through the Observer.
-func (s *Session) AppendFrames(frames []stream.Frame, keepTrying func() bool) {
+func (s *Session) AppendGroup(group [][]stream.Frame, keepTrying func() bool) {
 	start := s.processed.Load()
-	s.processed.Store(start + uint64(len(frames)))
+	end := start
+	for _, frames := range group {
+		end += uint64(len(frames))
+	}
+	s.processed.Store(end)
 	if s.degraded.Load() {
 		return
 	}
 	for {
-		err := s.wal.append(start, frames, s.width)
+		landed, err := s.wal.append(start, group, s.width)
 		if err == nil {
 			return
 		}
+		for _, frames := range group[:landed] {
+			start += uint64(len(frames))
+		}
+		group = group[landed:]
 		if s.cfg.Degrade == DegradeBlock && keepTrying != nil && keepTrying() {
 			time.Sleep(5 * time.Millisecond)
 			continue

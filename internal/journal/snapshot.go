@@ -79,7 +79,10 @@ func parseSnapName(name string) (frames uint64, crc uint32, ok bool) {
 // atomically renames it into place, syncs the directory, and removes any
 // older snapshots. It returns the snapshot's byte size.
 func writeSnapshot(dir string, frames uint64, st *core.Store) (int64, error) {
+	// Sized once from the store: the coefficients are all but a few hundred
+	// bytes of the file, and doubling up to them from empty copies it twice.
 	var buf bytes.Buffer
+	buf.Grow(8*len(st.Engine.Coeffs) + 20*st.Channels + 256)
 	if _, err := st.WriteTo(&buf); err != nil {
 		return 0, err
 	}

@@ -38,7 +38,7 @@ const (
 	walHeaderSize  = 16
 	recHeaderSize  = 9
 	recFrames      = byte(1)
-	recAck         = byte(2) // body = u64 client-stream watermark
+	recAck         = byte(2)             // body = u64 client-stream watermark
 	maxRecordBytes = wire.MaxPayload + 1 // type byte + a maximal wire batch
 )
 
@@ -72,9 +72,10 @@ func listSegments(dir string) ([]int, error) {
 	return seqs, nil
 }
 
-// wal is one session's segmented write-ahead log, append side. A single
-// goroutine (the session's acquisition consumer) appends; the mutex exists
-// for the deferred-fsync timer and Close.
+// wal is one session's segmented write-ahead log, append side. The
+// session's appender goroutine writes frames records and the socket reader
+// writes the occasional ack record; the mutex orders the two and covers the
+// deferred-fsync timer and Close.
 type wal struct {
 	dir string
 	cfg Config
@@ -90,6 +91,12 @@ type wal struct {
 
 	scratch []byte // record build buffer, reused across appends
 }
+
+// walScratchBytes is where a group's records stop accumulating in the
+// build buffer and go to the file: a group reaches the disk in a few large
+// writes, and the buffer holds at most this much plus one record however
+// long the group is.
+const walScratchBytes = 256 << 10
 
 // openWAL starts appending to a fresh segment numbered after any existing
 // ones, whose records begin at absolute frame index firstFrame.
@@ -153,55 +160,110 @@ func (w *wal) rotateLocked(firstFrame uint64) error {
 	return nil
 }
 
-// append frames one record carrying the batch whose first frame has
-// absolute index startFrame, rotating and syncing per policy.
-func (w *wal) append(startFrame uint64, frames []stream.Frame, width int) error {
+// append journals a group of batches, one record each, the first batch's
+// first frame having absolute index startFrame. The records are the bytes
+// a batch-at-a-time log would hold, segment boundaries included; what the
+// group shares is the durability step — one fsync under FsyncBatch (plus
+// one for a segment the group fills and leaves), one timer arm under
+// FsyncInterval — taken after its last record is written.
+//
+// On failure landed counts the group's leading records that reached the
+// file whole. They are never written again — a repeated record is a frame
+// index going backwards, which replay treats as corruption — so the caller
+// retries with group[landed:]. A failed sync reports every record landed:
+// retrying with what is left (nothing) retries the sync alone.
+func (w *wal) append(startFrame uint64, group [][]stream.Frame, width int) (landed int, err error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	// Build the record in the reused scratch buffer: 9 header bytes, then
-	// the body encoded in place (no intermediate allocation or copy).
-	rec := append(w.scratch[:0], make([]byte, recHeaderSize)...)
-	rec, err := wire.AppendBatch(rec, startFrame, frames, width)
-	if err != nil {
-		return err
-	}
-	w.scratch = rec
-	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(rec)-8)) // type byte + body
-	rec[8] = recFrames
-	binary.LittleEndian.PutUint32(rec[4:8], crc32.Checksum(rec[8:], crcTable))
-
 	if err := w.asyncErr; err != nil {
 		w.asyncErr = nil
 		w.needRotate = true
+		return 0, err
+	}
+	buf, built := w.scratch[:0], 0 // records built in buf and not yet written
+	defer func() { w.scratch = buf[:0] }()
+	// flush hands the built records to the file. A short write leaves a
+	// torn record at the segment's tail (recovery cuts it there), so the
+	// log continues on a fresh file; the records that landed whole are
+	// those whose length prefixes chain to an end within the bytes written.
+	flush := func() error {
+		n, err := w.f.Write(buf)
+		w.size += int64(n)
+		w.dirty = true
+		if w.cfg.Observer.AppendBytes != nil && n > 0 {
+			w.cfg.Observer.AppendBytes(n)
+		}
+		if err != nil {
+			w.needRotate = true
+			built = 0
+			for end := 0; end < len(buf); built++ {
+				if end += 8 + int(binary.LittleEndian.Uint32(buf[end:])); end > n {
+					break
+				}
+			}
+		}
+		landed += built
+		buf, built = buf[:0], 0
 		return err
 	}
-	if w.needRotate || w.size >= w.cfg.SegmentBytes {
-		// Either the previous write tore a record into the current segment
-		// (recovery will CRC-stop there) or the segment is full; both cases
-		// continue on a fresh file.
-		if err := w.rotateLocked(startFrame); err != nil {
-			return err
+	next := startFrame
+	for _, frames := range group {
+		if w.needRotate || w.size+int64(len(buf)) >= w.cfg.SegmentBytes {
+			// The segment is full, or an earlier write tore its tail; either
+			// way this record opens a fresh file. What the group wrote to
+			// the old one is synced strictly first: rotation's own sync is
+			// best effort, and the group's last sync will not reach it.
+			if len(buf) > 0 {
+				if err := flush(); err != nil {
+					return landed, err
+				}
+			}
+			if w.cfg.Fsync == FsyncBatch && w.dirty && w.f != nil {
+				if err := w.syncLocked(); err != nil {
+					return landed, err
+				}
+			}
+			if err := w.rotateLocked(next); err != nil {
+				return landed, err
+			}
+		}
+		// 9 header bytes, then the body encoded in place behind them.
+		at := len(buf)
+		rec, err := wire.AppendBatch(append(buf, make([]byte, recHeaderSize)...), next, frames, width)
+		if err != nil {
+			return landed, err // records still in buf did not land: the retry rebuilds them
+		}
+		buf = rec
+		binary.LittleEndian.PutUint32(buf[at:], uint32(len(buf)-at-8)) // type byte + body
+		buf[at+8] = recFrames
+		binary.LittleEndian.PutUint32(buf[at+4:], crc32.Checksum(buf[at+8:], crcTable))
+		built++
+		next += uint64(len(frames))
+		if len(buf) >= walScratchBytes {
+			if err := flush(); err != nil {
+				return landed, err
+			}
 		}
 	}
-	if _, err := w.f.Write(rec); err != nil {
-		w.needRotate = true
-		return err
-	}
-	w.size += int64(len(rec))
-	w.dirty = true
-	if w.cfg.Observer.AppendBytes != nil {
-		w.cfg.Observer.AppendBytes(len(rec))
+	if len(buf) > 0 {
+		if err := flush(); err != nil {
+			return landed, err
+		}
 	}
 	switch w.cfg.Fsync {
 	case FsyncBatch:
-		return w.syncLocked()
+		// Nothing is open only after a failed rotation, and what preceded
+		// that was synced before the old segment was let go.
+		if w.f != nil && w.dirty {
+			return landed, w.syncLocked()
+		}
 	case FsyncInterval:
-		if !w.timerArmed {
+		if !w.timerArmed && w.dirty {
 			w.timerArmed = true
 			time.AfterFunc(w.cfg.FsyncInterval, w.timedSync)
 		}
 	}
-	return nil
+	return landed, nil
 }
 
 // appendAck records the session's client-stream watermark. It is written
@@ -389,44 +451,72 @@ type replayResult struct {
 // are skipped; a record straddling it is delivered with its covered prefix
 // trimmed. Corruption anywhere — bad segment header, short read, CRC
 // mismatch, undecodable body, out-of-order frame index — truncates the log
-// at the last valid record: the offending segment is cut back and all
-// later segments are dropped, because records past a tear cannot be
-// trusted to be gap-free.
+// at the last valid record: the offending segment is cut back there.
+//
+// Whether the segments after it survive depends on what their first header
+// proves. The writer answers a torn write by rotating, and stamps the new
+// segment with the index of the first frame that did not land; so if the
+// next segment starts exactly at the frame index expected after the last
+// intact record, nothing is missing between them and replay continues. It
+// also continues if the next segment starts at or below the watermark: the
+// snapshot already holds whatever the cut lost (a session that shed
+// durability over a torn tail and was healed by a snapshot restarts its
+// log this way). Anything else drops the later segments, because records
+// past a tear cannot otherwise be trusted to be gap-free.
 func replayWAL(dir string, watermark uint64, width int, fn func(startFrame uint64, frames []stream.Frame) error) (replayResult, error) {
-	res := replayResult{processed: watermark}
+	r := replayer{watermark: watermark, width: width, fn: fn}
+	r.res.processed = watermark
 	seqs, err := listSegments(dir)
 	if err != nil {
-		return res, err
+		return r.res, err
 	}
-	expect := uint64(0) // next frame index an intact log would carry
 	for i, seq := range seqs {
 		path := filepath.Join(dir, segName(seq))
-		keepFrom, segEnd, corrupt, err := replaySegment(path, watermark, width, &expect, &res, fn)
+		keepFrom, segEnd, corrupt, err := r.segment(path)
 		if err != nil {
-			return res, err
+			return r.res, err
 		}
-		if corrupt {
-			res.truncated = true
-			if keepFrom == 0 {
-				// Nothing valid in this segment (bad header or first
-				// record): drop the file entirely.
-				os.Remove(path)
-			} else if keepFrom < segEnd {
-				os.Truncate(path, keepFrom)
-			}
-			for _, later := range seqs[i+1:] {
-				os.Remove(filepath.Join(dir, segName(later)))
-			}
-			break
+		if !corrupt {
+			continue
 		}
+		r.res.truncated = true
+		if keepFrom == 0 {
+			// Nothing valid in this segment (bad header or first
+			// record): drop the file entirely.
+			os.Remove(path)
+		} else if keepFrom < segEnd {
+			os.Truncate(path, keepFrom)
+		}
+		if i+1 < len(seqs) {
+			first, err := readSegmentFirstFrame(filepath.Join(dir, segName(seqs[i+1])))
+			if err == nil && (first == r.expect || (first > r.expect && first <= watermark)) {
+				continue
+			}
+		}
+		for _, later := range seqs[i+1:] {
+			os.Remove(filepath.Join(dir, segName(later)))
+		}
+		break
 	}
-	return res, nil
+	return r.res, nil
 }
 
-// replaySegment scans one segment. It returns the byte offset up to which
-// the file is intact (0 if even the header is bad), the scanned size, and
+// replayer is the state one directory's replay carries from segment to
+// segment.
+type replayer struct {
+	watermark uint64
+	width     int
+	fn        func(startFrame uint64, frames []stream.Frame) error
+
+	expect uint64 // next frame index an intact log would carry
+	res    replayResult
+	body   []byte // record read buffer: DecodeBatch copies out of it
+}
+
+// segment scans one segment. It returns the byte offset up to which the
+// file is intact (0 if even the header is bad), the scanned size, and
 // whether a corrupt record cut the scan short.
-func replaySegment(path string, watermark uint64, width int, expect *uint64, res *replayResult, fn func(uint64, []stream.Frame) error) (keepFrom, segEnd int64, corrupt bool, err error) {
+func (r *replayer) segment(path string) (keepFrom, segEnd int64, corrupt bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, 0, false, err
@@ -439,11 +529,11 @@ func replaySegment(path string, watermark uint64, width int, expect *uint64, res
 		return 0, br.n, true, nil
 	}
 	first := binary.LittleEndian.Uint64(hdr[8:])
-	if first < *expect {
+	if first < r.expect {
 		// A segment rewinding the frame clock cannot be trusted.
 		return 0, br.n, true, nil
 	}
-	*expect = first
+	r.expect = first
 	good := br.n
 
 	var rh [recHeaderSize]byte
@@ -456,7 +546,10 @@ func replaySegment(path string, watermark uint64, width int, expect *uint64, res
 			return good, br.n, true, nil
 		}
 		want := binary.LittleEndian.Uint32(rh[4:8])
-		body := make([]byte, length-1)
+		if n := int(length - 1); cap(r.body) < n {
+			r.body = make([]byte, n)
+		}
+		body := r.body[:length-1]
 		crc := crc32.Checksum(rh[8:9], crcTable)
 		if _, err := io.ReadFull(br, body); err != nil {
 			return good, br.n, true, nil
@@ -468,8 +561,8 @@ func replaySegment(path string, watermark uint64, width int, expect *uint64, res
 			if len(body) != 8 {
 				return good, br.n, true, nil
 			}
-			if a := binary.LittleEndian.Uint64(body); a > res.ackSeq {
-				res.ackSeq = a
+			if a := binary.LittleEndian.Uint64(body); a > r.res.ackSeq {
+				r.res.ackSeq = a
 			}
 			good = br.n
 			continue
@@ -480,29 +573,29 @@ func replaySegment(path string, watermark uint64, width int, expect *uint64, res
 			good = br.n
 			continue
 		}
-		b, err := wire.DecodeBatch(body, width)
+		b, err := wire.DecodeBatch(body, r.width)
 		if err != nil {
 			return good, br.n, true, nil
 		}
-		if b.Seq < *expect {
+		if b.Seq < r.expect {
 			// Frame indices never go backwards in an intact log; gaps
 			// (from a degraded period) are allowed, overlaps are not.
 			return good, br.n, true, nil
 		}
-		*expect = b.Seq + uint64(len(b.Frames))
-		good = br.n
 		end := b.Seq + uint64(len(b.Frames))
-		if end > watermark {
+		r.expect = end
+		good = br.n
+		if end > r.watermark {
 			frames := b.Frames
 			start := b.Seq
-			if start < watermark {
-				frames = frames[watermark-start:]
-				start = watermark
+			if start < r.watermark {
+				frames = frames[r.watermark-start:]
+				start = r.watermark
 			}
-			if err := fn(start, frames); err != nil {
+			if err := r.fn(start, frames); err != nil {
 				return good, br.n, false, err
 			}
-			res.processed = end
+			r.res.processed = end
 		}
 	}
 }

@@ -1,14 +1,15 @@
 package journal
 
 import (
+	"fmt"
 	"testing"
 
 	"aims/internal/stream"
 )
 
-// BenchmarkWALAppend measures the page-cache append cost (FsyncOff) for
-// one 256-frame × 8-channel batch — the per-batch tax the WAL adds to the
-// ingest path between fsyncs.
+// BenchmarkWALAppend measures the page-cache append cost (FsyncOff) of a
+// lone 256-frame × 8-channel batch: encode, CRC and one write — the
+// per-batch tax the WAL adds to the ingest path apart from its fsyncs.
 func BenchmarkWALAppend(b *testing.B) {
 	dir := b.TempDir()
 	w, err := openWAL(dir, 0, Config{Fsync: FsyncOff}.withDefaults())
@@ -17,19 +18,47 @@ func BenchmarkWALAppend(b *testing.B) {
 	}
 	defer w.close()
 	const batch, channels = 256, 8
-	frames := make([]stream.Frame, batch)
-	for i := range frames {
-		vals := make([]float64, channels)
-		for c := range vals {
-			vals[c] = float64(i + c)
-		}
-		frames[i] = stream.Frame{T: float64(i) / 1000, Values: vals}
-	}
+	frames := testFrames(batch, channels, 0)
 	b.SetBytes(batch * (channels + 1) * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := w.append(uint64(i*batch), frames, channels); err != nil {
+		if err := appendOne(w, uint64(i*batch), frames, channels); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkWALAppendGroup is the durable ingest path's journal step under
+// -fsync batch: the glove batch of the capacity benchmark (256 frames × 28
+// channels) appended in groups of 1, 4 and 16. One op is one batch, so
+// ns/op falls as the group's single fsync is shared; fsyncs/batch reports
+// the share.
+func BenchmarkWALAppendGroup(b *testing.B) {
+	const batch, channels = 256, 28
+	frames := testFrames(batch, channels, 0)
+	for _, n := range []int{1, 4, 16} {
+		b.Run(fmt.Sprintf("group=%d", n), func(b *testing.B) {
+			plan := NewFaultPlan()
+			w, err := openWAL(b.TempDir(), 0, Config{Fsync: FsyncBatch, OpenFile: plan.Open}.withDefaults())
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer w.close()
+			group := make([][]stream.Frame, n)
+			for i := range group {
+				group[i] = frames
+			}
+			b.SetBytes(batch * (channels + 1) * 8)
+			before := plan.Syncs()
+			b.ResetTimer()
+			for done := 0; done < b.N; done += n {
+				g := group[:min(n, b.N-done)]
+				if _, err := w.append(uint64(done*batch), g, channels); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(plan.Syncs()-before)/float64(b.N), "fsyncs/batch")
+		})
 	}
 }

@@ -22,6 +22,12 @@ func testFrames(n, channels int, start uint64) []stream.Frame {
 	return frames
 }
 
+// appendOne journals a lone batch: a group of one.
+func appendOne(w *wal, start uint64, frames []stream.Frame, width int) error {
+	_, err := w.append(start, [][]stream.Frame{frames}, width)
+	return err
+}
+
 // collect replays a directory's WAL into a flat frame list.
 func collect(t *testing.T, dir string, watermark uint64, width int) ([]stream.Frame, replayResult) {
 	t.Helper()
@@ -46,7 +52,7 @@ func TestWALAppendReplayRoundTrip(t *testing.T) {
 	var next uint64
 	for batch := 0; batch < 7; batch++ {
 		frames := testFrames(5+batch, 3, next)
-		if err := w.append(next, frames, 3); err != nil {
+		if err := appendOne(w, next, frames, 3); err != nil {
 			t.Fatal(err)
 		}
 		next += uint64(len(frames))
@@ -73,7 +79,7 @@ func TestWALSegmentRotationAndTruncate(t *testing.T) {
 	var next uint64
 	for batch := 0; batch < 40; batch++ {
 		frames := testFrames(8, 2, next)
-		if err := w.append(next, frames, 2); err != nil {
+		if err := appendOne(w, next, frames, 2); err != nil {
 			t.Fatal(err)
 		}
 		next += 8
@@ -120,13 +126,13 @@ func TestWALTornTailTruncatedAtLastValidRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if err := w.append(uint64(i*4), testFrames(4, 2, uint64(i*4)), 2); err != nil {
+		if err := appendOne(w, uint64(i*4), testFrames(4, 2, uint64(i*4)), 2); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Tear the sixth batch a few bytes into its record.
 	plan.TearAt(plan.Written() + 13)
-	if err := w.append(20, testFrames(4, 2, 20), 2); !errors.Is(err, ErrInjectedTear) {
+	if err := appendOne(w, 20, testFrames(4, 2, 20), 2); !errors.Is(err, ErrInjectedTear) {
 		t.Fatalf("torn write returned %v", err)
 	}
 	w.close()
@@ -146,7 +152,7 @@ func TestWALTornTailTruncatedAtLastValidRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w2.append(20, testFrames(4, 2, 20), 2); err != nil {
+	if err := appendOne(w2, 20, testFrames(4, 2, 20), 2); err != nil {
 		t.Fatal(err)
 	}
 	w2.close()
@@ -165,15 +171,15 @@ func TestWALBitFlipDetectedByCRC(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := w.append(0, testFrames(6, 2, 0), 2); err != nil {
+		if err := appendOne(w, 0, testFrames(6, 2, 0), 2); err != nil {
 			t.Fatal(err)
 		}
 		// Flip one bit inside the second record (off bytes past its start).
 		plan.FlipBit(plan.Written()+off, 0x10)
-		if err := w.append(6, testFrames(6, 2, 6), 2); err != nil {
+		if err := appendOne(w, 6, testFrames(6, 2, 6), 2); err != nil {
 			t.Fatal(err)
 		}
-		if err := w.append(12, testFrames(6, 2, 12), 2); err != nil {
+		if err := appendOne(w, 12, testFrames(6, 2, 12), 2); err != nil {
 			t.Fatal(err)
 		}
 		w.close()
@@ -210,7 +216,7 @@ func TestWALFsyncPolicies(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < n; i++ {
-			if err := w.append(uint64(i), testFrames(1, 1, uint64(i)), 1); err != nil {
+			if err := appendOne(w, uint64(i), testFrames(1, 1, uint64(i)), 1); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -240,7 +246,7 @@ func TestWALAsyncFsyncErrorSurfacesAndRotates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.append(0, testFrames(2, 1, 0), 1); err != nil {
+	if err := appendOne(w, 0, testFrames(2, 1, 0), 1); err != nil {
 		t.Fatal(err)
 	}
 	plan.FailSync(errors.New("injected fsync failure"))
@@ -248,7 +254,7 @@ func TestWALAsyncFsyncErrorSurfacesAndRotates(t *testing.T) {
 	var gotErr error
 	for time.Now().Before(deadline) {
 		time.Sleep(2 * time.Millisecond)
-		if err := w.append(2, testFrames(1, 1, 2), 1); err != nil {
+		if err := appendOne(w, 2, testFrames(1, 1, 2), 1); err != nil {
 			gotErr = err
 			break
 		}
@@ -258,7 +264,7 @@ func TestWALAsyncFsyncErrorSurfacesAndRotates(t *testing.T) {
 	}
 	plan.FailSync(nil)
 	// The next append lands on a fresh segment (the old tail is suspect).
-	if err := w.append(3, testFrames(1, 1, 3), 1); err != nil {
+	if err := appendOne(w, 3, testFrames(1, 1, 3), 1); err != nil {
 		t.Fatal(err)
 	}
 	w.close()

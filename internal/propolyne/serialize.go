@@ -20,64 +20,51 @@ import (
 
 var engineMagic = [8]byte{'A', 'I', 'M', 'S', 'P', 'P', 'E', '1'}
 
+// coeffChunk is how many coefficients WriteTo and ReadEngine move per
+// Write/ReadFull: 32 KiB of scratch, whatever the cube's size.
+const coeffChunk = 4096
+
 // WriteTo serialises the engine. It implements io.WriterTo.
 func (e *Engine) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	var n int64
-	write := func(v interface{}) error {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
-		}
-		n += int64(binary.Size(v))
-		return nil
-	}
-	if err := write(engineMagic); err != nil {
-		return n, err
-	}
-	if err := write(uint32(len(e.Dims))); err != nil {
-		return n, err
-	}
+	le := binary.LittleEndian
+	hdr := append([]byte(nil), engineMagic[:]...)
+	hdr = le.AppendUint32(hdr, uint32(len(e.Dims)))
 	for _, d := range e.Dims {
-		if err := write(uint32(d)); err != nil {
-			return n, err
-		}
+		hdr = le.AppendUint32(hdr, uint32(d))
 	}
 	for d, b := range e.Bases {
-		std := uint8(0)
-		name := ""
+		std, name := uint8(0), ""
 		if b.Standard {
 			std = 1
 		} else {
 			name = b.Filter.Name
 		}
-		if err := write(std); err != nil {
-			return n, err
-		}
-		if err := write(uint8(len(name))); err != nil {
-			return n, err
-		}
-		if len(name) > 0 {
-			if _, err := bw.WriteString(name); err != nil {
-				return n, err
-			}
-			n += int64(len(name))
-		}
-		if err := write(uint32(e.Levels[d])); err != nil {
-			return n, err
-		}
+		hdr = append(hdr, std, uint8(len(name)))
+		hdr = append(hdr, name...)
+		hdr = le.AppendUint32(hdr, uint32(e.Levels[d]))
 	}
-	if err := write(uint64(len(e.Coeffs))); err != nil {
+	hdr = le.AppendUint64(hdr, uint64(len(e.Coeffs)))
+	m, err := w.Write(hdr)
+	n := int64(m)
+	if err != nil {
 		return n, err
 	}
 	e.mu.RLock()
-	for _, v := range e.Coeffs {
-		if err := write(math.Float64bits(v)); err != nil {
-			e.mu.RUnlock()
+	defer e.mu.RUnlock()
+	chunk := make([]byte, 8*coeffChunk)
+	for rest := e.Coeffs; len(rest) > 0; {
+		k := min(len(rest), coeffChunk)
+		for i, v := range rest[:k] {
+			le.PutUint64(chunk[8*i:], math.Float64bits(v))
+		}
+		m, err := w.Write(chunk[:8*k])
+		n += int64(m)
+		if err != nil {
 			return n, err
 		}
+		rest = rest[k:]
 	}
-	e.mu.RUnlock()
-	return n, bw.Flush()
+	return n, nil
 }
 
 // ReadEngine deserialises an engine written by WriteTo.
@@ -161,12 +148,16 @@ func ReadEngine(r io.Reader) (*Engine, error) {
 		return nil, fmt.Errorf("propolyne: coefficient count %d != cube size %d", nc, size)
 	}
 	e.Coeffs = make([]float64, nc)
-	buf := make([]byte, 8)
-	for i := range e.Coeffs {
-		if _, err := io.ReadFull(br, buf); err != nil {
+	chunk := make([]byte, 8*coeffChunk)
+	for rest := e.Coeffs; len(rest) > 0; {
+		k := min(len(rest), coeffChunk)
+		if _, err := io.ReadFull(br, chunk[:8*k]); err != nil {
 			return nil, fmt.Errorf("propolyne: truncated coefficients: %w", err)
 		}
-		e.Coeffs[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf))
+		for i := range rest[:k] {
+			rest[i] = math.Float64frombits(binary.LittleEndian.Uint64(chunk[8*i:]))
+		}
+		rest = rest[k:]
 	}
 	return e, nil
 }

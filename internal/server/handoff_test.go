@@ -2,13 +2,19 @@ package server
 
 import (
 	"bufio"
+	"encoding/binary"
+	"math/rand"
 	"net"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"aims/internal/core"
 	"aims/internal/journal"
+	"aims/internal/stream"
 	"aims/internal/wire"
 )
 
@@ -336,5 +342,364 @@ func TestFlushBehindPipelinedBatches(t *testing.T) {
 	}
 	if best >= 2*time.Millisecond {
 		t.Fatalf("fastest of %d flush rounds took %v, want well under 2ms", rounds, best)
+	}
+}
+
+// syncGate opens WAL segments that count their fsyncs and, once armed, park
+// each one until released: the appender stalls inside the durability step,
+// holding the group it has taken off the queue.
+type syncGate struct {
+	armed   atomic.Bool
+	syncs   atomic.Int64
+	entered chan struct{} // one token per parked call
+	release chan struct{} // closed to let parked calls return
+}
+
+func newSyncGate() *syncGate {
+	return &syncGate{entered: make(chan struct{}, 1), release: make(chan struct{})}
+}
+
+type gatedFile struct {
+	*os.File
+	g *syncGate
+}
+
+func (g *syncGate) open(path string) (journal.File, error) {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	return &gatedFile{File: f, g: g}, nil
+}
+
+func (f *gatedFile) Sync() error {
+	f.g.syncs.Add(1)
+	if f.g.armed.Load() {
+		f.g.entered <- struct{}{}
+		<-f.g.release
+	}
+	return f.File.Sync()
+}
+
+func (g *syncGate) resume() {
+	g.armed.Store(false)
+	close(g.release)
+}
+
+// gatedConfig journals under -fsync batch through a sync gate, with no
+// periodic snapshots: the WAL alone carries the session.
+func gatedConfig(t *testing.T, cfg Config) (Config, *syncGate) {
+	g := newSyncGate()
+	cfg.Store = testStoreCfg()
+	cfg.Journal = journal.Config{Dir: t.TempDir(), Fsync: journal.FsyncBatch, SnapshotFrames: -1, OpenFile: g.open}
+	return cfg, g
+}
+
+// parkInFirstSync sends batch [0,16) and returns once the appender has
+// taken it — a group of one — and parked in its fsync.
+func parkInFirstSync(t *testing.T, rs *rawSession, g *syncGate) {
+	t.Helper()
+	g.armed.Store(true)
+	rs.writeBatch(0, 16, 2)
+	rs.flush()
+	rs.expectAck(0, wire.CodeOK)
+	select {
+	case <-g.entered:
+	case <-time.After(2 * time.Second):
+		t.Fatal("appender never reached the fsync")
+	}
+}
+
+// TestBacklogBehindOneFsyncCommitsAsOneGroup: what queues while the
+// appender is inside one fsync — three batches and a Flush — is journaled
+// as one group under one more fsync; the Flush is answered only after that
+// sync returns, its count covers all of them, and a process killed right
+// then recovers every frame from the WAL.
+func TestBacklogBehindOneFsyncCommitsAsOneGroup(t *testing.T) {
+	cfg, gate := gatedConfig(t, Config{Policy: PolicyBlock, QueueFrames: 64})
+	srv, addr := startServer(t, cfg)
+	rs := dialRaw(t, addr, "one-group", 2)
+	parkInFirstSync(t, rs, gate)
+
+	for seq := 16; seq < 64; seq += 16 {
+		rs.writeBatch(seq, 16, 2)
+	}
+	rs.write(wire.MsgFlush, nil)
+	rs.flush()
+	session := func() SessionInfo { return srv.Sessions()[0] }
+	if !waitFor(func() bool { return session().FramesEnqueued == 64 }) {
+		t.Fatalf("%d frames enqueued, want 64", session().FramesEnqueued)
+	}
+	// Nothing is stored and the barrier is not answered while the first
+	// group's sync is still out.
+	rs.conn.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
+	if typ, _, err := wire.ReadMessage(rs.br); err == nil {
+		t.Fatalf("msg type %d arrived while the fsync was parked", typ)
+	}
+	if info := session(); info.FramesStored != 0 || info.QueueLen != 64 {
+		t.Fatalf("while parked: %+v, want nothing stored and all 64 frames charged", info)
+	}
+
+	before := gate.syncs.Load()
+	gate.resume()
+	for seq := 16; seq < 64; seq += 16 {
+		rs.expectAck(seq, wire.CodeOK)
+	}
+	if stored := rs.expectFlushAck(); stored != 64 {
+		t.Fatalf("flush reports %d stored, want 64", stored)
+	}
+	if got := gate.syncs.Load() - before; got != 1 {
+		t.Fatalf("three queued batches cost %d fsyncs, want one for the group", got)
+	}
+
+	// kill -9 here: a second process finds all four batches in the log.
+	m, err := journal.OpenManager(journal.Config{Dir: cfg.Journal.Dir, SnapshotFrames: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recovered, err := m.Recover(cfg.Store)
+	if err != nil || len(recovered) != 1 {
+		t.Fatalf("recover: %v (%d sessions)", err, len(recovered))
+	}
+	if r := recovered[0]; r.Processed != 64 || r.Store.Frames() != 64 || r.Truncated {
+		t.Fatalf("recovered processed=%d frames=%d truncated=%v, want 64/64/false", r.Processed, r.Store.Frames(), r.Truncated)
+	}
+}
+
+// TestHeldGroupStaysChargedToTheFrameBound: frames the appender has taken
+// off the queue but not yet stored still count against QueueFrames, so a
+// stalled fsync cannot let the session hold a queue's worth of frames
+// twice. With 16 frames held, 48 more fill the bound; the next batch blocks
+// the reader (block policy) or is shed (shed policy). Before group commit
+// the appender uncharged a batch as it took it, and 64 more were admitted.
+func TestHeldGroupStaysChargedToTheFrameBound(t *testing.T) {
+	for _, policy := range []Policy{PolicyBlock, PolicyShed} {
+		cfg, gate := gatedConfig(t, Config{Policy: policy, QueueFrames: 64})
+		srv, addr := startServer(t, cfg)
+		rs := dialRaw(t, addr, "held-group", 2)
+		parkInFirstSync(t, rs, gate)
+
+		for seq := 16; seq < 80; seq += 16 {
+			rs.writeBatch(seq, 16, 2)
+		}
+		rs.flush()
+		session := func() SessionInfo { return srv.Sessions()[0] }
+		// The reader admits [16,64) and stops at [64,80): parked in the
+		// enqueue (block), or shedding it — and then waiting to journal the
+		// shed watermark behind the fsync in progress (shed). Either way the
+		// acks it owes sit behind the input it still has buffered.
+		if !waitFor(func() bool {
+			info := session()
+			return info.FramesEnqueued == 64 && (policy == PolicyBlock || info.ShedFrames == 16)
+		}) {
+			t.Fatalf("policy %v: reader never reached the bound: %+v", policy, session())
+		}
+		rs.conn.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
+		if typ, _, err := wire.ReadMessage(rs.br); err == nil {
+			t.Fatalf("policy %v: msg type %d arrived while the bound was full", policy, typ)
+		}
+		if info := session(); info.QueueLen != 64 || info.FramesEnqueued != 64 || info.FramesStored != 0 {
+			t.Fatalf("policy %v, while parked: %+v, want 64 charged, 64 enqueued, none stored", policy, info)
+		}
+		if d := srv.Metrics().QueueDepth; d != 64 {
+			t.Fatalf("policy %v: queue depth gauge = %d, want 64", policy, d)
+		}
+
+		gate.resume()
+		want := uint64(80)
+		for seq := 16; seq < 80; seq += 16 {
+			code := wire.CodeOK
+			if policy == PolicyShed && seq == 64 {
+				code = wire.CodeShed
+				want = 64
+			}
+			rs.expectAck(seq, code)
+		}
+		rs.write(wire.MsgFlush, nil)
+		rs.flush()
+		if stored := rs.expectFlushAck(); stored != want {
+			t.Fatalf("policy %v: flush reports %d stored, want %d", policy, stored, want)
+		}
+		if d := srv.Metrics().QueueDepth; d != 0 {
+			t.Fatalf("policy %v: queue depth gauge after the barrier = %d, want 0", policy, d)
+		}
+	}
+}
+
+// walFrames parses the frames records of one WAL segment, in file order.
+func walFrames(t *testing.T, path string, channels int) []stream.Frame {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []stream.Frame
+	for b = b[16:]; len(b) > 0; { // past the segment header
+		length := binary.LittleEndian.Uint32(b)
+		if b[8] == 1 { // frames record: the body is a wire batch
+			batch, err := wire.DecodeBatch(b[9:8+length], channels)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if batch.Seq != uint64(len(out)) {
+				t.Fatalf("record carries frame index %d, %d frames precede it", batch.Seq, len(out))
+			}
+			out = append(out, batch.Frames...)
+		}
+		b = b[8+length:]
+	}
+	return out
+}
+
+// TestAppendLoopMatchesOneAtATimeModel drives a session's queue and
+// appender directly with random interleavings of batches (some frames
+// invalid), Flush barriers, shed acknowledgements and pauses, then closes
+// the queue. Whatever groups the appender happened to form, the outcome is
+// the one-at-a-time outcome: every barrier is released with everything
+// ahead of it stored, every snapshot's watermark is the stored count, the
+// counters and the store match a plain model, and the journal holds the
+// frames in arrival order.
+func TestAppendLoopMatchesOneAtATimeModel(t *testing.T) {
+	const channels = 2
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		dir := t.TempDir()
+		var sess *session
+		var snapshots, skewed atomic.Int64
+		cfg := Config{
+			Store:   testStoreCfg(),
+			Journal: journal.Config{Dir: dir, Fsync: journal.FsyncOff, SnapshotFrames: 100},
+		}
+		cfg.Store.Rate, cfg.Store.HorizonTicks = 100, 1<<14
+		cfg.Store.SealObserver = func(time.Duration, bool, int) {
+			// Only snapshots seal here, on the appender, mid-Snapshot.
+			snapshots.Add(1)
+			if sess.jsess.Processed() != sess.stored.Load() {
+				skewed.Add(1)
+			}
+		}
+		srv := New(cfg)
+		mins, maxs := ranges(channels)
+		newStore := func() *core.LiveStore {
+			ls, err := core.NewLiveStore(mins, maxs, cfg.Store)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ls
+		}
+		eff := newStore().Config()
+		jsess, _, err := srv.journal.Attach(journal.Meta{
+			Name: "model", Rate: 100, HorizonTicks: eff.HorizonTicks,
+			TimeBuckets: eff.TimeBuckets, ValueBins: eff.ValueBins, Mins: mins, Maxs: maxs,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess = &session{srv: srv, store: newStore(), jsess: jsess}
+		sess.q.init(256, false, srv.metrics.queueDepth)
+		appended := make(chan struct{})
+		go func() {
+			defer close(appended)
+			sess.appendLoop()
+		}()
+
+		// The test plays the reader; model is the one-at-a-time store.
+		model := newStore()
+		var sent []stream.Frame
+		var bad, ackSeq, recorded uint64
+		for op := 0; op < 300; op++ {
+			switch r := rng.Intn(10); {
+			case r < 6:
+				frames := clientFrames(int(seed), len(sent)+1+rng.Intn(40), channels)[len(sent):]
+				for i := range frames {
+					if rng.Intn(10) == 0 {
+						frames[i].T = -1 // journaled, then refused by the store
+						bad++
+					}
+				}
+				sent = append(sent, frames...)
+				model.AppendFrames(frames)
+				if !sess.q.push(queued{frames: frames}) {
+					t.Fatal("blocking queue refused a batch")
+				}
+				sess.enqueued.Add(uint64(len(frames)))
+				ackSeq += uint64(len(frames))
+			case r < 8:
+				barrier := queued{done: make(chan struct{})}
+				sess.q.push(barrier)
+				<-barrier.done
+				if got := sess.stored.Load(); got != uint64(len(sent)) {
+					t.Fatalf("seed %d: barrier released with %d of %d frames stored", seed, got, len(sent))
+				}
+				if got := sess.store.Frames(); got != model.Frames() {
+					t.Fatalf("seed %d: store holds %d frames at the barrier, model %d", seed, got, model.Frames())
+				}
+			case r == 8:
+				ackSeq += uint64(1 + rng.Intn(20)) // acknowledged as shed, never queued
+				jsess.RecordAck(ackSeq)
+				recorded = ackSeq
+			default:
+				time.Sleep(time.Duration(rng.Intn(300)) * time.Microsecond)
+			}
+		}
+		sess.q.close()
+		<-appended
+
+		if st, enq, b := sess.stored.Load(), sess.enqueued.Load(), sess.badAppend.Load(); st != uint64(len(sent)) || enq != st || b != bad {
+			t.Fatalf("seed %d: stored=%d enqueued=%d badAppend=%d, want %d/%d/%d", seed, st, enq, b, len(sent), len(sent), bad)
+		}
+		if sess.q.len() != 0 || srv.Metrics().QueueDepth != 0 {
+			t.Fatalf("seed %d: %d frames still charged (gauge %d) after the drain", seed, sess.q.len(), srv.Metrics().QueueDepth)
+		}
+		if snapshots.Load() == 0 || skewed.Load() != 0 {
+			t.Fatalf("seed %d: %d of %d snapshots took a watermark that was not the stored count", seed, skewed.Load(), snapshots.Load())
+		}
+		sameAnswers := func(got *core.LiveStore) {
+			t.Helper()
+			if got.Frames() != model.Frames() {
+				t.Fatalf("seed %d: %d frames, model %d", seed, got.Frames(), model.Frames())
+			}
+			for ch := 0; ch < channels; ch++ {
+				for _, t1 := range []float64{5, 40, 200} {
+					a, _ := got.CountSamples(ch, 0, t1)
+					b, _ := model.CountSamples(ch, 0, t1)
+					va, _, _ := got.AverageValue(ch, 0, t1)
+					vb, _, _ := model.AverageValue(ch, 0, t1)
+					if a != b || va != vb {
+						t.Fatalf("seed %d ch %d [0,%v): count %v avg %v, model %v / %v", seed, ch, t1, a, va, b, vb)
+					}
+				}
+			}
+		}
+		sameAnswers(sess.store)
+
+		// The journal: one segment (nothing rotated), frames in arrival order.
+		logged := walFrames(t, filepath.Join(dir, "model", "wal-00000001.log"), channels)
+		if len(logged) != len(sent) {
+			t.Fatalf("seed %d: journal holds %d frames, %d were sent", seed, len(logged), len(sent))
+		}
+		for i := range sent {
+			if logged[i].T != sent[i].T || logged[i].Values[0] != sent[i].Values[0] {
+				t.Fatalf("seed %d: journaled frame %d is not the %dth sent", seed, i, i)
+			}
+		}
+		// And a crash now recovers the model, with the highest watermark an
+		// ack record carried (or the frame count, once that has passed it).
+		m, err := journal.OpenManager(journal.Config{Dir: dir, SnapshotFrames: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rcfg := cfg.Store
+		rcfg.SealObserver = nil
+		recovered, err := m.Recover(rcfg)
+		if err != nil || len(recovered) != 1 {
+			t.Fatalf("seed %d: recover: %v (%d sessions)", seed, err, len(recovered))
+		}
+		wantAck := max(recorded, uint64(len(sent)))
+		if r := recovered[0]; r.Processed != uint64(len(sent)) || r.AckSeq != wantAck || r.Truncated {
+			t.Fatalf("seed %d: recovered processed=%d ack=%d truncated=%v, want %d/%d/false", seed, r.Processed, r.AckSeq, r.Truncated, len(sent), wantAck)
+		}
+		sameAnswers(recovered[0].Store)
+		jsess.Close(nil)
 	}
 }

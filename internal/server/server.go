@@ -6,17 +6,21 @@
 // the socket: it decodes each wire batch, enqueues it whole, acknowledges
 // it and answers exact/approximate/progressive range aggregates against
 // the session's core.LiveStore (core/propolyne). The appender drains the
-// queue, one batch at a time: journal write-ahead, then one
-// LiveStore.AppendFrames, then the counters and the snapshot check.
+// queue a group at a time — whatever queued, up to the next Flush barrier,
+// while it made the previous group durable: journal write-ahead for the
+// group under one durability step, then one LiveStore.AppendFrames per
+// batch, then the counters, the barrier and the snapshot check.
 //
 // Ordering invariants of that hand-off: a batch is acknowledged (and the
 // session's ackSeq watermark advanced) when it is enqueued or shed, not
 // when it is stored; the queue is FIFO with a single consumer, so batches
 // are journaled and stored in arrival order and a Flush barrier queued
-// behind them is reached only after all of them are stored; the journal
-// record precedes the store append; and on disconnect the reader closes
+// behind them is released only after all of them are journaled, synced
+// per policy and stored; the journal record precedes the store append;
+// and on disconnect the reader closes
 // the queue and waits for the appender to drain it before the session is
-// parked or durably closed. The queue is bounded in frames, with a
+// parked or durably closed. The queue is bounded in frames — those
+// waiting and those the appender holds but has not yet stored — with a
 // selectable backpressure policy — block the device (lossless) or shed
 // whole batches with an explicit wire error. Around that sit idle-session
 // eviction, graceful shutdown that drains in-flight batches, and an atomic

@@ -69,16 +69,17 @@ type queued struct {
 }
 
 // batchQueue is the reader → appender hand-off: a FIFO of wire batches
-// bounded by the total frames it holds. One producer (the reader) and one
-// consumer (the appender) means at most one of them is ever waiting, so a
-// single condition variable serves both directions.
+// bounded by the frames the session holds outside its store — those queued
+// and those the appender has taken but not yet stored. One producer (the
+// reader) and one consumer (the appender) means at most one of them is ever
+// waiting, so a single condition variable serves both directions.
 type batchQueue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	limit  int  // Config.QueueFrames
 	shed   bool // PolicyShed: refuse what does not fit instead of waiting
 	items  []queued
-	frames int        // Σ len(items[i].frames)
+	frames int        // Σ len(frames) over items and over entries taken but not yet released
 	depth  *obs.Gauge // server-wide aims_queue_depth: moves with frames
 	closed bool
 }
@@ -114,27 +115,44 @@ func (q *batchQueue) push(e queued) bool {
 	return true
 }
 
-// pop blocks until an entry is queued; ok is false once the queue is
+// take blocks until an entry is queued, then moves the queue's head into
+// group (reusing its storage): every entry up to and including the first
+// Flush barrier, or everything queued when there is none. The frames taken
+// stay charged to the bound until release. ok is false once the queue is
 // closed and drained.
-func (q *batchQueue) pop() (e queued, ok bool) {
+func (q *batchQueue) take(group []queued) (_ []queued, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for len(q.items) == 0 {
 		if q.closed {
-			return queued{}, false
+			return group[:0], false
 		}
 		q.cond.Wait()
 	}
-	e = q.items[0]
-	q.items[0] = queued{} // drop the frames reference with the slot
-	q.items = q.items[1:]
-	q.frames -= len(e.frames)
-	q.depth.Add(-int64(len(e.frames)))
-	q.cond.Signal()
-	return e, true
+	n := len(q.items)
+	for i := range q.items {
+		if q.items[i].done != nil {
+			n = i + 1
+			break
+		}
+	}
+	group = append(group[:0], q.items[:n]...)
+	rest := copy(q.items, q.items[n:])
+	clear(q.items[rest:]) // drop the frames references with the slots
+	q.items = q.items[:rest]
+	return group, true
 }
 
-// close ends the stream: pop drains what is queued, then reports !ok.
+// release uncharges n frames the appender took and has now stored.
+func (q *batchQueue) release(n int) {
+	q.mu.Lock()
+	q.frames -= n
+	q.depth.Add(-int64(n))
+	q.cond.Signal()
+	q.mu.Unlock()
+}
+
+// close ends the stream: take drains what is queued, then reports !ok.
 func (q *batchQueue) close() {
 	q.mu.Lock()
 	q.closed = true
@@ -142,7 +160,8 @@ func (q *batchQueue) close() {
 	q.mu.Unlock()
 }
 
-// len returns the frames currently queued.
+// len returns the frames charged to the bound: queued, or taken and not
+// yet stored.
 func (q *batchQueue) len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -334,56 +353,78 @@ func (sess *session) sendError(code wire.Code, text string) {
 	}
 }
 
-// appendLoop is the session's appender goroutine: it stores queued
-// batches in arrival order and releases Flush barriers as it reaches them,
-// blocking (no timer) while the queue is empty. It returns once the queue
-// is closed and drained.
+// appendLoop is the session's appender goroutine. Each turn takes a group
+// — whatever queued while the previous one was being made durable, up to
+// the next Flush barrier: one batch on an idle link, a run of them under
+// load — journals it with one durability step, appends its batches to the
+// live store in arrival order, and only then releases the barrier that
+// ended it. It blocks (no timer) while the queue is empty and returns once
+// the queue is closed and drained.
 func (sess *session) appendLoop() {
+	m := sess.srv.metrics
+	var group []queued
+	var batches [][]stream.Frame
 	for {
-		e, ok := sess.q.pop()
-		if !ok {
+		var ok bool
+		if group, ok = sess.q.take(group); !ok {
 			return
 		}
-		if e.done != nil {
-			close(e.done)
+		var barrier chan struct{}
+		batches = batches[:0]
+		for _, e := range group {
+			if e.done != nil {
+				barrier = e.done
+			} else {
+				batches = append(batches, e.frames)
+			}
+		}
+		if len(batches) == 0 {
+			close(barrier)
 			continue
 		}
-		sess.storeBatch(e)
-	}
-}
-
-// storeBatch makes one wire batch durable and visible: one WAL record, then
-// one append into the live store under a single write-lock acquisition
-// (invalid frames are skipped inside AppendFrames).
-func (sess *session) storeBatch(e queued) {
-	m := sess.srv.metrics
-	if sess.jsess != nil {
-		// Write-ahead: the batch hits the journal before the store, so a
-		// crash after this point replays it rather than losing it. Under the
-		// block policy a dead disk stalls here until shutdown gives up.
-		sess.jsess.AppendFrames(e.frames, func() bool { return !sess.srv.isClosed() })
-	}
-	t0 := time.Now()
-	stored, _ := sess.store.AppendFrames(e.frames)
-	end := time.Now()
-	m.appendSeconds.Observe(end.Sub(t0).Seconds())
-	if bad := uint64(len(e.frames) - stored); bad > 0 {
-		sess.badAppend.Add(bad)
-		m.appendErrors.Add(bad)
-	}
-	sess.stored.Add(uint64(len(e.frames))) // processed, including bad appends
-	m.framesIngested.Add(uint64(stored))
-	if e.tr != nil {
-		// Queue wait runs from admission to the start of the store append
-		// (so it includes the write-ahead), the append span over the append.
-		m.queueWaitSeconds.Observe(t0.Sub(e.at).Seconds())
-		e.tr.Span("enqueue", e.decoded, e.at)
-		e.tr.Span("queue-wait", e.at, t0)
-		e.tr.Span("append", t0, end)
-		e.tr.Finish()
-	}
-	if sess.jsess != nil {
-		sess.jsess.MaybeSnapshot(sess.store)
+		if sess.jsess != nil {
+			// Write-ahead: the group hits the journal, and is synced per
+			// policy, before any of it reaches the store, so a crash after
+			// this point replays it rather than losing it. Under the block
+			// policy a dead disk stalls here until shutdown gives up.
+			sess.jsess.AppendGroup(batches, func() bool { return !sess.srv.isClosed() })
+		}
+		for i := range batches {
+			// Once stored, a batch is the store's alone: the queue refills
+			// against the frames released below, and a reference kept here
+			// until the group ends would hold that memory twice over.
+			e := group[i]
+			group[i], batches[i] = queued{}, nil
+			// One append per wire batch under a single write-lock
+			// acquisition (invalid frames are skipped inside AppendFrames).
+			t0 := time.Now()
+			stored, _ := sess.store.AppendFrames(e.frames)
+			end := time.Now()
+			m.appendSeconds.Observe(end.Sub(t0).Seconds())
+			if bad := uint64(len(e.frames) - stored); bad > 0 {
+				sess.badAppend.Add(bad)
+				m.appendErrors.Add(bad)
+			}
+			sess.stored.Add(uint64(len(e.frames))) // processed, including bad appends
+			m.framesIngested.Add(uint64(stored))
+			sess.q.release(len(e.frames))
+			if e.tr != nil {
+				// Queue wait runs from admission to the start of the store
+				// append (so it includes the write-ahead), the append span
+				// over the append.
+				m.queueWaitSeconds.Observe(t0.Sub(e.at).Seconds())
+				e.tr.Span("enqueue", e.decoded, e.at)
+				e.tr.Span("queue-wait", e.at, t0)
+				e.tr.Span("append", t0, end)
+				e.tr.Finish()
+			}
+		}
+		if barrier != nil {
+			close(barrier)
+		}
+		if sess.jsess != nil {
+			sess.jsess.MaybeSnapshot(sess.store)
+		}
 	}
 }
 
