@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -20,6 +21,8 @@ import (
 const (
 	chanCount = 2
 	rate      = 1000.0
+	// maxBackoff caps driveResilient's reconnect backoff.
+	maxBackoff = 100 * time.Millisecond
 )
 
 func ranges() (mins, maxs []float64) {
@@ -91,7 +94,7 @@ func driveResilient(t *testing.T, addr string, p *chaos.Proxy, name string, fram
 		Timeout:     2 * time.Second,
 		Heartbeat:   100 * time.Millisecond,
 		BaseBackoff: 5 * time.Millisecond,
-		MaxBackoff:  100 * time.Millisecond,
+		MaxBackoff:  maxBackoff,
 		MaxAttempts: -1,
 		Seed:        7,
 		Logf:        t.Logf,
@@ -206,6 +209,11 @@ func TestExactlyOnceUnderFaults(t *testing.T) {
 			if r.Value != float64(len(frames)) {
 				t.Fatalf("count after faults = %v, want %d (lost or duplicated frames)", r.Value, len(frames))
 			}
+			// Recovery is judged over the stream, before Close (the scope
+			// the retired E19 runner measured): a Close whose ack is cut
+			// re-registers a fresh session and replays the whole ring,
+			// which is a full re-ingest, not a reconnect stall.
+			t.Run("recovery", func(t *testing.T) { checkRecovery(t, rc) })
 			if _, err := rc.Close(); err != nil {
 				t.Fatalf("close: %v", err)
 			}
@@ -222,6 +230,23 @@ func TestExactlyOnceUnderFaults(t *testing.T) {
 				t.Fatalf("stores not bit-identical: %d vs %d bytes", len(got.data), len(want.data))
 			}
 		})
+	}
+}
+
+// checkRecovery asserts every reconnect recorded its recovery latency and
+// the p99 (nearest rank) stays under 4×maxBackoff: full-jitter sleeps are
+// capped at maxBackoff, so a slower recovery means a reconnect stalled.
+func checkRecovery(t *testing.T, rc *wire.ResilientClient) {
+	t.Helper()
+	outages := rc.Outages()
+	if uint64(len(outages)) != rc.Reconnects() {
+		t.Fatalf("%d outages recorded for %d reconnects", len(outages), rc.Reconnects())
+	}
+	slices.Sort(outages)
+	p99 := outages[int(math.Ceil(0.99*float64(len(outages))))-1]
+	t.Logf("recovery: %d outages, p50=%s p99=%s", len(outages), outages[len(outages)/2], p99)
+	if p99 >= 4*maxBackoff {
+		t.Fatalf("recovery p99 %s >= 4×max-backoff %s", p99, 4*maxBackoff)
 	}
 }
 

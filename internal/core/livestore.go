@@ -278,19 +278,20 @@ func (ls *LiveStore) checkChannel(channel int) error {
 	return nil
 }
 
-// moments scans the cube for Σ1, Σbin, Σbin² of one channel over a time
-// range — enough for COUNT, AVERAGE and VARIANCE.
-func (ls *LiveStore) moments(channel int, t0, t1 float64) (n, sum, sumSq float64, err error) {
-	if err := ls.checkChannel(channel); err != nil {
-		return 0, 0, 0, err
-	}
+// rowSpan returns the cube offsets [from, to) of one channel's time
+// buckets over [t0, t1] seconds: the rows are contiguous, ValueBins each.
+func (ls *LiveStore) rowSpan(channel int, t0, t1 float64) (from, to int) {
 	lo, hi := ls.timeRange(t0, t1)
-	vb := ls.cfg.ValueBins
-	ls.mu.RLock()
-	defer ls.mu.RUnlock()
-	for tb := lo; tb <= hi; tb++ {
-		row := ls.cube[(channel*ls.cfg.TimeBuckets+tb)*vb : (channel*ls.cfg.TimeBuckets+tb+1)*vb]
-		for bin, cnt := range row {
+	base := channel * ls.cfg.TimeBuckets
+	return (base + lo) * ls.cfg.ValueBins, (base + hi + 1) * ls.cfg.ValueBins
+}
+
+// binMoments returns Σ1, Σbin, Σbin² over span, a run of whole rows of vb
+// value bins each. It is the one exact-aggregate scan: moments runs it on
+// the cube under the read lock, Summarize on a copy outside it.
+func binMoments(span []uint32, vb int) (n, sum, sumSq float64) {
+	for ; len(span) > 0; span = span[vb:] {
+		for bin, cnt := range span[:vb] {
 			if cnt == 0 {
 				continue
 			}
@@ -301,6 +302,19 @@ func (ls *LiveStore) moments(channel int, t0, t1 float64) (n, sum, sumSq float64
 			sumSq += fc * fb * fb
 		}
 	}
+	return n, sum, sumSq
+}
+
+// moments scans the cube for Σ1, Σbin, Σbin² of one channel over a time
+// range — enough for COUNT, AVERAGE and VARIANCE.
+func (ls *LiveStore) moments(channel int, t0, t1 float64) (n, sum, sumSq float64, err error) {
+	if err := ls.checkChannel(channel); err != nil {
+		return 0, 0, 0, err
+	}
+	from, to := ls.rowSpan(channel, t0, t1)
+	ls.mu.RLock()
+	defer ls.mu.RUnlock()
+	n, sum, sumSq = binMoments(ls.cube[from:to], ls.cfg.ValueBins)
 	return n, sum, sumSq, nil
 }
 

@@ -58,25 +58,14 @@ func (ls *LiveStore) Summarize(channel int, t0, t1 float64) (Summary, uint64, er
 	if err := ls.checkChannel(channel); err != nil {
 		return Summary{}, 0, err
 	}
-	lo, hi := ls.timeRange(t0, t1)
-	vb := ls.cfg.ValueBins
-	span := make([]uint32, (hi-lo+1)*vb)
+	from, to := ls.rowSpan(channel, t0, t1)
+	span := make([]uint32, to-from)
 	ls.mu.RLock()
 	frames := uint64(ls.frames)
-	copy(span, ls.cube[(channel*ls.cfg.TimeBuckets+lo)*vb:(channel*ls.cfg.TimeBuckets+hi+1)*vb])
+	copy(span, ls.cube[from:to])
 	ls.mu.RUnlock()
 
-	var n, sum, sumSq float64
-	for i, cnt := range span {
-		if cnt == 0 {
-			continue
-		}
-		fc := float64(cnt)
-		fb := float64(i % vb)
-		n += fc
-		sum += fc * fb
-		sumSq += fc * fb * fb
-	}
+	n, sum, sumSq := binMoments(span, ls.cfg.ValueBins)
 	q := ls.quant[channel]
 	min, step := q.Min, q.Step()
 	// Decode bin-unit moments into value units:

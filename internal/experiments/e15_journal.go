@@ -34,9 +34,9 @@ type E15Result struct {
 	RecoverMS  []float64
 }
 
-// RunE15 measures the durability layer's two costs. First, ingest: the
-// same loopback load E14 uses is driven against a server with journaling
-// off, then with the WAL at each fsync policy; the WAL rides the ingest
+// RunE15 measures the durability layer's two costs. First, ingest: one
+// loopback load is driven against a server with journaling off, then with
+// the WAL at each fsync policy; the WAL rides the ingest
 // path (framed, CRC'd and written before LiveStore.AppendFrames), so the
 // throughput ratio is its overhead. Per-batch fsync pays a disk round
 // trip every 256 frames and is expected to cost real throughput;

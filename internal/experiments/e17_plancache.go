@@ -51,8 +51,8 @@ func timeLoop(f func()) float64 {
 // over a 512×512 wavelet cube evaluated cold (lazy-transform compile +
 // tensor walk every time — the pre-plan behaviour) versus through a warm
 // PlanCache (key lookup + allocation-free sparse dot product). Part two
-// replays the E16 fleet scenario on the approximate-COUNT path: N sessions
-// of one device class share engine geometry, so the shared cache compiles
+// runs a fleet query on the approximate-COUNT path: N sessions of one
+// device class share engine geometry, so the shared cache compiles
 // one plan per fleet query where the uncached path compiles N times.
 func RunE17(w io.Writer) E17Result {
 	var res E17Result

@@ -209,7 +209,7 @@ func TestTracerSamplingAndRing(t *testing.T) {
 	tr := NewTracer(4, 8)
 	sampled := 0
 	for i := 0; i < 64; i++ {
-		if x := tr.Sample("ingest"); x != nil {
+		if x := tr.Begin("ingest", 0, false, time.Now()); x != nil {
 			sampled++
 			t0 := time.Now()
 			x.Span("decode", t0, t0.Add(time.Microsecond))
@@ -237,7 +237,7 @@ func TestTracerSamplingAndRing(t *testing.T) {
 
 func TestNilTracerIsNoop(t *testing.T) {
 	var tr *Tracer
-	if tr.Sample("q") != nil {
+	if tr.Begin("q", 0, false, time.Now()) != nil {
 		t.Fatal("nil tracer sampled")
 	}
 	if tr.SampleEvery() != 0 {
@@ -255,7 +255,7 @@ func TestNilTracerIsNoop(t *testing.T) {
 func TestTracerEveryOneSamplesAll(t *testing.T) {
 	tr := NewTracer(1, 4)
 	for i := 0; i < 5; i++ {
-		x := tr.Sample("q")
+		x := tr.Begin("q", 0, false, time.Now())
 		if x == nil {
 			t.Fatal("1/1 sampling skipped an entry")
 		}

@@ -96,8 +96,8 @@ func TestTraceSealedAfterFinish(t *testing.T) {
 }
 
 func TestBeginSlowThresholdForcesRetention(t *testing.T) {
-	tr := NewTracer(1<<30, 8) // sampler fires once, then never again
-	tr.Sample("warmup")       // burn the period's one sampled tick
+	tr := NewTracer(1<<30, 8)                // sampler fires once, then never again
+	tr.Begin("warmup", 0, false, time.Now()) // burn the period's one sampled tick
 	tr.SetSlowThreshold(time.Microsecond)
 	var slowKinds []string
 	tr.SetOnSlow(func(kind string) { slowKinds = append(slowKinds, kind) })
@@ -143,7 +143,7 @@ func TestBeginSlowThresholdForcesRetention(t *testing.T) {
 
 func TestBeginFastPathAndForceSample(t *testing.T) {
 	tr := NewTracer(1<<30, 8)
-	tr.Sample("warmup") // burn the period's one sampled tick
+	tr.Begin("warmup", 0, false, time.Now()) // burn the period's one sampled tick
 	// Slow ring disarmed + unsampled: Begin must return nil (no alloc).
 	if x := tr.Begin("ingest", 0, false, time.Now()); x != nil {
 		t.Fatal("unsampled Begin with slow ring disarmed returned a trace")
@@ -163,9 +163,51 @@ func TestBeginFastPathAndForceSample(t *testing.T) {
 	}
 }
 
+// TestTraceUnsampledPathZeroAllocs pins the tracer's cost in allocations,
+// which are deterministic, where the retired E14 timing floor was not: the
+// unsampled path every batch takes allocates nothing.
+func TestTraceUnsampledPathZeroAllocs(t *testing.T) {
+	now := time.Now()
+	unsampled := NewTracer(1<<30, 8)
+	unsampled.Begin("warmup", 0, false, now) // burn the period's one sampled tick
+	if n := testing.AllocsPerRun(1000, func() { unsampled.TickSample(false) }); n != 0 {
+		t.Errorf("TickSample(false) = %v allocs, want 0", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() { unsampled.Begin("ingest", 0, false, now) }); n != 0 {
+		t.Errorf("unsampled Begin with slow ring disarmed = %v allocs, want 0", n)
+	}
+}
+
+// TestTraceStampedOneAlloc replaces the retired E18 timing floor: a fully
+// stamped trace is the one allocation of the Trace itself (spans and
+// attributes live in its inline arrays; publishing into a full ring
+// overwrites a slot).
+func TestTraceStampedOneAlloc(t *testing.T) {
+	now := time.Now()
+	every := NewTracer(1, 4)
+	spans := [8]string{"decode", "queue-wait", "plan", "seal", "dot", "merge", "encode", "write"}
+	attrs := [6]string{"session", "class", "kind", "plan", "bytes", "frames"}
+	stamped := func() {
+		x := every.Begin("query", 0, false, now)
+		for _, s := range spans {
+			x.Span(s, now, now)
+		}
+		for _, k := range attrs {
+			x.SetAttr(k, "v")
+		}
+		x.Finish()
+	}
+	for i := 0; i < every.Capacity(); i++ {
+		stamped() // fill the ring so Finish overwrites instead of appending
+	}
+	if n := testing.AllocsPerRun(1000, stamped); n != 1 {
+		t.Errorf("8-span 6-attr trace into a full ring = %v allocs, want 1", n)
+	}
+}
+
 func TestSlowRingBounded(t *testing.T) {
 	tr := NewTracer(1<<30, 8)
-	tr.Sample("warmup")
+	tr.Begin("warmup", 0, false, time.Now())
 	tr.SetSlowThreshold(time.Nanosecond)
 	for i := 0; i < 3*DefaultSlowBuffer; i++ {
 		x := tr.Begin("query", 0, false, time.Now().Add(-time.Millisecond))

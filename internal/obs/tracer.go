@@ -31,7 +31,7 @@ type SpanID int32
 // Tracer records pipeline traces into two bounded rings: a sampled ring
 // (one in every N entries, plus any wire-force-sampled request) and a slow
 // ring holding every trace that exceeded the slow threshold. A nil *Tracer
-// is the compiled-out no-op: Begin/Sample return nil and every *Trace
+// is the compiled-out no-op: Begin/BeginAt return nil and every *Trace
 // method is nil-safe, so instrumented code needs no branches beyond the
 // ones it already has.
 type Tracer struct {
@@ -147,25 +147,11 @@ func (t *Tracer) genID() uint64 {
 	return x
 }
 
-// Sample starts a new trace of the given kind if this entry is the sampled
-// one of the current period, and returns nil otherwise (or when the tracer
-// itself is nil/disabled). The returned trace is safe to stamp from
-// multiple goroutines.
-func (t *Tracer) Sample(kind string) *Trace {
-	if t == nil {
-		return nil
-	}
-	if !t.tickSample() {
-		return nil
-	}
-	return newTrace(t, t.genID(), kind, true, time.Now())
-}
-
 // Begin starts a trace for one pipeline entry, honouring wire-propagated
 // trace context: traceID (0 = generate one) and forceSample (the client's
 // -trace flag) mark the trace for the sampled ring regardless of the 1/N
-// sampler. Unlike Sample, Begin also returns a live trace for *unsampled*
-// entries whenever the slow ring is armed, so a slow outlier is captured
+// sampler. Begin also returns a live trace for *unsampled* entries
+// whenever the slow ring is armed, so a slow outlier is captured
 // with 100% probability; when neither sampling nor the slow threshold
 // wants the entry, it returns nil and the hot path stays allocation-free.
 func (t *Tracer) Begin(kind string, traceID uint64, forceSample bool, start time.Time) *Trace {

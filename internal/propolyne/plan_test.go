@@ -7,9 +7,46 @@ import (
 	"testing"
 
 	"aims/internal/vec"
+	"aims/internal/wavelet"
 )
 
-// legacyExact evaluates q through the retained map-based reference path
+// queryVectors computes the per-dimension transformed query vectors: the
+// lazy wavelet transform on wavelet dimensions, the literal restricted
+// polynomial on standard dimensions.
+//
+// Query execution compiles plans instead (CompilePlan); this map-based
+// form is the independent reference implementation the plan-equivalence
+// property tests check against.
+func (e *Engine) queryVectors(q Query) ([]wavelet.Sparse, error) {
+	if err := e.validate(q); err != nil {
+		return nil, err
+	}
+	out := make([]wavelet.Sparse, len(e.Dims))
+	for d := range e.Dims {
+		var p vec.Poly
+		if d < len(q.Polys) && q.Polys[d] != nil {
+			p = q.Polys[d]
+		} else {
+			p = vec.PolyConst(1)
+		}
+		if e.Bases[d].Standard {
+			s := make(wavelet.Sparse, q.Hi[d]-q.Lo[d]+1)
+			for v := q.Lo[d]; v <= q.Hi[d]; v++ {
+				s.Add(v, p.Eval(float64(v)))
+			}
+			out[d] = s
+			continue
+		}
+		s, err := wavelet.LazyQuery(e.Dims[d], q.Lo[d], q.Hi[d], p, e.Bases[d].Filter, e.Levels[d])
+		if err != nil {
+			return nil, err
+		}
+		out[d] = s
+	}
+	return out, nil
+}
+
+// legacyExact evaluates q through the map-based reference path
 // (queryVectors + tensor-product recursion) — the independent oracle the
 // compiled plans are checked against.
 func legacyExact(t *testing.T, e *Engine, q Query) float64 {

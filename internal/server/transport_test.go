@@ -2,12 +2,17 @@ package server
 
 import (
 	"bufio"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"net"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"aims/internal/transport"
+	"aims/internal/transport/ws"
 	"aims/internal/wire"
 )
 
@@ -162,4 +167,92 @@ func TestHelloCompatMatrixOverTransports(t *testing.T) {
 			})
 		}
 	})
+}
+
+// countingConn counts the raw socket bytes written beneath any transport
+// framing.
+type countingConn struct {
+	net.Conn
+	out atomic.Uint64
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	c.out.Add(uint64(n))
+	return n, err
+}
+
+// TestWebSocketByteOverheadBounded runs the identical Hello → batches →
+// Flush → COUNT → Close conversation over tcp:// and ws://, counting the
+// raw socket bytes under the WebSocket layer. Byte counts are
+// deterministic, so the bound is exact, not statistical: WebSocket framing
+// (one header + mask per kilobyte-scale wire message, plus the one-time
+// upgrade) must inflate client→server bytes by more than nothing and by
+// less than 10%, and both transports must store exactly the frames sent.
+func TestWebSocketByteOverheadBounded(t *testing.T) {
+	const (
+		frames   = 16384
+		batch    = 128
+		channels = 2
+	)
+	sent := clientFrames(0, frames, channels)
+	mins, maxs := ranges(channels)
+	bytesOut := map[string]uint64{}
+	forEachTransport(t, func(t *testing.T, scheme string) {
+		_, addr := startServerOn(t, scheme, Config{Store: testStoreCfg()})
+		ep, err := transport.ParseEndpoint(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := net.Dial("tcp", ep.Host)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cc := &countingConn{Conn: raw}
+		var conn net.Conn = cc
+		if ep.Scheme == "ws" {
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			conn, err = ws.Client(ctx, cc, ep.Host, ep.Path)
+			cancel()
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		c := wire.NewClient(conn)
+		c.Timeout = 5 * time.Second
+		if _, err := c.Hello(wire.Hello{
+			Rate: 100, HorizonTicks: frames, Name: "bytes", Class: "bench",
+			Mins: mins, Maxs: maxs,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for at := 0; at < frames; at += batch {
+			if err := c.SendBatch(sent[at : at+batch]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if stored, err := c.Flush(); err != nil || stored != frames {
+			t.Fatalf("flush stored=%d err=%v, want %d", stored, err, frames)
+		}
+		r, err := c.Query(wire.Query{Kind: wire.QueryCount, Channel: 0, T0: 0, T1: 1e6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Value != frames {
+			t.Fatalf("count = %v, want %d", r.Value, frames)
+		}
+		if _, err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		bytesOut[scheme] = cc.out.Load()
+	})
+	tcpOut, wsOut := bytesOut["tcp"], bytesOut["ws"]
+	if tcpOut == 0 || wsOut == 0 {
+		t.Fatalf("a transport run did not finish: tcp=%d ws=%d bytes", tcpOut, wsOut)
+	}
+	pct := 100 * (float64(wsOut) - float64(tcpOut)) / float64(tcpOut)
+	t.Logf("client→server bytes: tcp=%d ws=%d (+%.2f%%)", tcpOut, wsOut, pct)
+	if pct <= 0 || pct >= 10 {
+		t.Fatalf("ws byte inflation %.2f%%, want in (0, 10)", pct)
+	}
 }
