@@ -1,7 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -180,20 +182,11 @@ func (ls *LiveStore) AppendFrame(tick int, frame []float64) error {
 	if tick < 0 {
 		return fmt.Errorf("core: negative tick %d", tick)
 	}
-	tb := tick / ls.TicksPerBucket()
-	if tb >= ls.cfg.TimeBuckets {
-		tb = ls.cfg.TimeBuckets - 1
-	}
-	vb := ls.cfg.ValueBins
+	tb := ls.bucket(tick, ls.TicksPerBucket())
 	ls.mu.Lock()
 	logging := ls.logDelta(len(frame))
 	for c, v := range frame {
-		bin := ls.quant[c].Quantize(v)
-		idx := (c*ls.cfg.TimeBuckets+tb)*vb + bin
-		ls.cube[idx]++
-		if logging {
-			ls.delta = append(ls.delta, uint32(idx))
-		}
+		ls.bump(ls.cell(c, tb, v), logging)
 	}
 	ls.frames++
 	ls.version++
@@ -218,16 +211,40 @@ func (ls *LiveStore) logDelta(n int) bool {
 	return true
 }
 
+// tick converts a frame timestamp in seconds to its device tick.
+func (ls *LiveStore) tick(t float64) int { return int(t*ls.cfg.Rate + 0.5) }
+
+// bucket maps a non-negative device tick to its time bucket, tpb ticks
+// wide; ticks past the horizon clamp into the last bucket.
+func (ls *LiveStore) bucket(tick, tpb int) int {
+	return min(tick/tpb, ls.cfg.TimeBuckets-1)
+}
+
+// cell quantises channel c's value v and returns the offset of its cube
+// cell in time bucket tb. Every append counts a value as
+// ls.bump(ls.cell(c, tb, v), logging): the two halves are separate only so
+// that each stays small enough to inline into the per-value loops.
+func (ls *LiveStore) cell(c, tb int, v float64) int {
+	return (c*ls.cfg.TimeBuckets+tb)*ls.cfg.ValueBins + ls.quant[c].Quantize(v)
+}
+
+// bump increments cube cell idx, logging its offset for the incremental
+// seal when logging is set. Callers hold ls.mu for writing.
+func (ls *LiveStore) bump(idx int, logging bool) {
+	ls.cube[idx]++
+	if logging {
+		ls.delta = append(ls.delta, uint32(idx))
+	}
+}
+
 // AppendFrames ingests a batch of stream frames under a single write-lock
-// acquisition (the server's ingest path appends whole double-buffered
-// batches), deriving each frame's tick from its timestamp and the device
-// rate. Frames that fail validation — wrong width, negative tick — are
-// skipped rather than aborting the batch. It returns how many frames were
-// stored; err reports the first skip reason and is nil when all landed.
+// acquisition, deriving each frame's tick from its timestamp and the
+// device rate. Frames that fail validation — wrong width, negative tick —
+// are skipped rather than aborting the batch. It returns how many frames
+// were stored; err reports the first skip reason and is nil when all
+// landed.
 func (ls *LiveStore) AppendFrames(frames []stream.Frame) (int, error) {
 	tpb := ls.TicksPerBucket()
-	tbuckets := ls.cfg.TimeBuckets
-	vb := ls.cfg.ValueBins
 	stored := 0
 	var firstErr error
 	ls.mu.Lock()
@@ -239,24 +256,56 @@ func (ls *LiveStore) AppendFrames(frames []stream.Frame) (int, error) {
 			}
 			continue
 		}
-		tick := int(frames[i].T*ls.cfg.Rate + 0.5)
+		tick := ls.tick(frames[i].T)
 		if tick < 0 {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("core: negative tick %d", tick)
 			}
 			continue
 		}
-		tb := tick / tpb
-		if tb >= tbuckets {
-			tb = tbuckets - 1
-		}
+		tb := ls.bucket(tick, tpb)
 		for c, v := range frames[i].Values {
-			bin := ls.quant[c].Quantize(v)
-			idx := (c*tbuckets+tb)*vb + bin
-			ls.cube[idx]++
-			if logging {
-				ls.delta = append(ls.delta, uint32(idx))
+			ls.bump(ls.cell(c, tb, v), logging)
+		}
+		ls.frames++
+		ls.version++
+		stored++
+	}
+	ls.mu.Unlock()
+	return stored, firstErr
+}
+
+// AppendEncoded is AppendFrames for frames still in their wire encoding —
+// the middle tier's ingest and recovery path, which never decodes a batch.
+// body holds whole frame records of (T, one value per channel), each a
+// little-endian IEEE-754 float64; every value is read and quantised in the
+// same loop, under one write-lock acquisition. A frame with a negative tick
+// is skipped, exactly as AppendFrames skips it, so both produce the same
+// cube, counters and delta log. A body that is not a whole number of
+// records is refused without storing anything.
+func (ls *LiveStore) AppendEncoded(body []byte) (int, error) {
+	w := len(ls.quant)
+	rec := (w + 1) * 8
+	if len(body)%rec != 0 {
+		return 0, fmt.Errorf("core: %d encoded bytes are not whole %d-channel frames", len(body), w)
+	}
+	tpb := ls.TicksPerBucket()
+	stored := 0
+	var firstErr error
+	ls.mu.Lock()
+	logging := ls.logDelta(len(body) / rec * w)
+	for ; len(body) > 0; body = body[rec:] {
+		tick := ls.tick(math.Float64frombits(binary.LittleEndian.Uint64(body)))
+		if tick < 0 {
+			if firstErr == nil {
+				firstErr = fmt.Errorf("core: negative tick %d", tick)
 			}
+			continue
+		}
+		tb := ls.bucket(tick, tpb)
+		vals := body[8:rec]
+		for c := 0; c < w; c++ {
+			ls.bump(ls.cell(c, tb, math.Float64frombits(binary.LittleEndian.Uint64(vals[8*c:]))), logging)
 		}
 		ls.frames++
 		ls.version++

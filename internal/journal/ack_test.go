@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"aims/internal/core"
-	"aims/internal/stream"
 )
 
 // TestWALAckRecordRoundTrip appends frame records interleaved with client
@@ -117,9 +116,9 @@ func TestReplayTrailingDuplicateIsDropped(t *testing.T) {
 	// suffix and replay resumes exactly at the watermark.
 	var starts []uint64
 	var frames int
-	res2, err := replayWAL(dir, 150, 2, func(start uint64, fr []stream.Frame) error {
+	res2, err := replayWAL(dir, 150, 2, func(start uint64, fr []byte) error {
 		starts = append(starts, start)
-		frames += len(fr)
+		frames += len(decodeFrames(fr, 2))
 		return nil
 	})
 	if err != nil {

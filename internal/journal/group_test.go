@@ -10,11 +10,12 @@ import (
 	"aims/internal/stream"
 )
 
-// groupOf cuts frames [start, start+n*per) into n batches of per frames.
-func groupOf(n, per, channels int, start uint64) [][]stream.Frame {
-	group := make([][]stream.Frame, n)
+// groupOf cuts frames [start, start+n*per) into n encoded batches of per
+// frames.
+func groupOf(n, per, channels int, start uint64) [][]byte {
+	group := make([][]byte, n)
 	for i := range group {
-		group[i] = testFrames(per, channels, start+uint64(i*per))
+		group[i] = encodeFrames(testFrames(per, channels, start+uint64(i*per)), channels)
 	}
 	return group
 }
@@ -254,7 +255,7 @@ func TestGroupShedMidGroupKeepsCountTruthful(t *testing.T) {
 	group := groupOf(5, 10, 2, 0)
 	sess.AppendGroup(group, nil)
 	for _, b := range group {
-		ls.AppendFrames(b)
+		ls.AppendEncoded(b)
 	}
 	if !sess.Degraded() || sess.Processed() != 50 {
 		t.Fatalf("degraded=%v processed=%d, want degraded with all 50 counted", sess.Degraded(), sess.Processed())

@@ -6,10 +6,11 @@
 //
 //   - a per-session, append-only, CRC32C-framed, segmented write-ahead log
 //     the server writes each acquisition batch to before it reaches
-//     core.LiveStore.AppendFrames — one record per batch, the batches the
-//     session's appender drained together sharing one durability step —
-//     with a configurable fsync policy (per-group, interval-deferred, or
-//     off) and size-based segment rotation; and
+//     core.LiveStore.AppendEncoded — one record per batch, framed from the
+//     batch's wire bytes without decoding them, the batches the session's
+//     appender drained together sharing one durability step — with a
+//     configurable fsync policy (per-group, interval-deferred, or off) and
+//     size-based segment rotation; and
 //   - periodic snapshots: the live store is sealed and serialised with
 //     core.Store.WriteTo into a temp file, atomically renamed into place,
 //     and the WAL is truncated up to the snapshot's frame watermark.
@@ -18,11 +19,12 @@
 // session found there: the newest intact snapshot is loaded through
 // core.ReadStore and inverse-transformed back into a count cube
 // (core.RestoreLiveStore), then the WAL tail past the watermark is
-// replayed through the normal AppendFrames path. Torn tails, short reads
-// and corrupt frames are detected by the per-record CRC and the log is
-// truncated at the last valid record instead of failing recovery; replay
-// carries on into the next segment only when its header proves no frame
-// is missing in between (see replayWAL).
+// replayed through the live ingest path: each record body is checked and
+// its frames quantised straight out of the bytes (AppendEncoded). Torn
+// tails, short reads and corrupt frames are detected by the per-record CRC
+// and the log is truncated at the last valid record instead of failing
+// recovery; replay carries on into the next segment only when its header
+// proves no frame is missing in between (see replayWAL).
 //
 // Under disk backpressure a session degrades according to policy: block
 // (the consumer stalls, the bounded ingest queue fills, and the device

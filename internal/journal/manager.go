@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"aims/internal/core"
-	"aims/internal/stream"
 )
 
 // Manager owns the data directory: one subdirectory per session, holding
@@ -55,7 +54,8 @@ func OpenManager(cfg Config) (*Manager, error) {
 
 // Recover scans the data directory and rebuilds every session found
 // there: newest intact snapshot (if any) inverse-transformed back into a
-// live store, then the WAL tail replayed through AppendFrames. Sessions
+// live store, then the WAL tail replayed through AppendEncoded straight out
+// of the record bytes, the path live ingest takes. Sessions
 // that cannot be recovered at all are logged and left on disk untouched.
 // storeCfg supplies the non-shape knobs (seal threshold, observer); the
 // shape comes from each session's own meta/snapshot.
@@ -103,10 +103,10 @@ func (m *Manager) recoverSession(key string, storeCfg core.LiveStoreConfig) (*Re
 			return nil, err
 		}
 	}
-	res, err := replayWAL(dir, watermark, meta.Channels(), func(start uint64, frames []stream.Frame) error {
+	res, err := replayWAL(dir, watermark, meta.Channels(), func(start uint64, frames []byte) error {
 		// Per-frame validation errors are deterministic (the original
 		// ingest skipped the same frames), so they are not corruption.
-		ls.AppendFrames(frames)
+		ls.AppendEncoded(frames)
 		return nil
 	})
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 
 	"aims/internal/core"
 	"aims/internal/stream"
+	"aims/internal/wire"
 )
 
 // Session is one live session's durability handle: its WAL append side
@@ -43,17 +44,30 @@ func (s *Session) Processed() uint64 { return s.processed.Load() }
 // failure. A successful snapshot heals it.
 func (s *Session) Degraded() bool { return s.degraded.Load() }
 
-// AppendFrames journals one acquisition batch: a group of one.
+// AppendFrames journals one batch of decoded frames, a group of one: it
+// encodes them once and journals the encoding through AppendGroup.
 func (s *Session) AppendFrames(frames []stream.Frame, keepTrying func() bool) {
-	s.AppendGroup([][]stream.Frame{frames}, keepTrying)
+	body, err := wire.AppendFrames(nil, frames, s.width)
+	if err != nil {
+		// Frames of the wrong width cannot be framed; they still count
+		// toward the processed order, and the log no longer holds the stream.
+		s.processed.Add(uint64(len(frames)))
+		if !s.degraded.Load() {
+			s.degrade(err)
+		}
+		return
+	}
+	s.AppendGroup([][]byte{body}, keepTrying)
 }
 
 // AppendGroup journals a run of acquisition batches before the caller
 // appends them to the live store: one WAL record per batch, in order, and
-// one durability step (fsync or timer arm, per policy) for the run. The
-// frames count toward the session's processed order whether or not the
-// write lands, so snapshot watermarks stay truthful even while durability
-// is shed.
+// one durability step (fsync or timer arm, per policy) for the run. Each
+// batch is its encoded frame records at the session's width — the bytes
+// wire.CheckBatch returned, with any replayed prefix sliced off — which the
+// WAL frames without decoding. The frames count toward the session's
+// processed order whether or not the write lands, so snapshot watermarks
+// stay truthful even while durability is shed.
 //
 // On a write failure the behaviour follows Config.Degrade: DegradeBlock
 // retries (stalling the caller — the bounded ingest queue then applies
@@ -61,11 +75,12 @@ func (s *Session) AppendFrames(frames []stream.Frame, keepTrying func() bool) {
 // degrades; DegradeShed degrades immediately. A retry resumes at the first
 // record that did not reach the log whole. Degradation is reported once
 // through the Observer.
-func (s *Session) AppendGroup(group [][]stream.Frame, keepTrying func() bool) {
+func (s *Session) AppendGroup(group [][]byte, keepTrying func() bool) {
+	frameSize := wire.FrameSize(s.width)
 	start := s.processed.Load()
 	end := start
 	for _, frames := range group {
-		end += uint64(len(frames))
+		end += uint64(len(frames) / frameSize)
 	}
 	s.processed.Store(end)
 	if s.degraded.Load() {
@@ -77,18 +92,23 @@ func (s *Session) AppendGroup(group [][]stream.Frame, keepTrying func() bool) {
 			return
 		}
 		for _, frames := range group[:landed] {
-			start += uint64(len(frames))
+			start += uint64(len(frames) / frameSize)
 		}
 		group = group[landed:]
 		if s.cfg.Degrade == DegradeBlock && keepTrying != nil && keepTrying() {
 			time.Sleep(5 * time.Millisecond)
 			continue
 		}
-		s.cfg.Logf("journal: session %s shedding durability: %v", s.key, err)
-		if s.degraded.CompareAndSwap(false, true) && s.cfg.Observer.Degraded != nil {
-			s.cfg.Observer.Degraded()
-		}
+		s.degrade(err)
 		return
+	}
+}
+
+// degrade sheds the session's durability after err, reporting it once.
+func (s *Session) degrade(err error) {
+	s.cfg.Logf("journal: session %s shedding durability: %v", s.key, err)
+	if s.degraded.CompareAndSwap(false, true) && s.cfg.Observer.Degraded != nil {
+		s.cfg.Observer.Degraded()
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"sync"
 	"time"
 
-	"aims/internal/stream"
 	"aims/internal/wire"
 )
 
@@ -161,7 +160,10 @@ func (w *wal) rotateLocked(firstFrame uint64) error {
 }
 
 // append journals a group of batches, one record each, the first batch's
-// first frame having absolute index startFrame. The records are the bytes
+// first frame having absolute index startFrame. Each batch is its encoded
+// frame records (wire.CheckBatch's frames, trimmed or not), framed as is:
+// the record body is a batch header carrying the journal's frame index and
+// count, then a copy of those bytes. The records are the bytes
 // a batch-at-a-time log would hold, segment boundaries included; what the
 // group shares is the durability step — one fsync under FsyncBatch (plus
 // one for a segment the group fills and leaves), one timer arm under
@@ -172,7 +174,7 @@ func (w *wal) rotateLocked(firstFrame uint64) error {
 // index going backwards, which replay treats as corruption — so the caller
 // retries with group[landed:]. A failed sync reports every record landed:
 // retrying with what is left (nothing) retries the sync alone.
-func (w *wal) append(startFrame uint64, group [][]stream.Frame, width int) (landed int, err error) {
+func (w *wal) append(startFrame uint64, group [][]byte, width int) (landed int, err error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if err := w.asyncErr; err != nil {
@@ -207,6 +209,7 @@ func (w *wal) append(startFrame uint64, group [][]stream.Frame, width int) (land
 		return err
 	}
 	next := startFrame
+	frameSize := wire.FrameSize(width)
 	for _, frames := range group {
 		if w.needRotate || w.size+int64(len(buf)) >= w.cfg.SegmentBytes {
 			// The segment is full, or an earlier write tore its tail; either
@@ -227,18 +230,14 @@ func (w *wal) append(startFrame uint64, group [][]stream.Frame, width int) (land
 				return landed, err
 			}
 		}
-		// 9 header bytes, then the body encoded in place behind them.
+		// 9 header bytes, then the body framed in place behind them.
 		at := len(buf)
-		rec, err := wire.AppendBatch(append(buf, make([]byte, recHeaderSize)...), next, frames, width)
-		if err != nil {
-			return landed, err // records still in buf did not land: the retry rebuilds them
-		}
-		buf = rec
+		buf = wire.AppendBatchBytes(append(buf, make([]byte, recHeaderSize)...), next, width, frames)
 		binary.LittleEndian.PutUint32(buf[at:], uint32(len(buf)-at-8)) // type byte + body
 		buf[at+8] = recFrames
 		binary.LittleEndian.PutUint32(buf[at+4:], crc32.Checksum(buf[at+8:], crcTable))
 		built++
-		next += uint64(len(frames))
+		next += uint64(len(frames) / frameSize)
 		if len(buf) >= walScratchBytes {
 			if err := flush(); err != nil {
 				return landed, err
@@ -447,9 +446,10 @@ type replayResult struct {
 }
 
 // replayWAL streams every intact frames record at or above the watermark
-// through fn, in processed-frame order. Records wholly below the watermark
-// are skipped; a record straddling it is delivered with its covered prefix
-// trimmed. Corruption anywhere — bad segment header, short read, CRC
+// through fn, in processed-frame order, as the record's encoded frames
+// (valid only for the call: the next record is read into the same buffer).
+// Records wholly below the watermark are skipped; a record straddling it is
+// delivered with its covered prefix trimmed. Corruption anywhere — bad segment header, short read, CRC
 // mismatch, undecodable body, out-of-order frame index — truncates the log
 // at the last valid record: the offending segment is cut back there.
 //
@@ -463,7 +463,7 @@ type replayResult struct {
 // durability over a torn tail and was healed by a snapshot restarts its
 // log this way). Anything else drops the later segments, because records
 // past a tear cannot otherwise be trusted to be gap-free.
-func replayWAL(dir string, watermark uint64, width int, fn func(startFrame uint64, frames []stream.Frame) error) (replayResult, error) {
+func replayWAL(dir string, watermark uint64, width int, fn func(startFrame uint64, frames []byte) error) (replayResult, error) {
 	r := replayer{watermark: watermark, width: width, fn: fn}
 	r.res.processed = watermark
 	seqs, err := listSegments(dir)
@@ -506,11 +506,11 @@ func replayWAL(dir string, watermark uint64, width int, fn func(startFrame uint6
 type replayer struct {
 	watermark uint64
 	width     int
-	fn        func(startFrame uint64, frames []stream.Frame) error
+	fn        func(startFrame uint64, frames []byte) error
 
 	expect uint64 // next frame index an intact log would carry
 	res    replayResult
-	body   []byte // record read buffer: DecodeBatch copies out of it
+	body   []byte // record read buffer, reused record to record
 }
 
 // segment scans one segment. It returns the byte offset up to which the
@@ -573,23 +573,22 @@ func (r *replayer) segment(path string) (keepFrom, segEnd int64, corrupt bool, e
 			good = br.n
 			continue
 		}
-		b, err := wire.DecodeBatch(body, r.width)
+		seq, count, frames, err := wire.CheckBatch(body, r.width)
 		if err != nil {
 			return good, br.n, true, nil
 		}
-		if b.Seq < r.expect {
+		if seq < r.expect {
 			// Frame indices never go backwards in an intact log; gaps
 			// (from a degraded period) are allowed, overlaps are not.
 			return good, br.n, true, nil
 		}
-		end := b.Seq + uint64(len(b.Frames))
+		end := seq + uint64(count)
 		r.expect = end
 		good = br.n
 		if end > r.watermark {
-			frames := b.Frames
-			start := b.Seq
+			start := seq
 			if start < r.watermark {
-				frames = frames[r.watermark-start:]
+				frames = frames[int(r.watermark-start)*wire.FrameSize(r.width):]
 				start = r.watermark
 			}
 			if err := r.fn(start, frames); err != nil {

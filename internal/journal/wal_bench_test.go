@@ -3,8 +3,6 @@ package journal
 import (
 	"fmt"
 	"testing"
-
-	"aims/internal/stream"
 )
 
 // BenchmarkWALAppend measures the page-cache append cost (FsyncOff) of a
@@ -35,7 +33,7 @@ func BenchmarkWALAppend(b *testing.B) {
 // the share.
 func BenchmarkWALAppendGroup(b *testing.B) {
 	const batch, channels = 256, 28
-	frames := testFrames(batch, channels, 0)
+	frames := encodeFrames(testFrames(batch, channels, 0), channels)
 	for _, n := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("group=%d", n), func(b *testing.B) {
 			plan := NewFaultPlan()
@@ -44,7 +42,7 @@ func BenchmarkWALAppendGroup(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer w.close()
-			group := make([][]stream.Frame, n)
+			group := make([][]byte, n)
 			for i := range group {
 				group[i] = frames
 			}

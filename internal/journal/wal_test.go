@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"aims/internal/stream"
+	"aims/internal/wire"
 )
 
 func testFrames(n, channels int, start uint64) []stream.Frame {
@@ -22,9 +23,27 @@ func testFrames(n, channels int, start uint64) []stream.Frame {
 	return frames
 }
 
+// encodeFrames is frames' wire encoding, the form the WAL journals.
+func encodeFrames(frames []stream.Frame, width int) []byte {
+	b, err := wire.AppendFrames(nil, frames, width)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
+// decodeFrames decodes the encoded frames replay hands out.
+func decodeFrames(frames []byte, width int) []stream.Frame {
+	b, err := wire.DecodeBatch(wire.AppendBatchBytes(nil, 0, width, frames), width)
+	if err != nil {
+		panic(err)
+	}
+	return b.Frames
+}
+
 // appendOne journals a lone batch: a group of one.
 func appendOne(w *wal, start uint64, frames []stream.Frame, width int) error {
-	_, err := w.append(start, [][]stream.Frame{frames}, width)
+	_, err := w.append(start, [][]byte{encodeFrames(frames, width)}, width)
 	return err
 }
 
@@ -32,8 +51,8 @@ func appendOne(w *wal, start uint64, frames []stream.Frame, width int) error {
 func collect(t *testing.T, dir string, watermark uint64, width int) ([]stream.Frame, replayResult) {
 	t.Helper()
 	var got []stream.Frame
-	res, err := replayWAL(dir, watermark, width, func(start uint64, frames []stream.Frame) error {
-		got = append(got, frames...)
+	res, err := replayWAL(dir, watermark, width, func(start uint64, frames []byte) error {
+		got = append(got, decodeFrames(frames, width)...)
 		return nil
 	})
 	if err != nil {

@@ -619,7 +619,11 @@ func TestAppendLoopMatchesOneAtATimeModel(t *testing.T) {
 				}
 				sent = append(sent, frames...)
 				model.AppendFrames(frames)
-				if !sess.q.push(queued{frames: frames}) {
+				body, err := wire.AppendFrames(nil, frames, channels)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sess.q.push(queued{n: len(frames), frames: body}) {
 					t.Fatal("blocking queue refused a batch")
 				}
 				sess.enqueued.Add(uint64(len(frames)))

@@ -3,13 +3,20 @@
 // devices register with, stream frame batches to, and query while the
 // session is live. Each connection is one session served by two goroutines
 // — the two threads of the paper's §3.1 recording strategy. The reader owns
-// the socket: it decodes each wire batch, enqueues it whole, acknowledges
-// it and answers exact/approximate/progressive range aggregates against
-// the session's core.LiveStore (core/propolyne). The appender drains the
-// queue a group at a time — whatever queued, up to the next Flush barrier,
-// while it made the previous group durable: journal write-ahead for the
-// group under one durability step, then one LiveStore.AppendFrames per
-// batch, then the counters, the barrier and the snapshot check.
+// the socket: it reads each message into a recycled payload buffer, checks
+// a wire batch without decoding it (wire.CheckBatch), enqueues its encoded
+// frames whole together with the buffer that holds them, acknowledges it,
+// and answers exact/approximate/progressive range aggregates against the
+// session's core.LiveStore (core/propolyne). The appender drains the queue
+// a group at a time — whatever queued, up to the next Flush barrier, while
+// it made the previous group durable: journal write-ahead for the group
+// under one durability step, framing the same bytes, then one
+// LiveStore.AppendEncoded per batch, quantising straight out of them, then
+// the counters, the buffer's return, the barrier and the snapshot check. A
+// payload buffer has one owner at a time: the reader until it enqueues the
+// batch (or, for any other message and for a shed, duplicate or refused
+// batch, until it is done with it), then the appender until the batch is
+// stored; a session at rest keeps at most two spares.
 //
 // Ordering invariants of that hand-off: a batch is acknowledged (and the
 // session's ackSeq watermark advanced) when it is enqueued or shed, not

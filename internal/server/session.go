@@ -13,7 +13,6 @@ import (
 	"aims/internal/fleet"
 	"aims/internal/journal"
 	"aims/internal/obs"
-	"aims/internal/stream"
 	"aims/internal/wire"
 )
 
@@ -55,33 +54,73 @@ type session struct {
 	closeRequested bool
 }
 
-// queued is one entry of a session's ingest queue: a decoded wire batch on
-// its way to the store, or — frames empty, done set — a Flush barrier.
+// queued is one entry of a session's ingest queue: a checked wire batch on
+// its way to the journal and the store, or — no frames, done set — a Flush
+// barrier. A batch travels undecoded: frames is its n encoded frame records
+// (a replayed prefix already sliced off), and buf is the payload buffer
+// they live in, which the appender hands back to the queue's spares once
+// the batch is stored.
 type queued struct {
-	frames []stream.Frame
+	n      int
+	frames []byte
+	buf    []byte
 	done   chan struct{} // barrier: closed by the appender once everything ahead of it is stored
 
 	// A sampled batch's trace changes hands with the entry: the appender
 	// stamps enqueue (decoded → at), queue-wait and append, then finishes it.
 	tr      *obs.Trace
-	decoded time.Time // when the reader finished decoding the batch
+	decoded time.Time // when the reader finished checking the batch
 	at      time.Time // when the queue admitted it (stamped by push)
 }
+
+// Spare payload buffers. Under load a session circulates a handful of
+// buffers between reader and appender, so it keeps up to maxSpareBufs of
+// them; once it holds more than restSpareBufs, a timer lets the extra go
+// spareLinger later, so a session at rest holds at most restSpareBufs. A
+// buffer larger than maxSpareBytes — a rare oversized message — is never
+// kept.
+const (
+	maxSpareBufs  = 8
+	restSpareBufs = 2
+	spareLinger   = 250 * time.Millisecond
+	maxSpareBytes = 1 << 20
+)
 
 // batchQueue is the reader → appender hand-off: a FIFO of wire batches
 // bounded by the frames the session holds outside its store — those queued
 // and those the appender has taken but not yet stored. One producer (the
 // reader) and one consumer (the appender) means at most one of them is ever
 // waiting, so a single condition variable serves both directions.
+//
+// It also recycles the session's payload buffers. The reader reads every
+// message into one taken from spares (buffer), and a batch's buffer rides
+// the queue with it until the appender, having stored the batch, hands it
+// back (release). Every other message — and a batch that is shed, a
+// duplicate or refused — goes back as soon as the reader is done with it
+// (recycle). Message decoders copy what they keep, so a buffer is only
+// ever read by its current owner. Returned buffers wait as spares, at most
+// restSpareBufs of them once the session is at rest.
 type batchQueue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	limit  int  // Config.QueueFrames
 	shed   bool // PolicyShed: refuse what does not fit instead of waiting
 	items  []queued
-	frames int        // Σ len(frames) over items and over entries taken but not yet released
+	frames int        // Σ n over items and over entries taken but not yet released
 	depth  *obs.Gauge // server-wide aims_queue_depth: moves with frames
 	closed bool
+
+	// Payload buffers: spares[:nspare] wait for reuse. fresh counts those
+	// allocated because no spare fitted and dropped those let go, so with
+	// nothing in flight fresh == dropped + nspare — every buffer came back
+	// exactly once. trim, armed while trimming, cuts the spares back to
+	// restSpareBufs.
+	spares   [maxSpareBufs][]byte
+	nspare   int
+	fresh    int
+	dropped  int
+	trim     *time.Timer
+	trimming bool
 }
 
 func (q *batchQueue) init(limit int, shed bool, depth *obs.Gauge) {
@@ -89,13 +128,73 @@ func (q *batchQueue) init(limit int, shed bool, depth *obs.Gauge) {
 	q.limit, q.shed, q.depth = limit, shed, depth
 }
 
+// buffer supplies storage for an n-byte payload: a spare when one is big
+// enough, else a fresh allocation. An empty payload needs no buffer.
+func (q *batchQueue) buffer(n int) []byte {
+	if n == 0 {
+		return nil
+	}
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for i := q.nspare - 1; i >= 0; i-- {
+		if b := q.spares[i]; cap(b) >= n {
+			q.nspare--
+			q.spares[i], q.spares[q.nspare] = q.spares[q.nspare], nil
+			return b
+		}
+	}
+	q.fresh++
+	return make([]byte, n)
+}
+
+// recycle takes back a payload buffer its owner is done with; it is kept
+// as a spare while there is room.
+func (q *batchQueue) recycle(b []byte) {
+	q.mu.Lock()
+	q.recycleLocked(b)
+	q.mu.Unlock()
+}
+
+func (q *batchQueue) recycleLocked(b []byte) {
+	if cap(b) == 0 {
+		return // an empty payload never had a buffer
+	}
+	if cap(b) > maxSpareBytes || q.nspare == maxSpareBufs {
+		q.dropped++
+		return
+	}
+	q.spares[q.nspare] = b
+	q.nspare++
+	if q.nspare > restSpareBufs && !q.trimming {
+		q.trimming = true
+		if q.trim == nil {
+			q.trim = time.AfterFunc(spareLinger, q.trimSpares)
+		} else {
+			q.trim.Reset(spareLinger)
+		}
+	}
+}
+
+// trimSpares lets go of the spares beyond restSpareBufs.
+func (q *batchQueue) trimSpares() {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for q.nspare > restSpareBufs {
+		q.nspare--
+		q.spares[q.nspare] = nil
+		q.dropped++
+	}
+	q.trimming = false
+}
+
 // push enqueues e and reports whether it was admitted. A batch that does
-// not fit (queued + len(batch) > limit) is refused by a shedding queue; a
+// not fit (queued + e.n > limit) is refused by a shedding queue; a
 // blocking queue waits for the appender to make room, except that an empty
 // queue admits any batch — one larger than the whole bound would otherwise
-// wait forever. Barriers hold no frames and always fit.
+// wait forever. Barriers hold no frames and always fit. A refused batch's
+// buffer still belongs to the caller.
 func (q *batchQueue) push(e queued) bool {
-	n := len(e.frames)
+	n := e.n
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for n > 0 && q.frames+n > q.limit {
@@ -138,16 +237,18 @@ func (q *batchQueue) take(group []queued) (_ []queued, ok bool) {
 	}
 	group = append(group[:0], q.items[:n]...)
 	rest := copy(q.items, q.items[n:])
-	clear(q.items[rest:]) // drop the frames references with the slots
+	clear(q.items[rest:]) // drop the buffer references with the slots
 	q.items = q.items[:rest]
 	return group, true
 }
 
-// release uncharges n frames the appender took and has now stored.
-func (q *batchQueue) release(n int) {
+// release uncharges the n frames of a batch the appender took and has now
+// stored, and takes back its payload buffer.
+func (q *batchQueue) release(n int, buf []byte) {
 	q.mu.Lock()
 	q.frames -= n
 	q.depth.Add(-int64(n))
+	q.recycleLocked(buf)
 	q.cond.Signal()
 	q.mu.Unlock()
 }
@@ -271,10 +372,11 @@ func (sess *session) flush() error {
 func (sess *session) handshake() bool {
 	srv := sess.srv
 	sess.conn.SetReadDeadline(time.Now().Add(srv.cfg.IdleTimeout))
-	typ, payload, err := wire.ReadMessage(sess.br)
+	typ, payload, err := wire.ReadMessageInto(sess.br, sess.q.buffer)
 	if err != nil {
 		return false
 	}
+	defer sess.q.recycle(payload)
 	srv.metrics.countIn(typ, len(payload))
 	if typ != wire.MsgHello {
 		sess.sendError(wire.CodeNotRegistered, "first message must be hello")
@@ -363,7 +465,7 @@ func (sess *session) sendError(code wire.Code, text string) {
 func (sess *session) appendLoop() {
 	m := sess.srv.metrics
 	var group []queued
-	var batches [][]stream.Frame
+	var batches [][]byte
 	for {
 		var ok bool
 		if group, ok = sess.q.take(group); !ok {
@@ -390,24 +492,25 @@ func (sess *session) appendLoop() {
 			sess.jsess.AppendGroup(batches, func() bool { return !sess.srv.isClosed() })
 		}
 		for i := range batches {
-			// Once stored, a batch is the store's alone: the queue refills
-			// against the frames released below, and a reference kept here
-			// until the group ends would hold that memory twice over.
+			// Once stored, a batch's buffer goes back to the reader: the
+			// queue refills against the frames released below, and a
+			// reference kept here until the group ends would pin it.
 			e := group[i]
 			group[i], batches[i] = queued{}, nil
 			// One append per wire batch under a single write-lock
-			// acquisition (invalid frames are skipped inside AppendFrames).
+			// acquisition, quantised straight out of the payload bytes
+			// (frames with a negative tick are skipped inside).
 			t0 := time.Now()
-			stored, _ := sess.store.AppendFrames(e.frames)
+			stored, _ := sess.store.AppendEncoded(e.frames)
 			end := time.Now()
 			m.appendSeconds.Observe(end.Sub(t0).Seconds())
-			if bad := uint64(len(e.frames) - stored); bad > 0 {
+			if bad := uint64(e.n - stored); bad > 0 {
 				sess.badAppend.Add(bad)
 				m.appendErrors.Add(bad)
 			}
-			sess.stored.Add(uint64(len(e.frames))) // processed, including bad appends
+			sess.stored.Add(uint64(e.n)) // processed, including bad appends
 			m.framesIngested.Add(uint64(stored))
-			sess.q.release(len(e.frames))
+			sess.q.release(e.n, e.buf)
 			if e.tr != nil {
 				// Queue wait runs from admission to the start of the store
 				// append (so it includes the write-ahead), the append span
@@ -448,7 +551,7 @@ func (sess *session) readLoop() {
 			// just before the line above re-armed the deadline past it.
 			sess.conn.SetReadDeadline(time.Now())
 		}
-		typ, payload, err := wire.ReadMessage(sess.br)
+		typ, payload, err := wire.ReadMessageInto(sess.br, sess.q.buffer)
 		if err != nil {
 			var ne net.Error
 			if errors.As(err, &ne) && ne.Timeout() {
@@ -464,42 +567,46 @@ func (sess *session) readLoop() {
 			return
 		}
 		srv.metrics.countIn(typ, len(payload))
-		switch typ {
-		case wire.MsgBatch:
+		if typ == wire.MsgBatch {
+			// The batch's buffer is handleBatch's to hand on or return.
 			if !sess.handleBatch(payload) {
 				return
 			}
-		case wire.MsgFlush:
-			if !sess.handleFlush() {
-				return
-			}
-		case wire.MsgQuery:
-			if !sess.handleQuery(payload) {
-				return
-			}
-		case wire.MsgFleetQuery:
-			if !sess.handleFleetQuery(payload) {
-				return
-			}
-		case wire.MsgPing:
-			p, perr := wire.DecodePing(payload)
-			if perr != nil {
-				sess.sendError(wire.CodeBadMessage, perr.Error())
-				return
-			}
-			sess.sawPing = true
-			srv.metrics.heartbeats.Inc()
-			if sess.write(wire.MsgPong, wire.Pong{Nonce: p.Nonce}.Encode()) != nil || !sess.flushIfIdle() {
-				return
-			}
-		case wire.MsgClose:
-			sess.closeRequested = true
-			return
-		default:
-			sess.sendError(wire.CodeBadMessage, "unexpected message type")
+			continue
+		}
+		if !sess.handleMessage(typ, payload) {
 			return
 		}
 	}
+}
+
+// handleMessage answers one message other than a batch. Each decoder copies
+// what it keeps out of the payload, so its buffer goes back to the spares
+// once the message is answered.
+func (sess *session) handleMessage(typ byte, payload []byte) bool {
+	defer sess.q.recycle(payload)
+	switch typ {
+	case wire.MsgFlush:
+		return sess.handleFlush()
+	case wire.MsgQuery:
+		return sess.handleQuery(payload)
+	case wire.MsgFleetQuery:
+		return sess.handleFleetQuery(payload)
+	case wire.MsgPing:
+		p, err := wire.DecodePing(payload)
+		if err != nil {
+			sess.sendError(wire.CodeBadMessage, err.Error())
+			return false
+		}
+		sess.sawPing = true
+		sess.srv.metrics.heartbeats.Inc()
+		return sess.write(wire.MsgPong, wire.Pong{Nonce: p.Nonce}.Encode()) == nil && sess.flushIfIdle()
+	case wire.MsgClose:
+		sess.closeRequested = true
+		return false
+	}
+	sess.sendError(wire.CodeBadMessage, "unexpected message type")
+	return false
 }
 
 // flushIfIdle pushes buffered responses out when no further client input
@@ -512,6 +619,9 @@ func (sess *session) flushIfIdle() bool {
 	return true
 }
 
+// handleBatch checks one wire batch — without decoding it — and enqueues
+// it for the appender, payload buffer and all; a batch that is not enqueued
+// returns its buffer at once.
 func (sess *session) handleBatch(payload []byte) bool {
 	srv := sess.srv
 	t0 := time.Now()
@@ -519,11 +629,12 @@ func (sess *session) handleBatch(payload []byte) bool {
 	// trace, so an ingest stall is captured with 100% probability even when
 	// the 1/N sampler skips it.
 	tr := srv.tracer.Begin("ingest", 0, false, t0)
-	b, err := wire.DecodeBatch(payload, sess.store.Channels())
+	seq, n, frames, err := wire.CheckBatch(payload, sess.store.Channels())
 	t1 := time.Now()
 	srv.metrics.decodeSeconds.Observe(t1.Sub(t0).Seconds())
 	tr.Span("decode", t0, t1)
 	if err != nil {
+		sess.q.recycle(payload)
 		tr.Finish()
 		sess.sendError(wire.CodeBadMessage, err.Error())
 		return false
@@ -534,15 +645,16 @@ func (sess *session) handleBatch(payload []byte) bool {
 			tr.SetAttr("class", sess.class)
 		}
 		tr.SetAttr("bytes", strconv.Itoa(len(payload)))
-		tr.SetAttr("frames", strconv.Itoa(len(b.Frames)))
+		tr.SetAttr("frames", strconv.Itoa(n))
 	}
-	ack := wire.BatchAck{Seq: b.Seq, Code: wire.CodeOK, Stored: uint32(len(b.Frames))}
+	ack := wire.BatchAck{Seq: seq, Code: wire.CodeOK, Stored: uint32(n)}
 	// Idempotent append: batches carry absolute stream offsets, so a replay
 	// after a reconnect is recognised against the acknowledged watermark.
 	// Batches entirely at or below it are acknowledged and dropped
 	// (at-least-once replay becomes exactly-once append); a batch
 	// straddling it has its already-held prefix trimmed.
-	if end := b.Seq + uint64(len(b.Frames)); end <= sess.ackSeq {
+	if end := seq + uint64(n); end <= sess.ackSeq {
+		sess.q.recycle(payload)
 		ack.Code = wire.CodeDuplicate
 		srv.metrics.dupBatches.Inc()
 		tr.Annotate("duplicate")
@@ -552,16 +664,19 @@ func (sess *session) handleBatch(payload []byte) bool {
 		}
 		return sess.flushIfIdle()
 	}
-	if b.Seq < sess.ackSeq {
-		b.Frames = b.Frames[sess.ackSeq-b.Seq:]
-		b.Seq = sess.ackSeq
+	if seq < sess.ackSeq {
+		k := int(sess.ackSeq - seq)
+		frames = frames[k*wire.FrameSize(sess.store.Channels()):]
+		n -= k
+		seq = sess.ackSeq
 		srv.metrics.dupBatches.Inc()
 		tr.Annotate("trimmed")
-	} else if b.Seq > sess.ackSeq {
+	} else if seq > sess.ackSeq {
 		// A gap means frames went missing between device and server — a
 		// correct client streams contiguously from the watermark, so this
 		// is corruption or a broken sender. Failing fast tears the link
 		// down; the reconnect resumes from the intact watermark.
+		sess.q.recycle(payload)
 		tr.Finish()
 		sess.sendError(wire.CodeBadMessage, "batch offset ahead of session watermark")
 		return false
@@ -569,17 +684,19 @@ func (sess *session) handleBatch(payload []byte) bool {
 	// One enqueue per wire batch. Under PolicyBlock a full queue blocks
 	// here: the reader stops draining the socket and the device feels the
 	// backpressure.
-	if sess.q.push(queued{frames: b.Frames, tr: tr, decoded: t1}) {
-		// The trace now belongs to the appender, which finishes it once the
-		// batch's last frame lands in the store.
-		sess.enqueued.Add(uint64(len(b.Frames)))
+	if sess.q.push(queued{n: n, frames: frames, buf: payload, tr: tr, decoded: t1}) {
+		// The trace and the buffer now belong to the appender, which
+		// finishes the one and returns the other once the batch's last
+		// frame lands in the store.
+		sess.enqueued.Add(uint64(n))
 		srv.metrics.batchesIngested.Inc()
 	} else {
+		sess.q.recycle(payload)
 		ack.Code = wire.CodeShed
 		sess.shedB.Add(1)
-		sess.shedF.Add(uint64(len(b.Frames)))
+		sess.shedF.Add(uint64(n))
 		srv.metrics.batchesShed.Inc()
-		srv.metrics.framesShed.Add(uint64(len(b.Frames)))
+		srv.metrics.framesShed.Add(uint64(n))
 		tr.Annotate("shed")
 		tr.Finish()
 	}
@@ -590,7 +707,7 @@ func (sess *session) handleBatch(payload []byte) bool {
 	// is lossy and the device must not replay them — so the journal records
 	// the divergence between client offsets and journaled frames and a
 	// post-crash resume reports the same watermark.
-	sess.ackSeq = b.Seq + uint64(len(b.Frames))
+	sess.ackSeq = seq + uint64(n)
 	if ack.Code == wire.CodeShed && sess.jsess != nil {
 		sess.jsess.RecordAck(sess.ackSeq)
 	}

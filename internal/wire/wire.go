@@ -17,6 +17,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -219,21 +220,47 @@ func WriteMessage(w io.Writer, typ byte, payload []byte) error {
 	return err
 }
 
-// ReadMessage reads one framed message from r.
+// ReadMessage reads one framed message from r into a freshly allocated
+// payload.
 func ReadMessage(r io.Reader) (typ byte, payload []byte, err error) {
-	var hdr [headerSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
+	return ReadMessageInto(r, func(n int) []byte { return make([]byte, n) })
+}
+
+// ReadMessageInto is ReadMessage for a reader that recycles its payload
+// buffers. Once the header has announced an n-byte payload, buf(n) supplies
+// the storage — any slice of capacity ≥ n, whose contents are overwritten —
+// and the returned payload aliases it. Nothing is asked of buf before a
+// header arrives, so a reader parked on an idle link holds no buffer.
+//
+// From a *bufio.Reader the header is peeked in place, so a message read
+// through one with recycled buffers allocates nothing.
+func ReadMessageInto(r io.Reader, buf func(n int) []byte) (typ byte, payload []byte, err error) {
+	var n uint32
+	if br, ok := r.(*bufio.Reader); ok {
+		hdr, err := br.Peek(headerSize)
+		if err != nil {
+			if err == io.EOF && len(hdr) > 0 {
+				err = io.ErrUnexpectedEOF // as io.ReadFull reports a torn header
+			}
+			return 0, nil, err
+		}
+		n, typ = binary.LittleEndian.Uint32(hdr), hdr[4]
+		br.Discard(headerSize)
+	} else {
+		hdr := make([]byte, headerSize)
+		if _, err := io.ReadFull(r, hdr); err != nil {
+			return 0, nil, err
+		}
+		n, typ = binary.LittleEndian.Uint32(hdr), hdr[4]
 	}
-	n := binary.LittleEndian.Uint32(hdr[:4])
 	if n > MaxPayload {
 		return 0, nil, fmt.Errorf("wire: payload length %d exceeds max %d", n, MaxPayload)
 	}
-	payload = make([]byte, n)
+	payload = buf(int(n))[:n]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return 0, nil, err
 	}
-	return hdr[4], payload, nil
+	return typ, payload, nil
 }
 
 // buf is a little-endian append-only encoder / cursor decoder.
@@ -467,19 +494,36 @@ type Batch struct {
 	Frames []stream.Frame
 }
 
+// A batch payload is
+//
+//	seq u64 | count u32 | width u16 | count × (T, width values) float64
+//
+// The frame records after the 14-byte header are the batch's encoded
+// frames: the form CheckBatch hands out, AppendBatchBytes frames and the
+// live store quantises directly.
+
+// FrameSize returns the encoded size of one frame record of the given
+// width: its timestamp and width values, 8 bytes each.
+func FrameSize(width int) int { return (width + 1) * 8 }
+
 // EncodeBatch serialises a batch of frames of the given width.
 func EncodeBatch(seq uint64, frames []stream.Frame, width int) ([]byte, error) {
 	return AppendBatch(nil, seq, frames, width)
 }
 
 // AppendBatch appends the batch encoding to dst and returns the extended
-// slice, letting hot paths (the WAL append side) reuse one scratch buffer
-// across batches instead of re-allocating per call.
+// slice, letting hot paths reuse one scratch buffer across batches instead
+// of re-allocating per call.
 func AppendBatch(dst []byte, seq uint64, frames []stream.Frame, width int) ([]byte, error) {
 	e := buf{b: dst}
-	e.u64(seq)
-	e.u32(uint32(len(frames)))
-	e.u16(uint16(width))
+	appendBatchHeader(&e, seq, len(frames), width)
+	return AppendFrames(e.b, frames, width)
+}
+
+// AppendFrames appends the encoded frame records of frames — a batch body
+// without its header — to dst.
+func AppendFrames(dst []byte, frames []stream.Frame, width int) ([]byte, error) {
+	e := buf{b: dst}
 	for i := range frames {
 		if len(frames[i].Values) != width {
 			return nil, fmt.Errorf("wire: frame %d width %d != %d", i, len(frames[i].Values), width)
@@ -492,35 +536,64 @@ func AppendBatch(dst []byte, seq uint64, frames []stream.Frame, width int) ([]by
 	return e.b, nil
 }
 
+// AppendBatchBytes appends a batch payload to dst whose frame records are
+// frames, already encoded at the given width (as CheckBatch returns them):
+// the header is written and the records copied, no value decoded.
+func AppendBatchBytes(dst []byte, seq uint64, width int, frames []byte) []byte {
+	e := buf{b: dst}
+	appendBatchHeader(&e, seq, len(frames)/FrameSize(width), width)
+	return append(e.b, frames...)
+}
+
+func appendBatchHeader(e *buf, seq uint64, count, width int) {
+	e.u64(seq)
+	e.u32(uint32(count))
+	e.u16(uint16(width))
+}
+
+// CheckBatch validates a batch payload without decoding it: the header
+// must be whole, its width must be the registered one (width < 0 accepts
+// any), and the body must hold exactly count frame records, with no bytes
+// trailing. It returns the batch's Seq, its frame count and its encoded
+// frames, which alias p.
+func CheckBatch(p []byte, width int) (seq uint64, count int, frames []byte, err error) {
+	d := buf{b: p}
+	seq = d.rdU64()
+	count = int(d.rdU32())
+	w := int(d.rdU16())
+	if d.err != nil {
+		return 0, 0, nil, d.err
+	}
+	if width >= 0 && w != width {
+		return 0, 0, nil, fmt.Errorf("wire: batch width %d != registered %d", w, width)
+	}
+	if count*FrameSize(w) != len(p)-d.pos {
+		return 0, 0, nil, fmt.Errorf("wire: batch size %d != %d frames × width %d", len(p)-d.pos, count, w)
+	}
+	return seq, count, p[d.pos:], nil
+}
+
 // DecodeBatch parses a batch payload, enforcing the expected frame width
 // (pass width < 0 to accept any width).
 func DecodeBatch(p []byte, width int) (Batch, error) {
-	d := buf{b: p}
-	var b Batch
-	b.Seq = d.rdU64()
-	count := int(d.rdU32())
-	w := int(d.rdU16())
-	if d.err == nil && width >= 0 && w != width {
-		return Batch{}, fmt.Errorf("wire: batch width %d != registered %d", w, width)
+	seq, count, rec, err := CheckBatch(p, width)
+	if err != nil {
+		return Batch{}, err
 	}
-	if d.err == nil && count*(w+1)*8 != len(p)-d.pos {
-		return Batch{}, fmt.Errorf("wire: batch size %d != %d frames × width %d", len(p)-d.pos, count, w)
-	}
-	if d.err == nil {
-		b.Frames = make([]stream.Frame, count)
-		// One flat allocation for all values keeps decode cheap on the
-		// ingest hot path.
-		flat := make([]float64, count*w)
-		for i := 0; i < count; i++ {
-			b.Frames[i].T = d.rdF64()
-			vals := flat[i*w : (i+1)*w : (i+1)*w]
-			for j := 0; j < w; j++ {
-				vals[j] = d.rdF64()
-			}
-			b.Frames[i].Values = vals
+	w := int(binary.LittleEndian.Uint16(p[12:]))
+	b := Batch{Seq: seq, Frames: make([]stream.Frame, count)}
+	// One flat allocation for all values keeps decode cheap.
+	flat := make([]float64, count*w)
+	for i := range b.Frames {
+		b.Frames[i].T = math.Float64frombits(binary.LittleEndian.Uint64(rec))
+		vals := flat[i*w : (i+1)*w : (i+1)*w]
+		for j := range vals {
+			vals[j] = math.Float64frombits(binary.LittleEndian.Uint64(rec[8+8*j:]))
 		}
+		b.Frames[i].Values = vals
+		rec = rec[FrameSize(w):]
 	}
-	return b, d.done()
+	return b, nil
 }
 
 // BatchAck acknowledges one batch: CodeOK with the accepted frame count,
