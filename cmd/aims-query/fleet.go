@@ -55,7 +55,9 @@ func fleetKind(agg string, approx int) (wire.QueryKind, uint32, error) {
 // runFleet asks a live aims-server one cross-session fleet query and
 // renders the merged answer. The protocol requires a registered session
 // before any query, so the console registers a minimal one-channel
-// session of class "console" that never streams a frame. Returns the
+// session of class "console" that never streams a frame — anonymously, as
+// it has nothing to resume: a name would park it on exit, and two consoles
+// would take each other over. Returns the
 // process exit code: non-zero on any server error code and on partial
 // results, so scripts can trust a zero exit to mean every targeted
 // session answered.
@@ -84,7 +86,7 @@ func runFleet(addr, scopeArg, agg string, approx int, channel int, from, to floa
 		c.Timeout = timeout + 10*time.Second
 	}
 	if _, err := c.Hello(wire.Hello{
-		Rate: 1, HorizonTicks: 1, Name: "aims-query-console", Class: "console",
+		Rate: 1, HorizonTicks: 1, Class: "console",
 		Mins: []float64{-1}, Maxs: []float64{1},
 	}); err != nil {
 		fmt.Fprintf(os.Stderr, "register console session: %v\n", err)
@@ -210,10 +212,7 @@ func printTrace(adminBase string, traceID uint64) error {
 			return kids[i].ID < kids[j].ID
 		})
 		for _, sp := range kids {
-			self := sp.DurationNS - childNS[sp.ID]
-			if self < 0 {
-				self = 0
-			}
+			self := max(sp.DurationNS-childNS[sp.ID], 0)
 			fmt.Printf("  %s%-24s %12s  self %s\n",
 				strings.Repeat("  ", depth), sp.Name,
 				time.Duration(sp.DurationNS), time.Duration(self))

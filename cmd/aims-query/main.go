@@ -145,31 +145,24 @@ func main() {
 			}
 			return fmt.Sprintf("COUNT(ch=%d, [%.1fs,%.1fs]) = %.0f", *channel, *from, *to, v), nil
 		}
-	case "average":
-		answer = func() (string, error) {
-			v, ok, err := st.AverageValue(*channel, *from, *to)
-			if err != nil || !ok {
-				return "", fmt.Errorf("average: ok=%v err=%v", ok, err)
-			}
-			return fmt.Sprintf("AVERAGE(ch=%d, [%.1fs,%.1fs]) = %.3f", *channel, *from, *to, v), nil
+	case "average", "variance":
+		moment := st.AverageValue
+		if *agg == "variance" {
+			moment = st.VarianceValue
 		}
-	case "variance":
 		answer = func() (string, error) {
-			v, ok, err := st.VarianceValue(*channel, *from, *to)
+			v, ok, err := moment(*channel, *from, *to)
 			if err != nil || !ok {
-				return "", fmt.Errorf("variance: ok=%v err=%v", ok, err)
+				return "", fmt.Errorf("%s: ok=%v err=%v", *agg, ok, err)
 			}
-			return fmt.Sprintf("VARIANCE(ch=%d, [%.1fs,%.1fs]) = %.3f", *channel, *from, *to, v), nil
+			return fmt.Sprintf("%s(ch=%d, [%.1fs,%.1fs]) = %.3f", strings.ToUpper(*agg), *channel, *from, *to, v), nil
 		}
 	default:
 		fmt.Fprintf(os.Stderr, "unknown aggregate %q\n", *agg)
 		os.Exit(2)
 	}
 
-	n := *repeat
-	if n < 1 {
-		n = 1
-	}
+	n := max(*repeat, 1)
 	lat := make([]time.Duration, 0, n)
 	var out string
 	for i := 0; i < n; i++ {

@@ -90,7 +90,7 @@ func TestKill9RecoverAnswersIdentically(t *testing.T) {
 	}
 	dataDir := filepath.Join(tmp, "data")
 	serverArgs := []string{
-		"-addr", "127.0.0.1:0", "-data-dir", dataDir, "-fsync", "batch",
+		"-listen", "tcp://127.0.0.1:0", "-data-dir", dataDir, "-fsync", "batch",
 		"-snapshot-frames", "1000", "-buckets", "64", "-bins", "32", "-metrics", "0",
 	}
 

@@ -3,9 +3,9 @@
 // query while their session is live (the paper's Fig. 2 three-tier
 // architecture, tier two). It speaks the wire protocol over plain TCP
 // and/or WebSocket (browser-resident devices) — list endpoints with
-// -listen.
+// -listen (default tcp://:7009).
 //
-//	aims-server -addr :7009 -policy block -metrics 10s -admin :6060
+//	aims-server -listen tcp://:7009 -policy block -metrics 10s -admin :6060
 //	aims-server -listen tcp://:7009,ws://:7010
 //
 // The -admin listener serves the observability plane: /metrics
@@ -38,13 +38,12 @@ import (
 
 func main() {
 	var (
-		addr    = flag.String("addr", ":7009", "listen address (TCP; ignored when -listen is set)")
-		listen  = flag.String("listen", "", "comma-separated listen endpoints, e.g. tcp://:7009,ws://:7010 — serve TCP and WebSocket devices side by side (empty: -addr over TCP)")
+		listen  = flag.String("listen", "tcp://:7009", "comma-separated listen endpoints, e.g. tcp://:7009,ws://:7010 — serve TCP and WebSocket devices side by side")
 		queue   = flag.Int("queue", 8192, "per-session ingest queue depth (frames)")
 		idle    = flag.Duration("idle", 30*time.Second, "idle-session eviction timeout")
 		hbeat   = flag.Duration("heartbeat", 0, "expected device heartbeat interval; pinging sessions are evicted after ~2.5 missed beats (0 = default 5s, negative disables)")
 		wtmo    = flag.Duration("write-timeout", 0, "per-message socket write deadline (0 = default 10s, negative disables)")
-		retain  = flag.Duration("retain", 0, "how long an ungracefully disconnected session is parked awaiting reconnect (0 = default 60s, negative disables)")
+		retain  = flag.Duration("retain", 0, "how long an ungracefully disconnected named session is parked awaiting reconnect (≤ 0 = default 60s)")
 		policy  = flag.String("policy", "block", "backpressure policy: block|shed")
 		buckets = flag.Int("buckets", 256, "live-store time buckets (power of two)")
 		bins    = flag.Int("bins", 64, "live-store value bins (power of two)")
@@ -69,20 +68,11 @@ func main() {
 	flag.Parse()
 
 	pol, err := server.ParsePolicy(*policy)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
+	exitOn(err, 2)
 	fpol, err := journal.ParseFsyncPolicy(*fsync)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
+	exitOn(err, 2)
 	dpol, err := journal.ParseDegradePolicy(*durability)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
+	exitOn(err, 2)
 	logf := log.Printf
 	if *quiet {
 		logf = func(string, ...interface{}) {}
@@ -116,28 +106,18 @@ func main() {
 
 	if *dataDir != "" {
 		n, err := srv.RecoverSessions()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		exitOn(err, 1)
 		log.Printf("durability on: data-dir=%s fsync=%s recovered=%d sessions", *dataDir, fpol, n)
 	}
 
-	endpoints := []string{*addr}
-	if *listen != "" {
-		endpoints = strings.Split(*listen, ",")
-	}
 	var bounds []string
-	for _, ep := range endpoints {
+	for _, ep := range strings.Split(*listen, ",") {
 		ep = strings.TrimSpace(ep)
 		if ep == "" {
 			continue
 		}
 		bound, err := srv.Start(ep)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		exitOn(err, 1)
 		bounds = append(bounds, bound.String())
 	}
 	if len(bounds) == 0 {
@@ -152,10 +132,7 @@ func main() {
 	var adminSrv *http.Server
 	if *admin != "" {
 		ln, err := net.Listen("tcp", *admin)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		exitOn(err, 1)
 		adminSrv = &http.Server{Handler: srv.AdminHandler()}
 		go func() {
 			if err := adminSrv.Serve(ln); err != nil && err != http.ErrServerClosed {
@@ -190,4 +167,12 @@ func main() {
 		adminSrv.Close()
 	}
 	log.Printf("final metrics: %s", srv.Metrics())
+}
+
+// exitOn prints err and ends the process with code, if err is set.
+func exitOn(err error, code int) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(code)
+	}
 }

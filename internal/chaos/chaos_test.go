@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -217,6 +218,7 @@ func TestExactlyOnceUnderFaults(t *testing.T) {
 			if _, err := rc.Close(); err != nil {
 				t.Fatalf("close: %v", err)
 			}
+			checkOneDirPerName(t, faultDir)
 
 			// Bit-identity: the graceful close snapshots each store; the
 			// snapshot bytes (sealed-store serialisation, deterministic since
@@ -247,6 +249,27 @@ func checkRecovery(t *testing.T, rc *wire.ResilientClient) {
 	t.Logf("recovery: %d outages, p50=%s p99=%s", len(outages), outages[len(outages)/2], p99)
 	if p99 >= 4*maxBackoff {
 		t.Fatalf("recovery p99 %s >= 4×max-backoff %s", p99, 4*maxBackoff)
+	}
+}
+
+// checkOneDirPerName fails on a glove~N directory: a resume that raced its
+// own dying link must take that link's state over, never fork the name
+// into a second journal. A .staleN directory is only logged — a Close
+// whose ack was cut makes the client register fresh, which moves the
+// closed session's directory aside and re-ingests its replay ring.
+func checkOneDirPerName(t *testing.T, dataDir string) {
+	t.Helper()
+	entries, err := os.ReadDir(dataDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		switch name := e.Name(); {
+		case strings.Contains(name, "~"):
+			t.Errorf("session name forked: %s beside its first directory", name)
+		case strings.Contains(name, ".stale"):
+			t.Logf("closed session moved aside as %s (a cut CloseAck re-registered fresh)", name)
+		}
 	}
 }
 

@@ -17,14 +17,8 @@ import (
 // histogram's bucket array is derived from this slice (len+1 for the
 // unbounded tail), so editing the bounds can never silently truncate the
 // counts.
-var latencyBounds = []time.Duration{
-	50 * time.Microsecond,
-	200 * time.Microsecond,
-	time.Millisecond,
-	5 * time.Millisecond,
-	20 * time.Millisecond,
-	100 * time.Millisecond,
-	500 * time.Millisecond,
+var latencyBounds = []float64{
+	50e-6, 200e-6, 1e-3, 5e-3, 20e-3, 100e-3, 500e-3,
 }
 
 // stageBounds bucket the per-stage ingest timings (decode, queue wait,
@@ -57,14 +51,6 @@ var fanoutBounds = []float64{1, 4, 16, 64, 256, 1024, 4096}
 // to milliseconds.
 var compileBounds = []float64{
 	2e-6, 10e-6, 50e-6, 200e-6, 1e-3, 5e-3, 20e-3,
-}
-
-func secondsBounds(ds []time.Duration) []float64 {
-	out := make([]float64, len(ds))
-	for i, d := range ds {
-		out[i] = d.Seconds()
-	}
-	return out
 }
 
 // metrics is the server's instrument block, registered in a per-server
@@ -162,9 +148,9 @@ func newMetrics() *metrics {
 			"Disconnected sessions parked in memory awaiting reconnection."),
 		resumesTotal: reg.Counter("aims_session_resumes_total",
 			"Sessions resumed by a reconnecting device (parked or journal-recovered)."),
-		queueDepth:      reg.Gauge("aims_queue_depth", "Frames waiting in session ingest queues."),
+		queueDepth: reg.Gauge("aims_queue_depth", "Frames waiting in session ingest queues."),
 		queryLatency: reg.Histogram("aims_query_seconds",
-			"Query evaluation latency.", secondsBounds(latencyBounds)),
+			"Query evaluation latency.", latencyBounds),
 		decodeSeconds: reg.Histogram("aims_ingest_decode_seconds",
 			"Wire batch decode time.", stageBounds),
 		queueWaitSeconds: reg.Histogram("aims_ingest_queue_wait_seconds",

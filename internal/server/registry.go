@@ -44,9 +44,7 @@ func (r *registry) remove(id uint64) bool {
 	sh := r.shard(id)
 	sh.mu.Lock()
 	_, ok := sh.m[id]
-	if ok {
-		delete(sh.m, id)
-	}
+	delete(sh.m, id)
 	sh.mu.Unlock()
 	return ok
 }
@@ -83,13 +81,6 @@ func (r *registry) forEach(fn func(*session)) {
 // double-counted (each lives in exactly one shard).
 func (r *registry) snapshot() []*session {
 	out := make([]*session, 0, 64)
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.Lock()
-		for _, sess := range sh.m {
-			out = append(out, sess)
-		}
-		sh.mu.Unlock()
-	}
+	r.forEach(func(sess *session) { out = append(out, sess) })
 	return out
 }

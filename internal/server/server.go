@@ -32,6 +32,10 @@
 // whole batches with an explicit wire error. Around that sit idle-session
 // eviction, graceful shutdown that drains in-flight batches, and an atomic
 // metrics block.
+//
+// One table owns every session name (names.go). A Hello for a held name
+// takes that session over when its shape matches, and is refused with a
+// CodeDuplicate Welcome when it does not.
 package server
 
 import (
@@ -96,8 +100,7 @@ type Config struct {
 	// RetainTimeout parks the state of a named session whose link dropped
 	// ungracefully, so the device can reconnect and resume exactly where
 	// it left off — store, journal handle and acknowledged watermark all
-	// survive in memory. Default 60 s; negative disables parking (a
-	// reconnect then starts a fresh session).
+	// survive in memory. ≤ 0 means the default, 60 s.
 	RetainTimeout time.Duration
 	// RetainSessions caps how many disconnected sessions may sit parked at
 	// once (default 1024); beyond it the longest-parked one is finalized.
@@ -157,7 +160,7 @@ func (c Config) withDefaults() Config {
 	if c.WriteTimeout == 0 {
 		c.WriteTimeout = 10 * time.Second
 	}
-	if c.RetainTimeout == 0 {
+	if c.RetainTimeout <= 0 {
 		c.RetainTimeout = time.Minute
 	}
 	if c.RetainSessions <= 0 {
@@ -173,9 +176,9 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg Config
 
-	mu     sync.Mutex // guards lns and closed only
-	lns    []net.Listener
-	closed bool
+	mu   sync.Mutex // guards lns, and closing quit
+	lns  []net.Listener
+	quit chan struct{} // closed by Shutdown
 
 	nextID   atomic.Uint64
 	sessions *registry // sharded: registration/lookup stays flat at scale
@@ -183,10 +186,10 @@ type Server struct {
 	journal   *journal.Manager // nil when durability is disabled
 	recovered atomic.Int64     // sessions rebuilt from disk at startup
 
-	// detached holds parked sessions by name: state kept warm for a device
-	// whose link dropped ungracefully, finalized at RetainTimeout.
-	detMu    sync.Mutex
-	detached map[string]*detached
+	// names is the name table (names.go): who holds each session name,
+	// live or parked.
+	namesMu sync.Mutex
+	names   map[string]*owner
 
 	fleetCfg fleet.Config // scatter pool width, deadline, metric hooks
 
@@ -223,7 +226,7 @@ func New(cfg Config) *Server {
 	}
 	propolyne.SharedCache.SetObserver(m.planObserver())
 	s := &Server{cfg: cfg, sessions: newRegistry(), metrics: m, tracer: tracer,
-		detached: map[string]*detached{}}
+		quit: make(chan struct{}), names: map[string]*owner{}}
 	s.fleetCfg = fleet.Config{
 		Workers:  cfg.FleetWorkers,
 		Timeout:  cfg.FleetTimeout,
@@ -307,7 +310,7 @@ func (s *Server) Start(addr string) (net.Addr, error) {
 // Serve accepts sessions on ln until the listener fails or Shutdown runs.
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
-	if s.closed {
+	if s.isClosed() {
 		s.mu.Unlock()
 		ln.Close()
 		return errors.New("server: already shut down")
@@ -318,10 +321,7 @@ func (s *Server) Serve(ln net.Listener) error {
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
+			if s.isClosed() {
 				return nil
 			}
 			return err
@@ -339,7 +339,9 @@ func (s *Server) Serve(ln net.Listener) error {
 // context to expire.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
-	s.closed = true
+	if !s.isClosed() {
+		close(s.quit)
+	}
 	lns := s.lns
 	s.lns = nil
 	s.mu.Unlock()
@@ -358,7 +360,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.serveWg.Wait()
 		// Every handler has exited, so no more sessions can park; make the
 		// parked ones durable before declaring the shutdown complete.
-		s.finalizeAllDetached()
+		s.finalizeAllParked()
 		close(done)
 	}()
 	select {
@@ -434,7 +436,7 @@ func (s *Server) SessionCount() int {
 	return s.sessions.len()
 }
 
-func (s *Server) register(sess *session) uint64 {
+func (s *Server) register(sess *session) {
 	id := s.nextID.Add(1)
 	sess.id = id
 	sess.idStr = strconv.FormatUint(id, 10)
@@ -446,145 +448,13 @@ func (s *Server) register(sess *session) uint64 {
 		// apply it here so the new reader wakes immediately.
 		sess.conn.SetReadDeadline(time.Now())
 	}
-	return id
-}
-
-func (s *Server) unregister(sess *session) {
-	if s.sessions.remove(sess.id) {
-		s.metrics.sessionsActive.Add(-1)
-	}
 }
 
 func (s *Server) isClosed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
-}
-
-// detached is a parked session: the live state of a named device whose
-// connection dropped without a Close handshake, kept warm so a reconnect
-// under the same name resumes in place — no journal round trip, no frame
-// loss, and the acknowledged watermark tells the device what to replay.
-type detached struct {
-	name     string
-	class    string
-	rate     float64
-	channels int
-	store    *core.LiveStore
-	jsess    *journal.Session // nil on a memory-only server
-	ackSeq   uint64           // acknowledged client-stream watermark at disconnect
-	at       time.Time
-	timer    *time.Timer
-}
-
-// park retains a disconnected session's state for RetainTimeout. It
-// reports whether the state was parked; when it declines (anonymous
-// session, parking disabled), the caller finalizes as before.
-func (s *Server) park(sess *session) bool {
-	if sess.name == "" || s.cfg.RetainTimeout <= 0 {
+	select {
+	case <-s.quit:
+		return true
+	default:
 		return false
 	}
-	d := &detached{
-		name:     sess.name,
-		class:    sess.class,
-		rate:     sess.rate,
-		channels: sess.store.Channels(),
-		store:    sess.store,
-		jsess:    sess.jsess,
-		ackSeq:   sess.ackSeq,
-		at:       time.Now(),
-	}
-	var finalize []*detached
-	s.detMu.Lock()
-	if old := s.detached[d.name]; old != nil {
-		// A newer incarnation displaces the parked one (stale state under
-		// the same name would otherwise shadow it forever).
-		old.timer.Stop()
-		delete(s.detached, d.name)
-		finalize = append(finalize, old)
-	}
-	for len(s.detached) >= s.cfg.RetainSessions {
-		var oldest *detached
-		for _, cand := range s.detached {
-			if oldest == nil || cand.at.Before(oldest.at) {
-				oldest = cand
-			}
-		}
-		oldest.timer.Stop()
-		delete(s.detached, oldest.name)
-		finalize = append(finalize, oldest)
-	}
-	s.detached[d.name] = d
-	d.timer = time.AfterFunc(s.cfg.RetainTimeout, func() { s.expireDetached(d) })
-	s.metrics.sessionsDetached.Add(1 - int64(len(finalize)))
-	s.detMu.Unlock()
-	for _, old := range finalize {
-		s.finalizeDetached(old)
-	}
-	return true
-}
-
-// adoptDetached hands a reconnecting device its parked state back, if a
-// shape-compatible parked session exists under the Hello's name.
-func (s *Server) adoptDetached(h wire.Hello) *detached {
-	s.detMu.Lock()
-	d := s.detached[h.Name]
-	if d == nil || d.channels != len(h.Mins) || d.rate != h.Rate {
-		s.detMu.Unlock()
-		return nil
-	}
-	delete(s.detached, h.Name)
-	d.timer.Stop()
-	s.metrics.sessionsDetached.Add(-1)
-	s.detMu.Unlock()
-	return d
-}
-
-// expireDetached is a parked session's retention timer: the device never
-// came back, so the state is made durable and released.
-func (s *Server) expireDetached(d *detached) {
-	s.detMu.Lock()
-	if s.detached[d.name] != d {
-		// Adopted (or displaced) between the timer firing and this lock.
-		s.detMu.Unlock()
-		return
-	}
-	delete(s.detached, d.name)
-	s.metrics.sessionsDetached.Add(-1)
-	s.detMu.Unlock()
-	s.cfg.Logf("parked session %q expired unclaimed (ack=%d)", d.name, d.ackSeq)
-	s.finalizeDetached(d)
-}
-
-// finalizeDetached releases a parked session that will not be resumed: a
-// final snapshot covers its frames and its journal key is freed.
-func (s *Server) finalizeDetached(d *detached) {
-	if d.jsess != nil {
-		if err := d.jsess.Close(d.store); err != nil {
-			s.cfg.Logf("parked session %q: durable close: %v", d.name, err)
-		}
-	}
-}
-
-// finalizeAllDetached drains the parked-session map (shutdown path).
-func (s *Server) finalizeAllDetached() {
-	s.detMu.Lock()
-	all := make([]*detached, 0, len(s.detached))
-	for _, d := range s.detached {
-		d.timer.Stop()
-		all = append(all, d)
-	}
-	s.detached = map[string]*detached{}
-	s.metrics.sessionsDetached.Add(-int64(len(all)))
-	s.detMu.Unlock()
-	for _, d := range all {
-		s.finalizeDetached(d)
-	}
-}
-
-// DetachedCount reports sessions parked awaiting reconnection.
-func (s *Server) DetachedCount() int {
-	s.detMu.Lock()
-	defer s.detMu.Unlock()
-	return len(s.detached)
 }

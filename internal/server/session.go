@@ -283,7 +283,6 @@ func (s *Server) handleConn(conn net.Conn) {
 		return
 	}
 	s.register(sess)
-	defer s.unregister(sess)
 	// The high-watermark tells a resuming device exactly what the server
 	// holds: replay starts there, everything below is deduped.
 	w := wire.Welcome{SessionID: sess.id, Code: wire.CodeOK, AckSeq: sess.ackSeq}
@@ -292,11 +291,9 @@ func (s *Server) handleConn(conn net.Conn) {
 		s.metrics.resumesTotal.Inc()
 	}
 	if sess.write(wire.MsgWelcome, w.Encode()) != nil || sess.flush() != nil {
-		// The link died under the Welcome itself; park so the device's
-		// retry still finds its state (else release the journal key).
-		if !s.park(sess) && sess.jsess != nil {
-			sess.jsess.Close(nil)
-		}
+		// The link died under the Welcome itself; a named session parks so
+		// the device's retry still finds its state.
+		s.leave(sess)
 		return
 	}
 	s.cfg.Logf("session %d: registered %d channels at %.1f Hz (resumed=%v ack=%d)",
@@ -315,7 +312,7 @@ func (s *Server) handleConn(conn net.Conn) {
 	sess.q.close()
 	<-appended
 
-	if !sess.closeRequested && !s.isClosed() && s.park(sess) {
+	if s.leave(sess) {
 		// Ungraceful disconnect of a named session: its state is parked
 		// (store, journal handle, acknowledged watermark) so a reconnect
 		// resumes in place instead of starting over.
@@ -324,20 +321,9 @@ func (s *Server) handleConn(conn net.Conn) {
 		return
 	}
 
-	if sess.jsess != nil {
-		// Durable drain: a final snapshot (or at least a WAL sync) covers
-		// every stored frame before the session's files are released for a
-		// future reconnect to adopt.
-		if err := sess.jsess.Close(sess.store); err != nil {
-			s.cfg.Logf("session %d: durable close: %v", sess.id, err)
-		}
-	}
-
 	if sess.closeRequested {
 		ack := wire.CloseAck{Stored: sess.stored.Load() - sess.badAppend.Load(), Shed: sess.shedF.Load()}
-		if sess.write(wire.MsgCloseAck, ack.Encode()) == nil {
-			sess.flush()
-		}
+		sess.reply(wire.MsgCloseAck, ack.Encode())
 	}
 	s.cfg.Logf("session %d: closed (stored=%d shed=%d)", sess.id, sess.stored.Load(), sess.shedF.Load())
 }
@@ -391,17 +377,18 @@ func (sess *session) handshake() bool {
 	sess.name = h.Name
 	sess.class = h.Class
 
-	if d := srv.adoptDetached(h); d != nil {
-		// The device reconnected while its previous incarnation's state was
-		// parked: resume in place. The journal handle (if any) is still
-		// open at the right offset, and ackSeq tells the device what to
-		// replay. Adoption must run before journal.Attach — the parked
-		// session still owns its journal key.
-		sess.store = d.store
-		sess.jsess = d.jsess
-		sess.resumed = true
-		sess.ackSeq = d.ackSeq
-		return true
+	if h.Name != "" {
+		// The name is settled before journal.Attach: a parked or taken-over
+		// session still owns its journal key, and adopting its state keeps
+		// that key instead of forking a second directory.
+		if code := srv.claim(sess, h); code != wire.CodeOK {
+			srv.cfg.Logf("session %q: hello refused (%s)", h.Name, code)
+			sess.reply(wire.MsgWelcome, wire.Welcome{Code: code}.Encode())
+			return false
+		}
+		if sess.resumed {
+			return true
+		}
 	}
 
 	cfg := srv.cfg.Store
@@ -409,6 +396,7 @@ func (sess *session) handshake() bool {
 	cfg.HorizonTicks = int(h.HorizonTicks)
 	store, err := core.NewLiveStore(h.Mins, h.Maxs, cfg)
 	if err != nil {
+		srv.release(sess)
 		sess.sendError(wire.CodeBadMessage, err.Error())
 		return false
 	}
@@ -448,11 +436,15 @@ func (sess *session) handshake() bool {
 	return true
 }
 
-func (sess *session) sendError(code wire.Code, text string) {
-	msg := wire.ErrMsg{Code: code, Text: text}
-	if sess.write(wire.MsgError, msg.Encode()) == nil {
+// reply sends one message and flushes it: a session's last word.
+func (sess *session) reply(typ byte, payload []byte) {
+	if sess.write(typ, payload) == nil {
 		sess.flush()
 	}
+}
+
+func (sess *session) sendError(code wire.Code, text string) {
+	sess.reply(wire.MsgError, wire.ErrMsg{Code: code, Text: text}.Encode())
 }
 
 // appendLoop is the session's appender goroutine. Each turn takes a group
@@ -853,39 +845,23 @@ func (sess *session) handleFleetQuery(payload []byte) bool {
 // handler's trace. Errors become a CodeBadQuery result rather than tearing
 // the session down.
 func (sess *session) evaluate(q wire.Query, qt *core.QueryTrace) []wire.Result {
-	ch := int(q.Channel)
-	bad := func() []wire.Result {
-		return []wire.Result{{Kind: q.Kind, Final: true, Code: wire.CodeBadQuery}}
-	}
+	ch, arg := int(q.Channel), int(q.Arg)
+	r := wire.Result{Kind: q.Kind, Final: true, OK: true}
+	err := errNoAnswer
 	switch q.Kind {
 	case wire.QueryCount:
-		v, err := sess.store.CountSamples(ch, q.T0, q.T1)
-		if err != nil {
-			return bad()
-		}
-		return []wire.Result{{Kind: q.Kind, Final: true, OK: true, Value: v}}
+		r.Value, err = sess.store.CountSamples(ch, q.T0, q.T1)
 	case wire.QueryAverage:
-		v, ok, err := sess.store.AverageValue(ch, q.T0, q.T1)
-		if err != nil {
-			return bad()
-		}
-		return []wire.Result{{Kind: q.Kind, Final: true, OK: ok, Value: v}}
+		r.Value, r.OK, err = sess.store.AverageValue(ch, q.T0, q.T1)
 	case wire.QueryVariance:
-		v, ok, err := sess.store.VarianceValue(ch, q.T0, q.T1)
-		if err != nil {
-			return bad()
-		}
-		return []wire.Result{{Kind: q.Kind, Final: true, OK: ok, Value: v}}
+		r.Value, r.OK, err = sess.store.VarianceValue(ch, q.T0, q.T1)
 	case wire.QueryApproxCount:
-		est, bound, err := sess.store.ApproximateCountTraced(ch, q.T0, q.T1, int(q.Arg), qt)
-		if err != nil {
-			return bad()
-		}
-		return []wire.Result{{Kind: q.Kind, Final: true, OK: true, Value: est, Bound: bound, Coefficients: q.Arg}}
+		r.Value, r.Bound, err = sess.store.ApproximateCountTraced(ch, q.T0, q.T1, arg, qt)
+		r.Coefficients = q.Arg
 	case wire.QueryProgressiveCount:
-		steps, err := sess.store.ProgressiveCountTraced(ch, q.T0, q.T1, int(q.Arg), qt)
-		if err != nil || len(steps) == 0 {
-			return bad()
+		steps, perr := sess.store.ProgressiveCountTraced(ch, q.T0, q.T1, arg, qt)
+		if perr != nil || len(steps) == 0 {
+			break
 		}
 		out := make([]wire.Result, len(steps))
 		for i, st := range steps {
@@ -900,5 +876,12 @@ func (sess *session) evaluate(q wire.Query, qt *core.QueryTrace) []wire.Result {
 		}
 		return out
 	}
-	return bad()
+	if err != nil {
+		return []wire.Result{{Kind: q.Kind, Final: true, Code: wire.CodeBadQuery}}
+	}
+	return []wire.Result{r}
 }
+
+// errNoAnswer marks a query kind evaluate does not know, or a progressive
+// query that produced no step.
+var errNoAnswer = errors.New("server: query has no answer")

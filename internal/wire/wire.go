@@ -155,7 +155,10 @@ const (
 	// CodeDuplicate acknowledges a batch the server already holds (its
 	// frames sit at or below the session's append watermark): the batch is
 	// dropped without re-appending, which is what makes at-least-once
-	// replay after a reconnect an exactly-once append.
+	// replay after a reconnect an exactly-once append. On a Welcome it
+	// means "name held": the Hello's name belongs to a session of another
+	// shape, or a takeover of the live session under it timed out; no
+	// session was created, and the device may retry.
 	CodeDuplicate Code = 13
 )
 
