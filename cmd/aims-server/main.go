@@ -43,7 +43,7 @@ func main() {
 		idle    = flag.Duration("idle", 30*time.Second, "idle-session eviction timeout")
 		hbeat   = flag.Duration("heartbeat", 0, "expected device heartbeat interval; pinging sessions are evicted after ~2.5 missed beats (0 = default 5s, negative disables)")
 		wtmo    = flag.Duration("write-timeout", 0, "per-message socket write deadline (0 = default 10s, negative disables)")
-		retain  = flag.Duration("retain", 0, "how long an ungracefully disconnected named session is parked awaiting reconnect (≤ 0 = default 60s)")
+		retain  = flag.Duration("retain", 0, "how long a named session is parked awaiting its device, after an ungraceful disconnect or a restart that recovered it (≤ 0 = default 60s)")
 		policy  = flag.String("policy", "block", "backpressure policy: block|shed")
 		buckets = flag.Int("buckets", 256, "live-store time buckets (power of two)")
 		bins    = flag.Int("bins", 64, "live-store value bins (power of two)")

@@ -168,10 +168,10 @@ func TestRecoverCarriesAckWatermark(t *testing.T) {
 	if r.AckSeq != 150 {
 		t.Fatalf("recovered AckSeq = %d, want 150", r.AckSeq)
 	}
-	// Adoption threads the watermark into the live session.
-	sess2, prior, err := m2.Attach(meta)
-	if err != nil || prior == nil {
-		t.Fatalf("attach after recover: %v (prior=%v)", err, prior)
+	// Resuming threads the watermark into the live session.
+	sess2, err := m2.Resume(r)
+	if err != nil {
+		t.Fatalf("resume after recover: %v", err)
 	}
 	if got := sess2.ClientSeq(); got != 150 {
 		t.Fatalf("adopted ClientSeq = %d, want 150", got)

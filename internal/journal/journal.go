@@ -16,9 +16,9 @@
 //     and the WAL is truncated up to the snapshot's frame watermark.
 //
 // On startup, Manager.Recover scans the data directory and rebuilds every
-// session found there: the newest intact snapshot is loaded through
-// core.ReadStore and inverse-transformed back into a count cube
-// (core.RestoreLiveStore), then the WAL tail past the watermark is
+// session found there, one per session name: the newest intact snapshot is
+// loaded through core.ReadStore and inverse-transformed back into a count
+// cube (core.RestoreLiveStore), then the WAL tail past the watermark is
 // replayed through the live ingest path: each record body is checked and
 // its frames quantised straight out of the bytes (AppendEncoded). Torn
 // tails, short reads and corrupt frames are detected by the per-record CRC

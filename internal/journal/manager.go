@@ -1,11 +1,13 @@
 package journal
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
-	"sync"
+	"strings"
 	"time"
 
 	"aims/internal/core"
@@ -13,18 +15,15 @@ import (
 
 // Manager owns the data directory: one subdirectory per session, holding
 // meta.json, snap-*.aims snapshots and wal-*.log segments. It recovers
-// sessions at startup, hands out Session handles at registration, and
-// matches reconnecting devices to their recovered state by session name.
+// sessions at startup and hands out Session handles, fresh (Attach) or
+// resuming a recovered session (Resume). It keeps no per-session state:
+// which device owns which session is its caller's decision.
 type Manager struct {
 	cfg Config
-
-	mu      sync.Mutex
-	active  map[string]bool
-	orphans map[string]*Recovered
 }
 
 // Recovered is a session rebuilt from disk at startup, waiting for its
-// device to reconnect (or for an operator to query it via adoption).
+// device to reconnect.
 type Recovered struct {
 	Key       string
 	Meta      Meta
@@ -45,18 +44,18 @@ func OpenManager(cfg Config) (*Manager, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	return &Manager{
-		cfg:     cfg,
-		active:  map[string]bool{},
-		orphans: map[string]*Recovered{},
-	}, nil
+	return &Manager{cfg: cfg}, nil
 }
 
-// Recover scans the data directory and rebuilds every session found
-// there: newest intact snapshot (if any) inverse-transformed back into a
-// live store, then the WAL tail replayed through AppendEncoded straight out
-// of the record bytes, the path live ingest takes. Sessions
-// that cannot be recovered at all are logged and left on disk untouched.
+// Recover scans the data directory and rebuilds one session per session
+// name found there: newest intact snapshot (if any) inverse-transformed back
+// into a live store, then the WAL tail replayed through AppendEncoded
+// straight out of the record bytes, the path live ingest takes. Where
+// several directories hold one name — a legacy name~2, or a name.staleN
+// moved aside — the one at the name's own key is rebuilt, else the
+// lexically first, which is renamed to that key. The others, directories
+// of anonymous sessions (no Hello can resume them) and sessions that
+// cannot be recovered at all are logged and left on disk untouched.
 // storeCfg supplies the non-shape knobs (seal threshold, observer); the
 // shape comes from each session's own meta/snapshot.
 func (m *Manager) Recover(storeCfg core.LiveStoreConfig) ([]*Recovered, error) {
@@ -64,27 +63,55 @@ func (m *Manager) Recover(storeCfg core.LiveStoreConfig) ([]*Recovered, error) {
 	if err != nil {
 		return nil, err
 	}
-	var out []*Recovered
-	for _, e := range entries {
+	dirs := map[string]string{} // session name → the directory it is rebuilt from
+	for _, e := range entries { // in directory-name order
 		if !e.IsDir() {
 			continue
 		}
-		rec, err := m.recoverSession(e.Name(), storeCfg)
+		meta, err := readMeta(filepath.Join(m.cfg.Dir, e.Name()))
 		if err != nil {
 			m.cfg.Logf("journal: session dir %s not recoverable: %v", e.Name(), err)
 			continue
 		}
-		m.mu.Lock()
-		m.orphans[rec.Key] = rec
-		m.mu.Unlock()
+		if meta.Name == "" {
+			m.cfg.Logf("journal: session dir %s holds an anonymous session; left on disk", e.Name())
+			continue
+		}
+		keep := e.Name()
+		if prev, dup := dirs[meta.Name]; dup {
+			skip := keep
+			if keep != key(meta.Name) {
+				keep, skip = prev, keep
+			}
+			m.cfg.Logf("journal: session dir %s holds session %q as %s does; left on disk", skip, meta.Name, keep)
+		}
+		dirs[meta.Name] = keep
+	}
+	var out []*Recovered
+	for name, dir := range dirs {
+		// A directory found under another key — an older version's lossy
+		// one, or a move aside — moves to the name's own, where no fresh
+		// session of another name can ever move it aside in turn.
+		if k := key(name); dir != k {
+			if err := os.Rename(filepath.Join(m.cfg.Dir, dir), filepath.Join(m.cfg.Dir, k)); err != nil {
+				m.cfg.Logf("journal: session dir %s stays under its old key: %v", dir, err)
+			} else {
+				dir = k
+			}
+		}
+		rec, err := m.recoverSession(dir, storeCfg)
+		if err != nil {
+			m.cfg.Logf("journal: session dir %s not recoverable: %v", dir, err)
+			continue
+		}
 		out = append(out, rec)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out, nil
 }
 
-func (m *Manager) recoverSession(key string, storeCfg core.LiveStoreConfig) (*Recovered, error) {
-	dir := filepath.Join(m.cfg.Dir, key)
+func (m *Manager) recoverSession(dirKey string, storeCfg core.LiveStoreConfig) (*Recovered, error) {
+	dir := filepath.Join(m.cfg.Dir, dirKey)
 	meta, err := readMeta(dir)
 	if err != nil {
 		return nil, err
@@ -113,14 +140,14 @@ func (m *Manager) recoverSession(key string, storeCfg core.LiveStoreConfig) (*Re
 		return nil, err
 	}
 	if res.truncated {
-		m.cfg.Logf("journal: session %s: WAL tail truncated at last valid record", key)
+		m.cfg.Logf("journal: session %s: WAL tail truncated at last valid record", dirKey)
 	}
 	ack := res.processed
 	if res.ackSeq > ack {
 		ack = res.ackSeq
 	}
 	return &Recovered{
-		Key:       key,
+		Key:       dirKey,
 		Meta:      meta,
 		Store:     ls,
 		Processed: res.processed,
@@ -130,86 +157,33 @@ func (m *Manager) recoverSession(key string, storeCfg core.LiveStoreConfig) (*Re
 	}, nil
 }
 
-// OrphanCount reports recovered sessions not yet re-adopted by a device.
-func (m *Manager) OrphanCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.orphans)
-}
-
-// Orphans returns the recovered sessions awaiting adoption, sorted by key.
-func (m *Manager) Orphans() []*Recovered {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]*Recovered, 0, len(m.orphans))
-	for _, r := range m.orphans {
-		out = append(out, r)
+// Resume reopens a recovered session's journal for its reconnected device:
+// the WAL continues at the recovered frame index in the session's own
+// directory, and r.Store is the store to serve.
+func (m *Manager) Resume(r *Recovered) (*Session, error) {
+	dir := filepath.Join(m.cfg.Dir, r.Key)
+	w, err := openWAL(dir, r.Processed, m.cfg)
+	if err != nil {
+		return nil, err
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
+	s := &Session{key: r.Key, dir: dir, cfg: m.cfg, wal: w, width: r.Meta.Channels()}
+	s.processed.Store(r.Processed)
+	s.snapFrames.Store(r.Watermark)
+	s.clientSeq.Store(r.AckSeq)
+	return s, nil
 }
 
-// Attach registers a session with the durability layer. If a recovered
-// session with the same (sanitized) name and a matching shape (channel
-// count and rate) is waiting, it is adopted: the returned store is the
-// recovered one, the WAL resumes at the recovered frame index, and
-// Session.Resumed reports true. Otherwise a fresh session directory is
-// created (any stale leftover under the same key is moved aside, never
-// deleted).
+// Attach creates a fresh session directory under the key of meta.Name,
+// first moving any leftover directory there aside as key.staleN (never
+// deleting it). Resuming recovered state is Resume's job, so the store
+// result is always nil: Attach keeps three results only because the
+// capacity benchmark (bench/layers.go) calls it that way.
 func (m *Manager) Attach(meta Meta) (*Session, *core.LiveStore, error) {
 	if meta.Created.IsZero() {
 		meta.Created = time.Now().UTC()
 	}
-	base := sanitizeKey(meta.Name)
-
-	m.mu.Lock()
-	key := base
-	for n := 2; m.active[key]; n++ {
-		key = fmt.Sprintf("%s~%d", base, n)
-	}
-	m.active[key] = true
-	orphan := m.orphans[key]
-	if orphan != nil {
-		if orphan.Meta.Channels() == meta.Channels() && orphan.Meta.Rate == meta.Rate {
-			delete(m.orphans, key)
-		} else {
-			orphan = nil
-		}
-	}
-	m.mu.Unlock()
-
-	sess, ls, err := m.attachDisk(key, meta, orphan)
-	if err != nil {
-		m.release(key)
-		if orphan != nil {
-			// Put the orphan back so a retry can still find it.
-			m.mu.Lock()
-			m.orphans[key] = orphan
-			m.mu.Unlock()
-		}
-		return nil, nil, err
-	}
-	return sess, ls, nil
-}
-
-func (m *Manager) attachDisk(key string, meta Meta, orphan *Recovered) (*Session, *core.LiveStore, error) {
-	dir := filepath.Join(m.cfg.Dir, key)
-	if orphan != nil {
-		w, err := openWAL(dir, orphan.Processed, m.cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		s := &Session{
-			key: key, dir: dir, cfg: m.cfg, meta: orphan.Meta,
-			wal: w, width: orphan.Meta.Channels(), resumed: true, mgr: m,
-		}
-		s.processed.Store(orphan.Processed)
-		s.snapFrames.Store(orphan.Watermark)
-		s.clientSeq.Store(orphan.AckSeq)
-		return s, orphan.Store, nil
-	}
-	// A leftover directory here belongs to an unrecoverable or
-	// shape-mismatched prior session; preserve it out of the way.
+	k := key(meta.Name)
+	dir := filepath.Join(m.cfg.Dir, k)
 	if _, err := os.Stat(dir); err == nil {
 		if err := moveAside(dir); err != nil {
 			return nil, nil, err
@@ -225,17 +199,7 @@ func (m *Manager) attachDisk(key string, meta Meta, orphan *Recovered) (*Session
 	if err != nil {
 		return nil, nil, err
 	}
-	s := &Session{
-		key: key, dir: dir, cfg: m.cfg, meta: meta,
-		wal: w, width: meta.Channels(), mgr: m,
-	}
-	return s, nil, nil
-}
-
-func (m *Manager) release(key string) {
-	m.mu.Lock()
-	delete(m.active, key)
-	m.mu.Unlock()
+	return &Session{key: k, dir: dir, cfg: m.cfg, wal: w, width: meta.Channels()}, nil, nil
 }
 
 func moveAside(dir string) error {
@@ -247,29 +211,19 @@ func moveAside(dir string) error {
 	}
 }
 
-// sanitizeKey maps an arbitrary session name onto a safe directory name.
-func sanitizeKey(name string) string {
-	const maxKey = 64
-	b := make([]byte, 0, len(name))
-	for i := 0; i < len(name) && len(b) < maxKey; i++ {
+// key maps a session name onto its directory under the data dir: one path
+// element, and a different one for every name. A name of 1–64 bytes of
+// [A-Za-z0-9._-], not all dots, is its own key; any other name's key is
+// "~" and 32 hex digits of its SHA-256, which no such name can spell.
+func key(name string) string {
+	safe := len(name) >= 1 && len(name) <= 64 && strings.Trim(name, ".") != ""
+	for i := 0; safe && i < len(name); i++ {
 		c := name[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '-', c == '_', c == '.':
-			b = append(b, c)
-		default:
-			b = append(b, '_')
-		}
+		safe = c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' || c == '-' || c == '_' || c == '.'
 	}
-	// "." and ".." would escape the data dir; all-dots collapses to "_".
-	allDots := true
-	for _, c := range b {
-		if c != '.' {
-			allDots = false
-			break
-		}
+	if safe {
+		return name
 	}
-	if len(b) == 0 || allDots {
-		return "session"
-	}
-	return string(b)
+	sum := sha256.Sum256([]byte(name))
+	return "~" + hex.EncodeToString(sum[:16])
 }

@@ -1,9 +1,11 @@
 package journal
 
 import (
+	"bytes"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"aims/internal/core"
@@ -327,8 +329,10 @@ func TestDegradeBlockRetriesUntilDiskReturns(t *testing.T) {
 	}
 }
 
-// TestAttachAdoptsRecoveredSession: after recovery, a device registering
-// the same session name with a matching shape resumes its session.
+// TestAttachAdoptsRecoveredSession: after recovery, Resume reopens the
+// recovered session for its reconnected device, which keeps journaling onto
+// it; Attach for the same name instead starts afresh and moves the old
+// directory aside.
 func TestAttachAdoptsRecoveredSession(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{Dir: dir, Fsync: FsyncBatch, SnapshotFrames: -1}
@@ -345,94 +349,147 @@ func TestAttachAdoptsRecoveredSession(t *testing.T) {
 	}
 
 	m2, _ := OpenManager(cfg)
-	if _, err := m2.Recover(testStoreCfg); err != nil {
-		t.Fatal(err)
+	recovered, err := m2.Recover(testStoreCfg)
+	if err != nil || len(recovered) != 1 {
+		t.Fatalf("recover: %v (%d sessions)", err, len(recovered))
 	}
-	if m2.OrphanCount() != 1 {
-		t.Fatalf("orphans=%d", m2.OrphanCount())
-	}
-	sess2, store, err := m2.Attach(meta)
+	sess2, err := m2.Resume(recovered[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sess2.Resumed() || store == nil {
-		t.Fatalf("resumed=%v store=%v", sess2.Resumed(), store != nil)
-	}
-	if m2.OrphanCount() != 0 {
-		t.Fatal("orphan not consumed")
-	}
+	store := recovered[0].Store
 	if sess2.Processed() != 70 {
 		t.Fatalf("resumed processed=%d", sess2.Processed())
 	}
 	queriesMatch(t, ls, store, 2)
-	// Continued ingest journals onto the adopted session.
+	// Continued ingest journals onto the resumed session.
 	ingest(t, sess2, store, sineFrames(30, 2, 70))
 	sess2.Close(store)
 
 	m3, _ := OpenManager(cfg)
-	recovered, _ := m3.Recover(testStoreCfg)
+	recovered, _ = m3.Recover(testStoreCfg)
 	if len(recovered) != 1 || recovered[0].Processed != 100 {
 		t.Fatalf("final recovery: %d sessions, processed=%d", len(recovered), recovered[0].Processed)
 	}
 
-	// A shape mismatch must NOT adopt: same name, different channel count.
-	m4, _ := OpenManager(cfg)
-	m4.Recover(testStoreCfg)
-	other := testMeta("glove", 3)
-	sess4, store4, err := m4.Attach(other)
+	// Attach never adopts: same name, a fresh session, the old one aside.
+	sess4, store4, err := m3.Attach(testMeta("glove", 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sess4.Resumed() || store4 != nil {
-		t.Fatal("mismatched shape adopted a recovered session")
+	if sess4.Processed() != 0 || store4 != nil {
+		t.Fatalf("attach adopted a recovered session: processed=%d store=%v", sess4.Processed(), store4 != nil)
 	}
 	sess4.Close(nil)
+	if _, err := readMeta(filepath.Join(dir, "glove.stale1")); err != nil {
+		t.Fatalf("the recovered directory was not moved aside: %v", err)
+	}
 }
 
-// TestAttachDuplicateNamesGetDistinctKeys: two live sessions registering
-// the same name coexist under distinct directories.
-func TestAttachDuplicateNamesGetDistinctKeys(t *testing.T) {
-	m, err := OpenManager(Config{Dir: t.TempDir(), Fsync: FsyncOff, SnapshotFrames: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	meta := testMeta("dup", 1)
-	a, _, err := m.Attach(meta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _, err := m.Attach(meta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Key() == b.Key() {
-		t.Fatalf("duplicate keys %q", a.Key())
-	}
-	a.Close(nil)
-	b.Close(nil)
-	// After release the base key is reusable.
-	c, _, err := m.Attach(meta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Key() != a.Key() {
-		t.Fatalf("key %q not released (got %q)", a.Key(), c.Key())
-	}
-	c.Close(nil)
-}
-
-// TestSanitizeKey: hostile session names cannot escape the data dir.
-func TestSanitizeKey(t *testing.T) {
-	for name, want := range map[string]string{
-		"../../etc/passwd": ".._.._etc_passwd",
-		"..":               "session",
-		"":                 "session",
-		"glove 7/left":     "glove_7_left",
-		"ok-name_1.2":      "ok-name_1.2",
-	} {
-		if got := sanitizeKey(name); got != want {
-			t.Errorf("sanitizeKey(%q) = %q, want %q", name, got, want)
+// TestKeyStaysInsideDataDir: every name, hostile ones included, keys one
+// path element inside the data dir; a safe name is its own key, and names
+// that differ only in unsafe bytes get distinct keys.
+func TestKeyStaysInsideDataDir(t *testing.T) {
+	long := strings.Repeat("g", 65)
+	hostile := []string{"../../etc/passwd", ".", "..", "...", "", "glove 7/left", "a/b", "/", "nul\x00byte", "glove\x00", long, long + "h", "~", "glove 7", "glove\t7", "glove_7~2"}
+	seen := map[string]string{}
+	for _, name := range hostile {
+		k := key(name)
+		if k == "." || k == ".." || strings.ContainsAny(k, "/\\\x00") || filepath.Join("data", k) != "data/"+k {
+			t.Errorf("key(%q) = %q escapes the data dir", name, k)
 		}
+		if !strings.HasPrefix(k, "~") || len(k) != 33 {
+			t.Errorf("key(%q) = %q, want ~ and 32 hex digits", name, k)
+		}
+		if prev, dup := seen[k]; dup {
+			t.Errorf("names %q and %q share key %q", prev, name, k)
+		}
+		seen[k] = name
+	}
+	for _, name := range []string{"glove_7", "ok-name_1.2", "X.stale1", ".hidden", "a..b", long[:64], "session"} {
+		if k := key(name); k != name {
+			t.Errorf("key(%q) = %q, want the name itself", name, k)
+		}
+		if prev, dup := seen[name]; dup {
+			t.Errorf("safe name %q shares its key with %q", name, prev)
+		}
+	}
+}
+
+// TestRecoverOneDirectoryPerName: directories holding one session name —
+// a legacy name~2 or a name.staleN beside the name's own — recover as one
+// session, from the directory at the name's key, or else from the
+// lexically first, which moves to the name's key. So does a lone directory
+// an older version keyed lossily ("glove_7" for "glove 7"), which would
+// otherwise sit at the key of another name. The others are left on disk
+// byte for byte.
+func TestRecoverOneDirectoryPerName(t *testing.T) {
+	// write journals frames of session name into dataDir/d, as the
+	// version or the move that named the directory d left it.
+	write := func(t *testing.T, dataDir, d, name string, frames int) {
+		t.Helper()
+		src := t.TempDir()
+		m, _ := OpenManager(Config{Dir: src, Fsync: FsyncOff, SnapshotFrames: -1})
+		meta := testMeta(name, 1)
+		sess, _, err := m.Attach(meta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ls, _ := core.NewLiveStore(meta.Mins, meta.Maxs, testStoreCfg)
+		ingest(t, sess, ls, sineFrames(frames, 1, 0))
+		sess.Close(nil)
+		if err := os.Rename(filepath.Join(src, key(name)), filepath.Join(dataDir, d)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		test, name string
+		dirs       []string // directory names, holding 10, 20, … frames
+		from       string   // the one recovered
+		wantFrames uint64
+	}{
+		{"legacy fork", "X", []string{"X", "X~2"}, "X", 10},
+		{"moved aside", "X", []string{"X", "X.stale1"}, "X", 10},
+		{"own key sorts last", "X", []string{"W", "X"}, "X", 20},
+		{"no own key", "X", []string{"X.stale2", "X.stale1"}, "X.stale1", 20},
+		{"lossy legacy key", "glove 7", []string{"glove_7"}, "glove_7", 10},
+	} {
+		t.Run(tc.test, func(t *testing.T) {
+			dir := t.TempDir()
+			for i, d := range tc.dirs {
+				write(t, dir, d, tc.name, 10*(i+1))
+			}
+			before := map[string]map[string][]byte{}
+			for _, d := range tc.dirs {
+				before[d] = dirBytes(t, filepath.Join(dir, d))
+			}
+			m, _ := OpenManager(Config{Dir: dir, SnapshotFrames: -1})
+			recovered, err := m.Recover(testStoreCfg)
+			if err != nil || len(recovered) != 1 {
+				t.Fatalf("recover: %v (%d sessions), want one", err, len(recovered))
+			}
+			want := key(tc.name)
+			if r := recovered[0]; r.Key != want || r.Meta.Name != tc.name || r.Processed != tc.wantFrames {
+				t.Fatalf("recovered %s (%q, %d frames), want %s with %d", r.Key, r.Meta.Name, r.Processed, want, tc.wantFrames)
+			}
+			if _, err := os.Stat(filepath.Join(dir, tc.from)); tc.from != want && !os.IsNotExist(err) {
+				t.Fatalf("%s was recovered but not moved to %s (stat: %v)", tc.from, want, err)
+			}
+			for _, d := range tc.dirs {
+				if d == tc.from {
+					continue
+				}
+				after := dirBytes(t, filepath.Join(dir, d))
+				if len(after) != len(before[d]) {
+					t.Fatalf("%s: %d files, had %d", d, len(after), len(before[d]))
+				}
+				for f, b := range before[d] {
+					if !bytes.Equal(after[f], b) {
+						t.Fatalf("%s/%s changed", d, f)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -12,13 +12,12 @@ import (
 // Session is one live session's durability handle: its WAL append side
 // plus snapshot bookkeeping. A single goroutine — the session's
 // appender — calls AppendGroup, MaybeSnapshot and Close;
-// Processed/Degraded/Resumed are safe from any goroutine (the admin plane
-// reads them).
+// Processed/Degraded are safe from any goroutine (the admin plane reads
+// them).
 type Session struct {
 	key   string
 	dir   string
 	cfg   Config
-	meta  Meta
 	wal   *wal
 	width int
 
@@ -26,15 +25,7 @@ type Session struct {
 	snapFrames atomic.Uint64 // watermark of the newest snapshot
 	clientSeq  atomic.Uint64 // highest acked client-stream offset (≥ processed when shedding)
 	degraded   atomic.Bool
-	resumed    bool
-	mgr        *Manager
 }
-
-// Key returns the session's directory key under the data dir.
-func (s *Session) Key() string { return s.key }
-
-// Resumed reports whether this handle adopted a recovered session.
-func (s *Session) Resumed() bool { return s.resumed }
 
 // Processed returns the frames seen so far in consumer order, including
 // any journaled by a previous incarnation before a crash.
@@ -200,8 +191,7 @@ func (s *Session) Snapshot(ls *core.LiveStore) error {
 
 // Close makes the session durable one final time and releases its files:
 // a final snapshot if frames arrived since the last one (falling back to a
-// WAL sync if the snapshot fails), then the WAL is closed and the
-// session's key released for a future reconnect to adopt.
+// WAL sync if the snapshot fails), then the WAL is closed.
 func (s *Session) Close(ls *core.LiveStore) error {
 	var err error
 	if ls != nil && s.processed.Load() > s.snapFrames.Load() {
@@ -214,9 +204,6 @@ func (s *Session) Close(ls *core.LiveStore) error {
 	}
 	if cerr := s.wal.close(); err == nil {
 		err = cerr
-	}
-	if s.mgr != nil {
-		s.mgr.release(s.key)
 	}
 	return err
 }

@@ -68,8 +68,8 @@ type metrics struct {
 	appendErrors    *obs.Counter
 	evictions       *obs.Counter
 	// Link-resilience instruments: deduped replay batches, heartbeat pings
-	// answered, sessions parked for reconnection, and successful resumes
-	// (live park adoption or journal orphan adoption).
+	// answered, sessions parked for reconnection (link lost, or recovered
+	// from disk), and successful resumes.
 	dupBatches       *obs.Counter
 	heartbeats       *obs.Counter
 	sessionsDetached *obs.Gauge
@@ -145,7 +145,7 @@ func newMetrics() *metrics {
 			"Replayed batches dropped or trimmed at the session's acknowledged watermark."),
 		heartbeats: reg.Counter("aims_heartbeats_total", "Heartbeat pings answered."),
 		sessionsDetached: reg.Gauge("aims_sessions_detached",
-			"Disconnected sessions parked in memory awaiting reconnection."),
+			"Sessions parked in memory awaiting their device: link lost, or recovered from disk."),
 		resumesTotal: reg.Counter("aims_session_resumes_total",
 			"Sessions resumed by a reconnecting device (parked or journal-recovered)."),
 		queueDepth: reg.Gauge("aims_queue_depth", "Frames waiting in session ingest queues."),

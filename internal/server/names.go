@@ -9,36 +9,44 @@ import (
 )
 
 // owner is one entry of the name table (Server.names), the one place that
-// decides who holds a session name. A name is live while a session holds it
-// — connected, or draining after its reader exited — and parked once that
-// session lost its link without a Close. Each change of state installs a
-// new entry, so a timer or a waiting takeover can tell whether the entry it
-// saw is still current. Anonymous sessions stay out of the table.
+// decides who holds a session name and the one place a session adopts
+// state. A name is live while a session holds it — connected, or draining
+// after its reader exited — and parked once that session lost its link
+// without a Close, or once RecoverSessions rebuilt it from disk. Every entry
+// leaves the same way (retire): it stays in the table, not adoptable, until
+// its journal is durable, and a claim for the name waits meanwhile. Parking
+// and adoption install a new entry, so a timer can tell whether the entry
+// it saw is still current. Anonymous sessions stay out of the table.
 type owner struct {
 	name     string
 	channels int // the claimed shape: a Hello of another is refused
 	rate     float64
 	live     *session      // the holder; nil once parked
-	left     chan struct{} // closed when the holder parks or frees the name
+	leaving  bool          // parked, but no longer adoptable: expired, evicted or shut down
+	left     chan struct{} // closed when the holder parks or the entry is deleted
 
 	// Parked: what a resume adopts.
 	store  *core.LiveStore
-	jsess  *journal.Session // nil on a memory-only server
+	jsess  *journal.Session   // nil on a memory-only server, and until a recovered entry is resumed
+	rec    *journal.Recovered // set when RecoverSessions parked it: claim resumes its journal
 	ackSeq uint64
 	at     time.Time
 	timer  *time.Timer
 }
 
+func (o *owner) parked() bool { return o.live == nil && !o.leaving }
+
 // claim settles a named session's name before journal.Attach and the
 // Welcome: CodeOK, or the code a refused Hello's Welcome carries. A free
 // name is claimed, and a parked one of the same shape adopted — sess
-// resumes on its store, journal handle and watermark. A live one of
-// the same shape is taken over, MQTT's client-ID rule: its link is closed
+// resumes on its store, journal handle and watermark. A live one of the
+// same shape is taken over, MQTT's client-ID rule: its link is closed
 // quietly, and once that session has drained and parked — or, after a
-// graceful Close, freed the name — the claim tries again. Another shape, or
-// a takeover outlasting WriteTimeout (IdleTimeout without write deadlines),
-// is refused with CodeDuplicate; Shutdown ends the wait with
-// CodeShuttingDown. A refused Hello creates no session and no directory.
+// graceful Close, freed the name — the claim tries again; so does a claim
+// that finds its name leaving. Another shape, or a wait outlasting
+// WriteTimeout (IdleTimeout without write deadlines), is refused with
+// CodeDuplicate; Shutdown ends the wait with CodeShuttingDown. A refused
+// Hello creates no session and no directory.
 func (s *Server) claim(sess *session, h wire.Hello) wire.Code {
 	mine := &owner{name: h.Name, channels: len(h.Mins), rate: h.Rate, live: sess, left: make(chan struct{})}
 	wait := s.cfg.WriteTimeout
@@ -54,19 +62,23 @@ func (s *Server) claim(sess *session, h wire.Hello) wire.Code {
 		case o == nil:
 			s.names[h.Name] = mine
 			s.namesMu.Unlock()
+			sess.held = mine
 			return wire.CodeOK
 		case o.channels != mine.channels || o.rate != mine.rate:
 			s.namesMu.Unlock()
 			return wire.CodeDuplicate
-		case o.live == nil:
-			s.drop(o)
+		case o.parked():
+			s.unpark(o)
 			s.names[h.Name] = mine
 			s.namesMu.Unlock()
-			sess.store, sess.jsess, sess.ackSeq, sess.resumed = o.store, o.jsess, o.ackSeq, true
+			sess.held = mine
+			s.adopt(sess, o)
 			return wire.CodeOK
 		}
 		s.namesMu.Unlock()
-		o.live.conn.Close() // the old reader ends with no word to its device
+		if o.live != nil {
+			o.live.conn.Close() // the old reader ends with no word to its device
+		}
 		select {
 		case <-o.left:
 		case <-expired.C:
@@ -79,113 +91,132 @@ func (s *Server) claim(sess *session, h wire.Hello) wire.Code {
 	}
 }
 
+// adopt resumes sess on parked state p. A session recovered from disk gets
+// its journal reopened here; should that fail, it serves the recovered
+// frames without durability, and the counter makes the gap visible.
+func (s *Server) adopt(sess *session, p *owner) {
+	sess.store, sess.jsess, sess.ackSeq, sess.resumed = p.store, p.jsess, p.ackSeq, true
+	if p.rec == nil {
+		return
+	}
+	jsess, err := s.journal.Resume(p.rec)
+	if err != nil {
+		s.cfg.Logf("session %q: journal resume failed: %v", p.name, err)
+		s.metrics.journalDegraded.Inc()
+		return
+	}
+	sess.jsess = jsess
+}
+
 // leave takes a drained session out of the registry — before its name
 // moves on, so no fleet scans an adopted store twice — and ends its hold on
 // the name, reporting whether it parked. A named session whose link dropped
-// — no Close, no shutdown — parks. Any other makes its journal durable (a
-// final snapshot, or at least a WAL sync, covers every stored frame) before
-// freeing the name, so a fresh claim finds the journal key free as well.
+// — no Close, no shutdown — parks. Any other keeps its entry until its
+// journal is durable (a final snapshot, or at least a WAL sync, covers every
+// stored frame), so a fresh claim finds the journal key free as well.
 func (s *Server) leave(sess *session) bool {
 	if s.sessions.remove(sess.id) {
 		s.metrics.sessionsActive.Add(-1)
 	}
-	if sess.name != "" && !sess.closeRequested && !s.isClosed() {
-		s.park(sess)
+	if sess.held == nil {
+		return false // anonymous: memory-only, nothing outlives the link
+	}
+	if !sess.closeRequested && !s.isClosed() {
+		s.park(&owner{name: sess.name, channels: sess.store.Channels(), rate: sess.rate,
+			store: sess.store, jsess: sess.jsess, ackSeq: sess.ackSeq})
 		return true
 	}
-	if sess.jsess != nil {
-		if err := sess.jsess.Close(sess.store); err != nil {
-			s.cfg.Logf("session %d: durable close: %v", sess.id, err)
-		}
-	}
-	s.release(sess)
+	s.retire(sess.held, sess.store, sess.jsess)
 	return false
 }
 
-// release frees a name sess holds live (a no-op for anonymous sessions).
-func (s *Server) release(sess *session) {
-	s.namesMu.Lock()
-	defer s.namesMu.Unlock()
-	if o := s.names[sess.name]; o != nil && o.live == sess {
-		delete(s.names, sess.name)
-		close(o.left)
-	}
-}
-
-// park keeps sess's store, journal handle and watermark under its name for
-// RetainTimeout; beyond RetainSessions parked names the longest-parked one
-// is finalized.
-func (s *Server) park(sess *session) {
+// park installs p, parked, under its name for RetainTimeout, waking any
+// claim waiting on the live entry it replaces; beyond RetainSessions parked
+// names the longest-parked one leaves.
+func (s *Server) park(p *owner) {
+	p.left = make(chan struct{})
+	p.at = time.Now()
 	var evicted []*owner
 	s.namesMu.Lock()
 	for s.metrics.sessionsDetached.Value() >= int64(s.cfg.RetainSessions) {
 		var oldest *owner
 		for _, o := range s.names {
-			if o.live == nil && (oldest == nil || o.at.Before(oldest.at)) {
+			if o.parked() && (oldest == nil || o.at.Before(oldest.at)) {
 				oldest = o
 			}
 		}
+		s.unpark(oldest)
 		evicted = append(evicted, oldest)
-		s.drop(oldest)
 	}
-	live := s.names[sess.name]
-	p := &owner{name: sess.name, channels: live.channels, rate: live.rate,
-		store: sess.store, jsess: sess.jsess, ackSeq: sess.ackSeq, at: time.Now()}
+	if live := s.names[p.name]; live != nil {
+		close(live.left)
+	}
 	p.timer = time.AfterFunc(s.cfg.RetainTimeout, func() { s.expire(p) })
-	s.names[sess.name] = p
+	s.names[p.name] = p
 	s.metrics.sessionsDetached.Add(1)
-	close(live.left)
 	s.namesMu.Unlock()
 	for _, o := range evicted {
-		s.finalize(o)
+		s.retire(o, o.store, o.jsess)
 	}
 }
 
-// drop removes a parked entry; callers hold namesMu.
-func (s *Server) drop(p *owner) {
+// unpark ends p's parked state — it is adopted or leaving; callers hold
+// namesMu.
+func (s *Server) unpark(p *owner) {
 	p.timer.Stop()
-	delete(s.names, p.name)
+	p.leaving = true
 	s.metrics.sessionsDetached.Add(-1)
 }
 
-// expire is a parked name's retention timer: the device never came back.
+// expire ends p's parking if it is still parked: its retention ran out, or
+// the server is shutting down.
 func (s *Server) expire(p *owner) {
 	s.namesMu.Lock()
-	current := s.names[p.name] == p // else adopted or finalized meanwhile
+	current := s.names[p.name] == p && p.parked() // else adopted or leaving already
 	if current {
-		s.drop(p)
+		s.unpark(p)
 	}
 	s.namesMu.Unlock()
 	if current {
-		s.cfg.Logf("parked session %q expired unclaimed (ack=%d)", p.name, p.ackSeq)
-		s.finalize(p)
+		s.cfg.Logf("parked session %q leaves unclaimed (ack=%d)", p.name, p.ackSeq)
+		s.retire(p, p.store, p.jsess)
 	}
 }
 
-// finalize releases parked state that will not be resumed: a final
-// snapshot covers its frames and its journal key is freed.
-func (s *Server) finalize(p *owner) {
-	if p.jsess != nil {
-		if err := p.jsess.Close(p.store); err != nil {
-			s.cfg.Logf("parked session %q: durable close: %v", p.name, err)
+// retire is how every entry leaves the table: once store's journal is
+// durable — a final snapshot covers its frames — o is deleted and its left
+// channel closed. A recovered entry never resumed has no journal open, and
+// its directory stays on disk as it is.
+func (s *Server) retire(o *owner, store *core.LiveStore, jsess *journal.Session) {
+	if jsess != nil {
+		if err := jsess.Close(store); err != nil {
+			s.cfg.Logf("session %q: durable close: %v", o.name, err)
 		}
 	}
+	s.namesMu.Lock()
+	if s.names[o.name] == o {
+		delete(s.names, o.name)
+	}
+	close(o.left)
+	s.namesMu.Unlock()
 }
 
-// finalizeAllParked empties the name table once Shutdown has seen every
-// handler exit, so every entry left is parked.
-func (s *Server) finalizeAllParked() {
+// retireAll empties the name table once Shutdown has seen every handler
+// exit, so every entry left is parked or already leaving; it returns when
+// all of them are gone.
+func (s *Server) retireAll() {
 	s.namesMu.Lock()
 	all := make([]*owner, 0, len(s.names))
-	for _, p := range s.names {
-		s.drop(p)
-		all = append(all, p)
+	for _, o := range s.names {
+		all = append(all, o)
 	}
 	s.namesMu.Unlock()
-	for _, p := range all {
-		s.finalize(p)
+	for _, o := range all {
+		s.expire(o)
+		<-o.left
 	}
 }
 
-// DetachedCount reports sessions parked awaiting reconnection.
+// DetachedCount reports sessions parked awaiting reconnection: those whose
+// link dropped, and those recovered from disk and not yet resumed.
 func (s *Server) DetachedCount() int { return int(s.metrics.sessionsDetached.Value()) }

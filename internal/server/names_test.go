@@ -275,3 +275,40 @@ func TestShutdownEndsTakeoverWait(t *testing.T) {
 		t.Fatalf("%d goroutines above baseline after shutdown", runtime.NumGoroutine()-base)
 	}
 }
+
+// TestExpiredSessionLeavesBeforeItsNameMovesOn: a parked session whose
+// retention expired keeps its name until its final snapshot is written. A
+// Hello arriving meanwhile waits, then registers fresh, and the expired
+// directory is moved aside whole rather than forked beside.
+func TestExpiredSessionLeavesBeforeItsNameMovesOn(t *testing.T) {
+	cfg, stall := stalledConfig(t, Config{RetainTimeout: 50 * time.Millisecond})
+	srv, addr := startServer(t, cfg)
+	rs := dialRaw(t, addr, "X", 2)
+	rs.writeBatch(0, 10, 2) // under SnapshotFrames: only the final snapshot seals
+	rs.flush()
+	rs.expectAck(0, wire.CodeOK)
+	stall.armed.Store(true)
+	rs.conn.Close()
+	select {
+	case <-stall.entered: // parked, expired, and sealing its final snapshot
+	case <-time.After(2 * time.Second):
+		t.Fatal("the expired session never started its final snapshot")
+	}
+	if n := srv.DetachedCount(); n != 0 {
+		t.Fatalf("detached = %d while the expired session leaves, want 0", n)
+	}
+
+	pending := helloAsync(t, addr, namedHello("X", 2))
+	select {
+	case r := <-pending:
+		t.Fatalf("hello answered (code=%v ack=%d) while the expired session was still writing its snapshot", r.w.Code, r.w.AckSeq)
+	case <-time.After(100 * time.Millisecond):
+	}
+	stall.resume()
+	if r := <-pending; r.err != nil || r.w.Code != wire.CodeOK || r.w.AckSeq != 0 {
+		t.Fatalf("welcome code=%v ack=%d err=%v, want a fresh session", r.w.Code, r.w.AckSeq, r.err)
+	}
+	if dirs := sessionDirs(t, cfg.Journal.Dir); len(dirs) != 2 || dirs[0] != "X" || dirs[1] != "X.stale1" {
+		t.Fatalf("session directories %v, want [X X.stale1]", dirs)
+	}
+}

@@ -33,9 +33,12 @@
 // eviction, graceful shutdown that drains in-flight batches, and an atomic
 // metrics block.
 //
-// One table owns every session name (names.go). A Hello for a held name
-// takes that session over when its shape matches, and is refused with a
-// CodeDuplicate Welcome when it does not.
+// One table owns every session name (names.go), and is the one place a
+// session adopts state: a parked session whose link dropped, or one
+// RecoverSessions rebuilt from the journal. A Hello for a held name takes
+// that session over when its shape matches, and is refused with a
+// CodeDuplicate Welcome when it does not. Only named sessions are
+// journaled; anonymous ones are memory-only.
 package server
 
 import (
@@ -98,12 +101,13 @@ type Config struct {
 	// session's responder in the kernel send buffer forever.
 	WriteTimeout time.Duration
 	// RetainTimeout parks the state of a named session whose link dropped
-	// ungracefully, so the device can reconnect and resume exactly where
-	// it left off — store, journal handle and acknowledged watermark all
-	// survive in memory. ≤ 0 means the default, 60 s.
+	// ungracefully, or that RecoverSessions rebuilt from disk, so the device
+	// can reconnect and resume exactly where it left off — store, journal
+	// and acknowledged watermark all survive in memory. ≤ 0 means the
+	// default, 60 s.
 	RetainTimeout time.Duration
-	// RetainSessions caps how many disconnected sessions may sit parked at
-	// once (default 1024); beyond it the longest-parked one is finalized.
+	// RetainSessions caps how many sessions may sit parked at once (default
+	// 1024); beyond it the longest-parked one is finalized.
 	RetainSessions int
 	// Policy is the backpressure policy (default PolicyBlock).
 	Policy Policy
@@ -139,9 +143,10 @@ type Config struct {
 	// every query compiles its plan fresh.
 	PlanCacheCost int
 	// Journal configures the durability layer (per-session WAL +
-	// snapshots). An empty Journal.Dir leaves the server memory-only, as
-	// before; with a directory set, call RecoverSessions before Serve to
-	// adopt state a previous process left behind.
+	// snapshots) for named sessions; anonymous ones are always memory-only.
+	// An empty Journal.Dir leaves the server memory-only; with a directory
+	// set, call RecoverSessions before Serve to park the state a previous
+	// process left behind.
 	Journal journal.Config
 	// Logf receives server lifecycle logs (nil discards them).
 	Logf func(format string, args ...interface{})
@@ -187,7 +192,7 @@ type Server struct {
 	recovered atomic.Int64     // sessions rebuilt from disk at startup
 
 	// names is the name table (names.go): who holds each session name,
-	// live or parked.
+	// live, parked or leaving.
 	namesMu sync.Mutex
 	names   map[string]*owner
 
@@ -252,10 +257,11 @@ func New(cfg Config) *Server {
 }
 
 // RecoverSessions scans the journal data directory and rebuilds every
-// session a previous process journaled there, making each available for
-// re-adoption when its device reconnects under the same session name. It
-// returns how many sessions were recovered; with durability disabled it is
-// a no-op. Call it once, before Serve.
+// session a previous process journaled there, parking each in the name
+// table under its registration name and shape — for RetainTimeout, within
+// RetainSessions, like a session whose link dropped — until its device
+// resumes it. It returns how many sessions were recovered; with durability
+// disabled it is a no-op. Call it once, before Serve.
 func (s *Server) RecoverSessions() (int, error) {
 	if s.journal == nil {
 		return 0, nil
@@ -265,20 +271,26 @@ func (s *Server) RecoverSessions() (int, error) {
 		return 0, err
 	}
 	for _, r := range recovered {
-		s.cfg.Logf("recovered session %q: %d frames (%d from snapshot, torn tail: %v)",
-			r.Key, r.Processed, r.Watermark, r.Truncated)
+		s.cfg.Logf("recovered session %q from %s: %d frames (%d from snapshot, torn tail: %v)",
+			r.Meta.Name, r.Key, r.Processed, r.Watermark, r.Truncated)
+		s.park(&owner{name: r.Meta.Name, channels: r.Meta.Channels(), rate: r.Meta.Rate,
+			store: r.Store, rec: r, ackSeq: r.AckSeq})
 	}
 	s.recovered.Store(int64(len(recovered)))
 	return len(recovered), nil
 }
 
 // RecoveredSessions reports how many sessions RecoverSessions rebuilt, and
-// how many of those still await re-adoption by their device.
+// how many of those are still parked awaiting their device.
 func (s *Server) RecoveredSessions() (recovered, orphaned int) {
-	if s.journal == nil {
-		return 0, 0
+	s.namesMu.Lock()
+	defer s.namesMu.Unlock()
+	for _, o := range s.names {
+		if o.rec != nil && o.parked() {
+			orphaned++
+		}
 	}
-	return int(s.recovered.Load()), s.journal.OrphanCount()
+	return int(s.recovered.Load()), orphaned
 }
 
 // Registry exposes the server's metrics registry (what the admin plane
@@ -360,7 +372,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.serveWg.Wait()
 		// Every handler has exited, so no more sessions can park; make the
 		// parked ones durable before declaring the shutdown complete.
-		s.finalizeAllParked()
+		s.retireAll()
 		close(done)
 	}()
 	select {

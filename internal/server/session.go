@@ -38,9 +38,11 @@ type session struct {
 	ackSeq  uint64
 	sawPing bool // device heartbeats → liveness window replaces IdleTimeout
 
-	// jsess is the session's durability handle (nil when the server runs
-	// memory-only or journaling failed at registration). resumed is true
-	// when registration adopted a store recovered from a previous process.
+	// held is the session's name-table entry (nil when anonymous). jsess is
+	// its durability handle (nil when anonymous, when the server runs
+	// memory-only, or when journaling failed at registration). resumed is
+	// true when registration adopted a parked or recovered session.
+	held    *owner
 	jsess   *journal.Session
 	resumed bool
 
@@ -378,9 +380,9 @@ func (sess *session) handshake() bool {
 	sess.class = h.Class
 
 	if h.Name != "" {
-		// The name is settled before journal.Attach: a parked or taken-over
-		// session still owns its journal key, and adopting its state keeps
-		// that key instead of forking a second directory.
+		// The name is settled before journal.Attach: a parked, recovered or
+		// taken-over session still owns its journal key, and adopting its
+		// state keeps that key instead of forking a second directory.
 		if code := srv.claim(sess, h); code != wire.CodeOK {
 			srv.cfg.Logf("session %q: hello refused (%s)", h.Name, code)
 			sess.reply(wire.MsgWelcome, wire.Welcome{Code: code}.Encode())
@@ -396,15 +398,19 @@ func (sess *session) handshake() bool {
 	cfg.HorizonTicks = int(h.HorizonTicks)
 	store, err := core.NewLiveStore(h.Mins, h.Maxs, cfg)
 	if err != nil {
-		srv.release(sess)
+		if sess.held != nil {
+			srv.retire(sess.held, nil, nil)
+		}
 		sess.sendError(wire.CodeBadMessage, err.Error())
 		return false
 	}
 	sess.store = store
 
-	if srv.journal != nil {
+	// Only a named session is journaled: no Hello can resume an anonymous
+	// one.
+	if srv.journal != nil && sess.held != nil {
 		eff := store.Config()
-		jsess, recovered, jerr := srv.journal.Attach(journal.Meta{
+		jsess, _, jerr := srv.journal.Attach(journal.Meta{
 			Name:         h.Name,
 			Rate:         h.Rate,
 			HorizonTicks: eff.HorizonTicks,
@@ -418,20 +424,8 @@ func (sess *session) handshake() bool {
 			// makes the gap visible on the admin plane.
 			srv.cfg.Logf("session %q: journaling unavailable: %v", h.Name, jerr)
 			srv.metrics.journalDegraded.Inc()
-		} else {
-			sess.jsess = jsess
-			if recovered != nil {
-				// The device reconnected to state a previous process left
-				// behind: serve queries over the recovered frames and resume
-				// journaling where the old incarnation stopped.
-				sess.store = recovered
-				sess.resumed = true
-				// The durable watermark (journaled frames, plus any higher
-				// acknowledged-but-shed offset the WAL recorded) is the
-				// resume point.
-				sess.ackSeq = jsess.ClientSeq()
-			}
 		}
+		sess.jsess = jsess
 	}
 	return true
 }

@@ -327,71 +327,51 @@ func (rc *ResilientClient) SendBatch(frames []stream.Frame) error {
 	start := rc.nextSeq
 	rc.buffer(start, frames)
 	rc.nextSeq = start + uint64(len(frames))
-	for {
-		if err := rc.ensureLinkLocked(); err != nil {
-			return err
-		}
+	return rc.retryLocked("send", func(c *Client) error {
 		// A reconnect replays the ring — this batch included — so sending it
 		// again here would be redundant (though harmless: the server would
 		// dedup it). Skip when the watermark already advanced past it.
-		if rc.c.NextSeq() >= rc.nextSeq {
+		if c.NextSeq() >= rc.nextSeq {
 			return nil
 		}
-		err := rc.c.SendBatchAt(start, frames)
-		if err == nil {
-			rc.c.SetNextSeq(rc.nextSeq)
-			rc.lastIO = time.Now()
-			return nil
+		if err := c.SendBatchAt(start, frames); err != nil {
+			return err
 		}
-		rc.cfg.Logf("wire: send failed, reconnecting: %v", err)
-		rc.broken = true
-	}
+		c.SetNextSeq(rc.nextSeq)
+		return nil
+	})
 }
 
 // Flush drains the pipeline to a durable barrier, reconnecting on failure.
-func (rc *ResilientClient) Flush() (uint64, error) {
+func (rc *ResilientClient) Flush() (stored uint64, err error) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	for {
-		if err := rc.ensureLinkLocked(); err != nil {
-			return 0, err
-		}
-		stored, err := rc.c.Flush()
-		if err == nil {
-			rc.lastIO = time.Now()
-			return stored, nil
-		}
-		rc.cfg.Logf("wire: flush failed, reconnecting: %v", err)
-		rc.broken = true
-	}
+	err = rc.retryLocked("flush", func(c *Client) (err error) {
+		stored, err = c.Flush()
+		return err
+	})
+	return stored, err
 }
 
 // Query evaluates one aggregate, reconnecting and retrying on link
 // failure (queries are read-only, so a retry is always safe).
-func (rc *ResilientClient) Query(q Query) (Result, error) {
+func (rc *ResilientClient) Query(q Query) (r Result, err error) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	for {
-		if err := rc.ensureLinkLocked(); err != nil {
-			return Result{}, err
+	var answer error // the server answered: the link is fine, the query is bad
+	if err = rc.retryLocked("query", func(c *Client) (err error) {
+		if r, err = c.Query(q); errors.As(err, new(ErrMsg)) {
+			answer, err = err, nil
 		}
-		r, err := rc.c.Query(q)
-		if err == nil {
-			rc.lastIO = time.Now()
-			return r, nil
-		}
-		var em ErrMsg
-		if errors.As(err, &em) {
-			// The server answered — the link is fine, the query is bad.
-			return Result{}, err
-		}
-		rc.cfg.Logf("wire: query failed, reconnecting: %v", err)
-		rc.broken = true
+		return err
+	}); err != nil {
+		return r, err
 	}
+	return r, answer
 }
 
 // Close drains and ends the session; the connection is not re-established
-// afterwards.
+// afterwards, whether or not the drain succeeded.
 func (rc *ResilientClient) Close() (CloseAck, error) {
 	rc.mu.Lock()
 	defer func() {
@@ -401,17 +381,29 @@ func (rc *ResilientClient) Close() (CloseAck, error) {
 	if rc.closed {
 		return CloseAck{}, nil
 	}
+	var ack CloseAck
+	err := rc.retryLocked("close", func(c *Client) (err error) {
+		ack, err = c.Close()
+		return err
+	})
+	rc.closed = true
+	return ack, err
+}
+
+// retryLocked runs f on the link until it succeeds, reconnecting and
+// replaying the ring after each failure; it gives up only when reconnecting
+// does. op names the operation in the logs. Callers hold rc.mu.
+func (rc *ResilientClient) retryLocked(op string, f func(*Client) error) error {
 	for {
 		if err := rc.ensureLinkLocked(); err != nil {
-			rc.closed = true
-			return CloseAck{}, err
+			return err
 		}
-		ack, err := rc.c.Close()
+		err := f(rc.c)
 		if err == nil {
-			rc.closed = true
-			return ack, nil
+			rc.lastIO = time.Now()
+			return nil
 		}
-		rc.cfg.Logf("wire: close failed, reconnecting: %v", err)
+		rc.cfg.Logf("wire: %s failed, reconnecting: %v", op, err)
 		rc.broken = true
 	}
 }
