@@ -54,8 +54,8 @@ func main() {
 		tsample = flag.Int("trace-sample", 0, "trace one in N batches/queries (0 = default 256, negative disables)")
 		slowQ   = flag.Duration("slow-query", 0, "slow-query log threshold (0 = default 100ms, negative disables)")
 
-		fleetWorkers = flag.Int("fleet-workers", 0, "fleet query scatter pool width (0 = default 16)")
-		fleetTimeout = flag.Duration("fleet-timeout", 0, "default fleet query deadline (0 = default 5s)")
+		fleetWorkers = flag.Int("fleet-workers", 16, "fleet query scatter pool width")
+		fleetTimeout = flag.Duration("fleet-timeout", 5*time.Second, "default fleet query deadline")
 		planCache    = flag.Int("plan-cache", 0, "compiled query-plan cache budget in entry units (0 = default ~1M, negative disables)")
 
 		dataDir    = flag.String("data-dir", "", "durability directory: per-session WAL + snapshots (empty: memory-only)")

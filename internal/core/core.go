@@ -268,34 +268,13 @@ func (st *Store) VarianceValue(channel int, t0, t1 float64) (float64, bool, erro
 // most budget transformed-domain coefficients, with its guaranteed error
 // bound.
 func (st *Store) ApproximateCount(channel int, t0, t1 float64, budget int) (est, bound float64, err error) {
-	return st.ApproximateCountTraced(channel, t0, t1, budget, nil)
-}
-
-// ApproximateCountTraced is ApproximateCount with per-call provenance: a
-// non-nil qt records the queried box volume and the plan-layer trace.
-func (st *Store) ApproximateCountTraced(channel int, t0, t1 float64, budget int, qt *QueryTrace) (est, bound float64, err error) {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	b, err := st.box(channel, t0, t1)
 	if err != nil {
 		return 0, 0, err
 	}
-	if qt == nil {
-		return st.Engine.EstimateWithBudget(propolyne.Query{Lo: b.Lo, Hi: b.Hi}, budget)
-	}
-	qt.PlanUsed = true
-	qt.BoxVolume = boxVolume(b)
-	return st.Engine.EstimateWithBudgetTraced(propolyne.Query{Lo: b.Lo, Hi: b.Hi}, budget, &qt.Plan)
-}
-
-// boxVolume counts the cube cells a query box spans (the channel dimension
-// contributes one cell, so this is time buckets × value bins).
-func boxVolume(b propolyne.Box) int64 {
-	v := int64(1)
-	for d := range b.Lo {
-		v *= int64(b.Hi[d] - b.Lo[d] + 1)
-	}
-	return v
+	return st.Engine.EstimateWithBudget(propolyne.Query{Lo: b.Lo, Hi: b.Hi}, budget)
 }
 
 // AppendFrame ingests one frame incrementally: each channel's reading

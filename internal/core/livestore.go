@@ -501,15 +501,13 @@ func (ls *LiveStore) replayDelta(log []uint32) error {
 
 // QueryTrace reports what one traced store evaluation cost, layer by
 // layer: the seal that brought the transformed engine up to date, whether
-// the wavelet plan path ran (exact scans never compile a plan), the plan
-// provenance from propolyne, and the queried box volume in cube cells.
-// The middle tier reconstructs trace spans from these durations, so core
-// never imports the obs package.
+// the wavelet plan path ran (exact scans never compile a plan), and the
+// plan provenance from propolyne. The middle tier reconstructs trace spans
+// from these durations, so core never imports the obs package.
 type QueryTrace struct {
-	SealNS    int64
-	PlanUsed  bool
-	Plan      propolyne.PlanTrace
-	BoxVolume int64
+	SealNS   int64
+	PlanUsed bool
+	Plan     propolyne.PlanTrace
 }
 
 // ApproximateCount returns a budget-limited estimate of CountSamples with
@@ -519,49 +517,60 @@ func (ls *LiveStore) ApproximateCount(channel int, t0, t1 float64, budget int) (
 }
 
 // ApproximateCountTraced is ApproximateCount with per-call provenance
-// recorded into a non-nil qt (seal time, plan outcome, box volume).
+// recorded into a non-nil qt (seal time, plan outcome).
 func (ls *LiveStore) ApproximateCountTraced(channel int, t0, t1 float64, budget int, qt *QueryTrace) (est, bound float64, err error) {
-	begin := time.Now()
-	st, err := ls.Seal()
-	if qt != nil {
-		qt.SealNS = time.Since(begin).Nanoseconds()
-	}
+	st, err := ls.timedSeal(qt)
 	if err != nil {
 		return 0, 0, err
 	}
-	return st.ApproximateCountTraced(channel, t0, t1, budget, qt)
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	q, err := st.countQuery(channel, t0, t1, qt)
+	if err != nil {
+		return 0, 0, err
+	}
+	return st.Engine.EstimateWithBudget(q, budget)
 }
 
 // ProgressiveCount evaluates CountSamples progressively on the sealed
 // engine: at most maxSteps checkpoints of (estimate, guaranteed bound),
-// the last one exact.
-func (ls *LiveStore) ProgressiveCount(channel int, t0, t1 float64, maxSteps int) ([]propolyne.Step, error) {
-	return ls.ProgressiveCountTraced(channel, t0, t1, maxSteps, nil)
+// the last one exact. A non-nil qt records the evaluation's provenance.
+func (ls *LiveStore) ProgressiveCount(channel int, t0, t1 float64, maxSteps int, qt *QueryTrace) ([]propolyne.Step, error) {
+	st, err := ls.timedSeal(qt)
+	if err != nil {
+		return nil, err
+	}
+	q, err := st.countQuery(channel, t0, t1, qt)
+	if err != nil {
+		return nil, err
+	}
+	steps, _, err := st.Engine.Progressive(q, maxSteps)
+	return steps, err
 }
 
-// ProgressiveCountTraced is ProgressiveCount with per-call provenance
-// recorded into a non-nil qt.
-func (ls *LiveStore) ProgressiveCountTraced(channel int, t0, t1 float64, maxSteps int, qt *QueryTrace) ([]propolyne.Step, error) {
+// timedSeal is Seal, timed into a non-nil qt.
+func (ls *LiveStore) timedSeal(qt *QueryTrace) (*Store, error) {
 	begin := time.Now()
 	st, err := ls.Seal()
 	if qt != nil {
 		qt.SealNS = time.Since(begin).Nanoseconds()
 	}
-	if err != nil {
-		return nil, err
-	}
+	return st, err
+}
+
+// countQuery builds the COUNT query over channel's [t0, t1] box, with the
+// plan trace riding in it when qt is non-nil.
+func (st *Store) countQuery(channel int, t0, t1 float64, qt *QueryTrace) (propolyne.Query, error) {
 	b, err := st.box(channel, t0, t1)
 	if err != nil {
-		return nil, err
+		return propolyne.Query{}, err
 	}
-	var pt *propolyne.PlanTrace
+	q := propolyne.Query{Lo: b.Lo, Hi: b.Hi}
 	if qt != nil {
 		qt.PlanUsed = true
-		qt.BoxVolume = boxVolume(b)
-		pt = &qt.Plan
+		q.Trace = &qt.Plan
 	}
-	steps, _, err := st.Engine.ProgressiveTraced(propolyne.Query{Lo: b.Lo, Hi: b.Hi}, maxSteps, pt)
-	return steps, err
+	return q, nil
 }
 
 // BoxVolume returns the number of cube cells a [t0, t1] range query over

@@ -156,15 +156,11 @@ func Match(sessions []Session, scope wire.FleetScope) (matched []Session, missin
 // EvalSession answers one fleet request against a single session's store,
 // returning the session's mergeable partial and its frame watermark. This
 // is the per-session scan the scatter pool runs — and what a client doing
-// its own merge would call per session.
+// its own merge would call per session. A non-nil req.Trace receives the
+// scan's span breakdown under req.TraceParent.
 func EvalSession(s Session, req Request) (wire.FleetPart, error) {
-	return evalSessionTraced(s, req, nil, 0)
-}
-
-// evalSessionTraced is EvalSession stamping the scan's span breakdown
-// under parent when tr is non-nil.
-func evalSessionTraced(s Session, req Request, tr *obs.Trace, parent obs.SpanID) (wire.FleetPart, error) {
 	part := wire.FleetPart{ID: s.ID}
+	tr, parent := req.Trace, req.TraceParent
 	var qt *core.QueryTrace
 	var begin time.Time
 	if tr != nil {
@@ -191,7 +187,7 @@ func evalSessionTraced(s Session, req Request, tr *obs.Trace, parent obs.SpanID)
 		part.Frames = uint64(s.Store.Frames())
 		part.Sum, part.Bound, part.Coefficients = est, bound, req.Arg
 	case wire.QueryProgressiveCount:
-		steps, err := s.Store.ProgressiveCountTraced(req.Channel, req.T0, req.T1, int(req.Arg), qt)
+		steps, err := s.Store.ProgressiveCount(req.Channel, req.T0, req.T1, int(req.Arg), qt)
 		StampQueryTrace(tr, parent, begin, qt)
 		if err != nil {
 			return part, err
@@ -340,18 +336,18 @@ func Evaluate(ctx context.Context, sessions []Session, req Request, cfg Config) 
 				default:
 				}
 				t0 := time.Now()
-				var sid obs.SpanID
+				sreq := req
 				if req.Trace != nil {
 					// One child subtree per session: queue wait (scatter start
 					// to worker pickup), then the scan's internal breakdown.
 					// Stamps on a trace a deadline already finished are no-ops.
-					sid = req.Trace.StartSpan(req.TraceParent,
+					sreq.TraceParent = req.Trace.StartSpan(req.TraceParent,
 						fmt.Sprintf("session-%d", matched[idx].ID))
-					req.Trace.AddSpan(sid, "queue-wait", scattered, t0)
+					req.Trace.AddSpan(sreq.TraceParent, "queue-wait", scattered, t0)
 				}
-				part, err := evalSessionTraced(matched[idx], req, req.Trace, sid)
+				part, err := EvalSession(matched[idx], sreq)
 				if req.Trace != nil {
-					req.Trace.EndSpan(sid)
+					req.Trace.EndSpan(sreq.TraceParent)
 				}
 				if cfg.Observer.ScanSeconds != nil {
 					cfg.Observer.ScanSeconds(time.Since(t0).Seconds())

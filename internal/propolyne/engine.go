@@ -70,9 +70,14 @@ type Engine struct {
 // polynomial's degree per dimension must stay below the vanishing moments
 // of that dimension's filter for sparse evaluation; higher degrees still
 // evaluate exactly via the dense fallback.
+//
+// Trace is an out-param, not part of the query's shape: when non-nil, the
+// evaluation records its plan provenance there. The plan cache keys on the
+// shape alone and never keeps the pointer.
 type Query struct {
 	Lo, Hi []int
 	Polys  []vec.Poly
+	Trace  *PlanTrace
 }
 
 // Stats reports the work one evaluation did.

@@ -141,29 +141,23 @@ func (c *PlanCache) Purge() {
 
 // PlanTrace reports what one traced query evaluation cost at the plan
 // layer: whether the plan came from cache, how long a miss spent compiling,
-// how long evaluation ran (ordering, the coefficient dot product and the
-// error bound), and how many query coefficients it spent. Filled by the
-// *Traced query variants; the middle tier stamps the fields into trace
-// spans without propolyne ever importing obs.
+// and how long evaluation ran (ordering, the coefficient dot product and the
+// error bound). A caller asks for it by setting Query.Trace; the middle tier
+// stamps the fields into trace spans without propolyne ever importing obs.
 type PlanTrace struct {
-	Hit          bool
-	CompileNS    int64
-	EvalNS       int64
-	Coefficients int
+	Hit       bool
+	CompileNS int64
+	EvalNS    int64
 }
 
 // Lookup returns the compiled plan for (engine geometry, query), compiling
-// and caching it on a miss. Concurrent misses on one key compile once.
+// and caching it on a miss. Concurrent misses on one key compile once. A
+// non-nil q.Trace records whether this call hit the cache and how long a
+// miss compiled.
 func (c *PlanCache) Lookup(e *Engine, q Query) (*Plan, error) {
-	return c.LookupTraced(e, q, nil)
-}
-
-// LookupTraced is Lookup with per-call plan provenance: when pt is non-nil
-// it records whether this call hit the cache and how long a miss compiled.
-func (c *PlanCache) LookupTraced(e *Engine, q Query, pt *PlanTrace) (*Plan, error) {
 	capacity := c.capacity.Load()
 	if capacity <= 0 {
-		return c.compileTraced(e, q, pt)
+		return c.compile(e, q)
 	}
 	key := planKey(e, q)
 	sh := &c.shards[shardOf(key)]
@@ -176,8 +170,8 @@ func (c *PlanCache) LookupTraced(e *Engine, q Query, pt *PlanTrace) (*Plan, erro
 		if o := c.obs.Load(); o != nil && o.Hit != nil {
 			o.Hit()
 		}
-		if pt != nil {
-			pt.Hit = true
+		if q.Trace != nil {
+			q.Trace.Hit = true
 		}
 		<-en.done
 		return en.plan, en.err
@@ -187,7 +181,7 @@ func (c *PlanCache) LookupTraced(e *Engine, q Query, pt *PlanTrace) (*Plan, erro
 	sh.m[key] = el
 	sh.mu.Unlock()
 
-	plan, err := c.compileTraced(e, q, pt)
+	plan, err := c.compile(e, q)
 	en.plan, en.err = plan, err
 	close(en.done)
 
@@ -229,15 +223,15 @@ func (c *PlanCache) LookupTraced(e *Engine, q Query, pt *PlanTrace) (*Plan, erro
 	return plan, nil
 }
 
-// compileTraced runs one timed compilation and accounts the miss; a
-// non-nil pt records the compile time for the caller's trace.
-func (c *PlanCache) compileTraced(e *Engine, q Query, pt *PlanTrace) (*Plan, error) {
+// compile runs one timed compilation and accounts the miss; a non-nil
+// q.Trace records the compile time for the caller's trace.
+func (c *PlanCache) compile(e *Engine, q Query) (*Plan, error) {
 	t0 := time.Now()
 	p, err := e.CompilePlan(q)
 	elapsed := time.Since(t0)
-	if pt != nil {
-		pt.Hit = false
-		pt.CompileNS = elapsed.Nanoseconds()
+	if q.Trace != nil {
+		q.Trace.Hit = false
+		q.Trace.CompileNS = elapsed.Nanoseconds()
 	}
 	c.misses.Add(1)
 	if o := c.obs.Load(); o != nil {
@@ -272,11 +266,6 @@ func planCost(p *Plan) int {
 // every engine query surface.
 func (e *Engine) plan(q Query) (*Plan, error) {
 	return SharedCache.Lookup(e, q)
-}
-
-// planTraced is plan with per-call provenance for traced evaluations.
-func (e *Engine) planTraced(q Query, pt *PlanTrace) (*Plan, error) {
-	return SharedCache.LookupTraced(e, q, pt)
 }
 
 // Fingerprint identifies the engine's plan-relevant geometry: dimension

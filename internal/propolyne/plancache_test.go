@@ -239,3 +239,92 @@ func TestPlanCacheConcurrentWithAppends(t *testing.T) {
 		t.Fatalf("energy after concurrent appends %v, fresh sum %v", got, want)
 	}
 }
+
+func TestPlanCacheTraceRidesInQuery(t *testing.T) {
+	e := cacheTestEngine(t, []int{32, 32}, 300)
+	c := NewPlanCache(1 << 16)
+	var first, second PlanTrace
+	lookup := func(pt *PlanTrace) *Plan {
+		t.Helper()
+		p, err := c.Lookup(e, Query{Lo: []int{1, 2}, Hi: []int{20, 30}, Trace: pt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	p1, p2 := lookup(&first), lookup(&second)
+	// The trace pointer is not part of the shape: one entry, one compile.
+	if p1 != p2 {
+		t.Fatal("lookups differing only in Trace compiled two plans")
+	}
+	if st := c.Stats(); st.Misses != 1 || st.Hits != 1 || st.Plans != 1 {
+		t.Fatalf("stats %+v, want 1 miss / 1 hit / 1 plan", st)
+	}
+	if first.Hit || first.CompileNS <= 0 {
+		t.Fatalf("first trace %+v, want a miss with its compile time", first)
+	}
+	if !second.Hit {
+		t.Fatalf("second trace %+v, want a hit", second)
+	}
+	// Untraced lookups, hit and miss alike, write to no earlier trace: the
+	// cached plan keeps no trace pointer.
+	before1, before2 := first, second
+	lookup(nil)
+	c.Purge()
+	lookup(nil)
+	if first != before1 || second != before2 {
+		t.Fatalf("untraced lookups wrote earlier traces: %+v %+v, were %+v %+v",
+			first, second, before1, before2)
+	}
+}
+
+func TestTracedEvaluationMatchesUntraced(t *testing.T) {
+	e := cacheTestEngine(t, []int{32, 32}, 300)
+	q := Query{Lo: []int{3, 0}, Hi: []int{27, 19}}
+	traced := func() Query {
+		tq := q
+		tq.Trace = &PlanTrace{}
+		return tq
+	}
+
+	wantSteps, _, err := e.Progressive(q, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pq := traced()
+	gotSteps, _, err := e.Progressive(pq, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pq.Trace.EvalNS <= 0 {
+		t.Fatalf("Progressive trace %+v, want EvalNS > 0", *pq.Trace)
+	}
+	if len(gotSteps) != len(wantSteps) {
+		t.Fatalf("traced Progressive: %d steps, untraced %d", len(gotSteps), len(wantSteps))
+	}
+	for i := range gotSteps {
+		g, w := gotSteps[i], wantSteps[i]
+		if g.Coefficients != w.Coefficients ||
+			math.Float64bits(g.Estimate) != math.Float64bits(w.Estimate) ||
+			math.Float64bits(g.ErrorBound) != math.Float64bits(w.ErrorBound) {
+			t.Fatalf("step %d: traced %+v, untraced %+v", i, g, w)
+		}
+	}
+
+	wantEst, wantBound, err := e.EstimateWithBudget(q, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eq := traced()
+	gotEst, gotBound, err := e.EstimateWithBudget(eq, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eq.Trace.EvalNS <= 0 {
+		t.Fatalf("EstimateWithBudget trace %+v, want EvalNS > 0", *eq.Trace)
+	}
+	if math.Float64bits(gotEst) != math.Float64bits(wantEst) ||
+		math.Float64bits(gotBound) != math.Float64bits(wantBound) {
+		t.Fatalf("traced estimate (%v, %v), untraced (%v, %v)", gotEst, gotBound, wantEst, wantBound)
+	}
+}

@@ -19,23 +19,18 @@ type Step struct {
 // of decreasing query-coefficient magnitude — "using the most important
 // query wavelet coefficients first" — and reports the trajectory of the
 // running estimate. maxSteps bounds the number of emitted checkpoints
-// (≤ 0 means every coefficient); the final step is always exact.
-func (e *Engine) Progressive(q Query, maxSteps int) ([]Step, Stats, error) {
-	return e.ProgressiveTraced(q, maxSteps, nil)
-}
-
-// ProgressiveTraced is Progressive with per-call plan provenance: when pt
-// is non-nil it records the plan-cache outcome, the evaluation time —
+// (≤ 0 means every coefficient); the final step is always exact. A
+// non-nil q.Trace records the plan-cache outcome and the evaluation time:
 // ordering (a plan miss sorts here), the data energy behind the bounds and
-// the coefficient walk — and the coefficients spent.
-func (e *Engine) ProgressiveTraced(q Query, maxSteps int, pt *PlanTrace) ([]Step, Stats, error) {
-	p, err := e.planTraced(q, pt)
+// the coefficient walk.
+func (e *Engine) Progressive(q Query, maxSteps int) ([]Step, Stats, error) {
+	p, err := e.plan(q)
 	if err != nil {
 		return nil, Stats{}, err
 	}
 	st := p.Stats()
 	var t0 time.Time
-	if pt != nil {
+	if q.Trace != nil {
 		t0 = time.Now()
 	}
 	// The retrieval order and suffix query energies are part of the
@@ -61,9 +56,8 @@ func (e *Engine) ProgressiveTraced(q Query, maxSteps int, pt *PlanTrace) ([]Step
 		}
 	}
 	e.mu.RUnlock()
-	if pt != nil {
-		pt.EvalNS = time.Since(t0).Nanoseconds()
-		pt.Coefficients = len(entries)
+	if q.Trace != nil {
+		q.Trace.EvalNS = time.Since(t0).Nanoseconds()
 	}
 	if len(entries) == 0 {
 		steps = append(steps, Step{})
@@ -73,21 +67,15 @@ func (e *Engine) ProgressiveTraced(q Query, maxSteps int, pt *PlanTrace) ([]Step
 
 // EstimateWithBudget returns the approximate answer after spending at most
 // budget query coefficients, plus the exact answer's guaranteed error
-// bound at that point.
+// bound at that point. A non-nil q.Trace records the plan-cache outcome,
+// and its EvalNS spans ordering, the coefficient walk and the bound.
 func (e *Engine) EstimateWithBudget(q Query, budget int) (estimate, bound float64, err error) {
-	return e.EstimateWithBudgetTraced(q, budget, nil)
-}
-
-// EstimateWithBudgetTraced is EstimateWithBudget with per-call plan
-// provenance recorded into a non-nil pt; its EvalNS spans ordering, the
-// coefficient walk and the bound.
-func (e *Engine) EstimateWithBudgetTraced(q Query, budget int, pt *PlanTrace) (estimate, bound float64, err error) {
-	p, err := e.planTraced(q, pt)
+	p, err := e.plan(q)
 	if err != nil {
 		return 0, 0, err
 	}
 	var t0 time.Time
-	if pt != nil {
+	if q.Trace != nil {
 		t0 = time.Now()
 	}
 	entries, suffix := p.Ordered()
@@ -107,9 +95,8 @@ func (e *Engine) EstimateWithBudgetTraced(q Query, budget int, pt *PlanTrace) (e
 	// ordering time — and the data energy is maintained by the appends, so
 	// the budgeted path does no per-call energy pass on either side.
 	bound = math.Sqrt(suffix[budget]) * math.Sqrt(e.Energy())
-	if pt != nil {
-		pt.EvalNS = time.Since(t0).Nanoseconds()
-		pt.Coefficients = budget
+	if q.Trace != nil {
+		q.Trace.EvalNS = time.Since(t0).Nanoseconds()
 	}
 	return est, bound, nil
 }

@@ -383,20 +383,13 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-// EvaluateFleet answers one cross-session fleet query against the current
+// evaluateFleet answers one cross-session fleet query against the current
 // live-session set: it snapshots the sharded registry (one shard lock at a
 // time — registration stays flat while fleets scan), scatters the query
 // across the matching sessions on the bounded fleet worker pool, and
 // merges the per-session answers under the query's fail|partial policy.
-// Exposed for the admin plane and in-process callers as well as the wire
-// handler.
-func (s *Server) EvaluateFleet(fq wire.FleetQuery) wire.FleetResult {
-	return s.evaluateFleetTraced(fq, nil, 0)
-}
-
-// evaluateFleetTraced is EvaluateFleet stitching every per-session
-// evaluation into tr's span tree under parent (nil tr evaluates untraced).
-func (s *Server) evaluateFleetTraced(fq wire.FleetQuery, tr *obs.Trace, parent obs.SpanID) wire.FleetResult {
+// A non-nil tr receives every per-session evaluation under parent.
+func (s *Server) evaluateFleet(fq wire.FleetQuery, tr *obs.Trace, parent obs.SpanID) wire.FleetResult {
 	s.metrics.fleetQueries.Inc()
 	snap := s.sessions.snapshot()
 	targets := make([]fleet.Session, 0, len(snap))

@@ -810,7 +810,7 @@ func (sess *session) handleFleetQuery(payload []byte) bool {
 	// The scatter workers stitch one child subtree per scoped session under
 	// the evaluate span (queue wait, seal, plan hit/compile, dot product),
 	// so the whole fan-out reads as one tree on /tracez?id=.
-	res := srv.evaluateFleetTraced(fq, tr, evalSpan)
+	res := srv.evaluateFleet(fq, tr, evalSpan)
 	t2 := time.Now()
 	if tr != nil {
 		tr.EndSpan(evalSpan)
@@ -835,9 +835,9 @@ func (sess *session) handleFleetQuery(payload []byte) bool {
 }
 
 // evaluate answers one query against the live store; a non-nil qt records
-// the evaluation's provenance (seal/plan/dot timings, box volume) for the
-// handler's trace. Errors become a CodeBadQuery result rather than tearing
-// the session down.
+// the evaluation's provenance (seal/plan/dot timings) for the handler's
+// trace. Errors become a CodeBadQuery result rather than tearing the
+// session down.
 func (sess *session) evaluate(q wire.Query, qt *core.QueryTrace) []wire.Result {
 	ch, arg := int(q.Channel), int(q.Arg)
 	r := wire.Result{Kind: q.Kind, Final: true, OK: true}
@@ -853,7 +853,7 @@ func (sess *session) evaluate(q wire.Query, qt *core.QueryTrace) []wire.Result {
 		r.Value, r.Bound, err = sess.store.ApproximateCountTraced(ch, q.T0, q.T1, arg, qt)
 		r.Coefficients = q.Arg
 	case wire.QueryProgressiveCount:
-		steps, perr := sess.store.ProgressiveCountTraced(ch, q.T0, q.T1, arg, qt)
+		steps, perr := sess.store.ProgressiveCount(ch, q.T0, q.T1, arg, qt)
 		if perr != nil || len(steps) == 0 {
 			break
 		}

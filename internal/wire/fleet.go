@@ -105,6 +105,9 @@ func DecodeFleetQuery(p []byte) (FleetQuery, error) {
 	q.TimeoutMillis = d.rdU32()
 	q.Scope.Class = d.rdStr()
 	n := int(d.rdU16())
+	if d.err == nil && n*8 > len(p)-d.pos {
+		d.fail() // refuse a hostile ID count before allocating for it
+	}
 	if d.err == nil && n > 0 {
 		q.Scope.IDs = make([]uint64, n)
 		for i := range q.Scope.IDs {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -141,6 +142,22 @@ func TestFleetQueryValidation(t *testing.T) {
 	var re *RangeError
 	if !errors.As(err, &re) {
 		t.Fatalf("NaN endpoint: error %v is not a *RangeError", err)
+	}
+	// A hostile ID count is refused before the decoder allocates for it.
+	ids := FleetQuery{Query: Query{T1: 1}, Scope: FleetScope{IDs: []uint64{1}}}
+	if p, err = ids.Encode(); err != nil {
+		t.Fatal(err)
+	}
+	p[len(p)-10], p[len(p)-9] = 0xFF, 0xFF // claim 65535 IDs, carry one
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = DecodeFleetQuery(p)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("ID count past the payload end accepted")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 8*MaxFleetIDs {
+		t.Fatalf("decoding a 65535-ID claim allocated %d bytes", grew)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"aims/internal/stream"
@@ -98,6 +99,50 @@ func FuzzCheckBatch(f *testing.F) {
 		}
 		if again := AppendBatchBytes(nil, seq, w, frames); !bytes.Equal(again, p) {
 			t.Fatalf("re-framing the checked bytes gives %d bytes, the payload has %d", len(again), len(p))
+		}
+	})
+}
+
+// FuzzDecodeQuery: no payload panics DecodeQuery, and an accepted one
+// re-encodes to bytes that decode to the same Query. The checked-in corpus
+// (testdata/fuzz/FuzzDecodeQuery) seeds the fixed-field payload and the
+// sampled and unsampled trace-context suffixes.
+func FuzzDecodeQuery(f *testing.F) {
+	f.Fuzz(func(t *testing.T, p []byte) {
+		q, err := DecodeQuery(p)
+		if err != nil {
+			return
+		}
+		again, err := DecodeQuery(q.Encode())
+		if err != nil {
+			t.Fatalf("re-encoded %+v refused: %v", q, err)
+		}
+		if again != q {
+			t.Fatalf("re-encoding %+v decodes as %+v", q, again)
+		}
+	})
+}
+
+// FuzzDecodeFleetQuery: no payload panics DecodeFleetQuery, and an
+// accepted one re-encodes to bytes that decode to an equal FleetQuery.
+// The checked-in corpus (testdata/fuzz/FuzzDecodeFleetQuery) seeds class
+// and ID scopes with and without the trace-context suffix.
+func FuzzDecodeFleetQuery(f *testing.F) {
+	f.Fuzz(func(t *testing.T, p []byte) {
+		fq, err := DecodeFleetQuery(p)
+		if err != nil {
+			return
+		}
+		enc, err := fq.Encode()
+		if err != nil {
+			t.Fatalf("accepted %+v does not encode: %v", fq, err)
+		}
+		again, err := DecodeFleetQuery(enc)
+		if err != nil {
+			t.Fatalf("re-encoded %+v refused: %v", fq, err)
+		}
+		if !reflect.DeepEqual(again, fq) {
+			t.Fatalf("re-encoding %+v decodes as %+v", fq, again)
 		}
 	})
 }

@@ -688,13 +688,19 @@ func appendTraceContext(e *buf, traceID uint64, sampled bool) {
 }
 
 // readTraceContext consumes the optional trace-context suffix: present
-// when payload bytes remain past the fixed fields.
+// when payload bytes remain past the fixed fields. A suffix carrying trace
+// ID zero is malformed: zero means "no context", which appendTraceContext
+// encodes by omitting the suffix, so its flags could not survive a
+// re-encode.
 func readTraceContext(d *buf) (traceID uint64, sampled bool) {
 	if d.err != nil || d.pos >= len(d.b) {
 		return 0, false
 	}
 	traceID = d.rdU64()
 	flags := d.rdU8()
+	if d.err == nil && traceID == 0 {
+		d.err = fmt.Errorf("wire: trace context with zero trace ID")
+	}
 	return traceID, flags&1 != 0
 }
 
