@@ -67,6 +67,9 @@ func startServer(t *testing.T, scheme, dataDir string) (*server.Server, string) 
 		cfg.Journal.SnapshotFrames = -1 // snapshot only at close: identical final files
 	}
 	srv := server.New(cfg)
+	if _, err := srv.RecoverSessions(); err != nil {
+		t.Fatal(err)
+	}
 	addr, err := srv.Start(scheme + "://127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +182,7 @@ func TestExactlyOnceUnderFaults(t *testing.T) {
 		t.Run(scheme, func(t *testing.T) {
 			// Faulted run: device → proxy → server all speak this scheme.
 			faultDir := t.TempDir()
-			_, addr := startServer(t, scheme, faultDir)
+			srv, addr := startServer(t, scheme, faultDir)
 			p, err := chaos.New(addr, chaos.Config{
 				Listen:    scheme + "://127.0.0.1:0",
 				Seed:      42,
@@ -210,10 +213,10 @@ func TestExactlyOnceUnderFaults(t *testing.T) {
 			if r.Value != float64(len(frames)) {
 				t.Fatalf("count after faults = %v, want %d (lost or duplicated frames)", r.Value, len(frames))
 			}
-			// Recovery is judged over the stream, before Close (the scope
-			// the retired E19 runner measured): a Close whose ack is cut
-			// re-registers a fresh session and replays the whole ring,
-			// which is a full re-ingest, not a reconnect stall.
+			// Recovery latency is judged over the stream, before Close (the
+			// scope the retired E19 runner measured). A Close whose ack is cut
+			// resumes the closed session with nothing to replay; recovery
+			// after Close is checked below, across a restart.
 			t.Run("recovery", func(t *testing.T) { checkRecovery(t, rc) })
 			if _, err := rc.Close(); err != nil {
 				t.Fatalf("close: %v", err)
@@ -231,6 +234,15 @@ func TestExactlyOnceUnderFaults(t *testing.T) {
 			if !bytes.Equal(got.data, want.data) {
 				t.Fatalf("stores not bit-identical: %d vs %d bytes", len(got.data), len(want.data))
 			}
+
+			// Recovery after Close: a server restarted over the data dir
+			// resumes the closed session at its full watermark.
+			ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+			defer cancel()
+			if err := srv.Shutdown(ctx); err != nil {
+				t.Fatal(err)
+			}
+			checkResumesClosed(t, scheme, faultDir, "glove", len(frames))
 		})
 	}
 }
@@ -252,11 +264,11 @@ func checkRecovery(t *testing.T, rc *wire.ResilientClient) {
 	}
 }
 
-// checkOneDirPerName fails on a glove~N directory: a resume that raced its
+// checkOneDirPerName fails on a glove~N directory — a resume that raced its
 // own dying link must take that link's state over, never fork the name
-// into a second journal. A .staleN directory is only logged — a Close
-// whose ack was cut makes the client register fresh, which moves the
-// closed session's directory aside and re-ingests its replay ring.
+// into a second journal — and on a .staleN one: a Close whose ack was cut
+// must resume the closed session, never register fresh and move its
+// directory aside.
 func checkOneDirPerName(t *testing.T, dataDir string) {
 	t.Helper()
 	entries, err := os.ReadDir(dataDir)
@@ -268,8 +280,32 @@ func checkOneDirPerName(t *testing.T, dataDir string) {
 		case strings.Contains(name, "~"):
 			t.Errorf("session name forked: %s beside its first directory", name)
 		case strings.Contains(name, ".stale"):
-			t.Logf("closed session moved aside as %s (a cut CloseAck re-registered fresh)", name)
+			t.Errorf("closed session moved aside as %s (a retried Close registered fresh)", name)
 		}
+	}
+}
+
+// checkResumesClosed restarts a server over dataDir and requires the closed
+// session name to resume with CodeResumed at exactly n frames, all of them
+// in its store.
+func checkResumesClosed(t *testing.T, scheme, dataDir, name string, n int) {
+	t.Helper()
+	srv, addr := startServer(t, scheme, dataDir)
+	if got, _ := srv.RecoveredSessions(); got != 1 {
+		t.Fatalf("recovered %d sessions, want 1", got)
+	}
+	c, err := wire.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Abort()
+	w, err := c.Hello(hello(name))
+	if err != nil || w.Code != wire.CodeResumed || w.AckSeq != uint64(n) {
+		t.Fatalf("resume after restart: code=%v ack=%d err=%v, want resumed at %d", w.Code, w.AckSeq, err, n)
+	}
+	r, err := c.Query(wire.Query{Kind: wire.QueryCount, Channel: 0, T0: 0, T1: 30})
+	if err != nil || r.Value != float64(n) {
+		t.Fatalf("count after restart = %v (err %v), want %d", r.Value, err, n)
 	}
 }
 

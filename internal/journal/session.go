@@ -189,19 +189,25 @@ func (s *Session) Snapshot(ls *core.LiveStore) error {
 	return nil
 }
 
-// Close makes the session durable one final time and releases its files:
-// a final snapshot if frames arrived since the last one (falling back to a
-// WAL sync if the snapshot fails), then the WAL is closed.
-func (s *Session) Close(ls *core.LiveStore) error {
-	var err error
-	if ls != nil && s.processed.Load() > s.snapFrames.Load() {
-		if serr := s.Snapshot(ls); serr != nil {
-			err = serr
-			if ferr := s.wal.sync(); ferr != nil {
-				s.cfg.Logf("journal: session %s final sync failed: %v", s.key, ferr)
-			}
+// Checkpoint makes every processed frame durable and leaves the files open:
+// a snapshot if frames arrived since the last one, and a WAL sync if that
+// snapshot fails. It returns the snapshot's error.
+func (s *Session) Checkpoint(ls *core.LiveStore) error {
+	if ls == nil || s.processed.Load() <= s.snapFrames.Load() {
+		return nil
+	}
+	err := s.Snapshot(ls)
+	if err != nil {
+		if ferr := s.wal.sync(); ferr != nil {
+			s.cfg.Logf("journal: session %s wal sync after a failed snapshot: %v", s.key, ferr)
 		}
 	}
+	return err
+}
+
+// Close checkpoints the session one final time and releases its files.
+func (s *Session) Close(ls *core.LiveStore) error {
+	err := s.Checkpoint(ls)
 	if cerr := s.wal.close(); err == nil {
 		err = cerr
 	}

@@ -145,7 +145,7 @@ func newMetrics() *metrics {
 			"Replayed batches dropped or trimmed at the session's acknowledged watermark."),
 		heartbeats: reg.Counter("aims_heartbeats_total", "Heartbeat pings answered."),
 		sessionsDetached: reg.Gauge("aims_sessions_detached",
-			"Sessions parked in memory awaiting their device: link lost, or recovered from disk."),
+			"Sessions parked in memory awaiting their device: link lost, closed, or recovered from disk."),
 		resumesTotal: reg.Counter("aims_session_resumes_total",
 			"Sessions resumed by a reconnecting device (parked or journal-recovered)."),
 		queueDepth: reg.Gauge("aims_queue_depth", "Frames waiting in session ingest queues."),

@@ -11,10 +11,11 @@ import (
 // owner is one entry of the name table (Server.names), the one place that
 // decides who holds a session name and the one place a session adopts
 // state. A name is live while a session holds it — connected, or draining
-// after its reader exited — and parked once that session lost its link
-// without a Close, or once RecoverSessions rebuilt it from disk. Every entry
-// leaves the same way (retire): it stays in the table, not adoptable, until
-// its journal is durable, and a claim for the name waits meanwhile. Parking
+// after its reader exited — and parked once that session left, by a dropped
+// link, a Close or a shutdown, or once RecoverSessions rebuilt it from disk.
+// The retention timer, RetainSessions eviction and shutdown retire it, the
+// one way an entry leaves: it stays in the table, not adoptable, until its
+// journal is durable, and a claim for the name waits meanwhile. Parking
 // and adoption install a new entry, so a timer can tell whether the entry
 // it saw is still current. Anonymous sessions stay out of the table.
 type owner struct {
@@ -41,8 +42,8 @@ func (o *owner) parked() bool { return o.live == nil && !o.leaving }
 // name is claimed, and a parked one of the same shape adopted — sess
 // resumes on its store, journal handle and watermark. A live one of the
 // same shape is taken over, MQTT's client-ID rule: its link is closed
-// quietly, and once that session has drained and parked — or, after a
-// graceful Close, freed the name — the claim tries again; so does a claim
+// quietly, and once that session has drained and parked — a Close retried
+// after a lost CloseAck included — the claim tries again; so does a claim
 // that finds its name leaving. Another shape, or a wait outlasting
 // WriteTimeout (IdleTimeout without write deadlines), is refused with
 // CodeDuplicate; Shutdown ends the wait with CodeShuttingDown. A refused
@@ -109,25 +110,16 @@ func (s *Server) adopt(sess *session, p *owner) {
 }
 
 // leave takes a drained session out of the registry — before its name
-// moves on, so no fleet scans an adopted store twice — and ends its hold on
-// the name, reporting whether it parked. A named session whose link dropped
-// — no Close, no shutdown — parks. Any other keeps its entry until its
-// journal is durable (a final snapshot, or at least a WAL sync, covers every
-// stored frame), so a fresh claim finds the journal key free as well.
-func (s *Server) leave(sess *session) bool {
+// moves on, so no fleet scans an adopted store twice — and parks a named
+// one, whether its link dropped, it sent Close or the server shut down.
+func (s *Server) leave(sess *session) {
 	if s.sessions.remove(sess.id) {
 		s.metrics.sessionsActive.Add(-1)
 	}
-	if sess.held == nil {
-		return false // anonymous: memory-only, nothing outlives the link
-	}
-	if !sess.closeRequested && !s.isClosed() {
+	if sess.held != nil {
 		s.park(&owner{name: sess.name, channels: sess.store.Channels(), rate: sess.rate,
 			store: sess.store, jsess: sess.jsess, ackSeq: sess.ackSeq})
-		return true
 	}
-	s.retire(sess.held, sess.store, sess.jsess)
-	return false
 }
 
 // park installs p, parked, under its name for RetainTimeout, waking any
@@ -156,7 +148,7 @@ func (s *Server) park(p *owner) {
 	s.metrics.sessionsDetached.Add(1)
 	s.namesMu.Unlock()
 	for _, o := range evicted {
-		s.retire(o, o.store, o.jsess)
+		s.retire(o)
 	}
 }
 
@@ -179,17 +171,17 @@ func (s *Server) expire(p *owner) {
 	s.namesMu.Unlock()
 	if current {
 		s.cfg.Logf("parked session %q leaves unclaimed (ack=%d)", p.name, p.ackSeq)
-		s.retire(p, p.store, p.jsess)
+		s.retire(p)
 	}
 }
 
-// retire is how every entry leaves the table: once store's journal is
-// durable — a final snapshot covers its frames — o is deleted and its left
+// retire is how every entry leaves the table: once its journal is durable
+// — a final snapshot covers its store's frames — o is deleted and its left
 // channel closed. A recovered entry never resumed has no journal open, and
 // its directory stays on disk as it is.
-func (s *Server) retire(o *owner, store *core.LiveStore, jsess *journal.Session) {
-	if jsess != nil {
-		if err := jsess.Close(store); err != nil {
+func (s *Server) retire(o *owner) {
+	if o.jsess != nil {
+		if err := o.jsess.Close(o.store); err != nil {
 			s.cfg.Logf("session %q: durable close: %v", o.name, err)
 		}
 	}
@@ -202,8 +194,8 @@ func (s *Server) retire(o *owner, store *core.LiveStore, jsess *journal.Session)
 }
 
 // retireAll empties the name table once Shutdown has seen every handler
-// exit, so every entry left is parked or already leaving; it returns when
-// all of them are gone.
+// exit, so every entry left is parked or already leaving; their final
+// snapshots run in parallel, and it returns when all of them are gone.
 func (s *Server) retireAll() {
 	s.namesMu.Lock()
 	all := make([]*owner, 0, len(s.names))
@@ -212,11 +204,13 @@ func (s *Server) retireAll() {
 	}
 	s.namesMu.Unlock()
 	for _, o := range all {
-		s.expire(o)
+		go s.expire(o)
+	}
+	for _, o := range all {
 		<-o.left
 	}
 }
 
-// DetachedCount reports sessions parked awaiting reconnection: those whose
-// link dropped, and those recovered from disk and not yet resumed.
+// DetachedCount reports sessions parked awaiting their device: those that
+// left, by a dropped link or a Close, and those recovered from disk.
 func (s *Server) DetachedCount() int { return int(s.metrics.sessionsDetached.Value()) }

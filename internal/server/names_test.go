@@ -1,14 +1,18 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"net"
 	"os"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"aims/internal/journal"
+	"aims/internal/transport"
 	"aims/internal/wire"
 )
 
@@ -310,5 +314,131 @@ func TestExpiredSessionLeavesBeforeItsNameMovesOn(t *testing.T) {
 	}
 	if dirs := sessionDirs(t, cfg.Journal.Dir); len(dirs) != 2 || dirs[0] != "X" || dirs[1] != "X.stale1" {
 		t.Fatalf("session directories %v, want [X X.stale1]", dirs)
+	}
+}
+
+// TestRetriedCloseResumesClosedSession: a device sends Close and loses the
+// link before it reads the CloseAck. The closed session parks like a
+// dropped one, so the device's retry resumes it at the full watermark — it
+// does not register fresh and move the closed directory aside — and the
+// retried Close accounts for every frame of the session.
+func TestRetriedCloseResumesClosedSession(t *testing.T) {
+	cfg := durableConfig(t.TempDir())
+	srv, addr := startServer(t, cfg)
+	rs := dialRaw(t, addr, "X", 2)
+	rs.writeBatch(0, 20, 2)
+	rs.flush()
+	rs.expectAck(0, wire.CodeOK)
+	rs.write(wire.MsgClose, nil)
+	rs.flush()
+	rs.conn.Close() // the CloseAck is never read
+	if !waitFor(func() bool { return srv.SessionCount() == 0 }) {
+		t.Fatal("the closed session never left")
+	}
+
+	c := mustHello(t, addr, namedHello("X", 2), wire.CodeResumed, 20)
+	if q, err := c.Query(wire.Query{Kind: wire.QueryCount, T0: 0, T1: 1e6}); err != nil || q.Value != 20 {
+		t.Fatalf("count = %v err=%v, want 20", q.Value, err)
+	}
+	if ack, err := c.Close(); err != nil || ack.Stored != 20 {
+		t.Fatalf("retried close ack %+v err=%v, want stored 20", ack, err)
+	}
+	if dirs := sessionDirs(t, cfg.Journal.Dir); len(dirs) != 1 || dirs[0] != "X" {
+		t.Fatalf("session directories %v, want [X]", dirs)
+	}
+}
+
+// closeAckCutter dials TCP and cuts the first link that carries a Close as
+// soon as the Close is written, so the device never reads that CloseAck.
+type closeAckCutter struct{ cut atomic.Bool }
+
+func (d *closeAckCutter) DialContext(ctx context.Context, addr string) (net.Conn, error) {
+	conn, err := transport.Net.DialContext(ctx, addr)
+	if err != nil {
+		return nil, err
+	}
+	return &cutAfterClose{Conn: conn, d: d}, nil
+}
+
+type cutAfterClose struct {
+	net.Conn
+	d *closeAckCutter
+}
+
+func (c *cutAfterClose) Write(p []byte) (int, error) {
+	var closeMsg bytes.Buffer
+	wire.WriteMessage(&closeMsg, wire.MsgClose, nil)
+	n, err := c.Conn.Write(p)
+	if err == nil && bytes.HasSuffix(p, closeMsg.Bytes()) && c.d.cut.CompareAndSwap(false, true) {
+		c.Conn.Close()
+	}
+	return n, err
+}
+
+// TestResilientCloseSurvivesLostCloseAck: a ResilientClient whose stream
+// outgrew its replay ring loses its first CloseAck. Its retry resumes the
+// closed session with nothing to replay and closes again, and the session
+// keeps every frame under its one directory.
+func TestResilientCloseSurvivesLostCloseAck(t *testing.T) {
+	cfg := durableConfig(t.TempDir())
+	_, addr := startServer(t, cfg)
+	cutter := &closeAckCutter{}
+	rc, _, err := wire.DialResilient(wire.ResilientConfig{
+		Addr:         addr,
+		Dialer:       cutter,
+		Timeout:      2 * time.Second,
+		BaseBackoff:  5 * time.Millisecond,
+		MaxBackoff:   50 * time.Millisecond,
+		ReplayFrames: 64,
+		Seed:         1,
+	}, namedHello("X", 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := clientFrames(0, 1000, 2)
+	for at := 0; at < len(frames); at += 100 {
+		if err := rc.SendBatch(frames[at : at+100]); err != nil {
+			t.Fatalf("send at %d: %v", at, err)
+		}
+	}
+	ack, err := rc.Close()
+	if err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if !cutter.cut.Load() || rc.Reconnects() != 1 || ack.Stored != 1000 {
+		t.Fatalf("cut=%v reconnects=%d ack %+v, want one cut CloseAck, one reconnect, stored 1000",
+			cutter.cut.Load(), rc.Reconnects(), ack)
+	}
+
+	c := mustHello(t, addr, namedHello("X", 2), wire.CodeResumed, 1000)
+	if q, err := c.Query(wire.Query{Kind: wire.QueryCount, T0: 0, T1: 1e6}); err != nil || q.Value != 1000 {
+		t.Fatalf("count = %v err=%v, want 1000", q.Value, err)
+	}
+	if dirs := sessionDirs(t, cfg.Journal.Dir); len(dirs) != 1 || dirs[0] != "X" {
+		t.Fatalf("session directories %v, want [X]", dirs)
+	}
+}
+
+// TestCloseAckCountsFramesBeforeResume: a session that resumed after a
+// dropped link reports in its CloseAck every frame its store holds, not
+// only those the last link carried. Its FlushAck still counts this link's.
+func TestCloseAckCountsFramesBeforeResume(t *testing.T) {
+	srv, addr := startServer(t, Config{Store: testStoreCfg()})
+	rs := dialRaw(t, addr, "X", 2)
+	rs.writeBatch(0, 20, 2)
+	rs.flush()
+	rs.expectAck(0, wire.CodeOK)
+	rs.conn.Close()
+	waitDetached(t, srv, 1)
+
+	c := mustHello(t, addr, namedHello("X", 2), wire.CodeResumed, 20)
+	if err := c.SendBatch(clientFrames(0, 30, 2)[20:]); err != nil {
+		t.Fatal(err)
+	}
+	if stored, err := c.Flush(); err != nil || stored != 10 {
+		t.Fatalf("flush stored=%d err=%v, want this link's 10", stored, err)
+	}
+	if ack, err := c.Close(); err != nil || ack.Stored != 30 {
+		t.Fatalf("close ack %+v err=%v, want stored 30", ack, err)
 	}
 }

@@ -25,8 +25,8 @@
 // behind them is released only after all of them are journaled, synced
 // per policy and stored; the journal record precedes the store append;
 // and on disconnect the reader closes
-// the queue and waits for the appender to drain it before the session is
-// parked or durably closed. The queue is bounded in frames — those
+// the queue and waits for the appender to drain it before the session
+// leaves. The queue is bounded in frames — those
 // waiting and those the appender holds but has not yet stored — with a
 // selectable backpressure policy — block the device (lossless) or shed
 // whole batches with an explicit wire error. Around that sit idle-session
@@ -34,11 +34,11 @@
 // metrics block.
 //
 // One table owns every session name (names.go), and is the one place a
-// session adopts state: a parked session whose link dropped, or one
-// RecoverSessions rebuilt from the journal. A Hello for a held name takes
-// that session over when its shape matches, and is refused with a
-// CodeDuplicate Welcome when it does not. Only named sessions are
-// journaled; anonymous ones are memory-only.
+// session adopts state: a named session parks there whether its link
+// dropped or it sent Close, and so does one RecoverSessions rebuilt from
+// the journal. A Hello for a held name takes that session over when its
+// shape matches, and is refused with a CodeDuplicate Welcome when it does
+// not. Only named sessions are journaled; anonymous ones are memory-only.
 package server
 
 import (
@@ -100,11 +100,11 @@ type Config struct {
 	// disables). Without it a device that stops reading wedges the
 	// session's responder in the kernel send buffer forever.
 	WriteTimeout time.Duration
-	// RetainTimeout parks the state of a named session whose link dropped
-	// ungracefully, or that RecoverSessions rebuilt from disk, so the device
-	// can reconnect and resume exactly where it left off — store, journal
-	// and acknowledged watermark all survive in memory. ≤ 0 means the
-	// default, 60 s.
+	// RetainTimeout parks the state of a named session that left — by a
+	// dropped link or a Close — or that RecoverSessions rebuilt from disk,
+	// so the device can resume exactly where it left off: store, open
+	// journal and acknowledged watermark all survive in memory. ≤ 0 means
+	// the default, 60 s.
 	RetainTimeout time.Duration
 	// RetainSessions caps how many sessions may sit parked at once (default
 	// 1024); beyond it the longest-parked one is finalized.

@@ -293,8 +293,8 @@ func (s *Server) handleConn(conn net.Conn) {
 		s.metrics.resumesTotal.Inc()
 	}
 	if sess.write(wire.MsgWelcome, w.Encode()) != nil || sess.flush() != nil {
-		// The link died under the Welcome itself; a named session parks so
-		// the device's retry still finds its state.
+		// The link died under the Welcome itself; the device's retry still
+		// finds a named session's state parked.
 		s.leave(sess)
 		return
 	}
@@ -310,24 +310,22 @@ func (s *Server) handleConn(conn net.Conn) {
 	sess.readLoop()
 
 	// Drain: no more enqueues; the appender stores everything still queued
-	// before the session is parked or durably closed.
+	// before the session leaves.
 	sess.q.close()
 	<-appended
 
-	if s.leave(sess) {
-		// Ungraceful disconnect of a named session: its state is parked
-		// (store, journal handle, acknowledged watermark) so a reconnect
-		// resumes in place instead of starting over.
-		s.cfg.Logf("session %d: link lost, parked %q for resume (stored=%d ack=%d)",
-			sess.id, sess.name, sess.stored.Load(), sess.ackSeq)
-		return
+	// A Close is acknowledged once the journal is durable and the session
+	// parked, so a device that never reads the CloseAck resumes it in place.
+	if sess.closeRequested && sess.jsess != nil {
+		sess.jsess.Checkpoint(sess.store) // a failure is logged, and the WAL synced
 	}
-
+	s.leave(sess)
 	if sess.closeRequested {
-		ack := wire.CloseAck{Stored: sess.stored.Load() - sess.badAppend.Load(), Shed: sess.shedF.Load()}
+		ack := wire.CloseAck{Stored: uint64(sess.store.Frames()), Shed: sess.shedF.Load()}
 		sess.reply(wire.MsgCloseAck, ack.Encode())
 	}
-	s.cfg.Logf("session %d: closed (stored=%d shed=%d)", sess.id, sess.stored.Load(), sess.shedF.Load())
+	s.cfg.Logf("session %d: left (name=%q close=%v stored=%d shed=%d ack=%d)",
+		sess.id, sess.name, sess.closeRequested, sess.stored.Load(), sess.shedF.Load(), sess.ackSeq)
 }
 
 // write frames one message onto the session's buffered writer and
@@ -399,7 +397,7 @@ func (sess *session) handshake() bool {
 	store, err := core.NewLiveStore(h.Mins, h.Maxs, cfg)
 	if err != nil {
 		if sess.held != nil {
-			srv.retire(sess.held, nil, nil)
+			srv.retire(sess.held)
 		}
 		sess.sendError(wire.CodeBadMessage, err.Error())
 		return false

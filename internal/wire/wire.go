@@ -788,8 +788,8 @@ func DecodeResult(p []byte) (Result, error) {
 
 // CloseAck is the final accounting of a drained session.
 type CloseAck struct {
-	Stored uint64 // frames persisted into the live store
-	Shed   uint64 // frames lost to the shed backpressure policy
+	Stored uint64 // frames in the session's live store, across every link it resumed over
+	Shed   uint64 // frames this link lost to the shed backpressure policy
 }
 
 // Encode serialises the CloseAck payload.
@@ -807,7 +807,8 @@ func DecodeCloseAck(p []byte) (CloseAck, error) {
 	return c, d.done()
 }
 
-// FlushAck answers a Flush barrier with the frames stored so far.
+// FlushAck answers a Flush barrier with the frames this link stored so far
+// (CloseAck.Stored also counts those stored before a resume).
 type FlushAck struct {
 	Stored uint64
 }
