@@ -83,12 +83,8 @@ func TestKill9RecoverAnswersIdentically(t *testing.T) {
 		inflight = 500  // streamed after the flush, unacked at the kill
 	)
 
-	tmp := t.TempDir()
-	bin := filepath.Join(tmp, "aims-server")
-	if out, err := exec.Command("go", "build", "-o", bin, "aims/cmd/aims-server").CombinedOutput(); err != nil {
-		t.Fatalf("building server: %v\n%s", err, out)
-	}
-	dataDir := filepath.Join(tmp, "data")
+	bin := buildServer(t)
+	dataDir := filepath.Join(t.TempDir(), "data")
 	serverArgs := []string{
 		"-listen", "tcp://127.0.0.1:0", "-data-dir", dataDir, "-fsync", "batch",
 		"-snapshot-frames", "1000", "-buckets", "64", "-bins", "32", "-metrics", "0",

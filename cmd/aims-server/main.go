@@ -16,6 +16,10 @@
 // threshold with -slow-query) and /debug/pprof. Stop the server with
 // SIGINT/SIGTERM; shutdown drains every session's in-flight batches
 // before exiting.
+//
+// Every tuning flag's -help shows its real default. -heartbeat,
+// -write-timeout, -trace-sample, -slow-query and -plan-cache have no
+// "off" value: a negative one exits with status 2.
 package main
 
 import (
@@ -33,6 +37,8 @@ import (
 
 	"aims/internal/core"
 	"aims/internal/journal"
+	"aims/internal/obs"
+	"aims/internal/propolyne"
 	"aims/internal/server"
 )
 
@@ -41,8 +47,8 @@ func main() {
 		listen  = flag.String("listen", "tcp://:7009", "comma-separated listen endpoints, e.g. tcp://:7009,ws://:7010 — serve TCP and WebSocket devices side by side")
 		queue   = flag.Int("queue", 8192, "per-session ingest queue depth (frames)")
 		idle    = flag.Duration("idle", 30*time.Second, "idle-session eviction timeout")
-		hbeat   = flag.Duration("heartbeat", 0, "expected device heartbeat interval; pinging sessions are evicted after ~2.5 missed beats (0 = default 5s, negative disables)")
-		wtmo    = flag.Duration("write-timeout", 0, "per-message socket write deadline (0 = default 10s, negative disables)")
+		hbeat   = flag.Duration("heartbeat", 5*time.Second, "expected device heartbeat interval; pinging sessions are evicted after ~2.5 missed beats")
+		wtmo    = flag.Duration("write-timeout", 10*time.Second, "per-message socket write deadline")
 		retain  = flag.Duration("retain", 0, "how long a named session is parked awaiting its device after it left (dropped link or Close) or a restart recovered it (≤ 0 = default 60s)")
 		policy  = flag.String("policy", "block", "backpressure policy: block|shed")
 		buckets = flag.Int("buckets", 256, "live-store time buckets (power of two)")
@@ -51,12 +57,12 @@ func main() {
 		drain   = flag.Duration("drain", 10*time.Second, "graceful shutdown drain timeout")
 		quiet   = flag.Bool("quiet", false, "suppress per-session logs")
 		admin   = flag.String("admin", "", "admin plane listen address, e.g. :6060 (empty disables)")
-		tsample = flag.Int("trace-sample", 0, "trace one in N batches/queries (0 = default 256, negative disables)")
-		slowQ   = flag.Duration("slow-query", 0, "slow-query log threshold (0 = default 100ms, negative disables)")
+		tsample = flag.Int("trace-sample", obs.DefaultTraceSample, "trace one in N batches/queries")
+		slowQ   = flag.Duration("slow-query", obs.DefaultSlowQuery, "slow-query log threshold: any batch or query at least this slow is traced into /slowlog")
 
 		fleetWorkers = flag.Int("fleet-workers", 16, "fleet query scatter pool width")
 		fleetTimeout = flag.Duration("fleet-timeout", 5*time.Second, "default fleet query deadline")
-		planCache    = flag.Int("plan-cache", 0, "compiled query-plan cache budget in entry units (0 = default ~1M, negative disables)")
+		planCache    = flag.Int("plan-cache", propolyne.DefaultPlanCacheCost, "compiled query-plan cache budget in entry units")
 
 		dataDir    = flag.String("data-dir", "", "durability directory: per-session WAL + snapshots (empty: memory-only)")
 		fsync      = flag.String("fsync", "batch", "WAL fsync policy: batch|interval|off")
@@ -66,6 +72,12 @@ func main() {
 		durability = flag.String("durability", "block", "on journal write failure: block|shed")
 	)
 	flag.Parse()
+	// Each setting has one spelling: no negative "off" value.
+	for _, name := range []string{"heartbeat", "write-timeout", "trace-sample", "slow-query", "plan-cache"} {
+		if v := flag.Lookup(name).Value.String(); strings.HasPrefix(v, "-") {
+			exitOn(fmt.Errorf("-%s %s: must not be negative", name, v), 2)
+		}
+	}
 
 	pol, err := server.ParsePolicy(*policy)
 	exitOn(err, 2)

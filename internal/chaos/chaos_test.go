@@ -58,7 +58,6 @@ func startServer(t *testing.T, scheme, dataDir string) (*server.Server, string) 
 		Heartbeat:     200 * time.Millisecond,
 		WriteTimeout:  2 * time.Second,
 		RetainTimeout: 30 * time.Second,
-		TraceSample:   -1,
 		Policy:        server.PolicyBlock,
 	}
 	if dataDir != "" {

@@ -206,7 +206,7 @@ func TestRegistryConcurrency(t *testing.T) {
 }
 
 func TestTracerSamplingAndRing(t *testing.T) {
-	tr := NewTracer(4, 8)
+	tr := NewTracer(4, 8, 0, nil)
 	sampled := 0
 	for i := 0; i < 64; i++ {
 		if x := tr.Begin("ingest", 0, false, time.Now()); x != nil {
@@ -235,25 +235,25 @@ func TestTracerSamplingAndRing(t *testing.T) {
 	}
 }
 
-func TestNilTracerIsNoop(t *testing.T) {
-	var tr *Tracer
-	if tr.Begin("q", 0, false, time.Now()) != nil {
-		t.Fatal("nil tracer sampled")
-	}
-	if tr.SampleEvery() != 0 {
-		t.Fatal("nil tracer has a sample period")
-	}
-	if tr.Slowest(10) != nil {
-		t.Fatal("nil tracer returned traces")
-	}
+// TestNilTraceIsNoop pins the untraced path: an entry that neither Begin
+// nor Late kept runs with a nil *Trace, and every method on it is a no-op.
+func TestNilTraceIsNoop(t *testing.T) {
 	var x *Trace
-	x.Span("a", time.Now(), time.Now()) // must not panic
-	x.Annotate("b")
+	if x.TraceID() != 0 || x.Sampled() {
+		t.Fatal("nil trace has an identity")
+	}
+	if x.StartSpan(0, "a") != 0 || x.AddSpan(0, "b", time.Now(), time.Now()) != 0 {
+		t.Fatal("nil trace handed out a span ID")
+	}
+	x.EndSpan(1) // must not panic
+	x.Span("c", time.Now(), time.Now())
+	x.Annotate("d")
+	x.SetAttr("e", "f")
 	x.Finish()
 }
 
 func TestTracerEveryOneSamplesAll(t *testing.T) {
-	tr := NewTracer(1, 4)
+	tr := NewTracer(1, 4, 0, nil)
 	for i := 0; i < 5; i++ {
 		x := tr.Begin("q", 0, false, time.Now())
 		if x == nil {

@@ -10,7 +10,7 @@ import (
 )
 
 func TestTraceSpanTree(t *testing.T) {
-	tr := NewTracer(1, 4)
+	tr := NewTracer(1, 4, 0, nil)
 	x := tr.Begin("fleet-query", 0, false, time.Now())
 	if x == nil {
 		t.Fatal("1/1 Begin returned nil")
@@ -60,7 +60,7 @@ func TestTraceSpanTree(t *testing.T) {
 }
 
 func TestTraceSealedAfterFinish(t *testing.T) {
-	tr := NewTracer(1, 4)
+	tr := NewTracer(1, 4, 0, nil)
 	x := tr.Begin("query", 0, false, time.Now())
 	x.Span("decode", time.Now(), time.Now())
 	open := x.StartSpan(0, "evaluate")
@@ -95,23 +95,27 @@ func TestTraceSealedAfterFinish(t *testing.T) {
 	}
 }
 
-func TestBeginSlowThresholdForcesRetention(t *testing.T) {
-	tr := NewTracer(1<<30, 8)                // sampler fires once, then never again
-	tr.Begin("warmup", 0, false, time.Now()) // burn the period's one sampled tick
-	tr.SetSlowThreshold(time.Microsecond)
+func TestLateSlowThresholdForcesRetention(t *testing.T) {
 	var slowKinds []string
-	tr.SetOnSlow(func(kind string) { slowKinds = append(slowKinds, kind) })
+	tr := NewTracer(1<<30, 8, time.Millisecond, func(kind string) { slowKinds = append(slowKinds, kind) })
+	tr.Begin("warmup", 0, false, time.Now()) // burn the period's one sampled tick
 
+	// Unsampled and fast: no trace, so nothing to retain.
+	now := time.Now()
+	if x := tr.Late("query", 0, now.Add(-time.Microsecond), now); x != nil {
+		t.Fatal("Late returned a trace below the slow threshold")
+	}
 	// Unsampled but slow: must land in the slow ring with 100% probability.
-	x := tr.Begin("query", 0, false, time.Now().Add(-time.Millisecond))
+	start := time.Now().Add(-2 * time.Millisecond)
+	x := tr.Late("query", 0, start, time.Now())
 	if x == nil {
-		t.Fatal("Begin returned nil with the slow ring armed")
+		t.Fatal("Late returned nil above the slow threshold")
 	}
 	if x.Sampled() {
-		t.Fatal("entry unexpectedly sampled at 1/2^30")
+		t.Fatal("a late trace is sampled")
 	}
 	x.SetAttr("session", "7")
-	x.Span("evaluate", time.Now().Add(-time.Millisecond), time.Now())
+	x.Span("evaluate", start, time.Now())
 	x.Finish()
 
 	if n := tr.SlowCount(); n != 1 {
@@ -128,7 +132,7 @@ func TestBeginSlowThresholdForcesRetention(t *testing.T) {
 	if r.Kind != "query" || r.Attrs["session"] != "7" || r.StageNS["evaluate"] <= 0 {
 		t.Fatalf("slow record = %+v", r)
 	}
-	if r.TotalNS < time.Microsecond.Nanoseconds() {
+	if r.TotalNS < time.Millisecond.Nanoseconds() {
 		t.Fatalf("slow record total %d below threshold", r.TotalNS)
 	}
 	// Unsampled traces stay off /tracez...
@@ -139,14 +143,19 @@ func TestBeginSlowThresholdForcesRetention(t *testing.T) {
 	if _, ok := tr.FindByID(x.TraceID()); !ok {
 		t.Fatal("slow trace not findable by ID")
 	}
+	// A wire-propagated ID names the late trace too.
+	if y := tr.Late("query", 0xfeed, start, time.Now()); y.TraceID() != 0xfeed {
+		t.Fatalf("late trace ID = %x, want feed", y.TraceID())
+	}
 }
 
 func TestBeginFastPathAndForceSample(t *testing.T) {
-	tr := NewTracer(1<<30, 8)
+	tr := NewTracer(1<<30, 8, 0, nil)
 	tr.Begin("warmup", 0, false, time.Now()) // burn the period's one sampled tick
-	// Slow ring disarmed + unsampled: Begin must return nil (no alloc).
-	if x := tr.Begin("ingest", 0, false, time.Now()); x != nil {
-		t.Fatal("unsampled Begin with slow ring disarmed returned a trace")
+	// Unsampled: Begin must return nil (no alloc), whatever the entry's
+	// start — slowness is Late's business.
+	if x := tr.Begin("ingest", 0, false, time.Now().Add(-time.Hour)); x != nil {
+		t.Fatal("unsampled Begin returned a trace")
 	}
 	// forceSample (wire -trace) overrides the sampler and keeps the ID.
 	x := tr.Begin("query", 0xabcdef, true, time.Now())
@@ -164,17 +173,20 @@ func TestBeginFastPathAndForceSample(t *testing.T) {
 }
 
 // TestTraceUnsampledPathZeroAllocs pins the tracer's cost in allocations,
-// which are deterministic, where the retired E14 timing floor was not: the
-// unsampled path every batch takes allocates nothing.
+// which are deterministic, where the retired E14 timing floor was not: on
+// the server's own configuration — the slow log armed at its default — an
+// entry the sampler passes over and that finishes below the threshold
+// allocates nothing, neither at Begin nor at Late.
 func TestTraceUnsampledPathZeroAllocs(t *testing.T) {
 	now := time.Now()
-	unsampled := NewTracer(1<<30, 8)
-	unsampled.Begin("warmup", 0, false, now) // burn the period's one sampled tick
-	if n := testing.AllocsPerRun(1000, func() { unsampled.TickSample(false) }); n != 0 {
-		t.Errorf("TickSample(false) = %v allocs, want 0", n)
+	tr := NewTracer(1<<30, 8, DefaultSlowQuery, func(string) {})
+	tr.Begin("warmup", 0, false, now) // burn the period's one sampled tick
+	if n := testing.AllocsPerRun(1000, func() { tr.Begin("ingest", 0, false, now) }); n != 0 {
+		t.Errorf("unsampled Begin = %v allocs, want 0", n)
 	}
-	if n := testing.AllocsPerRun(1000, func() { unsampled.Begin("ingest", 0, false, now) }); n != 0 {
-		t.Errorf("unsampled Begin with slow ring disarmed = %v allocs, want 0", n)
+	fast := now.Add(DefaultSlowQuery - time.Nanosecond)
+	if n := testing.AllocsPerRun(1000, func() { tr.Late("ingest", 0, now, fast) }); n != 0 {
+		t.Errorf("below-threshold Late = %v allocs, want 0", n)
 	}
 }
 
@@ -184,7 +196,7 @@ func TestTraceUnsampledPathZeroAllocs(t *testing.T) {
 // overwrites a slot).
 func TestTraceStampedOneAlloc(t *testing.T) {
 	now := time.Now()
-	every := NewTracer(1, 4)
+	every := NewTracer(1, 4, 0, nil)
 	spans := [8]string{"decode", "queue-wait", "plan", "seal", "dot", "merge", "encode", "write"}
 	attrs := [6]string{"session", "class", "kind", "plan", "bytes", "frames"}
 	stamped := func() {
@@ -206,12 +218,10 @@ func TestTraceStampedOneAlloc(t *testing.T) {
 }
 
 func TestSlowRingBounded(t *testing.T) {
-	tr := NewTracer(1<<30, 8)
+	tr := NewTracer(1<<30, 8, time.Nanosecond, nil)
 	tr.Begin("warmup", 0, false, time.Now())
-	tr.SetSlowThreshold(time.Nanosecond)
 	for i := 0; i < 3*DefaultSlowBuffer; i++ {
-		x := tr.Begin("query", 0, false, time.Now().Add(-time.Millisecond))
-		x.Finish()
+		tr.Late("query", 0, time.Now().Add(-time.Millisecond), time.Now()).Finish()
 	}
 	if n := tr.SlowCount(); n != DefaultSlowBuffer {
 		t.Fatalf("slow ring holds %d, want capacity %d", n, DefaultSlowBuffer)
@@ -225,8 +235,7 @@ func TestSlowRingBounded(t *testing.T) {
 // tracing satellite: many goroutines attach child spans to one trace while
 // readers snapshot both rings, and stragglers keep stamping after Finish.
 func TestTraceConcurrentChildren(t *testing.T) {
-	tr := NewTracer(1, 64)
-	tr.SetSlowThreshold(time.Nanosecond)
+	tr := NewTracer(1, 64, time.Nanosecond, nil)
 	x := tr.Begin("fleet-query", 0, false, time.Now())
 	root := x.StartSpan(0, "evaluate")
 

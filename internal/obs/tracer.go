@@ -16,12 +16,12 @@ const DefaultTraceSample = 256
 const DefaultTraceBuffer = 128
 
 // DefaultSlowBuffer is the slow-trace ring capacity: traces exceeding the
-// slow threshold are force-retained here regardless of sampling.
+// slow threshold are retained here regardless of sampling.
 const DefaultSlowBuffer = 64
 
 // DefaultSlowQuery is the default slow-trace threshold (the server's
-// -slow-query flag): any trace whose total wall time meets it is retained
-// with 100% probability, independent of the 1/N sampler.
+// -slow-query flag): any entry whose wall time meets it is retained with
+// 100% probability, independent of the 1/N sampler.
 const DefaultSlowQuery = 100 * time.Millisecond
 
 // SpanID identifies one span within a trace; 0 is the trace root (a span
@@ -30,20 +30,19 @@ type SpanID int32
 
 // Tracer records pipeline traces into two bounded rings: a sampled ring
 // (one in every N entries, plus any wire-force-sampled request) and a slow
-// ring holding every trace that exceeded the slow threshold. A nil *Tracer
-// is the compiled-out no-op: Begin/BeginAt return nil and every *Trace
-// method is nil-safe, so instrumented code needs no branches beyond the
-// ones it already has.
+// ring holding every trace that reached the slow threshold. A trace exists
+// only if it will be kept, and there are two ways to get one: Begin, before
+// the work, for an entry the sampler picks or the wire forces; and Late,
+// after the work, for an entry that turned out slow. Everything else runs
+// untraced — a nil *Trace, whose methods are all no-ops — and allocates
+// nothing.
 type Tracer struct {
-	every uint64
-	tick  atomic.Uint64
-	seq   atomic.Uint64
-	seed  uint64
-
-	// slowNS is the slow-trace threshold in nanoseconds; <= 0 disables the
-	// slow ring. onSlow fires once per retained slow trace (metric hook).
-	slowNS atomic.Int64
-	onSlow atomic.Pointer[func(kind string)]
+	every  uint64
+	tick   atomic.Uint64
+	seq    atomic.Uint64
+	seed   uint64
+	slow   time.Duration     // the slow threshold
+	onSlow func(kind string) // fired once per retained slow trace; may be nil
 
 	mu   sync.Mutex
 	ring []*Trace // completed sampled traces, overwritten oldest-first
@@ -56,80 +55,43 @@ type Tracer struct {
 
 // NewTracer creates a tracer sampling one in sampleEvery pipeline entries
 // (<= 0 uses DefaultTraceSample) into a ring of bufferSize completed
-// traces (<= 0 uses DefaultTraceBuffer). The slow ring starts disabled;
-// arm it with SetSlowThreshold.
-func NewTracer(sampleEvery, bufferSize int) *Tracer {
+// traces (<= 0 uses DefaultTraceBuffer), and retaining every trace that
+// reaches slow (<= 0 uses DefaultSlowQuery) in the slow ring, calling
+// onSlow (if non-nil) once for each.
+func NewTracer(sampleEvery, bufferSize int, slow time.Duration, onSlow func(kind string)) *Tracer {
 	if sampleEvery <= 0 {
 		sampleEvery = DefaultTraceSample
 	}
 	if bufferSize <= 0 {
 		bufferSize = DefaultTraceBuffer
 	}
+	if slow <= 0 {
+		slow = DefaultSlowQuery
+	}
 	return &Tracer{
 		every:    uint64(sampleEvery),
 		seed:     uint64(time.Now().UnixNano()),
+		slow:     slow,
+		onSlow:   onSlow,
 		ring:     make([]*Trace, 0, bufferSize),
 		slowRing: make([]*Trace, 0, DefaultSlowBuffer),
 	}
 }
 
-// SampleEvery returns the sampling period (0 for a nil tracer).
-func (t *Tracer) SampleEvery() int {
-	if t == nil {
-		return 0
-	}
-	return int(t.every)
-}
+// SampleEvery returns the sampling period.
+func (t *Tracer) SampleEvery() int { return int(t.every) }
 
-// Capacity returns the sampled ring's capacity (0 for a nil tracer); the
-// admin plane clamps /tracez?n= to it. The capacity is fixed at
-// construction, but the slice header itself moves under Finish's appends,
-// so the read takes the ring lock.
+// SlowThreshold returns the slow-trace threshold.
+func (t *Tracer) SlowThreshold() time.Duration { return t.slow }
+
+// Capacity returns the sampled ring's capacity; the admin plane clamps
+// /tracez?n= to it. The capacity is fixed at construction, but the slice
+// header itself moves under Finish's appends, so the read takes the ring
+// lock.
 func (t *Tracer) Capacity() int {
-	if t == nil {
-		return 0
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return cap(t.ring)
-}
-
-// SetSlowThreshold arms (or, with d <= 0, disarms) the slow ring: any
-// trace whose total duration reaches d is retained there at Finish,
-// regardless of sampling.
-func (t *Tracer) SetSlowThreshold(d time.Duration) {
-	if t == nil {
-		return
-	}
-	t.slowNS.Store(d.Nanoseconds())
-}
-
-// SlowThreshold returns the current slow-trace threshold (0 when the slow
-// ring is disarmed or the tracer is nil).
-func (t *Tracer) SlowThreshold() time.Duration {
-	if t == nil {
-		return 0
-	}
-	ns := t.slowNS.Load()
-	if ns <= 0 {
-		return 0
-	}
-	return time.Duration(ns)
-}
-
-// SetOnSlow installs the slow-trace hook, fired once per trace retained
-// into the slow ring (the server counts these per kind).
-func (t *Tracer) SetOnSlow(fn func(kind string)) {
-	if t == nil {
-		return
-	}
-	t.onSlow.Store(&fn)
-}
-
-// tickSample advances the 1/N sampler and reports whether this entry is
-// the sampled one of the current period.
-func (t *Tracer) tickSample() bool {
-	return t.every <= 1 || t.tick.Add(1)%t.every == 1
 }
 
 // genID derives a process-unique, well-mixed trace ID (splitmix64 over a
@@ -147,61 +109,28 @@ func (t *Tracer) genID() uint64 {
 	return x
 }
 
-// Begin starts a trace for one pipeline entry, honouring wire-propagated
-// trace context: traceID (0 = generate one) and forceSample (the client's
-// -trace flag) mark the trace for the sampled ring regardless of the 1/N
-// sampler. Begin also returns a live trace for *unsampled* entries
-// whenever the slow ring is armed, so a slow outlier is captured
-// with 100% probability; when neither sampling nor the slow threshold
-// wants the entry, it returns nil and the hot path stays allocation-free.
+// Begin starts a live trace for one pipeline entry when the 1/N sampler
+// picks it or forceSample (the client's -trace flag, carried on the wire)
+// demands it, and returns nil otherwise — with no allocation. traceID is
+// the wire-propagated identity (0 = generate one). A Begin trace is
+// published to the sampled ring, and to the slow ring too if it was slow.
 func (t *Tracer) Begin(kind string, traceID uint64, forceSample bool, start time.Time) *Trace {
-	if t == nil {
+	if picked := t.every <= 1 || t.tick.Add(1)%t.every == 1; !picked && !forceSample {
 		return nil
 	}
-	sampled := t.tickSample() || forceSample
-	if !sampled && t.slowNS.Load() <= 0 {
+	return t.newTrace(kind, traceID, true, start)
+}
+
+// Late is the after-the-fact way in, for an entry Begin passed over: it
+// returns an unsampled trace starting at start when end−start reached the
+// slow threshold, and nil — with no allocation — when it did not. The
+// caller stamps the stages it timed itself; Finish publishes the trace to
+// the slow ring only.
+func (t *Tracer) Late(kind string, traceID uint64, start, end time.Time) *Trace {
+	if end.Sub(start) < t.slow {
 		return nil
 	}
-	if traceID == 0 {
-		traceID = t.genID()
-	}
-	return newTrace(t, traceID, kind, sampled, start)
-}
-
-// TickSample advances the 1/N sampler and reports whether this entry
-// should trace live: the sampler picked it or the wire forced it (the
-// client's -trace flag). Callers pairing this with BeginAt get the same
-// behaviour as Begin for sampled entries while keeping unsampled ones
-// allocation-free.
-func (t *Tracer) TickSample(force bool) bool {
-	if t == nil {
-		return false
-	}
-	return t.tickSample() || force
-}
-
-// BeginAt returns a live trace unconditionally, without consulting the
-// sampler: the caller has already decided this entry traces (TickSample
-// said so) or is materialising a slow trace after the fact (sampled=false,
-// so Finish publishes it only to the slow ring). traceID 0 generates one.
-func (t *Tracer) BeginAt(kind string, traceID uint64, sampled bool, start time.Time) *Trace {
-	if t == nil {
-		return nil
-	}
-	if traceID == 0 {
-		traceID = t.genID()
-	}
-	return newTrace(t, traceID, kind, sampled, start)
-}
-
-// SlowExceeded reports whether d crosses the armed slow threshold (false
-// when disarmed or on a nil tracer).
-func (t *Tracer) SlowExceeded(d time.Duration) bool {
-	if t == nil {
-		return false
-	}
-	th := t.slowNS.Load()
-	return th > 0 && d.Nanoseconds() >= th
+	return t.newTrace(kind, traceID, false, start)
 }
 
 // Trace is one pipeline entry's span tree. All methods are nil-safe so
@@ -222,18 +151,20 @@ type Trace struct {
 	done  bool
 
 	// Inline backing arrays for spans/attrs: a typical query trace stamps
-	// 6–8 spans and a handful of attributes, and with the slow ring armed
-	// EVERY entry carries a live trace, so the always-on path must stay one
+	// 6–8 spans and a handful of attributes, so a trace stays one
 	// allocation (the Trace itself). Longer traces spill to the heap
 	// normally.
 	spanArr [8]Span
 	attrArr [6]attr
 }
 
-// newTrace allocates a trace with its span/attr storage pointed at the
-// inline arrays.
-func newTrace(t *Tracer, id uint64, kind string, sampled bool, start time.Time) *Trace {
-	tr := &Trace{tracer: t, id: id, kind: kind, sampled: sampled, start: start}
+// newTrace allocates a trace (traceID 0 generates an ID) with its
+// span/attr storage pointed at the inline arrays.
+func (t *Tracer) newTrace(kind string, traceID uint64, sampled bool, start time.Time) *Trace {
+	if traceID == 0 {
+		traceID = t.genID()
+	}
+	tr := &Trace{tracer: t, id: traceID, kind: kind, sampled: sampled, start: start}
 	tr.spans = tr.spanArr[:0]
 	tr.attrs = tr.attrArr[:0]
 	return tr
@@ -366,7 +297,7 @@ func (tr *Trace) SetAttr(key, value string) {
 
 // Finish seals the trace and publishes it: to the sampled ring if the
 // trace is sampled, and to the slow ring (firing the slow hook) if its
-// total duration reached the armed threshold. Open spans are clamped to
+// total duration reached the slow threshold. Open spans are clamped to
 // the trace end. Calling Finish more than once is a no-op, and every later
 // Span/Annotate/SetAttr/StartSpan call is too.
 func (tr *Trace) Finish() {
@@ -399,7 +330,7 @@ func (tr *Trace) Finish() {
 		}
 		t.mu.Unlock()
 	}
-	if th := t.slowNS.Load(); th > 0 && totalNS >= th {
+	if tr.total >= t.slow {
 		t.slowMu.Lock()
 		if len(t.slowRing) < cap(t.slowRing) {
 			t.slowRing = append(t.slowRing, tr)
@@ -408,8 +339,8 @@ func (tr *Trace) Finish() {
 			t.slowPos = (t.slowPos + 1) % cap(t.slowRing)
 		}
 		t.slowMu.Unlock()
-		if fn := t.onSlow.Load(); fn != nil && *fn != nil {
-			(*fn)(tr.kind)
+		if t.onSlow != nil {
+			t.onSlow(tr.kind)
 		}
 	}
 }
@@ -465,7 +396,7 @@ func (tr *Trace) snapshot() TraceSnapshot {
 // Slowest returns up to n completed sampled traces ordered by total
 // duration, slowest first.
 func (t *Tracer) Slowest(n int) []TraceSnapshot {
-	if t == nil || n <= 0 {
+	if n <= 0 {
 		return nil
 	}
 	t.mu.Lock()
@@ -486,7 +417,7 @@ func (t *Tracer) Slowest(n int) []TraceSnapshot {
 // (the sampled ring is checked first). The rings are small, so a linear
 // scan serves the admin plane fine.
 func (t *Tracer) FindByID(id uint64) (TraceSnapshot, bool) {
-	if t == nil || id == 0 {
+	if id == 0 {
 		return TraceSnapshot{}, false
 	}
 	t.mu.Lock()
@@ -522,7 +453,7 @@ type SlowRecord struct {
 
 // SlowLog returns up to n slow-trace records, most recent first.
 func (t *Tracer) SlowLog(n int) []SlowRecord {
-	if t == nil || n <= 0 {
+	if n <= 0 {
 		return nil
 	}
 	t.slowMu.Lock()
@@ -560,9 +491,6 @@ func (t *Tracer) SlowLog(n int) []SlowRecord {
 
 // SlowCount reports how many slow traces are currently retained.
 func (t *Tracer) SlowCount() int {
-	if t == nil {
-		return 0
-	}
 	t.slowMu.Lock()
 	defer t.slowMu.Unlock()
 	return len(t.slowRing)

@@ -199,9 +199,6 @@ func (s *Server) AdminHandler() http.Handler {
 			n = c
 		}
 		traces := s.tracer.Slowest(n)
-		if traces == nil {
-			traces = []obs.TraceSnapshot{}
-		}
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(struct {
 			SampleEvery int                 `json:"sample_every"`
@@ -216,9 +213,6 @@ func (s *Server) AdminHandler() http.Handler {
 			}
 		}
 		records := s.tracer.SlowLog(n)
-		if records == nil {
-			records = []obs.SlowRecord{}
-		}
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(struct {
 			ThresholdNS int64            `json:"threshold_ns"`

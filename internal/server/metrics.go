@@ -154,7 +154,7 @@ func newMetrics() *metrics {
 		decodeSeconds: reg.Histogram("aims_ingest_decode_seconds",
 			"Wire batch decode time.", stageBounds),
 		queueWaitSeconds: reg.Histogram("aims_ingest_queue_wait_seconds",
-			"Sampled enqueue-to-append wait of an ingest batch.", stageBounds),
+			"Enqueue-to-append wait of an ingest batch.", stageBounds),
 		appendSeconds: reg.Histogram("aims_ingest_append_seconds",
 			"LiveStore append time per acquisition batch.", stageBounds),
 		sealIncrSeconds: reg.HistogramWith("aims_seal_seconds", `mode="incremental"`,

@@ -45,16 +45,11 @@ func (o *owner) parked() bool { return o.live == nil && !o.leaving }
 // quietly, and once that session has drained and parked — a Close retried
 // after a lost CloseAck included — the claim tries again; so does a claim
 // that finds its name leaving. Another shape, or a wait outlasting
-// WriteTimeout (IdleTimeout without write deadlines), is refused with
-// CodeDuplicate; Shutdown ends the wait with CodeShuttingDown. A refused
-// Hello creates no session and no directory.
+// WriteTimeout, is refused with CodeDuplicate; Shutdown ends the wait with
+// CodeShuttingDown. A refused Hello creates no session and no directory.
 func (s *Server) claim(sess *session, h wire.Hello) wire.Code {
 	mine := &owner{name: h.Name, channels: len(h.Mins), rate: h.Rate, live: sess, left: make(chan struct{})}
-	wait := s.cfg.WriteTimeout
-	if wait <= 0 {
-		wait = s.cfg.IdleTimeout
-	}
-	expired := time.NewTimer(wait)
+	expired := time.NewTimer(s.cfg.WriteTimeout)
 	defer expired.Stop()
 	for {
 		s.namesMu.Lock()

@@ -93,12 +93,13 @@ type Config struct {
 	// Heartbeat is the liveness window unit for sessions that send
 	// pings: once a session has pinged, its read deadline tightens to
 	// 2.5×Heartbeat (if shorter than IdleTimeout), so a dead link is
-	// detected in seconds instead of the idle eviction horizon. Default
-	// 5 s; negative disables heartbeat-driven liveness.
+	// detected in seconds instead of the idle eviction horizon. ≤ 0 means
+	// the default, 5 s.
 	Heartbeat time.Duration
-	// WriteTimeout bounds every socket write (default 10 s; negative
-	// disables). Without it a device that stops reading wedges the
-	// session's responder in the kernel send buffer forever.
+	// WriteTimeout bounds every socket write, so a device that stops
+	// reading cannot wedge the session's responder in the kernel send
+	// buffer. It also bounds how long a Hello waits for its name's previous
+	// holder to leave. ≤ 0 means the default, 10 s.
 	WriteTimeout time.Duration
 	// RetainTimeout parks the state of a named session that left — by a
 	// dropped link or a Close — or that RecoverSessions rebuilt from disk,
@@ -115,18 +116,17 @@ type Config struct {
 	// overridden by the session's registration.
 	Store core.LiveStoreConfig
 	// TraceSample samples one in N ingest batches and queries into the
-	// pipeline tracer (default obs.DefaultTraceSample; negative disables
-	// tracing entirely — the compiled-out no-op path).
+	// pipeline tracer. ≤ 0 means the default, obs.DefaultTraceSample (256).
 	TraceSample int
 	// TraceBuffer bounds the completed-trace ring served by /tracez
 	// (default obs.DefaultTraceBuffer).
 	TraceBuffer int
-	// SlowQuery arms the always-on slow-query log: any query, fleet query
-	// or ingest batch whose trace total reaches this threshold is retained
-	// in a separate bounded ring (served by /slowlog and counted by
-	// aims_slow_queries_total) with 100% probability, regardless of the 1/N
-	// sampler. 0 uses obs.DefaultSlowQuery (100ms); negative disables the
-	// slow log. Ignored when tracing is disabled (TraceSample < 0).
+	// SlowQuery is the threshold of the always-on slow-query log: any
+	// query, fleet query or ingest batch that takes at least this long is
+	// traced and retained in a separate bounded ring (served by /slowlog
+	// and counted by aims_slow_queries_total) with 100% probability,
+	// regardless of the 1/N sampler. ≤ 0 means the default,
+	// obs.DefaultSlowQuery (100 ms).
 	SlowQuery time.Duration
 	// FleetWorkers bounds the scatter fan-out pool of cross-session fleet
 	// queries (default 16): a fleet over 10k sessions is scanned
@@ -138,9 +138,8 @@ type Config struct {
 	// fail|partial policy.
 	FleetTimeout time.Duration
 	// PlanCacheCost sizes the process-wide compiled-query-plan cache, in
-	// plan-entry cost units. 0 keeps the propolyne default
-	// (DefaultPlanCacheCost, ~1M units); negative disables the cache so
-	// every query compiles its plan fresh.
+	// plan-entry cost units. ≤ 0 keeps the cache's current budget, by
+	// default propolyne.DefaultPlanCacheCost (~1M units).
 	PlanCacheCost int
 	// Journal configures the durability layer (per-session WAL +
 	// snapshots) for named sessions; anonymous ones are always memory-only.
@@ -159,10 +158,10 @@ func (c Config) withDefaults() Config {
 	if c.IdleTimeout <= 0 {
 		c.IdleTimeout = 30 * time.Second
 	}
-	if c.Heartbeat == 0 {
+	if c.Heartbeat <= 0 {
 		c.Heartbeat = 5 * time.Second
 	}
-	if c.WriteTimeout == 0 {
+	if c.WriteTimeout <= 0 {
 		c.WriteTimeout = 10 * time.Second
 	}
 	if c.RetainTimeout <= 0 {
@@ -201,7 +200,7 @@ type Server struct {
 	wg      sync.WaitGroup // live session handlers
 	serveWg sync.WaitGroup // accept loops
 	metrics *metrics
-	tracer  *obs.Tracer // nil when tracing is disabled
+	tracer  *obs.Tracer
 }
 
 // New creates a server.
@@ -213,25 +212,16 @@ func New(cfg Config) *Server {
 		// instruments unless the caller installed its own observer.
 		cfg.Store.SealObserver = m.observeSeal
 	}
-	var tracer *obs.Tracer
-	if cfg.TraceSample >= 0 {
-		tracer = obs.NewTracer(cfg.TraceSample, cfg.TraceBuffer)
-		slow := cfg.SlowQuery
-		if slow == 0 {
-			slow = obs.DefaultSlowQuery
-		}
-		tracer.SetSlowThreshold(slow) // negative disarms
-		tracer.SetOnSlow(m.observeSlow)
-	}
 	// The plan cache is process-global (its keys embed engine geometry, so
 	// servers cannot cross-contaminate); wire its hooks onto this server's
 	// instruments and apply any explicit sizing.
-	if cfg.PlanCacheCost != 0 {
+	if cfg.PlanCacheCost > 0 {
 		propolyne.SharedCache.SetCapacity(cfg.PlanCacheCost)
 	}
 	propolyne.SharedCache.SetObserver(m.planObserver())
-	s := &Server{cfg: cfg, sessions: newRegistry(), metrics: m, tracer: tracer,
-		quit: make(chan struct{}), names: map[string]*owner{}}
+	s := &Server{cfg: cfg, sessions: newRegistry(), metrics: m,
+		tracer: obs.NewTracer(cfg.TraceSample, cfg.TraceBuffer, cfg.SlowQuery, m.observeSlow),
+		quit:   make(chan struct{}), names: map[string]*owner{}}
 	s.fleetCfg = fleet.Config{
 		Workers:  cfg.FleetWorkers,
 		Timeout:  cfg.FleetTimeout,
@@ -296,9 +286,6 @@ func (s *Server) RecoveredSessions() (recovered, orphaned int) {
 // Registry exposes the server's metrics registry (what the admin plane
 // serves as /metrics).
 func (s *Server) Registry() *obs.Registry { return s.metrics.reg }
-
-// Tracer exposes the pipeline tracer; nil when tracing is disabled.
-func (s *Server) Tracer() *obs.Tracer { return s.tracer }
 
 // Start listens on a transport endpoint — bare "host:port" (TCP),
 // "tcp://host:port" or "ws://host:port[/path]" — and serves in the

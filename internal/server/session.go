@@ -68,11 +68,14 @@ type queued struct {
 	buf    []byte
 	done   chan struct{} // barrier: closed by the appender once everything ahead of it is stored
 
-	// A sampled batch's trace changes hands with the entry: the appender
-	// stamps enqueue (decoded → at), queue-wait and append, then finishes it.
+	// The batch's timeline travels with it, so its trace is stamped where
+	// the batch ends (traceBatch): tr is the live trace of a sampled batch,
+	// nil for any other, which gets a late trace there if it was slow.
 	tr      *obs.Trace
-	decoded time.Time // when the reader finished checking the batch
+	start   time.Time // when the reader began checking the batch
+	decoded time.Time // when the reader finished checking it
 	at      time.Time // when the queue admitted it (stamped by push)
+	trimmed bool      // a replayed prefix was sliced off
 }
 
 // Spare payload buffers. Under load a session circulates a handful of
@@ -333,9 +336,7 @@ func (s *Server) handleConn(conn net.Conn) {
 // re-armed per message (not just per flush): a buffered-writer overflow
 // hits the socket here, and a deadline armed minutes ago would fail it.
 func (sess *session) write(typ byte, payload []byte) error {
-	if wt := sess.srv.cfg.WriteTimeout; wt > 0 {
-		sess.conn.SetWriteDeadline(time.Now().Add(wt))
-	}
+	sess.conn.SetWriteDeadline(time.Now().Add(sess.srv.cfg.WriteTimeout))
 	if err := wire.WriteMessage(sess.bw, typ, payload); err != nil {
 		return err
 	}
@@ -346,9 +347,7 @@ func (sess *session) write(typ byte, payload []byte) error {
 // flush pushes the response buffer to the socket under the write deadline,
 // so a device that stopped reading can never wedge this goroutine.
 func (sess *session) flush() error {
-	if wt := sess.srv.cfg.WriteTimeout; wt > 0 {
-		sess.conn.SetWriteDeadline(time.Now().Add(wt))
-	}
+	sess.conn.SetWriteDeadline(time.Now().Add(sess.srv.cfg.WriteTimeout))
 	return sess.bw.Flush()
 }
 
@@ -495,16 +494,10 @@ func (sess *session) appendLoop() {
 			sess.stored.Add(uint64(e.n)) // processed, including bad appends
 			m.framesIngested.Add(uint64(stored))
 			sess.q.release(e.n, e.buf)
-			if e.tr != nil {
-				// Queue wait runs from admission to the start of the store
-				// append (so it includes the write-ahead), the append span
-				// over the append.
-				m.queueWaitSeconds.Observe(t0.Sub(e.at).Seconds())
-				e.tr.Span("enqueue", e.decoded, e.at)
-				e.tr.Span("queue-wait", e.at, t0)
-				e.tr.Span("append", t0, end)
-				e.tr.Finish()
-			}
+			// Queue wait runs from admission to the start of the store
+			// append, so it includes the write-ahead.
+			m.queueWaitSeconds.Observe(t0.Sub(e.at).Seconds())
+			sess.traceBatch(&e, t0, end, "")
 		}
 		if barrier != nil {
 			close(barrier)
@@ -524,7 +517,7 @@ func (sess *session) readLoop() {
 		// ~2.5 ping intervals means the link is gone, and waiting out the
 		// full idle horizon would only delay the park-for-resume.
 		window := srv.cfg.IdleTimeout
-		if sess.sawPing && srv.cfg.Heartbeat > 0 {
+		if sess.sawPing {
 			if hb := srv.cfg.Heartbeat * 5 / 2; hb < window {
 				window = hb
 			}
@@ -605,31 +598,20 @@ func (sess *session) flushIfIdle() bool {
 
 // handleBatch checks one wire batch — without decoding it — and enqueues
 // it for the appender, payload buffer and all; a batch that is not enqueued
-// returns its buffer at once.
+// returns its buffer, and has its trace stamped, at once.
 func (sess *session) handleBatch(payload []byte) bool {
 	srv := sess.srv
-	t0 := time.Now()
-	// Begin instead of Sample: with the slow log armed every batch gets a
-	// trace, so an ingest stall is captured with 100% probability even when
-	// the 1/N sampler skips it.
-	tr := srv.tracer.Begin("ingest", 0, false, t0)
+	e := queued{buf: payload, start: time.Now()}
+	e.tr = srv.tracer.Begin("ingest", 0, false, e.start)
 	seq, n, frames, err := wire.CheckBatch(payload, sess.store.Channels())
-	t1 := time.Now()
-	srv.metrics.decodeSeconds.Observe(t1.Sub(t0).Seconds())
-	tr.Span("decode", t0, t1)
+	e.decoded = time.Now()
+	srv.metrics.decodeSeconds.Observe(e.decoded.Sub(e.start).Seconds())
+	e.n, e.frames = n, frames
 	if err != nil {
 		sess.q.recycle(payload)
-		tr.Finish()
+		sess.traceBatch(&e, time.Time{}, time.Now(), "refused")
 		sess.sendError(wire.CodeBadMessage, err.Error())
 		return false
-	}
-	if tr != nil {
-		tr.SetAttr("session", sess.idStr)
-		if sess.class != "" {
-			tr.SetAttr("class", sess.class)
-		}
-		tr.SetAttr("bytes", strconv.Itoa(len(payload)))
-		tr.SetAttr("frames", strconv.Itoa(n))
 	}
 	ack := wire.BatchAck{Seq: seq, Code: wire.CodeOK, Stored: uint32(n)}
 	// Idempotent append: batches carry absolute stream offsets, so a replay
@@ -641,8 +623,7 @@ func (sess *session) handleBatch(payload []byte) bool {
 		sess.q.recycle(payload)
 		ack.Code = wire.CodeDuplicate
 		srv.metrics.dupBatches.Inc()
-		tr.Annotate("duplicate")
-		tr.Finish()
+		sess.traceBatch(&e, time.Time{}, time.Now(), "duplicate")
 		if sess.write(wire.MsgBatchAck, ack.Encode()) != nil {
 			return false
 		}
@@ -650,39 +631,38 @@ func (sess *session) handleBatch(payload []byte) bool {
 	}
 	if seq < sess.ackSeq {
 		k := int(sess.ackSeq - seq)
-		frames = frames[k*wire.FrameSize(sess.store.Channels()):]
-		n -= k
+		e.frames = frames[k*wire.FrameSize(sess.store.Channels()):]
+		e.n -= k
+		e.trimmed = true
 		seq = sess.ackSeq
 		srv.metrics.dupBatches.Inc()
-		tr.Annotate("trimmed")
 	} else if seq > sess.ackSeq {
 		// A gap means frames went missing between device and server — a
 		// correct client streams contiguously from the watermark, so this
 		// is corruption or a broken sender. Failing fast tears the link
 		// down; the reconnect resumes from the intact watermark.
 		sess.q.recycle(payload)
-		tr.Finish()
+		sess.traceBatch(&e, time.Time{}, time.Now(), "refused")
 		sess.sendError(wire.CodeBadMessage, "batch offset ahead of session watermark")
 		return false
 	}
 	// One enqueue per wire batch. Under PolicyBlock a full queue blocks
 	// here: the reader stops draining the socket and the device feels the
 	// backpressure.
-	if sess.q.push(queued{n: n, frames: frames, buf: payload, tr: tr, decoded: t1}) {
-		// The trace and the buffer now belong to the appender, which
-		// finishes the one and returns the other once the batch's last
-		// frame lands in the store.
-		sess.enqueued.Add(uint64(n))
+	if sess.q.push(e) {
+		// The batch — buffer, trace and timeline — now belongs to the
+		// appender, which stores it, returns the buffer and stamps the
+		// trace.
+		sess.enqueued.Add(uint64(e.n))
 		srv.metrics.batchesIngested.Inc()
 	} else {
 		sess.q.recycle(payload)
 		ack.Code = wire.CodeShed
 		sess.shedB.Add(1)
-		sess.shedF.Add(uint64(n))
+		sess.shedF.Add(uint64(e.n))
 		srv.metrics.batchesShed.Inc()
-		srv.metrics.framesShed.Add(uint64(n))
-		tr.Annotate("shed")
-		tr.Finish()
+		srv.metrics.framesShed.Add(uint64(e.n))
+		sess.traceBatch(&e, time.Time{}, time.Now(), "shed")
 	}
 	// Accepted or shed, the batch is acknowledged and the watermark covers
 	// it. Enqueued means acknowledged even before the appender journals it
@@ -691,7 +671,7 @@ func (sess *session) handleBatch(payload []byte) bool {
 	// is lossy and the device must not replay them — so the journal records
 	// the divergence between client offsets and journaled frames and a
 	// post-crash resume reports the same watermark.
-	sess.ackSeq = seq + uint64(n)
+	sess.ackSeq = seq + uint64(e.n)
 	if ack.Code == wire.CodeShed && sess.jsess != nil {
 		sess.jsess.RecordAck(sess.ackSeq)
 	}
@@ -699,6 +679,38 @@ func (sess *session) handleBatch(payload []byte) bool {
 		return false
 	}
 	return sess.flushIfIdle()
+}
+
+// traceBatch stamps a batch's trace where the batch ends, at end: in the
+// appender once it is stored, with the store append starting at appended;
+// in the reader when it is a duplicate, shed or refused, which note names.
+// A sampled batch carries its live trace; any other gets a late one if it
+// was slow, and otherwise costs nothing.
+func (sess *session) traceBatch(e *queued, appended, end time.Time, note string) {
+	tr := e.tr
+	if tr == nil {
+		if tr = sess.srv.tracer.Late("ingest", 0, e.start, end); tr == nil {
+			return
+		}
+	}
+	tr.Span("decode", e.start, e.decoded)
+	tr.SetAttr("session", sess.idStr)
+	if sess.class != "" {
+		tr.SetAttr("class", sess.class)
+	}
+	tr.SetAttr("bytes", strconv.Itoa(len(e.buf)))
+	tr.SetAttr("frames", strconv.Itoa(e.n))
+	if e.trimmed {
+		tr.Span("trimmed", e.decoded, e.decoded)
+	}
+	if note != "" {
+		tr.Span(note, end, end)
+	} else {
+		tr.Span("enqueue", e.decoded, e.at)
+		tr.Span("queue-wait", e.at, appended)
+		tr.Span("append", appended, end)
+	}
+	tr.Finish()
 }
 
 // handleFlush answers the client's drain barrier: a zero-frame entry rides
@@ -730,14 +742,10 @@ func (sess *session) handleQuery(payload []byte) bool {
 	// The sampler is consulted only after decode because the wire context
 	// (trace ID, forced sampling from the client's -trace flag) rides in
 	// the payload. Sampled and forced queries trace live; everything else
-	// runs allocation-free and is materialised into a trace AFTER the fact
-	// if it crossed the slow threshold — the span tree is reconstructible
-	// because the handler's own timestamps and the evaluation provenance in
-	// qt carry everything a live trace would have stamped.
-	var tr *obs.Trace
-	if srv.tracer.TickSample(q.TraceSampled) {
-		tr = srv.tracer.BeginAt("query", q.TraceID, true, t0)
-	}
+	// runs allocation-free and gets a late trace if it was slow — the
+	// handler's own timestamps and the evaluation provenance in qt carry
+	// everything a live trace would have stamped.
+	tr := srv.tracer.Begin("query", q.TraceID, q.TraceSampled, t0)
 	if err != nil {
 		tr.Span("decode", t0, t1)
 		tr.Finish()
@@ -747,8 +755,8 @@ func (sess *session) handleQuery(payload []byte) bool {
 	var qt core.QueryTrace
 	results := sess.evaluate(q, &qt)
 	t2 := time.Now()
-	if tr == nil && srv.tracer.SlowExceeded(t2.Sub(t0)) {
-		tr = srv.tracer.BeginAt("query", q.TraceID, false, t0)
+	if tr == nil {
+		tr = srv.tracer.Late("query", q.TraceID, t0, t2)
 	}
 	if tr != nil {
 		tr.Span("decode", t0, t1)
@@ -799,19 +807,23 @@ func (sess *session) handleFleetQuery(payload []byte) bool {
 		sess.sendError(wire.CodeBadQuery, err.Error())
 		return false
 	}
-	var evalSpan obs.SpanID
-	if tr != nil {
-		tr.SetAttr("session", sess.idStr)
-		tr.SetAttr("scope", fq.Scope.String())
-		evalSpan = tr.StartSpan(0, "evaluate")
-	}
-	// The scatter workers stitch one child subtree per scoped session under
-	// the evaluate span (queue wait, seal, plan hit/compile, dot product),
-	// so the whole fan-out reads as one tree on /tracez?id=.
+	// A live trace gets the scatter's own tree: the workers stitch one
+	// child subtree per scoped session under the evaluate span (queue wait,
+	// seal, plan hit/compile, dot product), so the whole fan-out reads as
+	// one tree on /tracez?id=. A late trace is rebuilt from the root stages
+	// alone.
+	evalSpan := tr.StartSpan(0, "evaluate")
 	res := srv.evaluateFleet(fq, tr, evalSpan)
 	t2 := time.Now()
 	if tr != nil {
 		tr.EndSpan(evalSpan)
+	} else if tr = srv.tracer.Late("fleet-query", fq.TraceID, t0, t2); tr != nil {
+		tr.Span("decode", t0, t1)
+		tr.Span("evaluate", t1, t2)
+	}
+	if tr != nil {
+		tr.SetAttr("session", sess.idStr)
+		tr.SetAttr("scope", fq.Scope.String())
 		tr.SetAttr("sessions", strconv.Itoa(int(res.Sessions)))
 		tr.SetAttr("merged", strconv.Itoa(int(res.Merged)))
 	}

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -294,7 +296,8 @@ func TestApproxTraceAccountsForEvaluate(t *testing.T) {
 // threshold and the sampler effectively off, an ordinary untraced query
 // still lands in /slowlog with its structured fields, bumps
 // aims_slow_queries_total{kind="query"}, and stamps a trace-ID exemplar
-// onto the latency histogram.
+// onto the latency histogram; so do an untraced fleet query, rebuilt from
+// its root stages, and the ingest batches.
 func TestSlowQueryLogAlwaysOn(t *testing.T) {
 	srv, addr := startServer(t, Config{
 		Store:       testStoreCfg(),
@@ -306,6 +309,12 @@ func TestSlowQueryLogAlwaysOn(t *testing.T) {
 	c := fleetClient(t, addr, "slowpoke", "cyberglove", 0, 256, 2)
 	// A deliberately plain query: no trace context on the wire at all.
 	if _, err := c.Query(wire.Query{Kind: wire.QueryApproxCount, Channel: 0, T0: 0, T1: 2, Arg: 16}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.FleetQuery(wire.FleetQuery{
+		Query: wire.Query{Kind: wire.QueryCount, Channel: 0, T0: 0, T1: 2},
+		Scope: wire.FleetScope{Class: "cyberglove"},
+	}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -324,13 +333,11 @@ func TestSlowQueryLogAlwaysOn(t *testing.T) {
 		if err := json.Unmarshal(rec.Body.Bytes(), &slog); err != nil {
 			t.Fatalf("/slowlog JSON: %v", err)
 		}
-		found := false
+		kinds := map[string]bool{}
 		for _, r := range slog.Records {
-			if r.Kind == "query" {
-				found = true
-			}
+			kinds[r.Kind] = true
 		}
-		if found || time.Now().After(deadline) {
+		if kinds["query"] && kinds["fleet-query"] || time.Now().After(deadline) {
 			break
 		}
 		time.Sleep(time.Millisecond)
@@ -358,16 +365,46 @@ func TestSlowQueryLogAlwaysOn(t *testing.T) {
 		t.Errorf("slow record stages = %v, want evaluate", qrec.StageNS)
 	}
 
+	var frec *obs.SlowRecord
+	for i := range slog.Records {
+		if slog.Records[i].Kind == "fleet-query" {
+			frec = &slog.Records[i]
+			break
+		}
+	}
+	if frec == nil {
+		t.Fatalf("/slowlog has no fleet-query record: %+v", slog.Records)
+	}
+	if frec.StageNS["evaluate"] <= 0 || frec.Attrs["session"] == "" || frec.Attrs["scope"] != "class=cyberglove" {
+		t.Errorf("fleet-query slow record = %+v, want evaluate stage, session and scope", frec)
+	}
+
+	// Every stored batch is timed in the queue, sampled or not.
+	if _, err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	body := rec.Body.String()
+	waits, batches := metricValue(t, body, "aims_ingest_queue_wait_seconds_count"), metricValue(t, body, "aims_ingest_batches_total")
+	if waits != batches || batches == 0 {
+		t.Errorf("queue-wait observations = %v, want one per stored batch (%v)", waits, batches)
+	}
 	if !strings.Contains(body, `aims_slow_queries_total{kind="query"} 1`) {
 		t.Errorf("metrics missing slow-query counter:\n%s", grepLines(body, "slow"))
 	}
-	// The latency histogram carries the slow query's trace ID as an
-	// OpenMetrics exemplar even though the client never asked for tracing.
-	if !strings.Contains(body, `# {trace_id="`+qrec.TraceID+`"}`) {
-		t.Errorf("metrics missing exemplar for trace %s:\n%s", qrec.TraceID, grepLines(body, "bucket"))
+	// The latency histogram carries the slow queries' trace IDs as
+	// OpenMetrics exemplars even though the client never asked for
+	// tracing: the fleet query's in the bucket it landed in, the plain
+	// query's unless the fleet query overwrote it there.
+	exemplars := exemplarRe.FindAllStringSubmatch(body, -1)
+	if !strings.Contains(body, `# {trace_id="`+frec.TraceID+`"}`) {
+		t.Errorf("metrics missing exemplar for trace %s:\n%s", frec.TraceID, grepLines(body, "aims_query_seconds"))
+	}
+	for _, m := range exemplars {
+		if m[1] != qrec.TraceID && m[1] != frec.TraceID {
+			t.Errorf("exemplar %s names neither slow query", m[1])
+		}
 	}
 
 	// Ingest traces cross the 1ns bar too: the batch the fixture streamed
@@ -381,6 +418,120 @@ func TestSlowQueryLogAlwaysOn(t *testing.T) {
 	if !hasIngest {
 		t.Errorf("/slowlog has no ingest record: %+v", slog.Records)
 	}
+}
+
+// TestIngestTraceStampedWhereBatchEnds pins the one stamping block of an
+// ingest trace on the late path: with every batch slow, a stored batch's
+// record carries the appender's stages, and a duplicate, a trimmed replay
+// and a refused batch each carry the note of where the reader ended them.
+func TestIngestTraceStampedWhereBatchEnds(t *testing.T) {
+	srv, addr := startServer(t, Config{Store: testStoreCfg(), TraceSample: 1 << 20, SlowQuery: time.Nanosecond})
+	h := srv.AdminHandler()
+	rs := dialRaw(t, addr, "replayer", 2)
+	rs.writeBatch(0, 16, 2) // stored
+	rs.writeBatch(0, 16, 2) // duplicate
+	rs.writeBatch(8, 16, 2) // trimmed to [16,24), stored
+	rs.writeBatch(64, 8, 2) // a gap: refused, and the link torn down
+	rs.flush()
+	rs.expectAck(0, wire.CodeOK)
+	rs.expectAck(0, wire.CodeDuplicate)
+	rs.expectAck(8, wire.CodeOK)
+
+	notes := map[string]obs.SlowRecord{}
+	waitFor(func() bool {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/slowlog", nil))
+		var slog struct{ Records []obs.SlowRecord }
+		if err := json.Unmarshal(rec.Body.Bytes(), &slog); err != nil {
+			t.Fatalf("/slowlog JSON: %v", err)
+		}
+		for _, r := range slog.Records {
+			for _, note := range []string{"append", "duplicate", "trimmed", "refused"} {
+				if _, ok := r.StageNS[note]; ok && r.Kind == "ingest" {
+					notes[note] = r
+				}
+			}
+		}
+		return len(notes) == 4
+	})
+	for _, note := range []string{"append", "duplicate", "trimmed", "refused"} {
+		r, ok := notes[note]
+		if !ok {
+			t.Errorf("no ingest record with a %q stage: have %v", note, notes)
+			continue
+		}
+		if _, ok := r.StageNS["decode"]; !ok || r.Attrs["session"] == "" || r.Attrs["bytes"] == "" {
+			t.Errorf("%s record = %+v, want decode stage, session and bytes", note, r)
+		}
+	}
+	for _, stage := range []string{"enqueue", "queue-wait"} {
+		if _, ok := notes["append"].StageNS[stage]; !ok {
+			t.Errorf("stored batch record lacks %q: %+v", stage, notes["append"])
+		}
+	}
+	if _, ok := notes["trimmed"].StageNS["append"]; !ok || notes["trimmed"].Attrs["frames"] != "8" {
+		t.Errorf("trimmed record = %+v, want the 8 stored frames appended", notes["trimmed"])
+	}
+}
+
+// TestEveryExemplarResolves pins that the latency histogram links only to
+// traces a client can fetch: on a default server whose sampler never picks
+// a query, one forced query leaves an exemplar, and the unsampled fleet and
+// plain queries after it — fast, so traced neither live nor late — must not
+// stamp exemplars whose traces were never kept.
+func TestEveryExemplarResolves(t *testing.T) {
+	srv, addr := startServer(t, Config{Store: testStoreCfg(), TraceSample: 1 << 20})
+	h := srv.AdminHandler()
+	c := fleetClient(t, addr, "exemplars", "cyberglove", 0, 256, 2)
+
+	q := wire.Query{Kind: wire.QueryCount, Channel: 0, T0: 0, T1: 2}
+	forced := q
+	forced.TraceID, forced.TraceSampled = wire.NewTraceID(), true
+	if _, err := c.Query(forced); err != nil {
+		t.Fatal(err)
+	}
+	fq := wire.FleetQuery{Query: q, Scope: wire.FleetScope{Class: "cyberglove"}}
+	for i := 0; i < 3; i++ {
+		if _, err := c.FleetQuery(fq); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Query(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	ids := exemplarRe.FindAllStringSubmatch(rec.Body.String(), -1)
+	if len(ids) == 0 {
+		t.Fatalf("no exemplar on /metrics:\n%s", grepLines(rec.Body.String(), "aims_query_seconds"))
+	}
+	for _, m := range ids {
+		id, err := strconv.ParseUint(m[1], 16, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		getTraceByID(t, h, id) // fails the test unless /tracez?id= answers 200
+	}
+}
+
+var exemplarRe = regexp.MustCompile(`# \{trace_id="([0-9a-f]{16})"\}`)
+
+// metricValue returns the value of the unlabelled series name in a
+// Prometheus text exposition.
+func metricValue(t *testing.T, body, name string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(body, "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("no %s series:\n%s", name, body)
+	return 0
 }
 
 // grepLines returns the lines of s containing substr, for compact failure
