@@ -88,7 +88,7 @@ type Request struct {
 	TraceParent obs.SpanID
 }
 
-// Config shapes an evaluator.
+// Config shapes an evaluator. A nil instrument discards its observations.
 type Config struct {
 	// Workers bounds the scatter fan-out pool (default 16). The pool is
 	// per query; a fleet of 10k sessions is scanned Workers at a time.
@@ -97,17 +97,10 @@ type Config struct {
 	// whose scan has not finished when it expires become CodeDeadline
 	// failures, handled under the partial policy.
 	Timeout time.Duration
-	// Observer receives fleet instrumentation; zero-value hooks are
-	// skipped.
-	Observer Observer
-}
 
-// Observer carries the fleet evaluator's metric hooks.
-type Observer struct {
-	FanOut       func(width int) // sessions matched per query
-	ScanSeconds  func(s float64) // one session's scan wall time
-	MergeSeconds func(s float64) // merge wall time per query
-	Detail       func(parts int) // per-session parts attached to a result
+	FanOut       *obs.Histogram // sessions matched per query
+	ScanSeconds  *obs.Histogram // one session's scan wall time
+	MergeSeconds *obs.Histogram // merge wall time per query
 }
 
 func (c Config) withDefaults() Config {
@@ -302,9 +295,7 @@ func Evaluate(ctx context.Context, sessions []Session, req Request, cfg Config) 
 			ID: id, Code: wire.CodeNotRegistered, Text: "no live session with this id",
 		})
 	}
-	if cfg.Observer.FanOut != nil {
-		cfg.Observer.FanOut(len(matched))
-	}
+	cfg.FanOut.Observe(float64(len(matched)))
 
 	// Scatter: a bounded worker pool claims session indices off a shared
 	// counter — no per-session hand-off, so on an otherwise quiet server a
@@ -349,9 +340,7 @@ func Evaluate(ctx context.Context, sessions []Session, req Request, cfg Config) 
 				if req.Trace != nil {
 					req.Trace.EndSpan(sreq.TraceParent)
 				}
-				if cfg.Observer.ScanSeconds != nil {
-					cfg.Observer.ScanSeconds(time.Since(t0).Seconds())
-				}
+				cfg.ScanSeconds.Observe(time.Since(t0).Seconds())
 				results <- gathered{idx: idx, part: part, err: err}
 			}
 		}()
@@ -406,9 +395,7 @@ gather:
 	if req.Trace != nil {
 		req.Trace.AddSpan(req.TraceParent, "merge", t0, time.Now())
 	}
-	if cfg.Observer.MergeSeconds != nil {
-		cfg.Observer.MergeSeconds(time.Since(t0).Seconds())
-	}
+	cfg.MergeSeconds.Observe(time.Since(t0).Seconds())
 
 	switch {
 	case len(merged) == 0 && len(res.Failures) == 0:
@@ -435,9 +422,6 @@ gather:
 	res.Parts = merged
 	if len(res.Failures) > wire.MaxFleetDetail {
 		res.Failures = res.Failures[:wire.MaxFleetDetail]
-	}
-	if cfg.Observer.Detail != nil {
-		cfg.Observer.Detail(len(res.Parts))
 	}
 	return res
 }

@@ -4,11 +4,11 @@ import (
 	"context"
 	"math"
 	"math/rand"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"aims/internal/core"
+	"aims/internal/obs"
 	"aims/internal/stream"
 	"aims/internal/wire"
 )
@@ -268,10 +268,8 @@ func TestProgressiveMergesFinalSteps(t *testing.T) {
 // cancelled before the scatter starts, not a single scan may run.
 func TestExpiredDeadlineReturnsSlotsWithoutScanning(t *testing.T) {
 	sessions := buildFleet(t, 8, "glove", 31)
-	var scans atomic.Int64
-	cfg := Config{Workers: 4, Observer: Observer{
-		ScanSeconds: func(float64) { scans.Add(1) },
-	}}
+	scans := obs.NewRegistry().Histogram("scan_seconds", "", []float64{1})
+	cfg := Config{Workers: 4, ScanSeconds: scans}
 	req := Request{
 		Kind: wire.QueryCount, Channel: 0, T0: 0, T1: 30,
 		Scope: wire.FleetScope{Class: "glove"}, Partial: true,
@@ -279,7 +277,7 @@ func TestExpiredDeadlineReturnsSlotsWithoutScanning(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // expired before the scatter begins
 	res := Evaluate(ctx, sessions, req, cfg)
-	if got := scans.Load(); got != 0 {
+	if got := scans.Count(); got != 0 {
 		t.Fatalf("%d scans ran after the deadline expired, want 0", got)
 	}
 	if len(res.Failures) != 8 || res.Merged != 0 {

@@ -39,6 +39,8 @@ import (
 	"io"
 	"os"
 	"time"
+
+	"aims/internal/obs"
 )
 
 // FsyncPolicy selects when the WAL is flushed to stable storage.
@@ -97,7 +99,7 @@ const (
 	DegradeBlock DegradePolicy = iota
 	// DegradeShed drops durability for the session but keeps ingesting:
 	// frames continue into the live store un-journaled and the degradation
-	// is reported through the Observer. A later successful snapshot
+	// is counted on Config.Degraded. A later successful snapshot
 	// restores durability.
 	DegradeShed
 )
@@ -122,25 +124,8 @@ type File interface {
 	Sync() error
 }
 
-// Observer receives the journal's operational signals. Every field is
-// optional; the middle tier wires them onto its metrics registry.
-type Observer struct {
-	// FsyncSeconds reports each fsync's wall time.
-	FsyncSeconds func(seconds float64)
-	// AppendBytes reports bytes framed onto the WAL (headers included).
-	AppendBytes func(n int)
-	// SnapshotSeconds reports each successful snapshot's wall time
-	// (seal + serialise + rename + truncate).
-	SnapshotSeconds func(seconds float64)
-	// SnapshotError reports a failed snapshot attempt.
-	SnapshotError func()
-	// Degraded reports a session shedding durability.
-	Degraded func()
-	// Healed reports a degraded session restored by a snapshot.
-	Healed func()
-}
-
-// Config shapes the durability layer.
+// Config shapes the durability layer. Its instrument fields receive the
+// journal's operational signals; a nil instrument discards them.
 type Config struct {
 	// Dir is the data directory (one subdirectory per session). Empty
 	// disables journaling entirely.
@@ -163,8 +148,19 @@ type Config struct {
 	// OpenFile creates WAL segment files (default os.OpenFile with
 	// O_CREATE|O_WRONLY|O_EXCL). Tests inject fault harnesses here.
 	OpenFile func(path string) (File, error)
-	// Observer receives operational signals; zero value discards them.
-	Observer Observer
+	// FsyncSeconds observes each fsync's wall time.
+	FsyncSeconds *obs.Histogram
+	// WALBytes counts bytes framed onto the WAL (headers included).
+	WALBytes *obs.Counter
+	// SnapshotSeconds observes each successful snapshot's wall time
+	// (seal + serialise + rename + truncate).
+	SnapshotSeconds *obs.Histogram
+	// SnapshotErrors counts failed snapshot attempts.
+	SnapshotErrors *obs.Counter
+	// Degraded counts sessions shedding durability.
+	Degraded *obs.Counter
+	// Healed counts degraded sessions restored by a snapshot.
+	Healed *obs.Counter
 	// Logf receives recovery and degradation logs (nil discards).
 	Logf func(format string, args ...interface{})
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"aims/internal/core"
+	"aims/internal/obs"
 	"aims/internal/stream"
 )
 
@@ -229,15 +230,11 @@ func TestRecoverTornTail(t *testing.T) {
 func TestDegradeShedHealsOnSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	plan := NewFaultPlan()
-	healed := 0
-	degraded := 0
+	reg := obs.NewRegistry()
+	degraded, healed := reg.Counter("degraded", ""), reg.Counter("healed", "")
 	cfg := Config{
 		Dir: dir, Fsync: FsyncBatch, SnapshotFrames: -1, Degrade: DegradeShed,
-		OpenFile: plan.Open,
-		Observer: Observer{
-			Degraded: func() { degraded++ },
-			Healed:   func() { healed++ },
-		},
+		OpenFile: plan.Open, Degraded: degraded, Healed: healed,
 	}
 	m, _ := OpenManager(cfg)
 	meta := testMeta("suit", 2)
@@ -253,8 +250,8 @@ func TestDegradeShedHealsOnSnapshot(t *testing.T) {
 	if _, err := ls.AppendFrames(sineFrames(60, 2, 60)); err != nil {
 		t.Fatal(err)
 	}
-	if !sess.Degraded() || degraded != 1 {
-		t.Fatalf("degraded=%v count=%d", sess.Degraded(), degraded)
+	if !sess.Degraded() || degraded.Value() != 1 {
+		t.Fatalf("degraded=%v count=%d", sess.Degraded(), degraded.Value())
 	}
 	if sess.Processed() != 120 {
 		t.Fatalf("processed=%d, want 120 even while degraded", sess.Processed())
@@ -264,8 +261,8 @@ func TestDegradeShedHealsOnSnapshot(t *testing.T) {
 	if err := sess.Snapshot(ls); err != nil {
 		t.Fatal(err)
 	}
-	if sess.Degraded() || healed != 1 {
-		t.Fatalf("after snapshot: degraded=%v healed=%d", sess.Degraded(), healed)
+	if sess.Degraded() || healed.Value() != 1 {
+		t.Fatalf("after snapshot: degraded=%v healed=%d", sess.Degraded(), healed.Value())
 	}
 	// Post-heal frames are journaled again and recovery sees everything.
 	ingest(t, sess, ls, sineFrames(30, 2, 120))
@@ -497,11 +494,8 @@ func TestRecoverOneDirectoryPerName(t *testing.T) {
 // remain intact so nothing is lost.
 func TestSnapshotErrorKeepsWAL(t *testing.T) {
 	dir := t.TempDir()
-	snapErrs := 0
-	cfg := Config{
-		Dir: dir, Fsync: FsyncBatch, SnapshotFrames: -1,
-		Observer: Observer{SnapshotError: func() { snapErrs++ }},
-	}
+	snapErrs := obs.NewRegistry().Counter("snapshot_errors", "")
+	cfg := Config{Dir: dir, Fsync: FsyncBatch, SnapshotFrames: -1, SnapshotErrors: snapErrs}
 	m, _ := OpenManager(cfg)
 	meta := testMeta("frag", 1)
 	sess, _, err := m.Attach(meta)
@@ -519,8 +513,8 @@ func TestSnapshotErrorKeepsWAL(t *testing.T) {
 	if err := sess.Snapshot(ls); err == nil {
 		t.Fatal("snapshot into missing dir succeeded")
 	}
-	if snapErrs != 1 {
-		t.Fatalf("snapshot errors observed: %d", snapErrs)
+	if snapErrs.Value() != 1 {
+		t.Fatalf("snapshot errors observed: %d", snapErrs.Value())
 	}
 	if err := os.Rename(sdir+".hidden", sdir); err != nil {
 		t.Fatal(err)

@@ -64,8 +64,8 @@ func (s *Session) AppendFrames(frames []stream.Frame, keepTrying func() bool) {
 // retries (stalling the caller — the bounded ingest queue then applies
 // device backpressure) for as long as keepTrying returns true, then
 // degrades; DegradeShed degrades immediately. A retry resumes at the first
-// record that did not reach the log whole. Degradation is reported once
-// through the Observer.
+// record that did not reach the log whole. Degradation is counted once on
+// Config.Degraded.
 func (s *Session) AppendGroup(group [][]byte, keepTrying func() bool) {
 	frameSize := wire.FrameSize(s.width)
 	start := s.processed.Load()
@@ -98,8 +98,8 @@ func (s *Session) AppendGroup(group [][]byte, keepTrying func() bool) {
 // degrade sheds the session's durability after err, reporting it once.
 func (s *Session) degrade(err error) {
 	s.cfg.Logf("journal: session %s shedding durability: %v", s.key, err)
-	if s.degraded.CompareAndSwap(false, true) && s.cfg.Observer.Degraded != nil {
-		s.cfg.Observer.Degraded()
+	if s.degraded.CompareAndSwap(false, true) {
+		s.cfg.Degraded.Inc()
 	}
 }
 
@@ -161,9 +161,7 @@ func (s *Session) Snapshot(ls *core.LiveStore) error {
 	}
 	if err != nil {
 		s.cfg.Logf("journal: session %s snapshot failed: %v", s.key, err)
-		if s.cfg.Observer.SnapshotError != nil {
-			s.cfg.Observer.SnapshotError()
-		}
+		s.cfg.SnapshotErrors.Inc()
 		return err
 	}
 	s.snapFrames.Store(watermark)
@@ -178,14 +176,10 @@ func (s *Session) Snapshot(ls *core.LiveStore) error {
 		s.wal.mu.Unlock()
 		if err == nil {
 			s.degraded.Store(false)
-			if s.cfg.Observer.Healed != nil {
-				s.cfg.Observer.Healed()
-			}
+			s.cfg.Healed.Inc()
 		}
 	}
-	if s.cfg.Observer.SnapshotSeconds != nil {
-		s.cfg.Observer.SnapshotSeconds(time.Since(t0).Seconds())
-	}
+	s.cfg.SnapshotSeconds.Observe(time.Since(t0).Seconds())
 	return nil
 }
 

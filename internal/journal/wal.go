@@ -192,9 +192,7 @@ func (w *wal) append(startFrame uint64, group [][]byte, width int) (landed int, 
 		n, err := w.f.Write(buf)
 		w.size += int64(n)
 		w.dirty = true
-		if w.cfg.Observer.AppendBytes != nil && n > 0 {
-			w.cfg.Observer.AppendBytes(n)
-		}
+		w.cfg.WALBytes.Add(uint64(n))
 		if err != nil {
 			w.needRotate = true
 			built = 0
@@ -296,9 +294,7 @@ func (w *wal) appendAck(ack, nextFrame uint64) error {
 	}
 	w.size += int64(len(rec))
 	w.dirty = true
-	if w.cfg.Observer.AppendBytes != nil {
-		w.cfg.Observer.AppendBytes(len(rec))
-	}
+	w.cfg.WALBytes.Add(uint64(len(rec)))
 	switch w.cfg.Fsync {
 	case FsyncBatch:
 		return w.syncLocked()
@@ -329,9 +325,7 @@ func (w *wal) timedSync() {
 
 	t0 := time.Now()
 	err := f.Sync()
-	if w.cfg.Observer.FsyncSeconds != nil {
-		w.cfg.Observer.FsyncSeconds(time.Since(t0).Seconds())
-	}
+	w.cfg.FsyncSeconds.Observe(time.Since(t0).Seconds())
 	if err != nil && !errors.Is(err, os.ErrClosed) {
 		// A rotation may close the segment mid-sync; that is not a
 		// durability failure (the rotation path syncs retiring segments).
@@ -352,9 +346,7 @@ func (w *wal) noteAsyncErr(err error) {
 func (w *wal) syncLocked() error {
 	t0 := time.Now()
 	err := w.f.Sync()
-	if w.cfg.Observer.FsyncSeconds != nil {
-		w.cfg.Observer.FsyncSeconds(time.Since(t0).Seconds())
-	}
+	w.cfg.FsyncSeconds.Observe(time.Since(t0).Seconds())
 	if err == nil {
 		w.dirty = false
 	}

@@ -50,6 +50,17 @@ func TestCounterGaugeHistogramValues(t *testing.T) {
 	}
 }
 
+// TestNilInstrumentsAreNoops: a producer whose config leaves an instrument
+// unset updates a nil pointer, which must count into nothing.
+func TestNilInstrumentsAreNoops(t *testing.T) {
+	var c *Counter
+	c.Inc()
+	c.Add(3)
+	var h *Histogram
+	h.Observe(1)
+	h.ObserveExemplar(1, 7)
+}
+
 func TestRegistrationIdempotent(t *testing.T) {
 	r := NewRegistry()
 	a := r.Counter("t_x_total", "x")

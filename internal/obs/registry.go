@@ -103,11 +103,19 @@ func (r *Registry) CounterWith(name, labels, help string) *Counter {
 	return r.register(c).(*Counter)
 }
 
-// Inc adds 1.
-func (c *Counter) Inc() { c.v.Add(1) }
+// Inc adds 1; on a nil counter it does nothing.
+func (c *Counter) Inc() {
+	if c != nil {
+		c.v.Add(1)
+	}
+}
 
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
+// Add adds n; on a nil counter it does nothing.
+func (c *Counter) Add(n uint64) {
+	if c != nil {
+		c.v.Add(n)
+	}
+}
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
@@ -206,8 +214,11 @@ func (r *Registry) HistogramWith(name, labels, help string, bounds []float64) *H
 	return r.register(h).(*Histogram)
 }
 
-// Observe records one value.
+// Observe records one value; on a nil histogram it does nothing.
 func (h *Histogram) Observe(v float64) {
+	if h == nil {
+		return
+	}
 	h.counts[h.bucketOf(v)].Add(1)
 	h.n.Add(1)
 	h.sum.Add(v)
@@ -215,8 +226,12 @@ func (h *Histogram) Observe(v float64) {
 
 // ObserveExemplar records one value and, when traceID is non-zero, pins it
 // as the bucket's exemplar so the exposition links the bucket to the trace
-// that landed there (a bad p99 bucket points at a captured trace).
+// that landed there (a bad p99 bucket points at a captured trace). On a
+// nil histogram it does nothing.
 func (h *Histogram) ObserveExemplar(v float64, traceID uint64) {
+	if h == nil {
+		return
+	}
 	i := h.bucketOf(v)
 	h.counts[i].Add(1)
 	h.n.Add(1)

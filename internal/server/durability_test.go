@@ -170,6 +170,11 @@ func TestJournalOpenFailureFallsBackToMemoryOnly(t *testing.T) {
 			t.Fatalf("session %d claims durability with a broken journal dir", info.ID)
 		}
 	}
+	// One count for the journal that would not open, one for the named
+	// session served without it.
+	if n := srv.metrics.journalDegraded.Value(); n != 2 {
+		t.Fatalf("aims_journal_degraded_total = %d after one memory-only session, want 2", n)
+	}
 }
 
 // journalSessions registers each named session on a durable server over
@@ -300,8 +305,8 @@ func TestRecoveredSessionsFollowRetainRules(t *testing.T) {
 		if n, err := srv.RecoverSessions(); err != nil || n != 2 {
 			t.Fatalf("recovered %d sessions, err=%v; want 2", n, err)
 		}
-		if rec, orph := srv.RecoveredSessions(); rec != 2 || orph != 2 || srv.DetachedCount() != 2 {
-			t.Fatalf("recovered=%d orphans=%d detached=%d, want 2/2/2", rec, orph, srv.DetachedCount())
+		if rec, orph := srv.RecoveredSessions(); rec != 2 || orph != 2 || srv.metrics.sessionsDetached.Value() != 2 {
+			t.Fatalf("recovered=%d orphans=%d detached=%d, want 2/2/2", rec, orph, srv.metrics.sessionsDetached.Value())
 		}
 		mustHello(t, addr, namedHello("A", 2), wire.CodeResumed, 40)
 		waitDetached(t, srv, 0) // B expires unclaimed
@@ -326,8 +331,8 @@ func TestRecoveredSessionsFollowRetainRules(t *testing.T) {
 		if n, err := srv.RecoverSessions(); err != nil || n != 3 {
 			t.Fatalf("recovered %d sessions, err=%v; want 3", n, err)
 		}
-		if rec, orph := srv.RecoveredSessions(); rec != 3 || orph != 2 || srv.DetachedCount() != 2 {
-			t.Fatalf("recovered=%d orphans=%d detached=%d, want 3/2/2", rec, orph, srv.DetachedCount())
+		if rec, orph := srv.RecoveredSessions(); rec != 3 || orph != 2 || srv.metrics.sessionsDetached.Value() != 2 {
+			t.Fatalf("recovered=%d orphans=%d detached=%d, want 3/2/2", rec, orph, srv.metrics.sessionsDetached.Value())
 		}
 		mustHello(t, addr, namedHello("C", 3), wire.CodeDuplicate, 0)
 		mustHello(t, addr, namedHello("C", 2), wire.CodeResumed, 30)

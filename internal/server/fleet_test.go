@@ -122,6 +122,7 @@ func TestFleetQueryAcrossSessions(t *testing.T) {
 	// the partial policy: the live sessions answer, the bogus ID comes
 	// back as typed per-session failure detail.
 	ids := []uint64{clients[0].SessionID(), clients[gloves].SessionID(), 9999}
+	partial, failed := srv.metrics.fleetPartial.Value(), srv.metrics.fleetFailed.Value()
 	fp, err := asker.FleetQuery(wire.FleetQuery{
 		Query:   wire.Query{Kind: wire.QueryCount, Channel: 0, T0: 0, T1: 100},
 		Scope:   wire.FleetScope{IDs: ids},
@@ -135,6 +136,9 @@ func TestFleetQueryAcrossSessions(t *testing.T) {
 	}
 	if f := fp.Failures[0]; f.ID != 9999 || f.Code != wire.CodeNotRegistered {
 		t.Fatalf("failure detail: %+v", f)
+	}
+	if dp, df := srv.metrics.fleetPartial.Value()-partial, srv.metrics.fleetFailed.Value()-failed; dp != 1 || df != 0 {
+		t.Fatalf("partial answer moved aims_fleet_partial_total by %d and aims_fleet_failed_total by %d, want 1 and 0", dp, df)
 	}
 
 	// The same query under the fail policy reports the failure code and no
@@ -151,6 +155,7 @@ func TestFleetQueryAcrossSessions(t *testing.T) {
 	}
 
 	// An unknown class is a clean no-sessions answer.
+	partial, failed = srv.metrics.fleetPartial.Value(), srv.metrics.fleetFailed.Value()
 	fn, err := asker.FleetQuery(wire.FleetQuery{
 		Query: wire.Query{Kind: wire.QueryCount, Channel: 0, T0: 0, T1: 1},
 		Scope: wire.FleetScope{Class: "hmd"},
@@ -160,6 +165,9 @@ func TestFleetQueryAcrossSessions(t *testing.T) {
 	}
 	if fn.OK || fn.Code != wire.CodeNoSessions {
 		t.Fatalf("no-sessions fleet: %+v", fn)
+	}
+	if dp, df := srv.metrics.fleetPartial.Value()-partial, srv.metrics.fleetFailed.Value()-failed; dp != 0 || df != 1 {
+		t.Fatalf("no-sessions answer moved aims_fleet_partial_total by %d and aims_fleet_failed_total by %d, want 0 and 1", dp, df)
 	}
 
 	// Device-class inventory feeds the /fleet admin endpoint.

@@ -141,7 +141,7 @@ func TestIdleSessionHoldsTwoGoroutines(t *testing.T) {
 		t.Fatalf("%d idle sessions hold %d goroutines, want exactly %d",
 			n, runtime.NumGoroutine()-base, 2*n)
 	}
-	if got := srv.SessionCount(); got != n {
+	if got := srv.sessions.len(); got != n {
 		t.Fatalf("sessions = %d, want %d", got, n)
 	}
 	for _, rs := range sessions {
@@ -244,7 +244,7 @@ func TestStalledAppenderBlocksReaderAtFrameBound(t *testing.T) {
 	if info := session(); info.QueueLen != 64 || info.FramesEnqueued != 80 || info.FramesStored != 16 {
 		t.Fatalf("while stalled: %+v, want queue_len 64, 80 enqueued, 16 stored", info)
 	}
-	if d := srv.Metrics().QueueDepth; d != 64 {
+	if d := srv.metrics.queueDepth.Value(); d != 64 {
 		t.Fatalf("queue depth gauge = %d, want 64", d)
 	}
 
@@ -255,7 +255,7 @@ func TestStalledAppenderBlocksReaderAtFrameBound(t *testing.T) {
 	if stored := rs.expectFlushAck(); stored != 128 {
 		t.Fatalf("flush reports %d stored, want 128", stored)
 	}
-	if d := srv.Metrics().QueueDepth; d != 0 {
+	if d := srv.metrics.queueDepth.Value(); d != 0 {
 		t.Fatalf("queue depth gauge after the barrier = %d, want 0", d)
 	}
 }
@@ -501,7 +501,7 @@ func TestHeldGroupStaysChargedToTheFrameBound(t *testing.T) {
 		if info := session(); info.QueueLen != 64 || info.FramesEnqueued != 64 || info.FramesStored != 0 {
 			t.Fatalf("policy %v, while parked: %+v, want 64 charged, 64 enqueued, none stored", policy, info)
 		}
-		if d := srv.Metrics().QueueDepth; d != 64 {
+		if d := srv.metrics.queueDepth.Value(); d != 64 {
 			t.Fatalf("policy %v: queue depth gauge = %d, want 64", policy, d)
 		}
 
@@ -520,7 +520,7 @@ func TestHeldGroupStaysChargedToTheFrameBound(t *testing.T) {
 		if stored := rs.expectFlushAck(); stored != want {
 			t.Fatalf("policy %v: flush reports %d stored, want %d", policy, stored, want)
 		}
-		if d := srv.Metrics().QueueDepth; d != 0 {
+		if d := srv.metrics.queueDepth.Value(); d != 0 {
 			t.Fatalf("policy %v: queue depth gauge after the barrier = %d, want 0", policy, d)
 		}
 	}
@@ -652,8 +652,11 @@ func TestAppendLoopMatchesOneAtATimeModel(t *testing.T) {
 		if st, enq, b := sess.stored.Load(), sess.enqueued.Load(), sess.badAppend.Load(); st != uint64(len(sent)) || enq != st || b != bad {
 			t.Fatalf("seed %d: stored=%d enqueued=%d badAppend=%d, want %d/%d/%d", seed, st, enq, b, len(sent), len(sent), bad)
 		}
-		if sess.q.len() != 0 || srv.Metrics().QueueDepth != 0 {
-			t.Fatalf("seed %d: %d frames still charged (gauge %d) after the drain", seed, sess.q.len(), srv.Metrics().QueueDepth)
+		if n := srv.metrics.appendErrors.Value(); n != bad {
+			t.Fatalf("seed %d: aims_append_errors_total = %d, want the %d bad frames", seed, n, bad)
+		}
+		if sess.q.len() != 0 || srv.metrics.queueDepth.Value() != 0 {
+			t.Fatalf("seed %d: %d frames still charged (gauge %d) after the drain", seed, sess.q.len(), srv.metrics.queueDepth.Value())
 		}
 		if snapshots.Load() == 0 || skewed.Load() != 0 {
 			t.Fatalf("seed %d: %d of %d snapshots took a watermark that was not the stored count", seed, skewed.Load(), snapshots.Load())

@@ -6,8 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"aims/internal/fleet"
-	"aims/internal/journal"
 	"aims/internal/obs"
 	"aims/internal/propolyne"
 	"aims/internal/wire"
@@ -97,9 +95,9 @@ type metrics struct {
 	sealRebuildSeconds *obs.Histogram
 	sealDeltaEntries   *obs.Histogram
 
-	// Fleet query instruments: fan-out width, per-session scan time and
-	// merge time per query, plus query/partial/failure counters.
-	fleetQueries      *obs.Counter
+	// Fleet query instruments: fan-out width (its count is the number of
+	// fleet queries), per-session scan time and merge time per query, plus
+	// partial/failure counters.
 	fleetPartial      *obs.Counter
 	fleetFailed       *obs.Counter
 	fleetFanout       *obs.Histogram
@@ -113,11 +111,10 @@ type metrics struct {
 	planEvictions      *obs.Counter
 	planCompileSeconds *obs.Histogram
 
-	// Durability instruments (the journal layer reports through these).
+	// Durability instruments (the journal layer updates these).
 	walFsyncSeconds *obs.Histogram
 	walBytes        *obs.Counter
 	snapshotSeconds *obs.Histogram
-	snapshots       *obs.Counter
 	snapshotErrors  *obs.Counter
 	journalDegraded *obs.Counter
 	journalHealed   *obs.Counter
@@ -163,7 +160,6 @@ func newMetrics() *metrics {
 			"Seal wall time by path.", sealBounds),
 		sealDeltaEntries: reg.Histogram("aims_seal_delta_entries",
 			"Delta-log entries replayed per incremental seal.", deltaBounds),
-		fleetQueries: reg.Counter("aims_fleet_queries_total", "Cross-session fleet queries evaluated."),
 		fleetPartial: reg.Counter("aims_fleet_partial_total",
 			"Fleet queries answered from a strict subset of their scope."),
 		fleetFailed: reg.Counter("aims_fleet_failed_total", "Fleet queries that returned no merged answer."),
@@ -184,10 +180,9 @@ func newMetrics() *metrics {
 		walBytes: reg.Counter("aims_wal_bytes_total", "Bytes appended to session WALs."),
 		snapshotSeconds: reg.Histogram("aims_snapshot_seconds",
 			"Session snapshot wall time (seal + write + WAL truncation).", sealBounds),
-		snapshots:      reg.Counter("aims_snapshots_total", "Session snapshots written."),
 		snapshotErrors: reg.Counter("aims_snapshot_errors_total", "Session snapshots that failed."),
 		journalDegraded: reg.Counter("aims_journal_degraded_total",
-			"Times a session shed durability after journal write failures."),
+			"Durability losses: a journal that failed to open, and each session served without the durability it was configured for."),
 		journalHealed: reg.Counter("aims_journal_healed_total",
 			"Times a degraded session restored durability via a snapshot."),
 	}
@@ -239,16 +234,6 @@ func (m *metrics) observeSlow(kind string) {
 	}
 }
 
-// fleetObserver wires the fleet evaluator's hooks onto this server's
-// instruments.
-func (m *metrics) fleetObserver() fleet.Observer {
-	return fleet.Observer{
-		FanOut:       func(width int) { m.fleetFanout.Observe(float64(width)) },
-		ScanSeconds:  func(s float64) { m.fleetScanSeconds.Observe(s) },
-		MergeSeconds: func(s float64) { m.fleetMergeSeconds.Observe(s) },
-	}
-}
-
 // planObserver wires the shared plan cache's hooks onto this server's
 // instruments. The cache is process-global; when several servers share a
 // process (tests), the most recently constructed one owns the hooks.
@@ -258,19 +243,6 @@ func (m *metrics) planObserver() propolyne.PlanObserver {
 		Miss:           func() { m.planMisses.Inc() },
 		Evict:          func() { m.planEvictions.Inc() },
 		CompileSeconds: func(s float64) { m.planCompileSeconds.Observe(s) },
-	}
-}
-
-// journalObserver wires the durability layer's callbacks onto this
-// server's instruments.
-func (m *metrics) journalObserver() journal.Observer {
-	return journal.Observer{
-		FsyncSeconds:    func(s float64) { m.walFsyncSeconds.Observe(s) },
-		AppendBytes:     func(n int) { m.walBytes.Add(uint64(n)) },
-		SnapshotSeconds: func(s float64) { m.snapshotSeconds.Observe(s); m.snapshots.Inc() },
-		SnapshotError:   func() { m.snapshotErrors.Inc() },
-		Degraded:        func() { m.journalDegraded.Inc() },
-		Healed:          func() { m.journalHealed.Inc() },
 	}
 }
 
@@ -299,57 +271,20 @@ func (m *metrics) countOut(typ byte, payloadLen int) {
 	}
 }
 
-// Snapshot is one consistent-enough read of the server's counters,
-// suitable for JSON logging.
-type Snapshot struct {
-	SessionsActive  int64  `json:"sessions_active"`
-	SessionsTotal   uint64 `json:"sessions_total"`
-	FramesIngested  uint64 `json:"frames_ingested"`
-	BatchesIngested uint64 `json:"batches_ingested"`
-	FramesShed      uint64 `json:"frames_shed"`
-	BatchesShed     uint64 `json:"batches_shed"`
-	AppendErrors    uint64 `json:"append_errors"`
-	Queries         uint64 `json:"queries"`
-	Evictions       uint64 `json:"evictions"`
-	QueueDepth      int    `json:"queue_depth"` // frames waiting across all sessions
-
-	// QueryLatency histogram: counts per bucket of latencyBounds plus the
-	// overflow bucket, with mean and max.
-	LatencyCounts []uint64      `json:"latency_counts"`
-	LatencyMean   time.Duration `json:"latency_mean_ns"`
-	LatencyMax    time.Duration `json:"latency_max_ns"`
-}
-
-func (m *metrics) snapshot() Snapshot {
-	s := Snapshot{
-		SessionsActive:  m.sessionsActive.Value(),
-		SessionsTotal:   m.sessionsTotal.Value(),
-		FramesIngested:  m.framesIngested.Value(),
-		BatchesIngested: m.batchesIngested.Value(),
-		FramesShed:      m.framesShed.Value(),
-		BatchesShed:     m.batchesShed.Value(),
-		AppendErrors:    m.appendErrors.Value(),
-		Queries:         m.queryLatency.Count(),
-		Evictions:       m.evictions.Value(),
-		QueueDepth:      int(m.queueDepth.Value()),
-		LatencyCounts:   m.queryLatency.BucketCounts(),
-		LatencyMax:      time.Duration(m.latencyMaxNS.Load()),
-	}
-	if s.Queries > 0 {
-		s.LatencyMean = time.Duration(m.queryLatency.Sum() / float64(s.Queries) * float64(time.Second))
-	}
-	return s
-}
-
-// String renders the snapshot as one log line.
-func (s Snapshot) String() string {
+// line renders the counters the periodic log reports as one line, read
+// straight from the instruments.
+func (m *metrics) line() string {
+	queries := m.queryLatency.Count()
 	var b strings.Builder
 	fmt.Fprintf(&b, "sessions=%d/%d frames=%d batches=%d shed=%d/%d queue=%d queries=%d evictions=%d",
-		s.SessionsActive, s.SessionsTotal, s.FramesIngested, s.BatchesIngested,
-		s.BatchesShed, s.FramesShed, s.QueueDepth, s.Queries, s.Evictions)
-	if s.Queries > 0 {
-		fmt.Fprintf(&b, " qlat(mean=%s max=%s hist=", s.LatencyMean.Round(time.Microsecond), s.LatencyMax.Round(time.Microsecond))
-		for i, c := range s.LatencyCounts {
+		m.sessionsActive.Value(), m.sessionsTotal.Value(), m.framesIngested.Value(),
+		m.batchesIngested.Value(), m.batchesShed.Value(), m.framesShed.Value(),
+		m.queueDepth.Value(), queries, m.evictions.Value())
+	if queries > 0 {
+		mean := time.Duration(m.queryLatency.Sum() / float64(queries) * float64(time.Second))
+		slowest := time.Duration(m.latencyMaxNS.Load())
+		fmt.Fprintf(&b, " qlat(mean=%s max=%s hist=", mean.Round(time.Microsecond), slowest.Round(time.Microsecond))
+		for i, c := range m.queryLatency.BucketCounts() {
 			if i > 0 {
 				b.WriteByte('/')
 			}

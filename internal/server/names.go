@@ -205,7 +205,3 @@ func (s *Server) retireAll() {
 		<-o.left
 	}
 }
-
-// DetachedCount reports sessions parked awaiting their device: those that
-// left, by a dropped link or a Close, and those recovered from disk.
-func (s *Server) DetachedCount() int { return int(s.metrics.sessionsDetached.Value()) }

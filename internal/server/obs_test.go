@@ -124,29 +124,41 @@ func TestMetricsGolden(t *testing.T) {
 	}
 }
 
-func TestSnapshotString(t *testing.T) {
-	s := Snapshot{
-		SessionsActive: 2, SessionsTotal: 5,
-		FramesIngested: 1000, BatchesIngested: 4,
-		FramesShed: 7, BatchesShed: 1,
-		QueueDepth: 3, Evictions: 1,
+// latencyHist returns the per-bucket counts of the qlat(... hist=) field
+// of a rendered metrics line.
+func latencyHist(t *testing.T, line string) []string {
+	t.Helper()
+	i := strings.Index(line, "hist=")
+	if i < 0 || !strings.HasSuffix(line, ")") {
+		t.Fatalf("no latency histogram in %q", line)
 	}
+	return strings.Split(line[i+len("hist="):len(line)-1], "/")
+}
+
+func TestSnapshotString(t *testing.T) {
+	srv := New(Config{})
+	m := srv.metrics
+	m.sessionsActive.Add(2)
+	m.sessionsTotal.Add(5)
+	m.framesIngested.Add(1000)
+	m.batchesIngested.Add(4)
+	m.framesShed.Add(7)
+	m.batchesShed.Add(1)
+	m.queueDepth.Add(3)
+	m.evictions.Inc()
 	want := "sessions=2/5 frames=1000 batches=4 shed=1/7 queue=3 queries=0 evictions=1"
-	if got := s.String(); got != want {
-		t.Errorf("String() = %q, want %q", got, want)
+	if got := srv.Metrics(); got != want {
+		t.Errorf("Metrics() = %q, want %q", got, want)
 	}
 
-	s.Queries = 2
-	s.LatencyCounts = []uint64{1, 1, 0, 0, 0, 0, 0, 0}
-	s.LatencyMean = 100 * time.Microsecond
-	s.LatencyMax = 150 * time.Microsecond
-	got := s.String()
+	m.observeQuery(50*time.Microsecond, 0)
+	m.observeQuery(150*time.Microsecond, 0)
+	got := srv.Metrics()
 	if !strings.Contains(got, "qlat(mean=100µs max=150µs hist=1/1/0/0/0/0/0/0)") {
-		t.Errorf("String() with queries = %q", got)
+		t.Errorf("Metrics() with queries = %q", got)
 	}
-	if len(s.LatencyCounts) != len(latencyBounds)+1 {
-		t.Fatalf("test fixture has %d buckets, latencyBounds wants %d",
-			len(s.LatencyCounts), len(latencyBounds)+1)
+	if n := len(latencyHist(t, got)); n != len(latencyBounds)+1 {
+		t.Fatalf("line has %d latency buckets, latencyBounds wants %d", n, len(latencyBounds)+1)
 	}
 }
 
@@ -154,12 +166,11 @@ func TestSnapshotString(t *testing.T) {
 // histogram's bucket count must follow latencyBounds, never a hard-coded
 // array length.
 func TestSnapshotBucketsMatchBounds(t *testing.T) {
-	m := newMetrics()
-	m.observeQuery(time.Millisecond, 0)
-	s := m.snapshot()
-	if len(s.LatencyCounts) != len(latencyBounds)+1 {
-		t.Fatalf("snapshot has %d latency buckets, want len(latencyBounds)+1 = %d",
-			len(s.LatencyCounts), len(latencyBounds)+1)
+	srv := New(Config{})
+	srv.metrics.observeQuery(time.Millisecond, 0)
+	if n := len(latencyHist(t, srv.Metrics())); n != len(latencyBounds)+1 {
+		t.Fatalf("line has %d latency buckets, want len(latencyBounds)+1 = %d",
+			n, len(latencyBounds)+1)
 	}
 }
 
@@ -376,8 +387,8 @@ func TestObsStressRace(t *testing.T) {
 				default:
 				}
 				buf.Reset()
-				srv.Registry().WritePrometheus(&buf)
-				_ = srv.Metrics().String()
+				srv.metrics.reg.WritePrometheus(&buf)
+				_ = srv.Metrics()
 			}
 		}()
 	}
@@ -427,11 +438,11 @@ func TestObsStressRace(t *testing.T) {
 
 	// Every session closed cleanly (Close drains the ingest queue), so the
 	// gauge must be exactly zero — any drift means a missed decrement.
-	m := srv.Metrics()
-	if m.QueueDepth != 0 {
-		t.Fatalf("queue depth after drain = %d, want exactly 0", m.QueueDepth)
+	m := srv.metrics
+	if d := m.queueDepth.Value(); d != 0 {
+		t.Fatalf("queue depth after drain = %d, want exactly 0", d)
 	}
-	if want := uint64(clients * batches * perBatch); m.FramesIngested != want {
-		t.Fatalf("frames ingested = %d, want %d", m.FramesIngested, want)
+	if want := uint64(clients * batches * perBatch); m.framesIngested.Value() != want {
+		t.Fatalf("frames ingested = %d, want %d", m.framesIngested.Value(), want)
 	}
 }

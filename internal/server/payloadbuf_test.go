@@ -183,7 +183,7 @@ func TestPayloadBufferGapError(t *testing.T) {
 	if typ, _, err := wire.ReadMessage(rs.br); err != nil || typ != wire.MsgError {
 		t.Fatalf("got msg type %d (err %v) for a gapped batch, want an error", typ, err)
 	}
-	if !waitFor(func() bool { return srv.SessionCount() == 0 }) {
+	if !waitFor(func() bool { return srv.sessions.len() == 0 }) {
 		t.Fatal("session survived a gapped batch")
 	}
 	wantBuffersBack(t, sess, 1+2)

@@ -12,10 +12,10 @@ import (
 func waitDetached(t *testing.T, srv *Server, n int) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
-	for srv.DetachedCount() != n && time.Now().Before(deadline) {
+	for srv.metrics.sessionsDetached.Value() != int64(n) && time.Now().Before(deadline) {
 		time.Sleep(2 * time.Millisecond)
 	}
-	if got := srv.DetachedCount(); got != n {
+	if got := srv.metrics.sessionsDetached.Value(); got != int64(n) {
 		t.Fatalf("detached sessions = %d, want %d", got, n)
 	}
 }
@@ -34,7 +34,6 @@ func TestExactlyOnceDedup(t *testing.T) {
 func testExactlyOnceDedup(t *testing.T, scheme string) {
 	const channels = 2
 	srv, addr := startServerOn(t, scheme, Config{Store: testStoreCfg()})
-	_ = srv
 	frames := clientFrames(0, 200, channels)
 	mins, maxs := ranges(channels)
 
@@ -62,6 +61,9 @@ func testExactlyOnceDedup(t *testing.T, scheme string) {
 	if c.DupBatches() != 1 {
 		t.Fatalf("dup batches = %d, want 1", c.DupBatches())
 	}
+	if n := srv.metrics.dupBatches.Value(); n != 1 {
+		t.Fatalf("aims_dup_batches_total = %d after one duplicate, want 1", n)
+	}
 
 	// Straddling replay: frames [50,150) — the server must trim the first
 	// 50 and append exactly the 50 fresh ones.
@@ -72,9 +74,13 @@ func testExactlyOnceDedup(t *testing.T, scheme string) {
 		t.Fatalf("flush after straddle: stored=%d err=%v", stored, err)
 	}
 	// A trimmed batch still appends fresh frames, so it is acknowledged as
-	// a normal store — only fully-duplicate batches earn CodeDuplicate.
+	// a normal store — only fully-duplicate batches earn CodeDuplicate —
+	// but the server counts its trimmed prefix as one more duplicate.
 	if c.DupBatches() != 1 {
 		t.Fatalf("dup batches = %d, want 1", c.DupBatches())
+	}
+	if n := srv.metrics.dupBatches.Value(); n != 2 {
+		t.Fatalf("aims_dup_batches_total = %d after a duplicate and a straddle, want 2", n)
 	}
 	r, err := c.Query(wire.Query{Kind: wire.QueryCount, Channel: 0, T0: 0, T1: 1e6})
 	if err != nil {
@@ -142,8 +148,11 @@ func testParkResumeAfterAbort(t *testing.T, scheme string) {
 	if w.AckSeq != 300 {
 		t.Fatalf("welcome ack seq = %d, want 300", w.AckSeq)
 	}
-	if srv.DetachedCount() != 0 {
-		t.Fatalf("detached count = %d after adoption, want 0", srv.DetachedCount())
+	if n := srv.metrics.resumesTotal.Value(); n != 1 {
+		t.Fatalf("aims_session_resumes_total = %d after one resume, want 1", n)
+	}
+	if srv.metrics.sessionsDetached.Value() != 0 {
+		t.Fatalf("detached count = %d after adoption, want 0", srv.metrics.sessionsDetached.Value())
 	}
 
 	// At-least-once replay from below the watermark, then fresh frames:
@@ -295,5 +304,19 @@ func testJournalResumeCarriesWatermark(t *testing.T, scheme string) {
 	}
 	if _, err := c2.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPingCountsHeartbeat: an answered ping moves aims_heartbeats_total by
+// exactly one.
+func TestPingCountsHeartbeat(t *testing.T) {
+	srv, addr := startServer(t, Config{Store: testStoreCfg()})
+	c := mustHello(t, addr, namedHello("pinger", 2), wire.CodeOK, 0)
+	before := srv.metrics.heartbeats.Value()
+	if err := c.Ping(); err != nil {
+		t.Fatal(err)
+	}
+	if d := srv.metrics.heartbeats.Value() - before; d != 1 {
+		t.Fatalf("one ping moved aims_heartbeats_total by %d, want 1", d)
 	}
 }

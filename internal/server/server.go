@@ -118,9 +118,6 @@ type Config struct {
 	// TraceSample samples one in N ingest batches and queries into the
 	// pipeline tracer. ≤ 0 means the default, obs.DefaultTraceSample (256).
 	TraceSample int
-	// TraceBuffer bounds the completed-trace ring served by /tracez
-	// (default obs.DefaultTraceBuffer).
-	TraceBuffer int
 	// SlowQuery is the threshold of the always-on slow-query log: any
 	// query, fleet query or ingest batch that takes at least this long is
 	// traced and retained in a separate bounded ring (served by /slowlog
@@ -195,7 +192,7 @@ type Server struct {
 	namesMu sync.Mutex
 	names   map[string]*owner
 
-	fleetCfg fleet.Config // scatter pool width, deadline, metric hooks
+	fleetCfg fleet.Config // scatter pool width, deadline, instruments
 
 	wg      sync.WaitGroup // live session handlers
 	serveWg sync.WaitGroup // accept loops
@@ -220,16 +217,23 @@ func New(cfg Config) *Server {
 	}
 	propolyne.SharedCache.SetObserver(m.planObserver())
 	s := &Server{cfg: cfg, sessions: newRegistry(), metrics: m,
-		tracer: obs.NewTracer(cfg.TraceSample, cfg.TraceBuffer, cfg.SlowQuery, m.observeSlow),
+		tracer: obs.NewTracer(cfg.TraceSample, obs.DefaultTraceBuffer, cfg.SlowQuery, m.observeSlow),
 		quit:   make(chan struct{}), names: map[string]*owner{}}
 	s.fleetCfg = fleet.Config{
-		Workers:  cfg.FleetWorkers,
-		Timeout:  cfg.FleetTimeout,
-		Observer: m.fleetObserver(),
+		Workers:      cfg.FleetWorkers,
+		Timeout:      cfg.FleetTimeout,
+		FanOut:       m.fleetFanout,
+		ScanSeconds:  m.fleetScanSeconds,
+		MergeSeconds: m.fleetMergeSeconds,
 	}
 	if cfg.Journal.Dir != "" {
 		jcfg := cfg.Journal
-		jcfg.Observer = m.journalObserver()
+		jcfg.FsyncSeconds = m.walFsyncSeconds
+		jcfg.WALBytes = m.walBytes
+		jcfg.SnapshotSeconds = m.snapshotSeconds
+		jcfg.SnapshotErrors = m.snapshotErrors
+		jcfg.Degraded = m.journalDegraded
+		jcfg.Healed = m.journalHealed
 		if jcfg.Logf == nil {
 			jcfg.Logf = cfg.Logf
 		}
@@ -282,10 +286,6 @@ func (s *Server) RecoveredSessions() (recovered, orphaned int) {
 	}
 	return int(s.recovered.Load()), orphaned
 }
-
-// Registry exposes the server's metrics registry (what the admin plane
-// serves as /metrics).
-func (s *Server) Registry() *obs.Registry { return s.metrics.reg }
 
 // Start listens on a transport endpoint — bare "host:port" (TCP),
 // "tcp://host:port" or "ws://host:port[/path]" — and serves in the
@@ -377,7 +377,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // merges the per-session answers under the query's fail|partial policy.
 // A non-nil tr receives every per-session evaluation under parent.
 func (s *Server) evaluateFleet(fq wire.FleetQuery, tr *obs.Trace, parent obs.SpanID) wire.FleetResult {
-	s.metrics.fleetQueries.Inc()
 	snap := s.sessions.snapshot()
 	targets := make([]fleet.Session, 0, len(snap))
 	for _, sess := range snap {
@@ -416,16 +415,11 @@ func (s *Server) DeviceClasses() map[string]int {
 	return out
 }
 
-// Metrics returns a point-in-time snapshot of the server's counters.
-// QueueDepth is an atomic gauge maintained at enqueue/dequeue, so the
-// snapshot is O(1) regardless of how many sessions are live.
-func (s *Server) Metrics() Snapshot {
-	return s.metrics.snapshot()
-}
-
-// SessionCount returns the number of live sessions.
-func (s *Server) SessionCount() int {
-	return s.sessions.len()
+// Metrics renders the server's counters as one log line. The queue depth
+// is an atomic gauge maintained at enqueue/dequeue, so the line costs O(1)
+// regardless of how many sessions are live.
+func (s *Server) Metrics() string {
+	return s.metrics.line()
 }
 
 func (s *Server) register(sess *session) {

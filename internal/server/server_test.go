@@ -108,20 +108,20 @@ func TestServerEightConcurrentClients(t *testing.T) {
 	// CloseAck goes out just before the handler unregisters, so give the
 	// session accounting a moment to settle.
 	settle := time.Now().Add(2 * time.Second)
-	for srv.SessionCount() > 0 && time.Now().Before(settle) {
+	for srv.sessions.len() > 0 && time.Now().Before(settle) {
 		time.Sleep(2 * time.Millisecond)
 	}
-	snap := srv.Metrics()
-	if snap.FramesIngested != clients*frames {
-		t.Fatalf("server ingested %d frames, want %d", snap.FramesIngested, clients*frames)
+	m := srv.metrics
+	if got := m.framesIngested.Value(); got != clients*frames {
+		t.Fatalf("server ingested %d frames, want %d", got, clients*frames)
 	}
-	if snap.BatchesShed != 0 || snap.FramesShed != 0 {
-		t.Fatalf("unexpected shedding: %+v", snap)
+	if m.batchesShed.Value() != 0 || m.framesShed.Value() != 0 {
+		t.Fatalf("unexpected shedding: %s", srv.Metrics())
 	}
-	if snap.SessionsTotal != clients || snap.SessionsActive != 0 {
-		t.Fatalf("session accounting: %+v", snap)
+	if m.sessionsTotal.Value() != clients || m.sessionsActive.Value() != 0 {
+		t.Fatalf("session accounting: %s", srv.Metrics())
 	}
-	if snap.Queries == 0 {
+	if m.queryLatency.Count() == 0 {
 		t.Fatal("no queries recorded")
 	}
 
@@ -281,9 +281,8 @@ func TestServerShedPolicy(t *testing.T) {
 	if c.ShedBatches() != 3 {
 		t.Fatalf("client counted %d shed batches, want 3", c.ShedBatches())
 	}
-	snap := srv.Metrics()
-	if snap.BatchesShed != 3 || snap.FramesShed != 96 {
-		t.Fatalf("server shed accounting: %+v", snap)
+	if srv.metrics.batchesShed.Value() != 3 || srv.metrics.framesShed.Value() != 96 {
+		t.Fatalf("server shed accounting: %s", srv.Metrics())
 	}
 }
 
@@ -319,10 +318,10 @@ func TestServerIdleEviction(t *testing.T) {
 		t.Fatalf("eviction code: %+v %v", em, err)
 	}
 	deadline := time.Now().Add(2 * time.Second)
-	for srv.Metrics().Evictions == 0 && time.Now().Before(deadline) {
+	for srv.metrics.evictions.Value() == 0 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	if got := srv.Metrics().Evictions; got != 1 {
+	if got := srv.metrics.evictions.Value(); got != 1 {
 		t.Fatalf("evictions = %d", got)
 	}
 }
@@ -420,12 +419,11 @@ func TestServerShutdownDrains(t *testing.T) {
 	if err := srv.Shutdown(ctx); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
-	snap := srv.Metrics()
-	if snap.FramesIngested != 1000 {
-		t.Fatalf("drained %d frames, want 1000", snap.FramesIngested)
+	if got := srv.metrics.framesIngested.Value(); got != 1000 {
+		t.Fatalf("drained %d frames, want 1000", got)
 	}
-	if snap.SessionsActive != 0 {
-		t.Fatalf("sessions still active: %+v", snap)
+	if srv.metrics.sessionsActive.Value() != 0 {
+		t.Fatalf("sessions still active: %s", srv.Metrics())
 	}
 	// The client observes the shutdown as a wire error or a closed conn.
 	_, err = c.Query(wire.Query{Kind: wire.QueryCount, Channel: 0, T0: 0, T1: 1})
@@ -538,7 +536,7 @@ func TestQueueDepthGauge(t *testing.T) {
 	if stored != 400 {
 		t.Fatalf("flush barrier stored = %d, want 400", stored)
 	}
-	if d := srv.Metrics().QueueDepth; d != 0 {
+	if d := srv.metrics.queueDepth.Value(); d != 0 {
 		t.Fatalf("queue depth after flush barrier = %d, want 0", d)
 	}
 }

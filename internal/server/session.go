@@ -404,8 +404,13 @@ func (sess *session) handshake() bool {
 	sess.store = store
 
 	// Only a named session is journaled: no Hello can resume an anonymous
-	// one.
-	if srv.journal != nil && sess.held != nil {
+	// one. When the journal never opened, each named session it would have
+	// held counts as served without durability.
+	if sess.held != nil && srv.cfg.Journal.Dir != "" {
+		if srv.journal == nil {
+			srv.metrics.journalDegraded.Inc()
+			return true
+		}
 		eff := store.Config()
 		jsess, _, jerr := srv.journal.Attach(journal.Meta{
 			Name:         h.Name,

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"aims/internal/obs"
 	"aims/internal/stream"
 	"aims/internal/transport"
 )
@@ -55,9 +54,6 @@ type ResilientClient struct {
 	outages    []time.Duration
 
 	rng *rand.Rand
-
-	mReconnects *obs.Counter
-	mReplayed   *obs.Counter
 }
 
 // replayEntry is one buffered batch: its absolute first-frame offset and
@@ -102,9 +98,6 @@ type ResilientConfig struct {
 	// ReplayFrames bounds the replay ring (default 16384 frames — twice a
 	// default server queue, so acked-but-unjournaled frames stay covered).
 	ReplayFrames int
-	// Registry, when set, receives the client-side resilience counters
-	// aims_client_reconnects_total and aims_client_replayed_batches_total.
-	Registry *obs.Registry
 	// Seed makes the backoff jitter deterministic in tests (0 seeds from
 	// the global source).
 	Seed int64
@@ -171,12 +164,6 @@ func DialResilient(cfg ResilientConfig, h Hello) (*ResilientClient, Welcome, err
 		seed = rand.Int63()
 	}
 	rc := &ResilientClient{cfg: cfg, hello: h, rng: rand.New(rand.NewSource(seed))}
-	if cfg.Registry != nil {
-		rc.mReconnects = cfg.Registry.Counter("aims_client_reconnects_total",
-			"Successful session reconnects after a link failure.")
-		rc.mReplayed = cfg.Registry.Counter("aims_client_replayed_batches_total",
-			"Buffered batches re-sent during session resume.")
-	}
 	c, w, err := rc.dialOnce()
 	if err != nil {
 		return nil, Welcome{}, err
@@ -471,9 +458,6 @@ func (rc *ResilientClient) ensureLinkLocked() error {
 		rc.c = c
 		rc.broken = false
 		rc.reconnects++
-		if rc.mReconnects != nil {
-			rc.mReconnects.Inc()
-		}
 		d := time.Since(outageStart)
 		rc.outages = append(rc.outages, d)
 		rc.cfg.Logf("wire: session %q resumed after %s (attempt %d, ack=%d)",
@@ -520,8 +504,5 @@ func (rc *ResilientClient) resumeLocked(c *Client, w Welcome) error {
 		}
 	}
 	rc.replayed += replayed
-	if rc.mReplayed != nil {
-		rc.mReplayed.Add(replayed)
-	}
 	return nil
 }

@@ -42,9 +42,6 @@ const Magic uint32 = 0x41494D57
 // other change to a layout, or to what a field means, increments Version.
 const Version uint8 = 4
 
-// MinVersion is the oldest protocol version DecodeHello accepts.
-const MinVersion = Version
-
 // MaxPayload bounds a single message (guards the length prefix against
 // garbage and hostile peers).
 const MaxPayload = 1 << 24
