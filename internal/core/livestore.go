@@ -17,10 +17,12 @@ import (
 // kept in a form cheap enough to update per frame at device rate —
 // O(channels) integer increments — while staying queryable.
 //
-// Exact COUNT/AVERAGE/VARIANCE range aggregates are answered by direct
-// scans of the count cube (the cube *is* the exact frequency distribution,
-// so no transform is needed for exactness). Approximate and progressive
-// answers go through Seal, which materialises the cube as a full
+// Exact COUNT/AVERAGE/VARIANCE range aggregates are answered from the
+// count cube itself (the cube *is* the exact frequency distribution, so no
+// transform is needed for exactness), through a per-row moment cache:
+// each (channel, time-bucket) row keeps its integer Σ1, Σbin, Σbin² and
+// is rescanned only after a frame lands in its bucket. Approximate and
+// progressive answers go through Seal, which materialises the cube as a full
 // wavelet-transformed ProPolyne Store. The sealed engine is cached and —
 // because the wavelet transform of a point mass is sparse (§3.1.1) —
 // brought up to date incrementally: appends since the last seal are
@@ -30,10 +32,12 @@ import (
 // not O(cube). A full rebuild happens only on the first seal and when the
 // delta log overflows its threshold.
 //
-// Concurrency: one RWMutex guards the cube, the delta log and the seal
-// cache fields. AppendFrame takes the write lock for the whole frame, so
-// a query never observes half a frame; query scans take the read lock.
-// Safe for one or more appenders and any number of concurrent readers.
+// Concurrency: one RWMutex guards the cube, the bucket stamps, the delta
+// log and the seal cache fields. AppendFrame takes the write lock for the
+// whole frame, so a query never observes half a frame; exact scans take
+// the read lock and then rowMu, which guards the row cache (lock order
+// mu → rowMu). Safe for one or more appenders and any number of
+// concurrent readers.
 type LiveStore struct {
 	cfg        LiveStoreConfig
 	quant      []compress.Quantizer
@@ -43,6 +47,10 @@ type LiveStore struct {
 	cube    []uint32 // channels × TimeBuckets × ValueBins counts
 	frames  int
 	version uint64
+	// stamp holds, per time bucket, the version of the last frame stored
+	// into it: an append writes it once per frame, and a cached row whose
+	// stamp still matches is exactly the cube's row.
+	stamp []uint64
 	// delta logs the flat cube indices incremented since the last full
 	// seal snapshot; track gates logging (it starts at the first seal so
 	// an unqueried session never pays for it) and overflow marks a log
@@ -50,6 +58,12 @@ type LiveStore struct {
 	delta    []uint32
 	track    bool
 	overflow bool
+
+	rowMu sync.Mutex
+	// rows caches channels × TimeBuckets row moments, each valid while its
+	// stamp matches its bucket's. It is made by the first exact scan, so a
+	// session nobody queries exactly never pays for it.
+	rows []rowMoments
 
 	sealMu        sync.Mutex
 	sealed        *Store
@@ -128,6 +142,7 @@ func NewLiveStore(mins, maxs []float64, cfg LiveStoreConfig) (*LiveStore, error)
 		cfg:   cfg,
 		quant: quant,
 		cube:  make([]uint32, len(mins)*cfg.TimeBuckets*cfg.ValueBins),
+		stamp: make([]uint64, cfg.TimeBuckets),
 	}
 	switch {
 	case cfg.SealDeltaThreshold > 0:
@@ -190,6 +205,7 @@ func (ls *LiveStore) AppendFrame(tick int, frame []float64) error {
 	}
 	ls.frames++
 	ls.version++
+	ls.stamp[tb] = ls.version
 	ls.mu.Unlock()
 	return nil
 }
@@ -269,6 +285,7 @@ func (ls *LiveStore) AppendFrames(frames []stream.Frame) (int, error) {
 		}
 		ls.frames++
 		ls.version++
+		ls.stamp[tb] = ls.version
 		stored++
 	}
 	ls.mu.Unlock()
@@ -309,6 +326,7 @@ func (ls *LiveStore) AppendEncoded(body []byte) (int, error) {
 		}
 		ls.frames++
 		ls.version++
+		ls.stamp[tb] = ls.version
 		stored++
 	}
 	ls.mu.Unlock()
@@ -327,50 +345,64 @@ func (ls *LiveStore) checkChannel(channel int) error {
 	return nil
 }
 
-// rowSpan returns the cube offsets [from, to) of one channel's time
-// buckets over [t0, t1] seconds: the rows are contiguous, ValueBins each.
-func (ls *LiveStore) rowSpan(channel int, t0, t1 float64) (from, to int) {
+// rowMoments caches one (channel, time-bucket) row's bin moments Σ1,
+// Σbin, Σbin² as integers, together with the bucket stamp they were
+// computed at.
+type rowMoments struct {
+	n, sum, sumSq, stamp uint64
+}
+
+// moments returns Σ1, Σbin, Σbin² of one channel over a time range —
+// enough for COUNT, AVERAGE and VARIANCE — and the frame count they cover.
+// It sums the window's cached rows, rescanning the ValueBins cells of a
+// row only when a frame has landed in its bucket since the row was cached.
+// The sums are integers, converted to float64 once; every one stays below
+// 2^53, so they equal a float fold over the cube cells bit for bit.
+func (ls *LiveStore) moments(channel int, t0, t1 float64) (n, sum, sumSq float64, frames uint64, err error) {
+	if err := ls.checkChannel(channel); err != nil {
+		return 0, 0, 0, 0, err
+	}
 	lo, hi := ls.timeRange(t0, t1)
 	base := channel * ls.cfg.TimeBuckets
-	return (base + lo) * ls.cfg.ValueBins, (base + hi + 1) * ls.cfg.ValueBins
-}
-
-// binMoments returns Σ1, Σbin, Σbin² over span, a run of whole rows of vb
-// value bins each. It is the one exact-aggregate scan: moments runs it on
-// the cube under the read lock, Summarize on a copy outside it.
-func binMoments(span []uint32, vb int) (n, sum, sumSq float64) {
-	for ; len(span) > 0; span = span[vb:] {
-		for bin, cnt := range span[:vb] {
-			if cnt == 0 {
-				continue
-			}
-			fc := float64(cnt)
-			fb := float64(bin)
-			n += fc
-			sum += fc * fb
-			sumSq += fc * fb * fb
-		}
-	}
-	return n, sum, sumSq
-}
-
-// moments scans the cube for Σ1, Σbin, Σbin² of one channel over a time
-// range — enough for COUNT, AVERAGE and VARIANCE.
-func (ls *LiveStore) moments(channel int, t0, t1 float64) (n, sum, sumSq float64, err error) {
-	if err := ls.checkChannel(channel); err != nil {
-		return 0, 0, 0, err
-	}
-	from, to := ls.rowSpan(channel, t0, t1)
+	var in, isum, isq uint64
 	ls.mu.RLock()
-	defer ls.mu.RUnlock()
-	n, sum, sumSq = binMoments(ls.cube[from:to], ls.cfg.ValueBins)
-	return n, sum, sumSq, nil
+	ls.rowMu.Lock()
+	if ls.rows == nil {
+		ls.rows = make([]rowMoments, len(ls.quant)*ls.cfg.TimeBuckets)
+	}
+	for tb := lo; tb <= hi; tb++ {
+		r := &ls.rows[base+tb]
+		if r.stamp != ls.stamp[tb] {
+			ls.fillRow(r, base+tb, ls.stamp[tb])
+		}
+		in += r.n
+		isum += r.sum
+		isq += r.sumSq
+	}
+	ls.rowMu.Unlock()
+	frames = uint64(ls.frames)
+	ls.mu.RUnlock()
+	return float64(in), float64(isum), float64(isq), frames, nil
+}
+
+// fillRow recomputes r from cube row `row` and marks it current at stamp.
+// Callers hold ls.mu for reading and ls.rowMu.
+func (ls *LiveStore) fillRow(r *rowMoments, row int, stamp uint64) {
+	vb := ls.cfg.ValueBins
+	var n, sum, sumSq uint64
+	for bin, cnt := range ls.cube[row*vb : (row+1)*vb] {
+		c, b := uint64(cnt), uint64(bin)
+		n += c
+		sum += c * b
+		sumSq += c * b * b
+	}
+	*r = rowMoments{n: n, sum: sum, sumSq: sumSq, stamp: stamp}
 }
 
 // CountSamples returns exactly how many samples channel recorded in
 // [t0, t1] seconds.
 func (ls *LiveStore) CountSamples(channel int, t0, t1 float64) (float64, error) {
-	n, _, _, err := ls.moments(channel, t0, t1)
+	n, _, _, _, err := ls.moments(channel, t0, t1)
 	return n, err
 }
 
@@ -378,7 +410,7 @@ func (ls *LiveStore) CountSamples(channel int, t0, t1 float64) (float64, error) 
 // [t0, t1] seconds, decoded through the channel's quantiser. ok=false on
 // an empty range.
 func (ls *LiveStore) AverageValue(channel int, t0, t1 float64) (float64, bool, error) {
-	n, sum, _, err := ls.moments(channel, t0, t1)
+	n, sum, _, _, err := ls.moments(channel, t0, t1)
 	if err != nil || n == 0 {
 		return 0, false, err
 	}
@@ -389,7 +421,7 @@ func (ls *LiveStore) AverageValue(channel int, t0, t1 float64) (float64, bool, e
 // VarianceValue returns the exact population variance of a channel's value
 // over [t0, t1] seconds, in value units.
 func (ls *LiveStore) VarianceValue(channel int, t0, t1 float64) (float64, bool, error) {
-	n, sum, sumSq, err := ls.moments(channel, t0, t1)
+	n, sum, sumSq, _, err := ls.moments(channel, t0, t1)
 	if err != nil || n == 0 {
 		return 0, false, err
 	}
@@ -574,8 +606,9 @@ func (st *Store) countQuery(channel int, t0, t1 float64, qt *QueryTrace) (propol
 }
 
 // BoxVolume returns the number of cube cells a [t0, t1] range query over
-// channel spans — time buckets × value bins, the size driver of an exact
-// scan. Stamped into slow-query records for quick "why was this slow".
+// channel spans — time buckets × value bins, what an exact scan reads when
+// every row of the window is cold. Stamped into slow-query records for
+// quick "why was this slow".
 func (ls *LiveStore) BoxVolume(channel int, t0, t1 float64) (int64, error) {
 	if err := ls.checkChannel(channel); err != nil {
 		return 0, err

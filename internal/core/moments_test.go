@@ -1,0 +1,286 @@
+package core
+
+import (
+	"bytes"
+	"encoding/binary"
+	"math"
+	"math/rand"
+	"testing"
+
+	"aims/internal/stream"
+)
+
+// binMoments returns Σ1, Σbin, Σbin² over span, a run of whole rows of vb
+// value bins each, folded in float64 cell by cell. It is the exact scan
+// the row-moment cache replaced, kept here as the reference every exact
+// answer must match bit for bit.
+func binMoments(span []uint32, vb int) (n, sum, sumSq float64) {
+	for ; len(span) > 0; span = span[vb:] {
+		for bin, cnt := range span[:vb] {
+			if cnt == 0 {
+				continue
+			}
+			fc := float64(cnt)
+			fb := float64(bin)
+			n += fc
+			sum += fc * fb
+			sumSq += fc * fb * fb
+		}
+	}
+	return n, sum, sumSq
+}
+
+// exactOpsCfg is the store the op interpreter drives: 2 channels on an
+// 8-bucket × 8-bin cube, 8 ticks per bucket, so a few dozen frames touch
+// every bucket and ticks past 64 clamp into the last one.
+var exactOpsCfg = LiveStoreConfig{Rate: 100, TimeBuckets: 8, ValueBins: 8, HorizonTicks: 64}
+
+// opBytes hands out the interpreter's input a byte at a time, 0 once spent.
+type opBytes struct{ p []byte }
+
+func (b *opBytes) next() int {
+	if len(b.p) == 0 {
+		return 0
+	}
+	v := b.p[0]
+	b.p = b.p[1:]
+	return int(v)
+}
+
+// tick draws a device tick in [-16, 240): negative ones are skipped by
+// every append, ones at 64 and past clamp into the last bucket.
+func (b *opBytes) tick() int { return b.next() - 16 }
+
+// value draws a sample in [-1.28, 1.27], clamping past the [-1, 1] range.
+func (b *opBytes) value() float64 { return float64(b.next()-128) / 100 }
+
+// seconds draws a query bound in [-0.08, 0.88) s, past the 0.64 s horizon.
+func (b *opBytes) seconds() float64 { return float64(b.next()%96-8) / 100 }
+
+// runExactOps interprets p as a sequence of LiveStore operations —
+// AppendFrame, AppendFrames and AppendEncoded (negative and past-horizon
+// ticks included), Seal, and Seal → WriteTo → ReadStore → RestoreLiveStore
+// with later ops on the restored store — and after every step checks the
+// exact aggregates of every channel, over the whole range and over one
+// drawn window, against binMoments over the cube.
+func runExactOps(t *testing.T, p []byte) {
+	t.Helper()
+	ls, err := NewLiveStore([]float64{-1, -1}, []float64{1, 1}, exactOpsCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := &opBytes{p}
+	frames := 0
+	for step := 0; len(in.p) > 0; step++ {
+		switch op := in.next() % 6; op {
+		case 0:
+			tick := in.tick()
+			err := ls.AppendFrame(tick, []float64{in.value(), in.value()})
+			if (err == nil) != (tick >= 0) {
+				t.Fatalf("step %d: AppendFrame at tick %d: %v", step, tick, err)
+			}
+			if err == nil {
+				frames++
+			}
+		case 1, 2:
+			batch := make([]stream.Frame, 1+in.next()%8)
+			var body []byte
+			want := 0
+			for i := range batch {
+				batch[i] = stream.Frame{T: float64(in.tick()) / exactOpsCfg.Rate, Values: []float64{in.value(), in.value()}}
+				if ls.tick(batch[i].T) >= 0 {
+					want++
+				}
+				for _, v := range append([]float64{batch[i].T}, batch[i].Values...) {
+					body = binary.LittleEndian.AppendUint64(body, math.Float64bits(v))
+				}
+			}
+			var n int
+			if op == 1 {
+				n, _ = ls.AppendFrames(batch)
+			} else {
+				n, _ = ls.AppendEncoded(body)
+			}
+			if n != want {
+				t.Fatalf("step %d: stored %d of %d frames, want %d", step, n, len(batch), want)
+			}
+			frames += n
+		case 3:
+			if _, err := ls.Seal(); err != nil {
+				t.Fatalf("step %d: seal: %v", step, err)
+			}
+		case 4:
+			st, err := ls.Seal()
+			if err != nil {
+				t.Fatalf("step %d: seal: %v", step, err)
+			}
+			var buf bytes.Buffer
+			if _, err := st.WriteTo(&buf); err != nil {
+				t.Fatalf("step %d: write: %v", step, err)
+			}
+			back, err := ReadStore(&buf)
+			if err != nil {
+				t.Fatalf("step %d: read: %v", step, err)
+			}
+			if ls, err = RestoreLiveStore(back, exactOpsCfg); err != nil {
+				t.Fatalf("step %d: restore: %v", step, err)
+			}
+		}
+		if ls.Frames() != frames {
+			t.Fatalf("step %d: %d frames stored, want %d", step, ls.Frames(), frames)
+		}
+		t0, t1 := in.seconds(), in.seconds()
+		for ch := 0; ch < ls.Channels(); ch++ {
+			checkExact(t, step, ls, ch, 0, 1e9)
+			checkExact(t, step, ls, ch, t0, t1)
+		}
+	}
+}
+
+// checkExact fails unless CountSamples, AverageValue, VarianceValue and
+// Summarize of channel ch over [t0, t1] are bit-identical to the decode of
+// binMoments over the cube.
+func checkExact(t *testing.T, step int, ls *LiveStore, ch int, t0, t1 float64) {
+	t.Helper()
+	lo, hi := ls.timeRange(t0, t1)
+	base := ch * ls.cfg.TimeBuckets
+	vb := ls.cfg.ValueBins
+	n, sum, sumSq := binMoments(ls.cube[(base+lo)*vb:(base+hi+1)*vb], vb)
+	q := ls.quant[ch]
+	min, width := q.Min, q.Step()
+	var wantAvg, wantVar float64
+	if n > 0 {
+		mean := sum / n
+		wantAvg = min + mean*width
+		wantVar = (sumSq/n - mean*mean) * width * width
+	}
+	same := func(what string, got, want float64) {
+		t.Helper()
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("step %d ch %d [%v, %v]: %s %v, want %v", step, ch, t0, t1, what, got, want)
+		}
+	}
+	count, err := ls.CountSamples(ch, t0, t1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("count", count, n)
+	avg, ok, err := ls.AverageValue(ch, t0, t1)
+	if err != nil || ok != (n > 0) {
+		t.Fatalf("step %d ch %d: average ok=%v err=%v with n=%v", step, ch, ok, err, n)
+	}
+	same("average", avg, wantAvg)
+	v, ok, err := ls.VarianceValue(ch, t0, t1)
+	if err != nil || ok != (n > 0) {
+		t.Fatalf("step %d ch %d: variance ok=%v err=%v with n=%v", step, ch, ok, err, n)
+	}
+	same("variance", v, wantVar)
+	s, frames, err := ls.Summarize(ch, t0, t1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if frames != uint64(ls.Frames()) {
+		t.Fatalf("step %d: watermark %d, want %d", step, frames, ls.Frames())
+	}
+	same("summary N", s.N, n)
+	same("summary Σv", s.Sum, n*min+width*sum)
+	same("summary Σv²", s.SumSq, n*min*min+2*min*width*sum+width*width*sumSq)
+}
+
+// TestLiveStoreExactMomentsProperty drives random op sequences through
+// runExactOps: after every append, seal and restore, each exact answer is
+// bit-identical to a float fold over the cube cells.
+func TestLiveStoreExactMomentsProperty(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		p := make([]byte, 40+rng.Intn(400))
+		rng.Read(p)
+		runExactOps(t, p)
+	}
+}
+
+// FuzzLiveStoreExactMoments feeds fuzz bytes through runExactOps. The
+// checked-in corpus (testdata/fuzz/FuzzLiveStoreExactMoments) seeds each
+// append kind, past-horizon and negative ticks, and a restore followed by
+// queries and appends into the rows those queries cached.
+func FuzzLiveStoreExactMoments(f *testing.F) {
+	f.Fuzz(func(t *testing.T, p []byte) {
+		if len(p) > 4096 {
+			return
+		}
+		runExactOps(t, p)
+	})
+}
+
+// warmGlove returns a 28-channel glove-sized store holding 6 000 frames,
+// one per tick over its first 250 buckets, every row already cached.
+func warmGlove(tb testing.TB) *LiveStore {
+	mins, maxs := gloveRange(28)
+	ls, err := NewLiveStore(mins, maxs, LiveStoreConfig{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	frame := make([]float64, 28)
+	for i := 0; i < 6000; i++ {
+		for c := range frame {
+			frame[c] = mins[c] + rng.Float64()*(maxs[c]-mins[c])
+		}
+		if err := ls.AppendFrame(i, frame); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for ch := 0; ch < 28; ch++ {
+		if _, _, err := ls.Summarize(ch, 0, 1e9); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return ls
+}
+
+// TestSummarizeAllocatesNothing pins the exact scan at zero allocations on
+// a warm store: it sums cached rows and copies nothing out of the cube.
+func TestSummarizeAllocatesNothing(t *testing.T) {
+	ls := warmGlove(t)
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, _, err := ls.Summarize(3, 0, 60); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Summarize allocated %v times per call, want 0", allocs)
+	}
+}
+
+var summarySink Summary
+
+// BenchmarkSummarize times one exact whole-session scan of a glove store:
+// "warm" with every row cached (an idle session), "head-dirty" with a
+// frame appended into the head bucket before each scan (a live one), so
+// that row is rescanned every time.
+func BenchmarkSummarize(b *testing.B) {
+	frame := make([]float64, 28)
+	for _, dirty := range []bool{false, true} {
+		name := "warm"
+		if dirty {
+			name = "head-dirty"
+		}
+		b.Run(name, func(b *testing.B) {
+			ls := warmGlove(b)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if dirty {
+					if err := ls.AppendFrame(5999, frame); err != nil {
+						b.Fatal(err)
+					}
+				}
+				s, _, err := ls.Summarize(3, 0, 60)
+				if err != nil {
+					b.Fatal(err)
+				}
+				summarySink = s
+			}
+		})
+	}
+}

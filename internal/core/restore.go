@@ -83,6 +83,12 @@ func RestoreLiveStore(st *Store, cfg LiveStoreConfig) (*LiveStore, error) {
 	}
 	ls.frames = int(total / uint64(st.Channels))
 	ls.version = uint64(ls.frames)
+	// Every row changed under the cache: stamp each bucket with the
+	// restored version. Appends stamp version+1 and up, so no later frame
+	// can write a stamp a post-restore row was cached at.
+	for tb := range ls.stamp {
+		ls.stamp[tb] = ls.version
+	}
 
 	// Seed the seal cache: st's engine already holds exactly this cube, so
 	// post-restore appends can replay incrementally instead of rebuilding.

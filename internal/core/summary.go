@@ -46,26 +46,28 @@ func (s Summary) Variance() (float64, bool) {
 // Summarize computes the channel's Summary over [t0, t1] seconds together
 // with the store's frame high-water mark at scan time.
 //
-// This is the fleet layer's read-only evaluation path: the row span is
-// copied out under a brief read lock — O(buckets × bins) memcpy, no
-// arithmetic — and the moment scan runs on the copy, outside any lock. A
-// fleet fan-out over thousands of sessions therefore never holds a store
-// lock for the duration of the math, so ingest appends interleave with
-// fleet scans instead of serialising behind them; and because the copy is
-// atomic under the lock, the summary covers exactly the first `frames`
-// frames (the watermark reported back in the fleet result).
+// This is the fleet layer's read-only evaluation path, and it shares the
+// row-moment cache of CountSamples/AverageValue/VarianceValue: under the
+// store's read lock and then the row-cache mutex (lock order mu → rowMu)
+// it sums each row's cached integer Σ1, Σbin, Σbin² and reads the frame
+// count, so the summary covers exactly the first `frames` frames (the
+// watermark reported back in the fleet result) and never half a frame.
+//
+// A row is valid while its cached stamp equals its time bucket's stamp —
+// the version of the last frame stored into that bucket, written once per
+// frame by every append. Versions only grow, so no append writes a stamp
+// a row was cached at; RestoreLiveStore stamps every bucket with the
+// restored version, which later appends (version+1 and up) never repeat.
+// Warm rows — an idle session, a finished bucket — cost one add each, so
+// a scan is O(buckets) and allocates nothing. A row whose bucket took
+// frames since it was cached, typically a live session's head bucket, is
+// rescanned from its ValueBins cells first; a scan never reads more cells
+// than the window holds.
 func (ls *LiveStore) Summarize(channel int, t0, t1 float64) (Summary, uint64, error) {
-	if err := ls.checkChannel(channel); err != nil {
+	n, sum, sumSq, frames, err := ls.moments(channel, t0, t1)
+	if err != nil {
 		return Summary{}, 0, err
 	}
-	from, to := ls.rowSpan(channel, t0, t1)
-	span := make([]uint32, to-from)
-	ls.mu.RLock()
-	frames := uint64(ls.frames)
-	copy(span, ls.cube[from:to])
-	ls.mu.RUnlock()
-
-	n, sum, sumSq := binMoments(span, ls.cfg.ValueBins)
 	q := ls.quant[channel]
 	min, step := q.Min, q.Step()
 	// Decode bin-unit moments into value units:

@@ -31,9 +31,8 @@ func fillStore(t *testing.T, seed int64, frames int) *LiveStore {
 	return ls
 }
 
-// TestSummarizeMatchesMoments checks the lock-free Summary path agrees
-// with the in-lock moments scan behind CountSamples/AverageValue/
-// VarianceValue (up to decode-formula rounding).
+// TestSummarizeMatchesMoments checks the Summary path agrees with
+// CountSamples/AverageValue/VarianceValue (up to decode-formula rounding).
 func TestSummarizeMatchesMoments(t *testing.T) {
 	ls := fillStore(t, 7, 4000)
 	for _, span := range [][2]float64{{0, 40}, {3, 9.5}, {12.25, 12.25}, {0, 1e9}} {
@@ -99,9 +98,11 @@ func TestSummaryMergeEqualsWholeRange(t *testing.T) {
 	}
 }
 
-// TestSummarizeConcurrentWithAppends drives appends and summaries in
-// parallel (run under -race): the copied-span path must never observe a
-// torn frame, so N can only be one of the batch-boundary counts.
+// TestSummarizeConcurrentWithAppends drives one appender and several
+// summarisers over the same buckets in parallel (run under -race): each
+// answer's N must equal the watermark returned with it, so a scan never
+// sees half a frame or a row cached before the frames it reports, and N
+// can only be one of the batch-boundary counts.
 func TestSummarizeConcurrentWithAppends(t *testing.T) {
 	ls, err := NewLiveStore([]float64{0}, []float64{1}, LiveStoreConfig{
 		Rate: 100, TimeBuckets: 32, ValueBins: 16, HorizonTicks: 100000,
@@ -109,32 +110,40 @@ func TestSummarizeConcurrentWithAppends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const batches, perBatch = 200, 50
+	const batches, perBatch, readers = 200, 50, 4
 	var wg sync.WaitGroup
-	wg.Add(1)
+	wg.Add(1 + readers)
 	go func() {
 		defer wg.Done()
 		tick := 0
 		for i := 0; i < batches; i++ {
 			batch := make([]stream.Frame, perBatch)
 			for j := range batch {
-				batch[j] = stream.Frame{T: float64(tick) / 100, Values: []float64{0.5}}
+				batch[j] = stream.Frame{T: float64(tick) / 100, Values: []float64{float64(j%7) / 7}}
 				tick++
 			}
 			ls.AppendFrames(batch)
 		}
 	}()
-	for i := 0; i < 500; i++ {
-		s, frames, err := ls.Summarize(0, 0, 1e6)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.N != float64(frames) {
-			t.Fatalf("summary N %v != watermark %d: torn read", s.N, frames)
-		}
-		if uint64(s.N)%perBatch != 0 {
-			t.Fatalf("observed mid-batch count %v", s.N)
-		}
+	for r := 0; r < readers; r++ {
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				s, frames, err := ls.Summarize(0, 0, 1e6)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if s.N != float64(frames) {
+					t.Errorf("summary N %v != watermark %d: torn or stale read", s.N, frames)
+					return
+				}
+				if uint64(s.N)%perBatch != 0 {
+					t.Errorf("observed mid-batch count %v", s.N)
+					return
+				}
+			}
+		}()
 	}
 	wg.Wait()
 }

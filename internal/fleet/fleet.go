@@ -9,12 +9,13 @@
 //
 // Consistency contract: sessions keep ingesting while a fleet query runs.
 // Each session contributes frames up to its own high-water mark at scatter
-// time — for exact kinds the atomically copied span of core.Summarize, for
-// approximate kinds the sealed engine's state at evaluation — and that
-// watermark is reported back per session in the result, so a caller knows
-// exactly which prefix of each stream the answer covers. There is no
-// cross-session barrier: the fleet answer is a consistent-per-session,
-// best-effort-across-sessions snapshot.
+// time — for exact kinds the rows core.Summarize sums under the store's
+// read lock (each row's cached moments are current for every frame below
+// the watermark it returns), for approximate kinds the sealed engine's
+// state at evaluation — and that watermark is reported back per session in
+// the result, so a caller knows exactly which prefix of each stream the
+// answer covers. There is no cross-session barrier: the fleet answer is a
+// consistent-per-session, best-effort-across-sessions snapshot.
 //
 // Merge semantics per kind:
 //

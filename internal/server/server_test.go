@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -323,6 +325,48 @@ func TestServerIdleEviction(t *testing.T) {
 	}
 	if got := srv.metrics.evictions.Value(); got != 1 {
 		t.Fatalf("evictions = %d", got)
+	}
+}
+
+// TestServerHelloStallClosed: a TCP client that connects and never
+// completes a Hello — silent, or stalled inside a message header — is
+// hung up on once IdleTimeout passes, is never registered, and leaves no
+// session goroutine behind.
+func TestServerHelloStallClosed(t *testing.T) {
+	const idle = 150 * time.Millisecond
+	srv, addr := startServer(t, Config{Store: testStoreCfg(), IdleTimeout: idle})
+	base := runtime.NumGoroutine()
+	waitFor(func() bool {
+		time.Sleep(10 * time.Millisecond)
+		prev := base
+		base = runtime.NumGoroutine()
+		return base == prev
+	})
+	for _, sent := range [][]byte{nil, {0x20, 0x00, 0x00}} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		begin := time.Now()
+		if _, err := conn.Write(sent); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		n, err := conn.Read(make([]byte, 1))
+		waited := time.Since(begin)
+		conn.Close()
+		if n != 0 || !errors.Is(err, io.EOF) {
+			t.Fatalf("sent %x: read %d bytes, %v; want the server to hang up", sent, n, err)
+		}
+		if waited < idle*9/10 {
+			t.Fatalf("sent %x: hung up after %v, before the %v idle timeout", sent, waited, idle)
+		}
+		if got := srv.sessions.len(); got != 0 {
+			t.Fatalf("sent %x: %d sessions registered", sent, got)
+		}
+	}
+	if !waitFor(func() bool { return runtime.NumGoroutine() == base }) {
+		t.Fatalf("%d goroutines above baseline after the stalled handshakes closed", runtime.NumGoroutine()-base)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"io"
 	"net"
 	"strings"
@@ -298,6 +299,89 @@ func TestListenerRejectsBadHandshakes(t *testing.T) {
 		t.Fatal(err)
 	}
 	ok.Close()
+}
+
+// gatedListener holds back Accept until open is closed, so a test can set
+// Listener fields before the first handshake goroutine reads them.
+type gatedListener struct {
+	net.Listener
+	open chan struct{}
+}
+
+func (g gatedListener) Accept() (net.Conn, error) {
+	<-g.open
+	return g.Listener.Accept()
+}
+
+// TestListenerDropsStalledHandshake: a client that stops halfway through
+// its upgrade request is hung up on once the handshake timeout passes and
+// never reaches Accept, while a well-behaved upgrade running at the same
+// time goes through.
+func TestListenerDropsStalledHandshake(t *testing.T) {
+	const timeout = 200 * time.Millisecond
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := gatedListener{inner, make(chan struct{})}
+	l := NewListener(gate, "/aims")
+	defer l.Close()
+	l.timeout = timeout
+	close(gate.open)
+
+	stalled, err := net.Dial("tcp", inner.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stalled.Close()
+	begin := time.Now()
+	if _, err := io.WriteString(stalled, "GET /aims HTTP/1.1\r\nHost: x\r\nUpgrade: websocket\r\n"); err != nil {
+		t.Fatal(err)
+	}
+
+	accepted := make(chan net.Conn, 2)
+	go func() {
+		for {
+			c, err := l.Accept()
+			if err != nil {
+				return
+			}
+			accepted <- c
+		}
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	ok, err := Dial(ctx, inner.Addr().String(), "/aims")
+	if err != nil {
+		t.Fatalf("well-behaved upgrade beside a stalled one: %v", err)
+	}
+	defer ok.Close()
+	select {
+	case c := <-accepted:
+		c.Close()
+	case <-time.After(2 * time.Second):
+		t.Fatal("well-behaved upgrade never reached Accept")
+	}
+
+	stalled.SetReadDeadline(time.Now().Add(5 * time.Second))
+	resp, err := io.ReadAll(stalled)
+	waited := time.Since(begin)
+	if err != nil || len(resp) != 0 {
+		var ne net.Error
+		if errors.As(err, &ne) && ne.Timeout() {
+			t.Fatalf("stalled handshake still open after %v", waited)
+		}
+		t.Fatalf("stalled handshake: read %q, %v; want a bare hang-up", resp, err)
+	}
+	if waited < timeout*9/10 {
+		t.Fatalf("stalled handshake dropped after %v, before the %v timeout", waited, timeout)
+	}
+	select {
+	case c := <-accepted:
+		c.Close()
+		t.Fatal("stalled handshake was delivered to Accept")
+	case <-time.After(50 * time.Millisecond):
+	}
 }
 
 // TestLargeMessage pushes one max-ish wire message through (1 MiB): the
