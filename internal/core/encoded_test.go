@@ -49,7 +49,7 @@ func sameLiveState(t *testing.T, what string, a, b *LiveStore) {
 	if a.Frames() != b.Frames() || a.Version() != b.Version() {
 		t.Fatalf("%s: frames %d/%d, version %d/%d", what, a.Frames(), b.Frames(), a.Version(), b.Version())
 	}
-	if !slices.Equal(a.cube, b.cube) {
+	if !slices.Equal(a.counts(), b.counts()) || a.Footprint().Cube != b.Footprint().Cube {
 		t.Fatalf("%s: cubes differ", what)
 	}
 	if a.track != b.track || a.overflow != b.overflow || !slices.Equal(a.delta, b.delta) {

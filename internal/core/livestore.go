@@ -6,6 +6,7 @@ import (
 	"math"
 	"sync"
 	"time"
+	"unsafe"
 
 	"aims/internal/compress"
 	"aims/internal/propolyne"
@@ -32,25 +33,38 @@ import (
 // not O(cube). A full rebuild happens only on the first seal and when the
 // delta log overflows its threshold.
 //
-// Concurrency: one RWMutex guards the cube, the bucket stamps, the delta
-// log and the seal cache fields. AppendFrame takes the write lock for the
-// whole frame, so a query never observes half a frame; exact scans take
-// the read lock and then rowMu, which guards the row cache (lock order
-// mu → rowMu). Safe for one or more appenders and any number of
-// concurrent readers.
+// Counts are stored at the narrowest width they need. A new store's cube
+// has 8-bit cells; the first frame that could push a cell past 255 widens
+// the whole cube to 16 bits, and past 65 535 to 32. A store never narrows.
+// The width follows fill[tb], the frames stored into time bucket tb: every
+// frame adds one count to each channel's row of its bucket, so no cell of
+// the bucket exceeds fill[tb].
+//
+// Concurrency: one RWMutex guards the cube and its width, the bucket
+// fills, the delta log and the seal cache fields. AppendFrame takes the
+// write lock for the whole frame, so a query never observes half a frame,
+// and a widening copy happens under it too; exact scans take the read
+// lock and then rowMu, which guards the row cache (lock order mu → rowMu).
+// Safe for one or more appenders and any number of concurrent readers.
 type LiveStore struct {
 	cfg        LiveStoreConfig
 	quant      []compress.Quantizer
 	deltaLimit int // max delta-log entries; 0 disables incremental sealing
 
-	mu      sync.RWMutex
-	cube    []uint32 // channels × TimeBuckets × ValueBins counts
+	mu sync.RWMutex
+	// The channels × TimeBuckets × ValueBins count cube at its current
+	// width: exactly one of c8, c16 and c32 is non-nil.
+	c8  []uint8
+	c16 []uint16
+	c32 []uint32
+	// fill counts, per time bucket, the frames stored into it. It is each
+	// of the bucket's rows' Σ1, so a cached row whose n equals it is
+	// exactly the cube's row, and it bounds every cell of the bucket, so
+	// reserve widens the cube before a frame takes it past fillMax.
+	fill    []uint64
+	fillMax uint64
 	frames  int
 	version uint64
-	// stamp holds, per time bucket, the version of the last frame stored
-	// into it: an append writes it once per frame, and a cached row whose
-	// stamp still matches is exactly the cube's row.
-	stamp []uint64
 	// delta logs the flat cube indices incremented since the last full
 	// seal snapshot; track gates logging (it starts at the first seal so
 	// an unqueried session never pays for it) and overflow marks a log
@@ -61,7 +75,7 @@ type LiveStore struct {
 
 	rowMu sync.Mutex
 	// rows caches channels × TimeBuckets row moments, each valid while its
-	// stamp matches its bucket's. It is made by the first exact scan, so a
+	// n equals its bucket's fill. It is made by the first exact scan, so a
 	// session nobody queries exactly never pays for it.
 	rows []rowMoments
 
@@ -138,17 +152,19 @@ func NewLiveStore(mins, maxs []float64, cfg LiveStoreConfig) (*LiveStore, error)
 	for c := range quant {
 		quant[c] = compress.NewQuantizer(mins[c], maxs[c], bits)
 	}
+	cells := len(mins) * cfg.TimeBuckets * cfg.ValueBins
 	ls := &LiveStore{
-		cfg:   cfg,
-		quant: quant,
-		cube:  make([]uint32, len(mins)*cfg.TimeBuckets*cfg.ValueBins),
-		stamp: make([]uint64, cfg.TimeBuckets),
+		cfg:     cfg,
+		quant:   quant,
+		c8:      make([]uint8, cells),
+		fill:    make([]uint64, cfg.TimeBuckets),
+		fillMax: math.MaxUint8,
 	}
 	switch {
 	case cfg.SealDeltaThreshold > 0:
 		ls.deltaLimit = cfg.SealDeltaThreshold
 	case cfg.SealDeltaThreshold == 0:
-		ls.deltaLimit = len(ls.cube) / 16
+		ls.deltaLimit = cells / 16
 		if ls.deltaLimit < 1024 {
 			ls.deltaLimit = 1024
 		}
@@ -199,13 +215,7 @@ func (ls *LiveStore) AppendFrame(tick int, frame []float64) error {
 	}
 	tb := ls.bucket(tick, ls.TicksPerBucket())
 	ls.mu.Lock()
-	logging := ls.logDelta(len(frame))
-	for c, v := range frame {
-		ls.bump(ls.cell(c, tb, v), logging)
-	}
-	ls.frames++
-	ls.version++
-	ls.stamp[tb] = ls.version
+	ls.addFrame(tb, frame, ls.logDelta(len(frame)))
 	ls.mu.Unlock()
 	return nil
 }
@@ -238,18 +248,101 @@ func (ls *LiveStore) bucket(tick, tpb int) int {
 
 // cell quantises channel c's value v and returns the offset of its cube
 // cell in time bucket tb. Every append counts a value as
-// ls.bump(ls.cell(c, tb, v), logging): the two halves are separate only so
-// that each stays small enough to inline into the per-value loops.
+// bump(ls, cube, ls.cell(c, tb, v), logging): the two halves are separate
+// only so that each stays small enough to inline into the per-value loops.
 func (ls *LiveStore) cell(c, tb int, v float64) int {
 	return (c*ls.cfg.TimeBuckets+tb)*ls.cfg.ValueBins + ls.quant[c].Quantize(v)
 }
 
-// bump increments cube cell idx, logging its offset for the incremental
-// seal when logging is set. Callers hold ls.mu for writing.
-func (ls *LiveStore) bump(idx int, logging bool) {
-	ls.cube[idx]++
+// count is the cell type of the count cube at each of its widths.
+type count interface{ uint8 | uint16 | uint32 }
+
+// bump increments cell idx of cube, ls's cube at its current width,
+// logging its offset for the incremental seal when logging is set.
+// Callers hold ls.mu for writing.
+func bump[T count](ls *LiveStore, cube []T, idx int, logging bool) {
+	cube[idx]++
 	if logging {
 		ls.delta = append(ls.delta, uint32(idx))
+	}
+}
+
+// reserve readies time bucket tb for one more frame: it widens the cube
+// first when the frame could take a cell of the bucket past the current
+// width, then counts the frame into fill. Callers hold ls.mu for writing.
+func (ls *LiveStore) reserve(tb int) {
+	if ls.fill[tb] == ls.fillMax {
+		ls.widen()
+	}
+	ls.fill[tb]++
+}
+
+// widen copies the cube into cells twice as wide, 8 → 16 → 32 bits. At 32
+// bits it stops: a cell then wraps only past 2^32−1 frames in one bucket.
+// Callers hold ls.mu for writing.
+func (ls *LiveStore) widen() {
+	if ls.c8 != nil {
+		ls.c16 = make([]uint16, len(ls.c8))
+		convert(ls.c16, ls.c8)
+		ls.c8, ls.fillMax = nil, math.MaxUint16
+		return
+	}
+	ls.c32 = make([]uint32, len(ls.c16))
+	convert(ls.c32, ls.c16)
+	ls.c16, ls.fillMax = nil, math.MaxUint64
+}
+
+// convert copies src into dst value by value, as a widening copy of the
+// cube, its float snapshot for a seal, or a restored cube's counts.
+func convert[D, S count | float64](dst []D, src []S) {
+	for i, v := range src {
+		dst[i] = D(v)
+	}
+}
+
+// addFrame counts one frame's values into time bucket tb, choosing the
+// cube's width once for the whole frame. Callers hold ls.mu for writing.
+func (ls *LiveStore) addFrame(tb int, vals []float64, logging bool) {
+	ls.reserve(tb)
+	switch {
+	case ls.c8 != nil:
+		addValues(ls, ls.c8, tb, vals, logging)
+	case ls.c16 != nil:
+		addValues(ls, ls.c16, tb, vals, logging)
+	default:
+		addValues(ls, ls.c32, tb, vals, logging)
+	}
+	ls.frames++
+	ls.version++
+}
+
+// addValues is addFrame's per-value loop at one width.
+func addValues[T count](ls *LiveStore, cube []T, tb int, vals []float64, logging bool) {
+	for c, v := range vals {
+		bump(ls, cube, ls.cell(c, tb, v), logging)
+	}
+}
+
+// addEncodedFrame is addFrame for one frame's values in their wire
+// encoding, one little-endian IEEE-754 float64 per channel.
+func (ls *LiveStore) addEncodedFrame(tb int, vals []byte, logging bool) {
+	ls.reserve(tb)
+	switch {
+	case ls.c8 != nil:
+		addEncodedValues(ls, ls.c8, tb, vals, logging)
+	case ls.c16 != nil:
+		addEncodedValues(ls, ls.c16, tb, vals, logging)
+	default:
+		addEncodedValues(ls, ls.c32, tb, vals, logging)
+	}
+	ls.frames++
+	ls.version++
+}
+
+// addEncodedValues is addEncodedFrame's per-value loop at one width.
+func addEncodedValues[T count](ls *LiveStore, cube []T, tb int, vals []byte, logging bool) {
+	for c := range ls.quant {
+		bump(ls, cube, ls.cell(c, tb, math.Float64frombits(binary.LittleEndian.Uint64(vals[8*c:]))), logging)
 	}
 }
 
@@ -279,13 +372,7 @@ func (ls *LiveStore) AppendFrames(frames []stream.Frame) (int, error) {
 			}
 			continue
 		}
-		tb := ls.bucket(tick, tpb)
-		for c, v := range frames[i].Values {
-			ls.bump(ls.cell(c, tb, v), logging)
-		}
-		ls.frames++
-		ls.version++
-		ls.stamp[tb] = ls.version
+		ls.addFrame(ls.bucket(tick, tpb), frames[i].Values, logging)
 		stored++
 	}
 	ls.mu.Unlock()
@@ -319,18 +406,36 @@ func (ls *LiveStore) AppendEncoded(body []byte) (int, error) {
 			}
 			continue
 		}
-		tb := ls.bucket(tick, tpb)
-		vals := body[8:rec]
-		for c := 0; c < w; c++ {
-			ls.bump(ls.cell(c, tb, math.Float64frombits(binary.LittleEndian.Uint64(vals[8*c:]))), logging)
-		}
-		ls.frames++
-		ls.version++
-		ls.stamp[tb] = ls.version
+		ls.addEncodedFrame(ls.bucket(tick, tpb), body[8:rec], logging)
 		stored++
 	}
 	ls.mu.Unlock()
 	return stored, firstErr
+}
+
+// Footprint is the memory a LiveStore holds, in bytes, part by part.
+type Footprint struct {
+	Cube   int64 `json:"cube"`   // the count cube at its current width
+	Rows   int64 `json:"rows"`   // the exact scans' row-moment cache
+	Engine int64 `json:"engine"` // the sealed engine's coefficients
+	Delta  int64 `json:"delta"`  // the incremental seal's delta log and its spare
+}
+
+// Footprint reports the memory the store holds now.
+func (ls *LiveStore) Footprint() Footprint {
+	ls.mu.RLock()
+	defer ls.mu.RUnlock()
+	f := Footprint{
+		Cube:  int64(len(ls.c8) + 2*len(ls.c16) + 4*len(ls.c32)),
+		Delta: 4 * int64(cap(ls.delta)+cap(ls.spare)),
+	}
+	if ls.sealed != nil {
+		f.Engine = 8 * int64(len(ls.sealed.Engine.Coeffs))
+	}
+	ls.rowMu.Lock()
+	f.Rows = int64(unsafe.Sizeof(rowMoments{})) * int64(len(ls.rows))
+	ls.rowMu.Unlock()
+	return f
 }
 
 // timeRange converts seconds to clamped bucket indices.
@@ -346,10 +451,11 @@ func (ls *LiveStore) checkChannel(channel int) error {
 }
 
 // rowMoments caches one (channel, time-bucket) row's bin moments Σ1,
-// Σbin, Σbin² as integers, together with the bucket stamp they were
-// computed at.
+// Σbin, Σbin² as integers. n is the bucket's fill when the row was
+// cached, so the row is current exactly while n equals fill; a zero row
+// is the current row of an empty bucket.
 type rowMoments struct {
-	n, sum, sumSq, stamp uint64
+	n, sum, sumSq uint64
 }
 
 // moments returns Σ1, Σbin, Σbin² of one channel over a time range —
@@ -372,8 +478,8 @@ func (ls *LiveStore) moments(channel int, t0, t1 float64) (n, sum, sumSq float64
 	}
 	for tb := lo; tb <= hi; tb++ {
 		r := &ls.rows[base+tb]
-		if r.stamp != ls.stamp[tb] {
-			ls.fillRow(r, base+tb, ls.stamp[tb])
+		if r.n != ls.fill[tb] {
+			ls.fillRow(r, base+tb)
 		}
 		in += r.n
 		isum += r.sum
@@ -385,18 +491,30 @@ func (ls *LiveStore) moments(channel int, t0, t1 float64) (n, sum, sumSq float64
 	return float64(in), float64(isum), float64(isq), frames, nil
 }
 
-// fillRow recomputes r from cube row `row` and marks it current at stamp.
-// Callers hold ls.mu for reading and ls.rowMu.
-func (ls *LiveStore) fillRow(r *rowMoments, row int, stamp uint64) {
-	vb := ls.cfg.ValueBins
-	var n, sum, sumSq uint64
-	for bin, cnt := range ls.cube[row*vb : (row+1)*vb] {
-		c, b := uint64(cnt), uint64(bin)
-		n += c
-		sum += c * b
-		sumSq += c * b * b
+// fillRow recomputes r from cube row `row`. Callers hold ls.mu for
+// reading and ls.rowMu.
+func (ls *LiveStore) fillRow(r *rowMoments, row int) {
+	lo, hi := row*ls.cfg.ValueBins, (row+1)*ls.cfg.ValueBins
+	switch {
+	case ls.c8 != nil:
+		*r = momentsOf(ls.c8[lo:hi])
+	case ls.c16 != nil:
+		*r = momentsOf(ls.c16[lo:hi])
+	default:
+		*r = momentsOf(ls.c32[lo:hi])
 	}
-	*r = rowMoments{n: n, sum: sum, sumSq: sumSq, stamp: stamp}
+}
+
+// momentsOf sums one row's value-bin counts into its moments.
+func momentsOf[T count](row []T) rowMoments {
+	var r rowMoments
+	for bin, cnt := range row {
+		c, b := uint64(cnt), uint64(bin)
+		r.n += c
+		r.sum += c * b
+		r.sumSq += c * b * b
+	}
+	return r
 }
 
 // CountSamples returns exactly how many samples channel recorded in
@@ -481,8 +599,13 @@ func (ls *LiveStore) Seal() (*Store, error) {
 	chDim := nextPow2(channels)
 	tb, vb := ls.cfg.TimeBuckets, ls.cfg.ValueBins
 	cube := make([]float64, chDim*tb*vb)
-	for i, v := range ls.cube {
-		cube[i] = float64(v)
+	switch {
+	case ls.c8 != nil:
+		convert(cube, ls.c8)
+	case ls.c16 != nil:
+		convert(cube, ls.c16)
+	default:
+		convert(cube, ls.c32)
 	}
 	if ls.deltaLimit > 0 {
 		ls.track = true

@@ -59,7 +59,7 @@ func TestSealFallbackAfterReplayError(t *testing.T) {
 		ls.mu.Unlock()
 		t.Fatal("delta log not tracking after first seal")
 	}
-	ls.delta = append(ls.delta, uint32(len(ls.cube))+12345)
+	ls.delta = append(ls.delta, uint32(len(ls.counts()))+12345)
 	ls.mu.Unlock()
 	if _, err := ls.Seal(); err == nil {
 		t.Fatal("seal with a poisoned delta log succeeded")

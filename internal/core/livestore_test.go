@@ -1,8 +1,10 @@
 package core
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -607,4 +609,63 @@ func TestLiveStoreIncrementalSealConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	sealsAgree(t, rand.New(rand.NewSource(99)), stInc, stRef, channels)
+}
+
+// gloveBody encodes 2 048 frames of a 28-channel glove, one per tick, as
+// the wire carries them.
+func gloveBody() []byte {
+	rng := rand.New(rand.NewSource(2048))
+	var body []byte
+	for i := 0; i < 2048; i++ {
+		body = binary.LittleEndian.AppendUint64(body, math.Float64bits(float64(i)/100))
+		for c := 0; c < 28; c++ {
+			body = binary.LittleEndian.AppendUint64(body, math.Float64bits(rng.Float64()*20-10))
+		}
+	}
+	return body
+}
+
+// idleGloveBytes returns the bytes allocated to build one idle glove
+// session's store at the default live geometry: a 2 048-frame preload from
+// body, then one whole-session exact scan of every channel, so its row
+// cache exists as it does once the fleet layer has queried it.
+func idleGloveBytes(tb testing.TB, body []byte) uint64 {
+	mins, maxs := gloveRange(28)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ls, err := NewLiveStore(mins, maxs, LiveStoreConfig{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if n, err := ls.AppendEncoded(body); err != nil || n != 2048 {
+		tb.Fatalf("stored %d of 2048 frames: %v", n, err)
+	}
+	for ch := 0; ch < 28; ch++ {
+		if _, _, err := ls.Summarize(ch, 0, 1e9); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(ls)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestIdleGloveStoreFootprint bounds an idle glove store at 0.75 MiB. With
+// 8-bit cells its cube is 448 KiB and its row cache 168 KiB; a store that
+// started at 16 bits (896 KiB of cube) or 32 (1.75 MiB) fails.
+func TestIdleGloveStoreFootprint(t *testing.T) {
+	if got := idleGloveBytes(t, gloveBody()); got > 3<<20/4 {
+		t.Fatalf("an idle glove store allocated %d B, want at most 0.75 MiB", got)
+	}
+}
+
+// BenchmarkLiveStoreFootprint reports the bytes one idle glove store
+// allocates (see idleGloveBytes).
+func BenchmarkLiveStoreFootprint(b *testing.B) {
+	body := gloveBody()
+	var total uint64
+	for i := 0; i < b.N; i++ {
+		total += idleGloveBytes(b, body)
+	}
+	b.ReportMetric(float64(total)/float64(b.N), "B/store")
 }

@@ -3,9 +3,11 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"aims/internal/stream"
 )
@@ -28,6 +30,21 @@ func binMoments(span []uint32, vb int) (n, sum, sumSq float64) {
 		}
 	}
 	return n, sum, sumSq
+}
+
+// counts returns a copy of the cube widened to 32 bits, whatever the
+// store's width.
+func (ls *LiveStore) counts() []uint32 {
+	out := make([]uint32, len(ls.c8)+len(ls.c16)+len(ls.c32))
+	switch {
+	case ls.c8 != nil:
+		convert(out, ls.c8)
+	case ls.c16 != nil:
+		convert(out, ls.c16)
+	default:
+		convert(out, ls.c32)
+	}
+	return out
 }
 
 // exactOpsCfg is the store the op interpreter drives: 2 channels on an
@@ -59,8 +76,10 @@ func (b *opBytes) seconds() float64 { return float64(b.next()%96-8) / 100 }
 
 // runExactOps interprets p as a sequence of LiveStore operations —
 // AppendFrame, AppendFrames and AppendEncoded (negative and past-horizon
-// ticks included), Seal, and Seal → WriteTo → ReadStore → RestoreLiveStore
-// with later ops on the restored store — and after every step checks the
+// ticks included), a burst of up to 510 copies of one frame at one tick,
+// enough to widen the cube past 8 bits, Seal, and Seal → WriteTo →
+// ReadStore → RestoreLiveStore with later ops on the restored store — and
+// after every step checks the
 // exact aggregates of every channel, over the whole range and over one
 // drawn window, against binMoments over the cube.
 func runExactOps(t *testing.T, p []byte) {
@@ -125,6 +144,23 @@ func runExactOps(t *testing.T, p []byte) {
 			if ls, err = RestoreLiveStore(back, exactOpsCfg); err != nil {
 				t.Fatalf("step %d: restore: %v", step, err)
 			}
+		case 5:
+			tick, n := in.tick(), 2*in.next()
+			frame := []float64{float64(tick) / exactOpsCfg.Rate, in.value(), in.value()}
+			var body []byte
+			for i := 0; i < n; i++ {
+				for _, v := range frame {
+					body = binary.LittleEndian.AppendUint64(body, math.Float64bits(v))
+				}
+			}
+			want := 0
+			if ls.tick(frame[0]) >= 0 {
+				want = n
+			}
+			if got, _ := ls.AppendEncoded(body); got != want {
+				t.Fatalf("step %d: burst stored %d of %d frames, want %d", step, got, n, want)
+			}
+			frames += want
 		}
 		if ls.Frames() != frames {
 			t.Fatalf("step %d: %d frames stored, want %d", step, ls.Frames(), frames)
@@ -145,7 +181,7 @@ func checkExact(t *testing.T, step int, ls *LiveStore, ch int, t0, t1 float64) {
 	lo, hi := ls.timeRange(t0, t1)
 	base := ch * ls.cfg.TimeBuckets
 	vb := ls.cfg.ValueBins
-	n, sum, sumSq := binMoments(ls.cube[(base+lo)*vb:(base+hi+1)*vb], vb)
+	n, sum, sumSq := binMoments(ls.counts()[(base+lo)*vb:(base+hi+1)*vb], vb)
 	q := ls.quant[ch]
 	min, width := q.Min, q.Step()
 	var wantAvg, wantVar float64
@@ -201,8 +237,9 @@ func TestLiveStoreExactMomentsProperty(t *testing.T) {
 
 // FuzzLiveStoreExactMoments feeds fuzz bytes through runExactOps. The
 // checked-in corpus (testdata/fuzz/FuzzLiveStoreExactMoments) seeds each
-// append kind, past-horizon and negative ticks, and a restore followed by
-// queries and appends into the rows those queries cached.
+// append kind, past-horizon and negative ticks, a restore followed by
+// queries and appends into the rows those queries cached, and bursts that
+// widen the cube before a seal and a restore.
 func FuzzLiveStoreExactMoments(f *testing.F) {
 	f.Fuzz(func(t *testing.T, p []byte) {
 		if len(p) > 4096 {
@@ -282,5 +319,148 @@ func BenchmarkSummarize(b *testing.B) {
 				summarySink = s
 			}
 		})
+	}
+}
+
+// TestLiveStoreWidens piles frames past the horizon into the last bucket,
+// through every append path, until a cell passes 255 and then 65 535. At
+// each width every exact answer is bit-identical to binMoments over the
+// widened cube, an incremental seal after the widen estimates what a store
+// that rebuilds every seal estimates, and a restore comes back at the
+// store's width and keeps answering.
+func TestLiveStoreWidens(t *testing.T) {
+	cfg := exactOpsCfg
+	cfg.SealDeltaThreshold = 1 << 20 // every seal here replays its log
+	var incremental bool
+	cfg.SealObserver = func(_ time.Duration, inc bool, _ int) { incremental = inc }
+	mins, maxs := []float64{-1, -1}, []float64{1, 1}
+	ls, err := NewLiveStore(mins, maxs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refCfg := exactOpsCfg
+	refCfg.SealDeltaThreshold = -1 // reference: every seal rebuilds
+	ref, err := NewLiveStore(mins, maxs, refCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := int64(len(ls.counts()))
+	stored := 0
+	// pile appends n frames at tick 100, past the 64-tick horizon, to both
+	// stores. Channel 0 always reads 0.5, so one of its cells counts every
+	// frame of the bucket; channel 1 spreads over three bins.
+	pile := func(n int, via string) {
+		t.Helper()
+		frames := make([]stream.Frame, n)
+		var body []byte
+		for i := range frames {
+			frames[i] = stream.Frame{T: 1, Values: []float64{0.5, float64((stored+i)%3)/4 - 0.25}}
+			for _, v := range append([]float64{1}, frames[i].Values...) {
+				body = binary.LittleEndian.AppendUint64(body, math.Float64bits(v))
+			}
+		}
+		for _, s := range []*LiveStore{ls, ref} {
+			var got int
+			switch via {
+			case "frame":
+				for _, f := range frames {
+					if err := s.AppendFrame(100, f.Values); err != nil {
+						t.Fatal(err)
+					}
+					got++
+				}
+			case "frames":
+				got, err = s.AppendFrames(frames)
+			case "encoded":
+				got, err = s.AppendEncoded(body)
+			}
+			if err != nil || got != n {
+				t.Fatalf("%s: stored %d of %d frames: %v", via, got, n, err)
+			}
+		}
+		stored += n
+	}
+	// width is the cell size, in bytes, a bucket of n frames needs.
+	width := func(n int) int64 {
+		switch {
+		case n > 65535:
+			return 4
+		case n > 255:
+			return 2
+		}
+		return 1
+	}
+	windows := [][2]float64{{0, 1e9}, {0, 0.5}, {0.56, 1e9}}
+	check := func(what string, s *LiveStore, frames int) {
+		t.Helper()
+		if got, want := s.Footprint().Cube, width(frames)*cells; got != want {
+			t.Fatalf("%s: cube of %d B, want %d", what, got, want)
+		}
+		for ch := 0; ch < s.Channels(); ch++ {
+			for _, w := range windows {
+				checkExact(t, 0, s, ch, w[0], w[1])
+			}
+		}
+	}
+	pile(40, "frames")
+	if _, err := ls.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range []struct {
+		n   int
+		via string
+	}{
+		{255 - 40, "encoded"},
+		{1, "frame"},
+		{65535 - 256, "encoded"},
+		{1, "frames"},
+		{300, "encoded"},
+	} {
+		pile(st.n, st.via)
+		what := fmt.Sprintf("%d frames", stored)
+		check(what, ls, stored)
+		inc, err := ls.Seal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !incremental {
+			t.Fatalf("%s: seal rebuilt, want a delta replay", what)
+		}
+		want, err := ref.Seal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ch := 0; ch < 2; ch++ {
+			for _, w := range windows {
+				a, ab, err := inc.ApproximateCount(ch, w[0], w[1], 1<<20)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, bb, err := want.ApproximateCount(ch, w[0], w[1], 1<<20)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Abs(a-b) > 1e-9*(1+math.Abs(b)) || math.Abs(ab-bb) > 1e-9*(1+math.Abs(bb)) {
+					t.Fatalf("%s ch %d %v: incremental seal %v±%v, rebuild %v±%v", what, ch, w, a, ab, b, bb)
+				}
+			}
+		}
+		var buf bytes.Buffer
+		if _, err := inc.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadStore(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		restored, err := RestoreLiveStore(back, exactOpsCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(what+", restored", restored, stored)
+		if err := restored.AppendFrame(100, []float64{0.5, 0}); err != nil {
+			t.Fatal(err)
+		}
+		check(what+", restored, one more", restored, stored+1)
 	}
 }

@@ -12,9 +12,11 @@ import (
 // cube wavelet-transformed along the engine's non-standard axes, so the
 // restore inverse-transforms the coefficients back into counts. Counts are
 // integers by construction; a reconstructed cell that is materially
-// non-integral or negative means the serialized coefficients were damaged
-// in a way the outer checksums missed, and the restore fails rather than
-// resurrect a corrupt session.
+// non-integral or negative, or a bucket whose channels disagree on how
+// many frames it holds, means the serialized coefficients were damaged in
+// a way the outer checksums missed, and the restore fails rather than
+// resurrect a corrupt session. The restored cube is as narrow as its
+// fullest bucket allows.
 //
 // cfg supplies the non-shape knobs (seal threshold, observer, max degree);
 // the shape — rate, buckets, bins, horizon, per-channel value ranges — is
@@ -61,34 +63,50 @@ func RestoreLiveStore(st *Store, cfg LiveStoreConfig) (*LiveStore, error) {
 		}
 	}
 
+	// Every frame adds one count to each channel's row of its bucket, so a
+	// bucket's fill is channel 0's row sum there, every channel must agree
+	// with it, and the largest fill picks the cube's width.
 	tb, vb := st.TimeBuckets, st.ValueBins
-	var total uint64
+	cells := st.Channels * tb * vb
+	var sum uint64
 	for i, v := range data {
 		r := math.Round(v)
 		if math.Abs(v-r) > 1e-3 || r < 0 || r > math.MaxUint32 {
 			return nil, fmt.Errorf("core: restore: cell %d reconstructs to %v, not a count", i, v)
 		}
-		ch := i / (tb * vb)
-		if ch >= st.Channels {
+		if i >= cells {
 			if r != 0 {
-				return nil, fmt.Errorf("core: restore: padding channel %d holds count %v", ch, r)
+				return nil, fmt.Errorf("core: restore: padding channel %d holds count %v", i/(tb*vb), r)
 			}
 			continue
 		}
-		ls.cube[i] = uint32(r)
-		total += uint64(r)
+		data[i] = r
+		sum += uint64(r)
+		if i%vb < vb-1 {
+			continue
+		}
+		row := i / vb
+		switch ch, b := row/tb, row%tb; {
+		case ch == 0:
+			ls.fill[b] = sum
+			ls.frames += int(sum)
+			for sum > ls.fillMax {
+				ls.widen()
+			}
+		case sum != ls.fill[b]:
+			return nil, fmt.Errorf("core: restore: channel %d holds %d frames in bucket %d, channel 0 holds %d", ch, sum, b, ls.fill[b])
+		}
+		sum = 0
 	}
-	if total%uint64(st.Channels) != 0 {
-		return nil, fmt.Errorf("core: restore: %d counts do not divide into %d channels", total, st.Channels)
+	switch {
+	case ls.c8 != nil:
+		convert(ls.c8, data[:cells])
+	case ls.c16 != nil:
+		convert(ls.c16, data[:cells])
+	default:
+		convert(ls.c32, data[:cells])
 	}
-	ls.frames = int(total / uint64(st.Channels))
 	ls.version = uint64(ls.frames)
-	// Every row changed under the cache: stamp each bucket with the
-	// restored version. Appends stamp version+1 and up, so no later frame
-	// can write a stamp a post-restore row was cached at.
-	for tb := range ls.stamp {
-		ls.stamp[tb] = ls.version
-	}
 
 	// Seed the seal cache: st's engine already holds exactly this cube, so
 	// post-restore appends can replay incrementally instead of rebuilding.

@@ -53,16 +53,15 @@ func (s Summary) Variance() (float64, bool) {
 // count, so the summary covers exactly the first `frames` frames (the
 // watermark reported back in the fleet result) and never half a frame.
 //
-// A row is valid while its cached stamp equals its time bucket's stamp —
-// the version of the last frame stored into that bucket, written once per
-// frame by every append. Versions only grow, so no append writes a stamp
-// a row was cached at; RestoreLiveStore stamps every bucket with the
-// restored version, which later appends (version+1 and up) never repeat.
-// Warm rows — an idle session, a finished bucket — cost one add each, so
-// a scan is O(buckets) and allocates nothing. A row whose bucket took
-// frames since it was cached, typically a live session's head bucket, is
-// rescanned from its ValueBins cells first; a scan never reads more cells
-// than the window holds.
+// A row is valid while its cached Σ1 equals its time bucket's fill — the
+// frames stored into that bucket, counted once per frame by every append
+// and rebuilt by RestoreLiveStore. Each frame adds one count to every
+// channel's row of its bucket, so a row's Σ1 is the fill it was cached
+// at, and a fill only grows. Warm rows — an idle session, a finished
+// bucket — cost one add each, so a scan is O(buckets) and allocates
+// nothing. A row whose bucket took frames since it was cached, typically
+// a live session's head bucket, is rescanned from its ValueBins cells
+// first; a scan never reads more cells than the window holds.
 func (ls *LiveStore) Summarize(channel int, t0, t1 float64) (Summary, uint64, error) {
 	n, sum, sumSq, frames, err := ls.moments(channel, t0, t1)
 	if err != nil {

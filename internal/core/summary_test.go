@@ -102,7 +102,8 @@ func TestSummaryMergeEqualsWholeRange(t *testing.T) {
 // summarisers over the same buckets in parallel (run under -race): each
 // answer's N must equal the watermark returned with it, so a scan never
 // sees half a frame or a row cached before the frames it reports, and N
-// can only be one of the batch-boundary counts.
+// can only be one of the batch-boundary counts. Bucket 0 passes 255
+// frames midway, so the cube widens to 16 bits under the readers.
 func TestSummarizeConcurrentWithAppends(t *testing.T) {
 	ls, err := NewLiveStore([]float64{0}, []float64{1}, LiveStoreConfig{
 		Rate: 100, TimeBuckets: 32, ValueBins: 16, HorizonTicks: 100000,
@@ -140,6 +141,10 @@ func TestSummarizeConcurrentWithAppends(t *testing.T) {
 				}
 				if uint64(s.N)%perBatch != 0 {
 					t.Errorf("observed mid-batch count %v", s.N)
+					return
+				}
+				if cube := ls.Footprint().Cube; cube != 512 && cube != 1024 {
+					t.Errorf("a %d-cell cube holds %d B, want 8- or 16-bit cells", 512, cube)
 					return
 				}
 			}

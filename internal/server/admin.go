@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strconv"
 
+	"aims/internal/core"
 	"aims/internal/obs"
 	"aims/internal/wavelet"
 )
@@ -27,6 +28,8 @@ type SessionInfo struct {
 	ShedBatches    uint64  `json:"shed_batches"`
 	ShedFrames     uint64  `json:"shed_frames"`
 	AppendErrors   uint64  `json:"append_errors"`
+	// StoreBytes is what the session's live store holds in memory.
+	StoreBytes core.Footprint `json:"store_bytes"`
 
 	// Durability state: whether the session journals at all, whether it
 	// resumed recovered state, how many frames the journal has seen across
@@ -55,6 +58,7 @@ func (s *Server) Sessions() []SessionInfo {
 			ShedBatches:    sess.shedB.Load(),
 			ShedFrames:     sess.shedF.Load(),
 			AppendErrors:   sess.badAppend.Load(),
+			StoreBytes:     sess.store.Footprint(),
 		}
 		if sess.jsess != nil {
 			info.Durable = true

@@ -14,7 +14,9 @@ import (
 	"testing"
 	"time"
 
+	"aims/internal/core"
 	"aims/internal/propolyne"
+	"aims/internal/stream"
 	"aims/internal/wire"
 )
 
@@ -171,6 +173,55 @@ func TestSnapshotBucketsMatchBounds(t *testing.T) {
 	if n := len(latencyHist(t, srv.Metrics())); n != len(latencyBounds)+1 {
 		t.Fatalf("line has %d latency buckets, want len(latencyBounds)+1 = %d",
 			n, len(latencyBounds)+1)
+	}
+}
+
+// TestSessionsReportStoreBytes: /sessions reports what each session's
+// store holds in memory. A 28-channel glove at the default live geometry
+// keeps its 2 048 frames in an 8-bit cube, which doubles once one bucket
+// passes 255 frames.
+func TestSessionsReportStoreBytes(t *testing.T) {
+	srv, addr := startServer(t, Config{})
+	c, err := wire.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	mins, maxs := ranges(28)
+	if _, err := c.Hello(wire.Hello{Rate: 100, Name: "glove", Mins: mins, Maxs: maxs}); err != nil {
+		t.Fatal(err)
+	}
+	send := func(frames []stream.Frame) core.Footprint {
+		t.Helper()
+		for len(frames) > 0 {
+			n := min(256, len(frames))
+			if err := c.SendBatch(frames[:n]); err != nil {
+				t.Fatal(err)
+			}
+			frames = frames[n:]
+		}
+		if _, err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		srv.AdminHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/sessions", nil))
+		var got struct {
+			Sessions []SessionInfo `json:"sessions"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil || len(got.Sessions) != 1 {
+			t.Fatalf("/sessions = %d %s (%v)", rec.Code, rec.Body.String(), err)
+		}
+		return got.Sessions[0].StoreBytes
+	}
+	if got := send(clientFrames(0, 2048, 28)); got.Cube != 458752 {
+		t.Fatalf("after 2048 frames: store bytes %+v, want an 8-bit cube of 458752 B", got)
+	}
+	burst := clientFrames(1, 300, 28)
+	for i := range burst {
+		burst[i].T = 1e4 // past the horizon: every frame in the last bucket
+	}
+	if got := send(burst); got.Cube != 917504 {
+		t.Fatalf("after a 300-frame bucket: store bytes %+v, want a 16-bit cube of 917504 B", got)
 	}
 }
 
