@@ -118,20 +118,6 @@ func BenchmarkE12ProgressiveBlockIO(b *testing.B) {
 	}
 }
 
-func BenchmarkE13LiveSeal(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.RunE13(io.Discard)
-		b.ReportMetric(r.Speedup[1], "speedup-1pct")
-	}
-}
-
-func BenchmarkE17QueryPlanCache(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.RunE17(io.Discard)
-		b.ReportMetric(r.Speedup, "cached-speedup")
-	}
-}
-
 // --- Ablations ---
 
 func BenchmarkA1GroupByOrdering(b *testing.B) {
@@ -302,7 +288,7 @@ func BenchmarkDeviceFrame(b *testing.B) {
 	}
 }
 
-// --- Live-ingest seal path (E13's substrate) ---
+// --- Live-ingest seal path (bench/ reports core.seal_cold_ms, seal_incr_us) ---
 
 // benchLiveStore fills a default 256×64-per-channel cube with 8192 frames
 // and returns the store plus the next free tick.
@@ -384,7 +370,7 @@ func BenchmarkLiveStoreSealIncremental(b *testing.B) {
 // approximate COUNT at budget 64 — delta logging, the incremental seal, the
 // plan lookup, the dot product and the data energy behind the error bound
 // together. BenchmarkLiveStoreSealIncremental times the seal alone, so a
-// cube-sized pass after it (E13's blind spot) shows only here.
+// cube-sized pass after the seal shows only here.
 func BenchmarkLiveApproxAfterAppend(b *testing.B) {
 	for _, channels := range []int{4, 28} {
 		b.Run(fmt.Sprintf("channels=%d", channels), func(b *testing.B) {
@@ -418,7 +404,7 @@ func BenchmarkLiveApproxAfterAppend(b *testing.B) {
 	}
 }
 
-// --- Compiled query plans (E17's substrate) ---
+// --- Compiled query plans (bench/ reports propolyne.plan_compile_us, plan_lookup_hit_us) ---
 
 // BenchmarkQueryPlanColdVsCached contrasts the two query paths: cold
 // compiles the plan (lazy wavelet transforms + sorting) before every
@@ -463,8 +449,8 @@ func BenchmarkQueryPlanColdVsCached(b *testing.B) {
 }
 
 // BenchmarkFleetQueryPlanCache runs an approximate fleet COUNT over 256
-// same-geometry sessions with the shared plan cache warm vs disabled
-// (disabled = the legacy compile-per-session behaviour).
+// same-geometry sessions through the warm shared plan cache: one plan
+// serves every session.
 func BenchmarkFleetQueryPlanCache(b *testing.B) {
 	const sessionsN, frames, rate = 256, 256, 100.0
 	rng := rand.New(rand.NewSource(21))
@@ -496,22 +482,11 @@ func BenchmarkFleetQueryPlanCache(b *testing.B) {
 			b.Fatalf("fleet query failed: code=%d", r.Code)
 		}
 	}
-	run(b) // seal every session store off the clock
-	b.Run("compile-per-session", func(b *testing.B) {
-		propolyne.SharedCache.SetCapacity(-1)
-		defer propolyne.SharedCache.SetCapacity(propolyne.DefaultPlanCacheCost)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			run(b)
-		}
-	})
-	b.Run("shared-plan", func(b *testing.B) {
-		run(b) // warm the cache
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			run(b)
-		}
-	})
+	run(b) // seal every session store and warm the cache off the clock
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run(b)
+	}
 }
 
 // BenchmarkTransformNDParallel runs the multi-dimensional transform with

@@ -1,13 +1,13 @@
 // Command aims-bench prints the experiment tables that reproduce the AIMS
-// paper's own claims (T1, E1–E13, E15, E17 and A1–A5 in DESIGN.md). Run it
+// paper's own claims (T1, E1–E12 and A1–A5 in DESIGN.md). Run it
 // with no arguments for the full suite, or pass experiment IDs to run a
 // subset:
 //
 //	aims-bench            # everything
 //	aims-bench E3 E7      # just those two
 //
-// An unknown ID — including a retired one — exits 2 with the known-ID list.
-// The network middle tier's capacity is measured by `go run ./bench`.
+// An unknown ID — including a retired one (E13–E20) — exits 2 with the
+// known-ID list. The network middle tier is measured by `go run ./bench`.
 package main
 
 import (

@@ -22,9 +22,9 @@ func buildServer(t *testing.T) string {
 }
 
 // TestTuningFlagsHaveOneSpelling pins one spelling per setting for the
-// five tuning flags that used to read 0 as "default" and a negative value
-// as "off": -help prints each real default, and a negative value is
-// refused with exit 2 and the flag's name.
+// six tuning flags that used to read 0 as "default" and a negative value
+// as "off" or "default": -help prints each real default, and a negative
+// value is refused with exit 2 and the flag's name.
 func TestTuningFlagsHaveOneSpelling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the server binary")
@@ -38,6 +38,7 @@ func TestTuningFlagsHaveOneSpelling(t *testing.T) {
 		"trace-sample":  "(default 256)",
 		"slow-query":    "(default 100ms)",
 		"plan-cache":    "(default 1048576)",
+		"retain":        "(default 1m0s)",
 	} {
 		i := strings.Index(string(help), "  -"+flag+" ")
 		if i < 0 {
@@ -59,6 +60,7 @@ func TestTuningFlagsHaveOneSpelling(t *testing.T) {
 		{"-trace-sample", "-1"},
 		{"-slow-query", "-1ms"},
 		{"-plan-cache", "-1"},
+		{"-retain", "-1s"},
 	} {
 		// A server that accepts the value runs until the deadline kills it.
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

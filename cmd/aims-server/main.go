@@ -49,7 +49,7 @@ func main() {
 		idle    = flag.Duration("idle", 30*time.Second, "idle-session eviction timeout")
 		hbeat   = flag.Duration("heartbeat", 5*time.Second, "expected device heartbeat interval; pinging sessions are evicted after ~2.5 missed beats")
 		wtmo    = flag.Duration("write-timeout", 10*time.Second, "per-message socket write deadline")
-		retain  = flag.Duration("retain", 0, "how long a named session is parked awaiting its device after it left (dropped link or Close) or a restart recovered it (≤ 0 = default 60s)")
+		retain  = flag.Duration("retain", time.Minute, "how long a named session is parked awaiting its device after it left (dropped link or Close) or a restart recovered it")
 		policy  = flag.String("policy", "block", "backpressure policy: block|shed")
 		buckets = flag.Int("buckets", 256, "live-store time buckets (power of two)")
 		bins    = flag.Int("bins", 64, "live-store value bins (power of two)")
@@ -73,7 +73,7 @@ func main() {
 	)
 	flag.Parse()
 	// Each setting has one spelling: no negative "off" value.
-	for _, name := range []string{"heartbeat", "write-timeout", "trace-sample", "slow-query", "plan-cache"} {
+	for _, name := range []string{"heartbeat", "write-timeout", "trace-sample", "slow-query", "plan-cache", "retain"} {
 		if v := flag.Lookup(name).Value.String(); strings.HasPrefix(v, "-") {
 			exitOn(fmt.Errorf("-%s %s: must not be negative", name, v), 2)
 		}

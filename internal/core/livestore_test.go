@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"aims/internal/stream"
 )
@@ -482,9 +483,11 @@ func sealsAgree(t *testing.T, rng *rand.Rand, a, b *Store, channels int) {
 // property test: a random interleaving of appends, seals and exact scans,
 // asserting at every checkpoint that the incrementally sealed engine
 // answers COUNT/AVERAGE/VARIANCE identically to a from-scratch rebuild of
-// the same data. The tiny-threshold case forces delta-log overflows so
-// the rebuild fallback and the resumed tracking afterwards are covered
-// too.
+// the same data. In the default-threshold case every seal after the first
+// must also be incremental and replay exactly one delta entry per channel
+// per frame appended since the last seal: seal work is O(delta), not
+// O(cube). The tiny-threshold case forces delta-log overflows so the
+// rebuild fallback and the resumed tracking afterwards are covered too.
 func TestLiveStoreIncrementalSealEquivalence(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -499,19 +502,37 @@ func TestLiveStoreIncrementalSealEquivalence(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(7 + tc.threshold)))
 			inc := mkLive(t, channels, tc.threshold)
 			ref := mkLive(t, channels, -1)
+			// pending counts frames appended since inc's last seal; the
+			// observer reports each materialising seal (none when pending
+			// is 0: that Seal is a cache hit).
+			pending, seals := 0, 0
+			inc.cfg.SealObserver = func(_ time.Duration, incremental bool, deltaEntries int) {
+				seals++
+				if tc.threshold != 0 || seals == 1 {
+					return
+				}
+				if !incremental || deltaEntries != pending*channels {
+					t.Fatalf("seal %d: incremental=%v with %d delta entries, want incremental with %d (%d frames × %d channels)",
+						seals, incremental, deltaEntries, pending*channels, pending, channels)
+				}
+			}
+			checkpoint := func() { // seal both, compare
+				stInc, err := inc.Seal()
+				if err != nil {
+					t.Fatal(err)
+				}
+				pending = 0
+				stRef, err := ref.Seal()
+				if err != nil {
+					t.Fatal(err)
+				}
+				sealsAgree(t, rng, stInc, stRef, channels)
+			}
 			tick := 0
 			for step := 0; step < 600; step++ {
 				switch rng.Intn(12) {
-				case 0: // checkpoint: seal both, compare
-					stInc, err := inc.Seal()
-					if err != nil {
-						t.Fatal(err)
-					}
-					stRef, err := ref.Seal()
-					if err != nil {
-						t.Fatal(err)
-					}
-					sealsAgree(t, rng, stInc, stRef, channels)
+				case 0:
+					checkpoint()
 				case 1: // exact scan parity on the live cubes
 					c := rng.Intn(channels)
 					t0 := rng.Float64() * 8
@@ -534,19 +555,14 @@ func TestLiveStoreIncrementalSealEquivalence(t *testing.T) {
 							t.Fatal(err)
 						}
 						tick++
+						pending++
 					}
 				}
 			}
-			// Final quiescent checkpoint.
-			stInc, err := inc.Seal()
-			if err != nil {
-				t.Fatal(err)
+			checkpoint() // final quiescent checkpoint
+			if seals < 2 {
+				t.Fatalf("only %d materialising seals", seals)
 			}
-			stRef, err := ref.Seal()
-			if err != nil {
-				t.Fatal(err)
-			}
-			sealsAgree(t, rng, stInc, stRef, channels)
 		})
 	}
 }

@@ -24,9 +24,6 @@ func All() []Runner {
 		{"E10", "incremental SVD beats per-step recomputation", func(w io.Writer) { RunE10(w) }},
 		{"E11", "double-buffered acquisition sustains the device clock", func(w io.Writer) { RunE11(w) }},
 		{"E12", "importance-ordered block fetches converge in a fraction of the I/Os", func(w io.Writer) { RunE12(w) }},
-		{"E13", "live_seal: incremental seal costs O(delta since last seal), not O(cube)", func(w io.Writer) { RunE13(w) }},
-		{"E15", "journal_overhead: interval-fsync WAL costs <10% ingest; recovery is snapshot + O(tail) replay", func(w io.Writer) { RunE15(w) }},
-		{"E17", "query_plan: cached compiled plans answer repeated queries ≥5× faster than cold compiles", func(w io.Writer) { RunE17(w) }},
 		{"A1", "ablation: GROUP BY shares I/O across buckets; fetch-ordering objective trade", func(w io.Writer) { RunA1(w) }},
 		{"A2", "ablation: random-projection SVD similarity accuracy/cost trade", func(w io.Writer) { RunA2(w) }},
 		{"A3", "ablation: tiling locality becomes LRU buffer-pool hit rate", func(w io.Writer) { RunA3(w) }},

@@ -1,8 +1,8 @@
 // Package experiments implements the reproduction harness: one runner per
-// experiment in DESIGN.md's per-experiment index (T1, E1–E13). Each runner
-// regenerates the corresponding quantitative claim of the paper and prints
-// a paper-style table; cmd/aims-bench and the repository-root benchmarks
-// are thin wrappers around these runners.
+// paper claim in DESIGN.md's per-experiment index (T1, E1–E12, A1–A5). Each
+// runner regenerates its claim and prints a paper-style table;
+// cmd/aims-bench and the repository-root benchmarks are thin wrappers
+// around these runners.
 package experiments
 
 import (

@@ -9,6 +9,7 @@ import (
 
 	"aims/internal/core"
 	"aims/internal/obs"
+	"aims/internal/propolyne"
 	"aims/internal/stream"
 	"aims/internal/wire"
 )
@@ -132,6 +133,34 @@ func TestApproxBoundSound(t *testing.T) {
 					seed, trial, res.Value, truth, err, res.Bound)
 			}
 		}
+	}
+}
+
+// TestClassSharesOnePlan: every session of a class seals to the same engine
+// geometry, so an approximate fleet query compiles one plan through the
+// process-wide cache and the other sessions hit it; a repeat query compiles
+// nothing. Not parallel: propolyne.SharedCache is process-global.
+func TestClassSharesOnePlan(t *testing.T) {
+	const n = 64
+	sessions := buildFleet(t, n, "glove", 11)
+	req := Request{
+		Kind: wire.QueryApproxCount, Channel: 1, T0: 2, T1: 17,
+		Arg: 64, Scope: wire.FleetScope{Class: "glove"},
+	}
+	propolyne.SharedCache.Purge()
+	before := propolyne.SharedCache.Stats()
+	if res := Evaluate(context.Background(), sessions, req, Config{Workers: 4}); !res.OK {
+		t.Fatalf("approx fleet failed: %+v", res)
+	}
+	first := propolyne.SharedCache.Stats()
+	if miss, hit := first.Misses-before.Misses, first.Hits-before.Hits; miss != 1 || hit != n-1 {
+		t.Fatalf("first query: %d misses / %d hits, want 1 / %d", miss, hit, n-1)
+	}
+	if res := Evaluate(context.Background(), sessions, req, Config{Workers: 4}); !res.OK {
+		t.Fatalf("repeat approx fleet failed: %+v", res)
+	}
+	if miss := propolyne.SharedCache.Stats().Misses - first.Misses; miss != 0 {
+		t.Fatalf("repeat query compiled %d plans, want 0", miss)
 	}
 }
 

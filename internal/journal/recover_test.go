@@ -108,37 +108,82 @@ func TestRecoverWALOnly(t *testing.T) {
 }
 
 // TestRecoverSnapshotPlusTail snapshots mid-stream, keeps ingesting, then
-// crashes: recovery must load the snapshot and replay only the tail.
+// crashes: recovery must load the snapshot and replay exactly the tail,
+// whatever its length. The snapshot must also drop every WAL segment that
+// lies wholly below its watermark, so the log a restart reads stays the
+// size of the tail rather than of the session.
 func TestRecoverSnapshotPlusTail(t *testing.T) {
-	dir := t.TempDir()
-	cfg := Config{Dir: dir, Fsync: FsyncBatch, SnapshotFrames: -1}
-	m, err := OpenManager(cfg)
-	if err != nil {
-		t.Fatal(err)
+	const batch, snapAt = 50, 200
+	cases := []struct {
+		name     string
+		segBytes int64 // 0 = the 8 MiB default: one segment throughout
+		tail     int   // frames past the snapshot, in batch-frame records
+	}{
+		{"no-tail", 0, 0},
+		{"one-batch", 0, batch},
+		{"several-segments", 1024, 4 * batch},
 	}
-	meta := testMeta("classroom", 2)
-	sess, _, err := m.Attach(meta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ls, _ := core.NewLiveStore(meta.Mins, meta.Maxs, testStoreCfg)
-	ingest(t, sess, ls, sineFrames(200, 2, 0))
-	if err := sess.Snapshot(ls); err != nil {
-		t.Fatal(err)
-	}
-	ingest(t, sess, ls, sineFrames(120, 2, 200))
-	// Crash here: 200 frames in the snapshot, 120 in the WAL tail.
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := Config{Dir: dir, Fsync: FsyncBatch, SnapshotFrames: -1, SegmentBytes: tc.segBytes}
+			m, err := OpenManager(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			meta := testMeta("classroom", 2)
+			sess, _, err := m.Attach(meta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ls, _ := core.NewLiveStore(meta.Mins, meta.Maxs, testStoreCfg)
+			at := uint64(0)
+			feed := func(frames int) {
+				for ; frames > 0; frames -= batch {
+					ingest(t, sess, ls, sineFrames(batch, 2, at))
+					at += batch
+				}
+			}
+			feed(snapAt)
+			sdir := filepath.Join(dir, "classroom")
+			rotated, err := listSegments(sdir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sess.Snapshot(ls); err != nil {
+				t.Fatal(err)
+			}
+			seqs, err := listSegments(sdir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.segBytes > 0 && len(seqs) >= len(rotated) {
+				t.Fatalf("snapshot kept all %d segments %v", len(rotated), seqs)
+			}
+			for i := 0; i+1 < len(seqs); i++ {
+				next, err := readSegmentFirstFrame(filepath.Join(sdir, segName(seqs[i+1])))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if next <= snapAt {
+					t.Fatalf("segment %d lies wholly below watermark %d (the next starts at frame %d)", seqs[i], snapAt, next)
+				}
+			}
+			feed(tc.tail)
+			// Crash here: snapAt frames in the snapshot, tc.tail in the WAL.
 
-	m2, _ := OpenManager(cfg)
-	recovered, err := m2.Recover(testStoreCfg)
-	if err != nil || len(recovered) != 1 {
-		t.Fatalf("recover: %v (%d)", err, len(recovered))
+			m2, _ := OpenManager(cfg)
+			recovered, err := m2.Recover(testStoreCfg)
+			if err != nil || len(recovered) != 1 {
+				t.Fatalf("recover: %v (%d)", err, len(recovered))
+			}
+			r := recovered[0]
+			if r.Watermark != snapAt || r.Processed-r.Watermark != uint64(tc.tail) {
+				t.Fatalf("watermark=%d processed=%d, want %d + a %d-frame tail", r.Watermark, r.Processed, snapAt, tc.tail)
+			}
+			queriesMatch(t, ls, r.Store, 2)
+		})
 	}
-	r := recovered[0]
-	if r.Watermark != 200 || r.Processed != 320 {
-		t.Fatalf("watermark=%d processed=%d", r.Watermark, r.Processed)
-	}
-	queriesMatch(t, ls, r.Store, 2)
 }
 
 // TestRecoverCorruptSnapshotFallsBack flips a byte in the newest snapshot;

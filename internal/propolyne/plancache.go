@@ -44,7 +44,7 @@ const DefaultPlanCacheCost = 1 << 20
 // SharedCache is the process-wide plan cache every Engine query surface
 // (Exact, Progressive, EstimateWithBudget, GroupBy*, QueryCoefficients)
 // compiles through. Size it with SetCapacity (the server's -plan-cache
-// flag); a capacity ≤ 0 disables caching so every lookup compiles fresh.
+// flag).
 var SharedCache = NewPlanCache(DefaultPlanCacheCost)
 
 // PlanObserver carries the cache's metric hooks; nil funcs are skipped.
@@ -76,8 +76,8 @@ type planEntry struct {
 	resident bool
 }
 
-// NewPlanCache creates a cache with the given cost budget; ≤ 0 disables
-// caching (every Lookup compiles).
+// NewPlanCache creates a cache with the given cost budget. Each shard keeps
+// at least its most recent plan, however small the budget.
 func NewPlanCache(costCapacity int) *PlanCache {
 	c := &PlanCache{}
 	c.capacity.Store(int64(costCapacity))
@@ -89,7 +89,7 @@ func NewPlanCache(costCapacity int) *PlanCache {
 }
 
 // SetCapacity adjusts the cost budget. Shrinking takes effect as inserts
-// evict down to the new budget; ≤ 0 disables caching for future lookups.
+// evict down to the new budget.
 func (c *PlanCache) SetCapacity(costCapacity int) {
 	c.capacity.Store(int64(costCapacity))
 }
@@ -155,10 +155,6 @@ type PlanTrace struct {
 // non-nil q.Trace records whether this call hit the cache and how long a
 // miss compiled.
 func (c *PlanCache) Lookup(e *Engine, q Query) (*Plan, error) {
-	capacity := c.capacity.Load()
-	if capacity <= 0 {
-		return c.compile(e, q)
-	}
 	key := planKey(e, q)
 	sh := &c.shards[shardOf(key)]
 	sh.mu.Lock()
@@ -199,7 +195,7 @@ func (c *PlanCache) Lookup(e *Engine, q Query) (*Plan, error) {
 	if en.resident {
 		en.cost = planCost(plan)
 		sh.cost += en.cost
-		budget := int(capacity) / planShards
+		budget := int(c.capacity.Load()) / planShards
 		if budget < 1 {
 			budget = 1
 		}

@@ -98,21 +98,6 @@ func TestPlanCacheEviction(t *testing.T) {
 	}
 }
 
-func TestPlanCacheDisabled(t *testing.T) {
-	e := cacheTestEngine(t, []int{16, 16}, 100)
-	c := NewPlanCache(-1)
-	q := Query{Lo: []int{0, 0}, Hi: []int{7, 7}}
-	for i := 0; i < 3; i++ {
-		if _, err := c.Lookup(e, q); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := c.Stats()
-	if st.Hits != 0 || st.Misses != 3 || st.Plans != 0 {
-		t.Fatalf("disabled cache stats %+v, want 0 hits / 3 misses / 0 plans", st)
-	}
-}
-
 func TestPlanCacheErrorNotCached(t *testing.T) {
 	e := cacheTestEngine(t, []int{16, 16}, 100)
 	c := NewPlanCache(1 << 10)
