@@ -22,9 +22,10 @@ func buildServer(t *testing.T) string {
 }
 
 // TestTuningFlagsHaveOneSpelling pins one spelling per setting for the
-// six tuning flags that used to read 0 as "default" and a negative value
-// as "off" or "default": -help prints each real default, and a negative
-// value is refused with exit 2 and the flag's name.
+// tuning flags that used to read 0 as "default" and a negative value as
+// "off" or "default": -help prints each real default, and a negative
+// value is refused with exit 2 and the flag's name. So are -buckets and
+// -bins that are not powers of two, and the retired fsync-mode flags.
 func TestTuningFlagsHaveOneSpelling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the server binary")
@@ -39,6 +40,13 @@ func TestTuningFlagsHaveOneSpelling(t *testing.T) {
 		"slow-query":    "(default 100ms)",
 		"plan-cache":    "(default 1048576)",
 		"retain":        "(default 1m0s)",
+		"queue":         "(default 8192)",
+		"idle":          "(default 30s)",
+		"buckets":       "(default 256)",
+		"bins":          "(default 64)",
+		"segment-bytes": "(default 8388608)",
+		"fleet-workers": "(default 16)",
+		"fleet-timeout": "(default 5s)",
 	} {
 		i := strings.Index(string(help), "  -"+flag+" ")
 		if i < 0 {
@@ -61,6 +69,17 @@ func TestTuningFlagsHaveOneSpelling(t *testing.T) {
 		{"-slow-query", "-1ms"},
 		{"-plan-cache", "-1"},
 		{"-retain", "-1s"},
+		{"-queue", "-1"},
+		{"-idle", "-1s"},
+		{"-buckets", "-1"},
+		{"-bins", "-1"},
+		{"-segment-bytes", "-1"},
+		{"-fleet-workers", "-1"},
+		{"-fleet-timeout", "-1s"},
+		{"-buckets", "100"},
+		{"-bins", "48"},
+		{"-fsync", "batch"},
+		{"-fsync-interval", "1s"},
 	} {
 		// A server that accepts the value runs until the deadline kills it.
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

@@ -86,7 +86,7 @@ func TestKill9RecoverAnswersIdentically(t *testing.T) {
 	bin := buildServer(t)
 	dataDir := filepath.Join(t.TempDir(), "data")
 	serverArgs := []string{
-		"-listen", "tcp://127.0.0.1:0", "-data-dir", dataDir, "-fsync", "batch",
+		"-listen", "tcp://127.0.0.1:0", "-data-dir", dataDir,
 		"-snapshot-frames", "1000", "-buckets", "64", "-bins", "32", "-metrics", "0",
 	}
 

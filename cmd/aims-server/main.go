@@ -17,9 +17,11 @@
 // SIGINT/SIGTERM; shutdown drains every session's in-flight batches
 // before exiting.
 //
-// Every tuning flag's -help shows its real default. -heartbeat,
-// -write-timeout, -trace-sample, -slow-query and -plan-cache have no
-// "off" value: a negative one exits with status 2.
+// Every tuning flag's -help shows its real default and has no negative
+// "off" or "default" value: a negative one exits with status 2, as do
+// -buckets and -bins that are not powers of two. With -data-dir set, every
+// batch is fsynced to its session's WAL before it is stored, so a frame a
+// Flush has acknowledged survives a crash.
 package main
 
 import (
@@ -65,23 +67,30 @@ func main() {
 		planCache    = flag.Int("plan-cache", propolyne.DefaultPlanCacheCost, "compiled query-plan cache budget in entry units")
 
 		dataDir    = flag.String("data-dir", "", "durability directory: per-session WAL + snapshots (empty: memory-only)")
-		fsync      = flag.String("fsync", "batch", "WAL fsync policy: batch|interval|off")
-		fsyncEvery = flag.Duration("fsync-interval", 100*time.Millisecond, "deferred fsync period for -fsync interval")
 		segBytes   = flag.Int64("segment-bytes", 8<<20, "WAL segment rotation size (bytes)")
 		snapEvery  = flag.Int("snapshot-frames", 65536, "snapshot a session every N frames (negative: only at close)")
 		durability = flag.String("durability", "block", "on journal write failure: block|shed")
 	)
 	flag.Parse()
 	// Each setting has one spelling: no negative "off" value.
-	for _, name := range []string{"heartbeat", "write-timeout", "trace-sample", "slow-query", "plan-cache", "retain"} {
+	for _, name := range []string{"queue", "idle", "heartbeat", "write-timeout", "retain", "buckets", "bins",
+		"trace-sample", "slow-query", "fleet-workers", "fleet-timeout", "plan-cache", "segment-bytes"} {
 		if v := flag.Lookup(name).Value.String(); strings.HasPrefix(v, "-") {
 			exitOn(fmt.Errorf("-%s %s: must not be negative", name, v), 2)
 		}
 	}
+	// The live store checks its own dimensions; probe it once here so a bad
+	// one fails at startup instead of refusing every device's Hello.
+	for name, dims := range map[string]core.LiveStoreConfig{
+		"buckets": {TimeBuckets: *buckets},
+		"bins":    {ValueBins: *bins},
+	} {
+		if _, err := core.NewLiveStore([]float64{0}, []float64{1}, dims); err != nil {
+			exitOn(fmt.Errorf("-%s: %v", name, err), 2)
+		}
+	}
 
 	pol, err := server.ParsePolicy(*policy)
-	exitOn(err, 2)
-	fpol, err := journal.ParseFsyncPolicy(*fsync)
 	exitOn(err, 2)
 	dpol, err := journal.ParseDegradePolicy(*durability)
 	exitOn(err, 2)
@@ -107,8 +116,6 @@ func main() {
 		},
 		Journal: journal.Config{
 			Dir:            *dataDir,
-			Fsync:          fpol,
-			FsyncInterval:  *fsyncEvery,
 			SegmentBytes:   *segBytes,
 			SnapshotFrames: *snapEvery,
 			Degrade:        dpol,
@@ -119,7 +126,7 @@ func main() {
 	if *dataDir != "" {
 		n, err := srv.RecoverSessions()
 		exitOn(err, 1)
-		log.Printf("durability on: data-dir=%s fsync=%s recovered=%d sessions", *dataDir, fpol, n)
+		log.Printf("durability on: data-dir=%s recovered=%d sessions", *dataDir, n)
 	}
 
 	var bounds []string

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"aims/internal/chaos"
-	"aims/internal/journal"
 	"aims/internal/server"
 	"aims/internal/stream"
 	"aims/internal/wire"
@@ -62,7 +61,6 @@ func startServer(t *testing.T, scheme, dataDir string) (*server.Server, string) 
 	}
 	if dataDir != "" {
 		cfg.Journal.Dir = dataDir
-		cfg.Journal.Fsync = journal.FsyncOff
 		cfg.Journal.SnapshotFrames = -1 // snapshot only at close: identical final files
 	}
 	srv := server.New(cfg)

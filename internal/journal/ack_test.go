@@ -12,7 +12,7 @@ import (
 // surfaces the highest watermark without disturbing the frame stream.
 func TestWALAckRecordRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{Dir: dir, Fsync: FsyncBatch}.withDefaults()
+	cfg := Config{Dir: dir}.withDefaults()
 	w, err := openWAL(dir, 0, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -52,7 +52,7 @@ func TestWALAckRecordRoundTrip(t *testing.T) {
 // frame, so the rotated log still replays cleanly.
 func TestWALAckRotatesSegments(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{Dir: dir, Fsync: FsyncOff, SegmentBytes: 512}.withDefaults()
+	cfg := Config{Dir: dir, SegmentBytes: 512}.withDefaults()
 	w, err := openWAL(dir, 0, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +88,7 @@ func TestWALAckRotatesSegments(t *testing.T) {
 // nothing from it — not an overlap error, not a double apply.
 func TestReplayTrailingDuplicateIsDropped(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{Dir: dir, Fsync: FsyncBatch}.withDefaults()
+	cfg := Config{Dir: dir}.withDefaults()
 	w, err := openWAL(dir, 0, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -138,7 +138,7 @@ func TestReplayTrailingDuplicateIsDropped(t *testing.T) {
 // the server already acknowledged and consciously dropped.
 func TestRecoverCarriesAckWatermark(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{Dir: dir, Fsync: FsyncBatch, SnapshotFrames: -1}
+	cfg := Config{Dir: dir, SnapshotFrames: -1}
 	m, err := OpenManager(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -23,7 +23,7 @@ const compatGolden = "testdata/compat-pr14"
 // session fed.
 func writeCompatSession(t *testing.T, dir string) *core.LiveStore {
 	t.Helper()
-	m, err := OpenManager(Config{Dir: dir, Fsync: FsyncBatch, SnapshotFrames: -1, SegmentBytes: 1024})
+	m, err := OpenManager(Config{Dir: dir, SnapshotFrames: -1, SegmentBytes: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,7 @@ func TestWALGroupBytesMatchOneAtATime(t *testing.T) {
 	const batches, per, channels = 60, 256, 8 // 18 KB records: 15 fill the scratch
 	write := func(groupLen int) map[string][]byte {
 		dir := t.TempDir()
-		cfg := Config{Dir: dir, Fsync: FsyncOff, SegmentBytes: 200 << 10}.withDefaults()
+		cfg := Config{Dir: dir, SegmentBytes: 200 << 10}.withDefaults()
 		w, err := openWAL(dir, 0, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -83,13 +83,13 @@ func TestWALGroupBytesMatchOneAtATime(t *testing.T) {
 	}
 }
 
-// TestWALGroupSyncsOncePerGroup: under FsyncBatch a group costs one fsync,
-// whatever its length; a group that fills a segment pays one more for the
-// segment it leaves.
+// TestWALGroupSyncsOncePerGroup: a group costs one fsync, whatever its
+// length; a group that fills a segment pays one more for the segment it
+// leaves.
 func TestWALGroupSyncsOncePerGroup(t *testing.T) {
 	dir := t.TempDir()
 	plan := NewFaultPlan()
-	cfg := Config{Dir: dir, Fsync: FsyncBatch, OpenFile: plan.Open}.withDefaults()
+	cfg := Config{Dir: dir, OpenFile: plan.Open}.withDefaults()
 	w, err := openWAL(dir, 0, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +109,7 @@ func TestWALGroupSyncsOncePerGroup(t *testing.T) {
 
 	dir = t.TempDir()
 	plan = NewFaultPlan()
-	cfg = Config{Dir: dir, Fsync: FsyncBatch, SegmentBytes: 1024, OpenFile: plan.Open}.withDefaults()
+	cfg = Config{Dir: dir, SegmentBytes: 1024, OpenFile: plan.Open}.withDefaults()
 	if w, err = openWAL(dir, 0, cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestWALGroupSyncsOncePerGroup(t *testing.T) {
 func TestGroupTornInsideThirdRecordResumesThere(t *testing.T) {
 	dir := t.TempDir()
 	plan := NewFaultPlan()
-	cfg := Config{Dir: dir, Fsync: FsyncBatch, SnapshotFrames: -1, Degrade: DegradeBlock, OpenFile: plan.Open}
+	cfg := Config{Dir: dir, SnapshotFrames: -1, Degrade: DegradeBlock, OpenFile: plan.Open}
 	m, _ := OpenManager(cfg)
 	sess, _, err := m.Attach(testMeta("group", 2))
 	if err != nil {
@@ -189,7 +189,7 @@ func TestGroupFailedSyncRetriesTheSyncAlone(t *testing.T) {
 	for _, policy := range []DegradePolicy{DegradeBlock, DegradeShed} {
 		dir := t.TempDir()
 		plan := NewFaultPlan()
-		cfg := Config{Dir: dir, Fsync: FsyncBatch, SnapshotFrames: -1, Degrade: policy, OpenFile: plan.Open}
+		cfg := Config{Dir: dir, SnapshotFrames: -1, Degrade: policy, OpenFile: plan.Open}
 		m, _ := OpenManager(cfg)
 		sess, _, err := m.Attach(testMeta("sync", 2))
 		if err != nil {
@@ -242,7 +242,7 @@ func TestGroupFailedSyncRetriesTheSyncAlone(t *testing.T) {
 func TestGroupShedMidGroupKeepsCountTruthful(t *testing.T) {
 	dir := t.TempDir()
 	plan := NewFaultPlan()
-	cfg := Config{Dir: dir, Fsync: FsyncBatch, SnapshotFrames: -1, Degrade: DegradeShed, OpenFile: plan.Open}
+	cfg := Config{Dir: dir, SnapshotFrames: -1, Degrade: DegradeShed, OpenFile: plan.Open}
 	m, _ := OpenManager(cfg)
 	meta := testMeta("shed", 2)
 	sess, _, err := m.Attach(meta)
@@ -290,7 +290,7 @@ func TestGroupShedMidGroupKeepsCountTruthful(t *testing.T) {
 func TestReplayDropsLaterSegmentsItCannotProveGapFree(t *testing.T) {
 	dir := t.TempDir()
 	plan := NewFaultPlan()
-	cfg := Config{Dir: dir, Fsync: FsyncOff, SegmentBytes: 1024, OpenFile: plan.Open}.withDefaults()
+	cfg := Config{Dir: dir, SegmentBytes: 1024, OpenFile: plan.Open}.withDefaults()
 	w, err := openWAL(dir, 0, cfg)
 	if err != nil {
 		t.Fatal(err)

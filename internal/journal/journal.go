@@ -8,9 +8,8 @@
 //     the server writes each acquisition batch to before it reaches
 //     core.LiveStore.AppendEncoded — one record per batch, framed from the
 //     batch's wire bytes without decoding them, the batches the session's
-//     appender drained together sharing one durability step — with a
-//     configurable fsync policy (per-group, interval-deferred, or off) and
-//     size-based segment rotation; and
+//     appender drained together sharing one fsync, taken before any of
+//     them reaches the store — and size-based segment rotation; and
 //   - periodic snapshots: the live store is sealed and serialised with
 //     core.Store.WriteTo into a temp file, atomically renamed into place,
 //     and the WAL is truncated up to the snapshot's frame watermark.
@@ -38,55 +37,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"aims/internal/obs"
 )
-
-// FsyncPolicy selects when the WAL is flushed to stable storage.
-type FsyncPolicy int
-
-const (
-	// FsyncBatch syncs once per appended group — the run of batches the
-	// session's appender took off its queue in one turn, a single batch
-	// when nothing else was waiting. A flush-acked frame is durable: a
-	// Flush barrier ends the group it is taken with, and is released only
-	// after that group's sync has returned. The safest and slowest policy.
-	FsyncBatch FsyncPolicy = iota
-	// FsyncInterval defers the sync to a timer (Config.FsyncInterval): a
-	// crash loses at most the last interval's frames.
-	FsyncInterval
-	// FsyncOff never syncs explicitly; the OS page cache decides. A crash
-	// of the process alone loses nothing (the kernel still holds the
-	// writes); a machine crash loses the unflushed tail.
-	FsyncOff
-)
-
-// ParseFsyncPolicy maps the flag spelling to a policy.
-func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
-	switch s {
-	case "batch":
-		return FsyncBatch, nil
-	case "interval":
-		return FsyncInterval, nil
-	case "off":
-		return FsyncOff, nil
-	}
-	return 0, fmt.Errorf("journal: unknown fsync policy %q (want batch|interval|off)", s)
-}
-
-// String names the policy for logs.
-func (p FsyncPolicy) String() string {
-	switch p {
-	case FsyncBatch:
-		return "batch"
-	case FsyncInterval:
-		return "interval"
-	case FsyncOff:
-		return "off"
-	}
-	return fmt.Sprintf("fsync(%d)", int(p))
-}
 
 // DegradePolicy selects what happens when the WAL cannot accept writes
 // (disk full, I/O errors, failed fsync).
@@ -130,11 +83,6 @@ type Config struct {
 	// Dir is the data directory (one subdirectory per session). Empty
 	// disables journaling entirely.
 	Dir string
-	// Fsync is the WAL flush policy (default FsyncBatch).
-	Fsync FsyncPolicy
-	// FsyncInterval is the deferred-sync period under FsyncInterval
-	// (default 100 ms).
-	FsyncInterval time.Duration
 	// SegmentBytes rotates the WAL onto a new segment file once the
 	// current one exceeds this size (default 8 MiB).
 	SegmentBytes int64
@@ -166,9 +114,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.FsyncInterval <= 0 {
-		c.FsyncInterval = 100 * time.Millisecond
-	}
 	if c.SegmentBytes <= 0 {
 		c.SegmentBytes = 8 << 20
 	}

@@ -77,7 +77,7 @@ func queriesMatch(t *testing.T, a, b *core.LiveStore, channels int) {
 // from the WAL.
 func TestRecoverWALOnly(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{Dir: dir, Fsync: FsyncBatch, SnapshotFrames: -1}
+	cfg := Config{Dir: dir, SnapshotFrames: -1}
 	m, err := OpenManager(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +126,7 @@ func TestRecoverSnapshotPlusTail(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			cfg := Config{Dir: dir, Fsync: FsyncBatch, SnapshotFrames: -1, SegmentBytes: tc.segBytes}
+			cfg := Config{Dir: dir, SnapshotFrames: -1, SegmentBytes: tc.segBytes}
 			m, err := OpenManager(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -190,7 +190,7 @@ func TestRecoverSnapshotPlusTail(t *testing.T) {
 // recovery must reject it by CRC and rebuild from the full WAL instead.
 func TestRecoverCorruptSnapshotFallsBack(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{Dir: dir, Fsync: FsyncBatch, SnapshotFrames: -1}
+	cfg := Config{Dir: dir, SnapshotFrames: -1}
 	m, _ := OpenManager(cfg)
 	meta := testMeta("tracker", 2)
 	sess, _, err := m.Attach(meta)
@@ -240,7 +240,7 @@ func TestRecoverCorruptSnapshotFallsBack(t *testing.T) {
 func TestRecoverTornTail(t *testing.T) {
 	dir := t.TempDir()
 	plan := NewFaultPlan()
-	cfg := Config{Dir: dir, Fsync: FsyncOff, SnapshotFrames: -1, Degrade: DegradeShed, OpenFile: plan.Open}
+	cfg := Config{Dir: dir, SnapshotFrames: -1, Degrade: DegradeShed, OpenFile: plan.Open}
 	m, _ := OpenManager(cfg)
 	meta := testMeta("glove", 2)
 	sess, _, err := m.Attach(meta)
@@ -278,7 +278,7 @@ func TestDegradeShedHealsOnSnapshot(t *testing.T) {
 	reg := obs.NewRegistry()
 	degraded, healed := reg.Counter("degraded", ""), reg.Counter("healed", "")
 	cfg := Config{
-		Dir: dir, Fsync: FsyncBatch, SnapshotFrames: -1, Degrade: DegradeShed,
+		Dir: dir, SnapshotFrames: -1, Degrade: DegradeShed,
 		OpenFile: plan.Open, Degraded: degraded, Healed: healed,
 	}
 	m, _ := OpenManager(cfg)
@@ -332,7 +332,7 @@ func TestDegradeShedHealsOnSnapshot(t *testing.T) {
 func TestDegradeBlockRetriesUntilDiskReturns(t *testing.T) {
 	dir := t.TempDir()
 	plan := NewFaultPlan()
-	cfg := Config{Dir: dir, Fsync: FsyncOff, SnapshotFrames: -1, Degrade: DegradeBlock, OpenFile: plan.Open}
+	cfg := Config{Dir: dir, SnapshotFrames: -1, Degrade: DegradeBlock, OpenFile: plan.Open}
 	m, _ := OpenManager(cfg)
 	meta := testMeta("cave", 1)
 	sess, _, err := m.Attach(meta)
@@ -377,7 +377,7 @@ func TestDegradeBlockRetriesUntilDiskReturns(t *testing.T) {
 // directory aside.
 func TestAttachAdoptsRecoveredSession(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{Dir: dir, Fsync: FsyncBatch, SnapshotFrames: -1}
+	cfg := Config{Dir: dir, SnapshotFrames: -1}
 	m, _ := OpenManager(cfg)
 	meta := testMeta("glove", 2)
 	sess, _, err := m.Attach(meta)
@@ -471,7 +471,7 @@ func TestRecoverOneDirectoryPerName(t *testing.T) {
 	write := func(t *testing.T, dataDir, d, name string, frames int) {
 		t.Helper()
 		src := t.TempDir()
-		m, _ := OpenManager(Config{Dir: src, Fsync: FsyncOff, SnapshotFrames: -1})
+		m, _ := OpenManager(Config{Dir: src, SnapshotFrames: -1})
 		meta := testMeta(name, 1)
 		sess, _, err := m.Attach(meta)
 		if err != nil {
@@ -540,7 +540,7 @@ func TestRecoverOneDirectoryPerName(t *testing.T) {
 func TestSnapshotErrorKeepsWAL(t *testing.T) {
 	dir := t.TempDir()
 	snapErrs := obs.NewRegistry().Counter("snapshot_errors", "")
-	cfg := Config{Dir: dir, Fsync: FsyncBatch, SnapshotFrames: -1, SnapshotErrors: snapErrs}
+	cfg := Config{Dir: dir, SnapshotFrames: -1, SnapshotErrors: snapErrs}
 	m, _ := OpenManager(cfg)
 	meta := testMeta("frag", 1)
 	sess, _, err := m.Attach(meta)

@@ -53,7 +53,7 @@ func (s *Session) AppendFrames(frames []stream.Frame, keepTrying func() bool) {
 
 // AppendGroup journals a run of acquisition batches before the caller
 // appends them to the live store: one WAL record per batch, in order, and
-// one durability step (fsync or timer arm, per policy) for the run. Each
+// one fsync for the run, taken before AppendGroup returns. Each
 // batch is its encoded frame records at the session's width — the bytes
 // wire.CheckBatch returned, with any replayed prefix sliced off — which the
 // WAL frames without decoding. The frames count toward the session's

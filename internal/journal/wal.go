@@ -2,7 +2,6 @@ package journal
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -73,8 +72,7 @@ func listSegments(dir string) ([]int, error) {
 
 // wal is one session's segmented write-ahead log, append side. The
 // session's appender goroutine writes frames records and the socket reader
-// writes the occasional ack record; the mutex orders the two and covers the
-// deferred-fsync timer and Close.
+// writes the occasional ack record; the mutex orders the two and Close.
 type wal struct {
 	dir string
 	cfg Config
@@ -84,9 +82,7 @@ type wal struct {
 	seq        int
 	size       int64
 	dirty      bool
-	timerArmed bool
-	needRotate bool  // last write failed mid-record: rotate before reuse
-	asyncErr   error // deferred-fsync failure, surfaced on the next append
+	needRotate bool // last write failed mid-record: rotate before reuse
 
 	scratch []byte // record build buffer, reused across appends
 }
@@ -119,23 +115,10 @@ func openWAL(dir string, firstFrame uint64, cfg Config) (*wal, error) {
 // header. Callers hold w.mu (or own the wal exclusively).
 func (w *wal) rotateLocked(firstFrame uint64) error {
 	if w.f != nil {
-		switch {
-		case w.cfg.Fsync == FsyncInterval && w.dirty:
-			// Retire the old segment off the append path: an inline sync
-			// here stalls ingest for a full device flush of the segment.
-			go func(f File) {
-				if err := f.Sync(); err != nil {
-					w.noteAsyncErr(err)
-				}
-				f.Close()
-			}(w.f)
-		case w.cfg.Fsync == FsyncBatch && w.dirty:
+		if w.dirty {
 			w.syncLocked() // best effort; the old segment is already on disk
-			w.f.Close()
-		default:
-			// Clean, or FsyncOff: flushing is the page cache's business.
-			w.f.Close()
 		}
+		w.f.Close()
 		w.f = nil
 	}
 	seq := w.seq + 1
@@ -165,9 +148,9 @@ func (w *wal) rotateLocked(firstFrame uint64) error {
 // the record body is a batch header carrying the journal's frame index and
 // count, then a copy of those bytes. The records are the bytes
 // a batch-at-a-time log would hold, segment boundaries included; what the
-// group shares is the durability step — one fsync under FsyncBatch (plus
-// one for a segment the group fills and leaves), one timer arm under
-// FsyncInterval — taken after its last record is written.
+// group shares is the durability step — one fsync, plus one for each
+// segment the group fills and leaves — taken after its last record is
+// written and before append returns.
 //
 // On failure landed counts the group's leading records that reached the
 // file whole. They are never written again — a repeated record is a frame
@@ -177,11 +160,6 @@ func (w *wal) rotateLocked(firstFrame uint64) error {
 func (w *wal) append(startFrame uint64, group [][]byte, width int) (landed int, err error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if err := w.asyncErr; err != nil {
-		w.asyncErr = nil
-		w.needRotate = true
-		return 0, err
-	}
 	buf, built := w.scratch[:0], 0 // records built in buf and not yet written
 	defer func() { w.scratch = buf[:0] }()
 	// flush hands the built records to the file. A short write leaves a
@@ -219,7 +197,7 @@ func (w *wal) append(startFrame uint64, group [][]byte, width int) (landed int, 
 					return landed, err
 				}
 			}
-			if w.cfg.Fsync == FsyncBatch && w.dirty && w.f != nil {
+			if w.dirty && w.f != nil {
 				if err := w.syncLocked(); err != nil {
 					return landed, err
 				}
@@ -247,18 +225,10 @@ func (w *wal) append(startFrame uint64, group [][]byte, width int) (landed int, 
 			return landed, err
 		}
 	}
-	switch w.cfg.Fsync {
-	case FsyncBatch:
-		// Nothing is open only after a failed rotation, and what preceded
-		// that was synced before the old segment was let go.
-		if w.f != nil && w.dirty {
-			return landed, w.syncLocked()
-		}
-	case FsyncInterval:
-		if !w.timerArmed && w.dirty {
-			w.timerArmed = true
-			time.AfterFunc(w.cfg.FsyncInterval, w.timedSync)
-		}
+	// Nothing is open only after a failed rotation, and what preceded that
+	// was synced before the old segment was let go.
+	if w.f != nil && w.dirty {
+		return landed, w.syncLocked()
 	}
 	return landed, nil
 }
@@ -268,7 +238,8 @@ func (w *wal) append(startFrame uint64, group [][]byte, width int) (landed int, 
 // recovery can restore the exactly-once dedup point even though those
 // frames are absent from the log. nextFrame is the absolute index the next
 // frames record would carry — it seeds the segment header on rotation.
-// Replayers predating this record type skip it by its CRC-verified length.
+// The record is synced before appendAck returns. Replayers predating this
+// record type skip it by its CRC-verified length.
 func (w *wal) appendAck(ack, nextFrame uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -278,11 +249,6 @@ func (w *wal) appendAck(ack, nextFrame uint64) error {
 	binary.LittleEndian.PutUint64(rec[9:], ack)
 	binary.LittleEndian.PutUint32(rec[4:8], crc32.Checksum(rec[8:], crcTable))
 
-	if err := w.asyncErr; err != nil {
-		w.asyncErr = nil
-		w.needRotate = true
-		return err
-	}
 	if w.needRotate || w.size >= w.cfg.SegmentBytes {
 		if err := w.rotateLocked(nextFrame); err != nil {
 			return err
@@ -295,52 +261,7 @@ func (w *wal) appendAck(ack, nextFrame uint64) error {
 	w.size += int64(len(rec))
 	w.dirty = true
 	w.cfg.WALBytes.Add(uint64(len(rec)))
-	switch w.cfg.Fsync {
-	case FsyncBatch:
-		return w.syncLocked()
-	case FsyncInterval:
-		if !w.timerArmed {
-			w.timerArmed = true
-			time.AfterFunc(w.cfg.FsyncInterval, w.timedSync)
-		}
-	}
-	return nil
-}
-
-// timedSync runs the deferred fsync outside the append lock so a slow
-// device flush never stalls ingest. The dirty flag is surrendered before
-// syncing: a write landing mid-sync re-marks it (and re-arms the timer on
-// its append), so it is covered by the next interval even if this flush
-// missed it.
-func (w *wal) timedSync() {
-	w.mu.Lock()
-	w.timerArmed = false
-	f := w.f
-	if !w.dirty || f == nil {
-		w.mu.Unlock()
-		return
-	}
-	w.dirty = false
-	w.mu.Unlock()
-
-	t0 := time.Now()
-	err := f.Sync()
-	w.cfg.FsyncSeconds.Observe(time.Since(t0).Seconds())
-	if err != nil && !errors.Is(err, os.ErrClosed) {
-		// A rotation may close the segment mid-sync; that is not a
-		// durability failure (the rotation path syncs retiring segments).
-		w.noteAsyncErr(err)
-	}
-}
-
-// noteAsyncErr records a background sync failure for the next append to
-// surface (and degrade on, per policy).
-func (w *wal) noteAsyncErr(err error) {
-	w.mu.Lock()
-	if w.asyncErr == nil {
-		w.asyncErr = err
-	}
-	w.mu.Unlock()
+	return w.syncLocked()
 }
 
 func (w *wal) syncLocked() error {

@@ -2,15 +2,30 @@ package journal
 
 import (
 	"fmt"
+	"os"
 	"testing"
 )
 
-// BenchmarkWALAppend measures the page-cache append cost (FsyncOff) of a
-// lone 256-frame × 8-channel batch: encode, CRC and one write — the
-// per-batch tax the WAL adds to the ingest path apart from its fsyncs.
+// noSyncFile is a segment file whose Sync returns at once, leaving the
+// flush to the page cache.
+type noSyncFile struct{ *os.File }
+
+func (noSyncFile) Sync() error { return nil }
+
+// BenchmarkWALAppend measures the page-cache append cost of a lone
+// 256-frame × 8-channel batch: encode, CRC and one write — the per-batch
+// tax the WAL adds to the ingest path apart from its fsyncs, which a
+// segment file without Sync skips.
 func BenchmarkWALAppend(b *testing.B) {
 	dir := b.TempDir()
-	w, err := openWAL(dir, 0, Config{Fsync: FsyncOff}.withDefaults())
+	open := func(path string) (File, error) {
+		f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
+		if err != nil {
+			return nil, err
+		}
+		return noSyncFile{f}, nil
+	}
+	w, err := openWAL(dir, 0, Config{OpenFile: open}.withDefaults())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -26,9 +41,9 @@ func BenchmarkWALAppend(b *testing.B) {
 	}
 }
 
-// BenchmarkWALAppendGroup is the durable ingest path's journal step under
-// -fsync batch: the glove batch of the capacity benchmark (256 frames × 28
-// channels) appended in groups of 1, 4 and 16. One op is one batch, so
+// BenchmarkWALAppendGroup is the durable ingest path's journal step: the
+// glove batch of the capacity benchmark (256 frames × 28 channels)
+// appended in groups of 1, 4 and 16. One op is one batch, so
 // ns/op falls as the group's single fsync is shared; fsyncs/batch reports
 // the share.
 func BenchmarkWALAppendGroup(b *testing.B) {
@@ -37,7 +52,7 @@ func BenchmarkWALAppendGroup(b *testing.B) {
 	for _, n := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("group=%d", n), func(b *testing.B) {
 			plan := NewFaultPlan()
-			w, err := openWAL(b.TempDir(), 0, Config{Fsync: FsyncBatch, OpenFile: plan.Open}.withDefaults())
+			w, err := openWAL(b.TempDir(), 0, Config{OpenFile: plan.Open}.withDefaults())
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"aims/internal/stream"
 	"aims/internal/wire"
@@ -63,7 +62,7 @@ func collect(t *testing.T, dir string, watermark uint64, width int) ([]stream.Fr
 
 func TestWALAppendReplayRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{Dir: dir, Fsync: FsyncBatch}.withDefaults()
+	cfg := Config{Dir: dir}.withDefaults()
 	w, err := openWAL(dir, 0, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +89,7 @@ func TestWALAppendReplayRoundTrip(t *testing.T) {
 
 func TestWALSegmentRotationAndTruncate(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{Dir: dir, Fsync: FsyncOff, SegmentBytes: 2048}.withDefaults()
+	cfg := Config{Dir: dir, SegmentBytes: 2048}.withDefaults()
 	w, err := openWAL(dir, 0, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +138,7 @@ func TestWALSegmentRotationAndTruncate(t *testing.T) {
 func TestWALTornTailTruncatedAtLastValidRecord(t *testing.T) {
 	dir := t.TempDir()
 	plan := NewFaultPlan()
-	cfg := Config{Dir: dir, Fsync: FsyncOff, OpenFile: plan.Open}.withDefaults()
+	cfg := Config{Dir: dir, OpenFile: plan.Open}.withDefaults()
 	w, err := openWAL(dir, 0, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -185,7 +184,7 @@ func TestWALBitFlipDetectedByCRC(t *testing.T) {
 	for _, off := range []int64{0, 3, 4, 8, 9, 25} {
 		dir := t.TempDir()
 		plan := NewFaultPlan()
-		cfg := Config{Dir: dir, Fsync: FsyncOff, OpenFile: plan.Open}.withDefaults()
+		cfg := Config{Dir: dir, OpenFile: plan.Open}.withDefaults()
 		w, err := openWAL(dir, 0, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -225,69 +224,33 @@ func TestWALShortHeaderAndGarbageFiles(t *testing.T) {
 	}
 }
 
-func TestWALFsyncPolicies(t *testing.T) {
-	appendN := func(cfg Config, n int) *FaultPlan {
-		plan := NewFaultPlan()
-		cfg.OpenFile = plan.Open
-		cfg = cfg.withDefaults()
-		w, err := openWAL(cfg.Dir, 0, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < n; i++ {
-			if err := appendOne(w, uint64(i), testFrames(1, 1, uint64(i)), 1); err != nil {
-				t.Fatal(err)
-			}
-		}
-		w.close()
-		return plan
-	}
-	if got := appendN(Config{Dir: t.TempDir(), Fsync: FsyncBatch}, 10).Syncs(); got < 10 {
-		t.Fatalf("batch policy synced %d times for 10 appends", got)
-	}
-	// Off: only the close-time sync.
-	if got := appendN(Config{Dir: t.TempDir(), Fsync: FsyncOff}, 10).Syncs(); got > 1 {
-		t.Fatalf("off policy synced %d times", got)
-	}
-	// Interval: far fewer syncs than appends, but at least one.
-	plan := appendN(Config{Dir: t.TempDir(), Fsync: FsyncInterval, FsyncInterval: 5 * time.Millisecond}, 10)
-	time.Sleep(30 * time.Millisecond)
-	if got := plan.Syncs(); got < 1 || got >= 10 {
-		t.Fatalf("interval policy synced %d times for 10 appends", got)
-	}
-}
-
-func TestWALAsyncFsyncErrorSurfacesAndRotates(t *testing.T) {
-	dir := t.TempDir()
+// TestWALSyncsEveryAppend: every append and every ack record is synced
+// before it returns, so close has nothing left to sync.
+func TestWALSyncsEveryAppend(t *testing.T) {
 	plan := NewFaultPlan()
-	cfg := Config{Dir: dir, Fsync: FsyncInterval, FsyncInterval: time.Millisecond, OpenFile: plan.Open}.withDefaults()
-	w, err := openWAL(dir, 0, cfg)
+	dir := t.TempDir()
+	w, err := openWAL(dir, 0, Config{Dir: dir, OpenFile: plan.Open}.withDefaults())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := appendOne(w, 0, testFrames(2, 1, 0), 1); err != nil {
-		t.Fatal(err)
-	}
-	plan.FailSync(errors.New("injected fsync failure"))
-	deadline := time.Now().Add(time.Second)
-	var gotErr error
-	for time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
-		if err := appendOne(w, 2, testFrames(1, 1, 2), 1); err != nil {
-			gotErr = err
-			break
+	for i := 0; i < 10; i++ {
+		if err := appendOne(w, uint64(i), testFrames(1, 1, uint64(i)), 1); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if gotErr == nil {
-		t.Fatal("deferred fsync failure never surfaced on append")
+	if got := plan.Syncs(); got != 10 {
+		t.Fatalf("10 appends cost %d syncs, want 10", got)
 	}
-	plan.FailSync(nil)
-	// The next append lands on a fresh segment (the old tail is suspect).
-	if err := appendOne(w, 3, testFrames(1, 1, 3), 1); err != nil {
+	if err := w.appendAck(12, 10); err != nil {
 		t.Fatal(err)
 	}
-	w.close()
-	if seqs, _ := listSegments(dir); len(seqs) < 2 {
-		t.Fatalf("expected rotation after fsync failure, got %d segments", len(seqs))
+	if got := plan.Syncs(); got != 11 {
+		t.Fatalf("an ack record cost %d syncs, want 1", got-10)
+	}
+	if err := w.close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := plan.Syncs(); got != 11 {
+		t.Fatalf("close of a synced segment cost %d syncs, want 0", got-11)
 	}
 }

@@ -19,7 +19,6 @@ func durableConfig(dir string) Config {
 		Store: testStoreCfg(),
 		Journal: journal.Config{
 			Dir:            dir,
-			Fsync:          journal.FsyncBatch,
 			SnapshotFrames: 200,
 		},
 	}

@@ -386,12 +386,11 @@ func (g *syncGate) resume() {
 	close(g.release)
 }
 
-// gatedConfig journals under -fsync batch through a sync gate, with no
-// periodic snapshots: the WAL alone carries the session.
+// gatedConfig journals through a sync gate, with no periodic snapshots: the WAL alone carries the session.
 func gatedConfig(t *testing.T, cfg Config) (Config, *syncGate) {
 	g := newSyncGate()
 	cfg.Store = testStoreCfg()
-	cfg.Journal = journal.Config{Dir: t.TempDir(), Fsync: journal.FsyncBatch, SnapshotFrames: -1, OpenFile: g.open}
+	cfg.Journal = journal.Config{Dir: t.TempDir(), SnapshotFrames: -1, OpenFile: g.open}
 	return cfg, g
 }
 
@@ -568,7 +567,7 @@ func TestAppendLoopMatchesOneAtATimeModel(t *testing.T) {
 		var snapshots, skewed atomic.Int64
 		cfg := Config{
 			Store:   testStoreCfg(),
-			Journal: journal.Config{Dir: dir, Fsync: journal.FsyncOff, SnapshotFrames: 100},
+			Journal: journal.Config{Dir: dir, SnapshotFrames: 100},
 		}
 		cfg.Store.Rate, cfg.Store.HorizonTicks = 100, 1<<14
 		cfg.Store.SealObserver = func(time.Duration, bool, int) {

@@ -129,7 +129,7 @@ func TestTakeoverOfLiveDurableSession(t *testing.T) {
 func testTakeover(t *testing.T, scheme string, durable bool) {
 	cfg := Config{Store: testStoreCfg()}
 	if durable {
-		cfg.Journal = journal.Config{Dir: t.TempDir(), Fsync: journal.FsyncOff}
+		cfg.Journal = journal.Config{Dir: t.TempDir()}
 	}
 	srv, addr := startServerOn(t, scheme, cfg)
 	h := namedHello("X", 2)
@@ -200,7 +200,7 @@ func testTakeover(t *testing.T, scheme string, durable bool) {
 // a Hello of another shape is refused with CodeDuplicate. It creates no
 // session and no directory, and the owner streams on undisturbed.
 func TestDifferentShapeHelloRefused(t *testing.T) {
-	cfg := Config{Store: testStoreCfg(), Journal: journal.Config{Dir: t.TempDir(), Fsync: journal.FsyncOff}}
+	cfg := Config{Store: testStoreCfg(), Journal: journal.Config{Dir: t.TempDir()}}
 	srv, addr := startServer(t, cfg)
 	h := namedHello("X", 2)
 	wider := namedHello("X", 3)

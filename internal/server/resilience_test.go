@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"aims/internal/journal"
 	"aims/internal/wire"
 )
 
@@ -248,7 +247,6 @@ func testJournalResumeCarriesWatermark(t *testing.T, scheme string) {
 	const channels = 2
 	cfg := Config{Store: testStoreCfg(), RetainTimeout: 5 * time.Second}
 	cfg.Journal.Dir = t.TempDir()
-	cfg.Journal.Fsync = journal.FsyncOff
 	srv, addr := startServerOn(t, scheme, cfg)
 	frames := clientFrames(3, 300, channels)
 	mins, maxs := ranges(channels)

@@ -23,10 +23,9 @@
 // when it is stored; the queue is FIFO with a single consumer, so batches
 // are journaled and stored in arrival order and a Flush barrier queued
 // behind them is released only after all of them are journaled, synced
-// per policy and stored; the journal record precedes the store append;
-// and on disconnect the reader closes
-// the queue and waits for the appender to drain it before the session
-// leaves. The queue is bounded in frames — those
+// and stored; the journal record precedes the store append; and on
+// disconnect the reader closes the queue and waits for the appender to
+// drain it before the session leaves. The queue is bounded in frames — those
 // waiting and those the appender holds but has not yet stored — with a
 // selectable backpressure policy — block the device (lossless) or shed
 // whole batches with an explicit wire error. Around that sit idle-session

@@ -473,9 +473,9 @@ func (sess *session) appendLoop() {
 			continue
 		}
 		if sess.jsess != nil {
-			// Write-ahead: the group hits the journal, and is synced per
-			// policy, before any of it reaches the store, so a crash after
-			// this point replays it rather than losing it. Under the block
+			// Write-ahead: the group hits the journal, and is synced,
+			// before any of it reaches the store, so a crash after this
+			// point replays it rather than losing it. Under the block
 			// policy a dead disk stalls here until shutdown gives up.
 			sess.jsess.AppendGroup(batches, func() bool { return !sess.srv.isClosed() })
 		}
