@@ -594,7 +594,8 @@ func (ls *LiveStore) Seal() (*Store, error) {
 		return st, nil
 	}
 	// Full rebuild: snapshot the cube and restart delta tracking from the
-	// snapshot point.
+	// snapshot point. The engine transforms the snapshot in place and keeps
+	// it, so a cold seal allocates one float cube.
 	channels := len(ls.quant)
 	chDim := nextPow2(channels)
 	tb, vb := ls.cfg.TimeBuckets, ls.cfg.ValueBins

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -258,5 +259,38 @@ func TestLiveApproxAfterAppendEnergyCurrent(t *testing.T) {
 	}
 	if got := st.Engine.Energy(); got != fresh {
 		t.Fatalf("maintained energy %v != fresh sum %v after 1000 append→query cycles", got, fresh)
+	}
+}
+
+// TestSealAllocatesOneCube pins a cold seal at one float cube: the engine
+// takes the snapshot Seal fills and transforms it in place. A seal that
+// hands the engine a snapshot to copy allocates twice the coefficients.
+func TestSealAllocatesOneCube(t *testing.T) {
+	const channels = 8 // a tracker: its padded cube is exactly 8 channels deep
+	mins, maxs := gloveRange(channels)
+	ls, err := NewLiveStore(mins, maxs, LiveStoreConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(8))
+	frame := make([]float64, channels)
+	for i := 0; i < 2048; i++ {
+		for c := range frame {
+			frame[c] = rng.Float64()*20 - 10
+		}
+		if err := ls.AppendFrame(i, frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	st, err := ls.Seal()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coeffBytes := uint64(len(st.Engine.Coeffs)) * 8
+	if got := after.TotalAlloc - before.TotalAlloc; got > coeffBytes*5/4 {
+		t.Fatalf("a cold seal allocated %d B for %d B of coefficients, want at most 1.25×", got, coeffBytes)
 	}
 }

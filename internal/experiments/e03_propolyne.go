@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"aims/internal/datacube"
@@ -110,7 +111,7 @@ func RunE4(w io.Writer) E4Result {
 	for _, n := range []int{64, 128, 256, 512} {
 		dims := []int{n, n}
 		cube := synth.ZipfCube(dims, 20*n, 1.2, int64(n))
-		e, err := propolyne.New(cube, dims, 1)
+		e, err := propolyne.New(slices.Clone(cube), dims, 1)
 		if err != nil {
 			panic(err)
 		}
@@ -178,7 +179,7 @@ func RunE5(w io.Writer) E5Result {
 	}
 	cube := rel.Cube()
 
-	pure, err := propolyne.New(cube, sizes, 1)
+	pure, err := propolyne.New(slices.Clone(cube), sizes, 1)
 	if err != nil {
 		panic(err)
 	}

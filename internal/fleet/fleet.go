@@ -41,10 +41,11 @@
 package fleet
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -119,6 +120,13 @@ func (c Config) withDefaults() Config {
 // session (the caller reports those as per-session failures).
 func Match(sessions []Session, scope wire.FleetScope) (matched []Session, missing []uint64) {
 	if scope.Class != "" {
+		n := 0
+		for i := range sessions {
+			if sessions[i].Class == scope.Class {
+				n++
+			}
+		}
+		matched = make([]Session, 0, n)
 		for _, s := range sessions {
 			if s.Class == scope.Class {
 				matched = append(matched, s)
@@ -142,8 +150,8 @@ func Match(sessions []Session, scope wire.FleetScope) (matched []Session, missin
 			}
 		}
 	}
-	sort.Slice(matched, func(i, j int) bool { return matched[i].ID < matched[j].ID })
-	sort.Slice(missing, func(i, j int) bool { return missing[i] < missing[j] })
+	slices.SortFunc(matched, func(a, b Session) int { return cmp.Compare(a.ID, b.ID) })
+	slices.Sort(missing)
 	return matched, missing
 }
 
@@ -264,13 +272,6 @@ func Merge(kind wire.QueryKind, parts []wire.FleetPart) (value, bound float64, c
 	return 0, 0, 0, false
 }
 
-// gathered is one scatter slot's outcome.
-type gathered struct {
-	idx  int
-	part wire.FleetPart
-	err  error
-}
-
 // Evaluate runs one fleet query over the given session snapshot (the
 // caller snapshots its registry first; the slice is the scatter set).
 // It always returns a well-formed FleetResult — per-session failures are
@@ -300,16 +301,20 @@ func Evaluate(ctx context.Context, sessions []Session, req Request, cfg Config) 
 
 	// Scatter: a bounded worker pool claims session indices off a shared
 	// counter — no per-session hand-off, so on an otherwise quiet server a
-	// fleet costs one thread wake-up per worker, not one per session.
-	// Gathers land on a buffered channel so a straggler finishing after
-	// the deadline never blocks (its result is simply never read).
+	// fleet costs one thread wake-up per worker, not one per session. A
+	// worker writes its outcome into the session's slot and sends only the
+	// slot index; the gather reads a slot only once it has received its
+	// index, so a straggler finishing after the deadline writes a slot
+	// nobody reads. The buffered channel means it never blocks either.
 	workers := cfg.Workers
 	if workers > len(matched) {
 		workers = len(matched)
 	}
 	var next atomic.Int64
 	scattered := time.Now()
-	results := make(chan gathered, len(matched))
+	parts := make([]wire.FleetPart, len(matched))
+	errs := make([]error, len(matched))
+	done := make(chan int, len(matched))
 	for w := 0; w < workers; w++ {
 		go func() {
 			for {
@@ -323,7 +328,8 @@ func Evaluate(ctx context.Context, sessions []Session, req Request, cfg Config) 
 				// nobody will read.
 				select {
 				case <-ctx.Done():
-					results <- gathered{idx: idx, err: errDeadlineSlot}
+					errs[idx] = errDeadlineSlot
+					done <- idx
 					continue
 				default:
 				}
@@ -337,32 +343,25 @@ func Evaluate(ctx context.Context, sessions []Session, req Request, cfg Config) 
 						fmt.Sprintf("session-%d", matched[idx].ID))
 					req.Trace.AddSpan(sreq.TraceParent, "queue-wait", scattered, t0)
 				}
-				part, err := EvalSession(matched[idx], sreq)
+				parts[idx], errs[idx] = EvalSession(matched[idx], sreq)
 				if req.Trace != nil {
 					req.Trace.EndSpan(sreq.TraceParent)
 				}
 				cfg.ScanSeconds.Observe(time.Since(t0).Seconds())
-				results <- gathered{idx: idx, part: part, err: err}
+				done <- idx
 			}
 		}()
 	}
 
 	// Gather until every slot reports or the deadline fires; slots still
-	// outstanding at the deadline become CodeDeadline failures.
-	parts := make([]*wire.FleetPart, len(matched))
-	errs := make([]error, len(matched))
-	reported := 0
+	// outstanding at the deadline become CodeDeadline failures. reported
+	// marks the slots whose index arrived — the only ones read below.
+	reported := make([]bool, len(matched))
 gather:
-	for reported < len(matched) {
+	for range matched {
 		select {
-		case g := <-results:
-			reported++
-			if g.err != nil {
-				errs[g.idx] = g.err
-			} else {
-				p := g.part
-				parts[g.idx] = &p
-			}
+		case idx := <-done:
+			reported[idx] = true
 		case <-ctx.Done():
 			break gather
 		}
@@ -372,19 +371,19 @@ gather:
 	merged := make([]wire.FleetPart, 0, len(matched))
 	for i, s := range matched {
 		switch {
-		case parts[i] != nil:
-			merged = append(merged, *parts[i])
+		case !reported[i]:
+			res.Failures = append(res.Failures, wire.FleetFailure{
+				ID: s.ID, Code: wire.CodeDeadline, Text: "scan unfinished at fleet deadline",
+			})
+		case errs[i] == nil:
+			merged = append(merged, parts[i])
 		case errors.Is(errs[i], errDeadlineSlot):
 			res.Failures = append(res.Failures, wire.FleetFailure{
 				ID: s.ID, Code: wire.CodeDeadline, Text: errs[i].Error(),
 			})
-		case errs[i] != nil:
-			res.Failures = append(res.Failures, wire.FleetFailure{
-				ID: s.ID, Code: wire.CodeBadQuery, Text: errs[i].Error(),
-			})
 		default:
 			res.Failures = append(res.Failures, wire.FleetFailure{
-				ID: s.ID, Code: wire.CodeDeadline, Text: "scan unfinished at fleet deadline",
+				ID: s.ID, Code: wire.CodeBadQuery, Text: errs[i].Error(),
 			})
 		}
 	}

@@ -321,3 +321,68 @@ func TestExpiredDeadlineReturnsSlotsWithoutScanning(t *testing.T) {
 		t.Fatalf("code %s, want partial", res.Code)
 	}
 }
+
+// TestEvaluateExactAllocations pins what an exact fleet query over 96
+// sessions allocates: the scatter's workers and the gather's slot slices,
+// not a copy per session. A gather that heap-copies each part, or sends
+// whole parts through a channel of structs, makes about 146.
+func TestEvaluateExactAllocations(t *testing.T) {
+	sessions := buildFleet(t, 96, "glove", 41)
+	req := Request{
+		Kind: wire.QueryAverage, Channel: 1, T0: 1, T1: 12,
+		Scope: wire.FleetScope{Class: "glove"},
+	}
+	if res := Evaluate(context.Background(), sessions, req, Config{}); !res.OK || res.Merged != 96 {
+		t.Fatalf("exact fleet failed: %+v", res)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		Evaluate(context.Background(), sessions, req, Config{})
+	})
+	if allocs > 60 {
+		t.Fatalf("an exact 96-session Evaluate made %v allocations, want at most 60", allocs)
+	}
+}
+
+// TestStragglerFinishingAfterDeadline: a session whose scan outlives the
+// fleet deadline comes back as a deadline failure, and when its worker
+// finally finishes it writes a slot the gather no longer reads. Run with
+// -race: the slow scan is a sleep, not a channel the test releases, so
+// nothing orders that late write after the gather, and a gather that read
+// the slot would be reported.
+func TestStragglerFinishingAfterDeadline(t *testing.T) {
+	sessions := buildFleet(t, 4, "glove", 17)
+	slow, err := core.NewLiveStore([]float64{-1, -1}, []float64{1, 1}, core.LiveStoreConfig{
+		Rate: 100, TimeBuckets: 64, ValueBins: 32, HorizonTicks: 6400,
+		// The approximate scan seals first; this seal outlives the deadline.
+		SealObserver: func(time.Duration, bool, int) { time.Sleep(150 * time.Millisecond) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := slow.AppendFrame(0, []float64{0.5, -0.5}); err != nil {
+		t.Fatal(err)
+	}
+	sessions = append(sessions, Session{ID: 99, Class: "glove", Store: slow})
+	scans := obs.NewRegistry().Histogram("scan_seconds", "", []float64{1})
+	req := Request{
+		Kind: wire.QueryApproxCount, Channel: 0, T0: 0, T1: 30, Arg: 16,
+		Scope: wire.FleetScope{Class: "glove"}, Partial: true, Timeout: 50 * time.Millisecond,
+	}
+	res := Evaluate(context.Background(), sessions, req, Config{Workers: 2, ScanSeconds: scans})
+	if res.Code != wire.CodePartial || res.Merged != 4 || len(res.Failures) != 1 {
+		t.Fatalf("code %s, merged %d, failures %+v; want partial, 4 merged, session 99 failed", res.Code, res.Merged, res.Failures)
+	}
+	if f := res.Failures[0]; f.ID != 99 || f.Code != wire.CodeDeadline {
+		t.Fatalf("failure %+v, want session 99 at the deadline", f)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for scans.Count() < 5 {
+		if time.Now().After(deadline) {
+			t.Fatalf("the straggler never finished: %d scans", scans.Count())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got, _, _, _ := Merge(req.Kind, res.Parts); got != res.Value {
+		t.Fatalf("re-merging the returned parts gives %v, the result says %v", got, res.Value)
+	}
+}

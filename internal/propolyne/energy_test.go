@@ -3,6 +3,7 @@ package propolyne
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"aims/internal/wavelet"
@@ -156,7 +157,7 @@ func TestAppendOffsetsMatchesAppendBatch(t *testing.T) {
 		AllStandard(dims),
 	} {
 		cube := randomRelation(rng, dims, 200).Cube()
-		byOffset, err := NewWithBases(cube, dims, bases)
+		byOffset, err := NewWithBases(slices.Clone(cube), dims, bases)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -93,6 +93,7 @@ type Stats struct {
 // per-dimension polynomial degree queries will use ("up to a degree
 // specified when the database is populated"); it selects the shortest
 // Daubechies filter with enough vanishing moments for every dimension.
+// The engine takes ownership of cube, as NewWithBases does.
 func New(cube []float64, dims []int, maxDegree int) (*Engine, error) {
 	f, err := wavelet.ForDegree(maxDegree)
 	if err != nil {
@@ -107,6 +108,11 @@ func New(cube []float64, dims []int, maxDegree int) (*Engine, error) {
 
 // NewWithBases populates an engine with an explicit per-dimension basis
 // assignment — the multi-basis configuration of §3.1.1/§3.3.1.
+//
+// The engine takes ownership of cube: it is transformed in place and kept
+// as Coeffs, so building an engine costs no second cube. A caller that
+// still needs the untransformed cube passes slices.Clone(cube). On error
+// cube is left untouched.
 func NewWithBases(cube []float64, dims []int, bases []Basis) (*Engine, error) {
 	if len(bases) != len(dims) {
 		return nil, fmt.Errorf("propolyne: %d bases for %d dims", len(bases), len(dims))
@@ -124,7 +130,7 @@ func NewWithBases(cube []float64, dims []int, bases []Basis) (*Engine, error) {
 		Dims:   wd,
 		Bases:  append([]Basis(nil), bases...),
 		Levels: make([]int, len(dims)),
-		Coeffs: append([]float64(nil), cube...),
+		Coeffs: cube,
 	}
 	for axis, b := range e.Bases {
 		if b.Standard {

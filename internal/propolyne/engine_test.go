@@ -3,6 +3,7 @@ package propolyne
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -276,7 +277,7 @@ func TestHybridAgreesWithPureWavelet(t *testing.T) {
 	rel := randomRelation(rng, sizes, 600)
 	cube := rel.Cube()
 
-	pure, err := New(cube, sizes, 1)
+	pure, err := New(slices.Clone(cube), sizes, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +321,7 @@ func TestHybridBeatsPureOnSelectiveSmallDims(t *testing.T) {
 	sizes := []int{8, 256}
 	rel := randomRelation(rng, sizes, 500)
 	cube := rel.Cube()
-	pure, _ := New(cube, sizes, 0)
+	pure, _ := New(slices.Clone(cube), sizes, 0)
 	hybBases := []Basis{{Standard: true}, {Filter: pure.Bases[1].Filter}}
 	hyb, err := NewWithBases(cube, sizes, hybBases)
 	if err != nil {

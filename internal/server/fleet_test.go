@@ -265,9 +265,9 @@ func TestRegistryChurnDuringFleetScan(t *testing.T) {
 		snap := r.snapshot()
 		seen := make(map[uint64]int, len(snap))
 		for _, sess := range snap {
-			seen[sess.id]++
-			if seen[sess.id] > 1 {
-				t.Fatalf("scan %d: session %d double-counted", scan, sess.id)
+			seen[sess.ID]++
+			if seen[sess.ID] > 1 {
+				t.Fatalf("scan %d: session %d double-counted", scan, sess.ID)
 			}
 		}
 		for id := uint64(1); id <= stable; id++ {

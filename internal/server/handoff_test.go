@@ -595,7 +595,7 @@ func TestAppendLoopMatchesOneAtATimeModel(t *testing.T) {
 			t.Fatal(err)
 		}
 		sess = &session{srv: srv, store: newStore(), jsess: jsess}
-		sess.q.init(256, false, srv.metrics.queueDepth)
+		sess.q.init(256, false, srv.metrics.queueDepth, &srv.payloads)
 		appended := make(chan struct{})
 		go func() {
 			defer close(appended)

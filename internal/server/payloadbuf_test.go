@@ -1,9 +1,11 @@
 package server
 
 import (
+	"slices"
 	"testing"
 	"time"
 
+	"aims/internal/core"
 	"aims/internal/wire"
 )
 
@@ -18,77 +20,94 @@ func onlySession(t *testing.T, srv *Server) *session {
 	return got[0]
 }
 
-// bufferCounts reads a session's payload-buffer accounting.
-func bufferCounts(sess *session) (fresh, dropped, spare int) {
-	sess.q.mu.Lock()
-	defer sess.q.mu.Unlock()
-	return sess.q.fresh, sess.q.dropped, sess.q.nspare
+// bufferCounts reads a session's payload-buffer accounting: buffers drawn
+// from the server's pool and buffers handed back.
+func bufferCounts(sess *session) (taken, returned int64) {
+	return sess.q.taken.Load(), sess.q.returned.Load()
 }
 
-// wantBuffersBack fails unless, once the session is at rest, every
-// payload buffer it allocated has come back exactly once — kept as one of
-// at most two spares or let go — and it allocated at most maxFresh. The
-// Hello takes one of them: its payload is too small for a batch to reuse.
-func wantBuffersBack(t *testing.T, sess *session, maxFresh int) {
+// wantBuffersBack fails unless, once the session is at rest, every payload
+// buffer it drew has come back exactly once: it holds none, and none was
+// handed back twice — which, with one pool shared by every session, would
+// let two sessions' messages share one buffer.
+func wantBuffersBack(t *testing.T, sess *session) {
 	t.Helper()
-	settled := func() bool {
-		fresh, dropped, spare := bufferCounts(sess)
-		return fresh == dropped+spare && spare <= 2
-	}
-	waitFor(settled)
-	fresh, dropped, spare := bufferCounts(sess)
-	if fresh != dropped+spare {
-		t.Fatalf("%d buffers allocated, %d dropped and %d spare: a buffer was kept or returned twice", fresh, dropped, spare)
-	}
-	if spare > 2 {
-		t.Fatalf("%d spare buffers held at rest, want at most 2", spare)
-	}
-	if fresh > maxFresh {
-		t.Fatalf("%d buffers allocated, want at most %d: a path did not recycle", fresh, maxFresh)
+	waitFor(func() bool {
+		taken, returned := bufferCounts(sess)
+		return taken == returned
+	})
+	if taken, returned := bufferCounts(sess); taken != returned {
+		t.Fatalf("%d buffers taken and %d returned: a buffer was kept or returned twice", taken, returned)
 	}
 }
 
-// TestSpareBuffersTrimToTwoAtRest: a busy session keeps every buffer that
-// comes back, up to maxSpareBufs, and within spareLinger of going quiet
-// holds two.
-func TestSpareBuffersTrimToTwoAtRest(t *testing.T) {
-	q := &newIngestRig(t).q
-	var out [][]byte
-	for i := 0; i < maxSpareBufs+1; i++ {
-		out = append(out, q.buffer(64))
+// TestPayloadBufferPoolSizeClasses: a buffer has exactly the payload's
+// length and a power-of-two capacity no more than twice it (at least
+// minSpareBytes); a buffer bigger than maxSpareBytes is never pooled.
+func TestPayloadBufferPoolSizeClasses(t *testing.T) {
+	var p payloadPool
+	for _, n := range []int{1, minSpareBytes - 1, minSpareBytes, minSpareBytes + 1, 4000, 4096, 65535, maxSpareBytes - 1, maxSpareBytes} {
+		b := p.get(n)
+		c := cap(*b)
+		if len(*b) != n || c&(c-1) != 0 || c < minSpareBytes || c < n || (c >= 2*n && c > minSpareBytes) {
+			t.Fatalf("get(%d) = len %d cap %d, want len %d in the smallest class that holds it", n, len(*b), c, n)
+		}
+		p.put(b)
 	}
-	for _, b := range out {
-		q.recycle(b)
+	big := p.get(maxSpareBytes + 1)
+	if cap(*big) != maxSpareBytes+1 {
+		t.Fatalf("an oversized payload got a %d-byte buffer, want one of its own", cap(*big))
 	}
-	q.mu.Lock()
-	kept, dropped := q.nspare, q.dropped
-	q.mu.Unlock()
-	if kept != maxSpareBufs || dropped != 1 {
-		t.Fatalf("%d of %d returned buffers kept, %d let go; want %d kept", kept, len(out), dropped, maxSpareBufs)
+	p.put(big)
+	for k := range p.classes {
+		for {
+			b, _ := p.classes[k].Get().(*[]byte)
+			if b == nil {
+				break
+			}
+			if cap(*b) != minSpareBytes<<k {
+				t.Fatalf("class %d (%d B) pooled a %d-byte buffer", k, minSpareBytes<<k, cap(*b))
+			}
+		}
 	}
-	if !waitFor(func() bool {
-		q.mu.Lock()
-		defer q.mu.Unlock()
-		return q.nspare == 2 && q.fresh == q.dropped+q.nspare
-	}) {
-		t.Fatalf("%d spares still held long after the session went quiet, want 2", q.nspare)
+}
+
+// TestPayloadBufferNoneHeldAtRest: sessions that preload one after another
+// each hold no payload buffer once their batches are stored — the pool, not
+// the session, keeps what is worth reusing.
+func TestPayloadBufferNoneHeldAtRest(t *testing.T) {
+	srv, addr := startServer(t, Config{Store: testStoreCfg()})
+	var sessions []*session
+	for i := 0; i < 3; i++ {
+		rs := dialRaw(t, addr, "", 2)
+		for seq := 0; seq < 16*16; seq += 16 {
+			rs.writeBatch(seq, 16, 2)
+		}
+		rs.write(wire.MsgFlush, nil)
+		rs.flush()
+		for seq := 0; seq < 16*16; seq += 16 {
+			rs.expectAck(seq, wire.CodeOK)
+		}
+		if stored := rs.expectFlushAck(); stored != 16*16 {
+			t.Fatalf("session %d: flush reports %d stored, want %d", i, stored, 16*16)
+		}
+		srv.sessions.forEach(func(s *session) {
+			if !slices.Contains(sessions, s) {
+				sessions = append(sessions, s)
+			}
+		})
+		for _, sess := range sessions {
+			wantBuffersBack(t, sess)
+		}
 	}
-	// Busy again: the trim re-arms.
-	for _, b := range [][]byte{q.buffer(64), q.buffer(64), q.buffer(64), q.buffer(64)} {
-		q.recycle(b)
-	}
-	if !waitFor(func() bool {
-		q.mu.Lock()
-		defer q.mu.Unlock()
-		return q.nspare == 2
-	}) {
-		t.Fatalf("%d spares held after the second burst, want 2", q.nspare)
+	if len(sessions) != 3 {
+		t.Fatalf("%d sessions registered, want 3", len(sessions))
 	}
 }
 
 // TestPayloadBufferAcceptedBurst: a pipelined burst of 64 accepted batches
-// hands each buffer from reader to appender and back, and the session at
-// rest keeps no more than two of them.
+// hands each buffer from reader to appender and back to the pool, and the
+// session at rest holds none of them.
 func TestPayloadBufferAcceptedBurst(t *testing.T) {
 	srv, addr := startServer(t, Config{Store: testStoreCfg()})
 	rs := dialRaw(t, addr, "", 2)
@@ -104,7 +123,7 @@ func TestPayloadBufferAcceptedBurst(t *testing.T) {
 	if stored := rs.expectFlushAck(); stored != 64*16 {
 		t.Fatalf("flush reports %d stored, want %d", stored, 64*16)
 	}
-	wantBuffersBack(t, sess, 1+64)
+	wantBuffersBack(t, sess)
 }
 
 // TestPayloadBufferShed: under PolicyShed a batch that does not fit is
@@ -127,10 +146,11 @@ func TestPayloadBufferShed(t *testing.T) {
 		}
 		rs.expectAck(seq, code)
 	}
-	// The Hello, the first batch and the four queued behind it account for
-	// at most six buffers; the five shed batches share one between them.
-	if fresh, _, _ := bufferCounts(sess); fresh > 7 {
-		t.Fatalf("%d buffers allocated while shedding, want at most 7", fresh)
+	// The first batch is stored and its buffer back; the four queued
+	// behind the stalled appender hold theirs, and each shed batch gave
+	// its own back at once.
+	if taken, returned := bufferCounts(sess); taken-returned != 4 {
+		t.Fatalf("%d buffers held while shedding, want the 4 of the queued batches", taken-returned)
 	}
 	stall.resume()
 	rs.write(wire.MsgFlush, nil)
@@ -138,7 +158,7 @@ func TestPayloadBufferShed(t *testing.T) {
 	if stored := rs.expectFlushAck(); stored != 80 {
 		t.Fatalf("flush reports %d stored, want 80", stored)
 	}
-	wantBuffersBack(t, sess, 7)
+	wantBuffersBack(t, sess)
 }
 
 // TestPayloadBufferDuplicateAndTrimmed: a batch wholly below the watermark
@@ -161,7 +181,7 @@ func TestPayloadBufferDuplicateAndTrimmed(t *testing.T) {
 	if stored := rs.expectFlushAck(); stored != 40 {
 		t.Fatalf("flush reports %d stored, want 40", stored)
 	}
-	wantBuffersBack(t, sess, 1+4)
+	wantBuffersBack(t, sess)
 	// The trimmed batch stored exactly its suffix: frames [0,40) once each.
 	n, err := sess.store.CountSamples(0, 0, 1e9)
 	if err != nil || n != 40 {
@@ -186,12 +206,12 @@ func TestPayloadBufferGapError(t *testing.T) {
 	if !waitFor(func() bool { return srv.sessions.len() == 0 }) {
 		t.Fatal("session survived a gapped batch")
 	}
-	wantBuffersBack(t, sess, 1+2)
+	wantBuffersBack(t, sess)
 }
 
-// TestPayloadBufferControlMessages: flushes, queries and pings are read
-// into the session's recycled buffer, and each gives it back before the
-// next message is read: a long run of them allocates nothing new.
+// TestPayloadBufferControlMessages: queries and pings are read into pooled
+// buffers, each given back once the message is answered; a flush has an
+// empty payload and takes none.
 func TestPayloadBufferControlMessages(t *testing.T) {
 	srv, addr := startServer(t, Config{Store: testStoreCfg()})
 	rs := dialRaw(t, addr, "", 2)
@@ -218,12 +238,16 @@ func TestPayloadBufferControlMessages(t *testing.T) {
 		}
 		rs.expectFlushAck()
 	}
-	wantBuffersBack(t, sess, 1+1)
+	wantBuffersBack(t, sess)
+	// The Hello, the batch, 20 queries and 20 pings.
+	if taken, _ := bufferCounts(sess); taken != 1+1+20+20 {
+		t.Fatalf("%d buffers taken, want one per non-empty message (42)", taken)
+	}
 }
 
 // TestPayloadBufferOversizedNotKept: a message larger than maxSpareBytes is
 // served from a buffer of its own, which is let go once used rather than
-// pinned as a spare for the life of the session.
+// pooled.
 func TestPayloadBufferOversizedNotKept(t *testing.T) {
 	srv, addr := startServer(t, Config{Store: testStoreCfg()})
 	rs := dialRaw(t, addr, "", 2)
@@ -236,15 +260,92 @@ func TestPayloadBufferOversizedNotKept(t *testing.T) {
 	if stored := rs.expectFlushAck(); stored != frames {
 		t.Fatalf("flush reports %d stored, want %d", stored, frames)
 	}
-	wantBuffersBack(t, sess, 1+1)
-	sess.q.mu.Lock()
-	defer sess.q.mu.Unlock()
-	if sess.q.dropped != 1 {
-		t.Fatalf("%d buffers let go, want the oversized one", sess.q.dropped)
-	}
-	for _, b := range sess.q.spares[:sess.q.nspare] {
-		if cap(b) > maxSpareBytes {
-			t.Fatalf("a %d-byte buffer is kept as a spare", cap(b))
+	wantBuffersBack(t, sess)
+	for k := range srv.payloads.classes {
+		for {
+			b, _ := srv.payloads.classes[k].Get().(*[]byte)
+			if b == nil {
+				break
+			}
+			if cap(*b) > maxSpareBytes {
+				t.Fatalf("a %d-byte buffer is pooled", cap(*b))
+			}
 		}
 	}
+}
+
+// TestPayloadBufferConcurrentSessionsKeepTheirFrames: eight sessions stream
+// distinct frame patterns at once, in batches whose sizes span several
+// pool classes, so buffers pass from session to session through the pool.
+// A buffer handed out while another session still read it would mix their
+// frames; each store's exact answers must equal a store fed its own frames.
+func TestPayloadBufferConcurrentSessionsKeepTheirFrames(t *testing.T) {
+	const sessions, channels, frames = 8, 4, 3000
+	cfg := Config{Store: testStoreCfg()}
+	srv, addr := startServer(t, cfg)
+	mins, maxs := ranges(channels)
+	clients := make([]*wire.Client, sessions)
+	for i := range clients {
+		c, err := wire.Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Abort() })
+		if _, err := c.Hello(wire.Hello{Rate: 100, HorizonTicks: frames, Mins: mins, Maxs: maxs}); err != nil {
+			t.Fatal(err)
+		}
+		clients[i] = c
+	}
+	errs := make(chan error, sessions)
+	for i, c := range clients {
+		go func() {
+			all := clientFrames(i, frames, channels)
+			sizes := []int{7, 16, 60, 130, 250} // 0.3 KiB to 10 KiB payloads
+			for off, k := 0, 0; off < len(all); k++ {
+				end := min(off+sizes[(i+k)%len(sizes)], len(all))
+				if err := c.SendBatch(all[off:end]); err != nil {
+					errs <- err
+					return
+				}
+				off = end
+			}
+			_, err := c.Flush()
+			errs <- err
+		}()
+	}
+	for range clients {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, c := range clients {
+		scfg := cfg.Store
+		scfg.Rate, scfg.HorizonTicks = 100, frames
+		want, err := core.NewLiveStore(mins, maxs, scfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := want.AppendFrames(clientFrames(i, frames, channels)); err != nil {
+			t.Fatal(err)
+		}
+		for ch := 0; ch < channels; ch++ {
+			for _, span := range [][2]float64{{0, 30}, {3.5, 17.25}, {21, 22}} {
+				q := wire.Query{Channel: uint16(ch), T0: span[0], T1: span[1]}
+				wantN, _ := want.CountSamples(ch, span[0], span[1])
+				wantAvg, _, _ := want.AverageValue(ch, span[0], span[1])
+				wantVar, _, _ := want.VarianceValue(ch, span[0], span[1])
+				for kind, w := range map[wire.QueryKind]float64{
+					wire.QueryCount: wantN, wire.QueryAverage: wantAvg, wire.QueryVariance: wantVar,
+				} {
+					q.Kind = kind
+					r, err := c.Query(q)
+					if err != nil || r.Value != w {
+						t.Fatalf("session %d channel %d %v kind %d: got %v (err %v), want %v",
+							i, ch, span, kind, r.Value, err, w)
+					}
+				}
+			}
+		}
+	}
+	srv.sessions.forEach(func(sess *session) { wantBuffersBack(t, sess) })
 }

@@ -1,6 +1,11 @@
 package server
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+
+	"aims/internal/fleet"
+)
 
 // registryShards is the session-map shard count (power of two). Session
 // IDs are assigned sequentially, so masking the low bits spreads
@@ -9,9 +14,10 @@ import "sync"
 // sessions instead of serialising on one mutex.
 const registryShards = 64
 
-// registry is the server's sharded session map.
+// registry is the server's sharded session map; n counts its sessions.
 type registry struct {
 	shards [registryShards]registryShard
+	n      atomic.Int64
 }
 
 type registryShard struct {
@@ -34,6 +40,9 @@ func (r *registry) shard(id uint64) *registryShard {
 func (r *registry) put(id uint64, sess *session) {
 	sh := r.shard(id)
 	sh.mu.Lock()
+	if _, ok := sh.m[id]; !ok {
+		r.n.Add(1)
+	}
 	sh.m[id] = sess
 	sh.mu.Unlock()
 }
@@ -44,20 +53,16 @@ func (r *registry) remove(id uint64) bool {
 	sh := r.shard(id)
 	sh.mu.Lock()
 	_, ok := sh.m[id]
-	delete(sh.m, id)
+	if ok {
+		delete(sh.m, id)
+		r.n.Add(-1)
+	}
 	sh.mu.Unlock()
 	return ok
 }
 
 func (r *registry) len() int {
-	n := 0
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.Lock()
-		n += len(sh.m)
-		sh.mu.Unlock()
-	}
-	return n
+	return int(r.n.Load())
 }
 
 // forEach calls fn on every registered session, holding only one shard
@@ -73,14 +78,17 @@ func (r *registry) forEach(fn func(*session)) {
 	}
 }
 
-// snapshot collects the live session set, holding one shard lock at a
-// time. This is the fleet scatter set: a session registered for the whole
-// scan appears exactly once; sessions registering or unregistering while
-// the walk crosses shards may or may not appear — the per-session
-// high-water-mark contract covers them, and no session is ever
-// double-counted (each lives in exactly one shard).
-func (r *registry) snapshot() []*session {
-	out := make([]*session, 0, 64)
-	r.forEach(func(sess *session) { out = append(out, sess) })
+// snapshot collects the live session set as the fleet layer sees it, in
+// one walk holding one shard lock at a time. This is the fleet scatter
+// set: a session registered for the whole scan appears exactly once;
+// sessions registering or unregistering while the walk crosses shards may
+// or may not appear — the per-session high-water-mark contract covers
+// them, and no session is ever double-counted (each lives in exactly one
+// shard).
+func (r *registry) snapshot() []fleet.Session {
+	out := make([]fleet.Session, 0, r.len())
+	r.forEach(func(sess *session) {
+		out = append(out, fleet.Session{ID: sess.id, Class: sess.class, Store: sess.store})
+	})
 	return out
 }

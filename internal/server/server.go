@@ -16,7 +16,8 @@
 // payload buffer has one owner at a time: the reader until it enqueues the
 // batch (or, for any other message and for a shed, duplicate or refused
 // batch, until it is done with it), then the appender until the batch is
-// stored; a session at rest keeps at most two spares.
+// stored. Buffers come from one pool the server's sessions share, so a
+// session at rest holds none.
 //
 // Ordering invariants of that hand-off: a batch is acknowledged (and the
 // session's ackSeq watermark advanced) when it is enqueued or shed, not
@@ -192,6 +193,8 @@ type Server struct {
 	names   map[string]*owner
 
 	fleetCfg fleet.Config // scatter pool width, deadline, instruments
+
+	payloads payloadPool // every session's message payload buffers
 
 	wg      sync.WaitGroup // live session handlers
 	serveWg sync.WaitGroup // accept loops
@@ -376,11 +379,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // merges the per-session answers under the query's fail|partial policy.
 // A non-nil tr receives every per-session evaluation under parent.
 func (s *Server) evaluateFleet(fq wire.FleetQuery, tr *obs.Trace, parent obs.SpanID) wire.FleetResult {
-	snap := s.sessions.snapshot()
-	targets := make([]fleet.Session, 0, len(snap))
-	for _, sess := range snap {
-		targets = append(targets, fleet.Session{ID: sess.id, Class: sess.class, Store: sess.store})
-	}
+	targets := s.sessions.snapshot()
 	req := fleet.Request{
 		Kind:        fq.Kind,
 		Channel:     int(fq.Channel),

@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"errors"
+	"io"
 	"net"
 	"strconv"
 	"sync"
@@ -59,13 +60,14 @@ type session struct {
 // queued is one entry of a session's ingest queue: a checked wire batch on
 // its way to the journal and the store, or — no frames, done set — a Flush
 // barrier. A batch travels undecoded: frames is its n encoded frame records
-// (a replayed prefix already sliced off), and buf is the payload buffer
-// they live in, which the appender hands back to the queue's spares once
-// the batch is stored.
+// (a replayed prefix already sliced off), and buf is the pooled payload
+// buffer they live in, which the appender hands back to the server's pool
+// once the batch is stored.
 type queued struct {
 	n      int
 	frames []byte
-	buf    []byte
+	buf    *[]byte
+	bytes  int           // the batch's payload size, whoever holds buf by the time it is traced
 	done   chan struct{} // barrier: closed by the appender once everything ahead of it is stored
 
 	// The batch's timeline travels with it, so its trace is stamped where
@@ -78,33 +80,21 @@ type queued struct {
 	trimmed bool      // a replayed prefix was sliced off
 }
 
-// Spare payload buffers. Under load a session circulates a handful of
-// buffers between reader and appender, so it keeps up to maxSpareBufs of
-// them; once it holds more than restSpareBufs, a timer lets the extra go
-// spareLinger later, so a session at rest holds at most restSpareBufs. A
-// buffer larger than maxSpareBytes — a rare oversized message — is never
-// kept.
-const (
-	maxSpareBufs  = 8
-	restSpareBufs = 2
-	spareLinger   = 250 * time.Millisecond
-	maxSpareBytes = 1 << 20
-)
-
 // batchQueue is the reader → appender hand-off: a FIFO of wire batches
 // bounded by the frames the session holds outside its store — those queued
 // and those the appender has taken but not yet stored. One producer (the
 // reader) and one consumer (the appender) means at most one of them is ever
 // waiting, so a single condition variable serves both directions.
 //
-// It also recycles the session's payload buffers. The reader reads every
-// message into one taken from spares (buffer), and a batch's buffer rides
-// the queue with it until the appender, having stored the batch, hands it
-// back (release). Every other message — and a batch that is shed, a
-// duplicate or refused — goes back as soon as the reader is done with it
-// (recycle). Message decoders copy what they keep, so a buffer is only
-// ever read by its current owner. Returned buffers wait as spares, at most
-// restSpareBufs of them once the session is at rest.
+// It also hands out the session's payload buffers. The reader reads every
+// message into one drawn from the server's pool (read), and a batch's
+// buffer rides the queue with it until the appender, having stored the
+// batch, hands it back (release). Every other message — and a batch that
+// is shed, a duplicate or refused — goes back as soon as the reader is done
+// with it (recycle). Message decoders copy what they keep, so a buffer is
+// only ever read by its current owner. taken and returned count the
+// session's buffers out and back: with nothing in flight they are equal,
+// every buffer came back exactly once and the session holds none.
 type batchQueue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -115,81 +105,41 @@ type batchQueue struct {
 	depth  *obs.Gauge // server-wide aims_queue_depth: moves with frames
 	closed bool
 
-	// Payload buffers: spares[:nspare] wait for reuse. fresh counts those
-	// allocated because no spare fitted and dropped those let go, so with
-	// nothing in flight fresh == dropped + nspare — every buffer came back
-	// exactly once. trim, armed while trimming, cuts the spares back to
-	// restSpareBufs.
-	spares   [maxSpareBufs][]byte
-	nspare   int
-	fresh    int
-	dropped  int
-	trim     *time.Timer
-	trimming bool
+	pool            *payloadPool
+	taken, returned atomic.Int64
 }
 
-func (q *batchQueue) init(limit int, shed bool, depth *obs.Gauge) {
+func (q *batchQueue) init(limit int, shed bool, depth *obs.Gauge, pool *payloadPool) {
 	q.cond = sync.NewCond(&q.mu)
-	q.limit, q.shed, q.depth = limit, shed, depth
+	q.limit, q.shed, q.depth, q.pool = limit, shed, depth, pool
 }
 
-// buffer supplies storage for an n-byte payload: a spare when one is big
-// enough, else a fresh allocation. An empty payload needs no buffer.
-func (q *batchQueue) buffer(n int) []byte {
-	if n == 0 {
-		return nil
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for i := q.nspare - 1; i >= 0; i-- {
-		if b := q.spares[i]; cap(b) >= n {
-			q.nspare--
-			q.spares[i], q.spares[q.nspare] = q.spares[q.nspare], nil
-			return b
+// read reads one message into a pooled buffer. pb holds the payload (nil
+// for an empty one) and goes back through recycle or release; a message
+// that fails to arrive whole gives its buffer back here.
+func (q *batchQueue) read(r io.Reader) (typ byte, payload []byte, pb *[]byte, err error) {
+	typ, payload, err = wire.ReadMessageInto(r, func(n int) []byte {
+		if n == 0 {
+			return nil // an empty payload needs no buffer
 		}
+		q.taken.Add(1)
+		pb = q.pool.get(n)
+		return *pb
+	})
+	if err != nil {
+		q.recycle(pb)
+		return 0, nil, nil, err
 	}
-	q.fresh++
-	return make([]byte, n)
+	return typ, payload, pb, nil
 }
 
-// recycle takes back a payload buffer its owner is done with; it is kept
-// as a spare while there is room.
-func (q *batchQueue) recycle(b []byte) {
-	q.mu.Lock()
-	q.recycleLocked(b)
-	q.mu.Unlock()
-}
-
-func (q *batchQueue) recycleLocked(b []byte) {
-	if cap(b) == 0 {
-		return // an empty payload never had a buffer
-	}
-	if cap(b) > maxSpareBytes || q.nspare == maxSpareBufs {
-		q.dropped++
+// recycle hands a payload buffer its owner is done with back to the pool.
+func (q *batchQueue) recycle(pb *[]byte) {
+	if pb == nil {
 		return
 	}
-	q.spares[q.nspare] = b
-	q.nspare++
-	if q.nspare > restSpareBufs && !q.trimming {
-		q.trimming = true
-		if q.trim == nil {
-			q.trim = time.AfterFunc(spareLinger, q.trimSpares)
-		} else {
-			q.trim.Reset(spareLinger)
-		}
-	}
-}
-
-// trimSpares lets go of the spares beyond restSpareBufs.
-func (q *batchQueue) trimSpares() {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for q.nspare > restSpareBufs {
-		q.nspare--
-		q.spares[q.nspare] = nil
-		q.dropped++
-	}
-	q.trimming = false
+	q.returned.Add(1)
+	q.pool.put(pb)
 }
 
 // push enqueues e and reports whether it was admitted. A batch that does
@@ -248,14 +198,14 @@ func (q *batchQueue) take(group []queued) (_ []queued, ok bool) {
 }
 
 // release uncharges the n frames of a batch the appender took and has now
-// stored, and takes back its payload buffer.
-func (q *batchQueue) release(n int, buf []byte) {
+// stored, and hands its payload buffer back.
+func (q *batchQueue) release(n int, pb *[]byte) {
 	q.mu.Lock()
 	q.frames -= n
 	q.depth.Add(-int64(n))
-	q.recycleLocked(buf)
 	q.cond.Signal()
 	q.mu.Unlock()
+	q.recycle(pb)
 }
 
 // close ends the stream: take drains what is queued, then reports !ok.
@@ -281,7 +231,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		bw:   bufio.NewWriterSize(conn, 64<<10),
 		br:   bufio.NewReaderSize(conn, 64<<10),
 	}
-	sess.q.init(s.cfg.QueueFrames, s.cfg.Policy == PolicyShed, s.metrics.queueDepth)
+	sess.q.init(s.cfg.QueueFrames, s.cfg.Policy == PolicyShed, s.metrics.queueDepth, &s.payloads)
 	defer conn.Close()
 
 	if !sess.handshake() {
@@ -357,11 +307,11 @@ func (sess *session) flush() error {
 func (sess *session) handshake() bool {
 	srv := sess.srv
 	sess.conn.SetReadDeadline(time.Now().Add(srv.cfg.IdleTimeout))
-	typ, payload, err := wire.ReadMessageInto(sess.br, sess.q.buffer)
+	typ, payload, pb, err := sess.q.read(sess.br)
 	if err != nil {
 		return false
 	}
-	defer sess.q.recycle(payload)
+	defer sess.q.recycle(pb)
 	srv.metrics.countIn(typ, len(payload))
 	if typ != wire.MsgHello {
 		sess.sendError(wire.CodeNotRegistered, "first message must be hello")
@@ -480,7 +430,7 @@ func (sess *session) appendLoop() {
 			sess.jsess.AppendGroup(batches, func() bool { return !sess.srv.isClosed() })
 		}
 		for i := range batches {
-			// Once stored, a batch's buffer goes back to the reader: the
+			// Once stored, a batch's buffer goes back to the pool: the
 			// queue refills against the frames released below, and a
 			// reference kept here until the group ends would pin it.
 			e := group[i]
@@ -533,7 +483,7 @@ func (sess *session) readLoop() {
 			// just before the line above re-armed the deadline past it.
 			sess.conn.SetReadDeadline(time.Now())
 		}
-		typ, payload, err := wire.ReadMessageInto(sess.br, sess.q.buffer)
+		typ, payload, pb, err := sess.q.read(sess.br)
 		if err != nil {
 			var ne net.Error
 			if errors.As(err, &ne) && ne.Timeout() {
@@ -551,22 +501,22 @@ func (sess *session) readLoop() {
 		srv.metrics.countIn(typ, len(payload))
 		if typ == wire.MsgBatch {
 			// The batch's buffer is handleBatch's to hand on or return.
-			if !sess.handleBatch(payload) {
+			if !sess.handleBatch(payload, pb) {
 				return
 			}
 			continue
 		}
-		if !sess.handleMessage(typ, payload) {
+		if !sess.handleMessage(typ, payload, pb) {
 			return
 		}
 	}
 }
 
 // handleMessage answers one message other than a batch. Each decoder copies
-// what it keeps out of the payload, so its buffer goes back to the spares
+// what it keeps out of the payload, so its buffer pb goes back to the pool
 // once the message is answered.
-func (sess *session) handleMessage(typ byte, payload []byte) bool {
-	defer sess.q.recycle(payload)
+func (sess *session) handleMessage(typ byte, payload []byte, pb *[]byte) bool {
+	defer sess.q.recycle(pb)
 	switch typ {
 	case wire.MsgFlush:
 		return sess.handleFlush()
@@ -602,18 +552,18 @@ func (sess *session) flushIfIdle() bool {
 }
 
 // handleBatch checks one wire batch — without decoding it — and enqueues
-// it for the appender, payload buffer and all; a batch that is not enqueued
-// returns its buffer, and has its trace stamped, at once.
-func (sess *session) handleBatch(payload []byte) bool {
+// it for the appender, payload buffer pb and all; a batch that is not
+// enqueued returns its buffer, and has its trace stamped, at once.
+func (sess *session) handleBatch(payload []byte, pb *[]byte) bool {
 	srv := sess.srv
-	e := queued{buf: payload, start: time.Now()}
+	e := queued{buf: pb, bytes: len(payload), start: time.Now()}
 	e.tr = srv.tracer.Begin("ingest", 0, false, e.start)
 	seq, n, frames, err := wire.CheckBatch(payload, sess.store.Channels())
 	e.decoded = time.Now()
 	srv.metrics.decodeSeconds.Observe(e.decoded.Sub(e.start).Seconds())
 	e.n, e.frames = n, frames
 	if err != nil {
-		sess.q.recycle(payload)
+		sess.q.recycle(pb)
 		sess.traceBatch(&e, time.Time{}, time.Now(), "refused")
 		sess.sendError(wire.CodeBadMessage, err.Error())
 		return false
@@ -625,7 +575,7 @@ func (sess *session) handleBatch(payload []byte) bool {
 	// (at-least-once replay becomes exactly-once append); a batch
 	// straddling it has its already-held prefix trimmed.
 	if end := seq + uint64(n); end <= sess.ackSeq {
-		sess.q.recycle(payload)
+		sess.q.recycle(pb)
 		ack.Code = wire.CodeDuplicate
 		srv.metrics.dupBatches.Inc()
 		sess.traceBatch(&e, time.Time{}, time.Now(), "duplicate")
@@ -646,7 +596,7 @@ func (sess *session) handleBatch(payload []byte) bool {
 		// correct client streams contiguously from the watermark, so this
 		// is corruption or a broken sender. Failing fast tears the link
 		// down; the reconnect resumes from the intact watermark.
-		sess.q.recycle(payload)
+		sess.q.recycle(pb)
 		sess.traceBatch(&e, time.Time{}, time.Now(), "refused")
 		sess.sendError(wire.CodeBadMessage, "batch offset ahead of session watermark")
 		return false
@@ -661,7 +611,7 @@ func (sess *session) handleBatch(payload []byte) bool {
 		sess.enqueued.Add(uint64(e.n))
 		srv.metrics.batchesIngested.Inc()
 	} else {
-		sess.q.recycle(payload)
+		sess.q.recycle(pb)
 		ack.Code = wire.CodeShed
 		sess.shedB.Add(1)
 		sess.shedF.Add(uint64(e.n))
@@ -703,7 +653,7 @@ func (sess *session) traceBatch(e *queued, appended, end time.Time, note string)
 	if sess.class != "" {
 		tr.SetAttr("class", sess.class)
 	}
-	tr.SetAttr("bytes", strconv.Itoa(len(e.buf)))
+	tr.SetAttr("bytes", strconv.Itoa(e.bytes))
 	tr.SetAttr("frames", strconv.Itoa(e.n))
 	if e.trimmed {
 		tr.Span("trimmed", e.decoded, e.decoded)

@@ -127,6 +127,15 @@ func DecodeFleetQuery(p []byte) (FleetQuery, error) {
 	return q, nil
 }
 
+// Encoded sizes of a FleetResult: the fixed header up to and including
+// the part count, one part, and one failure before its text. The failure
+// count's two bytes sit between the parts and the failures.
+const (
+	fleetResultHeaderSize = 34
+	fleetPartSize         = 52
+	fleetFailureSize      = 12
+)
+
 // FleetPart is one session's contribution to a fleet result: the frame
 // high-water mark it answered at (the consistency contract — the session
 // kept ingesting, but its answer covers exactly Frames frames) and its
@@ -176,7 +185,11 @@ func (r FleetResult) Encode() ([]byte, error) {
 		return nil, fmt.Errorf("wire: fleet detail %d/%d exceeds max %d",
 			len(r.Parts), len(r.Failures), MaxFleetDetail)
 	}
-	var e buf
+	size := fleetResultHeaderSize + len(r.Parts)*fleetPartSize + 2
+	for _, f := range r.Failures {
+		size += fleetFailureSize + len(f.Text)
+	}
+	e := buf{b: make([]byte, 0, size)}
 	e.u8(uint8(r.Kind))
 	var flags uint8
 	if r.OK {
@@ -221,7 +234,11 @@ func DecodeFleetResult(p []byte) (FleetResult, error) {
 	r.Coefficients = d.rdU32()
 	r.Sessions = d.rdU32()
 	r.Merged = d.rdU32()
-	if n := int(d.rdU16()); d.err == nil && n > 0 {
+	// Refuse a hostile count before allocating for it: every part, and
+	// every failure, has a fixed minimum size.
+	if n := int(d.rdU16()); d.err == nil && n*fleetPartSize > len(p)-d.pos {
+		d.fail()
+	} else if d.err == nil && n > 0 {
 		r.Parts = make([]FleetPart, n)
 		for i := range r.Parts {
 			r.Parts[i] = FleetPart{
@@ -235,7 +252,9 @@ func DecodeFleetResult(p []byte) (FleetResult, error) {
 			}
 		}
 	}
-	if n := int(d.rdU16()); d.err == nil && n > 0 {
+	if n := int(d.rdU16()); d.err == nil && n*fleetFailureSize > len(p)-d.pos {
+		d.fail()
+	} else if d.err == nil && n > 0 {
 		r.Failures = make([]FleetFailure, n)
 		for i := range r.Failures {
 			r.Failures[i] = FleetFailure{ID: d.rdU64(), Code: Code(d.rdU16()), Text: d.rdStr()}

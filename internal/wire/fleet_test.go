@@ -1,10 +1,12 @@
 package wire
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -200,6 +202,56 @@ func TestFleetResultRoundTrip(t *testing.T) {
 	for cut := 0; cut < len(p); cut++ {
 		if _, err := DecodeFleetResult(p[:cut]); err == nil {
 			t.Fatalf("accepted fleet result truncated to %d bytes", cut)
+		}
+	}
+}
+
+// TestFleetResultEncodeOneAllocation: Encode sizes its buffer once, so a
+// 96-part result (a class-wide fleet answer) costs one allocation, and the
+// buffer is exactly the payload.
+func TestFleetResultEncodeOneAllocation(t *testing.T) {
+	r := FleetResult{Kind: QueryAverage, OK: true, Code: CodePartial, Sessions: 97, Merged: 96}
+	for i := 0; i < 96; i++ {
+		r.Parts = append(r.Parts, FleetPart{ID: uint64(i + 1), Frames: 2048, N: 512, Sum: 1.5, SumSq: 9})
+	}
+	r.Failures = []FleetFailure{{ID: 97, Code: CodeDeadline, Text: "scan unfinished at fleet deadline"}}
+	p, err := r.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p) != cap(p) {
+		t.Fatalf("a %d-byte payload in a %d-byte buffer, want it sized exactly", len(p), cap(p))
+	}
+	if allocs := testing.AllocsPerRun(50, func() { r.Encode() }); allocs != 1 {
+		t.Fatalf("Encode made %v allocations, want 1", allocs)
+	}
+}
+
+// TestDecodeFleetResultRefusesHostileCount: a short payload whose header
+// announces 65535 parts (or failures) is refused before anything is
+// allocated for them — a client must not be made to allocate megabytes by
+// a 40-byte message.
+func TestDecodeFleetResultRefusesHostileCount(t *testing.T) {
+	empty, err := FleetResult{Kind: QueryCount, Code: CodeNoSessions}.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hostileParts := append(slices.Clone(empty), 0, 0, 0, 0) // 40 bytes
+	binary.LittleEndian.PutUint16(hostileParts[fleetResultHeaderSize-2:], 65535)
+	hostileFailures := append(slices.Clone(empty), 0, 0, 0, 0)
+	binary.LittleEndian.PutUint16(hostileFailures[fleetResultHeaderSize:], 65535)
+	for name, p := range map[string][]byte{"parts": hostileParts, "failures": hostileFailures} {
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if _, err := DecodeFleetResult(p); err == nil {
+				t.Fatalf("%s: a %d-byte payload announcing 65535 entries was accepted", name, len(p))
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 1024 {
+			t.Fatalf("%s: refusing a hostile count allocated %d B, want under 1 KiB", name, per)
 		}
 	}
 }

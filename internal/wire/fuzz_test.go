@@ -146,3 +146,28 @@ func FuzzDecodeFleetQuery(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeFleetResult: no payload panics DecodeFleetResult, and an
+// accepted one re-encodes to the bytes it was decoded from, but for the
+// flag bits the decoder ignores (every other field is fixed-width or
+// length-prefixed, so that is the whole result, NaN payloads included).
+// The checked-in corpus (testdata/fuzz/FuzzDecodeFleetResult) seeds exact,
+// approximate, partial, empty and non-finite answers, unused flag bits and
+// hostile part and failure counts.
+func FuzzDecodeFleetResult(f *testing.F) {
+	f.Fuzz(func(t *testing.T, p []byte) {
+		r, err := DecodeFleetResult(p)
+		if err != nil {
+			return
+		}
+		enc, err := r.Encode()
+		if err != nil {
+			t.Fatalf("accepted %+v does not encode: %v", r, err)
+		}
+		want := bytes.Clone(p)
+		want[1] &= 1 // the OK flag; the decoder ignores the other bits
+		if !bytes.Equal(enc, want) {
+			t.Fatalf("re-encoding %+v gives bytes that differ from the %d decoded", r, len(p))
+		}
+	})
+}
