@@ -25,6 +25,58 @@ func TestQuantizerRoundTrip(t *testing.T) {
 	}
 }
 
+// TestQuantizeEdgeBins: a value beyond the range lands in the edge level
+// on its side however far out it is, and NaN in level 0 — whatever the
+// platform makes of converting an out-of-range float to int.
+func TestQuantizeEdgeBins(t *testing.T) {
+	q := NewQuantizer(-5, 5, 6)
+	for _, c := range []struct {
+		v    float64
+		want int
+	}{
+		{5, 63}, {6, 63}, {1e10, 63}, {2e18, 63}, {math.MaxFloat64, 63}, {math.Inf(1), 63},
+		{-5, 0}, {-6, 0}, {-1e10, 0}, {-2e18, 0}, {-math.MaxFloat64, 0}, {math.Inf(-1), 0},
+		{math.NaN(), 0},
+	} {
+		if got := q.Quantize(c.v); got != c.want {
+			t.Errorf("Quantize(%v) = %d, want %d", c.v, got, c.want)
+		}
+	}
+}
+
+// TestLevelRoundsAsMathRound pins Level's rounding to int(math.Round(x))
+// across the whole in-range scale of a 16-bit quantiser, the widest there
+// is: at every level, every half level and two ulps either side of both,
+// and at random positions.
+func TestLevelRoundsAsMathRound(t *testing.T) {
+	const top = 1<<16 - 1
+	check := func(x float64) {
+		if !(x > 0 && x < top) {
+			return
+		}
+		if got, want := Level(x, top), int(math.Round(x)); got != want {
+			t.Fatalf("Level(%v) = %d, math.Round gives %d", x, got, want)
+		}
+	}
+	for l := 0; l <= top; l++ {
+		for _, x := range []float64{float64(l), float64(l) + 0.5} {
+			lo, hi := x, x
+			check(x)
+			for i := 0; i < 2; i++ {
+				lo, hi = math.Nextafter(lo, 0), math.Nextafter(hi, top)
+				check(lo)
+				check(hi)
+			}
+		}
+	}
+	check(math.SmallestNonzeroFloat64)
+	check(0.49999999999999994)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 100000; i++ {
+		check(rng.Float64() * top)
+	}
+}
+
 func TestQuantizerForDegenerate(t *testing.T) {
 	q := QuantizerFor(nil, 8)
 	if q.Max <= q.Min {

@@ -49,18 +49,35 @@ func QuantizerFor(x []float64, bits int) Quantizer {
 // Levels returns the number of quantization levels.
 func (q Quantizer) Levels() int { return 1 << uint(q.Bits) }
 
-// Quantize maps v to its level index, clamping out-of-range values.
+// Quantize maps v to its level index, clamping out-of-range values into
+// the edge levels (see Level).
 func (q Quantizer) Quantize(v float64) int {
-	n := q.Levels()
-	f := (v - q.Min) / (q.Max - q.Min)
-	i := int(math.Round(f * float64(n-1)))
-	if i < 0 {
-		i = 0
+	top := float64(q.Levels() - 1)
+	return Level((v-q.Min)/(q.Max-q.Min)*top, top)
+}
+
+// belowHalf is the largest float64 below ½.
+const belowHalf = 0.49999999999999994
+
+// Level returns the level index at position x of a level scale whose top
+// level is top: (v−Min)/(Max−Min)·top for a value v, as Quantize computes
+// it. In-range positions round to the nearest level, halves up, exactly as
+// int(math.Round(x)) does: x + belowHalf truncates to math.Round(x) for
+// every x in [0, 2^52), and top is at most 2^16−1. Out-of-range positions
+// clamp in the float domain, before any conversion, so the edge levels do
+// not depend on how a platform converts an out-of-range float to int:
+// x ≥ top (+Inf included) is level top; x ≤ 0, −Inf and NaN are level 0.
+//
+// Level is branch-free for in-range positions and small enough to inline,
+// so a per-value loop that bins through it pays no call.
+func Level(x, top float64) int {
+	if x >= top {
+		return int(top)
 	}
-	if i >= n {
-		i = n - 1
+	if !(x > 0) {
+		return 0
 	}
-	return i
+	return int(x + belowHalf)
 }
 
 // Dequantize maps a level index back to the centre of its cell.

@@ -18,6 +18,12 @@ import (
 // kept in a form cheap enough to update per frame at device rate —
 // O(channels) integer increments — while staying queryable.
 //
+// Every append path bins a value through one per-channel bin table built
+// with the store: each row holds its channel quantiser's Min, Max−Min and
+// top level, and its inlined bin method is compress.Quantize's arithmetic,
+// so a frame costs one subtract, divide, multiply and add-and-truncate per
+// channel, from one base offset per frame, and never a call.
+//
 // Exact COUNT/AVERAGE/VARIANCE range aggregates are answered from the
 // count cube itself (the cube *is* the exact frequency distribution, so no
 // transform is needed for exactness), through a per-row moment cache:
@@ -47,8 +53,11 @@ import (
 // lock and then rowMu, which guards the row cache (lock order mu → rowMu).
 // Safe for one or more appenders and any number of concurrent readers.
 type LiveStore struct {
-	cfg        LiveStoreConfig
-	quant      []compress.Quantizer
+	cfg   LiveStoreConfig
+	quant []compress.Quantizer
+	// bins is the per-channel bin table the append paths quantise through,
+	// built from quant by newLiveStore and never written after.
+	bins       []binRow
 	deltaLimit int // max delta-log entries; 0 disables incremental sealing
 
 	mu sync.RWMutex
@@ -136,7 +145,9 @@ func (c LiveStoreConfig) withDefaults() LiveStoreConfig {
 
 // NewLiveStore creates an empty live store for a session whose channel c
 // produces values in [mins[c], maxs[c]] (the registration-time device
-// spec; out-of-range values clamp into the edge bins).
+// spec). A value bins as compress.Quantize bins it: out-of-range values,
+// ±Inf and NaN included, clamp into the edge bins — above the range into
+// the top bin, below it and NaN into bin 0 — on every platform.
 func NewLiveStore(mins, maxs []float64, cfg LiveStoreConfig) (*LiveStore, error) {
 	if len(mins) == 0 || len(mins) != len(maxs) {
 		return nil, fmt.Errorf("core: live store needs matching per-channel ranges, got %d/%d", len(mins), len(maxs))
@@ -152,10 +163,29 @@ func NewLiveStore(mins, maxs []float64, cfg LiveStoreConfig) (*LiveStore, error)
 	for c := range quant {
 		quant[c] = compress.NewQuantizer(mins[c], maxs[c], bits)
 	}
-	cells := len(mins) * cfg.TimeBuckets * cfg.ValueBins
+	return newLiveStore(quant, cfg)
+}
+
+// newLiveStore creates an empty live store that bins channel c through
+// quant[c], which it keeps. It is the one place a store's bin table is
+// built, so the table always matches the quantisers: NewLiveStore passes
+// the registration ranges' quantisers, RestoreLiveStore the persisted ones.
+// cfg's dims must be powers of two, and every quantiser must have
+// cfg.ValueBins levels.
+func newLiveStore(quant []compress.Quantizer, cfg LiveStoreConfig) (*LiveStore, error) {
+	cfg = cfg.withDefaults()
+	bins := make([]binRow, len(quant))
+	for c, q := range quant {
+		if q.Levels() != cfg.ValueBins {
+			return nil, fmt.Errorf("core: channel %d quantises to %d levels, not %d value bins", c, q.Levels(), cfg.ValueBins)
+		}
+		bins[c] = binRow{min: q.Min, span: q.Max - q.Min, top: float64(q.Levels() - 1)}
+	}
+	cells := len(quant) * cfg.TimeBuckets * cfg.ValueBins
 	ls := &LiveStore{
 		cfg:     cfg,
 		quant:   quant,
+		bins:    bins,
 		c8:      make([]uint8, cells),
 		fill:    make([]uint64, cfg.TimeBuckets),
 		fillMax: math.MaxUint8,
@@ -246,12 +276,18 @@ func (ls *LiveStore) bucket(tick, tpb int) int {
 	return min(tick/tpb, ls.cfg.TimeBuckets-1)
 }
 
-// cell quantises channel c's value v and returns the offset of its cube
-// cell in time bucket tb. Every append counts a value as
-// bump(ls, cube, ls.cell(c, tb, v), logging): the two halves are separate
-// only so that each stays small enough to inline into the per-value loops.
-func (ls *LiveStore) cell(c, tb int, v float64) int {
-	return (c*ls.cfg.TimeBuckets+tb)*ls.cfg.ValueBins + ls.quant[c].Quantize(v)
+// binRow is one channel's row of the bin table: its quantiser's Min,
+// Max−Min and top level Levels()−1, taken once at construction.
+type binRow struct {
+	min, span, top float64
+}
+
+// bin returns v's value bin: compress.Quantize's arithmetic, in the same
+// order, on the precomputed row, so every bin equals Quantize's. It is
+// small enough to inline, and every append path bins through it, so a WAL
+// tail replays into the cells it was first stored in.
+func (b *binRow) bin(v float64) int {
+	return compress.Level((v-b.min)/b.span*b.top, b.top)
 }
 
 // count is the cell type of the count cube at each of its widths.
@@ -316,10 +352,15 @@ func (ls *LiveStore) addFrame(tb int, vals []float64, logging bool) {
 	ls.version++
 }
 
-// addValues is addFrame's per-value loop at one width.
+// addValues is addFrame's per-value loop at one width. Channel c's cell
+// in time bucket tb sits at (c·TimeBuckets + tb)·ValueBins + bin, so the
+// loop starts at tb·ValueBins and steps one channel stride per value.
 func addValues[T count](ls *LiveStore, cube []T, tb int, vals []float64, logging bool) {
+	base, stride := tb*ls.cfg.ValueBins, ls.cfg.TimeBuckets*ls.cfg.ValueBins
+	bins := ls.bins[:len(vals)]
 	for c, v := range vals {
-		bump(ls, cube, ls.cell(c, tb, v), logging)
+		bump(ls, cube, base+bins[c].bin(v), logging)
+		base += stride
 	}
 }
 
@@ -339,10 +380,16 @@ func (ls *LiveStore) addEncodedFrame(tb int, vals []byte, logging bool) {
 	ls.version++
 }
 
-// addEncodedValues is addEncodedFrame's per-value loop at one width.
+// addEncodedValues is addEncodedFrame's per-value loop at one width,
+// addValues's loop over the encoded values.
 func addEncodedValues[T count](ls *LiveStore, cube []T, tb int, vals []byte, logging bool) {
-	for c := range ls.quant {
-		bump(ls, cube, ls.cell(c, tb, math.Float64frombits(binary.LittleEndian.Uint64(vals[8*c:]))), logging)
+	base, stride := tb*ls.cfg.ValueBins, ls.cfg.TimeBuckets*ls.cfg.ValueBins
+	bins := ls.bins
+	for c := range bins {
+		v := math.Float64frombits(binary.LittleEndian.Uint64(vals))
+		vals = vals[8:]
+		bump(ls, cube, base+bins[c].bin(v), logging)
+		base += stride
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"aims/internal/wavelet"
 )
@@ -38,22 +39,16 @@ func RestoreLiveStore(st *Store, cfg LiveStoreConfig) (*LiveStore, error) {
 		}
 	}
 
-	mins := make([]float64, st.Channels)
-	maxs := make([]float64, st.Channels)
-	for c, q := range st.quant {
-		mins[c], maxs[c] = q.Min, q.Max
-	}
 	cfg.Rate = st.Rate
 	cfg.TimeBuckets = st.TimeBuckets
 	cfg.ValueBins = st.ValueBins
 	cfg.HorizonTicks = st.TicksPerBucket * st.TimeBuckets
-	ls, err := NewLiveStore(mins, maxs, cfg)
+	// The store's own quantisers, not ones rebuilt from their ranges, bin
+	// every post-restore append, so they land where the store's did.
+	ls, err := newLiveStore(slices.Clone(st.quant), cfg)
 	if err != nil {
 		return nil, err
 	}
-	// Carry the exact registration-time quantizers over: QuantizerFor-built
-	// stores may differ from NewQuantizer's rounding of the same range.
-	copy(ls.quant, st.quant)
 
 	// Separable per-axis transforms commute, so inversion order is free.
 	data := append([]float64(nil), eng.Coeffs...)

@@ -19,6 +19,13 @@ import (
 // cross heterogeneous quantisers.
 func buildFleet(t testing.TB, n int, class string, seed int64) []Session {
 	t.Helper()
+	return buildObservedFleet(t, n, class, seed, nil)
+}
+
+// buildObservedFleet is buildFleet with every store's seals reported to
+// observe, its SealObserver.
+func buildObservedFleet(t testing.TB, n int, class string, seed int64, observe func(time.Duration, bool, int)) []Session {
+	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	out := make([]Session, 0, n)
 	for i := 0; i < n; i++ {
@@ -28,6 +35,7 @@ func buildFleet(t testing.TB, n int, class string, seed int64) []Session {
 		}
 		ls, err := core.NewLiveStore([]float64{lo, lo}, []float64{hi, hi}, core.LiveStoreConfig{
 			Rate: 100, TimeBuckets: 64, ValueBins: 32, HorizonTicks: 6400,
+			SealObserver: observe,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -232,11 +240,11 @@ func TestBadChannelBecomesPerSessionFailure(t *testing.T) {
 }
 
 // TestDeadlineYieldsPartial forces the scatter past its deadline: 48
-// sessions that each need a cold ProPolyne seal, one worker, and a 1ms
-// budget. Unfinished sessions must come back as CodeDeadline failures
-// under the partial policy, never as a hang.
+// sessions that each need a cold ProPolyne seal, which outlives the 1ms
+// budget, and one worker. Unfinished sessions must come back as
+// CodeDeadline failures under the partial policy, never as a hang.
 func TestDeadlineYieldsPartial(t *testing.T) {
-	sessions := buildFleet(t, 48, "glove", 13)
+	sessions := buildObservedFleet(t, 48, "glove", 13, func(time.Duration, bool, int) { time.Sleep(20 * time.Millisecond) })
 	req := Request{
 		Kind: wire.QueryApproxCount, Channel: 0, T0: 0, T1: 30, Arg: 16,
 		Scope: wire.FleetScope{Class: "glove"}, Partial: true,
@@ -248,7 +256,7 @@ func TestDeadlineYieldsPartial(t *testing.T) {
 		t.Fatalf("deadline did not bound the query: %s", elapsed)
 	}
 	if len(res.Failures) == 0 {
-		t.Skip("machine sealed 48 engines inside 1ms; cannot exercise the deadline")
+		t.Fatalf("no failures in %+v", res)
 	}
 	if res.Code != wire.CodePartial {
 		t.Fatalf("code %s, want partial", res.Code)
