@@ -27,9 +27,10 @@ import (
 // Exact COUNT/AVERAGE/VARIANCE range aggregates are answered from the
 // count cube itself (the cube *is* the exact frequency distribution, so no
 // transform is needed for exactness), through a per-row moment cache:
-// each (channel, time-bucket) row keeps its integer Σ1, Σbin, Σbin² and
-// is rescanned only after a frame lands in its bucket. Approximate and
-// progressive answers go through Seal, which materialises the cube as a full
+// each (channel, time-bucket) row keeps its integer Σbin and Σbin², its
+// Σ1 is its bucket's fill, and a bucket's rows are rescanned together
+// only after a frame lands in it. Approximate and progressive answers go
+// through Seal, which materialises the cube as a full
 // wavelet-transformed ProPolyne Store. The sealed engine is cached and —
 // because the wavelet transform of a point mass is sparse (§3.1.1) —
 // brought up to date incrementally: appends since the last seal are
@@ -40,8 +41,10 @@ import (
 // delta log overflows its threshold.
 //
 // Counts are stored at the narrowest width they need. A new store's cube
-// has 8-bit cells; the first frame that could push a cell past 255 widens
-// the whole cube to 16 bits, and past 65 535 to 32. A store never narrows.
+// has 4-bit cells, two to a byte, when a bucket spans at most 15 ticks,
+// and 8-bit cells otherwise; the first frame that could push a cell past
+// 15 widens the whole cube to 8 bits, past 255 to 16, and past 65 535 to
+// 32. A store never narrows.
 // The width follows fill[tb], the frames stored into time bucket tb: every
 // frame adds one count to each channel's row of its bucket, so no cell of
 // the bucket exceeds fill[tb].
@@ -62,14 +65,15 @@ type LiveStore struct {
 
 	mu sync.RWMutex
 	// The channels × TimeBuckets × ValueBins count cube at its current
-	// width: exactly one of c8, c16 and c32 is non-nil.
+	// width: exactly one of c4, c8, c16 and c32 is non-nil.
+	c4  nibbles
 	c8  []uint8
 	c16 []uint16
 	c32 []uint32
 	// fill counts, per time bucket, the frames stored into it. It is each
-	// of the bucket's rows' Σ1, so a cached row whose n equals it is
-	// exactly the cube's row, and it bounds every cell of the bucket, so
-	// reserve widens the cube before a frame takes it past fillMax.
+	// of the bucket's rows' Σ1, so the row cache need not keep one, and it
+	// bounds every cell of the bucket, so reserve widens the cube before a
+	// frame takes it past fillMax.
 	fill    []uint64
 	fillMax uint64
 	frames  int
@@ -83,10 +87,12 @@ type LiveStore struct {
 	overflow bool
 
 	rowMu sync.Mutex
-	// rows caches channels × TimeBuckets row moments, each valid while its
-	// n equals its bucket's fill. It is made by the first exact scan, so a
-	// session nobody queries exactly never pays for it.
-	rows []rowMoments
+	// rows caches channels × TimeBuckets row moments; every row of bucket
+	// tb is current while rowFill[tb] equals fill[tb], the fill they were
+	// all cached at. Both are made by the first exact scan, so a session
+	// nobody queries exactly never pays for them.
+	rows    []rowMoments
+	rowFill []uint64
 
 	sealMu        sync.Mutex
 	sealed        *Store
@@ -183,12 +189,18 @@ func newLiveStore(quant []compress.Quantizer, cfg LiveStoreConfig) (*LiveStore, 
 	}
 	cells := len(quant) * cfg.TimeBuckets * cfg.ValueBins
 	ls := &LiveStore{
-		cfg:     cfg,
-		quant:   quant,
-		bins:    bins,
-		c8:      make([]uint8, cells),
-		fill:    make([]uint64, cfg.TimeBuckets),
-		fillMax: math.MaxUint8,
+		cfg:   cfg,
+		quant: quant,
+		bins:  bins,
+		fill:  make([]uint64, cfg.TimeBuckets),
+	}
+	// A bucket in the horizon holds at most one frame a tick, so the cube
+	// starts at 4 bits only when that fits; otherwise a nibble cube would
+	// widen within the first bucket.
+	if ls.TicksPerBucket() <= nibbleMax {
+		ls.c4, ls.fillMax = make(nibbles, (cells+1)/2), nibbleMax
+	} else {
+		ls.c8, ls.fillMax = make([]uint8, cells), math.MaxUint8
 	}
 	switch {
 	case cfg.SealDeltaThreshold > 0:
@@ -290,8 +302,43 @@ func (b *binRow) bin(v float64) int {
 	return compress.Level((v-b.min)/b.span*b.top, b.top)
 }
 
-// count is the cell type of the count cube at each of its widths.
+// count is the cell type of the count cube at each of its byte widths.
 type count interface{ uint8 | uint16 | uint32 }
+
+// nibbles is the count cube at 4 bits: cell i is the low nibble of byte
+// i/2 when i is even and the high nibble when it is odd.
+type nibbles []uint8
+
+// nibbleMax is the largest count a 4-bit cell holds.
+const nibbleMax = 1<<4 - 1
+
+// at returns cell i.
+func (p nibbles) at(i int) uint8 { return p[i>>1] >> (i & 1 * 4) & nibbleMax }
+
+// unpack copies the first len(dst) cells of p into dst, as widen's copy to
+// 8 bits or a seal's float snapshot.
+func unpack[D count | float64](dst []D, p nibbles) {
+	for i := range dst {
+		dst[i] = D(p.at(i))
+	}
+}
+
+// pack stores counts, each at most nibbleMax, into the zeroed cells of p.
+func pack(p nibbles, counts []float64) {
+	for i, v := range counts {
+		p[i>>1] |= uint8(v) << (i & 1 * 4)
+	}
+}
+
+// bumpNibble is bump on the 4-bit cube. reserve has kept the bucket's
+// fill, and so every cell of it, at or below nibbleMax, so the add never
+// carries into the neighbouring cell.
+func bumpNibble(ls *LiveStore, idx int, logging bool) {
+	ls.c4[idx>>1] += 1 << (idx & 1 * 4)
+	if logging {
+		ls.delta = append(ls.delta, uint32(idx))
+	}
+}
 
 // bump increments cell idx of cube, ls's cube at its current width,
 // logging its offset for the incremental seal when logging is set.
@@ -313,11 +360,17 @@ func (ls *LiveStore) reserve(tb int) {
 	ls.fill[tb]++
 }
 
-// widen copies the cube into cells twice as wide, 8 → 16 → 32 bits. At 32
-// bits it stops: a cell then wraps only past 2^32−1 frames in one bucket.
-// Callers hold ls.mu for writing.
+// widen copies the cube into cells twice as wide, 4 → 8 → 16 → 32 bits.
+// At 32 bits it stops: a cell then wraps only past 2^32−1 frames in one
+// bucket. Callers hold ls.mu for writing.
 func (ls *LiveStore) widen() {
-	if ls.c8 != nil {
+	switch {
+	case ls.c4 != nil:
+		ls.c8 = make([]uint8, ls.cells())
+		unpack(ls.c8, ls.c4)
+		ls.c4, ls.fillMax = nil, math.MaxUint8
+		return
+	case ls.c8 != nil:
 		ls.c16 = make([]uint16, len(ls.c8))
 		convert(ls.c16, ls.c8)
 		ls.c8, ls.fillMax = nil, math.MaxUint16
@@ -326,6 +379,11 @@ func (ls *LiveStore) widen() {
 	ls.c32 = make([]uint32, len(ls.c16))
 	convert(ls.c32, ls.c16)
 	ls.c16, ls.fillMax = nil, math.MaxUint64
+}
+
+// cells returns the number of cells in the count cube.
+func (ls *LiveStore) cells() int {
+	return len(ls.quant) * ls.cfg.TimeBuckets * ls.cfg.ValueBins
 }
 
 // convert copies src into dst value by value, as a widening copy of the
@@ -341,6 +399,8 @@ func convert[D, S count | float64](dst []D, src []S) {
 func (ls *LiveStore) addFrame(tb int, vals []float64, logging bool) {
 	ls.reserve(tb)
 	switch {
+	case ls.c4 != nil:
+		addNibbleValues(ls, tb, vals, logging)
 	case ls.c8 != nil:
 		addValues(ls, ls.c8, tb, vals, logging)
 	case ls.c16 != nil:
@@ -364,11 +424,23 @@ func addValues[T count](ls *LiveStore, cube []T, tb int, vals []float64, logging
 	}
 }
 
+// addNibbleValues is addValues on the 4-bit cube.
+func addNibbleValues(ls *LiveStore, tb int, vals []float64, logging bool) {
+	base, stride := tb*ls.cfg.ValueBins, ls.cfg.TimeBuckets*ls.cfg.ValueBins
+	bins := ls.bins[:len(vals)]
+	for c, v := range vals {
+		bumpNibble(ls, base+bins[c].bin(v), logging)
+		base += stride
+	}
+}
+
 // addEncodedFrame is addFrame for one frame's values in their wire
 // encoding, one little-endian IEEE-754 float64 per channel.
 func (ls *LiveStore) addEncodedFrame(tb int, vals []byte, logging bool) {
 	ls.reserve(tb)
 	switch {
+	case ls.c4 != nil:
+		addEncodedNibbles(ls, tb, vals, logging)
 	case ls.c8 != nil:
 		addEncodedValues(ls, ls.c8, tb, vals, logging)
 	case ls.c16 != nil:
@@ -389,6 +461,18 @@ func addEncodedValues[T count](ls *LiveStore, cube []T, tb int, vals []byte, log
 		v := math.Float64frombits(binary.LittleEndian.Uint64(vals))
 		vals = vals[8:]
 		bump(ls, cube, base+bins[c].bin(v), logging)
+		base += stride
+	}
+}
+
+// addEncodedNibbles is addEncodedValues on the 4-bit cube.
+func addEncodedNibbles(ls *LiveStore, tb int, vals []byte, logging bool) {
+	base, stride := tb*ls.cfg.ValueBins, ls.cfg.TimeBuckets*ls.cfg.ValueBins
+	bins := ls.bins
+	for c := range bins {
+		v := math.Float64frombits(binary.LittleEndian.Uint64(vals))
+		vals = vals[8:]
+		bumpNibble(ls, base+bins[c].bin(v), logging)
 		base += stride
 	}
 }
@@ -473,14 +557,14 @@ func (ls *LiveStore) Footprint() Footprint {
 	ls.mu.RLock()
 	defer ls.mu.RUnlock()
 	f := Footprint{
-		Cube:  int64(len(ls.c8) + 2*len(ls.c16) + 4*len(ls.c32)),
+		Cube:  int64(len(ls.c4) + len(ls.c8) + 2*len(ls.c16) + 4*len(ls.c32)),
 		Delta: 4 * int64(cap(ls.delta)+cap(ls.spare)),
 	}
 	if ls.sealed != nil {
 		f.Engine = 8 * int64(len(ls.sealed.Engine.Coeffs))
 	}
 	ls.rowMu.Lock()
-	f.Rows = int64(unsafe.Sizeof(rowMoments{})) * int64(len(ls.rows))
+	f.Rows = int64(unsafe.Sizeof(rowMoments{}))*int64(len(ls.rows)) + 8*int64(len(ls.rowFill))
 	ls.rowMu.Unlock()
 	return f
 }
@@ -497,18 +581,20 @@ func (ls *LiveStore) checkChannel(channel int) error {
 	return nil
 }
 
-// rowMoments caches one (channel, time-bucket) row's bin moments Σ1,
-// Σbin, Σbin² as integers. n is the bucket's fill when the row was
-// cached, so the row is current exactly while n equals fill; a zero row
-// is the current row of an empty bucket.
+// rowMoments caches one (channel, time-bucket) row's bin moments Σbin
+// and Σbin² as integers. The row's Σ1 is its bucket's fill, so it is not
+// kept; the row is current while its bucket's rowFill equals fill, and a
+// zero row is the current row of an empty bucket.
 type rowMoments struct {
-	n, sum, sumSq uint64
+	sum, sumSq uint64
 }
 
 // moments returns Σ1, Σbin, Σbin² of one channel over a time range —
 // enough for COUNT, AVERAGE and VARIANCE — and the frame count they cover.
-// It sums the window's cached rows, rescanning the ValueBins cells of a
-// row only when a frame has landed in its bucket since the row was cached.
+// It sums the window's cached rows and bucket fills. A bucket a frame has
+// landed in since its rows were cached has every channel's row rescanned,
+// channels × ValueBins cells, so one scan brings the bucket current for
+// all of them.
 // The sums are integers, converted to float64 once; every one stays below
 // 2^53, so they equal a float fold over the cube cells bit for bit.
 func (ls *LiveStore) moments(channel int, t0, t1 float64) (n, sum, sumSq float64, frames uint64, err error) {
@@ -522,15 +608,17 @@ func (ls *LiveStore) moments(channel int, t0, t1 float64) (n, sum, sumSq float64
 	ls.rowMu.Lock()
 	if ls.rows == nil {
 		ls.rows = make([]rowMoments, len(ls.quant)*ls.cfg.TimeBuckets)
+		ls.rowFill = make([]uint64, ls.cfg.TimeBuckets)
 	}
-	for tb := lo; tb <= hi; tb++ {
-		r := &ls.rows[base+tb]
-		if r.n != ls.fill[tb] {
-			ls.fillRow(r, base+tb)
+	fill, rowFill := ls.fill[lo:hi+1], ls.rowFill[lo:hi+1]
+	rows := ls.rows[base+lo : base+hi+1]
+	for i := range rows {
+		if rowFill[i] != fill[i] {
+			ls.fillBucket(lo + i)
 		}
-		in += r.n
-		isum += r.sum
-		isq += r.sumSq
+		in += fill[i]
+		isum += rows[i].sum
+		isq += rows[i].sumSq
 	}
 	ls.rowMu.Unlock()
 	frames = uint64(ls.frames)
@@ -538,11 +626,26 @@ func (ls *LiveStore) moments(channel int, t0, t1 float64) (n, sum, sumSq float64
 	return float64(in), float64(isum), float64(isq), frames, nil
 }
 
+// fillBucket recomputes every channel's row of time bucket tb from the
+// cube and marks the bucket current. Callers hold ls.mu for reading and
+// ls.rowMu.
+func (ls *LiveStore) fillBucket(tb int) {
+	for row := tb; row < len(ls.rows); row += ls.cfg.TimeBuckets {
+		ls.fillRow(&ls.rows[row], row)
+	}
+	ls.rowFill[tb] = ls.fill[tb]
+}
+
 // fillRow recomputes r from cube row `row`. Callers hold ls.mu for
 // reading and ls.rowMu.
 func (ls *LiveStore) fillRow(r *rowMoments, row int) {
 	lo, hi := row*ls.cfg.ValueBins, (row+1)*ls.cfg.ValueBins
 	switch {
+	case ls.c4 != nil:
+		*r = rowMoments{}
+		for i := lo; i < hi; i++ {
+			r.add(i-lo, uint64(ls.c4.at(i)))
+		}
 	case ls.c8 != nil:
 		*r = momentsOf(ls.c8[lo:hi])
 	case ls.c16 != nil:
@@ -556,12 +659,16 @@ func (ls *LiveStore) fillRow(r *rowMoments, row int) {
 func momentsOf[T count](row []T) rowMoments {
 	var r rowMoments
 	for bin, cnt := range row {
-		c, b := uint64(cnt), uint64(bin)
-		r.n += c
-		r.sum += c * b
-		r.sumSq += c * b * b
+		r.add(bin, uint64(cnt))
 	}
 	return r
+}
+
+// add counts cnt samples of value bin `bin` into r.
+func (r *rowMoments) add(bin int, cnt uint64) {
+	b := uint64(bin)
+	r.sum += cnt * b
+	r.sumSq += cnt * b * b
 }
 
 // CountSamples returns exactly how many samples channel recorded in
@@ -648,6 +755,8 @@ func (ls *LiveStore) Seal() (*Store, error) {
 	tb, vb := ls.cfg.TimeBuckets, ls.cfg.ValueBins
 	cube := make([]float64, chDim*tb*vb)
 	switch {
+	case ls.c4 != nil:
+		unpack(cube[:ls.cells()], ls.c4)
 	case ls.c8 != nil:
 		convert(cube, ls.c8)
 	case ls.c16 != nil:

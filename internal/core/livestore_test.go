@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -641,15 +642,19 @@ func gloveBody() []byte {
 	return body
 }
 
-// idleGloveBytes returns the bytes allocated to build one idle glove
-// session's store at the default live geometry: a 2 048-frame preload from
-// body, then one whole-session exact scan of every channel, so its row
-// cache exists as it does once the fleet layer has queried it.
-func idleGloveBytes(tb testing.TB, body []byte) uint64 {
+// idleGloveBytes returns what one idle glove session's store holds and
+// what building it allocated under cfg: a 2 048-frame preload from body,
+// then one whole-session exact scan of every channel, so its row cache
+// exists as it does once the fleet layer has queried it. held is the heap
+// the store keeps live; allocated also counts the garbage building it
+// left, such as a cube that widened and left its narrower copy behind.
+func idleGloveBytes(tb testing.TB, body []byte, cfg LiveStoreConfig) (held, allocated uint64) {
 	mins, maxs := gloveRange(28)
 	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC() // the first collection only moves sync.Pool caches aside
 	runtime.ReadMemStats(&before)
-	ls, err := NewLiveStore(mins, maxs, LiveStoreConfig{})
+	ls, err := NewLiveStore(mins, maxs, cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -661,27 +666,55 @@ func idleGloveBytes(tb testing.TB, body []byte) uint64 {
 			tb.Fatal(err)
 		}
 	}
+	runtime.GC()
 	runtime.ReadMemStats(&after)
 	runtime.KeepAlive(ls)
-	return after.TotalAlloc - before.TotalAlloc
+	runtime.KeepAlive(body) // the caller's, live before and after
+	return after.HeapAlloc - before.HeapAlloc, after.TotalAlloc - before.TotalAlloc
 }
 
-// TestIdleGloveStoreFootprint bounds an idle glove store at 0.75 MiB. With
-// 8-bit cells its cube is 448 KiB and its row cache 168 KiB; a store that
-// started at 16 bits (896 KiB of cube) or 32 (1.75 MiB) fails.
+// TestIdleGloveStoreFootprint bounds an idle glove store at the default
+// live geometry, 24 ticks a bucket: it holds at most 590 000 B and
+// allocates at most 0.75 MiB. A bucket spans more than 15 ticks, so its
+// cube starts, and stays, at 8 bits, 448 KiB, and its row cache is
+// 114 KiB at 16 B a row. A 24 B row (619 KiB in all) or a cube at 16 bits
+// fails the first bound; a cube that started at 4 bits and widened
+// (another 224 KiB of garbage) fails the second.
 func TestIdleGloveStoreFootprint(t *testing.T) {
-	if got := idleGloveBytes(t, gloveBody()); got > 3<<20/4 {
-		t.Fatalf("an idle glove store allocated %d B, want at most 0.75 MiB", got)
+	held, allocated := idleGloveBytes(t, gloveBody(), LiveStoreConfig{})
+	if held > 590_000 {
+		t.Errorf("an idle glove store holds %d B, want at most 590 000", held)
+	}
+	if allocated > 3<<20/4 {
+		t.Errorf("building an idle glove store allocated %d B, want at most 0.75 MiB", allocated)
+	}
+}
+
+// TestShortHorizonStoreFootprint bounds an idle glove store whose 2 048
+// frames span a 2 048-tick horizon, 8 ticks a bucket: it holds, and
+// allocates, at most 0.375 MiB. No bucket passes 15 frames, so its cube
+// stays at 4 bits, 224 KiB; at 8 bits (448 KiB) it fails.
+func TestShortHorizonStoreFootprint(t *testing.T) {
+	held, allocated := idleGloveBytes(t, gloveBody(), LiveStoreConfig{HorizonTicks: 2048})
+	if held > 3<<20/8 || allocated > 3<<20/8 {
+		t.Fatalf("a short-horizon glove store holds %d B and allocated %d B, want at most 0.375 MiB each", held, allocated)
 	}
 }
 
 // BenchmarkLiveStoreFootprint reports the bytes one idle glove store
-// allocates (see idleGloveBytes).
+// holds and allocates (see idleGloveBytes) at the default geometry and at
+// a 2 048-tick horizon.
 func BenchmarkLiveStoreFootprint(b *testing.B) {
 	body := gloveBody()
-	var total uint64
-	for i := 0; i < b.N; i++ {
-		total += idleGloveBytes(b, body)
+	for _, horizon := range []int{0, 2048} {
+		b.Run(fmt.Sprintf("horizon=%d", horizon), func(b *testing.B) {
+			var held, allocated uint64
+			for i := 0; i < b.N; i++ {
+				h, a := idleGloveBytes(b, body, LiveStoreConfig{HorizonTicks: horizon})
+				held, allocated = held+h, allocated+a
+			}
+			b.ReportMetric(float64(held)/float64(b.N), "B/store")
+			b.ReportMetric(float64(allocated)/float64(b.N), "alloc-B/store")
+		})
 	}
-	b.ReportMetric(float64(total)/float64(b.N), "B/store")
 }

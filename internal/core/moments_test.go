@@ -35,8 +35,10 @@ func binMoments(span []uint32, vb int) (n, sum, sumSq float64) {
 // counts returns a copy of the cube widened to 32 bits, whatever the
 // store's width.
 func (ls *LiveStore) counts() []uint32 {
-	out := make([]uint32, len(ls.c8)+len(ls.c16)+len(ls.c32))
+	out := make([]uint32, ls.cells())
 	switch {
+	case ls.c4 != nil:
+		unpack(out, ls.c4)
 	case ls.c8 != nil:
 		convert(out, ls.c8)
 	case ls.c16 != nil:
@@ -238,8 +240,9 @@ func TestLiveStoreExactMomentsProperty(t *testing.T) {
 // FuzzLiveStoreExactMoments feeds fuzz bytes through runExactOps. The
 // checked-in corpus (testdata/fuzz/FuzzLiveStoreExactMoments) seeds each
 // append kind, past-horizon and negative ticks, a restore followed by
-// queries and appends into the rows those queries cached, and bursts that
-// widen the cube before a seal and a restore.
+// queries and appends into the rows those queries cached, bursts that
+// widen the cube before a seal and a restore, and a restored 4-bit cube
+// that a burst widens to 8 bits.
 func FuzzLiveStoreExactMoments(f *testing.F) {
 	f.Fuzz(func(t *testing.T, p []byte) {
 		if len(p) > 4096 {
@@ -247,6 +250,28 @@ func FuzzLiveStoreExactMoments(f *testing.F) {
 		}
 		runExactOps(t, p)
 	})
+}
+
+// TestRowCurrencyPerBucket: a frame landing in a bucket makes every
+// channel's cached row of that bucket stale, not only the row of the
+// channel last queried. Channel 0 is queried over bucket 1, a frame lands
+// in bucket 1, channel 0 is queried again, and channel 1 must then see the
+// frame too.
+func TestRowCurrencyPerBucket(t *testing.T) {
+	ls, err := NewLiveStore([]float64{-1, -1}, []float64{1, 1}, exactOpsCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const t0, t1 = 0.08, 0.15 // bucket 1: ticks 8 to 15
+	if err := ls.AppendFrame(10, []float64{-0.5, -0.5}); err != nil {
+		t.Fatal(err)
+	}
+	checkExact(t, 0, ls, 0, t0, t1)
+	if err := ls.AppendFrame(12, []float64{0.5, 0.9}); err != nil {
+		t.Fatal(err)
+	}
+	checkExact(t, 1, ls, 0, t0, t1)
+	checkExact(t, 1, ls, 1, t0, t1)
 }
 
 // warmGlove returns a 28-channel glove-sized store holding 6 000 frames,
@@ -322,13 +347,42 @@ func BenchmarkSummarize(b *testing.B) {
 	}
 }
 
-// TestLiveStoreWidens piles frames past the horizon into the last bucket,
-// through every append path, until a cell passes 255 and then 65 535. At
-// each width every exact answer is bit-identical to binMoments over the
-// widened cube, an incremental seal after the widen estimates what a store
-// that rebuilds every seal estimates, and a restore comes back at the
-// store's width and keeps answering.
+// TestLiveStoreWidens piles frames past the horizon into the last bucket
+// until a cell passes 15, 255 and then 65 535. The crossing from 4 to 8
+// bits is made once through each of AppendFrame, AppendFrames and
+// AppendEncoded; the ladder through 16 and 32 bits runs once, its steps
+// taken through every append path. At each step every exact answer is
+// bit-identical to binMoments over the widened cube, an incremental seal
+// after the widen estimates what a store that rebuilds every seal
+// estimates, and a restore comes back at the store's width and keeps
+// answering after one more frame.
 func TestLiveStoreWidens(t *testing.T) {
+	for _, via := range []string{"frame", "frames", "encoded"} {
+		t.Run("nibbles-via-"+via, func(t *testing.T) {
+			testLiveStoreWidens(t, 8, []widenStep{{6, "encoded"}, {2, via}})
+		})
+	}
+	t.Run("ladder", func(t *testing.T) {
+		testLiveStoreWidens(t, 16, []widenStep{
+			{255 - 16, "encoded"},
+			{1, "frame"},
+			{65535 - 256, "encoded"},
+			{1, "frames"},
+			{300, "encoded"},
+		})
+	})
+}
+
+// widenStep appends n frames through one append path ("frame", "frames"
+// or "encoded").
+type widenStep struct {
+	n   int
+	via string
+}
+
+// testLiveStoreWidens is one run of TestLiveStoreWidens: it piles first
+// frames and seals, then takes and checks each step.
+func testLiveStoreWidens(t *testing.T, first int, steps []widenStep) {
 	cfg := exactOpsCfg
 	cfg.SealDeltaThreshold = 1 << 20 // every seal here replays its log
 	var incremental bool
@@ -344,7 +398,7 @@ func TestLiveStoreWidens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells := int64(len(ls.counts()))
+	cells := int64(ls.cells())
 	stored := 0
 	// pile appends n frames at tick 100, past the 64-tick horizon, to both
 	// stores. Channel 0 always reads 0.5, so one of its cells counts every
@@ -380,20 +434,22 @@ func TestLiveStoreWidens(t *testing.T) {
 		}
 		stored += n
 	}
-	// width is the cell size, in bytes, a bucket of n frames needs.
-	width := func(n int) int64 {
+	// cubeBytes is the cube a bucket of n frames needs.
+	cubeBytes := func(n int) int64 {
 		switch {
 		case n > 65535:
-			return 4
+			return 4 * cells
 		case n > 255:
-			return 2
+			return 2 * cells
+		case n > 15:
+			return cells
 		}
-		return 1
+		return cells / 2
 	}
 	windows := [][2]float64{{0, 1e9}, {0, 0.5}, {0.56, 1e9}}
 	check := func(what string, s *LiveStore, frames int) {
 		t.Helper()
-		if got, want := s.Footprint().Cube, width(frames)*cells; got != want {
+		if got, want := s.Footprint().Cube, cubeBytes(frames); got != want {
 			t.Fatalf("%s: cube of %d B, want %d", what, got, want)
 		}
 		for ch := 0; ch < s.Channels(); ch++ {
@@ -402,20 +458,11 @@ func TestLiveStoreWidens(t *testing.T) {
 			}
 		}
 	}
-	pile(40, "frames")
+	pile(first, "frames")
 	if _, err := ls.Seal(); err != nil {
 		t.Fatal(err)
 	}
-	for _, st := range []struct {
-		n   int
-		via string
-	}{
-		{255 - 40, "encoded"},
-		{1, "frame"},
-		{65535 - 256, "encoded"},
-		{1, "frames"},
-		{300, "encoded"},
-	} {
+	for _, st := range steps {
 		pile(st.n, st.via)
 		what := fmt.Sprintf("%d frames", stored)
 		check(what, ls, stored)

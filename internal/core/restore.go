@@ -94,6 +94,8 @@ func RestoreLiveStore(st *Store, cfg LiveStoreConfig) (*LiveStore, error) {
 		sum = 0
 	}
 	switch {
+	case ls.c4 != nil:
+		pack(ls.c4, data[:cells])
 	case ls.c8 != nil:
 		convert(ls.c8, data[:cells])
 	case ls.c16 != nil:

@@ -49,19 +49,20 @@ func (s Summary) Variance() (float64, bool) {
 // This is the fleet layer's read-only evaluation path, and it shares the
 // row-moment cache of CountSamples/AverageValue/VarianceValue: under the
 // store's read lock and then the row-cache mutex (lock order mu → rowMu)
-// it sums each row's cached integer Σ1, Σbin, Σbin² and reads the frame
-// count, so the summary covers exactly the first `frames` frames (the
-// watermark reported back in the fleet result) and never half a frame.
+// it sums each row's cached integer Σbin, Σbin² and its bucket's fill and
+// reads the frame count, so the summary covers exactly the first `frames`
+// frames (the watermark reported back in the fleet result) and never half
+// a frame.
 //
-// A row is valid while its cached Σ1 equals its time bucket's fill — the
-// frames stored into that bucket, counted once per frame by every append
-// and rebuilt by RestoreLiveStore. Each frame adds one count to every
-// channel's row of its bucket, so a row's Σ1 is the fill it was cached
-// at, and a fill only grows. Warm rows — an idle session, a finished
-// bucket — cost one add each, so a scan is O(buckets) and allocates
-// nothing. A row whose bucket took frames since it was cached, typically
-// a live session's head bucket, is rescanned from its ValueBins cells
-// first; a scan never reads more cells than the window holds.
+// A bucket's fill — the frames stored into it, counted once per frame by
+// every append and rebuilt by RestoreLiveStore — is every channel's Σ1
+// there, since each frame adds one count to every channel's row of its
+// bucket. A bucket's rows are current while the fill they were cached at
+// equals its fill, and a fill only grows. Warm rows — an idle session, a
+// finished bucket — cost one add each, so a scan is O(buckets) and
+// allocates nothing. A bucket that took frames since its rows were
+// cached, typically a live session's head bucket, has every channel's row
+// rescanned from its ValueBins cells first.
 func (ls *LiveStore) Summarize(channel int, t0, t1 float64) (Summary, uint64, error) {
 	n, sum, sumSq, frames, err := ls.moments(channel, t0, t1)
 	if err != nil {

@@ -52,7 +52,7 @@ type ingestRig struct {
 }
 
 func newIngestRig(tb testing.TB) *ingestRig {
-	r := &ingestRig{src: bytes.NewReader(nil), br: bufio.NewReaderSize(nil, 64<<10)}
+	r := &ingestRig{src: bytes.NewReader(nil), br: bufio.NewReaderSize(nil, connBufferSize)}
 	r.msg, r.ls = gloveBatch(tb)
 	r.q.init(8192, false, obs.NewRegistry().Gauge("depth", ""), new(payloadPool))
 	return r

@@ -178,8 +178,9 @@ func TestSnapshotBucketsMatchBounds(t *testing.T) {
 
 // TestSessionsReportStoreBytes: /sessions reports what each session's
 // store holds in memory. A 28-channel glove at the default live geometry
-// keeps its 2 048 frames in an 8-bit cube, which doubles once one bucket
-// passes 255 frames.
+// spans 24 ticks a bucket, more than a 4-bit cell counts, so its cube
+// starts at 8 bits: it holds its first 15 frames and its 2 048 frames in
+// the same 8-bit cube, which doubles once one bucket passes 255 frames.
 func TestSessionsReportStoreBytes(t *testing.T) {
 	srv, addr := startServer(t, Config{})
 	c, err := wire.Dial(addr)
@@ -213,7 +214,11 @@ func TestSessionsReportStoreBytes(t *testing.T) {
 		}
 		return got.Sessions[0].StoreBytes
 	}
-	if got := send(clientFrames(0, 2048, 28)); got.Cube != 458752 {
+	frames := clientFrames(0, 2048, 28)
+	if got := send(frames[:15]); got.Cube != 458752 {
+		t.Fatalf("after 15 frames: store bytes %+v, want an 8-bit cube of 458752 B", got)
+	}
+	if got := send(frames[15:]); got.Cube != 458752 {
 		t.Fatalf("after 2048 frames: store bytes %+v, want an 8-bit cube of 458752 B", got)
 	}
 	burst := clientFrames(1, 300, 28)

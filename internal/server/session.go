@@ -17,6 +17,14 @@ import (
 	"aims/internal/wire"
 )
 
+// connBufferSize sizes a session's socket reader and writer. A message
+// larger than the buffer passes it by: wire.ReadMessageInto reads a
+// payload with io.ReadFull, so a batch lands straight in its pooled
+// payload buffer, and a response write larger than the buffer goes
+// straight to the socket. Most of what an idle device sends and is sent —
+// pings, acks, small query answers — fits in 4 KiB.
+const connBufferSize = 4 << 10
+
 // session is one registered device connection: its live store, bounded
 // ingest queue and accounting. Two goroutines serve it. The reader owns the
 // socket — every read and every response write — so responses are naturally
@@ -228,8 +236,8 @@ func (s *Server) handleConn(conn net.Conn) {
 	sess := &session{
 		srv:  s,
 		conn: conn,
-		bw:   bufio.NewWriterSize(conn, 64<<10),
-		br:   bufio.NewReaderSize(conn, 64<<10),
+		bw:   bufio.NewWriterSize(conn, connBufferSize),
+		br:   bufio.NewReaderSize(conn, connBufferSize),
 	}
 	sess.q.init(s.cfg.QueueFrames, s.cfg.Policy == PolicyShed, s.metrics.queueDepth, &s.payloads)
 	defer conn.Close()
