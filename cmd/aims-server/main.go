@@ -51,7 +51,7 @@ func main() {
 		idle    = flag.Duration("idle", 30*time.Second, "idle-session eviction timeout")
 		hbeat   = flag.Duration("heartbeat", 5*time.Second, "expected device heartbeat interval; pinging sessions are evicted after ~2.5 missed beats")
 		wtmo    = flag.Duration("write-timeout", 10*time.Second, "per-message socket write deadline")
-		retain  = flag.Duration("retain", time.Minute, "how long a named session is parked awaiting its device after it left (dropped link or Close) or a restart recovered it")
+		retain  = flag.Duration("retain", time.Minute, "how long a named session is parked awaiting its device, its name reserved, after it left (dropped link, Close or takeover) or a restart found it on disk; a durable one is parked on disk, not in memory")
 		policy  = flag.String("policy", "block", "backpressure policy: block|shed")
 		buckets = flag.Int("buckets", 256, "live-store time buckets (power of two)")
 		bins    = flag.Int("bins", 64, "live-store value bins (power of two)")

@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"path/filepath"
 	"testing"
 
 	"aims/internal/core"
@@ -175,5 +176,50 @@ func TestRecoverCarriesAckWatermark(t *testing.T) {
 	}
 	if got := sess2.ClientSeq(); got != 150 {
 		t.Fatalf("adopted ClientSeq = %d, want 150", got)
+	}
+}
+
+// TestCloseDropsCoveredLog: a Close whose final snapshot covers every
+// frame deletes the log, so the next Load reads the snapshot alone. An ack
+// watermark past the frames survives the deletion in an ack-only segment.
+func TestCloseDropsCoveredLog(t *testing.T) {
+	dir := t.TempDir()
+	m, err := OpenManager(Config{Dir: dir, SnapshotFrames: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := testMeta("leaver", 2)
+	sess, _, err := m.Attach(meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ls, _ := core.NewLiveStore(meta.Mins, meta.Maxs, testStoreCfg)
+	ingest(t, sess, ls, sineFrames(100, 2, 0))
+	if err := sess.Close(ls); err != nil {
+		t.Fatal(err)
+	}
+	sessDir := filepath.Join(dir, key(meta.Name))
+	if seqs, _ := listSegments(sessDir); len(seqs) != 0 {
+		t.Fatalf("%d WAL segments left after a covering close, want 0", len(seqs))
+	}
+	r, err := m.Load(meta.Name, testStoreCfg)
+	if err != nil || r.Processed != 100 || r.Watermark != 100 || r.AckSeq != 100 {
+		t.Fatalf("load: %+v err=%v, want 100 frames, all from the snapshot", r, err)
+	}
+
+	sess, err = m.Resume(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess.RecordAck(150) // 50 acked frames shed
+	if err := sess.Close(r.Store); err != nil {
+		t.Fatal(err)
+	}
+	if seqs, _ := listSegments(sessDir); len(seqs) != 1 {
+		t.Fatalf("%d WAL segments after a close past a shed, want the ack's 1", len(seqs))
+	}
+	r, err = m.Load(meta.Name, testStoreCfg)
+	if err != nil || r.Processed != 100 || r.AckSeq != 150 {
+		t.Fatalf("load: %+v err=%v, want 100 frames acknowledged to 150", r, err)
 	}
 }

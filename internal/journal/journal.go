@@ -12,18 +12,19 @@
 //     them reaches the store — and size-based segment rotation; and
 //   - periodic snapshots: the live store is sealed and serialised with
 //     core.Store.WriteTo into a temp file, atomically renamed into place,
-//     and the WAL is truncated up to the snapshot's frame watermark.
+//     and the WAL is truncated up to the snapshot's frame watermark. A
+//     Close whose final snapshot covers every frame deletes the log.
 //
-// On startup, Manager.Recover scans the data directory and rebuilds every
-// session found there, one per session name: the newest intact snapshot is
-// loaded through core.ReadStore and inverse-transformed back into a count
-// cube (core.RestoreLiveStore), then the WAL tail past the watermark is
-// replayed through the live ingest path: each record body is checked and
-// its frames quantised straight out of the bytes (AppendEncoded). Torn
-// tails, short reads and corrupt frames are detected by the per-record CRC
-// and the log is truncated at the last valid record instead of failing
-// recovery; replay carries on into the next segment only when its header
-// proves no frame is missing in between (see replayWAL).
+// Manager.Scan lists the sessions on disk from their meta.json files alone;
+// Manager.Load rebuilds one: the newest intact snapshot is loaded through
+// core.ReadStore and inverse-transformed into a count cube
+// (core.RestoreLiveStore), then the WAL tail past the watermark is replayed
+// through the live ingest path, each record's frames quantised straight
+// out of its bytes (AppendEncoded). Torn tails, short reads and corrupt
+// frames are detected by the per-record CRC and the log is truncated at
+// the last valid record instead of failing recovery; replay carries on
+// into the next segment only when its header proves no frame is missing
+// in between (see replayWAL).
 //
 // Under disk backpressure a session degrades according to policy: block
 // (the consumer stalls, the bounded ingest queue fills, and the device

@@ -14,16 +14,15 @@ import (
 )
 
 // Manager owns the data directory: one subdirectory per session, holding
-// meta.json, snap-*.aims snapshots and wal-*.log segments. It recovers
-// sessions at startup and hands out Session handles, fresh (Attach) or
-// resuming a recovered session (Resume). It keeps no per-session state:
-// which device owns which session is its caller's decision.
+// meta.json, snap-*.aims snapshots and wal-*.log segments. It lists and
+// loads sessions and hands out Session handles, fresh (Attach) or resuming
+// (Resume); which device owns which session is its caller's decision.
 type Manager struct {
 	cfg Config
 }
 
-// Recovered is a session rebuilt from disk at startup, waiting for its
-// device to reconnect.
+// Recovered is a session rebuilt from its directory by Load, ready for
+// Resume.
 type Recovered struct {
 	Key       string
 	Meta      Meta
@@ -35,7 +34,7 @@ type Recovered struct {
 }
 
 // OpenManager creates (if needed) the data directory and returns a
-// Manager. Call Recover before serving to adopt any prior state.
+// Manager. Call Scan before serving to find any prior state.
 func OpenManager(cfg Config) (*Manager, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Dir == "" {
@@ -47,23 +46,19 @@ func OpenManager(cfg Config) (*Manager, error) {
 	return &Manager{cfg: cfg}, nil
 }
 
-// Recover scans the data directory and rebuilds one session per session
-// name found there: newest intact snapshot (if any) inverse-transformed back
-// into a live store, then the WAL tail replayed through AppendEncoded
-// straight out of the record bytes, the path live ingest takes. Where
-// several directories hold one name — a legacy name~2, or a name.staleN
-// moved aside — the one at the name's own key is rebuilt, else the
-// lexically first, which is renamed to that key. The others, directories
-// of anonymous sessions (no Hello can resume them) and sessions that
-// cannot be recovered at all are logged and left on disk untouched.
-// storeCfg supplies the non-shape knobs (seal threshold, observer); the
-// shape comes from each session's own meta/snapshot.
-func (m *Manager) Recover(storeCfg core.LiveStoreConfig) ([]*Recovered, error) {
+// Scan lists, in key order, one session per name the data directory holds,
+// reading meta.json files and nothing else. Where several directories hold
+// one name — a legacy name~2, or a name.staleN moved aside — the one at the
+// name's key is listed, else the lexically first, renamed to that key. The
+// others, anonymous sessions (no Hello can resume them) and directories
+// without a readable meta.json are logged and left on disk untouched.
+func (m *Manager) Scan() ([]Meta, error) {
 	entries, err := os.ReadDir(m.cfg.Dir)
 	if err != nil {
 		return nil, err
 	}
-	dirs := map[string]string{} // session name → the directory it is rebuilt from
+	dirs := map[string]string{} // session name → the directory it is kept in
+	metas := map[string]Meta{}  // by directory
 	for _, e := range entries { // in directory-name order
 		if !e.IsDir() {
 			continue
@@ -77,6 +72,7 @@ func (m *Manager) Recover(storeCfg core.LiveStoreConfig) ([]*Recovered, error) {
 			m.cfg.Logf("journal: session dir %s holds an anonymous session; left on disk", e.Name())
 			continue
 		}
+		metas[e.Name()] = meta
 		keep := e.Name()
 		if prev, dup := dirs[meta.Name]; dup {
 			skip := keep
@@ -87,31 +83,44 @@ func (m *Manager) Recover(storeCfg core.LiveStoreConfig) ([]*Recovered, error) {
 		}
 		dirs[meta.Name] = keep
 	}
-	var out []*Recovered
+	var out []Meta
 	for name, dir := range dirs {
 		// A directory found under another key — an older version's lossy
 		// one, or a move aside — moves to the name's own, where no fresh
 		// session of another name can ever move it aside in turn.
 		if k := key(name); dir != k {
 			if err := os.Rename(filepath.Join(m.cfg.Dir, dir), filepath.Join(m.cfg.Dir, k)); err != nil {
-				m.cfg.Logf("journal: session dir %s stays under its old key: %v", dir, err)
-			} else {
-				dir = k
+				m.cfg.Logf("journal: session dir %s stays under its old key, left on disk: %v", dir, err)
+				continue
 			}
 		}
-		rec, err := m.recoverSession(dir, storeCfg)
+		out = append(out, metas[dir])
+	}
+	sort.Slice(out, func(i, j int) bool { return key(out[i].Name) < key(out[j].Name) })
+	return out, nil
+}
+
+// Recover is Scan, then Load of every session listed that loads.
+func (m *Manager) Recover(storeCfg core.LiveStoreConfig) ([]*Recovered, error) {
+	metas, err := m.Scan()
+	var out []*Recovered
+	for _, meta := range metas {
+		rec, err := m.Load(meta.Name, storeCfg)
 		if err != nil {
-			m.cfg.Logf("journal: session dir %s not recoverable: %v", dir, err)
+			m.cfg.Logf("journal: session dir %s not recoverable: %v", key(meta.Name), err)
 			continue
 		}
 		out = append(out, rec)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out, nil
+	return out, err
 }
 
-func (m *Manager) recoverSession(dirKey string, storeCfg core.LiveStoreConfig) (*Recovered, error) {
-	dir := filepath.Join(m.cfg.Dir, dirKey)
+// Load rebuilds the session under name's key: newest intact snapshot (if
+// any) restored into a live store, then the WAL tail replayed through
+// AppendEncoded, the path live ingest takes, a torn tail cut. storeCfg
+// supplies the non-shape knobs; the shape comes from the session's meta.
+func (m *Manager) Load(name string, storeCfg core.LiveStoreConfig) (*Recovered, error) {
+	dir := filepath.Join(m.cfg.Dir, key(name))
 	meta, err := readMeta(dir)
 	if err != nil {
 		return nil, err
@@ -140,14 +149,14 @@ func (m *Manager) recoverSession(dirKey string, storeCfg core.LiveStoreConfig) (
 		return nil, err
 	}
 	if res.truncated {
-		m.cfg.Logf("journal: session %s: WAL tail truncated at last valid record", dirKey)
+		m.cfg.Logf("journal: session %s: WAL tail truncated at last valid record", key(name))
 	}
 	ack := res.processed
 	if res.ackSeq > ack {
 		ack = res.ackSeq
 	}
 	return &Recovered{
-		Key:       dirKey,
+		Key:       key(name),
 		Meta:      meta,
 		Store:     ls,
 		Processed: res.processed,
@@ -157,8 +166,8 @@ func (m *Manager) recoverSession(dirKey string, storeCfg core.LiveStoreConfig) (
 	}, nil
 }
 
-// Resume reopens a recovered session's journal for its reconnected device:
-// the WAL continues at the recovered frame index in the session's own
+// Resume reopens a loaded session's journal for its reconnected device:
+// the WAL continues at the loaded frame index in the session's own
 // directory, and r.Store is the store to serve.
 func (m *Manager) Resume(r *Recovered) (*Session, error) {
 	dir := filepath.Join(m.cfg.Dir, r.Key)

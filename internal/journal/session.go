@@ -200,8 +200,15 @@ func (s *Session) Checkpoint(ls *core.LiveStore) error {
 }
 
 // Close checkpoints the session one final time and releases its files.
+// Once a snapshot covers every frame, the log goes, an ack record past the
+// frames carried over: the next Load reads the snapshot alone.
 func (s *Session) Close(ls *core.LiveStore) error {
 	err := s.Checkpoint(ls)
+	if n := s.processed.Load(); err == nil && !s.degraded.Load() && s.snapFrames.Load() == n {
+		if s.wal.restart(n) == nil && s.clientSeq.Load() > n {
+			s.wal.appendAck(s.clientSeq.Load(), n)
+		}
+	}
 	if cerr := s.wal.close(); err == nil {
 		err = cerr
 	}

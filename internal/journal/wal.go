@@ -292,11 +292,15 @@ func (w *wal) close() error {
 		return nil
 	}
 	var err error
-	if w.dirty {
+	empty := w.size == walHeaderSize // no record (resumed, then left idle): the segment goes
+	if w.dirty && !empty {
 		err = w.syncLocked()
 	}
 	if cerr := w.f.Close(); err == nil {
 		err = cerr
+	}
+	if empty {
+		os.Remove(filepath.Join(w.dir, segName(w.seq)))
 	}
 	w.f = nil
 	return err
@@ -327,6 +331,20 @@ func (w *wal) truncateBelow(watermark uint64) error {
 		}
 	}
 	return nil
+}
+
+// restart begins the log afresh at frame index next, once a durable
+// snapshot covers every frame before it, and deletes the segments before
+// it. The old segment is not synced first: no record of it is read again.
+func (w *wal) restart(next uint64) error {
+	w.mu.Lock()
+	w.dirty = false
+	err := w.rotateLocked(next)
+	w.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	return w.truncateBelow(next)
 }
 
 func readSegmentFirstFrame(path string) (uint64, error) {

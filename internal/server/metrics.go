@@ -66,8 +66,8 @@ type metrics struct {
 	appendErrors    *obs.Counter
 	evictions       *obs.Counter
 	// Link-resilience instruments: deduped replay batches, heartbeat pings
-	// answered, sessions parked for reconnection (link lost, or recovered
-	// from disk), and successful resumes.
+	// answered, sessions parked for reconnection (link lost, closed, taken
+	// over, or found on disk), and resumes announced to their device.
 	dupBatches       *obs.Counter
 	heartbeats       *obs.Counter
 	sessionsDetached *obs.Gauge
@@ -142,7 +142,7 @@ func newMetrics() *metrics {
 			"Replayed batches dropped or trimmed at the session's acknowledged watermark."),
 		heartbeats: reg.Counter("aims_heartbeats_total", "Heartbeat pings answered."),
 		sessionsDetached: reg.Gauge("aims_sessions_detached",
-			"Sessions parked in memory awaiting their device: link lost, closed, or recovered from disk."),
+			"Sessions parked awaiting their device: link lost, closed, taken over, or found on disk at startup."),
 		resumesTotal: reg.Counter("aims_session_resumes_total",
 			"Sessions resumed by a reconnecting device (parked or journal-recovered)."),
 		queueDepth: reg.Gauge("aims_queue_depth", "Frames waiting in session ingest queues."),

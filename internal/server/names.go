@@ -11,37 +11,36 @@ import (
 // owner is one entry of the name table (Server.names), the one place that
 // decides who holds a session name and the one place a session adopts
 // state. A name is live while a session holds it — connected, or draining
-// after its reader exited — and parked once that session left, by a dropped
-// link, a Close or a shutdown, or once RecoverSessions rebuilt it from disk.
-// The retention timer, RetainSessions eviction and shutdown retire it, the
-// one way an entry leaves: it stays in the table, not adoptable, until its
-// journal is durable, and a claim for the name waits meanwhile. Parking
-// and adoption install a new entry, so a timer can tell whether the entry
-// it saw is still current. Anonymous sessions stay out of the table.
+// after its reader exited — and parked once that session left (leave) or
+// once RecoverSessions found it on disk. The retention timer,
+// RetainSessions eviction and shutdown retire it, the one way an entry
+// leaves: it stays in the table, not adoptable, until any journal it holds
+// is closed, and a claim for the name waits meanwhile. Parking and
+// adoption install a new entry, so a timer can tell whether the entry it
+// saw is still current. Anonymous sessions stay out of the table.
 type owner struct {
 	name     string
 	channels int // the claimed shape: a Hello of another is refused
 	rate     float64
 	live     *session      // the holder; nil once parked
-	leaving  bool          // parked, but no longer adoptable: expired, evicted or shut down
+	leaving  bool          // no longer adoptable: expired, evicted, shut down, or its holder taken over
 	left     chan struct{} // closed when the holder parks or the entry is deleted
 
-	// Parked: what a resume adopts.
-	store  *core.LiveStore
-	jsess  *journal.Session   // nil on a memory-only server, and until a recovered entry is resumed
-	rec    *journal.Recovered // set when RecoverSessions parked it: claim resumes its journal
-	ackSeq uint64
-	at     time.Time
-	timer  *time.Timer
+	// Parked: what a resume adopts. A nil store waits on disk.
+	store     *core.LiveStore
+	jsess     *journal.Session // open only beside a store
+	ackSeq    uint64
+	recovered bool // parked by RecoverSessions
+	at        time.Time
+	timer     *time.Timer
 }
 
 func (o *owner) parked() bool { return o.live == nil && !o.leaving }
 
 // claim settles a named session's name before journal.Attach and the
 // Welcome: CodeOK, or the code a refused Hello's Welcome carries. A free
-// name is claimed, and a parked one of the same shape adopted — sess
-// resumes on its store, journal handle and watermark. A live one of the
-// same shape is taken over, MQTT's client-ID rule: its link is closed
+// name is claimed, and a parked one of the same shape adopted. A live one
+// of the same shape is taken over, MQTT's client-ID rule: its link is closed
 // quietly, and once that session has drained and parked — a Close retried
 // after a lost CloseAck included — the claim tries again; so does a claim
 // that finds its name leaving. Another shape, or a wait outlasting
@@ -71,10 +70,11 @@ func (s *Server) claim(sess *session, h wire.Hello) wire.Code {
 			s.adopt(sess, o)
 			return wire.CodeOK
 		}
-		s.namesMu.Unlock()
 		if o.live != nil {
+			o.leaving = true    // its resume, if not yet announced, never counts
 			o.live.conn.Close() // the old reader ends with no word to its device
 		}
+		s.namesMu.Unlock()
 		select {
 		case <-o.left:
 		case <-expired.C:
@@ -87,33 +87,44 @@ func (s *Server) claim(sess *session, h wire.Hello) wire.Code {
 	}
 }
 
-// adopt resumes sess on parked state p. A session recovered from disk gets
-// its journal reopened here; should that fail, it serves the recovered
-// frames without durability, and the counter makes the gap visible.
+// adopt resumes sess on parked state p, faulting a store-less p in at the
+// larger watermark (a shed leaves p's ahead of the journal's). If the load
+// fails, sess keeps nothing of p and registers fresh; if the reopen fails,
+// it serves the loaded frames without durability.
 func (s *Server) adopt(sess *session, p *owner) {
-	sess.store, sess.jsess, sess.ackSeq, sess.resumed = p.store, p.jsess, p.ackSeq, true
-	if p.rec == nil {
+	if p.store != nil {
+		sess.store, sess.jsess, sess.ackSeq, sess.resumed = p.store, p.jsess, p.ackSeq, true
 		return
 	}
-	jsess, err := s.journal.Resume(p.rec)
+	rec, err := s.journal.Load(p.name, s.cfg.Store)
 	if err != nil {
+		s.cfg.Logf("session %q: fault-in failed, registering fresh: %v", p.name, err)
+		return
+	}
+	s.cfg.Logf("session %q: faulted in %d frames (%d from snapshot)", p.name, rec.Processed, rec.Watermark)
+	sess.store, sess.resumed = rec.Store, true
+	sess.ackSeq = max(p.ackSeq, rec.AckSeq)
+	if sess.jsess, err = s.journal.Resume(rec); err != nil {
 		s.cfg.Logf("session %q: journal resume failed: %v", p.name, err)
 		s.metrics.journalDegraded.Inc()
-		return
 	}
-	sess.jsess = jsess
 }
 
 // leave takes a drained session out of the registry — before its name
 // moves on, so no fleet scans an adopted store twice — and parks a named
-// one, whether its link dropped, it sent Close or the server shut down.
+// one: as its directory once a final snapshot covers its store, else with it.
 func (s *Server) leave(sess *session) {
 	if s.sessions.remove(sess.id) {
 		s.metrics.sessionsActive.Add(-1)
 	}
 	if sess.held != nil {
-		s.park(&owner{name: sess.name, channels: sess.store.Channels(), rate: sess.rate,
-			store: sess.store, jsess: sess.jsess, ackSeq: sess.ackSeq})
+		p := &owner{name: sess.name, channels: sess.store.Channels(), rate: sess.rate, ackSeq: sess.ackSeq}
+		if j := sess.jsess; j != nil && j.Checkpoint(sess.store) == nil && !j.Degraded() {
+			j.Close(nil) // releases the files and drops the log: the snapshot holds every frame
+		} else {
+			p.store, p.jsess = sess.store, j
+		}
+		s.park(p)
 	}
 }
 
@@ -170,10 +181,9 @@ func (s *Server) expire(p *owner) {
 	}
 }
 
-// retire is how every entry leaves the table: once its journal is durable
-// — a final snapshot covers its store's frames — o is deleted and its left
-// channel closed. A recovered entry never resumed has no journal open, and
-// its directory stays on disk as it is.
+// retire is how every entry leaves the table: once any journal it holds is
+// closed (a final snapshot, or a WAL sync), o is deleted and its left
+// channel closed. A store-less entry's directory stays on disk as it is.
 func (s *Server) retire(o *owner) {
 	if o.jsess != nil {
 		if err := o.jsess.Close(o.store); err != nil {
@@ -189,8 +199,8 @@ func (s *Server) retire(o *owner) {
 }
 
 // retireAll empties the name table once Shutdown has seen every handler
-// exit, so every entry left is parked or already leaving; their final
-// snapshots run in parallel, and it returns when all of them are gone.
+// exit, so every entry left is parked or already leaving, and returns when
+// all of them are gone.
 func (s *Server) retireAll() {
 	s.namesMu.Lock()
 	all := make([]*owner, 0, len(s.names))
@@ -199,9 +209,7 @@ func (s *Server) retireAll() {
 	}
 	s.namesMu.Unlock()
 	for _, o := range all {
-		go s.expire(o)
-	}
-	for _, o := range all {
+		s.expire(o)
 		<-o.left
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net"
 	"os"
+	"path/filepath"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -280,10 +281,12 @@ func TestShutdownEndsTakeoverWait(t *testing.T) {
 	}
 }
 
-// TestExpiredSessionLeavesBeforeItsNameMovesOn: a parked session whose
-// retention expired keeps its name until its final snapshot is written. A
-// Hello arriving meanwhile waits, then registers fresh, and the expired
-// directory is moved aside whole rather than forked beside.
+// TestExpiredSessionLeavesBeforeItsNameMovesOn: a durable session writes
+// its final snapshot as it leaves, before it parks, so a Hello arriving
+// meanwhile waits and then resumes it in its one directory. Once the
+// parked session's retention expires, with no disk work left, the next
+// Hello registers fresh and the expired directory is moved aside whole
+// rather than forked beside.
 func TestExpiredSessionLeavesBeforeItsNameMovesOn(t *testing.T) {
 	cfg, stall := stalledConfig(t, Config{RetainTimeout: 50 * time.Millisecond})
 	srv, addr := startServer(t, cfg)
@@ -294,27 +297,43 @@ func TestExpiredSessionLeavesBeforeItsNameMovesOn(t *testing.T) {
 	stall.armed.Store(true)
 	rs.conn.Close()
 	select {
-	case <-stall.entered: // parked, expired, and sealing its final snapshot
+	case <-stall.entered: // leaving, and sealing its final snapshot
 	case <-time.After(2 * time.Second):
-		t.Fatal("the expired session never started its final snapshot")
+		t.Fatal("the leaving session never started its final snapshot")
 	}
 	if n := srv.metrics.sessionsDetached.Value(); n != 0 {
-		t.Fatalf("detached = %d while the expired session leaves, want 0", n)
+		t.Fatalf("detached = %d while the session leaves, want 0", n)
 	}
 
 	pending := helloAsync(t, addr, namedHello("X", 2))
 	select {
 	case r := <-pending:
-		t.Fatalf("hello answered (code=%v ack=%d) while the expired session was still writing its snapshot", r.w.Code, r.w.AckSeq)
+		t.Fatalf("hello answered (code=%v ack=%d) while the leaving session was still writing its snapshot", r.w.Code, r.w.AckSeq)
 	case <-time.After(100 * time.Millisecond):
 	}
 	stall.resume()
-	if r := <-pending; r.err != nil || r.w.Code != wire.CodeOK || r.w.AckSeq != 0 {
-		t.Fatalf("welcome code=%v ack=%d err=%v, want a fresh session", r.w.Code, r.w.AckSeq, r.err)
+	r := <-pending
+	if r.err != nil || r.w.Code != wire.CodeResumed || r.w.AckSeq != 10 {
+		t.Fatalf("welcome code=%v ack=%d err=%v, want resumed at 10", r.w.Code, r.w.AckSeq, r.err)
 	}
+	if dirs := sessionDirs(t, cfg.Journal.Dir); len(dirs) != 1 || dirs[0] != "X" {
+		t.Fatalf("session directories %v, want [X]", dirs)
+	}
+
+	r.c.Abort()
+	if !waitFor(func() bool { // parked, expired and out of the table
+		srv.namesMu.Lock()
+		defer srv.namesMu.Unlock()
+		return srv.names["X"] == nil
+	}) {
+		t.Fatal("the parked session never expired")
+	}
+	before := treeBytes(t, filepath.Join(cfg.Journal.Dir, "X"))
+	mustHello(t, addr, namedHello("X", 2), wire.CodeOK, 0)
 	if dirs := sessionDirs(t, cfg.Journal.Dir); len(dirs) != 2 || dirs[0] != "X" || dirs[1] != "X.stale1" {
 		t.Fatalf("session directories %v, want [X X.stale1]", dirs)
 	}
+	assertTree(t, filepath.Join(cfg.Journal.Dir, "X.stale1"), before)
 }
 
 // TestRetriedCloseResumesClosedSession: a device sends Close and loses the

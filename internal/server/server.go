@@ -34,11 +34,12 @@
 // metrics block.
 //
 // One table owns every session name (names.go), and is the one place a
-// session adopts state: a named session parks there whether its link
-// dropped or it sent Close, and so does one RecoverSessions rebuilt from
-// the journal. A Hello for a held name takes that session over when its
-// shape matches, and is refused with a CodeDuplicate Welcome when it does
-// not. Only named sessions are journaled; anonymous ones are memory-only.
+// session adopts state: a named session parks there however it left, and
+// so does one RecoverSessions found on disk; a durable one parks as its
+// directory, no store in memory. A Hello for a held name takes that
+// session over when its shape matches, and is refused with a CodeDuplicate
+// Welcome when it does not. Only named sessions are journaled; anonymous
+// ones are memory-only.
 package server
 
 import (
@@ -101,14 +102,13 @@ type Config struct {
 	// buffer. It also bounds how long a Hello waits for its name's previous
 	// holder to leave. ≤ 0 means the default, 10 s.
 	WriteTimeout time.Duration
-	// RetainTimeout parks the state of a named session that left — by a
-	// dropped link or a Close — or that RecoverSessions rebuilt from disk,
-	// so the device can resume exactly where it left off: store, open
-	// journal and acknowledged watermark all survive in memory. ≤ 0 means
-	// the default, 60 s.
+	// RetainTimeout parks a named session that left, or that RecoverSessions
+	// found on disk, and reserves its name, so the device can resume exactly
+	// where it left off: a durable one from its directory, a memory-only one
+	// from its store. ≤ 0 means the default, 60 s.
 	RetainTimeout time.Duration
 	// RetainSessions caps how many sessions may sit parked at once (default
-	// 1024); beyond it the longest-parked one is finalized.
+	// 1024); beyond it the longest-parked one leaves.
 	RetainSessions int
 	// Policy is the backpressure policy (default PolicyBlock).
 	Policy Policy
@@ -185,7 +185,7 @@ type Server struct {
 	sessions *registry // sharded: registration/lookup stays flat at scale
 
 	journal   *journal.Manager // nil when durability is disabled
-	recovered atomic.Int64     // sessions rebuilt from disk at startup
+	recovered atomic.Int64     // sessions found on disk at startup
 
 	// names is the name table (names.go): who holds each session name,
 	// live, parked or leaving.
@@ -252,37 +252,30 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// RecoverSessions scans the journal data directory and rebuilds every
-// session a previous process journaled there, parking each in the name
-// table under its registration name and shape — for RetainTimeout, within
-// RetainSessions, like a session whose link dropped — until its device
-// resumes it. It returns how many sessions were recovered; with durability
-// disabled it is a no-op. Call it once, before Serve.
+// RecoverSessions reads the meta.json of every session a previous process
+// journaled, and parks each in the name table under its registration name and
+// shape — for RetainTimeout, within RetainSessions, like a session whose link
+// dropped — until its device resumes it. It returns how many sessions it
+// found; with durability disabled it is a no-op. Call it once, before Serve.
 func (s *Server) RecoverSessions() (int, error) {
 	if s.journal == nil {
 		return 0, nil
 	}
-	recovered, err := s.journal.Recover(s.cfg.Store)
-	if err != nil {
-		return 0, err
+	found, err := s.journal.Scan()
+	for _, m := range found {
+		s.park(&owner{name: m.Name, channels: m.Channels(), rate: m.Rate, recovered: true})
 	}
-	for _, r := range recovered {
-		s.cfg.Logf("recovered session %q from %s: %d frames (%d from snapshot, torn tail: %v)",
-			r.Meta.Name, r.Key, r.Processed, r.Watermark, r.Truncated)
-		s.park(&owner{name: r.Meta.Name, channels: r.Meta.Channels(), rate: r.Meta.Rate,
-			store: r.Store, rec: r, ackSeq: r.AckSeq})
-	}
-	s.recovered.Store(int64(len(recovered)))
-	return len(recovered), nil
+	s.recovered.Store(int64(len(found)))
+	return len(found), err
 }
 
-// RecoveredSessions reports how many sessions RecoverSessions rebuilt, and
+// RecoveredSessions reports how many sessions RecoverSessions found, and
 // how many of those are still parked awaiting their device.
 func (s *Server) RecoveredSessions() (recovered, orphaned int) {
 	s.namesMu.Lock()
 	defer s.namesMu.Unlock()
 	for _, o := range s.names {
-		if o.rec != nil && o.parked() {
+		if o.recovered && o.parked() {
 			orphaned++
 		}
 	}

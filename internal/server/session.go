@@ -50,7 +50,7 @@ type session struct {
 	// held is the session's name-table entry (nil when anonymous). jsess is
 	// its durability handle (nil when anonymous, when the server runs
 	// memory-only, or when journaling failed at registration). resumed is
-	// true when registration adopted a parked or recovered session.
+	// true when registration adopted a parked session.
 	held    *owner
 	jsess   *journal.Session
 	resumed bool
@@ -251,7 +251,11 @@ func (s *Server) handleConn(conn net.Conn) {
 	w := wire.Welcome{SessionID: sess.id, Code: wire.CodeOK, AckSeq: sess.ackSeq}
 	if sess.resumed {
 		w.Code = wire.CodeResumed
-		s.metrics.resumesTotal.Inc()
+		s.namesMu.Lock()
+		if !sess.held.leaving { // else taken over: the taker's resume counts
+			s.metrics.resumesTotal.Inc()
+		}
+		s.namesMu.Unlock()
 	}
 	if sess.write(wire.MsgWelcome, w.Encode()) != nil || sess.flush() != nil {
 		// The link died under the Welcome itself; the device's retry still
@@ -277,9 +281,6 @@ func (s *Server) handleConn(conn net.Conn) {
 
 	// A Close is acknowledged once the journal is durable and the session
 	// parked, so a device that never reads the CloseAck resumes it in place.
-	if sess.closeRequested && sess.jsess != nil {
-		sess.jsess.Checkpoint(sess.store) // a failure is logged, and the WAL synced
-	}
 	s.leave(sess)
 	if sess.closeRequested {
 		ack := wire.CloseAck{Stored: uint64(sess.store.Frames()), Shed: sess.shedF.Load()}
@@ -335,9 +336,9 @@ func (sess *session) handshake() bool {
 	sess.class = h.Class
 
 	if h.Name != "" {
-		// The name is settled before journal.Attach: a parked, recovered or
-		// taken-over session still owns its journal key, and adopting its
-		// state keeps that key instead of forking a second directory.
+		// The name is settled before journal.Attach: a parked or taken-over
+		// session still owns its journal key, and adopting its state keeps
+		// that key instead of forking a second directory.
 		if code := srv.claim(sess, h); code != wire.CodeOK {
 			srv.cfg.Logf("session %q: hello refused (%s)", h.Name, code)
 			sess.reply(wire.MsgWelcome, wire.Welcome{Code: code}.Encode())
