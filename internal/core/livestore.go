@@ -169,16 +169,17 @@ func NewLiveStore(mins, maxs []float64, cfg LiveStoreConfig) (*LiveStore, error)
 	for c := range quant {
 		quant[c] = compress.NewQuantizer(mins[c], maxs[c], bits)
 	}
-	return newLiveStore(quant, cfg)
+	return newLiveStore(quant, cfg, 0)
 }
 
 // newLiveStore creates an empty live store that bins channel c through
-// quant[c], which it keeps. It is the one place a store's bin table is
+// quant[c], which it keeps, with its cube at the width a bucket of maxFill
+// frames needs (cubeWidth). It is the one place a store's bin table is
 // built, so the table always matches the quantisers: NewLiveStore passes
-// the registration ranges' quantisers, RestoreLiveStore the persisted ones.
-// cfg's dims must be powers of two, and every quantiser must have
-// cfg.ValueBins levels.
-func newLiveStore(quant []compress.Quantizer, cfg LiveStoreConfig) (*LiveStore, error) {
+// the registration ranges' quantisers, ReadSnapshot and RestoreLiveStore
+// the persisted ones. cfg's dims must be powers of two, and every
+// quantiser must have cfg.ValueBins levels.
+func newLiveStore(quant []compress.Quantizer, cfg LiveStoreConfig, maxFill uint64) (*LiveStore, error) {
 	cfg = cfg.withDefaults()
 	bins := make([]binRow, len(quant))
 	for c, q := range quant {
@@ -194,13 +195,15 @@ func newLiveStore(quant []compress.Quantizer, cfg LiveStoreConfig) (*LiveStore, 
 		bins:  bins,
 		fill:  make([]uint64, cfg.TimeBuckets),
 	}
-	// A bucket in the horizon holds at most one frame a tick, so the cube
-	// starts at 4 bits only when that fits; otherwise a nibble cube would
-	// widen within the first bucket.
-	if ls.TicksPerBucket() <= nibbleMax {
+	switch cubeWidth(ls.TicksPerBucket(), maxFill) {
+	case 4:
 		ls.c4, ls.fillMax = make(nibbles, (cells+1)/2), nibbleMax
-	} else {
+	case 8:
 		ls.c8, ls.fillMax = make([]uint8, cells), math.MaxUint8
+	case 16:
+		ls.c16, ls.fillMax = make([]uint16, cells), math.MaxUint16
+	default:
+		ls.c32, ls.fillMax = make([]uint32, cells), math.MaxUint64
 	}
 	switch {
 	case cfg.SealDeltaThreshold > 0:
@@ -379,6 +382,36 @@ func (ls *LiveStore) widen() {
 	ls.c32 = make([]uint32, len(ls.c16))
 	convert(ls.c32, ls.c16)
 	ls.c16, ls.fillMax = nil, math.MaxUint64
+}
+
+// cubeWidth returns the cell width, in bits, of a store with tpb ticks a
+// bucket whose fullest bucket holds fill frames: the width appends widen
+// the cube to. A bucket in the horizon holds at most one frame a tick, so
+// the cube starts at 4 bits only when that fits (otherwise a nibble cube
+// would widen within the first bucket), and at 8 bits otherwise; it
+// doubles while fill passes the largest count a cell holds, up to 32.
+func cubeWidth(tpb int, fill uint64) int {
+	w := 8
+	if tpb <= nibbleMax {
+		w = 4
+	}
+	for w < 32 && fill > 1<<w-1 {
+		w *= 2
+	}
+	return w
+}
+
+// width returns the cube's current cell width in bits. Callers hold ls.mu.
+func (ls *LiveStore) width() int {
+	switch {
+	case ls.c4 != nil:
+		return 4
+	case ls.c8 != nil:
+		return 8
+	case ls.c16 != nil:
+		return 16
+	}
+	return 32
 }
 
 // cells returns the number of cells in the count cube.

@@ -80,7 +80,8 @@ func (b *opBytes) seconds() float64 { return float64(b.next()%96-8) / 100 }
 // AppendFrame, AppendFrames and AppendEncoded (negative and past-horizon
 // ticks included), a burst of up to 510 copies of one frame at one tick,
 // enough to widen the cube past 8 bits, Seal, and Seal → WriteTo →
-// ReadStore → RestoreLiveStore with later ops on the restored store — and
+// ReadStore → RestoreLiveStore → AppendSnapshot → ReadSnapshot with later
+// ops on the decoded store, whose snapshot must be the original's — and
 // after every step checks the
 // exact aggregates of every channel, over the whole range and over one
 // drawn window, against binMoments over the cube.
@@ -143,8 +144,16 @@ func runExactOps(t *testing.T, p []byte) {
 			if err != nil {
 				t.Fatalf("step %d: read: %v", step, err)
 			}
-			if ls, err = RestoreLiveStore(back, exactOpsCfg); err != nil {
+			restored, err := RestoreLiveStore(back, exactOpsCfg)
+			if err != nil {
 				t.Fatalf("step %d: restore: %v", step, err)
+			}
+			snap := restored.AppendSnapshot(nil)
+			if !bytes.Equal(snap, ls.AppendSnapshot(nil)) {
+				t.Fatalf("step %d: the legacy restore snapshots to other bytes than the store it restored", step)
+			}
+			if ls, err = ReadSnapshot(snap, exactOpsCfg); err != nil {
+				t.Fatalf("step %d: snapshot: %v", step, err)
 			}
 		case 5:
 			tick, n := in.tick(), 2*in.next()

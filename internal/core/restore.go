@@ -9,10 +9,12 @@ import (
 )
 
 // RestoreLiveStore rebuilds an ingest-side LiveStore from a sealed Store —
-// the inverse of LiveStore.Seal. A sealed store holds the session's count
-// cube wavelet-transformed along the engine's non-standard axes, so the
-// restore inverse-transforms the coefficients back into counts. Counts are
-// integers by construction; a reconstructed cell that is materially
+// the inverse of LiveStore.Seal. It is the reader of legacy snapshots,
+// the ones written as a sealed, serialised engine before snapshots became
+// the count cube itself (ReadSnapshot). A sealed store holds the session's
+// count cube wavelet-transformed along the engine's non-standard axes, so
+// the restore inverse-transforms the coefficients back into counts. Counts
+// are integers by construction; a reconstructed cell that is materially
 // non-integral or negative, or a bucket whose channels disagree on how
 // many frames it holds, means the serialized coefficients were damaged in
 // a way the outer checksums missed, and the restore fails rather than
@@ -21,8 +23,9 @@ import (
 //
 // cfg supplies the non-shape knobs (seal threshold, observer, max degree);
 // the shape — rate, buckets, bins, horizon, per-channel value ranges — is
-// taken from the store itself. The restored LiveStore seeds its seal cache
-// with st, so the first post-restore Seal is incremental, not a rebuild.
+// taken from the store itself. The restored LiveStore seeds no seal cache:
+// it holds what a ReadSnapshot store holds, the cube alone, and its first
+// approximate query seals it cold.
 func RestoreLiveStore(st *Store, cfg LiveStoreConfig) (*LiveStore, error) {
 	if st == nil || st.Engine == nil {
 		return nil, fmt.Errorf("core: restore of nil store")
@@ -45,7 +48,7 @@ func RestoreLiveStore(st *Store, cfg LiveStoreConfig) (*LiveStore, error) {
 	cfg.HorizonTicks = st.TicksPerBucket * st.TimeBuckets
 	// The store's own quantisers, not ones rebuilt from their ranges, bin
 	// every post-restore append, so they land where the store's did.
-	ls, err := newLiveStore(slices.Clone(st.quant), cfg)
+	ls, err := newLiveStore(slices.Clone(st.quant), cfg, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -104,13 +107,5 @@ func RestoreLiveStore(st *Store, cfg LiveStoreConfig) (*LiveStore, error) {
 		convert(ls.c32, data[:cells])
 	}
 	ls.version = uint64(ls.frames)
-
-	// Seed the seal cache: st's engine already holds exactly this cube, so
-	// post-restore appends can replay incrementally instead of rebuilding.
-	ls.sealed = st
-	ls.sealedVersion = ls.version
-	if ls.deltaLimit > 0 {
-		ls.track = true
-	}
 	return ls, nil
 }

@@ -23,7 +23,7 @@ func liveFrames(n int, channels int) []stream.Frame {
 // TestRestoreLiveStoreRoundTrip seals a live store, serialises it, reads
 // it back, inverse-transforms it into a new live store, and checks the
 // restored session answers exact queries identically — then keeps
-// ingesting and sealing incrementally.
+// ingesting and sealing.
 func TestRestoreLiveStoreRoundTrip(t *testing.T) {
 	mins := []float64{-4, -4, -4}
 	maxs := []float64{4, 4, 4}
@@ -68,8 +68,8 @@ func TestRestoreLiveStoreRoundTrip(t *testing.T) {
 		}
 	}
 
-	// The restore seeds the seal cache, so continued ingest seals
-	// incrementally and the sealed engine agrees with the exact cube.
+	// Continued ingest then seals cold, and the sealed engine agrees with
+	// the exact cube.
 	if _, err := restored.AppendFrames(liveFrames(100, 3)); err != nil {
 		t.Fatal(err)
 	}

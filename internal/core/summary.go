@@ -55,14 +55,14 @@ func (s Summary) Variance() (float64, bool) {
 // a frame.
 //
 // A bucket's fill — the frames stored into it, counted once per frame by
-// every append and rebuilt by RestoreLiveStore — is every channel's Σ1
-// there, since each frame adds one count to every channel's row of its
-// bucket. A bucket's rows are current while the fill they were cached at
-// equals its fill, and a fill only grows. Warm rows — an idle session, a
-// finished bucket — cost one add each, so a scan is O(buckets) and
-// allocates nothing. A bucket that took frames since its rows were
-// cached, typically a live session's head bucket, has every channel's row
-// rescanned from its ValueBins cells first.
+// every append, read back by ReadSnapshot and rebuilt by RestoreLiveStore
+// — is every channel's Σ1 there, since each frame adds one count to every
+// channel's row of its bucket. A bucket's rows are current while the fill
+// they were cached at equals its fill, and a fill only grows. Warm rows —
+// an idle session, a finished bucket — cost one add each, so a scan is
+// O(buckets) and allocates nothing. A bucket that took frames since its
+// rows were cached, typically a live session's head bucket, has every
+// channel's row rescanned from its ValueBins cells first.
 func (ls *LiveStore) Summarize(channel int, t0, t1 float64) (Summary, uint64, error) {
 	n, sum, sumSq, frames, err := ls.moments(channel, t0, t1)
 	if err != nil {

@@ -21,7 +21,7 @@ func TestWALAckRecordRoundTrip(t *testing.T) {
 	if err := appendOne(w, 0, testFrames(10, 2, 0), 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.appendAck(7, 10); err != nil {
+	if err := w.appendAck(ackMark{7, 10}, 10); err != nil {
 		t.Fatal(err)
 	}
 	if err := appendOne(w, 10, testFrames(10, 2, 10), 2); err != nil {
@@ -29,10 +29,10 @@ func TestWALAckRecordRoundTrip(t *testing.T) {
 	}
 	// An ack beyond the journaled stream: the server acknowledged frames it
 	// then shed, so the client watermark runs ahead of durability.
-	if err := w.appendAck(25, 20); err != nil {
+	if err := w.appendAck(ackMark{25, 20}, 20); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.appendAck(3, 20); err != nil { // stale ack never regresses it
+	if err := w.appendAck(ackMark{3, 20}, 20); err != nil { // stale ack never regresses it
 		t.Fatal(err)
 	}
 	if err := w.close(); err != nil {
@@ -64,7 +64,7 @@ func TestWALAckRotatesSegments(t *testing.T) {
 			t.Fatal(err)
 		}
 		next += 4
-		if err := w.appendAck(next, next); err != nil {
+		if err := w.appendAck(ackMark{next, next}, next); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -151,7 +151,7 @@ func TestRecoverCarriesAckWatermark(t *testing.T) {
 	}
 	ls, _ := core.NewLiveStore(meta.Mins, meta.Maxs, testStoreCfg)
 	ingest(t, sess, ls, sineFrames(100, 2, 0))
-	sess.RecordAck(150) // 50 acked frames were shed, never journaled
+	sess.RecordAck(150, 100) // 50 acked frames were shed, never journaled
 	if got := sess.ClientSeq(); got != 150 {
 		t.Fatalf("live ClientSeq = %d, want 150", got)
 	}
@@ -211,7 +211,7 @@ func TestCloseDropsCoveredLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess.RecordAck(150) // 50 acked frames shed
+	sess.RecordAck(150, 100) // 50 acked frames shed
 	if err := sess.Close(r.Store); err != nil {
 		t.Fatal(err)
 	}
@@ -221,5 +221,38 @@ func TestCloseDropsCoveredLog(t *testing.T) {
 	r, err = m.Load(meta.Name, testStoreCfg)
 	if err != nil || r.Processed != 100 || r.AckSeq != 150 {
 		t.Fatalf("load: %+v err=%v, want 100 frames acknowledged to 150", r, err)
+	}
+}
+
+// TestAckPastProcessedIsIgnored: an ack mark whose frame index lies past
+// the frames the journal holds was recorded while frames before that index
+// still waited for the appender, and a crash lost them. Recovery ignores
+// the mark — its gap would count the lost frames as shed — and the device
+// replays from the journaled frames.
+func TestAckPastProcessedIsIgnored(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Dir: dir, SnapshotFrames: -1}
+	m, err := OpenManager(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := testMeta("ahead", 2)
+	sess, _, err := m.Attach(meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ls, _ := core.NewLiveStore(meta.Mins, meta.Maxs, testStoreCfg)
+	ingest(t, sess, ls, sineFrames(100, 2, 0))
+	// 20 enqueued frames, [100,120), never reached the log; 30 more were shed.
+	sess.RecordAck(150, 120)
+	// Crash without Close.
+
+	m2, _ := OpenManager(cfg)
+	r, err := m2.Load(meta.Name, testStoreCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Processed != 100 || r.AckSeq != 100 {
+		t.Fatalf("recovered processed=%d ack=%d, want the device to replay from 100", r.Processed, r.AckSeq)
 	}
 }

@@ -10,15 +10,17 @@
 //     batch's wire bytes without decoding them, the batches the session's
 //     appender drained together sharing one fsync, taken before any of
 //     them reaches the store — and size-based segment rotation; and
-//   - periodic snapshots: the live store is sealed and serialised with
-//     core.Store.WriteTo into a temp file, atomically renamed into place,
-//     and the WAL is truncated up to the snapshot's frame watermark. A
-//     Close whose final snapshot covers every frame deletes the log.
+//   - periodic snapshots: the live store's count cube is encoded as it is
+//     (core.LiveStore.AppendSnapshot — no seal, no wavelet engine) into a
+//     temp file, atomically renamed into place, and the WAL is truncated
+//     up to the snapshot's frame watermark. A Close whose final snapshot
+//     covers every frame deletes the log.
 //
 // Manager.Scan lists the sessions on disk from their meta.json files alone;
-// Manager.Load rebuilds one: the newest intact snapshot is loaded through
-// core.ReadStore and inverse-transformed into a count cube
-// (core.RestoreLiveStore), then the WAL tail past the watermark is replayed
+// Manager.Load rebuilds one: the newest intact snapshot is decoded straight
+// back into a count cube (core.ReadSnapshot; a legacy snapshot, a sealed
+// engine, is read by core.ReadStore and inverse-transformed by
+// core.RestoreLiveStore), then the WAL tail past the watermark is replayed
 // through the live ingest path, each record's frames quantised straight
 // out of its bytes (AppendEncoded). Torn tails, short reads and corrupt
 // frames are detected by the per-record CRC and the log is truncated at
@@ -94,15 +96,16 @@ type Config struct {
 	// Degrade selects the disk-backpressure behaviour (default
 	// DegradeBlock).
 	Degrade DegradePolicy
-	// OpenFile creates WAL segment files (default os.OpenFile with
-	// O_CREATE|O_WRONLY|O_EXCL). Tests inject fault harnesses here.
+	// OpenFile creates WAL segment files and snapshot temp files (default
+	// os.OpenFile with O_CREATE|O_WRONLY|O_EXCL). Tests inject fault
+	// harnesses here.
 	OpenFile func(path string) (File, error)
 	// FsyncSeconds observes each fsync's wall time.
 	FsyncSeconds *obs.Histogram
 	// WALBytes counts bytes framed onto the WAL (headers included).
 	WALBytes *obs.Counter
 	// SnapshotSeconds observes each successful snapshot's wall time
-	// (seal + serialise + rename + truncate).
+	// (encode the count cube + write + fsync + rename + truncate).
 	SnapshotSeconds *obs.Histogram
 	// SnapshotErrors counts failed snapshot attempts.
 	SnapshotErrors *obs.Counter
@@ -122,12 +125,15 @@ func (c Config) withDefaults() Config {
 		c.SnapshotFrames = 65536
 	}
 	if c.OpenFile == nil {
-		c.OpenFile = func(path string) (File, error) {
-			return os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
-		}
+		c.OpenFile = createFile
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...interface{}) {}
 	}
 	return c
+}
+
+// createFile creates path for writing, failing if it exists.
+func createFile(path string) (File, error) {
+	return os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
 }

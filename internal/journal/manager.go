@@ -178,7 +178,7 @@ func (m *Manager) Resume(r *Recovered) (*Session, error) {
 	s := &Session{key: r.Key, dir: dir, cfg: m.cfg, wal: w, width: r.Meta.Channels()}
 	s.processed.Store(r.Processed)
 	s.snapFrames.Store(r.Watermark)
-	s.clientSeq.Store(r.AckSeq)
+	s.ack = ackMark{r.AckSeq, r.Processed}
 	return s, nil
 }
 

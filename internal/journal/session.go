@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -23,8 +24,10 @@ type Session struct {
 
 	processed  atomic.Uint64 // frames seen in consumer order (journaled or shed)
 	snapFrames atomic.Uint64 // watermark of the newest snapshot
-	clientSeq  atomic.Uint64 // highest acked client-stream offset (≥ processed when shedding)
 	degraded   atomic.Bool
+
+	ackMu sync.Mutex
+	ack   ackMark // the newest acknowledged watermark and the frame index it maps to
 }
 
 // Processed returns the frames seen so far in consumer order, including
@@ -109,26 +112,48 @@ func (s *Session) degrade(err error) {
 // dropped acknowledged frames, and it is the resume point a reconnecting
 // v4 device is told about (Welcome.AckSeq).
 func (s *Session) ClientSeq() uint64 {
-	if c := s.clientSeq.Load(); c > s.processed.Load() {
-		return c
-	}
-	return s.processed.Load()
+	return s.processed.Load() + s.ackMark().gap()
 }
 
-// RecordAck persists a client-stream watermark that ran ahead of the
-// journaled frame count — the server acknowledged frames (as shed) that
-// will never reach the log. Best-effort: losing the record merely lets a
-// resuming device re-offer those frames, and the second offer may even
-// store them.
-func (s *Session) RecordAck(clientSeq uint64) {
-	if clientSeq <= s.clientSeq.Load() {
+func (s *Session) ackMark() ackMark {
+	s.ackMu.Lock()
+	defer s.ackMu.Unlock()
+	return s.ack
+}
+
+// RecordAck persists a client-stream watermark seq that ran ahead of the
+// journal — the server acknowledged frames (as shed) that will never reach
+// the log. index is the journal frame index seq maps to: the index the
+// reader's next enqueued frame will take, which Processed lags while
+// enqueued frames wait for the appender. Recovery puts the watermark
+// seq − index frames past the frames it replays. Best-effort: losing the
+// record merely lets a resuming device re-offer those frames, and the
+// second offer may even store them.
+func (s *Session) RecordAck(seq, index uint64) {
+	s.ackMu.Lock()
+	if seq <= s.ack.seq {
+		s.ackMu.Unlock()
 		return
 	}
-	s.clientSeq.Store(clientSeq)
+	s.ack = ackMark{seq, index}
+	s.ackMu.Unlock()
 	if s.degraded.Load() {
 		return
 	}
-	if err := s.wal.appendAck(clientSeq, s.processed.Load()); err != nil {
+	if err := s.wal.appendAck(ackMark{seq, index}, s.processed.Load()); err != nil {
+		s.cfg.Logf("journal: session %s ack record failed: %v", s.key, err)
+	}
+}
+
+// carryAck writes the newest ack mark into the open segment again, when it
+// records a gap and the log is up: deleting the segments before it may
+// have taken its only record, or durability was shed when it was made.
+func (s *Session) carryAck() {
+	a := s.ackMark()
+	if a.gap() == 0 || s.degraded.Load() {
+		return
+	}
+	if err := s.wal.appendAck(a, s.processed.Load()); err != nil {
 		s.cfg.Logf("journal: session %s ack record failed: %v", s.key, err)
 	}
 }
@@ -147,19 +172,16 @@ func (s *Session) MaybeSnapshot(ls *core.LiveStore) bool {
 	return true
 }
 
-// Snapshot seals the live store, writes it atomically, truncates the WAL
-// to the new watermark, and — if the session had shed durability — rotates
-// onto a fresh segment to restore it.
+// Snapshot writes the live store's count cube (core.LiveStore.AppendSnapshot:
+// no seal, no engine) atomically, truncates the WAL to the new watermark,
+// and — if the session had shed durability — rotates onto a fresh segment
+// to restore it.
 func (s *Session) Snapshot(ls *core.LiveStore) error {
 	t0 := time.Now()
 	// The caller is the session's appender, so the store holds exactly
-	// the processed frames: the watermark is read before sealing.
+	// the processed frames: the watermark is read before encoding.
 	watermark := s.processed.Load()
-	st, err := ls.Seal()
-	if err == nil {
-		_, err = writeSnapshot(s.dir, watermark, st)
-	}
-	if err != nil {
+	if err := writeSnapshot(s.dir, watermark, ls.AppendSnapshot(nil), s.cfg.OpenFile); err != nil {
 		s.cfg.Logf("journal: session %s snapshot failed: %v", s.key, err)
 		s.cfg.SnapshotErrors.Inc()
 		return err
@@ -179,6 +201,9 @@ func (s *Session) Snapshot(ls *core.LiveStore) error {
 			s.cfg.Healed.Inc()
 		}
 	}
+	// The truncation may have deleted the segment holding the newest ack
+	// mark's only record.
+	s.carryAck()
 	s.cfg.SnapshotSeconds.Observe(time.Since(t0).Seconds())
 	return nil
 }
@@ -200,13 +225,13 @@ func (s *Session) Checkpoint(ls *core.LiveStore) error {
 }
 
 // Close checkpoints the session one final time and releases its files.
-// Once a snapshot covers every frame, the log goes, an ack record past the
-// frames carried over: the next Load reads the snapshot alone.
+// Once a snapshot covers every frame, the log goes, an ack mark with a gap
+// carried over: the next Load reads the snapshot alone.
 func (s *Session) Close(ls *core.LiveStore) error {
 	err := s.Checkpoint(ls)
 	if n := s.processed.Load(); err == nil && !s.degraded.Load() && s.snapFrames.Load() == n {
-		if s.wal.restart(n) == nil && s.clientSeq.Load() > n {
-			s.wal.appendAck(s.clientSeq.Load(), n)
+		if s.wal.restart(n) == nil {
+			s.carryAck()
 		}
 	}
 	if cerr := s.wal.close(); err == nil {

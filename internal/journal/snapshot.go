@@ -39,7 +39,7 @@ func writeMeta(dir string, m Meta) error {
 	if err != nil {
 		return err
 	}
-	return atomicWrite(dir, metaName, b)
+	return atomicWrite(dir, metaName, b, createFile)
 }
 
 func readMeta(dir string) (Meta, error) {
@@ -59,8 +59,10 @@ func readMeta(dir string) (Meta, error) {
 
 // Snapshot files are named snap-<frames>-<crc>.aims: the frame watermark
 // orders them and the whole-file CRC32C lets recovery reject a bit-flipped
-// snapshot before core.ReadStore ever parses it (falling back to the next
-// older one).
+// snapshot before it is ever decoded (falling back to the next older one).
+// The file is the store's count cube as core.LiveStore.AppendSnapshot
+// encodes it; one that starts with core.Store.WriteTo's magic is a legacy
+// snapshot, a sealed engine, and is still read.
 
 const snapPrefix = "snap-"
 
@@ -75,39 +77,38 @@ func parseSnapName(name string) (frames uint64, crc uint32, ok bool) {
 	return 0, 0, false
 }
 
-// writeSnapshot serialises a sealed store, fsyncs it under a temp name,
-// atomically renames it into place, syncs the directory, and removes any
-// older snapshots. It returns the snapshot's byte size.
-func writeSnapshot(dir string, frames uint64, st *core.Store) (int64, error) {
-	// Sized once from the store: the coefficients are all but a few hundred
-	// bytes of the file, and doubling up to them from empty copies it twice.
-	var buf bytes.Buffer
-	buf.Grow(8*len(st.Engine.Coeffs) + 20*st.Channels + 256)
-	if _, err := st.WriteTo(&buf); err != nil {
-		return 0, err
-	}
-	crc := crc32.Checksum(buf.Bytes(), crcTable)
-	if err := atomicWrite(dir, snapName(frames, crc), buf.Bytes()); err != nil {
-		return 0, err
+// legacySnapMagic opens a snapshot written as a sealed, serialised engine
+// (core.Store.WriteTo) before snapshots became the count cube.
+var legacySnapMagic = []byte("AIMSSTO1")
+
+// writeSnapshot writes a snapshot encoding of the store at the given frame
+// watermark — fsynced under a temp name opened through open, atomically
+// renamed into place, the directory synced — and removes any older
+// snapshots.
+func writeSnapshot(dir string, frames uint64, snap []byte, open func(string) (File, error)) error {
+	crc := crc32.Checksum(snap, crcTable)
+	if err := atomicWrite(dir, snapName(frames, crc), snap, open); err != nil {
+		return err
 	}
 	// Older snapshots are now redundant; losing this cleanup to a crash is
 	// harmless (recovery always prefers the newest intact one).
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return int64(buf.Len()), nil
+		return nil
 	}
 	for _, e := range entries {
 		if f, _, ok := parseSnapName(e.Name()); ok && f < frames {
 			os.Remove(filepath.Join(dir, e.Name()))
 		}
 	}
-	return int64(buf.Len()), nil
+	return nil
 }
 
-// loadLatestSnapshot returns the newest snapshot that passes its CRC,
-// parses, and inverse-transforms back into a live store, together with its
-// frame watermark. ok=false when the directory has no usable snapshot
-// (cfg's shape knobs are then taken from meta instead).
+// loadLatestSnapshot returns the newest snapshot that passes its CRC and
+// decodes into a live store (core.ReadSnapshot; a legacy one is read by
+// core.ReadStore and inverse-transformed by core.RestoreLiveStore),
+// together with its frame watermark. ok=false when the directory has no
+// usable snapshot (cfg's shape knobs are then taken from meta instead).
 func loadLatestSnapshot(dir string, cfg core.LiveStoreConfig, logf func(string, ...interface{})) (ls *core.LiveStore, frames uint64, ok bool) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -135,12 +136,7 @@ func loadLatestSnapshot(dir string, cfg core.LiveStoreConfig, logf func(string, 
 			logf("journal: snapshot %s failed CRC, trying older", s.name)
 			continue
 		}
-		st, err := core.ReadStore(bytes.NewReader(b))
-		if err != nil {
-			logf("journal: snapshot %s unparsable: %v", s.name, err)
-			continue
-		}
-		live, err := core.RestoreLiveStore(st, cfg)
+		live, err := decodeSnapshot(b, cfg)
 		if err != nil {
 			logf("journal: snapshot %s not restorable: %v", s.name, err)
 			continue
@@ -150,11 +146,27 @@ func loadLatestSnapshot(dir string, cfg core.LiveStoreConfig, logf func(string, 
 	return nil, 0, false
 }
 
+// decodeSnapshot rebuilds the live store a snapshot file holds, whichever
+// format wrote it.
+func decodeSnapshot(b []byte, cfg core.LiveStoreConfig) (*core.LiveStore, error) {
+	if !bytes.HasPrefix(b, legacySnapMagic) {
+		return core.ReadSnapshot(b, cfg)
+	}
+	st, err := core.ReadStore(bytes.NewReader(b))
+	if err != nil {
+		return nil, err
+	}
+	return core.RestoreLiveStore(st, cfg)
+}
+
 // atomicWrite writes name under dir via a temp file + fsync + rename +
-// directory sync, so the file either exists whole or not at all.
-func atomicWrite(dir, name string, data []byte) error {
+// directory sync, so the file either exists whole or not at all. open
+// creates the temp file exclusively, so a stale one a crash left is
+// removed first.
+func atomicWrite(dir, name string, data []byte, open func(string) (File, error)) error {
 	tmp := filepath.Join(dir, name+".tmp")
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	os.Remove(tmp)
+	f, err := open(tmp)
 	if err != nil {
 		return err
 	}

@@ -36,7 +36,7 @@ const (
 	walHeaderSize  = 16
 	recHeaderSize  = 9
 	recFrames      = byte(1)
-	recAck         = byte(2)             // body = u64 client-stream watermark
+	recAck         = byte(2)             // body = ackMark: u64 client-stream watermark | u64 journal frame index (legacy: the watermark alone)
 	maxRecordBytes = wire.MaxPayload + 1 // type byte + a maximal wire batch
 )
 
@@ -233,20 +233,37 @@ func (w *wal) append(startFrame uint64, group [][]byte, width int) (landed int, 
 	return landed, nil
 }
 
-// appendAck records the session's client-stream watermark. It is written
-// when the server acknowledges frames it will never journal (a shed), so
-// recovery can restore the exactly-once dedup point even though those
-// frames are absent from the log. nextFrame is the absolute index the next
-// frames record would carry — it seeds the segment header on rotation.
-// The record is synced before appendAck returns. Replayers predating this
-// record type skip it by its CRC-verified length.
-func (w *wal) appendAck(ack, nextFrame uint64) error {
+// ackMark pairs a client-stream watermark the server acknowledged with the
+// journal frame index it maps to: the index the device's next frame past
+// the watermark takes once enqueued. Their difference is how far the
+// device's offsets run ahead of the journal's — the frames acknowledged as
+// shed — so a session that journals more frames afterwards stays that far
+// ahead: processed frames + gap is its acknowledged watermark.
+type ackMark struct{ seq, index uint64 }
+
+// gap returns how far the watermark runs ahead of its frame index.
+func (a ackMark) gap() uint64 {
+	if a.seq > a.index {
+		return a.seq - a.index
+	}
+	return 0
+}
+
+// appendAck records an ack mark. It is written when the server
+// acknowledges frames it will never journal (a shed), so recovery can
+// restore the exactly-once dedup point even though those frames are absent
+// from the log. nextFrame is the absolute index the next frames record
+// would carry — it seeds the segment header on rotation. The record is
+// synced before appendAck returns. Replayers predating this record type
+// skip it by its CRC-verified length.
+func (w *wal) appendAck(a ackMark, nextFrame uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	var rec [recHeaderSize + 8]byte
-	binary.LittleEndian.PutUint32(rec[0:4], 9) // type byte + u64 body
+	var rec [recHeaderSize + 16]byte
+	binary.LittleEndian.PutUint32(rec[0:4], 17) // type byte + two u64
 	rec[8] = recAck
-	binary.LittleEndian.PutUint64(rec[9:], ack)
+	binary.LittleEndian.PutUint64(rec[9:], a.seq)
+	binary.LittleEndian.PutUint64(rec[17:], a.index)
 	binary.LittleEndian.PutUint32(rec[4:8], crc32.Checksum(rec[8:], crcTable))
 
 	if w.needRotate || w.size >= w.cfg.SegmentBytes {
@@ -371,8 +388,10 @@ type replayResult struct {
 	// truncated reports that a torn tail / corrupt record was found and
 	// the log was cut back to the last valid record.
 	truncated bool
-	// ackSeq is the highest client-stream watermark found in ack records
-	// (0 when none): frames the server acknowledged but shed.
+	// ackSeq is the acknowledged client-stream watermark the ack records
+	// give (0 when there are none): processed plus the largest gap of an
+	// ack mark whose frame index processed reached, or a legacy record's
+	// bare watermark, whichever is larger.
 	ackSeq uint64
 }
 
@@ -429,6 +448,14 @@ func replayWAL(dir string, watermark uint64, width int, fn func(startFrame uint6
 		}
 		break
 	}
+	// A mark whose index lies past the replayed frames was written while
+	// frames before it waited for the appender, and they are lost: its gap
+	// would count them as shed, so it is ignored and the device replays.
+	for _, a := range r.acks {
+		if a.index <= r.res.processed {
+			r.res.ackSeq = max(r.res.ackSeq, r.res.processed+a.gap())
+		}
+	}
 	return r.res, nil
 }
 
@@ -441,7 +468,8 @@ type replayer struct {
 
 	expect uint64 // next frame index an intact log would carry
 	res    replayResult
-	body   []byte // record read buffer, reused record to record
+	acks   []ackMark // the intact ack records, in log order
+	body   []byte    // record read buffer, reused record to record
 }
 
 // segment scans one segment. It returns the byte offset up to which the
@@ -489,11 +517,13 @@ func (r *replayer) segment(path string) (keepFrom, segEnd int64, corrupt bool, e
 			return good, br.n, true, nil
 		}
 		if rh[8] == recAck {
-			if len(body) != 8 {
+			switch len(body) {
+			case 8: // legacy: the watermark alone, taken as it is
+				r.res.ackSeq = max(r.res.ackSeq, binary.LittleEndian.Uint64(body))
+			case 16:
+				r.acks = append(r.acks, ackMark{binary.LittleEndian.Uint64(body), binary.LittleEndian.Uint64(body[8:])})
+			default:
 				return good, br.n, true, nil
-			}
-			if a := binary.LittleEndian.Uint64(body); a > r.res.ackSeq {
-				r.res.ackSeq = a
 			}
 			good = br.n
 			continue

@@ -241,7 +241,7 @@ func TestWALSyncsEveryAppend(t *testing.T) {
 	if got := plan.Syncs(); got != 10 {
 		t.Fatalf("10 appends cost %d syncs, want 10", got)
 	}
-	if err := w.appendAck(12, 10); err != nil {
+	if err := w.appendAck(ackMark{12, 10}, 10); err != nil {
 		t.Fatal(err)
 	}
 	if got := plan.Syncs(); got != 11 {

@@ -302,6 +302,39 @@ func TestFailedFaultInStartsFresh(t *testing.T) {
 func TestShedWatermarkSurvivesFaultIn(t *testing.T) {
 	cfg, stall := stalledConfig(t, Config{Policy: PolicyShed, QueueFrames: 64})
 	srv, addr := startServer(t, cfg)
+	shedThenStore(t, srv, addr, stall)
+
+	c := mustHello(t, addr, namedHello("X", 2), wire.CodeResumed, 160)
+	if n := countOf(t, c); n != 144 {
+		t.Fatalf("COUNT = %v after the fault-in, want the 144 stored frames", n)
+	}
+}
+
+// TestShedWatermarkSurvivesRestart: the same device resumes at its own
+// offset after a server restart too, with nothing but the journal to go
+// by: the ack record of the shed carries the journal frame index its
+// offset maps to, so the 64 frames stored after it count on top of it.
+func TestShedWatermarkSurvivesRestart(t *testing.T) {
+	cfg, stall := stalledConfig(t, Config{Policy: PolicyShed, QueueFrames: 64})
+	srv, addr := startServer(t, cfg)
+	shedThenStore(t, srv, addr, stall)
+	shutdown(t, srv)
+
+	srv, addr = startServer(t, cfg)
+	if n, err := srv.RecoverSessions(); err != nil || n != 1 {
+		t.Fatalf("recovered %d sessions, err=%v; want 1", n, err)
+	}
+	c := mustHello(t, addr, namedHello("X", 2), wire.CodeResumed, 160)
+	if n := countOf(t, c); n != 144 {
+		t.Fatalf("COUNT = %v after the restart, want the 144 stored frames", n)
+	}
+}
+
+// shedThenStore has device X shed [80,96) — its first batch stalls the
+// appender, and the 64-frame queue fills behind it — then store up to
+// 160, 144 frames in all, and drop its link; it returns once X is parked.
+func shedThenStore(t *testing.T, srv *Server, addr string, stall *appenderStall) {
+	t.Helper()
 	rs := dialRaw(t, addr, "X", 2)
 	stallOnFirstBatch(t, rs, stall)
 	for seq := 16; seq < 96; seq += 16 {
@@ -334,10 +367,53 @@ func TestShedWatermarkSurvivesFaultIn(t *testing.T) {
 	}
 	rs.conn.Close()
 	waitDetached(t, srv, 1)
+}
 
-	c := mustHello(t, addr, namedHello("X", 2), wire.CodeResumed, 160)
-	if n := countOf(t, c); n != 144 {
-		t.Fatalf("COUNT = %v after the fault-in, want the 144 stored frames", n)
+// TestDurableSessionHoldsNoEngine: a snapshot is the count cube, not a
+// sealed engine, so a durable session that has snapshotted, and one
+// faulted back in from its snapshot, holds neither an engine nor a delta
+// log — appends after the fault-in log none either — until an
+// approximate query seals it.
+func TestDurableSessionHoldsNoEngine(t *testing.T) {
+	cfg := durableConfig(t.TempDir())
+	cfg.Journal.SnapshotFrames = 16
+	srv, addr := startServer(t, cfg)
+	h := namedHello("E", 2)
+	cubeOnly := func(when string) {
+		t.Helper()
+		if b := srv.Sessions()[0].StoreBytes; b.Engine != 0 || b.Delta != 0 {
+			t.Fatalf("%s: the store holds %+v, want no engine and no delta log", when, b)
+		}
+	}
+	frames := clientFrames(1, 100, 2)
+	c := mustHello(t, addr, h, wire.CodeOK, 0)
+	if err := c.SendBatch(frames[:50]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if snaps, _ := filepath.Glob(filepath.Join(cfg.Journal.Dir, "E", "snap-*.aims")); len(snaps) != 1 {
+		t.Fatalf("snapshots %v after 50 frames at one every 16, want one", snaps)
+	}
+	cubeOnly("after a snapshot")
+	c.Abort()
+	waitDetached(t, srv, 1)
+
+	c = mustHello(t, addr, h, wire.CodeResumed, 50)
+	cubeOnly("after the fault-in")
+	if err := c.SendBatch(frames[50:]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	cubeOnly("after appends past the fault-in")
+	if _, err := c.Query(wire.Query{Kind: wire.QueryApproxCount, T0: 0, T1: 1e6, Arg: 1 << 20}); err != nil {
+		t.Fatal(err)
+	}
+	if b := srv.Sessions()[0].StoreBytes; b.Engine == 0 {
+		t.Fatalf("the store holds %+v after an approximate query, want its engine", b)
 	}
 }
 

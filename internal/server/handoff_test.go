@@ -170,21 +170,26 @@ func TestBlockPolicyAdmitsOversizedBatch(t *testing.T) {
 }
 
 // appenderStall parks a session's appender after it has stored a batch:
-// the config snapshots every 16 frames, a snapshot seals the live store,
-// and the store's seal hook — called on the appender, outside every lock
-// the reader needs — waits here.
+// the config snapshots every 16 frames, and the journal opens a
+// snapshot's temp file through its OpenFile hook — called on the
+// appender, outside every lock the reader needs — which waits here.
 type appenderStall struct {
 	armed   atomic.Bool
 	entered chan struct{} // one token per parked call
 	release chan struct{} // closed to let parked calls return
 }
 
-func (s *appenderStall) observeSeal(time.Duration, bool, int) {
-	if s.armed.Load() {
+func (s *appenderStall) open(path string) (journal.File, error) {
+	if s.armed.Load() && isSnapshotTemp(path) {
 		s.entered <- struct{}{}
 		<-s.release
 	}
+	return os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
 }
+
+// isSnapshotTemp reports whether the journal opens path to write a
+// snapshot, not a WAL segment.
+func isSnapshotTemp(path string) bool { return filepath.Ext(path) == ".tmp" }
 
 func (s *appenderStall) resume() {
 	s.armed.Store(false)
@@ -194,8 +199,7 @@ func (s *appenderStall) resume() {
 func stalledConfig(t *testing.T, cfg Config) (Config, *appenderStall) {
 	s := &appenderStall{entered: make(chan struct{}, 1), release: make(chan struct{})}
 	cfg.Store = testStoreCfg()
-	cfg.Store.SealObserver = s.observeSeal
-	cfg.Journal = journal.Config{Dir: t.TempDir(), SnapshotFrames: 16}
+	cfg.Journal = journal.Config{Dir: t.TempDir(), SnapshotFrames: 16, OpenFile: s.open}
 	return cfg, s
 }
 
@@ -566,17 +570,19 @@ func TestAppendLoopMatchesOneAtATimeModel(t *testing.T) {
 		var sess *session
 		var snapshots, skewed atomic.Int64
 		cfg := Config{
-			Store:   testStoreCfg(),
-			Journal: journal.Config{Dir: dir, SnapshotFrames: 100},
+			Store: testStoreCfg(),
+			Journal: journal.Config{Dir: dir, SnapshotFrames: 100, OpenFile: func(path string) (journal.File, error) {
+				if isSnapshotTemp(path) {
+					// Opened on the appender, mid-Snapshot.
+					snapshots.Add(1)
+					if sess.jsess.Processed() != sess.stored.Load() {
+						skewed.Add(1)
+					}
+				}
+				return os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
+			}},
 		}
 		cfg.Store.Rate, cfg.Store.HorizonTicks = 100, 1<<14
-		cfg.Store.SealObserver = func(time.Duration, bool, int) {
-			// Only snapshots seal here, on the appender, mid-Snapshot.
-			snapshots.Add(1)
-			if sess.jsess.Processed() != sess.stored.Load() {
-				skewed.Add(1)
-			}
-		}
 		srv := New(cfg)
 		mins, maxs := ranges(channels)
 		newStore := func() *core.LiveStore {
@@ -605,7 +611,7 @@ func TestAppendLoopMatchesOneAtATimeModel(t *testing.T) {
 		// The test plays the reader; model is the one-at-a-time store.
 		model := newStore()
 		var sent []stream.Frame
-		var bad, ackSeq, recorded uint64
+		var bad, ackSeq uint64
 		for op := 0; op < 300; op++ {
 			switch r := rng.Intn(10); {
 			case r < 6:
@@ -639,8 +645,7 @@ func TestAppendLoopMatchesOneAtATimeModel(t *testing.T) {
 				}
 			case r == 8:
 				ackSeq += uint64(1 + rng.Intn(20)) // acknowledged as shed, never queued
-				jsess.RecordAck(ackSeq)
-				recorded = ackSeq
+				jsess.RecordAck(ackSeq, sess.enqueued.Load())
 			default:
 				time.Sleep(time.Duration(rng.Intn(300)) * time.Microsecond)
 			}
@@ -689,21 +694,18 @@ func TestAppendLoopMatchesOneAtATimeModel(t *testing.T) {
 				t.Fatalf("seed %d: journaled frame %d is not the %dth sent", seed, i, i)
 			}
 		}
-		// And a crash now recovers the model, with the highest watermark an
-		// ack record carried (or the frame count, once that has passed it).
+		// And a crash now recovers the model, acknowledged to the device's
+		// own watermark: every frame sent, plus every frame shed.
 		m, err := journal.OpenManager(journal.Config{Dir: dir, SnapshotFrames: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		rcfg := cfg.Store
-		rcfg.SealObserver = nil
-		recovered, err := m.Recover(rcfg)
+		recovered, err := m.Recover(cfg.Store)
 		if err != nil || len(recovered) != 1 {
 			t.Fatalf("seed %d: recover: %v (%d sessions)", seed, err, len(recovered))
 		}
-		wantAck := max(recorded, uint64(len(sent)))
-		if r := recovered[0]; r.Processed != uint64(len(sent)) || r.AckSeq != wantAck || r.Truncated {
-			t.Fatalf("seed %d: recovered processed=%d ack=%d truncated=%v, want %d/%d/false", seed, r.Processed, r.AckSeq, r.Truncated, len(sent), wantAck)
+		if r := recovered[0]; r.Processed != uint64(len(sent)) || r.AckSeq != ackSeq || r.Truncated {
+			t.Fatalf("seed %d: recovered processed=%d ack=%d truncated=%v, want %d/%d/false", seed, r.Processed, r.AckSeq, r.Truncated, len(sent), ackSeq)
 		}
 		sameAnswers(recovered[0].Store)
 		jsess.Close(nil)

@@ -94,6 +94,9 @@ func (s *Server) claim(sess *session, h wire.Hello) wire.Code {
 func (s *Server) adopt(sess *session, p *owner) {
 	if p.store != nil {
 		sess.store, sess.jsess, sess.ackSeq, sess.resumed = p.store, p.jsess, p.ackSeq, true
+		if p.jsess != nil {
+			sess.jbase = p.jsess.Processed()
+		}
 		return
 	}
 	rec, err := s.journal.Load(p.name, s.cfg.Store)
@@ -108,6 +111,7 @@ func (s *Server) adopt(sess *session, p *owner) {
 		s.cfg.Logf("session %q: journal resume failed: %v", p.name, err)
 		s.metrics.journalDegraded.Inc()
 	}
+	sess.jbase = rec.Processed
 }
 
 // leave takes a drained session out of the registry — before its name

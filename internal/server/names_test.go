@@ -291,13 +291,13 @@ func TestExpiredSessionLeavesBeforeItsNameMovesOn(t *testing.T) {
 	cfg, stall := stalledConfig(t, Config{RetainTimeout: 50 * time.Millisecond})
 	srv, addr := startServer(t, cfg)
 	rs := dialRaw(t, addr, "X", 2)
-	rs.writeBatch(0, 10, 2) // under SnapshotFrames: only the final snapshot seals
+	rs.writeBatch(0, 10, 2) // under SnapshotFrames: only the final snapshot stalls
 	rs.flush()
 	rs.expectAck(0, wire.CodeOK)
 	stall.armed.Store(true)
 	rs.conn.Close()
 	select {
-	case <-stall.entered: // leaving, and sealing its final snapshot
+	case <-stall.entered: // leaving, and writing its final snapshot
 	case <-time.After(2 * time.Second):
 		t.Fatal("the leaving session never started its final snapshot")
 	}

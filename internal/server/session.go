@@ -54,6 +54,10 @@ type session struct {
 	held    *owner
 	jsess   *journal.Session
 	resumed bool
+	// jbase is jsess's frame count when this link took it over: the
+	// journal frame index of the link's first enqueued frame, so the next
+	// one's is jbase + enqueued.
+	jbase uint64
 
 	q         batchQueue
 	enqueued  atomic.Uint64 // frames pushed to the queue (written by the reader goroutine)
@@ -637,7 +641,7 @@ func (sess *session) handleBatch(payload []byte, pb *[]byte) bool {
 	// post-crash resume reports the same watermark.
 	sess.ackSeq = seq + uint64(e.n)
 	if ack.Code == wire.CodeShed && sess.jsess != nil {
-		sess.jsess.RecordAck(sess.ackSeq)
+		sess.jsess.RecordAck(sess.ackSeq, sess.jbase+sess.enqueued.Load())
 	}
 	if sess.write(wire.MsgBatchAck, ack.Encode()) != nil {
 		return false
