@@ -37,7 +37,7 @@ func TestBinMatchesQuantize(t *testing.T) {
 		}
 		for c, q := range ls.quant {
 			check := func(v float64) {
-				if got, want := ls.bins[c].bin(v), q.Quantize(v); got != want {
+				if got, want := ls.binner.rows[c].bin(v), q.Quantize(v); got != want {
 					t.Fatalf("%d bits, channel %d: bin(%v) = %d, Quantize gives %d", bits, c, v, got, want)
 				}
 			}

@@ -18,11 +18,11 @@ import (
 // kept in a form cheap enough to update per frame at device rate —
 // O(channels) integer increments — while staying queryable.
 //
-// Every append path bins a value through one per-channel bin table built
-// with the store: each row holds its channel quantiser's Min, Max−Min and
-// top level, and its inlined bin method is compress.Quantize's arithmetic,
-// so a frame costs one subtract, divide, multiply and add-and-truncate per
-// channel, from one base offset per frame, and never a call.
+// Every append path bins a frame once, through the store's Binner, into a
+// bins record — its time bucket and one value bin per channel — and stores
+// the record with AppendBins, which only counts cells. Binning reads
+// nothing an append writes, so it runs outside the store's lock, and the
+// middle tier journals the same record it stores.
 //
 // Exact COUNT/AVERAGE/VARIANCE range aggregates are answered from the
 // count cube itself (the cube *is* the exact frequency distribution, so no
@@ -58,9 +58,9 @@ import (
 type LiveStore struct {
 	cfg   LiveStoreConfig
 	quant []compress.Quantizer
-	// bins is the per-channel bin table the append paths quantise through,
-	// built from quant by newLiveStore and never written after.
-	bins       []binRow
+	// binner bins every frame the store takes, built from quant by
+	// newLiveStore and never written after.
+	binner     Binner
 	deltaLimit int // max delta-log entries; 0 disables incremental sealing
 
 	mu sync.RWMutex
@@ -72,7 +72,7 @@ type LiveStore struct {
 	c32 []uint32
 	// fill counts, per time bucket, the frames stored into it. It is each
 	// of the bucket's rows' Σ1, so the row cache need not keep one, and it
-	// bounds every cell of the bucket, so reserve widens the cube before a
+	// bounds every cell of the bucket, so storeBins widens the cube before a
 	// frame takes it past fillMax.
 	fill    []uint64
 	fillMax uint64
@@ -155,13 +155,23 @@ func (c LiveStoreConfig) withDefaults() LiveStoreConfig {
 // ±Inf and NaN included, clamp into the edge bins — above the range into
 // the top bin, below it and NaN into bin 0 — on every platform.
 func NewLiveStore(mins, maxs []float64, cfg LiveStoreConfig) (*LiveStore, error) {
+	quant, cfg, err := liveQuantizers(mins, maxs, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return newLiveStore(quant, cfg, 0)
+}
+
+// liveQuantizers returns the quantisers a live store for the registration
+// ranges mins, maxs bins through, and cfg with its defaults applied.
+func liveQuantizers(mins, maxs []float64, cfg LiveStoreConfig) ([]compress.Quantizer, LiveStoreConfig, error) {
 	if len(mins) == 0 || len(mins) != len(maxs) {
-		return nil, fmt.Errorf("core: live store needs matching per-channel ranges, got %d/%d", len(mins), len(maxs))
+		return nil, cfg, fmt.Errorf("core: live store needs matching per-channel ranges, got %d/%d", len(mins), len(maxs))
 	}
 	cfg = cfg.withDefaults()
 	for _, n := range []int{cfg.TimeBuckets, cfg.ValueBins} {
 		if n&(n-1) != 0 {
-			return nil, fmt.Errorf("core: live store dims must be powers of two, got %d", n)
+			return nil, cfg, fmt.Errorf("core: live store dims must be powers of two, got %d", n)
 		}
 	}
 	bits := log2(cfg.ValueBins)
@@ -169,31 +179,28 @@ func NewLiveStore(mins, maxs []float64, cfg LiveStoreConfig) (*LiveStore, error)
 	for c := range quant {
 		quant[c] = compress.NewQuantizer(mins[c], maxs[c], bits)
 	}
-	return newLiveStore(quant, cfg, 0)
+	return quant, cfg, nil
 }
 
 // newLiveStore creates an empty live store that bins channel c through
 // quant[c], which it keeps, with its cube at the width a bucket of maxFill
-// frames needs (cubeWidth). It is the one place a store's bin table is
-// built, so the table always matches the quantisers: NewLiveStore passes
-// the registration ranges' quantisers, ReadSnapshot and RestoreLiveStore
-// the persisted ones. cfg's dims must be powers of two, and every
-// quantiser must have cfg.ValueBins levels.
+// frames needs (cubeWidth). It is the one place a store's Binner is built,
+// so the bin table always matches the quantisers: NewLiveStore passes the
+// registration ranges' quantisers, ReadSnapshot and RestoreLiveStore the
+// persisted ones. cfg's dims must be powers of two, and every quantiser
+// must have cfg.ValueBins levels.
 func newLiveStore(quant []compress.Quantizer, cfg LiveStoreConfig, maxFill uint64) (*LiveStore, error) {
 	cfg = cfg.withDefaults()
-	bins := make([]binRow, len(quant))
-	for c, q := range quant {
-		if q.Levels() != cfg.ValueBins {
-			return nil, fmt.Errorf("core: channel %d quantises to %d levels, not %d value bins", c, q.Levels(), cfg.ValueBins)
-		}
-		bins[c] = binRow{min: q.Min, span: q.Max - q.Min, top: float64(q.Levels() - 1)}
+	binner, err := newBinner(quant, cfg)
+	if err != nil {
+		return nil, err
 	}
 	cells := len(quant) * cfg.TimeBuckets * cfg.ValueBins
 	ls := &LiveStore{
-		cfg:   cfg,
-		quant: quant,
-		bins:  bins,
-		fill:  make([]uint64, cfg.TimeBuckets),
+		cfg:    cfg,
+		quant:  quant,
+		binner: binner,
+		fill:   make([]uint64, cfg.TimeBuckets),
 	}
 	switch cubeWidth(ls.TicksPerBucket(), maxFill) {
 	case 4:
@@ -226,13 +233,7 @@ func (ls *LiveStore) Channels() int { return len(ls.quant) }
 func (ls *LiveStore) Config() LiveStoreConfig { return ls.cfg }
 
 // TicksPerBucket returns the time-bucket width in device ticks.
-func (ls *LiveStore) TicksPerBucket() int {
-	tpb := (ls.cfg.HorizonTicks + ls.cfg.TimeBuckets - 1) / ls.cfg.TimeBuckets
-	if tpb < 1 {
-		tpb = 1
-	}
-	return tpb
-}
+func (ls *LiveStore) TicksPerBucket() int { return ls.binner.tpb }
 
 // Frames returns how many frames have been appended.
 func (ls *LiveStore) Frames() int {
@@ -258,9 +259,13 @@ func (ls *LiveStore) AppendFrame(tick int, frame []float64) error {
 	if tick < 0 {
 		return fmt.Errorf("core: negative tick %d", tick)
 	}
-	tb := ls.bucket(tick, ls.TicksPerBucket())
+	tb := uint32(min(tick/ls.binner.tpb, ls.cfg.TimeBuckets-1))
+	var buf [256]byte
+	w := ls.binner.writer(buf[:0], 1)
+	ls.binner.binValues(w.next(tb), frame)
+	rec, _ := w.finish()
 	ls.mu.Lock()
-	ls.addFrame(tb, frame, ls.logDelta(len(frame)))
+	ls.storeBins(rec, 1, ls.logDelta(len(frame)))
 	ls.mu.Unlock()
 	return nil
 }
@@ -280,29 +285,6 @@ func (ls *LiveStore) logDelta(n int) bool {
 		return false
 	}
 	return true
-}
-
-// tick converts a frame timestamp in seconds to its device tick.
-func (ls *LiveStore) tick(t float64) int { return int(t*ls.cfg.Rate + 0.5) }
-
-// bucket maps a non-negative device tick to its time bucket, tpb ticks
-// wide; ticks past the horizon clamp into the last bucket.
-func (ls *LiveStore) bucket(tick, tpb int) int {
-	return min(tick/tpb, ls.cfg.TimeBuckets-1)
-}
-
-// binRow is one channel's row of the bin table: its quantiser's Min,
-// Max−Min and top level Levels()−1, taken once at construction.
-type binRow struct {
-	min, span, top float64
-}
-
-// bin returns v's value bin: compress.Quantize's arithmetic, in the same
-// order, on the precomputed row, so every bin equals Quantize's. It is
-// small enough to inline, and every append path bins through it, so a WAL
-// tail replays into the cells it was first stored in.
-func (b *binRow) bin(v float64) int {
-	return compress.Level((v-b.min)/b.span*b.top, b.top)
 }
 
 // count is the cell type of the count cube at each of its byte widths.
@@ -331,36 +313,6 @@ func pack(p nibbles, counts []float64) {
 	for i, v := range counts {
 		p[i>>1] |= uint8(v) << (i & 1 * 4)
 	}
-}
-
-// bumpNibble is bump on the 4-bit cube. reserve has kept the bucket's
-// fill, and so every cell of it, at or below nibbleMax, so the add never
-// carries into the neighbouring cell.
-func bumpNibble(ls *LiveStore, idx int, logging bool) {
-	ls.c4[idx>>1] += 1 << (idx & 1 * 4)
-	if logging {
-		ls.delta = append(ls.delta, uint32(idx))
-	}
-}
-
-// bump increments cell idx of cube, ls's cube at its current width,
-// logging its offset for the incremental seal when logging is set.
-// Callers hold ls.mu for writing.
-func bump[T count](ls *LiveStore, cube []T, idx int, logging bool) {
-	cube[idx]++
-	if logging {
-		ls.delta = append(ls.delta, uint32(idx))
-	}
-}
-
-// reserve readies time bucket tb for one more frame: it widens the cube
-// first when the frame could take a cell of the bucket past the current
-// width, then counts the frame into fill. Callers hold ls.mu for writing.
-func (ls *LiveStore) reserve(tb int) {
-	if ls.fill[tb] == ls.fillMax {
-		ls.widen()
-	}
-	ls.fill[tb]++
 }
 
 // widen copies the cube into cells twice as wide, 4 → 8 → 16 → 32 bits.
@@ -427,89 +379,6 @@ func convert[D, S count | float64](dst []D, src []S) {
 	}
 }
 
-// addFrame counts one frame's values into time bucket tb, choosing the
-// cube's width once for the whole frame. Callers hold ls.mu for writing.
-func (ls *LiveStore) addFrame(tb int, vals []float64, logging bool) {
-	ls.reserve(tb)
-	switch {
-	case ls.c4 != nil:
-		addNibbleValues(ls, tb, vals, logging)
-	case ls.c8 != nil:
-		addValues(ls, ls.c8, tb, vals, logging)
-	case ls.c16 != nil:
-		addValues(ls, ls.c16, tb, vals, logging)
-	default:
-		addValues(ls, ls.c32, tb, vals, logging)
-	}
-	ls.frames++
-	ls.version++
-}
-
-// addValues is addFrame's per-value loop at one width. Channel c's cell
-// in time bucket tb sits at (c·TimeBuckets + tb)·ValueBins + bin, so the
-// loop starts at tb·ValueBins and steps one channel stride per value.
-func addValues[T count](ls *LiveStore, cube []T, tb int, vals []float64, logging bool) {
-	base, stride := tb*ls.cfg.ValueBins, ls.cfg.TimeBuckets*ls.cfg.ValueBins
-	bins := ls.bins[:len(vals)]
-	for c, v := range vals {
-		bump(ls, cube, base+bins[c].bin(v), logging)
-		base += stride
-	}
-}
-
-// addNibbleValues is addValues on the 4-bit cube.
-func addNibbleValues(ls *LiveStore, tb int, vals []float64, logging bool) {
-	base, stride := tb*ls.cfg.ValueBins, ls.cfg.TimeBuckets*ls.cfg.ValueBins
-	bins := ls.bins[:len(vals)]
-	for c, v := range vals {
-		bumpNibble(ls, base+bins[c].bin(v), logging)
-		base += stride
-	}
-}
-
-// addEncodedFrame is addFrame for one frame's values in their wire
-// encoding, one little-endian IEEE-754 float64 per channel.
-func (ls *LiveStore) addEncodedFrame(tb int, vals []byte, logging bool) {
-	ls.reserve(tb)
-	switch {
-	case ls.c4 != nil:
-		addEncodedNibbles(ls, tb, vals, logging)
-	case ls.c8 != nil:
-		addEncodedValues(ls, ls.c8, tb, vals, logging)
-	case ls.c16 != nil:
-		addEncodedValues(ls, ls.c16, tb, vals, logging)
-	default:
-		addEncodedValues(ls, ls.c32, tb, vals, logging)
-	}
-	ls.frames++
-	ls.version++
-}
-
-// addEncodedValues is addEncodedFrame's per-value loop at one width,
-// addValues's loop over the encoded values.
-func addEncodedValues[T count](ls *LiveStore, cube []T, tb int, vals []byte, logging bool) {
-	base, stride := tb*ls.cfg.ValueBins, ls.cfg.TimeBuckets*ls.cfg.ValueBins
-	bins := ls.bins
-	for c := range bins {
-		v := math.Float64frombits(binary.LittleEndian.Uint64(vals))
-		vals = vals[8:]
-		bump(ls, cube, base+bins[c].bin(v), logging)
-		base += stride
-	}
-}
-
-// addEncodedNibbles is addEncodedValues on the 4-bit cube.
-func addEncodedNibbles(ls *LiveStore, tb int, vals []byte, logging bool) {
-	base, stride := tb*ls.cfg.ValueBins, ls.cfg.TimeBuckets*ls.cfg.ValueBins
-	bins := ls.bins
-	for c := range bins {
-		v := math.Float64frombits(binary.LittleEndian.Uint64(vals))
-		vals = vals[8:]
-		bumpNibble(ls, base+bins[c].bin(v), logging)
-		base += stride
-	}
-}
-
 // AppendFrames ingests a batch of stream frames under a single write-lock
 // acquisition, deriving each frame's tick from its timestamp and the
 // device rate. Frames that fail validation — wrong width, negative tick —
@@ -517,64 +386,209 @@ func addEncodedNibbles(ls *LiveStore, tb int, vals []byte, logging bool) {
 // were stored; err reports the first skip reason and is nil when all
 // landed.
 func (ls *LiveStore) AppendFrames(frames []stream.Frame) (int, error) {
-	tpb := ls.TicksPerBucket()
-	stored := 0
-	var firstErr error
-	ls.mu.Lock()
-	logging := ls.logDelta(len(frames) * len(ls.quant))
+	stored := ls.appendBinned(len(frames), nil, frames)
+	if stored == len(frames) {
+		return stored, nil
+	}
 	for i := range frames {
 		if len(frames[i].Values) != len(ls.quant) {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("core: frame width %d != %d channels", len(frames[i].Values), len(ls.quant))
-			}
-			continue
+			return stored, fmt.Errorf("core: frame width %d != %d channels", len(frames[i].Values), len(ls.quant))
 		}
-		tick := ls.tick(frames[i].T)
-		if tick < 0 {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("core: negative tick %d", tick)
-			}
-			continue
+		if err := ls.checkTick(frames[i].T); err != nil {
+			return stored, err
 		}
-		ls.addFrame(ls.bucket(tick, tpb), frames[i].Values, logging)
-		stored++
 	}
-	ls.mu.Unlock()
-	return stored, firstErr
+	return stored, nil
+}
+
+// checkTick returns the error a frame stamped t seconds is skipped with,
+// nil when its tick is not negative.
+func (ls *LiveStore) checkTick(t float64) error {
+	if tick := int(t*ls.cfg.Rate + 0.5); tick < 0 {
+		return fmt.Errorf("core: negative tick %d", tick)
+	}
+	return nil
 }
 
 // AppendEncoded is AppendFrames for frames still in their wire encoding —
-// the middle tier's ingest and recovery path, which never decodes a batch.
 // body holds whole frame records of (T, one value per channel), each a
-// little-endian IEEE-754 float64; every value is read and quantised in the
-// same loop, under one write-lock acquisition. A frame with a negative tick
-// is skipped, exactly as AppendFrames skips it, so both produce the same
-// cube, counters and delta log. A body that is not a whole number of
-// records is refused without storing anything.
+// little-endian IEEE-754 float64 — binned as Bin bins them and stored as
+// AppendBins stores them, without being decoded, under one write-lock
+// acquisition. A frame with a negative tick is skipped, exactly
+// as AppendFrames skips it, so both produce the same cube, counters and
+// delta log. A body that is not a whole number of records is refused
+// without storing anything.
 func (ls *LiveStore) AppendEncoded(body []byte) (int, error) {
 	w := len(ls.quant)
 	rec := (w + 1) * 8
 	if len(body)%rec != 0 {
 		return 0, fmt.Errorf("core: %d encoded bytes are not whole %d-channel frames", len(body), w)
 	}
-	tpb := ls.TicksPerBucket()
-	stored := 0
-	var firstErr error
-	ls.mu.Lock()
-	logging := ls.logDelta(len(body) / rec * w)
+	n := len(body) / rec
+	stored := ls.appendBinned(n, body, nil)
+	if stored == n {
+		return stored, nil
+	}
 	for ; len(body) > 0; body = body[rec:] {
-		tick := ls.tick(math.Float64frombits(binary.LittleEndian.Uint64(body)))
-		if tick < 0 {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("core: negative tick %d", tick)
-			}
+		if err := ls.checkTick(math.Float64frombits(binary.LittleEndian.Uint64(body))); err != nil {
+			return stored, err
+		}
+	}
+	return stored, nil
+}
+
+// Bin is the store's Binner.Bin: the bins record of body's encoded frames,
+// appended to dst, as AppendBins stores it.
+func (ls *LiveStore) Bin(body, dst []byte) ([]byte, int) { return ls.binner.Bin(body, dst) }
+
+// Binner returns the Binner the store bins every frame through.
+func (ls *LiveStore) Binner() *Binner { return &ls.binner }
+
+// AppendBins stores a bins record (see Bin) under one write-lock
+// acquisition: per stored frame, the widening its time bucket may need
+// and one increment per channel, with no float arithmetic. It returns the
+// frames stored. A record that does not check against the store's shape
+// (Binner.CheckBins) is refused whole, before the lock is taken.
+func (ls *LiveStore) AppendBins(rec []byte) (int, error) {
+	frames, stored, err := ls.binner.CheckBins(rec)
+	if err != nil {
+		return 0, err
+	}
+	ls.mu.Lock()
+	ls.storeBins(rec, stored, ls.logDelta(frames*len(ls.quant)))
+	ls.mu.Unlock()
+	return stored, nil
+}
+
+// storeBins counts a well-formed bins record of stored frames into the
+// cube, a run at a time: per run, the frames its bucket takes before a
+// cell could pass the cube's width are reserved at once and counted at
+// that width, and the cube widens between them. Callers hold ls.mu for
+// writing.
+func (ls *LiveStore) storeBins(rec []byte, stored int, logging bool) {
+	w, wide := ls.binner.cellBytes(), ls.binner.wide()
+	cells := rec[len(rec)-stored*w:]
+	for runs := rec[4 : len(rec)-len(cells)]; len(runs) > 0; runs = runs[8:] {
+		if binary.LittleEndian.Uint32(runs) == skipBucket {
 			continue
 		}
-		ls.addEncodedFrame(ls.bucket(tick, tpb), body[8:rec], logging)
-		stored++
+		tb := int(binary.LittleEndian.Uint32(runs))
+		for n := uint64(binary.LittleEndian.Uint32(runs[4:])); n > 0; {
+			if ls.fill[tb] == ls.fillMax {
+				ls.widen()
+			}
+			k := min(n, ls.fillMax-ls.fill[tb])
+			ls.fill[tb] += k
+			run := cells[:int(k)*w]
+			cells = cells[len(run):]
+			ls.countCells(tb, run, w, wide, logging)
+			ls.frames += int(k)
+			ls.version += k
+			n -= k
+		}
 	}
-	ls.mu.Unlock()
-	return stored, firstErr
+}
+
+// countCells counts the cells of frames in time bucket tb, w bytes a
+// frame, into the cube at its current width, which they must fit, and logs
+// their offsets when logging. Channel c's cell in time bucket tb sits at
+// (c·TimeBuckets + tb)·ValueBins + bin, so a frame's cells start at
+// tb·ValueBins and step one channel stride a cell. Callers hold ls.mu for
+// writing.
+func (ls *LiveStore) countCells(tb int, cells []byte, w int, wide, logging bool) {
+	start, stride := tb*ls.cfg.ValueBins, ls.cfg.TimeBuckets*ls.cfg.ValueBins
+	if logging {
+		ls.delta = logCells(ls.delta, start, stride, cells, w, wide)
+	}
+	if wide {
+		switch {
+		case ls.c4 != nil:
+			addWideNibbles(ls.c4, start, stride, cells, w)
+		case ls.c8 != nil:
+			addWide(ls.c8, start, stride, cells, w)
+		case ls.c16 != nil:
+			addWide(ls.c16, start, stride, cells, w)
+		default:
+			addWide(ls.c32, start, stride, cells, w)
+		}
+		return
+	}
+	switch {
+	case ls.c4 != nil:
+		addNibbles(ls.c4, start, stride, cells, w)
+	case ls.c8 != nil:
+		add(ls.c8, start, stride, cells, w)
+	case ls.c16 != nil:
+		add(ls.c16, start, stride, cells, w)
+	default:
+		add(ls.c32, start, stride, cells, w)
+	}
+}
+
+// add is countCells's loop for one-byte cells at one cube width. It
+// runs channel by channel: a channel's cells of one bucket share a row, so
+// successive increments stay within a few cache lines, where a frame's
+// cells, one row a channel stride apart, would alias one another in the
+// store buffer.
+func add[T count](cube []T, start, stride int, cells []byte, w int) {
+	for c := 0; c < w; c++ {
+		row := cube[start+c*stride:]
+		for i := c; i < len(cells); i += w {
+			row[cells[i]]++
+		}
+	}
+}
+
+// addWide is add for two-byte cells.
+func addWide[T count](cube []T, start, stride int, cells []byte, w int) {
+	for c := 0; c < w; c += 2 {
+		row := cube[start+c/2*stride:]
+		for i := c; i+1 < len(cells); i += w {
+			row[binary.LittleEndian.Uint16(cells[i:])]++
+		}
+	}
+}
+
+// addNibbles is add on the 4-bit cube. storeBins has kept the bucket's
+// fill, and so every cell of it, at or below nibbleMax, so an add never
+// carries into the neighbouring cell.
+func addNibbles(p nibbles, start, stride int, cells []byte, w int) {
+	for c := 0; c < w; c++ {
+		base := start + c*stride
+		for i := c; i < len(cells); i += w {
+			j := base + int(cells[i])
+			p[j>>1] += 1 << (j & 1 * 4)
+		}
+	}
+}
+
+// addWideNibbles is addNibbles for two-byte cells.
+func addWideNibbles(p nibbles, start, stride int, cells []byte, w int) {
+	for c := 0; c < w; c += 2 {
+		base := start + c/2*stride
+		for i := c; i+1 < len(cells); i += w {
+			j := base + int(binary.LittleEndian.Uint16(cells[i:]))
+			p[j>>1] += 1 << (j & 1 * 4)
+		}
+	}
+}
+
+// logCells appends the cube offsets countCells increments to log, in the
+// order it increments them.
+func logCells(log []uint32, start, stride int, cells []byte, w int, wide bool) []uint32 {
+	for ; len(cells) >= w; cells = cells[w:] {
+		base := start
+		for i := 0; i < w; i++ {
+			bin := int(cells[i])
+			if wide {
+				bin |= int(cells[i+1]) << 8
+				i++
+			}
+			log = append(log, uint32(base+bin))
+			base += stride
+		}
+	}
+	return log
 }
 
 // Footprint is the memory a LiveStore holds, in bytes, part by part.

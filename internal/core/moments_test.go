@@ -110,7 +110,7 @@ func runExactOps(t *testing.T, p []byte) {
 			want := 0
 			for i := range batch {
 				batch[i] = stream.Frame{T: float64(in.tick()) / exactOpsCfg.Rate, Values: []float64{in.value(), in.value()}}
-				if ls.tick(batch[i].T) >= 0 {
+				if ls.checkTick(batch[i].T) == nil {
 					want++
 				}
 				for _, v := range append([]float64{batch[i].T}, batch[i].Values...) {
@@ -165,7 +165,7 @@ func runExactOps(t *testing.T, p []byte) {
 				}
 			}
 			want := 0
-			if ls.tick(frame[0]) >= 0 {
+			if ls.checkTick(frame[0]) == nil {
 				want = n
 			}
 			if got, _ := ls.AppendEncoded(body); got != want {

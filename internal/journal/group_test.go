@@ -10,15 +10,23 @@ import (
 	"aims/internal/stream"
 )
 
-// groupOf cuts frames [start, start+n*per) into n encoded batches of per
-// frames.
+// groupOf cuts frames [start, start+n*per) into n batches of per frames,
+// binned in the seqMeta shape.
 func groupOf(n, per, channels int, start uint64) [][]byte {
+	return binGroup(seqBinner(channels), n, per, start)
+}
+
+// binGroup is groupOf binned through bn.
+func binGroup(bn *core.Binner, n, per int, start uint64) [][]byte {
 	group := make([][]byte, n)
 	for i := range group {
-		group[i] = encodeFrames(testFrames(per, channels, start+uint64(i*per)), channels)
+		group[i], _ = bn.BinFrames(testFrames(per, bn.Channels(), start+uint64(i*per)), nil)
 	}
 	return group
 }
+
+// recordBytes returns the WAL bytes of the record of a lone batch.
+func recordBytes(bins []byte) int { return len(appendBinsRecord(nil, 0, bins)) }
 
 // wantExactlyOnce fails unless got is frames [0, n) of the testFrames
 // stream in order: nothing lost, nothing replayed twice.
@@ -39,7 +47,7 @@ func wantExactlyOnce(t *testing.T, got []stream.Frame, n int) {
 // same records, same rotation points — including groups long enough to
 // overflow the write scratch and to span several segments.
 func TestWALGroupBytesMatchOneAtATime(t *testing.T) {
-	const batches, per, channels = 60, 256, 8 // 18 KB records: 15 fill the scratch
+	const batches, per, channels = 60, 256, 32 // 16 KB records: 16 fill the scratch
 	write := func(groupLen int) map[string][]byte {
 		dir := t.TempDir()
 		cfg := Config{Dir: dir, SegmentBytes: 200 << 10}.withDefaults()
@@ -49,7 +57,7 @@ func TestWALGroupBytesMatchOneAtATime(t *testing.T) {
 		}
 		for at := 0; at < batches; at += groupLen {
 			n := min(groupLen, batches-at)
-			if landed, err := w.append(uint64(at*per), groupOf(n, per, channels, uint64(at*per)), channels); err != nil || landed != n {
+			if landed, err := w.append(uint64(at*per), groupOf(n, per, channels, uint64(at*per))); err != nil || landed != n {
 				t.Fatalf("group of %d at batch %d: landed %d, err %v", n, at, landed, err)
 			}
 		}
@@ -97,7 +105,7 @@ func TestWALGroupSyncsOncePerGroup(t *testing.T) {
 	var next uint64
 	for _, n := range []int{1, 4, 16, 1} {
 		before := plan.Syncs()
-		if _, err := w.append(next, groupOf(n, 8, 2, next), 2); err != nil {
+		if _, err := w.append(next, groupOf(n, 8, 2, next)); err != nil {
 			t.Fatal(err)
 		}
 		next += uint64(n * 8)
@@ -113,8 +121,8 @@ func TestWALGroupSyncsOncePerGroup(t *testing.T) {
 	if w, err = openWAL(dir, 0, cfg); err != nil {
 		t.Fatal(err)
 	}
-	// 8 records of 215 bytes: the fifth finds the first segment full.
-	if _, err := w.append(0, groupOf(8, 8, 2, 0), 2); err != nil {
+	// 8 records of 205 bytes: the sixth finds the first segment full.
+	if _, err := w.append(0, groupOf(8, 8, 11, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if seqs, _ := listSegments(dir); len(seqs) != 2 {
@@ -135,12 +143,12 @@ func TestGroupTornInsideThirdRecordResumesThere(t *testing.T) {
 	plan := NewFaultPlan()
 	cfg := Config{Dir: dir, SnapshotFrames: -1, Degrade: DegradeBlock, OpenFile: plan.Open}
 	m, _ := OpenManager(cfg)
-	sess, _, err := m.Attach(testMeta("group", 2))
+	sess, _, err := m.Attach(seqMeta("group", 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	sess.AppendFrames(testFrames(10, 2, 0), nil)
-	const recBytes = recHeaderSize + 14 + 10*3*8 // one 10-frame, 2-channel record
+	recBytes := int64(recordBytes(groupOf(1, 10, 2, 10)[0])) // one 10-frame, 2-channel record
 	plan.TearAt(plan.Written() + 2*recBytes + 13)
 	tries := 0
 	sess.AppendGroup(groupOf(5, 10, 2, 10), func() bool {
@@ -191,7 +199,7 @@ func TestGroupFailedSyncRetriesTheSyncAlone(t *testing.T) {
 		plan := NewFaultPlan()
 		cfg := Config{Dir: dir, SnapshotFrames: -1, Degrade: policy, OpenFile: plan.Open}
 		m, _ := OpenManager(cfg)
-		sess, _, err := m.Attach(testMeta("sync", 2))
+		sess, _, err := m.Attach(seqMeta("sync", 2))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,7 +231,7 @@ func TestGroupFailedSyncRetriesTheSyncAlone(t *testing.T) {
 		if got := plan.Syncs() - before; got != 4 {
 			t.Fatalf("group synced %d times, want 4", got)
 		}
-		const recBytes = recHeaderSize + 14 + 10*3*8
+		recBytes := int64(recordBytes(groupOf(1, 10, 2, 10)[0]))
 		if got := plan.Written() - written; got != 4*recBytes {
 			t.Fatalf("group wrote %d bytes, want its four records once (%d)", got, 4*recBytes)
 		}
@@ -250,12 +258,11 @@ func TestGroupShedMidGroupKeepsCountTruthful(t *testing.T) {
 		t.Fatal(err)
 	}
 	ls, _ := core.NewLiveStore(meta.Mins, meta.Maxs, testStoreCfg)
-	const recBytes = recHeaderSize + 14 + 10*3*8
-	plan.TearAt(plan.Written() + 2*recBytes + 13)
-	group := groupOf(5, 10, 2, 0)
+	group := binGroup(ls.Binner(), 5, 10, 0)
+	plan.TearAt(plan.Written() + 2*int64(recordBytes(group[0])) + 13)
 	sess.AppendGroup(group, nil)
 	for _, b := range group {
-		ls.AppendEncoded(b)
+		ls.AppendBins(b)
 	}
 	if !sess.Degraded() || sess.Processed() != 50 {
 		t.Fatalf("degraded=%v processed=%d, want degraded with all 50 counted", sess.Degraded(), sess.Processed())
@@ -295,16 +302,17 @@ func TestReplayDropsLaterSegmentsItCannotProveGapFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 215-byte records, five to a segment; the flip lands in the third.
-	plan.FlipBit(plan.Written()+2*215+40, 0x04)
-	if _, err := w.append(0, groupOf(12, 8, 2, 0), 2); err != nil {
+	// 205-byte records, five to a segment; the flip lands in the third.
+	group := groupOf(12, 8, 11, 0)
+	plan.FlipBit(plan.Written()+2*int64(recordBytes(group[0]))+40, 0x04)
+	if _, err := w.append(0, group); err != nil {
 		t.Fatal(err)
 	}
 	w.close()
 	if seqs, _ := listSegments(dir); len(seqs) != 3 {
 		t.Fatalf("%d segments, want 3", len(seqs))
 	}
-	got, res := collect(t, dir, 0, 2)
+	got, res := collect(t, dir, 0, 11)
 	if !res.truncated || res.processed != 16 {
 		t.Fatalf("truncated=%v processed=%d, want the log cut at frame 16", res.truncated, res.processed)
 	}

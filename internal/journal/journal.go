@@ -5,11 +5,14 @@
 // session crash-safe with two cooperating mechanisms:
 //
 //   - a per-session, append-only, CRC32C-framed, segmented write-ahead log
-//     the server writes each acquisition batch to before it reaches
-//     core.LiveStore.AppendEncoded — one record per batch, framed from the
-//     batch's wire bytes without decoding them, the batches the session's
-//     appender drained together sharing one fsync, taken before any of
-//     them reaches the store — and size-based segment rotation; and
+//     the server writes each acquisition batch to before it reaches the
+//     live store — one record per batch, holding the batch as the store
+//     keeps it: its bins record (core.LiveStore.Bin: each frame's time
+//     bucket and one value bin per channel, a byte each at up to 256 bins),
+//     binned once and then stored from the same bytes
+//     (core.LiveStore.AppendBins). The batches the session's appender
+//     drained together share one fsync, taken before any of them reaches
+//     the store; segments rotate by size; and
 //   - periodic snapshots: the live store's count cube is encoded as it is
 //     (core.LiveStore.AppendSnapshot — no seal, no wavelet engine) into a
 //     temp file, atomically renamed into place, and the WAL is truncated
@@ -21,9 +24,12 @@
 // back into a count cube (core.ReadSnapshot; a legacy snapshot, a sealed
 // engine, is read by core.ReadStore and inverse-transformed by
 // core.RestoreLiveStore), then the WAL tail past the watermark is replayed
-// through the live ingest path, each record's frames quantised straight
-// out of its bytes (AppendEncoded). Torn tails, short reads and corrupt
-// frames are detected by the per-record CRC and the log is truncated at
+// through the live ingest path: each bins record checked against the
+// session's shape and stored by AppendBins, with no float arithmetic, into
+// the cells it was first stored in (a legacy record, an older version's
+// wire frames, is binned afresh by AppendEncoded). Torn tails, short reads
+// and corrupt records — a CRC mismatch, or a body whose counts, buckets or
+// bins do not fit the session — are detected and the log is truncated at
 // the last valid record instead of failing recovery; replay carries on
 // into the next segment only when its header proves no frame is missing
 // in between (see replayWAL).

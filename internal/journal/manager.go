@@ -117,7 +117,8 @@ func (m *Manager) Recover(storeCfg core.LiveStoreConfig) ([]*Recovered, error) {
 
 // Load rebuilds the session under name's key: newest intact snapshot (if
 // any) restored into a live store, then the WAL tail replayed through
-// AppendEncoded, the path live ingest takes, a torn tail cut. storeCfg
+// AppendBins, the path live ingest takes (a legacy frames record through
+// AppendEncoded), a torn tail cut. storeCfg
 // supplies the non-shape knobs; the shape comes from the session's meta.
 func (m *Manager) Load(name string, storeCfg core.LiveStoreConfig) (*Recovered, error) {
 	dir := filepath.Join(m.cfg.Dir, key(name))
@@ -125,11 +126,7 @@ func (m *Manager) Load(name string, storeCfg core.LiveStoreConfig) (*Recovered, 
 	if err != nil {
 		return nil, err
 	}
-	cfg := storeCfg
-	cfg.Rate = meta.Rate
-	cfg.HorizonTicks = meta.HorizonTicks
-	cfg.TimeBuckets = meta.TimeBuckets
-	cfg.ValueBins = meta.ValueBins
+	cfg := meta.storeConfig(storeCfg)
 
 	ls, watermark, ok := loadLatestSnapshot(dir, cfg, m.cfg.Logf)
 	if !ok {
@@ -139,9 +136,16 @@ func (m *Manager) Load(name string, storeCfg core.LiveStoreConfig) (*Recovered, 
 			return nil, err
 		}
 	}
-	res, err := replayWAL(dir, watermark, meta.Channels(), func(start uint64, frames []byte) error {
-		// Per-frame validation errors are deterministic (the original
-		// ingest skipped the same frames), so they are not corruption.
+	res, err := replayWAL(dir, watermark, ls.Binner(), func(start uint64, frames, bins []byte) error {
+		if bins != nil {
+			// Checked by the replay against this store's shape: it lands
+			// in the cells it was first stored in.
+			ls.AppendBins(bins)
+			return nil
+		}
+		// A legacy record is binned afresh. Per-frame skips are
+		// deterministic (the original ingest skipped the same frames), so
+		// they are not corruption.
 		ls.AppendEncoded(frames)
 		return nil
 	})
@@ -175,7 +179,7 @@ func (m *Manager) Resume(r *Recovered) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Session{key: r.Key, dir: dir, cfg: m.cfg, wal: w, width: r.Meta.Channels()}
+	s := &Session{key: r.Key, dir: dir, cfg: m.cfg, wal: w, bins: r.Store.Binner()}
 	s.processed.Store(r.Processed)
 	s.snapFrames.Store(r.Watermark)
 	s.ack = ackMark{r.AckSeq, r.Processed}
@@ -198,6 +202,10 @@ func (m *Manager) Attach(meta Meta) (*Session, *core.LiveStore, error) {
 			return nil, nil, err
 		}
 	}
+	bins, err := core.NewBinner(meta.Mins, meta.Maxs, meta.storeConfig(core.LiveStoreConfig{}))
+	if err != nil {
+		return nil, nil, err
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, err
 	}
@@ -208,7 +216,7 @@ func (m *Manager) Attach(meta Meta) (*Session, *core.LiveStore, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return &Session{key: k, dir: dir, cfg: m.cfg, wal: w, width: meta.Channels()}, nil, nil
+	return &Session{key: k, dir: dir, cfg: m.cfg, wal: w, bins: bins}, nil, nil
 }
 
 func moveAside(dir string) error {

@@ -13,10 +13,12 @@ import (
 	"aims/internal/stream"
 )
 
+// testStoreCfg is the store shape testMeta records.
 var testStoreCfg = core.LiveStoreConfig{
-	Rate:        100,
-	TimeBuckets: 32,
-	ValueBins:   32,
+	Rate:         100,
+	HorizonTicks: 3200,
+	TimeBuckets:  32,
+	ValueBins:    32,
 }
 
 func testMeta(name string, channels int) Meta {
@@ -44,12 +46,14 @@ func sineFrames(n, channels int, start uint64) []stream.Frame {
 }
 
 // ingest pushes frames through the durability path and the live store the
-// way the server's consumer does.
+// way the server's appender does: binned once by the store, the bins
+// journaled, then stored.
 func ingest(t *testing.T, s *Session, ls *core.LiveStore, frames []stream.Frame) {
 	t.Helper()
-	s.AppendFrames(frames, nil)
-	if _, err := ls.AppendFrames(frames); err != nil {
-		t.Fatal(err)
+	bins, stored := ls.Binner().BinFrames(frames, nil)
+	s.AppendGroup([][]byte{bins}, nil)
+	if n, err := ls.AppendBins(bins); err != nil || n != stored || n != len(frames) {
+		t.Fatalf("stored %d of %d frames: %v", n, len(frames), err)
 	}
 	s.MaybeSnapshot(ls)
 }
@@ -121,7 +125,7 @@ func TestRecoverSnapshotPlusTail(t *testing.T) {
 	}{
 		{"no-tail", 0, 0},
 		{"one-batch", 0, batch},
-		{"several-segments", 1024, 4 * batch},
+		{"several-segments", 256, 4 * batch},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

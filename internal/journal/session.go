@@ -7,7 +7,6 @@ import (
 
 	"aims/internal/core"
 	"aims/internal/stream"
-	"aims/internal/wire"
 )
 
 // Session is one live session's durability handle: its WAL append side
@@ -16,11 +15,11 @@ import (
 // Processed/Degraded are safe from any goroutine (the admin plane reads
 // them).
 type Session struct {
-	key   string
-	dir   string
-	cfg   Config
-	wal   *wal
-	width int
+	key  string
+	dir  string
+	cfg  Config
+	wal  *wal
+	bins *core.Binner // the session's store's, for AppendFrames
 
 	processed  atomic.Uint64 // frames seen in consumer order (journaled or shed)
 	snapFrames atomic.Uint64 // watermark of the newest snapshot
@@ -39,29 +38,21 @@ func (s *Session) Processed() uint64 { return s.processed.Load() }
 func (s *Session) Degraded() bool { return s.degraded.Load() }
 
 // AppendFrames journals one batch of decoded frames, a group of one: it
-// encodes them once and journals the encoding through AppendGroup.
+// bins them as the session's store bins them (a frame of the wrong width
+// recorded as skipped) and journals the record through AppendGroup.
 func (s *Session) AppendFrames(frames []stream.Frame, keepTrying func() bool) {
-	body, err := wire.AppendFrames(nil, frames, s.width)
-	if err != nil {
-		// Frames of the wrong width cannot be framed; they still count
-		// toward the processed order, and the log no longer holds the stream.
-		s.processed.Add(uint64(len(frames)))
-		if !s.degraded.Load() {
-			s.degrade(err)
-		}
-		return
-	}
-	s.AppendGroup([][]byte{body}, keepTrying)
+	bins, _ := s.bins.BinFrames(frames, nil)
+	s.AppendGroup([][]byte{bins}, keepTrying)
 }
 
 // AppendGroup journals a run of acquisition batches before the caller
 // appends them to the live store: one WAL record per batch, in order, and
-// one fsync for the run, taken before AppendGroup returns. Each
-// batch is its encoded frame records at the session's width — the bytes
-// wire.CheckBatch returned, with any replayed prefix sliced off — which the
-// WAL frames without decoding. The frames count toward the session's
-// processed order whether or not the write lands, so snapshot watermarks
-// stay truthful even while durability is shed.
+// one fsync for the run, taken before AppendGroup returns. Each batch is
+// its core bins record (core.LiveStore.Bin) — the bytes the caller then
+// stores with AppendBins — which the WAL frames as they are. The frames
+// count toward the session's processed order whether or not the write
+// lands, so snapshot watermarks stay truthful even while durability is
+// shed.
 //
 // On a write failure the behaviour follows Config.Degrade: DegradeBlock
 // retries (stalling the caller — the bounded ingest queue then applies
@@ -70,23 +61,22 @@ func (s *Session) AppendFrames(frames []stream.Frame, keepTrying func() bool) {
 // record that did not reach the log whole. Degradation is counted once on
 // Config.Degraded.
 func (s *Session) AppendGroup(group [][]byte, keepTrying func() bool) {
-	frameSize := wire.FrameSize(s.width)
 	start := s.processed.Load()
 	end := start
-	for _, frames := range group {
-		end += uint64(len(frames) / frameSize)
+	for _, bins := range group {
+		end += uint64(binsFrames(bins))
 	}
 	s.processed.Store(end)
 	if s.degraded.Load() {
 		return
 	}
 	for {
-		landed, err := s.wal.append(start, group, s.width)
+		landed, err := s.wal.append(start, group)
 		if err == nil {
 			return
 		}
-		for _, frames := range group[:landed] {
-			start += uint64(len(frames) / frameSize)
+		for _, bins := range group[:landed] {
+			start += uint64(binsFrames(bins))
 		}
 		group = group[landed:]
 		if s.cfg.Degrade == DegradeBlock && keepTrying != nil && keepTrying() {

@@ -32,6 +32,16 @@ type Meta struct {
 // Channels returns the registered channel count.
 func (m Meta) Channels() int { return len(m.Mins) }
 
+// storeConfig returns cfg with the session's store shape: the live store
+// meta describes takes its non-shape knobs from cfg.
+func (m Meta) storeConfig(cfg core.LiveStoreConfig) core.LiveStoreConfig {
+	cfg.Rate = m.Rate
+	cfg.HorizonTicks = m.HorizonTicks
+	cfg.TimeBuckets = m.TimeBuckets
+	cfg.ValueBins = m.ValueBins
+	return cfg
+}
+
 const metaName = "meta.json"
 
 func writeMeta(dir string, m Meta) error {

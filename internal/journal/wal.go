@@ -5,12 +5,15 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
+	"aims/internal/core"
 	"aims/internal/wire"
 )
 
@@ -22,11 +25,20 @@ import (
 // in little-endian byte order. length counts the type byte plus the body;
 // the CRC (Castagnoli polynomial) covers the same span, so a torn tail, a
 // short read or a flipped bit anywhere in a record is detected and the log
-// is truncated at the last intact record. A frames record's body is the
-// wire batch encoding with Seq carrying the absolute index of the record's
-// first frame in the session's processed-frame order — replay uses it to
-// skip frames already covered by a snapshot and to tolerate gaps left by a
-// degraded (durability-shedding) period.
+// is truncated at the last intact record. A bins record's body is
+//
+//	firstFrame u64 | core bins record
+//
+// firstFrame being the absolute index of the record's first frame in the
+// session's processed-frame order — replay uses it to skip frames already
+// covered by a snapshot and to tolerate gaps left by a degraded
+// (durability-shedding) period — and the bins record (core.Binner.Bin) the
+// batch as the store keeps it: its frame count, the runs of frames in one
+// time bucket (negative ticks marked skipped) and one value bin per stored
+// frame and channel, u8 when ValueBins ≤ 256, else u16. The shape that
+// reads it — channels, time buckets, value bins — is the session's
+// meta.json. A legacy frames record's body is the wire batch encoding, Seq
+// carrying the first frame's index; replay still reads it.
 
 var walMagic = [8]byte{'A', 'I', 'M', 'S', 'W', 'A', 'L', '1'}
 
@@ -35,9 +47,10 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 const (
 	walHeaderSize  = 16
 	recHeaderSize  = 9
-	recFrames      = byte(1)
+	recFrames      = byte(1)             // legacy: body = a wire batch, Seq the first frame's index
 	recAck         = byte(2)             // body = ackMark: u64 client-stream watermark | u64 journal frame index (legacy: the watermark alone)
-	maxRecordBytes = wire.MaxPayload + 1 // type byte + a maximal wire batch
+	recBins        = byte(3)             // body = u64 first frame index | core bins record
+	maxRecordBytes = wire.MaxPayload + 1 // type byte + a maximal wire batch, the largest legacy record
 )
 
 const segPrefix = "wal-"
@@ -83,6 +96,11 @@ type wal struct {
 	size       int64
 	dirty      bool
 	needRotate bool // last write failed mid-record: rotate before reuse
+	// segs lists the segments on disk, oldest first, each with the index
+	// of its first frame: read from their headers once at open, then kept
+	// as rotation writes them, so truncateBelow neither lists the
+	// directory nor opens a header.
+	segs []segment
 
 	scratch []byte // record build buffer, reused across appends
 }
@@ -100,11 +118,15 @@ func openWAL(dir string, firstFrame uint64, cfg Config) (*wal, error) {
 	if err != nil {
 		return nil, err
 	}
-	next := 1
-	if len(seqs) > 0 {
-		next = seqs[len(seqs)-1] + 1
+	w := &wal{dir: dir, cfg: cfg}
+	for _, seq := range seqs {
+		first, err := readSegmentFirstFrame(filepath.Join(dir, segName(seq)))
+		if err != nil {
+			first = math.MaxUint64 // unreadable: nothing before it is ever proven covered
+		}
+		w.segs = append(w.segs, segment{seq, first})
+		w.seq = seq
 	}
-	w := &wal{dir: dir, cfg: cfg, seq: next - 1}
 	if err := w.rotateLocked(firstFrame); err != nil {
 		return nil, err
 	}
@@ -136,28 +158,27 @@ func (w *wal) rotateLocked(firstFrame uint64) error {
 	}
 	w.f = f
 	w.seq = seq
+	w.segs = append(w.segs, segment{seq, firstFrame})
 	w.size = walHeaderSize
 	w.dirty = true
 	w.needRotate = false
 	return nil
 }
 
-// append journals a group of batches, one record each, the first batch's
-// first frame having absolute index startFrame. Each batch is its encoded
-// frame records (wire.CheckBatch's frames, trimmed or not), framed as is:
-// the record body is a batch header carrying the journal's frame index and
-// count, then a copy of those bytes. The records are the bytes
-// a batch-at-a-time log would hold, segment boundaries included; what the
-// group shares is the durability step — one fsync, plus one for each
-// segment the group fills and leaves — taken after its last record is
-// written and before append returns.
+// append journals a group of batches, one bins record each, the first
+// batch's first frame having absolute index startFrame. Each batch is its
+// core bins record (core.Binner.Bin), framed as is behind the index of its
+// first frame. The records are the bytes a batch-at-a-time log would hold,
+// segment boundaries included; what the group shares is the durability
+// step — one fsync, plus one for each segment the group fills and leaves —
+// taken after its last record is written and before append returns.
 //
 // On failure landed counts the group's leading records that reached the
 // file whole. They are never written again — a repeated record is a frame
 // index going backwards, which replay treats as corruption — so the caller
 // retries with group[landed:]. A failed sync reports every record landed:
 // retrying with what is left (nothing) retries the sync alone.
-func (w *wal) append(startFrame uint64, group [][]byte, width int) (landed int, err error) {
+func (w *wal) append(startFrame uint64, group [][]byte) (landed int, err error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	buf, built := w.scratch[:0], 0 // records built in buf and not yet written
@@ -185,8 +206,7 @@ func (w *wal) append(startFrame uint64, group [][]byte, width int) (landed int, 
 		return err
 	}
 	next := startFrame
-	frameSize := wire.FrameSize(width)
-	for _, frames := range group {
+	for _, bins := range group {
 		if w.needRotate || w.size+int64(len(buf)) >= w.cfg.SegmentBytes {
 			// The segment is full, or an earlier write tore its tail; either
 			// way this record opens a fresh file. What the group wrote to
@@ -206,14 +226,9 @@ func (w *wal) append(startFrame uint64, group [][]byte, width int) (landed int, 
 				return landed, err
 			}
 		}
-		// 9 header bytes, then the body framed in place behind them.
-		at := len(buf)
-		buf = wire.AppendBatchBytes(append(buf, make([]byte, recHeaderSize)...), next, width, frames)
-		binary.LittleEndian.PutUint32(buf[at:], uint32(len(buf)-at-8)) // type byte + body
-		buf[at+8] = recFrames
-		binary.LittleEndian.PutUint32(buf[at+4:], crc32.Checksum(buf[at+8:], crcTable))
+		buf = appendBinsRecord(buf, next, bins)
 		built++
-		next += uint64(len(frames) / frameSize)
+		next += uint64(binsFrames(bins))
 		if len(buf) >= walScratchBytes {
 			if err := flush(); err != nil {
 				return landed, err
@@ -231,6 +246,27 @@ func (w *wal) append(startFrame uint64, group [][]byte, width int) (landed int, 
 		return landed, w.syncLocked()
 	}
 	return landed, nil
+}
+
+// binsFrames returns the frame count a core bins record opens with.
+func binsFrames(bins []byte) uint32 { return binary.LittleEndian.Uint32(bins) }
+
+// appendBinsRecord appends the WAL record of a batch's bins record, its
+// first frame at index first, to buf.
+func appendBinsRecord(buf []byte, first uint64, bins []byte) []byte {
+	at := len(buf)
+	buf = append(buf, make([]byte, recHeaderSize)...)
+	buf = binary.LittleEndian.AppendUint64(buf, first)
+	return sealRecord(append(buf, bins...), at, recBins)
+}
+
+// sealRecord fills in the header of the record of type typ whose body
+// runs from buf[at+recHeaderSize:] to the end of buf: its length and CRC.
+func sealRecord(buf []byte, at int, typ byte) []byte {
+	binary.LittleEndian.PutUint32(buf[at:], uint32(len(buf)-at-8)) // type byte + body
+	buf[at+8] = typ
+	binary.LittleEndian.PutUint32(buf[at+4:], crc32.Checksum(buf[at+8:], crcTable))
+	return buf
 }
 
 // ackMark pairs a client-stream watermark the server acknowledged with the
@@ -318,32 +354,35 @@ func (w *wal) close() error {
 	}
 	if empty {
 		os.Remove(filepath.Join(w.dir, segName(w.seq)))
+		w.segs = w.segs[:len(w.segs)-1]
 	}
 	w.f = nil
 	return err
 }
 
+// segment is one segment on disk: its sequence number and the index of
+// its first frame.
+type segment struct {
+	seq   int
+	first uint64
+}
+
 // truncateBelow deletes segments made fully redundant by a snapshot at the
 // given frame watermark: a segment may go once the NEXT segment starts at
 // or below the watermark (so every record it holds is covered). The open
-// (last) segment is never deleted.
+// (last) segment is never deleted. The files are removed outside w.mu, so
+// an ack record need not wait for the unlinks.
 func (w *wal) truncateBelow(watermark uint64) error {
 	w.mu.Lock()
-	cur := w.seq
-	w.mu.Unlock()
-	seqs, err := listSegments(w.dir)
-	if err != nil {
-		return err
+	n := 0
+	for n+1 < len(w.segs) && w.segs[n].seq < w.seq && w.segs[n+1].first <= watermark {
+		n++
 	}
-	for i := 0; i+1 < len(seqs); i++ {
-		if seqs[i] >= cur {
-			break
-		}
-		nextFirst, err := readSegmentFirstFrame(filepath.Join(w.dir, segName(seqs[i+1])))
-		if err != nil || nextFirst > watermark {
-			break
-		}
-		if err := os.Remove(filepath.Join(w.dir, segName(seqs[i]))); err != nil {
+	gone := slices.Clone(w.segs[:n])
+	w.segs = slices.Delete(w.segs, 0, n)
+	w.mu.Unlock()
+	for _, seg := range gone {
+		if err := os.Remove(filepath.Join(w.dir, segName(seg.seq))); err != nil && !os.IsNotExist(err) {
 			return err
 		}
 	}
@@ -395,13 +434,17 @@ type replayResult struct {
 	ackSeq uint64
 }
 
-// replayWAL streams every intact frames record at or above the watermark
-// through fn, in processed-frame order, as the record's encoded frames
-// (valid only for the call: the next record is read into the same buffer).
-// Records wholly below the watermark are skipped; a record straddling it is
-// delivered with its covered prefix trimmed. Corruption anywhere — bad segment header, short read, CRC
-// mismatch, undecodable body, out-of-order frame index — truncates the log
-// at the last valid record: the offending segment is cut back there.
+// replayWAL streams every intact batch record at or above the watermark
+// through fn, in processed-frame order: a bins record as its core bins
+// record, checked against bn's shape (bins), a legacy frames record as its
+// encoded frames (frames); the other is nil, and either is valid only for
+// the call, the next record being read into the same buffer. Records
+// wholly below the watermark are skipped; a record straddling it is
+// delivered with its covered prefix trimmed. Corruption anywhere — bad
+// segment header, short read, CRC mismatch, a body that does not check
+// (a bin past ValueBins, a bucket past TimeBuckets, counts that disagree
+// with the body's length), out-of-order frame index — truncates the log at
+// the last valid record: the offending segment is cut back there.
 //
 // Whether the segments after it survive depends on what their first header
 // proves. The writer answers a torn write by rotating, and stamps the new
@@ -413,8 +456,8 @@ type replayResult struct {
 // durability over a torn tail and was healed by a snapshot restarts its
 // log this way). Anything else drops the later segments, because records
 // past a tear cannot otherwise be trusted to be gap-free.
-func replayWAL(dir string, watermark uint64, width int, fn func(startFrame uint64, frames []byte) error) (replayResult, error) {
-	r := replayer{watermark: watermark, width: width, fn: fn}
+func replayWAL(dir string, watermark uint64, bn *core.Binner, fn func(startFrame uint64, frames, bins []byte) error) (replayResult, error) {
+	r := replayer{watermark: watermark, bn: bn, fn: fn}
 	r.res.processed = watermark
 	seqs, err := listSegments(dir)
 	if err != nil {
@@ -463,13 +506,14 @@ func replayWAL(dir string, watermark uint64, width int, fn func(startFrame uint6
 // segment.
 type replayer struct {
 	watermark uint64
-	width     int
-	fn        func(startFrame uint64, frames []byte) error
+	bn        *core.Binner
+	fn        func(startFrame uint64, frames, bins []byte) error
 
 	expect uint64 // next frame index an intact log would carry
 	res    replayResult
 	acks   []ackMark // the intact ack records, in log order
 	body   []byte    // record read buffer, reused record to record
+	trim   []byte    // a straddling bins record's uncovered suffix
 }
 
 // segment scans one segment. It returns the byte offset up to which the
@@ -528,31 +572,49 @@ func (r *replayer) segment(path string) (keepFrom, segEnd int64, corrupt bool, e
 			good = br.n
 			continue
 		}
-		if rh[8] != recFrames {
+		var seq uint64
+		var count int
+		var frames, bins []byte
+		switch rh[8] {
+		case recBins:
+			if len(body) < 8 {
+				return good, br.n, true, nil
+			}
+			seq, bins = binary.LittleEndian.Uint64(body), body[8:]
+			if count, _, err = r.bn.CheckBins(bins); err != nil {
+				return good, br.n, true, nil
+			}
+		case recFrames:
+			if seq, count, frames, err = wire.CheckBatch(body, r.bn.Channels()); err != nil {
+				return good, br.n, true, nil
+			}
+		default:
 			// Unknown record type from a future format revision: skip it
 			// (the CRC already vouched for its integrity).
 			good = br.n
 			continue
 		}
-		seq, count, frames, err := wire.CheckBatch(body, r.width)
-		if err != nil {
-			return good, br.n, true, nil
-		}
-		if seq < r.expect {
-			// Frame indices never go backwards in an intact log; gaps
-			// (from a degraded period) are allowed, overlaps are not.
-			return good, br.n, true, nil
-		}
 		end := seq + uint64(count)
+		if seq < r.expect || end < seq {
+			// Frame indices never go backwards in an intact log, nor wrap;
+			// gaps (from a degraded period) are allowed, overlaps are not.
+			return good, br.n, true, nil
+		}
 		r.expect = end
 		good = br.n
 		if end > r.watermark {
 			start := seq
 			if start < r.watermark {
-				frames = frames[int(r.watermark-start)*wire.FrameSize(r.width):]
+				covered := int(r.watermark - start)
+				if bins != nil {
+					r.trim = r.bn.TrimBins(bins, covered, r.trim[:0])
+					bins = r.trim
+				} else {
+					frames = frames[covered*wire.FrameSize(r.bn.Channels()):]
+				}
 				start = r.watermark
 			}
-			if err := r.fn(start, frames); err != nil {
+			if err := r.fn(start, frames, bins); err != nil {
 				return good, br.n, false, err
 			}
 			r.res.processed = end

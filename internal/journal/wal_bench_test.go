@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"os"
 	"testing"
+
+	"aims/internal/core"
 )
 
 // noSyncFile is a segment file whose Sync returns at once, leaving the
@@ -12,10 +14,24 @@ type noSyncFile struct{ *os.File }
 
 func (noSyncFile) Sync() error { return nil }
 
+// gloveBins is a 256-frame batch of testFrames' stream as a store of
+// testMeta's shape bins it: one byte a value, as at the server's default
+// 64 value bins.
+func gloveBins(b *testing.B, channels int) []byte {
+	m := testMeta("", channels)
+	bn, err := core.NewBinner(m.Mins, m.Maxs, m.storeConfig(core.LiveStoreConfig{}))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rec, _ := bn.BinFrames(testFrames(256, channels, 0), nil)
+	return rec
+}
+
 // BenchmarkWALAppend measures the page-cache append cost of a lone
-// 256-frame × 8-channel batch: encode, CRC and one write — the per-batch
-// tax the WAL adds to the ingest path apart from its fsyncs, which a
-// segment file without Sync skips.
+// 256-frame × 8-channel batch's bins record: frame, CRC and one write —
+// the per-batch tax the WAL adds to the ingest path apart from its fsyncs,
+// which a segment file without Sync skips. Bytes are the batch's wire
+// frames, what the record stands for.
 func BenchmarkWALAppend(b *testing.B) {
 	dir := b.TempDir()
 	open := func(path string) (File, error) {
@@ -31,11 +47,11 @@ func BenchmarkWALAppend(b *testing.B) {
 	}
 	defer w.close()
 	const batch, channels = 256, 8
-	frames := testFrames(batch, channels, 0)
+	group := [][]byte{gloveBins(b, channels)}
 	b.SetBytes(batch * (channels + 1) * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := appendOne(w, uint64(i*batch), frames, channels); err != nil {
+		if _, err := w.append(uint64(i*batch), group); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -48,7 +64,7 @@ func BenchmarkWALAppend(b *testing.B) {
 // the share.
 func BenchmarkWALAppendGroup(b *testing.B) {
 	const batch, channels = 256, 28
-	frames := encodeFrames(testFrames(batch, channels, 0), channels)
+	frames := gloveBins(b, channels)
 	for _, n := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("group=%d", n), func(b *testing.B) {
 			plan := NewFaultPlan()
@@ -66,7 +82,7 @@ func BenchmarkWALAppendGroup(b *testing.B) {
 			b.ResetTimer()
 			for done := 0; done < b.N; done += n {
 				g := group[:min(n, b.N-done)]
-				if _, err := w.append(uint64(done*batch), g, channels); err != nil {
+				if _, err := w.append(uint64(done*batch), g); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,11 +1,14 @@
 package journal
 
 import (
+	"encoding/binary"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"aims/internal/core"
 	"aims/internal/stream"
 	"aims/internal/wire"
 )
@@ -22,16 +25,70 @@ func testFrames(n, channels int, start uint64) []stream.Frame {
 	return frames
 }
 
-// encodeFrames is frames' wire encoding, the form the WAL journals.
-func encodeFrames(frames []stream.Frame, width int) []byte {
-	b, err := wire.AppendFrames(nil, frames, width)
+// seqMeta is a session whose value bins name the test streams' frames:
+// values in [0, 65 535] at 65 536 bins, so testFrames' frame i bins to i on
+// its first channels and replay can tell every frame apart.
+func seqMeta(name string, channels int) Meta {
+	mins, maxs := make([]float64, channels), make([]float64, channels)
+	for c := range maxs {
+		maxs[c] = 65535
+	}
+	return Meta{
+		Name: name, Rate: 100, HorizonTicks: 3200,
+		TimeBuckets: 32, ValueBins: 65536, Mins: mins, Maxs: maxs,
+	}
+}
+
+// seqBinner is seqMeta's Binner.
+func seqBinner(channels int) *core.Binner {
+	m := seqMeta("", channels)
+	bn, err := core.NewBinner(m.Mins, m.Maxs, m.storeConfig(core.LiveStoreConfig{}))
 	if err != nil {
 		panic(err)
 	}
-	return b
+	return bn
 }
 
-// decodeFrames decodes the encoded frames replay hands out.
+// binFrames is frames' bins record in the seqMeta shape, the form the WAL
+// journals.
+func binFrames(frames []stream.Frame, width int) []byte {
+	rec, _ := seqBinner(width).BinFrames(frames, nil)
+	return rec
+}
+
+// decodeBins turns a bins record of cellBytes-byte cells back into frames,
+// T its time bucket and each value its bin; skipped frames are left out.
+func decodeBins(rec []byte, channels, cellBytes int) []stream.Frame {
+	n := int(binary.LittleEndian.Uint32(rec))
+	var buckets []uint32
+	runs := rec[4:]
+	for len(buckets) < n {
+		tb, k := binary.LittleEndian.Uint32(runs), int(binary.LittleEndian.Uint32(runs[4:]))
+		for runs = runs[8:]; k > 0; k-- {
+			buckets = append(buckets, tb)
+		}
+	}
+	var out []stream.Frame
+	for _, tb := range buckets {
+		if tb == math.MaxUint32 {
+			continue
+		}
+		f := stream.Frame{T: float64(tb), Values: make([]float64, channels)}
+		for c := range f.Values {
+			if cellBytes == 2 {
+				f.Values[c] = float64(binary.LittleEndian.Uint16(runs))
+			} else {
+				f.Values[c] = float64(runs[0])
+			}
+			runs = runs[cellBytes:]
+		}
+		out = append(out, f)
+	}
+	return out
+}
+
+// decodeFrames decodes the encoded frames replay hands out for a legacy
+// frames record.
 func decodeFrames(frames []byte, width int) []stream.Frame {
 	b, err := wire.DecodeBatch(wire.AppendBatchBytes(nil, 0, width, frames), width)
 	if err != nil {
@@ -40,18 +97,23 @@ func decodeFrames(frames []byte, width int) []stream.Frame {
 	return b.Frames
 }
 
-// appendOne journals a lone batch: a group of one.
+// appendOne journals a lone batch, binned in the seqMeta shape: a group of
+// one.
 func appendOne(w *wal, start uint64, frames []stream.Frame, width int) error {
-	_, err := w.append(start, [][]byte{encodeFrames(frames, width)}, width)
+	_, err := w.append(start, [][]byte{binFrames(frames, width)})
 	return err
 }
 
-// collect replays a directory's WAL into a flat frame list.
+// collect replays a directory's WAL, in the seqMeta shape, into a flat
+// frame list: each bins record's stored frames, their values the bins.
 func collect(t *testing.T, dir string, watermark uint64, width int) ([]stream.Frame, replayResult) {
 	t.Helper()
 	var got []stream.Frame
-	res, err := replayWAL(dir, watermark, width, func(start uint64, frames []byte) error {
-		got = append(got, decodeFrames(frames, width)...)
+	res, err := replayWAL(dir, watermark, seqBinner(width), func(start uint64, frames, bins []byte) error {
+		if bins == nil {
+			t.Fatal("a legacy frames record in a log this commit wrote")
+		}
+		got = append(got, decodeBins(bins, width, 2)...)
 		return nil
 	})
 	if err != nil {
@@ -82,14 +144,14 @@ func TestWALAppendReplayRoundTrip(t *testing.T) {
 	if uint64(len(got)) != next || res.processed != next || res.truncated {
 		t.Fatalf("replayed %d frames (processed=%d truncated=%v), want %d", len(got), res.processed, res.truncated, next)
 	}
-	if got[11].Values[1] != testFrames(1, 3, 11)[0].Values[1] {
-		t.Fatal("frame content drift")
+	if want := math.Round(testFrames(1, 3, 11)[0].Values[2]); got[11].Values[2] != want {
+		t.Fatalf("frame 11 replays channel 2 in bin %v, want %v", got[11].Values[2], want)
 	}
 }
 
 func TestWALSegmentRotationAndTruncate(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{Dir: dir, SegmentBytes: 2048}.withDefaults()
+	cfg := Config{Dir: dir, SegmentBytes: 512}.withDefaults()
 	w, err := openWAL(dir, 0, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -253,4 +315,61 @@ func TestWALSyncsEveryAppend(t *testing.T) {
 	if got := plan.Syncs(); got != 11 {
 		t.Fatalf("close of a synced segment cost %d syncs, want 0", got-11)
 	}
+}
+
+// TestTruncateBelowUsesTheIndexItKeeps: truncation decides from the first-
+// frame indices the wal read at open and wrote at rotation, not from the
+// files: with the header of every segment on disk wiped after the wal
+// learned it, a snapshot's truncation still drops exactly the segments the
+// watermark covers, those of a previous incarnation included.
+func TestTruncateBelowUsesTheIndexItKeeps(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Dir: dir, SegmentBytes: 256}.withDefaults()
+	w, err := openWAL(dir, 0, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var next uint64
+	write := func(w *wal, batches int) {
+		for ; batches > 0; batches-- {
+			if err := appendOne(w, next, testFrames(8, 2, next), 2); err != nil {
+				t.Fatal(err)
+			}
+			next += 8
+		}
+	}
+	write(w, 12)
+	w.close()
+	if w, err = openWAL(dir, next, cfg); err != nil { // a restart: the index is read once, here
+		t.Fatal(err)
+	}
+	write(w, 12)
+	want := map[int]bool{} // the segments a watermark of 120 leaves
+	for i, seg := range w.segs {
+		if i+1 == len(w.segs) || w.segs[i+1].first > 120 {
+			want[seg.seq] = true
+		}
+	}
+	if len(want) == len(w.segs) || len(want) < 2 {
+		t.Fatalf("%d of %d segments stay: the stream was meant to span several on both sides of frame 120", len(want), len(w.segs))
+	}
+	seqs, _ := listSegments(dir)
+	for _, seq := range seqs {
+		if err := os.WriteFile(filepath.Join(dir, segName(seq)), make([]byte, walHeaderSize), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.truncateBelow(120); err != nil {
+		t.Fatal(err)
+	}
+	left, _ := listSegments(dir)
+	if len(left) != len(want) {
+		t.Fatalf("segments %v survive, want %d", left, len(want))
+	}
+	for _, seq := range left {
+		if !want[seq] {
+			t.Fatalf("segment %d survives, want %v", seq, want)
+		}
+	}
+	w.close()
 }

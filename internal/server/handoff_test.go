@@ -3,6 +3,8 @@ package server
 import (
 	"bufio"
 	"encoding/binary"
+	"fmt"
+	"math"
 	"math/rand"
 	"net"
 	"os"
@@ -529,25 +531,46 @@ func TestHeldGroupStaysChargedToTheFrameBound(t *testing.T) {
 	}
 }
 
-// walFrames parses the frames records of one WAL segment, in file order.
-func walFrames(t *testing.T, path string, channels int) []stream.Frame {
+// binnedFrames splits a core bins record into one string per frame, in
+// frame order: "skip", or its time bucket and its cells.
+func binnedFrames(rec []byte, cellBytes int) []string {
+	var out []string
+	n := int(binary.LittleEndian.Uint32(rec))
+	runs := rec[4:]
+	for len(out) < n {
+		tb, k := binary.LittleEndian.Uint32(runs), int(binary.LittleEndian.Uint32(runs[4:]))
+		runs = runs[8:]
+		for ; k > 0; k-- {
+			out = append(out, fmt.Sprint(tb)) // the cells follow the runs
+		}
+	}
+	for i := range out {
+		if out[i] == fmt.Sprint(uint32(math.MaxUint32)) {
+			out[i] = "skip"
+			continue
+		}
+		out[i] += fmt.Sprint(runs[:cellBytes])
+		runs = runs[cellBytes:]
+	}
+	return out
+}
+
+// walBins parses the bins records of one WAL segment, in file order, into
+// binnedFrames' one string per frame.
+func walBins(t *testing.T, path string, cellBytes int) []string {
 	t.Helper()
 	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out []stream.Frame
+	var out []string
 	for b = b[16:]; len(b) > 0; { // past the segment header
 		length := binary.LittleEndian.Uint32(b)
-		if b[8] == 1 { // frames record: the body is a wire batch
-			batch, err := wire.DecodeBatch(b[9:8+length], channels)
-			if err != nil {
-				t.Fatal(err)
+		if b[8] == 3 { // bins record: first frame index, then the core bins record
+			if first := binary.LittleEndian.Uint64(b[9:]); first != uint64(len(out)) {
+				t.Fatalf("record carries frame index %d, %d frames precede it", first, len(out))
 			}
-			if batch.Seq != uint64(len(out)) {
-				t.Fatalf("record carries frame index %d, %d frames precede it", batch.Seq, len(out))
-			}
-			out = append(out, batch.Frames...)
+			out = append(out, binnedFrames(b[17:8+length], cellBytes)...)
 		}
 		b = b[8+length:]
 	}
@@ -628,7 +651,8 @@ func TestAppendLoopMatchesOneAtATimeModel(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !sess.q.push(queued{n: len(frames), frames: body}) {
+				rec, _ := sess.store.Bin(body, nil) // as the reader bins it
+				if !sess.q.push(queued{n: len(frames), rec: rec}) {
 					t.Fatal("blocking queue refused a batch")
 				}
 				sess.enqueued.Add(uint64(len(frames)))
@@ -684,14 +708,16 @@ func TestAppendLoopMatchesOneAtATimeModel(t *testing.T) {
 		}
 		sameAnswers(sess.store)
 
-		// The journal: one segment (nothing rotated), frames in arrival order.
-		logged := walFrames(t, filepath.Join(dir, "model", "wal-00000001.log"), channels)
+		// The journal: one segment (nothing rotated), frames in arrival
+		// order, each as the store bins it.
+		logged := walBins(t, filepath.Join(dir, "model", "wal-00000001.log"), channels)
 		if len(logged) != len(sent) {
 			t.Fatalf("seed %d: journal holds %d frames, %d were sent", seed, len(logged), len(sent))
 		}
-		for i := range sent {
-			if logged[i].T != sent[i].T || logged[i].Values[0] != sent[i].Values[0] {
-				t.Fatalf("seed %d: journaled frame %d is not the %dth sent", seed, i, i)
+		all, _ := model.Binner().BinFrames(sent, nil)
+		for i, want := range binnedFrames(all, channels) {
+			if logged[i] != want {
+				t.Fatalf("seed %d: journaled frame %d is %s, the %dth sent bins to %s", seed, i, logged[i], i, want)
 			}
 		}
 		// And a crash now recovers the model, acknowledged to the device's

@@ -239,9 +239,9 @@ func TestPayloadBufferControlMessages(t *testing.T) {
 		rs.expectFlushAck()
 	}
 	wantBuffersBack(t, sess)
-	// The Hello, the batch, 20 queries and 20 pings.
-	if taken, _ := bufferCounts(sess); taken != 1+1+20+20 {
-		t.Fatalf("%d buffers taken, want one per non-empty message (42)", taken)
+	// The Hello, the batch and its bins record, 20 queries and 20 pings.
+	if taken, _ := bufferCounts(sess); taken != 1+2+20+20 {
+		t.Fatalf("%d buffers taken, want one per non-empty message and one per binned batch (43)", taken)
 	}
 }
 

@@ -4,20 +4,20 @@
 // session is live. Each connection is one session served by two goroutines
 // — the two threads of the paper's §3.1 recording strategy. The reader owns
 // the socket: it reads each message into a recycled payload buffer, checks
-// a wire batch without decoding it (wire.CheckBatch), enqueues its encoded
-// frames whole together with the buffer that holds them, acknowledges it,
-// and answers exact/approximate/progressive range aggregates against the
+// a wire batch without decoding it (wire.CheckBatch), bins it once,
+// straight out of its payload bytes, into its bins record in a second
+// pooled buffer (LiveStore.Bin, which reads nothing an append writes),
+// hands the payload back, enqueues the record, acknowledges the batch, and
+// answers exact/approximate/progressive range aggregates against the
 // session's core.LiveStore (core/propolyne). The appender drains the queue
 // a group at a time — whatever queued, up to the next Flush barrier, while
-// it made the previous group durable: journal write-ahead for the group
-// under one durability step, framing the same bytes, then one
-// LiveStore.AppendEncoded per batch, quantising straight out of them, then
-// the counters, the buffer's return, the barrier and the snapshot check. A
-// payload buffer has one owner at a time: the reader until it enqueues the
-// batch (or, for any other message and for a shed, duplicate or refused
-// batch, until it is done with it), then the appender until the batch is
-// stored. Buffers come from one pool the server's sessions share, so a
-// session at rest holds none.
+// it made the previous group durable: journal write-ahead of the group's
+// bins records under one durability step, then one LiveStore.AppendBins
+// per batch from the same records, then the counters, the buffer's return,
+// the barrier and the snapshot check. A buffer has one owner at a time: a
+// payload the reader, a bins record the reader until it enqueues it, then
+// the appender until it is stored. Buffers come from one pool the server's
+// sessions share, so a session at rest holds none.
 //
 // Ordering invariants of that hand-off: a batch is acknowledged (and the
 // session's ackSeq watermark advanced) when it is enqueued or shed, not

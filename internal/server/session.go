@@ -71,16 +71,16 @@ type session struct {
 
 // queued is one entry of a session's ingest queue: a checked wire batch on
 // its way to the journal and the store, or — no frames, done set — a Flush
-// barrier. A batch travels undecoded: frames is its n encoded frame records
-// (a replayed prefix already sliced off), and buf is the pooled payload
-// buffer they live in, which the appender hands back to the server's pool
-// once the batch is stored.
+// barrier. A batch travels as its bins record: rec is its n frames (a
+// replayed prefix already sliced off) binned as the store keeps them
+// (LiveStore.Bin), and buf is the pooled buffer rec lives in, which the
+// appender hands back to the server's pool once the batch is stored.
 type queued struct {
-	n      int
-	frames []byte
-	buf    *[]byte
-	bytes  int           // the batch's payload size, whoever holds buf by the time it is traced
-	done   chan struct{} // barrier: closed by the appender once everything ahead of it is stored
+	n     int
+	rec   []byte
+	buf   *[]byte
+	bytes int           // the batch's payload size, whoever holds buf by the time it is traced
+	done  chan struct{} // barrier: closed by the appender once everything ahead of it is stored
 
 	// The batch's timeline travels with it, so its trace is stamped where
 	// the batch ends (traceBatch): tr is the live trace of a sampled batch,
@@ -98,15 +98,16 @@ type queued struct {
 // reader) and one consumer (the appender) means at most one of them is ever
 // waiting, so a single condition variable serves both directions.
 //
-// It also hands out the session's payload buffers. The reader reads every
-// message into one drawn from the server's pool (read), and a batch's
-// buffer rides the queue with it until the appender, having stored the
-// batch, hands it back (release). Every other message — and a batch that
-// is shed, a duplicate or refused — goes back as soon as the reader is done
-// with it (recycle). Message decoders copy what they keep, so a buffer is
-// only ever read by its current owner. taken and returned count the
-// session's buffers out and back: with nothing in flight they are equal,
-// every buffer came back exactly once and the session holds none.
+// It also hands out the session's buffers. The reader reads every message
+// into one drawn from the server's pool (read) and gives it back as soon as
+// it is done with it (recycle): for a batch, once it has binned it into a
+// second buffer (get), which rides the queue with the batch until the
+// appender, having stored it, hands it back. A batch that is shed, a
+// duplicate or refused is never binned. Message decoders copy what they
+// keep, so a buffer is only ever read by its current owner. taken and
+// returned count the session's buffers out and back: with nothing in
+// flight they are equal, every buffer came back exactly once and the
+// session holds none.
 type batchQueue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -127,15 +128,14 @@ func (q *batchQueue) init(limit int, shed bool, depth *obs.Gauge, pool *payloadP
 }
 
 // read reads one message into a pooled buffer. pb holds the payload (nil
-// for an empty one) and goes back through recycle or release; a message
+// for an empty one) and goes back through recycle; a message
 // that fails to arrive whole gives its buffer back here.
 func (q *batchQueue) read(r io.Reader) (typ byte, payload []byte, pb *[]byte, err error) {
 	typ, payload, err = wire.ReadMessageInto(r, func(n int) []byte {
 		if n == 0 {
 			return nil // an empty payload needs no buffer
 		}
-		q.taken.Add(1)
-		pb = q.pool.get(n)
+		pb = q.get(n)
 		return *pb
 	})
 	if err != nil {
@@ -145,7 +145,22 @@ func (q *batchQueue) read(r io.Reader) (typ byte, payload []byte, pb *[]byte, er
 	return typ, payload, pb, nil
 }
 
-// recycle hands a payload buffer its owner is done with back to the pool.
+// get draws a buffer of length n from the pool for the session.
+func (q *batchQueue) get(n int) *[]byte {
+	q.taken.Add(1)
+	return q.pool.get(n)
+}
+
+// admits reports whether push would admit a batch of n frames without
+// refusing it: false only when a shedding queue has no room for it. The
+// reader is the only producer, so the answer holds until its push.
+func (q *batchQueue) admits(n int) bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return !q.shed || q.frames+n <= q.limit
+}
+
+// recycle hands a buffer its owner is done with back to the pool.
 func (q *batchQueue) recycle(pb *[]byte) {
 	if pb == nil {
 		return
@@ -210,14 +225,13 @@ func (q *batchQueue) take(group []queued) (_ []queued, ok bool) {
 }
 
 // release uncharges the n frames of a batch the appender took and has now
-// stored, and hands its payload buffer back.
-func (q *batchQueue) release(n int, pb *[]byte) {
+// stored.
+func (q *batchQueue) release(n int) {
 	q.mu.Lock()
 	q.frames -= n
 	q.depth.Add(-int64(n))
 	q.cond.Signal()
 	q.mu.Unlock()
-	q.recycle(pb)
 }
 
 // close ends the stream: take drains what is queued, then reports !ok.
@@ -409,29 +423,28 @@ func (sess *session) sendError(code wire.Code, text string) {
 // appendLoop is the session's appender goroutine. Each turn takes a group
 // — whatever queued while the previous one was being made durable, up to
 // the next Flush barrier: one batch on an idle link, a run of them under
-// load — journals it with one durability step, appends its batches to the
-// live store in arrival order, and only then releases the barrier that
-// ended it. It blocks (no timer) while the queue is empty and returns once
-// the queue is closed and drained.
+// load — journals the group's bins records with one durability step,
+// stores each record (AppendBins) in arrival order, and only then releases
+// the barrier that ended it. It blocks (no timer) while the queue is empty
+// and returns once the queue is closed and drained.
 func (sess *session) appendLoop() {
-	m := sess.srv.metrics
 	var group []queued
-	var batches [][]byte
+	var records [][]byte
 	for {
 		var ok bool
 		if group, ok = sess.q.take(group); !ok {
 			return
 		}
 		var barrier chan struct{}
-		batches = batches[:0]
+		records = records[:0]
 		for _, e := range group {
 			if e.done != nil {
 				barrier = e.done
 			} else {
-				batches = append(batches, e.frames)
+				records = append(records, e.rec)
 			}
 		}
-		if len(batches) == 0 {
+		if len(records) == 0 {
 			close(barrier)
 			continue
 		}
@@ -440,32 +453,15 @@ func (sess *session) appendLoop() {
 			// before any of it reaches the store, so a crash after this
 			// point replays it rather than losing it. Under the block
 			// policy a dead disk stalls here until shutdown gives up.
-			sess.jsess.AppendGroup(batches, func() bool { return !sess.srv.isClosed() })
+			sess.jsess.AppendGroup(records, func() bool { return !sess.srv.isClosed() })
 		}
-		for i := range batches {
-			// Once stored, a batch's buffer goes back to the pool: the
-			// queue refills against the frames released below, and a
+		clear(records)
+		// A barrier ends its group, so the batches lead it.
+		for i := range records {
+			sess.storeBatch(&group[i])
+			// Once stored, a batch's buffer is back in the pool, and a
 			// reference kept here until the group ends would pin it.
-			e := group[i]
-			group[i], batches[i] = queued{}, nil
-			// One append per wire batch under a single write-lock
-			// acquisition, quantised straight out of the payload bytes
-			// (frames with a negative tick are skipped inside).
-			t0 := time.Now()
-			stored, _ := sess.store.AppendEncoded(e.frames)
-			end := time.Now()
-			m.appendSeconds.Observe(end.Sub(t0).Seconds())
-			if bad := uint64(e.n - stored); bad > 0 {
-				sess.badAppend.Add(bad)
-				m.appendErrors.Add(bad)
-			}
-			sess.stored.Add(uint64(e.n)) // processed, including bad appends
-			m.framesIngested.Add(uint64(stored))
-			sess.q.release(e.n, e.buf)
-			// Queue wait runs from admission to the start of the store
-			// append, so it includes the write-ahead.
-			m.queueWaitSeconds.Observe(t0.Sub(e.at).Seconds())
-			sess.traceBatch(&e, t0, end, "")
+			group[i] = queued{}
 		}
 		if barrier != nil {
 			close(barrier)
@@ -474,6 +470,29 @@ func (sess *session) appendLoop() {
 			sess.jsess.MaybeSnapshot(sess.store)
 		}
 	}
+}
+
+// storeBatch appends e's bins record to the live store under one
+// write-lock acquisition, hands its buffer back and accounts for it.
+func (sess *session) storeBatch(e *queued) {
+	m := sess.srv.metrics
+	t0 := time.Now()
+	stored, _ := sess.store.AppendBins(e.rec)
+	end := time.Now()
+	sess.q.recycle(e.buf)
+	m.appendSeconds.Observe(end.Sub(t0).Seconds())
+	if bad := uint64(e.n - stored); bad > 0 {
+		sess.badAppend.Add(bad)
+		m.appendErrors.Add(bad)
+	}
+	sess.stored.Add(uint64(e.n)) // processed, including bad appends
+	m.framesIngested.Add(uint64(stored))
+	// The queue refills against the frames released here.
+	sess.q.release(e.n)
+	// Queue wait runs from admission to the start of the store append, so
+	// it includes the write-ahead.
+	m.queueWaitSeconds.Observe(t0.Sub(e.at).Seconds())
+	sess.traceBatch(e, t0, end, "")
 }
 
 // readLoop processes messages until the client closes, errs, idles out or
@@ -564,17 +583,18 @@ func (sess *session) flushIfIdle() bool {
 	return true
 }
 
-// handleBatch checks one wire batch — without decoding it — and enqueues
-// it for the appender, payload buffer pb and all; a batch that is not
-// enqueued returns its buffer, and has its trace stamped, at once.
+// handleBatch checks one wire batch — without decoding it — bins it and
+// enqueues its bins record for the appender; its payload buffer pb goes
+// back either way, and a batch that is not enqueued has its trace stamped
+// at once.
 func (sess *session) handleBatch(payload []byte, pb *[]byte) bool {
 	srv := sess.srv
-	e := queued{buf: pb, bytes: len(payload), start: time.Now()}
+	e := queued{bytes: len(payload), start: time.Now()}
 	e.tr = srv.tracer.Begin("ingest", 0, false, e.start)
 	seq, n, frames, err := wire.CheckBatch(payload, sess.store.Channels())
 	e.decoded = time.Now()
 	srv.metrics.decodeSeconds.Observe(e.decoded.Sub(e.start).Seconds())
-	e.n, e.frames = n, frames
+	e.n = n
 	if err != nil {
 		sess.q.recycle(pb)
 		sess.traceBatch(&e, time.Time{}, time.Now(), "refused")
@@ -599,7 +619,7 @@ func (sess *session) handleBatch(payload []byte, pb *[]byte) bool {
 	}
 	if seq < sess.ackSeq {
 		k := int(sess.ackSeq - seq)
-		e.frames = frames[k*wire.FrameSize(sess.store.Channels()):]
+		frames = frames[k*wire.FrameSize(sess.store.Channels()):]
 		e.n -= k
 		e.trimmed = true
 		seq = sess.ackSeq
@@ -614,17 +634,25 @@ func (sess *session) handleBatch(payload []byte, pb *[]byte) bool {
 		sess.sendError(wire.CodeBadMessage, "batch offset ahead of session watermark")
 		return false
 	}
-	// One enqueue per wire batch. Under PolicyBlock a full queue blocks
-	// here: the reader stops draining the socket and the device feels the
-	// backpressure.
-	if sess.q.push(e) {
-		// The batch — buffer, trace and timeline — now belongs to the
-		// appender, which stores it, returns the buffer and stamps the
+	// A batch the queue will take is binned here, once, straight out of the
+	// payload (LiveStore.Bin reads nothing an append writes): the appender
+	// journals and stores the record, and the payload buffer goes back at
+	// once. One enqueue per wire batch. Under PolicyBlock a full queue
+	// blocks here: the reader stops draining the socket and the device
+	// feels the backpressure.
+	if sess.q.admits(e.n) {
+		e.buf = sess.q.get(sess.store.Binner().BinsBytes(e.n))
+		e.rec, _ = sess.store.Bin(frames, (*e.buf)[:0])
+	}
+	sess.q.recycle(pb)
+	if e.buf != nil && sess.q.push(e) {
+		// The batch — record, buffer, trace and timeline — now belongs to
+		// the appender, which stores it, returns the buffer and stamps the
 		// trace.
 		sess.enqueued.Add(uint64(e.n))
 		srv.metrics.batchesIngested.Inc()
 	} else {
-		sess.q.recycle(pb)
+		sess.q.recycle(e.buf)
 		ack.Code = wire.CodeShed
 		sess.shedB.Add(1)
 		sess.shedF.Add(uint64(e.n))

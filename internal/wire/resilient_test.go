@@ -244,6 +244,10 @@ func TestReconnectGivesUpAfterMaxAttempts(t *testing.T) {
 		Timeout:     time.Second,
 		BaseBackoff: time.Millisecond,
 		MaxBackoff:  4 * time.Millisecond,
+		// The dial timeout defaults to MaxBackoff; 4 ms can pass before the
+		// initial dial and Hello complete on a loaded host. The later
+		// dials are refused at once, so this loosens nothing they test.
+		DialTimeout: time.Second,
 		MaxAttempts: 3,
 		Seed:        21,
 		Logf:        t.Logf,
