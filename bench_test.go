@@ -290,6 +290,13 @@ func BenchmarkDeviceFrame(b *testing.B) {
 
 // --- Live-ingest seal path (bench/ reports core.seal_cold_ms, seal_incr_us) ---
 
+// appendAt appends one frame at device tick tick, stamped tick/Rate
+// seconds, through AppendFrames.
+func appendAt(ls *core.LiveStore, tick int, frame []float64) error {
+	_, err := ls.AppendFrames([]stream.Frame{{T: float64(tick) / ls.Config().Rate, Values: frame}})
+	return err
+}
+
 // benchLiveStore fills a default 256×64-per-channel cube with 8192 frames
 // and returns the store plus the next free tick.
 func benchLiveStore(b *testing.B, channels, threshold int) (*core.LiveStore, *rand.Rand, int) {
@@ -314,7 +321,7 @@ func benchLiveStore(b *testing.B, channels, threshold int) (*core.LiveStore, *ra
 		for c := range fr {
 			fr[c] = rng.Float64()*20 - 10
 		}
-		if err := ls.AppendFrame(i, fr); err != nil {
+		if err := appendAt(ls, i, fr); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -331,7 +338,7 @@ func benchSealLoop(b *testing.B, ls *core.LiveStore, rng *rand.Rand, tick, delta
 			for c := range fr {
 				fr[c] = rng.Float64()*20 - 10
 			}
-			if err := ls.AppendFrame(tick, fr); err != nil {
+			if err := appendAt(ls, tick, fr); err != nil {
 				b.Fatal(err)
 			}
 			tick++
@@ -465,7 +472,7 @@ func BenchmarkFleetQueryPlanCache(b *testing.B) {
 		fr := []float64{0}
 		for tick := 0; tick < frames; tick++ {
 			fr[0] = rng.Float64()*2 - 1
-			if err := ls.AppendFrame(tick, fr); err != nil {
+			if err := appendAt(ls, tick, fr); err != nil {
 				b.Fatal(err)
 			}
 		}

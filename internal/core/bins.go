@@ -126,11 +126,14 @@ func (b *Binner) cellBytes() int {
 func (b *Binner) BinsBytes(n int) int { return 4 + n*(8+b.cellBytes()) }
 
 // frameBucket returns the time bucket of a frame stamped t seconds, or
-// skipBucket when its tick is negative. Ticks past the horizon clamp into
-// the last bucket.
+// skipBucket when its tick, t·rate rounded half up, is negative or t is
+// NaN. x is tested before it converts, because the conversion truncates
+// toward zero: a tick of −1 would otherwise land in bucket 0. Ticks past
+// the horizon clamp into the last bucket.
 func (b *Binner) frameBucket(t float64) uint32 {
-	tick := int(t*b.rate + 0.5)
-	if tick < 0 {
+	x := t*b.rate + 0.5
+	tick := int(x)
+	if !(x >= 0) || tick < 0 {
 		return skipBucket
 	}
 	return uint32(min(tick/b.tpb, b.timeBuckets-1))
@@ -352,39 +355,4 @@ func (b *Binner) TrimBins(rec []byte, k int, dst []byte) []byte {
 		}
 	}
 	return append(dst, rec[at+dropped*b.cellBytes():]...)
-}
-
-// binChunkBytes sizes the stack buffer AppendFrames, AppendFrame and
-// AppendEncoded bin through, as many frames at a time as fit, so none of
-// them allocates or keeps a buffer.
-const binChunkBytes = 8 << 10
-
-// appendBinned stores n frames under one write-lock acquisition, binning
-// them a chunk at a time into a stack buffer: frames when it is non-nil,
-// else body's encoded frame records. It returns the frames stored.
-func (ls *LiveStore) appendBinned(n int, body []byte, frames []stream.Frame) int {
-	var buf [binChunkBytes]byte
-	dst := buf[:0]
-	chunk := (binChunkBytes - 4) / (8 + ls.binner.cellBytes())
-	if chunk == 0 { // a frame wider than the buffer
-		chunk, dst = 1, make([]byte, 0, ls.binner.BinsBytes(1))
-	}
-	rec := (len(ls.quant) + 1) * 8
-	stored := 0
-	ls.mu.Lock()
-	logging := ls.logDelta(n * len(ls.quant))
-	for lo := 0; lo < n; lo += chunk {
-		hi := min(lo+chunk, n)
-		var bins []byte
-		var kept int
-		if frames != nil {
-			bins, kept = ls.binner.BinFrames(frames[lo:hi], dst)
-		} else {
-			bins, kept = ls.binner.Bin(body[lo*rec:hi*rec], dst)
-		}
-		ls.storeBins(bins, kept, logging)
-		stored += kept
-	}
-	ls.mu.Unlock()
-	return stored
 }

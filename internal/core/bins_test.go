@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"aims/internal/sensors"
@@ -62,11 +63,12 @@ func TestBinMatchesQuantize(t *testing.T) {
 	}
 }
 
-// TestRestoredStoreBinsThroughItsQuantizers: a restored live store bins
-// new frames through the quantisers the store was built with — here
-// QuantizerFor's, spanning each channel's observed range (a constant
-// channel's widened to one unit) — so each value of a frame appended
-// after the restore lands in the cell Quantize names.
+// TestRestoredStoreBinsThroughItsQuantizers: a live store read back from
+// its snapshot bins new frames through the quantisers the store was built
+// with — here QuantizerFor's, spanning each channel's observed range (a
+// constant channel's widened to one unit), which no registration range
+// rebuilds — so each value of a frame appended after the read lands in
+// the cell Quantize names.
 func TestRestoredStoreBinsThroughItsQuantizers(t *testing.T) {
 	recording := make([][]float64, 500)
 	for i := range recording {
@@ -78,7 +80,12 @@ func TestRestoredStoreBinsThroughItsQuantizers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ls, err := RestoreLiveStore(st, LiveStoreConfig{})
+	cfg := LiveStoreConfig{Rate: st.Rate, TimeBuckets: st.TimeBuckets, ValueBins: st.ValueBins, HorizonTicks: st.TicksPerBucket * st.TimeBuckets}
+	built, err := newLiveStore(slices.Clone(st.quant), cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ls, err := ReadSnapshot(built.AppendSnapshot(nil), LiveStoreConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 
 	"aims/internal/compress"
 	"aims/internal/sensors"
+	"aims/internal/stream"
 	"aims/internal/synth"
 )
 
@@ -88,15 +89,16 @@ func encode(ts []float64, frames [][]float64) []byte {
 	return body
 }
 
-// TestBinsRecordIsAppendEncoded pins the bins record to the path it
-// replaced: over the benchmark's glove and tracker recordings, with every
-// edge value edgeFrames makes and negative, NaN and past-horizon ticks,
-// at cube widths 4, 8, 16 and 32 and at 64 and 512 value bins (one-byte
-// and two-byte cells), a store fed AppendBins(Bin(body)) batch by batch
-// and one fed AppendEncoded(body) store the same frames and snapshot to
-// the same bytes, and both hold exactly the cube a fold of
-// compress.Quantize over the frames builds.
-func TestBinsRecordIsAppendEncoded(t *testing.T) {
+// TestBinsRecordIsAppendFrames pins the bins record of a batch's wire
+// encoding to the decoded frames' path: over the benchmark's glove and
+// tracker recordings, with every edge value edgeFrames makes and negative,
+// NaN and past-horizon ticks, at cube widths 4, 8, 16 and 32 and at 64 and
+// 512 value bins (one-byte and two-byte cells), a store fed
+// AppendBins(Bin(body)) batch by batch and one fed AppendFrames(frames)
+// store the same frames and snapshot to the same bytes, and both hold
+// exactly the cube a fold of compress.Quantize over the frames builds, a
+// frame's tick its timestamp times the rate rounded half up.
+func TestBinsRecordIsAppendFrames(t *testing.T) {
 	for name, recording := range benchInputs() {
 		mins, maxs := paddedRanges(recording)
 		for _, bins := range []int{64, 512} {
@@ -126,8 +128,9 @@ func TestBinsRecordIsAppendEncoded(t *testing.T) {
 				}
 				want := make([]uint32, a.cells())
 				for i, fr := range frames {
-					tick := int(ts[i]*cfg.Rate + 0.5)
-					if tick < 0 {
+					x := math.Floor(ts[i]*cfg.Rate + 0.5)
+					tick := int(x) // past int's range: implementation-defined, as in Bin
+					if !(x >= 0) || tick < 0 {
 						continue
 					}
 					tb := min(tick/a.TicksPerBucket(), cfg.TimeBuckets-1)
@@ -138,13 +141,16 @@ func TestBinsRecordIsAppendEncoded(t *testing.T) {
 				var rec []byte
 				for lo := 0; lo < len(frames); {
 					hi := min(lo+1+rng.Intn(300), len(frames))
-					body := encode(ts[lo:hi], frames[lo:hi])
-					na, _ := a.AppendEncoded(body)
+					batch := make([]stream.Frame, hi-lo)
+					for i := range batch {
+						batch[i] = stream.Frame{T: ts[lo+i], Values: frames[lo+i]}
+					}
+					na, _ := a.AppendFrames(batch)
 					var kept int
-					rec, kept = b.Bin(body, rec[:0])
+					rec, kept = b.Bin(encode(ts[lo:hi], frames[lo:hi]), rec[:0])
 					nb, err := b.AppendBins(rec)
 					if err != nil || na != nb || nb != kept {
-						t.Fatalf("%s: AppendEncoded stored %d, AppendBins %d of the %d Bin kept (%v)", what, na, nb, kept, err)
+						t.Fatalf("%s: AppendFrames stored %d, AppendBins %d of the %d Bin kept (%v)", what, na, nb, kept, err)
 					}
 					lo = hi
 				}

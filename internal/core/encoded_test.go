@@ -58,12 +58,12 @@ func sameLiveState(t *testing.T, what string, a, b *LiveStore) {
 	}
 }
 
-// TestAppendEncodedMatchesAppendFrames: quantising straight out of the
-// wire encoding is AppendFrames, bit for bit — the same cube cells, frame
-// count, version and delta log, with delta tracking off, on and
-// overflowing — over hostile batches at 1 and 28 channels, each also
-// appended with its replayed prefix trimmed at every offset.
-func TestAppendEncodedMatchesAppendFrames(t *testing.T) {
+// TestAppendBinsMatchesAppendFrames: binning straight out of the wire
+// encoding and storing the record is AppendFrames, bit for bit — the same
+// cube cells, frame count, version and delta log, with delta tracking off,
+// on and overflowing — over hostile batches at 1 and 28 channels, each
+// also appended with its replayed prefix trimmed at every offset.
+func TestAppendBinsMatchesAppendFrames(t *testing.T) {
 	for _, channels := range []int{1, 28} {
 		modes := []struct {
 			name      string
@@ -98,7 +98,8 @@ func TestAppendEncodedMatchesAppendFrames(t *testing.T) {
 			if mode.seal {
 				seal() // delta tracking starts at the first seal
 			}
-			rec := (channels + 1) * 8
+			size := (channels + 1) * 8
+			var rec []byte
 			tick, overflowed, logged := 0, false, 0
 			for batch := 0; batch < 8; batch++ {
 				frames := hostileFrames(rng, 1+rng.Intn(16), channels, &tick)
@@ -108,10 +109,12 @@ func TestAppendEncodedMatchesAppendFrames(t *testing.T) {
 				}
 				for k := 0; k <= len(frames); k++ {
 					what := fmt.Sprintf("%s, %d channels, batch %d trimmed by %d", mode.name, channels, batch, k)
-					na, ea := a.AppendFrames(frames[k:])
-					nb, eb := b.AppendEncoded(body[k*rec:])
-					if na != nb || fmt.Sprint(ea) != fmt.Sprint(eb) {
-						t.Fatalf("%s: AppendFrames stored %d (%v), AppendEncoded %d (%v)", what, na, ea, nb, eb)
+					na, _ := a.AppendFrames(frames[k:])
+					var kept int
+					rec, kept = b.Bin(body[k*size:], rec[:0])
+					nb, err := b.AppendBins(rec)
+					if err != nil || na != nb || nb != kept {
+						t.Fatalf("%s: AppendFrames stored %d, AppendBins %d of the %d Bin kept (%v)", what, na, nb, kept, err)
 					}
 					sameLiveState(t, what, a, b)
 					overflowed = overflowed || a.overflow
@@ -129,21 +132,5 @@ func TestAppendEncodedMatchesAppendFrames(t *testing.T) {
 				t.Fatalf("%s at %d channels: nothing stored", mode.name, channels)
 			}
 		}
-	}
-}
-
-// TestAppendEncodedRefusesTornRecords: a body that is not a whole number
-// of frame records stores nothing.
-func TestAppendEncodedRefusesTornRecords(t *testing.T) {
-	ls := newLive(t, 3)
-	body, err := wire.AppendFrames(nil, []stream.Frame{{T: 0.1, Values: []float64{1, 2, 3}}}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n, err := ls.AppendEncoded(body[:len(body)-1]); err == nil || n != 0 || ls.Frames() != 0 || ls.Version() != 0 {
-		t.Fatalf("torn record: stored %d, err %v, frames %d", n, err, ls.Frames())
-	}
-	if n, err := ls.AppendEncoded(body); err != nil || n != 1 {
-		t.Fatalf("whole record: stored %d, err %v", n, err)
 	}
 }

@@ -50,8 +50,8 @@ import (
 // the bucket exceeds fill[tb].
 //
 // Concurrency: one RWMutex guards the cube and its width, the bucket
-// fills, the delta log and the seal cache fields. AppendFrame takes the
-// write lock for the whole frame, so a query never observes half a frame,
+// fills, the delta log and the seal cache fields. An append takes the
+// write lock for its whole batch, so a query never observes half a frame,
 // and a widening copy happens under it too; exact scans take the read
 // lock and then rowMu, which guards the row cache (lock order mu → rowMu).
 // Safe for one or more appenders and any number of concurrent readers.
@@ -186,9 +186,9 @@ func liveQuantizers(mins, maxs []float64, cfg LiveStoreConfig) ([]compress.Quant
 // quant[c], which it keeps, with its cube at the width a bucket of maxFill
 // frames needs (cubeWidth). It is the one place a store's Binner is built,
 // so the bin table always matches the quantisers: NewLiveStore passes the
-// registration ranges' quantisers, ReadSnapshot and RestoreLiveStore the
-// persisted ones. cfg's dims must be powers of two, and every quantiser
-// must have cfg.ValueBins levels.
+// registration ranges' quantisers, ReadSnapshot the persisted ones. cfg's
+// dims must be powers of two, and every quantiser must have cfg.ValueBins
+// levels.
 func newLiveStore(quant []compress.Quantizer, cfg LiveStoreConfig, maxFill uint64) (*LiveStore, error) {
 	cfg = cfg.withDefaults()
 	binner, err := newBinner(quant, cfg)
@@ -247,27 +247,6 @@ func (ls *LiveStore) Version() uint64 {
 	ls.mu.RLock()
 	defer ls.mu.RUnlock()
 	return ls.version
-}
-
-// AppendFrame ingests one frame at the given absolute device tick:
-// one quantise + increment per channel, under the write lock so the frame
-// becomes visible to queries atomically.
-func (ls *LiveStore) AppendFrame(tick int, frame []float64) error {
-	if len(frame) != len(ls.quant) {
-		return fmt.Errorf("core: frame width %d != %d channels", len(frame), len(ls.quant))
-	}
-	if tick < 0 {
-		return fmt.Errorf("core: negative tick %d", tick)
-	}
-	tb := uint32(min(tick/ls.binner.tpb, ls.cfg.TimeBuckets-1))
-	var buf [256]byte
-	w := ls.binner.writer(buf[:0], 1)
-	ls.binner.binValues(w.next(tb), frame)
-	rec, _ := w.finish()
-	ls.mu.Lock()
-	ls.storeBins(rec, 1, ls.logDelta(len(frame)))
-	ls.mu.Unlock()
-	return nil
 }
 
 // logDelta reports whether an append of n cube-cell increments is to log
@@ -379,6 +358,9 @@ func convert[D, S count | float64](dst []D, src []S) {
 	}
 }
 
+// binChunkBytes sizes the stack buffer AppendFrames bins through.
+const binChunkBytes = 8 << 10
+
 // AppendFrames ingests a batch of stream frames under a single write-lock
 // acquisition, deriving each frame's tick from its timestamp and the
 // device rate. Frames that fail validation — wrong width, negative tick —
@@ -386,7 +368,23 @@ func convert[D, S count | float64](dst []D, src []S) {
 // were stored; err reports the first skip reason and is nil when all
 // landed.
 func (ls *LiveStore) AppendFrames(frames []stream.Frame) (int, error) {
-	stored := ls.appendBinned(len(frames), nil, frames)
+	// The frames are binned a chunk at a time into a stack buffer, so an
+	// append neither allocates nor keeps a buffer.
+	var buf [binChunkBytes]byte
+	dst := buf[:0]
+	chunk := (binChunkBytes - 4) / (8 + ls.binner.cellBytes())
+	if chunk == 0 { // a frame wider than the buffer
+		chunk, dst = 1, make([]byte, 0, ls.binner.BinsBytes(1))
+	}
+	stored := 0
+	ls.mu.Lock()
+	logging := ls.logDelta(len(frames) * len(ls.quant))
+	for lo := 0; lo < len(frames); lo += chunk {
+		bins, kept := ls.binner.BinFrames(frames[lo:min(lo+chunk, len(frames))], dst)
+		ls.storeBins(bins, kept, logging)
+		stored += kept
+	}
+	ls.mu.Unlock()
 	if stored == len(frames) {
 		return stored, nil
 	}
@@ -404,37 +402,10 @@ func (ls *LiveStore) AppendFrames(frames []stream.Frame) (int, error) {
 // checkTick returns the error a frame stamped t seconds is skipped with,
 // nil when its tick is not negative.
 func (ls *LiveStore) checkTick(t float64) error {
-	if tick := int(t*ls.cfg.Rate + 0.5); tick < 0 {
-		return fmt.Errorf("core: negative tick %d", tick)
+	if ls.binner.frameBucket(t) == skipBucket {
+		return fmt.Errorf("core: frame at %v s has a negative tick", t)
 	}
 	return nil
-}
-
-// AppendEncoded is AppendFrames for frames still in their wire encoding —
-// body holds whole frame records of (T, one value per channel), each a
-// little-endian IEEE-754 float64 — binned as Bin bins them and stored as
-// AppendBins stores them, without being decoded, under one write-lock
-// acquisition. A frame with a negative tick is skipped, exactly
-// as AppendFrames skips it, so both produce the same cube, counters and
-// delta log. A body that is not a whole number of records is refused
-// without storing anything.
-func (ls *LiveStore) AppendEncoded(body []byte) (int, error) {
-	w := len(ls.quant)
-	rec := (w + 1) * 8
-	if len(body)%rec != 0 {
-		return 0, fmt.Errorf("core: %d encoded bytes are not whole %d-channel frames", len(body), w)
-	}
-	n := len(body) / rec
-	stored := ls.appendBinned(n, body, nil)
-	if stored == n {
-		return stored, nil
-	}
-	for ; len(body) > 0; body = body[rec:] {
-		if err := ls.checkTick(math.Float64frombits(binary.LittleEndian.Uint64(body))); err != nil {
-			return stored, err
-		}
-	}
-	return stored, nil
 }
 
 // Bin is the store's Binner.Bin: the bins record of body's encoded frames,

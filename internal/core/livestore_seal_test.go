@@ -36,7 +36,7 @@ func TestSealFallbackAfterReplayError(t *testing.T) {
 		return []float64{8 * math.Sin(float64(i)*0.11), 8 * math.Cos(float64(i)*0.07)}
 	}
 	for i := 0; i < 400; i++ {
-		if err := ls.AppendFrame(i, frame(i)); err != nil {
+		if err := appendAt(ls, i, frame(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -51,7 +51,7 @@ func TestSealFallbackAfterReplayError(t *testing.T) {
 	// outside the cube so the engine's batched sparse append must reject
 	// the replay.
 	for i := 400; i < 500; i++ {
-		if err := ls.AppendFrame(i, frame(i)); err != nil {
+		if err := appendAt(ls, i, frame(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -88,7 +88,7 @@ func TestSealFallbackAfterReplayError(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 500; i++ {
-		if err := clean.AppendFrame(i, frame(i)); err != nil {
+		if err := appendAt(clean, i, frame(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -112,7 +112,7 @@ func TestSealFallbackAfterReplayError(t *testing.T) {
 
 	// And the incremental path works again after the rebuild.
 	for i := 500; i < 520; i++ {
-		if err := ls.AppendFrame(i, frame(i)); err != nil {
+		if err := appendAt(ls, i, frame(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -173,10 +173,10 @@ func TestSealOffsetReplayPaddedChannels(t *testing.T) {
 					for c := range fr {
 						fr[c] = rng.Float64()*20 - 10
 					}
-					if err := inc.AppendFrame(tick, fr); err != nil {
+					if err := appendAt(inc, tick, fr); err != nil {
 						t.Fatal(err)
 					}
-					if err := ref.AppendFrame(tick, fr); err != nil {
+					if err := appendAt(ref, tick, fr); err != nil {
 						t.Fatal(err)
 					}
 					tick++
@@ -228,7 +228,7 @@ func TestLiveApproxAfterAppendEnergyCurrent(t *testing.T) {
 			for c := range fr {
 				fr[c] = rng.Float64()*20 - 10
 			}
-			if err := ls.AppendFrame(tick, fr); err != nil {
+			if err := appendAt(ls, tick, fr); err != nil {
 				t.Fatal(err)
 			}
 			tick++
@@ -278,7 +278,7 @@ func TestSealAllocatesOneCube(t *testing.T) {
 		for c := range frame {
 			frame[c] = rng.Float64()*20 - 10
 		}
-		if err := ls.AppendFrame(i, frame); err != nil {
+		if err := appendAt(ls, i, frame); err != nil {
 			t.Fatal(err)
 		}
 	}

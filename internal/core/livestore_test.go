@@ -29,6 +29,13 @@ func testFrames(n, channels int) [][]float64 {
 	return out
 }
 
+// appendAt appends one frame at device tick tick through AppendFrames,
+// stamped tick/Rate seconds.
+func appendAt(ls *LiveStore, tick int, frame []float64) error {
+	_, err := ls.AppendFrames([]stream.Frame{{T: float64(tick) / ls.cfg.Rate, Values: frame}})
+	return err
+}
+
 func newLive(t *testing.T, channels int) *LiveStore {
 	t.Helper()
 	mins := make([]float64, channels)
@@ -56,10 +63,10 @@ func TestLiveStoreValidation(t *testing.T) {
 		t.Fatal("non-power-of-two buckets accepted")
 	}
 	ls := newLive(t, 2)
-	if err := ls.AppendFrame(0, []float64{1}); err == nil {
+	if err := appendAt(ls, 0, []float64{1}); err == nil {
 		t.Fatal("wrong width accepted")
 	}
-	if err := ls.AppendFrame(-1, []float64{1, 2}); err == nil {
+	if err := appendAt(ls, -1, []float64{1, 2}); err == nil {
 		t.Fatal("negative tick accepted")
 	}
 	if _, err := ls.CountSamples(5, 0, 1); err == nil {
@@ -72,7 +79,7 @@ func TestLiveStoreExactAggregates(t *testing.T) {
 	ls := newLive(t, channels)
 	frames := testFrames(800, channels)
 	for tick, fr := range frames {
-		if err := ls.AppendFrame(tick, fr); err != nil {
+		if err := appendAt(ls, tick, fr); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -141,7 +148,7 @@ func TestLiveStoreSealMatchesScans(t *testing.T) {
 	const channels = 2
 	ls := newLive(t, channels)
 	for tick, fr := range testFrames(500, channels) {
-		if err := ls.AppendFrame(tick, fr); err != nil {
+		if err := appendAt(ls, tick, fr); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -178,7 +185,7 @@ func TestLiveStoreSealMatchesScans(t *testing.T) {
 	// the same engine object may be returned — what matters is that the
 	// answer reflects the new frame).
 	before, _ := st.CountSamples(0, 0, 1e9)
-	if err := ls.AppendFrame(500, []float64{1, 1}); err != nil {
+	if err := appendAt(ls, 500, []float64{1, 1}); err != nil {
 		t.Fatal(err)
 	}
 	st3, err := ls.Seal()
@@ -194,7 +201,7 @@ func TestLiveStoreSealMatchesScans(t *testing.T) {
 func TestLiveStoreApproximateAndProgressive(t *testing.T) {
 	ls := newLive(t, 2)
 	for tick, fr := range testFrames(600, 2) {
-		if err := ls.AppendFrame(tick, fr); err != nil {
+		if err := appendAt(ls, tick, fr); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -231,7 +238,7 @@ func TestLiveStoreApproximateAndProgressive(t *testing.T) {
 func TestTracedQueryAllocs(t *testing.T) {
 	ls := newLive(t, 2)
 	for tick, fr := range testFrames(600, 2) {
-		if err := ls.AppendFrame(tick, fr); err != nil {
+		if err := appendAt(ls, tick, fr); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -310,7 +317,7 @@ func TestRangePastHorizonClampsIntoLastBucket(t *testing.T) {
 	lastStart := (liveCfg().TimeBuckets - 1) * tpb // first tick of the final bucket
 	total := lastStart + 150                       // 150 ticks land past the bucketed horizon
 	for i, row := range testFrames(total, channels) {
-		if err := ls.AppendFrame(i, row); err != nil {
+		if err := appendAt(ls, i, row); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -368,7 +375,7 @@ func TestLiveStoreConcurrentIngestAndQuery(t *testing.T) {
 		defer wg.Done()
 		defer close(done)
 		for tick, fr := range frames {
-			if err := ls.AppendFrame(tick, fr); err != nil {
+			if err := appendAt(ls, tick, fr); err != nil {
 				t.Error(err)
 				return
 			}
@@ -549,10 +556,10 @@ func TestLiveStoreIncrementalSealEquivalence(t *testing.T) {
 						for c := range fr {
 							fr[c] = rng.Float64()*20 - 10
 						}
-						if err := inc.AppendFrame(tick, fr); err != nil {
+						if err := appendAt(inc, tick, fr); err != nil {
 							t.Fatal(err)
 						}
-						if err := ref.AppendFrame(tick, fr); err != nil {
+						if err := appendAt(ref, tick, fr); err != nil {
 							t.Fatal(err)
 						}
 						tick++
@@ -583,7 +590,7 @@ func TestLiveStoreIncrementalSealConcurrent(t *testing.T) {
 	go func() {
 		defer close(done)
 		for tick, fr := range frames {
-			if err := inc.AppendFrame(tick, fr); err != nil {
+			if err := appendAt(inc, tick, fr); err != nil {
 				t.Error(err)
 				return
 			}
@@ -613,7 +620,7 @@ func TestLiveStoreIncrementalSealConcurrent(t *testing.T) {
 
 	ref := mkLive(t, channels, -1)
 	for tick, fr := range frames {
-		if err := ref.AppendFrame(tick, fr); err != nil {
+		if err := appendAt(ref, tick, fr); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -643,13 +650,19 @@ func gloveBody() []byte {
 }
 
 // idleGloveBytes returns what one idle glove session's store holds and
-// what building it allocated under cfg: a 2 048-frame preload from body,
-// then one whole-session exact scan of every channel, so its row cache
+// what building it allocated under cfg: a 2 048-frame preload, body binned
+// beforehand as the server's reader bins it, then one whole-session exact
+// scan of every channel, so its row cache
 // exists as it does once the fleet layer has queried it. held is the heap
 // the store keeps live; allocated also counts the garbage building it
 // left, such as a cube that widened and left its narrower copy behind.
 func idleGloveBytes(tb testing.TB, body []byte, cfg LiveStoreConfig) (held, allocated uint64) {
 	mins, maxs := gloveRange(28)
+	bn, err := NewBinner(mins, maxs, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	bins, _ := bn.Bin(body, nil)
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.GC() // the first collection only moves sync.Pool caches aside
@@ -658,7 +671,7 @@ func idleGloveBytes(tb testing.TB, body []byte, cfg LiveStoreConfig) (held, allo
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if n, err := ls.AppendEncoded(body); err != nil || n != 2048 {
+	if n, err := ls.AppendBins(bins); err != nil || n != 2048 {
 		tb.Fatalf("stored %d of 2048 frames: %v", n, err)
 	}
 	for ch := 0; ch < 28; ch++ {
@@ -669,7 +682,7 @@ func idleGloveBytes(tb testing.TB, body []byte, cfg LiveStoreConfig) (held, allo
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	runtime.KeepAlive(ls)
-	runtime.KeepAlive(body) // the caller's, live before and after
+	runtime.KeepAlive(bins) // live before and after
 	return after.HeapAlloc - before.HeapAlloc, after.TotalAlloc - before.TotalAlloc
 }
 

@@ -76,15 +76,16 @@ func (b *opBytes) value() float64 { return float64(b.next()-128) / 100 }
 // seconds draws a query bound in [-0.08, 0.88) s, past the 0.64 s horizon.
 func (b *opBytes) seconds() float64 { return float64(b.next()%96-8) / 100 }
 
-// runExactOps interprets p as a sequence of LiveStore operations —
-// AppendFrame, AppendFrames and AppendEncoded (negative and past-horizon
-// ticks included), a burst of up to 510 copies of one frame at one tick,
-// enough to widen the cube past 8 bits, Seal, and Seal → WriteTo →
-// ReadStore → RestoreLiveStore → AppendSnapshot → ReadSnapshot with later
-// ops on the decoded store, whose snapshot must be the original's — and
-// after every step checks the
-// exact aggregates of every channel, over the whole range and over one
-// drawn window, against binMoments over the cube.
+// runExactOps interprets p as a sequence of LiveStore operations — a
+// one-frame AppendFrames, a batch through AppendFrames and one binned from
+// its wire encoding and stored with AppendBins, the server's path
+// (negative and past-horizon ticks included), a burst of up to 510 copies
+// of one frame at one tick, enough to widen the cube past 8 bits, binned
+// and stored the same way, Seal, and AppendSnapshot → ReadSnapshot with
+// later ops on the decoded store, whose snapshot must be the original's —
+// and after every step checks the exact aggregates of every channel, over
+// the whole range and over one drawn window, against binMoments over the
+// cube. A frame is stored exactly when its drawn tick is not negative.
 func runExactOps(t *testing.T, p []byte) {
 	t.Helper()
 	ls, err := NewLiveStore([]float64{-1, -1}, []float64{1, 1}, exactOpsCfg)
@@ -93,24 +94,34 @@ func runExactOps(t *testing.T, p []byte) {
 	}
 	in := &opBytes{p}
 	frames := 0
+	// binAndStore stores body's encoded frames as the server does: binned
+	// once, then counted from the record.
+	binAndStore := func(body []byte) int {
+		rec, kept := ls.Bin(body, nil)
+		n, err := ls.AppendBins(rec)
+		if err != nil || n != kept {
+			t.Fatalf("AppendBins stored %d of the %d Bin kept: %v", n, kept, err)
+		}
+		return n
+	}
 	for step := 0; len(in.p) > 0; step++ {
 		switch op := in.next() % 6; op {
 		case 0:
 			tick := in.tick()
-			err := ls.AppendFrame(tick, []float64{in.value(), in.value()})
-			if (err == nil) != (tick >= 0) {
-				t.Fatalf("step %d: AppendFrame at tick %d: %v", step, tick, err)
+			f := stream.Frame{T: float64(tick) / exactOpsCfg.Rate, Values: []float64{in.value(), in.value()}}
+			n, err := ls.AppendFrames([]stream.Frame{f})
+			if (n == 1) != (tick >= 0) || (err == nil) != (tick >= 0) {
+				t.Fatalf("step %d: a frame at tick %d stored %d: %v", step, tick, n, err)
 			}
-			if err == nil {
-				frames++
-			}
+			frames += n
 		case 1, 2:
 			batch := make([]stream.Frame, 1+in.next()%8)
 			var body []byte
 			want := 0
 			for i := range batch {
-				batch[i] = stream.Frame{T: float64(in.tick()) / exactOpsCfg.Rate, Values: []float64{in.value(), in.value()}}
-				if ls.checkTick(batch[i].T) == nil {
+				tick := in.tick()
+				batch[i] = stream.Frame{T: float64(tick) / exactOpsCfg.Rate, Values: []float64{in.value(), in.value()}}
+				if tick >= 0 {
 					want++
 				}
 				for _, v := range append([]float64{batch[i].T}, batch[i].Values...) {
@@ -121,7 +132,7 @@ func runExactOps(t *testing.T, p []byte) {
 			if op == 1 {
 				n, _ = ls.AppendFrames(batch)
 			} else {
-				n, _ = ls.AppendEncoded(body)
+				n = binAndStore(body)
 			}
 			if n != want {
 				t.Fatalf("step %d: stored %d of %d frames, want %d", step, n, len(batch), want)
@@ -132,28 +143,12 @@ func runExactOps(t *testing.T, p []byte) {
 				t.Fatalf("step %d: seal: %v", step, err)
 			}
 		case 4:
-			st, err := ls.Seal()
-			if err != nil {
-				t.Fatalf("step %d: seal: %v", step, err)
-			}
-			var buf bytes.Buffer
-			if _, err := st.WriteTo(&buf); err != nil {
-				t.Fatalf("step %d: write: %v", step, err)
-			}
-			back, err := ReadStore(&buf)
-			if err != nil {
-				t.Fatalf("step %d: read: %v", step, err)
-			}
-			restored, err := RestoreLiveStore(back, exactOpsCfg)
-			if err != nil {
-				t.Fatalf("step %d: restore: %v", step, err)
-			}
-			snap := restored.AppendSnapshot(nil)
-			if !bytes.Equal(snap, ls.AppendSnapshot(nil)) {
-				t.Fatalf("step %d: the legacy restore snapshots to other bytes than the store it restored", step)
-			}
+			snap := ls.AppendSnapshot(nil)
 			if ls, err = ReadSnapshot(snap, exactOpsCfg); err != nil {
 				t.Fatalf("step %d: snapshot: %v", step, err)
+			}
+			if !bytes.Equal(ls.AppendSnapshot(nil), snap) {
+				t.Fatalf("step %d: the decoded store snapshots to other bytes than the store it was read from", step)
 			}
 		case 5:
 			tick, n := in.tick(), 2*in.next()
@@ -165,10 +160,10 @@ func runExactOps(t *testing.T, p []byte) {
 				}
 			}
 			want := 0
-			if ls.checkTick(frame[0]) == nil {
+			if tick >= 0 {
 				want = n
 			}
-			if got, _ := ls.AppendEncoded(body); got != want {
+			if got := binAndStore(body); got != want {
 				t.Fatalf("step %d: burst stored %d of %d frames, want %d", step, got, n, want)
 			}
 			frames += want
@@ -235,8 +230,8 @@ func checkExact(t *testing.T, step int, ls *LiveStore, ch int, t0, t1 float64) {
 }
 
 // TestLiveStoreExactMomentsProperty drives random op sequences through
-// runExactOps: after every append, seal and restore, each exact answer is
-// bit-identical to a float fold over the cube cells.
+// runExactOps: after every append, seal and snapshot round trip, each
+// exact answer is bit-identical to a float fold over the cube cells.
 func TestLiveStoreExactMomentsProperty(t *testing.T) {
 	for seed := int64(1); seed <= 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -248,10 +243,10 @@ func TestLiveStoreExactMomentsProperty(t *testing.T) {
 
 // FuzzLiveStoreExactMoments feeds fuzz bytes through runExactOps. The
 // checked-in corpus (testdata/fuzz/FuzzLiveStoreExactMoments) seeds each
-// append kind, past-horizon and negative ticks, a restore followed by
-// queries and appends into the rows those queries cached, bursts that
-// widen the cube before a seal and a restore, and a restored 4-bit cube
-// that a burst widens to 8 bits.
+// append kind, past-horizon and negative ticks, a snapshot round trip
+// followed by queries and appends into the rows those queries cached,
+// bursts that widen the cube before a seal and a round trip, and a
+// decoded 4-bit cube that a burst widens to 8 bits.
 func FuzzLiveStoreExactMoments(f *testing.F) {
 	f.Fuzz(func(t *testing.T, p []byte) {
 		if len(p) > 4096 {
@@ -272,11 +267,11 @@ func TestRowCurrencyPerBucket(t *testing.T) {
 		t.Fatal(err)
 	}
 	const t0, t1 = 0.08, 0.15 // bucket 1: ticks 8 to 15
-	if err := ls.AppendFrame(10, []float64{-0.5, -0.5}); err != nil {
+	if err := appendAt(ls, 10, []float64{-0.5, -0.5}); err != nil {
 		t.Fatal(err)
 	}
 	checkExact(t, 0, ls, 0, t0, t1)
-	if err := ls.AppendFrame(12, []float64{0.5, 0.9}); err != nil {
+	if err := appendAt(ls, 12, []float64{0.5, 0.9}); err != nil {
 		t.Fatal(err)
 	}
 	checkExact(t, 1, ls, 0, t0, t1)
@@ -297,7 +292,7 @@ func warmGlove(tb testing.TB) *LiveStore {
 		for c := range frame {
 			frame[c] = mins[c] + rng.Float64()*(maxs[c]-mins[c])
 		}
-		if err := ls.AppendFrame(i, frame); err != nil {
+		if err := appendAt(ls, i, frame); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -342,7 +337,7 @@ func BenchmarkSummarize(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if dirty {
-					if err := ls.AppendFrame(5999, frame); err != nil {
+					if err := appendAt(ls, 5999, frame); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -358,13 +353,14 @@ func BenchmarkSummarize(b *testing.B) {
 
 // TestLiveStoreWidens piles frames past the horizon into the last bucket
 // until a cell passes 15, 255 and then 65 535. The crossing from 4 to 8
-// bits is made once through each of AppendFrame, AppendFrames and
-// AppendEncoded; the ladder through 16 and 32 bits runs once, its steps
-// taken through every append path. At each step every exact answer is
-// bit-identical to binMoments over the widened cube, an incremental seal
-// after the widen estimates what a store that rebuilds every seal
-// estimates, and a restore comes back at the store's width and keeps
-// answering after one more frame.
+// bits is made once through each append path: frame by frame and as one
+// batch through AppendFrames, and as the batch's wire encoding binned
+// (Bin) and stored with AppendBins; the ladder through 16 and 32 bits runs
+// once, its steps taken through every path. At each step every exact
+// answer is bit-identical to binMoments over the widened cube, an
+// incremental seal after the widen estimates what a store that rebuilds
+// every seal estimates, and the store read back from its snapshot comes
+// back at the store's width and keeps answering after one more frame.
 func TestLiveStoreWidens(t *testing.T) {
 	for _, via := range []string{"frame", "frames", "encoded"} {
 		t.Run("nibbles-via-"+via, func(t *testing.T) {
@@ -382,8 +378,9 @@ func TestLiveStoreWidens(t *testing.T) {
 	})
 }
 
-// widenStep appends n frames through one append path ("frame", "frames"
-// or "encoded").
+// widenStep appends n frames through one append path: "frame" (one
+// AppendFrames a frame), "frames" (one AppendFrames) or "encoded" (Bin,
+// then AppendBins).
 type widenStep struct {
 	n   int
 	via string
@@ -427,7 +424,7 @@ func testLiveStoreWidens(t *testing.T, first int, steps []widenStep) {
 			switch via {
 			case "frame":
 				for _, f := range frames {
-					if err := s.AppendFrame(100, f.Values); err != nil {
+					if err := appendAt(s, 100, f.Values); err != nil {
 						t.Fatal(err)
 					}
 					got++
@@ -435,7 +432,8 @@ func testLiveStoreWidens(t *testing.T, first int, steps []widenStep) {
 			case "frames":
 				got, err = s.AppendFrames(frames)
 			case "encoded":
-				got, err = s.AppendEncoded(body)
+				rec, _ := s.Bin(body, nil)
+				got, err = s.AppendBins(rec)
 			}
 			if err != nil || got != n {
 				t.Fatalf("%s: stored %d of %d frames: %v", via, got, n, err)
@@ -501,20 +499,12 @@ func testLiveStoreWidens(t *testing.T, first int, steps []widenStep) {
 				}
 			}
 		}
-		var buf bytes.Buffer
-		if _, err := inc.WriteTo(&buf); err != nil {
-			t.Fatal(err)
-		}
-		back, err := ReadStore(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		restored, err := RestoreLiveStore(back, exactOpsCfg)
+		restored, err := ReadSnapshot(ls.AppendSnapshot(nil), exactOpsCfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		check(what+", restored", restored, stored)
-		if err := restored.AppendFrame(100, []float64{0.5, 0}); err != nil {
+		if err := appendAt(restored, 100, []float64{0.5, 0}); err != nil {
 			t.Fatal(err)
 		}
 		check(what+", restored, one more", restored, stored+1)

@@ -7,10 +7,13 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+
+	"aims/internal/stream"
 )
 
 // burst appends n frames at device tick tick, values drawn from i so the
-// frames spread over the value bins, as AppendEncoded's wire records.
+// frames spread over the value bins, binned from their wire records and
+// stored as the server stores them.
 func burst(t testing.TB, ls *LiveStore, tick, n int) {
 	t.Helper()
 	var body []byte
@@ -21,7 +24,8 @@ func burst(t testing.TB, ls *LiveStore, tick, n int) {
 			body = binary.LittleEndian.AppendUint64(body, math.Float64bits(v))
 		}
 	}
-	if stored, err := ls.AppendEncoded(body); err != nil || stored != n {
+	rec, _ := ls.Bin(body, nil)
+	if stored, err := ls.AppendBins(rec); err != nil || stored != n {
 		t.Fatalf("burst of %d at tick %d stored %d: %v", n, tick, stored, err)
 	}
 }
@@ -165,4 +169,105 @@ func FuzzReadSnapshot(f *testing.F) {
 			t.Fatalf("COUNT over everything %v (%v), want the %d frames", n, err, ls.Frames())
 		}
 	})
+}
+
+func liveFrames(n int, channels int) []stream.Frame {
+	frames := make([]stream.Frame, n)
+	for i := range frames {
+		vals := make([]float64, channels)
+		for c := range vals {
+			vals[c] = math.Sin(float64(i)/20+float64(c)) * 3
+		}
+		frames[i] = stream.Frame{T: float64(i) / 100, Values: vals}
+	}
+	return frames
+}
+
+// TestRestoreReplayDedupInvariant models crash recovery where the journal
+// tail overlaps the snapshot: a store is snapshotted at frame N, and the
+// surviving log's trailing record spans frames already inside the
+// snapshot. The recovery discipline — drop everything below the restored
+// store's Frames() watermark, trim the straddling record to its fresh
+// suffix — must reproduce the uninterrupted store exactly, while naively
+// re-applying the duplicate record visibly diverges (which is what makes
+// the watermark check load-bearing).
+func TestRestoreReplayDedupInvariant(t *testing.T) {
+	mins := []float64{-4, -4}
+	maxs := []float64{4, 4}
+	cfg := LiveStoreConfig{Rate: 100, TimeBuckets: 32, ValueBins: 32, HorizonTicks: 3200}
+	all := liveFrames(900, 2)
+
+	// The fault-free reference: every frame applied exactly once.
+	ref, err := NewLiveStore(mins, maxs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ref.AppendFrames(all); err != nil {
+		t.Fatal(err)
+	}
+
+	// Snapshot at frame 600, encoded and read back like a real recovery.
+	snap, err := NewLiveStore(mins, maxs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := snap.AppendFrames(all[:600]); err != nil {
+		t.Fatal(err)
+	}
+	back := snap.AppendSnapshot(nil)
+	restored, err := ReadSnapshot(back, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restored.Frames() != 600 {
+		t.Fatalf("restored watermark = %d, want 600", restored.Frames())
+	}
+
+	// The surviving log: [400,700) — trailing record duplicating 200
+	// already-applied frames — then [700,900). Apply with the dedup rule.
+	for _, rec := range [][2]int{{400, 700}, {700, 900}} {
+		start, end := rec[0], rec[1]
+		if end <= restored.Frames() {
+			continue // wholly below the watermark: already applied
+		}
+		if below := restored.Frames() - start; below > 0 {
+			start += below // trim the covered prefix
+		}
+		if _, err := restored.AppendFrames(all[start:end]); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if restored.Frames() != ref.Frames() {
+		t.Fatalf("frames after dedup replay: %d, want %d", restored.Frames(), ref.Frames())
+	}
+	for ch := 0; ch < 2; ch++ {
+		n1, _ := ref.CountSamples(ch, 0, 12)
+		n2, _ := restored.CountSamples(ch, 0, 12)
+		if n1 != n2 {
+			t.Fatalf("ch %d count %v vs %v", ch, n1, n2)
+		}
+		a1, ok1, _ := ref.AverageValue(ch, 0, 12)
+		a2, ok2, _ := restored.AverageValue(ch, 0, 12)
+		if ok1 != ok2 || math.Abs(a1-a2) > 1e-9 {
+			t.Fatalf("ch %d average %v vs %v", ch, a1, a2)
+		}
+	}
+
+	// Sanity that the invariant is doing real work: re-applying the
+	// duplicate span verbatim inflates the count — exactly the double
+	// apply the watermark discipline prevents.
+	naive, err := ReadSnapshot(back, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := naive.AppendFrames(all[400:700]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := naive.AppendFrames(all[700:900]); err != nil {
+		t.Fatal(err)
+	}
+	if naive.Frames() == ref.Frames() {
+		t.Fatal("naive double apply went unnoticed; the dedup test is vacuous")
+	}
 }

@@ -55,10 +55,10 @@ func (s Summary) Variance() (float64, bool) {
 // a frame.
 //
 // A bucket's fill — the frames stored into it, counted once per frame by
-// every append, read back by ReadSnapshot and rebuilt by RestoreLiveStore
-// — is every channel's Σ1 there, since each frame adds one count to every
-// channel's row of its bucket. A bucket's rows are current while the fill
-// they were cached at equals its fill, and a fill only grows. Warm rows —
+// every append and read back by ReadSnapshot — is every channel's Σ1
+// there, since each frame adds one count to every channel's row of its
+// bucket. A bucket's rows are current while the fill they were cached at
+// equals its fill, and a fill only grows. Warm rows —
 // an idle session, a finished bucket — cost one add each, so a scan is
 // O(buckets) and allocates nothing. A bucket that took frames since its
 // rows were cached, typically a live session's head bucket, has every

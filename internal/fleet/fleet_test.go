@@ -367,7 +367,7 @@ func TestStragglerFinishingAfterDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := slow.AppendFrame(0, []float64{0.5, -0.5}); err != nil {
+	if _, err := slow.AppendFrames([]stream.Frame{{T: 0, Values: []float64{0.5, -0.5}}}); err != nil {
 		t.Fatal(err)
 	}
 	sessions = append(sessions, Session{ID: 99, Class: "glove", Store: slow})

@@ -117,14 +117,13 @@ func TestReplayTrailingDuplicateIsDropped(t *testing.T) {
 	// suffix and replay resumes exactly at the watermark.
 	var starts []uint64
 	var frames int
-	res2, err := replayWAL(dir, 150, seqBinner(2), func(start uint64, _, bins []byte) error {
+	res2, err := replayWAL(dir, 150, seqBinner(2), func(start uint64, bins []byte) {
 		starts = append(starts, start)
 		got := decodeBins(bins, 2, 2)
 		if got[0].Values[0] != 150 {
 			t.Fatalf("straddle replay resumes at frame %v, want 150", got[0].Values[0])
 		}
 		frames += len(got)
-		return nil
 	})
 	if err != nil {
 		t.Fatal(err)

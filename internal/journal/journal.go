@@ -21,18 +21,17 @@
 //
 // Manager.Scan lists the sessions on disk from their meta.json files alone;
 // Manager.Load rebuilds one: the newest intact snapshot is decoded straight
-// back into a count cube (core.ReadSnapshot; a legacy snapshot, a sealed
-// engine, is read by core.ReadStore and inverse-transformed by
-// core.RestoreLiveStore), then the WAL tail past the watermark is replayed
-// through the live ingest path: each bins record checked against the
-// session's shape and stored by AppendBins, with no float arithmetic, into
-// the cells it was first stored in (a legacy record, an older version's
-// wire frames, is binned afresh by AppendEncoded). Torn tails, short reads
-// and corrupt records — a CRC mismatch, or a body whose counts, buckets or
-// bins do not fit the session — are detected and the log is truncated at
-// the last valid record instead of failing recovery; replay carries on
-// into the next segment only when its header proves no frame is missing
-// in between (see replayWAL).
+// back into a count cube (core.ReadSnapshot), then the WAL tail past the
+// watermark is replayed through the live ingest path: each bins record
+// checked against the session's shape and stored by AppendBins, with no
+// float arithmetic, into the cells it was first stored in. Torn tails,
+// short reads and corrupt records — a CRC mismatch, or a body whose
+// counts, buckets or bins do not fit the session — are detected and the
+// log is truncated at the last valid record instead of failing recovery;
+// replay carries on into the next segment only when its header proves no
+// frame is missing in between (see replayWAL). A directory an older
+// version wrote, whose snapshot is a sealed engine or whose log holds wire
+// frames, is refused whole (ErrFormat): reading it needs that version.
 //
 // Under disk backpressure a session degrades according to policy: block
 // (the consumer stalls, the bounded ingest queue fills, and the device
@@ -43,9 +42,11 @@
 package journal
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 
 	"aims/internal/obs"
 )
@@ -65,6 +66,19 @@ const (
 	// restores durability.
 	DegradeShed
 )
+
+// ErrFormat is the error, wrapped, with which Manager.Load refuses a
+// session directory holding a format this version does not read: a
+// snapshot that is a sealed engine (AIMSSTO1), a WAL record of wire frames
+// or an 8-byte ack record — what versions before snapshots became the
+// count cube and records its bins wrote — or a WAL record of a type no
+// version wrote. The wrapping error names the file and the format.
+var ErrFormat = errors.New("a format this version does not read")
+
+// formatError is ErrFormat for file, holding format.
+func formatError(file, format string) error {
+	return fmt.Errorf("journal: %s holds %s, %w", filepath.Base(file), format, ErrFormat)
+}
 
 // ParseDegradePolicy maps the flag spelling to a policy.
 func ParseDegradePolicy(s string) (DegradePolicy, error) {

@@ -115,11 +115,13 @@ func (m *Manager) Recover(storeCfg core.LiveStoreConfig) ([]*Recovered, error) {
 	return out, err
 }
 
-// Load rebuilds the session under name's key: newest intact snapshot (if
-// any) restored into a live store, then the WAL tail replayed through
-// AppendBins, the path live ingest takes (a legacy frames record through
-// AppendEncoded), a torn tail cut. storeCfg
+// Load rebuilds the session under name's key: the newest intact snapshot
+// (if any) decoded into a live store, then the WAL tail replayed through
+// AppendBins, the path live ingest takes, a torn tail cut. storeCfg
 // supplies the non-shape knobs; the shape comes from the session's meta.
+// A directory holding a format this version does not read — one written
+// before snapshots became the count cube and records its bins — is
+// refused with ErrFormat and left byte for byte as it was.
 func (m *Manager) Load(name string, storeCfg core.LiveStoreConfig) (*Recovered, error) {
 	dir := filepath.Join(m.cfg.Dir, key(name))
 	meta, err := readMeta(dir)
@@ -128,27 +130,18 @@ func (m *Manager) Load(name string, storeCfg core.LiveStoreConfig) (*Recovered, 
 	}
 	cfg := meta.storeConfig(storeCfg)
 
-	ls, watermark, ok := loadLatestSnapshot(dir, cfg, m.cfg.Logf)
-	if !ok {
-		watermark = 0
-		ls, err = core.NewLiveStore(meta.Mins, meta.Maxs, cfg)
-		if err != nil {
+	ls, watermark, err := loadLatestSnapshot(dir, cfg, m.cfg.Logf)
+	if err != nil {
+		return nil, err
+	}
+	if ls == nil {
+		if ls, err = core.NewLiveStore(meta.Mins, meta.Maxs, cfg); err != nil {
 			return nil, err
 		}
 	}
-	res, err := replayWAL(dir, watermark, ls.Binner(), func(start uint64, frames, bins []byte) error {
-		if bins != nil {
-			// Checked by the replay against this store's shape: it lands
-			// in the cells it was first stored in.
-			ls.AppendBins(bins)
-			return nil
-		}
-		// A legacy record is binned afresh. Per-frame skips are
-		// deterministic (the original ingest skipped the same frames), so
-		// they are not corruption.
-		ls.AppendEncoded(frames)
-		return nil
-	})
+	// Each record was checked by the replay against this store's shape:
+	// it lands in the cells it was first stored in.
+	res, err := replayWAL(dir, watermark, ls.Binner(), func(_ uint64, bins []byte) { ls.AppendBins(bins) })
 	if err != nil {
 		return nil, err
 	}

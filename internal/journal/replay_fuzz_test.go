@@ -3,30 +3,23 @@ package journal
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"aims/internal/core"
-	"aims/internal/wire"
 )
 
-// legacyRecord is the WAL record an older version wrote for a batch: its
-// frames' wire encoding, Seq the index of its first frame.
-func legacyRecord(first uint64, frames []byte, width int) []byte {
-	buf := wire.AppendBatchBytes(make([]byte, recHeaderSize), first, width, frames)
-	return sealRecord(buf, 0, recFrames)
-}
-
 // FuzzReplayWAL replays arbitrary segment bytes in the golden session's
-// shape (one channel, 32 time buckets, 32 value bins), seeded with one
-// segment of each record type: the golden's bins segment, its legacy
-// frames segment and a segment of ack marks. Replay must never panic; a
-// record is checked before anything is sized from its counts; and every
-// record it accepts and delivers re-encodes — a bins record through the
-// writer's own framing, a legacy one through the wire batch encoding — to
-// the bytes the replay left in the segment, which are the segment's intact
-// prefix.
+// shape (one channel, 32 time buckets, 32 value bins), seeded with the
+// golden's bins segment, a segment of wire frames records an older version
+// wrote, and a segment of ack marks. Replay must never panic; a record is
+// checked before anything is sized from its counts; and either it refuses
+// the segment with ErrFormat, leaving the file byte for byte as it was, or
+// every record it accepts and delivers re-encodes through the writer's own
+// framing to the bytes the replay left in the segment, which are the
+// segment's intact prefix.
 func FuzzReplayWAL(f *testing.F) {
 	meta := testMeta("compat", 1)
 	bn, err := core.NewBinner(meta.Mins, meta.Maxs, meta.storeConfig(core.LiveStoreConfig{}))
@@ -67,26 +60,29 @@ func FuzzReplayWAL(f *testing.F) {
 			t.Fatal(err)
 		}
 		type delivery struct {
-			start        uint64
-			frames, bins []byte
+			start uint64
+			bins  []byte
 		}
 		var got []delivery
-		res, err := replayWAL(dir, 0, bn, func(start uint64, frames, bins []byte) error {
-			if bins != nil {
-				if _, _, err := bn.CheckBins(bins); err != nil {
-					t.Fatalf("replay delivered a bins record that does not check: %v", err)
-				}
+		res, err := replayWAL(dir, 0, bn, func(start uint64, bins []byte) {
+			if _, _, err := bn.CheckBins(bins); err != nil {
+				t.Fatalf("replay delivered a bins record that does not check: %v", err)
 			}
-			got = append(got, delivery{start, bytes.Clone(frames), bytes.Clone(bins)})
-			return nil
+			got = append(got, delivery{start, bytes.Clone(bins)})
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		kept, err := os.ReadFile(path)
-		if os.IsNotExist(err) {
+		kept, rerr := os.ReadFile(path)
+		if os.IsNotExist(rerr) {
 			kept = nil
-		} else if err != nil {
+		} else if rerr != nil {
+			t.Fatal(rerr)
+		}
+		if errors.Is(err, ErrFormat) {
+			if !bytes.Equal(kept, seg) {
+				t.Fatalf("a refused segment was changed: %v", err)
+			}
+			return
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.HasPrefix(seg, kept) {
@@ -98,15 +94,10 @@ func FuzzReplayWAL(f *testing.F) {
 			n := 8 + int(binary.LittleEndian.Uint32(rest))
 			rec, body := rest[:n], rest[recHeaderSize:n]
 			rest = rest[n:]
-			var seq, count uint64
-			switch rec[8] {
-			case recBins:
-				seq, count = binary.LittleEndian.Uint64(body), uint64(binary.LittleEndian.Uint32(body[8:]))
-			case recFrames:
-				seq, count = binary.LittleEndian.Uint64(body), uint64(binary.LittleEndian.Uint32(body[8:]))
-			default:
+			if rec[8] != recBins {
 				continue
 			}
+			seq, count := binary.LittleEndian.Uint64(body), uint64(binary.LittleEndian.Uint32(body[8:]))
 			if seq+count == 0 {
 				continue // below the watermark: skipped, not delivered
 			}
@@ -115,13 +106,7 @@ func FuzzReplayWAL(f *testing.F) {
 			}
 			d := got[0]
 			got = got[1:]
-			var again []byte
-			if d.bins != nil {
-				again = appendBinsRecord(nil, d.start, d.bins)
-			} else {
-				again = legacyRecord(d.start, d.frames, bn.Channels())
-			}
-			if !bytes.Equal(again, rec) {
+			if again := appendBinsRecord(nil, d.start, d.bins); !bytes.Equal(again, rec) {
 				t.Fatalf("the record delivered at frame %d re-encodes to % x, the segment holds % x", d.start, again, rec)
 			}
 			end = seq + count

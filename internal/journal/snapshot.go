@@ -71,8 +71,7 @@ func readMeta(dir string) (Meta, error) {
 // orders them and the whole-file CRC32C lets recovery reject a bit-flipped
 // snapshot before it is ever decoded (falling back to the next older one).
 // The file is the store's count cube as core.LiveStore.AppendSnapshot
-// encodes it; one that starts with core.Store.WriteTo's magic is a legacy
-// snapshot, a sealed engine, and is still read.
+// encodes it.
 
 const snapPrefix = "snap-"
 
@@ -87,9 +86,9 @@ func parseSnapName(name string) (frames uint64, crc uint32, ok bool) {
 	return 0, 0, false
 }
 
-// legacySnapMagic opens a snapshot written as a sealed, serialised engine
+// sealedSnapMagic opens a snapshot written as a sealed, serialised engine
 // (core.Store.WriteTo) before snapshots became the count cube.
-var legacySnapMagic = []byte("AIMSSTO1")
+var sealedSnapMagic = []byte("AIMSSTO1")
 
 // writeSnapshot writes a snapshot encoding of the store at the given frame
 // watermark — fsynced under a temp name opened through open, atomically
@@ -115,14 +114,15 @@ func writeSnapshot(dir string, frames uint64, snap []byte, open func(string) (Fi
 }
 
 // loadLatestSnapshot returns the newest snapshot that passes its CRC and
-// decodes into a live store (core.ReadSnapshot; a legacy one is read by
-// core.ReadStore and inverse-transformed by core.RestoreLiveStore),
-// together with its frame watermark. ok=false when the directory has no
-// usable snapshot (cfg's shape knobs are then taken from meta instead).
-func loadLatestSnapshot(dir string, cfg core.LiveStoreConfig, logf func(string, ...interface{})) (ls *core.LiveStore, frames uint64, ok bool) {
+// decodes into a live store (core.ReadSnapshot), together with its frame
+// watermark, or a nil store when the directory has no usable snapshot (the
+// store is then built from meta). A sealed-engine snapshot refuses the
+// directory with ErrFormat before any older one is tried: falling back
+// past it would lose the frames it covers without an error.
+func loadLatestSnapshot(dir string, cfg core.LiveStoreConfig, logf func(string, ...interface{})) (*core.LiveStore, uint64, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, 0, false
+		return nil, 0, nil
 	}
 	type snap struct {
 		name   string
@@ -131,7 +131,7 @@ func loadLatestSnapshot(dir string, cfg core.LiveStoreConfig, logf func(string, 
 	}
 	var snaps []snap
 	for _, e := range entries {
-		if f, c, okk := parseSnapName(e.Name()); okk {
+		if f, c, ok := parseSnapName(e.Name()); ok {
 			snaps = append(snaps, snap{e.Name(), f, c})
 		}
 	}
@@ -142,31 +142,21 @@ func loadLatestSnapshot(dir string, cfg core.LiveStoreConfig, logf func(string, 
 			logf("journal: snapshot %s unreadable: %v", s.name, err)
 			continue
 		}
+		if bytes.HasPrefix(b, sealedSnapMagic) {
+			return nil, 0, formatError(s.name, "an AIMSSTO1 snapshot (a sealed engine)")
+		}
 		if crc32.Checksum(b, crcTable) != s.crc {
 			logf("journal: snapshot %s failed CRC, trying older", s.name)
 			continue
 		}
-		live, err := decodeSnapshot(b, cfg)
+		live, err := core.ReadSnapshot(b, cfg)
 		if err != nil {
 			logf("journal: snapshot %s not restorable: %v", s.name, err)
 			continue
 		}
-		return live, s.frames, true
+		return live, s.frames, nil
 	}
-	return nil, 0, false
-}
-
-// decodeSnapshot rebuilds the live store a snapshot file holds, whichever
-// format wrote it.
-func decodeSnapshot(b []byte, cfg core.LiveStoreConfig) (*core.LiveStore, error) {
-	if !bytes.HasPrefix(b, legacySnapMagic) {
-		return core.ReadSnapshot(b, cfg)
-	}
-	st, err := core.ReadStore(bytes.NewReader(b))
-	if err != nil {
-		return nil, err
-	}
-	return core.RestoreLiveStore(st, cfg)
+	return nil, 0, nil
 }
 
 // atomicWrite writes name under dir via a temp file + fsync + rename +

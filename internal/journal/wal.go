@@ -37,20 +37,23 @@ import (
 // time bucket (negative ticks marked skipped) and one value bin per stored
 // frame and channel, u8 when ValueBins ≤ 256, else u16. The shape that
 // reads it — channels, time buckets, value bins — is the session's
-// meta.json. A legacy frames record's body is the wire batch encoding, Seq
-// carrying the first frame's index; replay still reads it.
+// meta.json. An ack record's body is an ackMark: two u64. Replay reads
+// these two record types and refuses any other (see replayWAL).
 
 var walMagic = [8]byte{'A', 'I', 'M', 'S', 'W', 'A', 'L', '1'}
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 const (
-	walHeaderSize  = 16
-	recHeaderSize  = 9
-	recFrames      = byte(1)             // legacy: body = a wire batch, Seq the first frame's index
-	recAck         = byte(2)             // body = ackMark: u64 client-stream watermark | u64 journal frame index (legacy: the watermark alone)
-	recBins        = byte(3)             // body = u64 first frame index | core bins record
-	maxRecordBytes = wire.MaxPayload + 1 // type byte + a maximal wire batch, the largest legacy record
+	walHeaderSize = 16
+	recHeaderSize = 9
+	recAck        = byte(2) // body = ackMark: u64 client-stream watermark | u64 journal frame index
+	recBins       = byte(3) // body = u64 first frame index | core bins record
+	// maxRecordBytes bounds a record's type byte and body: a bins record
+	// is never larger than the wire batch it bins (a u64 index and a u32
+	// count against a 14-byte header, at most 8 bytes of runs a frame
+	// against its u64 T, at most 2 bytes a cell against a float64).
+	maxRecordBytes = wire.MaxPayload + 1
 )
 
 const segPrefix = "wal-"
@@ -84,7 +87,7 @@ func listSegments(dir string) ([]int, error) {
 }
 
 // wal is one session's segmented write-ahead log, append side. The
-// session's appender goroutine writes frames records and the socket reader
+// session's appender goroutine writes bins records and the socket reader
 // writes the occasional ack record; the mutex orders the two and Close.
 type wal struct {
 	dir string
@@ -288,10 +291,9 @@ func (a ackMark) gap() uint64 {
 // appendAck records an ack mark. It is written when the server
 // acknowledges frames it will never journal (a shed), so recovery can
 // restore the exactly-once dedup point even though those frames are absent
-// from the log. nextFrame is the absolute index the next frames record
+// from the log. nextFrame is the absolute index the next bins record
 // would carry — it seeds the segment header on rotation. The record is
-// synced before appendAck returns. Replayers predating this record type
-// skip it by its CRC-verified length.
+// synced before appendAck returns.
 func (w *wal) appendAck(a ackMark, nextFrame uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -429,22 +431,20 @@ type replayResult struct {
 	truncated bool
 	// ackSeq is the acknowledged client-stream watermark the ack records
 	// give (0 when there are none): processed plus the largest gap of an
-	// ack mark whose frame index processed reached, or a legacy record's
-	// bare watermark, whichever is larger.
+	// ack mark whose frame index processed reached.
 	ackSeq uint64
 }
 
-// replayWAL streams every intact batch record at or above the watermark
-// through fn, in processed-frame order: a bins record as its core bins
-// record, checked against bn's shape (bins), a legacy frames record as its
-// encoded frames (frames); the other is nil, and either is valid only for
-// the call, the next record being read into the same buffer. Records
-// wholly below the watermark are skipped; a record straddling it is
-// delivered with its covered prefix trimmed. Corruption anywhere — bad
-// segment header, short read, CRC mismatch, a body that does not check
-// (a bin past ValueBins, a bucket past TimeBuckets, counts that disagree
-// with the body's length), out-of-order frame index — truncates the log at
-// the last valid record: the offending segment is cut back there.
+// replayWAL streams every intact bins record at or above the watermark
+// through fn, in processed-frame order, checked against bn's shape; the
+// record is valid only for the call, the next one being read into the same
+// buffer. Records wholly below the watermark are skipped; a record
+// straddling it is delivered with its covered prefix trimmed. Corruption
+// anywhere — bad segment header, short read, CRC mismatch, a body that does
+// not check (a bin past ValueBins, a bucket past TimeBuckets, counts that
+// disagree with the body's length), out-of-order frame index — truncates
+// the log at the last valid record: the offending segment is cut back
+// there.
 //
 // Whether the segments after it survive depends on what their first header
 // proves. The writer answers a torn write by rotating, and stamps the new
@@ -456,29 +456,41 @@ type replayResult struct {
 // durability over a torn tail and was healed by a snapshot restarts its
 // log this way). Anything else drops the later segments, because records
 // past a tear cannot otherwise be trusted to be gap-free.
-func replayWAL(dir string, watermark uint64, bn *core.Binner, fn func(startFrame uint64, frames, bins []byte) error) (replayResult, error) {
+//
+// An intact record that is neither a bins record nor a 16-byte ack mark —
+// a frames record or an 8-byte ack, which versions before bins records
+// wrote, or a type no version wrote — fails the replay with ErrFormat
+// instead: skipping it would read its frames as a gap. No segment is cut
+// or dropped until every one has been read, a dropped one for its record
+// types alone, so a refused log is left byte for byte as it was.
+func replayWAL(dir string, watermark uint64, bn *core.Binner, fn func(startFrame uint64, bins []byte)) (replayResult, error) {
 	r := replayer{watermark: watermark, bn: bn, fn: fn}
 	r.res.processed = watermark
 	seqs, err := listSegments(dir)
 	if err != nil {
 		return r.res, err
 	}
+	type cut struct {
+		path string
+		keep int64 // bytes kept; 0 removes the file
+	}
+	var cuts []cut
 	for i, seq := range seqs {
 		path := filepath.Join(dir, segName(seq))
 		keepFrom, segEnd, corrupt, err := r.segment(path)
 		if err != nil {
 			return r.res, err
 		}
+		if r.dropping {
+			cuts = append(cuts, cut{path, 0})
+			continue
+		}
 		if !corrupt {
 			continue
 		}
 		r.res.truncated = true
-		if keepFrom == 0 {
-			// Nothing valid in this segment (bad header or first
-			// record): drop the file entirely.
-			os.Remove(path)
-		} else if keepFrom < segEnd {
-			os.Truncate(path, keepFrom)
+		if keepFrom == 0 || keepFrom < segEnd {
+			cuts = append(cuts, cut{path, keepFrom})
 		}
 		if i+1 < len(seqs) {
 			first, err := readSegmentFirstFrame(filepath.Join(dir, segName(seqs[i+1])))
@@ -486,10 +498,14 @@ func replayWAL(dir string, watermark uint64, bn *core.Binner, fn func(startFrame
 				continue
 			}
 		}
-		for _, later := range seqs[i+1:] {
-			os.Remove(filepath.Join(dir, segName(later)))
+		r.dropping = true
+	}
+	for _, c := range cuts {
+		if c.keep == 0 {
+			os.Remove(c.path)
+		} else {
+			os.Truncate(c.path, c.keep)
 		}
-		break
 	}
 	// A mark whose index lies past the replayed frames was written while
 	// frames before it waited for the appender, and they are lost: its gap
@@ -507,18 +523,20 @@ func replayWAL(dir string, watermark uint64, bn *core.Binner, fn func(startFrame
 type replayer struct {
 	watermark uint64
 	bn        *core.Binner
-	fn        func(startFrame uint64, frames, bins []byte) error
+	fn        func(startFrame uint64, bins []byte)
 
-	expect uint64 // next frame index an intact log would carry
-	res    replayResult
-	acks   []ackMark // the intact ack records, in log order
-	body   []byte    // record read buffer, reused record to record
-	trim   []byte    // a straddling bins record's uncovered suffix
+	expect   uint64 // next frame index an intact log would carry
+	dropping bool   // a cut drops the segments still to read
+	res      replayResult
+	acks     []ackMark // the intact ack records, in log order
+	body     []byte    // record read buffer, reused record to record
+	trim     []byte    // a straddling record's uncovered suffix
 }
 
 // segment scans one segment. It returns the byte offset up to which the
 // file is intact (0 if even the header is bad), the scanned size, and
-// whether a corrupt record cut the scan short.
+// whether a corrupt record cut the scan short; err is ErrFormat for an
+// intact record of a type replay does not read.
 func (r *replayer) segment(path string) (keepFrom, segEnd int64, corrupt bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -560,39 +578,30 @@ func (r *replayer) segment(path string) (keepFrom, segEnd int64, corrupt bool, e
 		if crc32.Update(crc, crcTable, body) != want {
 			return good, br.n, true, nil
 		}
-		if rh[8] == recAck {
-			switch len(body) {
-			case 8: // legacy: the watermark alone, taken as it is
-				r.res.ackSeq = max(r.res.ackSeq, binary.LittleEndian.Uint64(body))
-			case 16:
-				r.acks = append(r.acks, ackMark{binary.LittleEndian.Uint64(body), binary.LittleEndian.Uint64(body[8:])})
-			default:
+		switch typ := rh[8]; {
+		case typ == recAck && len(body) == 8:
+			return good, br.n, false, formatError(path, "an 8-byte ack record")
+		case typ == 1:
+			return good, br.n, false, formatError(path, "a frames record (type 1)")
+		case typ != recAck && typ != recBins:
+			return good, br.n, false, formatError(path, fmt.Sprintf("a record of type %d", typ))
+		case r.dropping:
+			continue // read for its type alone
+		case typ == recAck:
+			if len(body) != 16 {
 				return good, br.n, true, nil
 			}
+			r.acks = append(r.acks, ackMark{binary.LittleEndian.Uint64(body), binary.LittleEndian.Uint64(body[8:])})
 			good = br.n
 			continue
 		}
-		var seq uint64
-		var count int
-		var frames, bins []byte
-		switch rh[8] {
-		case recBins:
-			if len(body) < 8 {
-				return good, br.n, true, nil
-			}
-			seq, bins = binary.LittleEndian.Uint64(body), body[8:]
-			if count, _, err = r.bn.CheckBins(bins); err != nil {
-				return good, br.n, true, nil
-			}
-		case recFrames:
-			if seq, count, frames, err = wire.CheckBatch(body, r.bn.Channels()); err != nil {
-				return good, br.n, true, nil
-			}
-		default:
-			// Unknown record type from a future format revision: skip it
-			// (the CRC already vouched for its integrity).
-			good = br.n
-			continue
+		if len(body) < 8 {
+			return good, br.n, true, nil
+		}
+		seq, bins := binary.LittleEndian.Uint64(body), body[8:]
+		count, _, err := r.bn.CheckBins(bins)
+		if err != nil {
+			return good, br.n, true, nil
 		}
 		end := seq + uint64(count)
 		if seq < r.expect || end < seq {
@@ -605,18 +614,10 @@ func (r *replayer) segment(path string) (keepFrom, segEnd int64, corrupt bool, e
 		if end > r.watermark {
 			start := seq
 			if start < r.watermark {
-				covered := int(r.watermark - start)
-				if bins != nil {
-					r.trim = r.bn.TrimBins(bins, covered, r.trim[:0])
-					bins = r.trim
-				} else {
-					frames = frames[covered*wire.FrameSize(r.bn.Channels()):]
-				}
-				start = r.watermark
+				r.trim = r.bn.TrimBins(bins, int(r.watermark-start), r.trim[:0])
+				bins, start = r.trim, r.watermark
 			}
-			if err := r.fn(start, frames, bins); err != nil {
-				return good, br.n, false, err
-			}
+			r.fn(start, bins)
 			r.res.processed = end
 		}
 	}

@@ -10,7 +10,6 @@ import (
 
 	"aims/internal/core"
 	"aims/internal/stream"
-	"aims/internal/wire"
 )
 
 func testFrames(n, channels int, start uint64) []stream.Frame {
@@ -87,16 +86,6 @@ func decodeBins(rec []byte, channels, cellBytes int) []stream.Frame {
 	return out
 }
 
-// decodeFrames decodes the encoded frames replay hands out for a legacy
-// frames record.
-func decodeFrames(frames []byte, width int) []stream.Frame {
-	b, err := wire.DecodeBatch(wire.AppendBatchBytes(nil, 0, width, frames), width)
-	if err != nil {
-		panic(err)
-	}
-	return b.Frames
-}
-
 // appendOne journals a lone batch, binned in the seqMeta shape: a group of
 // one.
 func appendOne(w *wal, start uint64, frames []stream.Frame, width int) error {
@@ -109,12 +98,8 @@ func appendOne(w *wal, start uint64, frames []stream.Frame, width int) error {
 func collect(t *testing.T, dir string, watermark uint64, width int) ([]stream.Frame, replayResult) {
 	t.Helper()
 	var got []stream.Frame
-	res, err := replayWAL(dir, watermark, seqBinner(width), func(start uint64, frames, bins []byte) error {
-		if bins == nil {
-			t.Fatal("a legacy frames record in a log this commit wrote")
-		}
+	res, err := replayWAL(dir, watermark, seqBinner(width), func(_ uint64, bins []byte) {
 		got = append(got, decodeBins(bins, width, 2)...)
-		return nil
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -292,6 +293,58 @@ func TestFailedFaultInStartsFresh(t *testing.T) {
 	}
 	if dirs := sessionDirs(t, cfg.Journal.Dir); len(dirs) != 6 {
 		t.Fatalf("session directories %v, want the three fresh ones and the three moved aside", dirs)
+	}
+}
+
+// TestRetiredFormatFaultInStartsFresh: a restart over a data directory
+// holding a session an older version wrote — the journal's compat-pr44
+// golden, whose log is wire frames records, a format this version refuses
+// — parks it from its meta.json alone, leaving it as it was. A device of
+// its shape claims it: the fault-in is refused, with a log naming the
+// format, the device is welcomed fresh at ack 0, and the old directory is
+// moved aside whole as compat.stale1, the golden byte for byte.
+func TestRetiredFormatFaultInStartsFresh(t *testing.T) {
+	golden := treeBytes(t, filepath.Join("..", "journal", "testdata", "compat-pr44", "compat"))
+	var meta journal.Meta
+	if err := json.Unmarshal(golden["meta.json"], &meta); err != nil {
+		t.Fatal(err)
+	}
+	cfg := durableConfig(t.TempDir())
+	var logMu sync.Mutex
+	var logs []string
+	cfg.Logf = func(format string, args ...interface{}) {
+		logMu.Lock()
+		defer logMu.Unlock()
+		logs = append(logs, fmt.Sprintf(format, args...))
+	}
+	dir := filepath.Join(cfg.Journal.Dir, meta.Name)
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for name, b := range golden {
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv, addr := startServer(t, cfg)
+	if n, err := srv.RecoverSessions(); err != nil || n != 1 {
+		t.Fatalf("recovered %d sessions, err=%v; want 1", n, err)
+	}
+	assertTree(t, dir, golden)
+	h := wire.Hello{Name: meta.Name, Rate: meta.Rate, HorizonTicks: uint32(meta.HorizonTicks), Mins: meta.Mins, Maxs: meta.Maxs}
+	c := mustHello(t, addr, h, wire.CodeOK, 0)
+	if n := countOf(t, c); n != 0 {
+		t.Fatalf("the fresh session holds %v frames, want 0", n)
+	}
+	assertTree(t, dir+".stale1", golden)
+	logMu.Lock()
+	defer logMu.Unlock()
+	refused := false
+	for _, l := range logs {
+		refused = refused || strings.Contains(l, "fault-in failed") && strings.Contains(l, "frames record")
+	}
+	if !refused {
+		t.Fatalf("no log of the refused fault-in naming the format in %q", logs)
 	}
 }
 

@@ -179,7 +179,7 @@ func newMetrics() *metrics {
 			"WAL fsync latency.", fsyncBounds),
 		walBytes: reg.Counter("aims_wal_bytes_total", "Bytes appended to session WALs."),
 		snapshotSeconds: reg.Histogram("aims_snapshot_seconds",
-			"Session snapshot wall time (seal + write + WAL truncation).", sealBounds),
+			"Session snapshot wall time (encode + write + WAL truncation).", sealBounds),
 		snapshotErrors: reg.Counter("aims_snapshot_errors_total", "Session snapshots that failed."),
 		journalDegraded: reg.Counter("aims_journal_degraded_total",
 			"Durability losses: a journal that failed to open, and each session served without the durability it was configured for."),

@@ -166,10 +166,8 @@ func runClient(cl int, addr string, frames, channels, batchSize int, rate float6
 		if err := c.SendBatch(all[at:end]); err != nil {
 			return fmt.Errorf("client %d batch at %d: %w", cl, at, err)
 		}
-		for _, f := range all[at:end] {
-			if err := mirror.AppendFrame(int(f.T*rate+0.5), f.Values); err != nil {
-				return err
-			}
+		if _, err := mirror.AppendFrames(all[at:end]); err != nil {
+			return err
 		}
 		batches++
 		if batches%queryEvery != 0 {
