@@ -482,7 +482,7 @@ func BenchmarkFleetQueryPlanCache(b *testing.B) {
 		Kind: wire.QueryApproxCount, Channel: 0, T0: 0, T1: frames / rate,
 		Arg: 64, Scope: wire.FleetScope{Class: "sim"},
 	}
-	cfg := fleet.Config{Workers: 8, Timeout: time.Minute}
+	cfg := fleet.Config{Timeout: time.Minute}
 	run := func(b *testing.B) {
 		r := fleet.Evaluate(context.Background(), sessions, req, cfg)
 		if !r.OK {

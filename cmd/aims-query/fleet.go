@@ -104,7 +104,7 @@ func runFleet(addr, scopeArg, agg string, approx int, channel int, from, to floa
 	var traceID uint64
 	if trace {
 		// Mint the trace ID client-side and force-sample: the server keeps
-		// the whole scatter tree under OUR ID regardless of its sampler.
+		// the whole fan-out tree under OUR ID regardless of its sampler.
 		traceID = wire.NewTraceID()
 		fq.TraceID = traceID
 		fq.TraceSampled = true

@@ -16,9 +16,9 @@
 // In fleet mode, -trace force-samples the query end-to-end: the client
 // mints a trace ID, carries it in the wire payload, and prints it; with
 // -trace-admin pointing at the server's admin plane the console fetches
-// the finished trace from /tracez?id= and prints the span tree (scatter,
-// per-session queue wait, plan compile/hit, dot product, merge) with
-// self-times.
+// the finished trace from /tracez?id= and prints the span tree
+// (per-session scan or seal, plan compile/hit and dot product, then the
+// merge) with self-times.
 //
 //	aims-query -addr host:7009 -fleet cyberglove -agg count \
 //	    -trace -trace-admin http://host:6060

@@ -25,7 +25,8 @@ func buildServer(t *testing.T) string {
 // tuning flags that used to read 0 as "default" and a negative value as
 // "off" or "default": -help prints each real default, and a negative
 // value is refused with exit 2 and the flag's name. So are -buckets and
-// -bins that are not powers of two, and the retired fsync-mode flags.
+// -bins that are not powers of two, and the retired fsync-mode and fleet
+// worker-pool flags.
 func TestTuningFlagsHaveOneSpelling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the server binary")
@@ -45,7 +46,6 @@ func TestTuningFlagsHaveOneSpelling(t *testing.T) {
 		"buckets":       "(default 256)",
 		"bins":          "(default 64)",
 		"segment-bytes": "(default 8388608)",
-		"fleet-workers": "(default 16)",
 		"fleet-timeout": "(default 5s)",
 	} {
 		i := strings.Index(string(help), "  -"+flag+" ")
@@ -74,12 +74,13 @@ func TestTuningFlagsHaveOneSpelling(t *testing.T) {
 		{"-buckets", "-1"},
 		{"-bins", "-1"},
 		{"-segment-bytes", "-1"},
-		{"-fleet-workers", "-1"},
 		{"-fleet-timeout", "-1s"},
 		{"-buckets", "100"},
 		{"-bins", "48"},
+		// Retired flags are refused, not ignored.
 		{"-fsync", "batch"},
 		{"-fsync-interval", "1s"},
+		{"-fleet-workers", "-1"},
 	} {
 		// A server that accepts the value runs until the deadline kills it.
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

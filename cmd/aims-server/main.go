@@ -62,7 +62,6 @@ func main() {
 		tsample = flag.Int("trace-sample", obs.DefaultTraceSample, "trace one in N batches/queries")
 		slowQ   = flag.Duration("slow-query", obs.DefaultSlowQuery, "slow-query log threshold: any batch or query at least this slow is traced into /slowlog")
 
-		fleetWorkers = flag.Int("fleet-workers", 16, "fleet query scatter pool width")
 		fleetTimeout = flag.Duration("fleet-timeout", 5*time.Second, "default fleet query deadline")
 		planCache    = flag.Int("plan-cache", propolyne.DefaultPlanCacheCost, "compiled query-plan cache budget in entry units")
 
@@ -74,7 +73,7 @@ func main() {
 	flag.Parse()
 	// Each setting has one spelling: no negative "off" value.
 	for _, name := range []string{"queue", "idle", "heartbeat", "write-timeout", "retain", "buckets", "bins",
-		"trace-sample", "slow-query", "fleet-workers", "fleet-timeout", "plan-cache", "segment-bytes"} {
+		"trace-sample", "slow-query", "fleet-timeout", "plan-cache", "segment-bytes"} {
 		if v := flag.Lookup(name).Value.String(); strings.HasPrefix(v, "-") {
 			exitOn(fmt.Errorf("-%s %s: must not be negative", name, v), 2)
 		}
@@ -107,7 +106,6 @@ func main() {
 		Policy:        pol,
 		TraceSample:   *tsample,
 		SlowQuery:     *slowQ,
-		FleetWorkers:  *fleetWorkers,
 		FleetTimeout:  *fleetTimeout,
 		PlanCacheCost: *planCache,
 		Store: core.LiveStoreConfig{

@@ -23,7 +23,8 @@ import (
 //	{ bucket u32 | n u32 }…     runs of n ≥ 1 consecutive frames in one time
 //	                            bucket, in frame order, summing to frames;
 //	                            bucket skipBucket marks n skipped frames (a
-//	                            negative tick or a wrong width), and
+//	                            negative tick, a timestamp that is not
+//	                            finite, or a wrong width), and
 //	                            neighbouring runs differ in bucket
 //	cells                       one per stored frame and channel, frame by
 //	                            frame: u8 when ValueBins ≤ 256, else u16
@@ -51,6 +52,7 @@ type Binner struct {
 	rate        float64
 	tpb         int
 	timeBuckets int
+	horizon     float64 // tpb·timeBuckets: the first tick past the last bucket
 	valueBins   int
 }
 
@@ -79,11 +81,13 @@ func newBinner(quant []compress.Quantizer, cfg LiveStoreConfig) (Binner, error) 
 		}
 		rows[c] = binRow{min: q.Min, span: q.Max - q.Min, top: float64(q.Levels() - 1)}
 	}
+	tpb := ticksPerBucket(cfg)
 	return Binner{
 		rows:        rows,
 		rate:        cfg.Rate,
-		tpb:         ticksPerBucket(cfg),
+		tpb:         tpb,
 		timeBuckets: cfg.TimeBuckets,
+		horizon:     float64(tpb * cfg.TimeBuckets),
 		valueBins:   cfg.ValueBins,
 	}, nil
 }
@@ -126,17 +130,21 @@ func (b *Binner) cellBytes() int {
 func (b *Binner) BinsBytes(n int) int { return 4 + n*(8+b.cellBytes()) }
 
 // frameBucket returns the time bucket of a frame stamped t seconds, or
-// skipBucket when its tick, t·rate rounded half up, is negative or t is
-// NaN. x is tested before it converts, because the conversion truncates
-// toward zero: a tick of −1 would otherwise land in bucket 0. Ticks past
-// the horizon clamp into the last bucket.
+// skipBucket when t is NaN or ±Inf or its tick, t·rate rounded half up, is
+// negative. Every other tick past the horizon, however large, clamps into
+// the last bucket. The decision is made on the float: only a tick inside
+// the horizon converts to int, because a float → int conversion past int's
+// range is implementation-defined and differs between platforms, and one
+// that truncates toward zero would put a tick of −1 in bucket 0.
 func (b *Binner) frameBucket(t float64) uint32 {
 	x := t*b.rate + 0.5
-	tick := int(x)
-	if !(x >= 0) || tick < 0 {
+	switch {
+	case x >= 0 && x < b.horizon:
+		return uint32(int(x) / b.tpb)
+	case !(x >= 0) || math.IsInf(t, 0):
 		return skipBucket
 	}
-	return uint32(min(tick/b.tpb, b.timeBuckets-1))
+	return uint32(b.timeBuckets - 1)
 }
 
 // binsWriter lays a bins record of at most n frames out in one pass over
@@ -199,10 +207,10 @@ func (w *binsWriter) finish() ([]byte, int) {
 // the number of frames the record stores. body holds whole frame records
 // in their wire encoding — T, then one value per channel, each a
 // little-endian IEEE-754 float64 — as wire.CheckBatch returns them; a
-// trailing partial record is not binned. A frame with a negative tick is
-// skipped, as every append path skips it. Bin reads only the Binner, so it
-// runs outside any store lock; with dst of capacity BinsBytes it allocates
-// nothing.
+// trailing partial record is not binned. A frame with a negative tick or a
+// timestamp that is not finite is skipped, as every append path skips it.
+// Bin reads only the Binner, so it runs outside any store lock; with dst of
+// capacity BinsBytes it allocates nothing.
 func (b *Binner) Bin(body, dst []byte) ([]byte, int) {
 	rows, wide := b.rows, b.wide()
 	rec := (len(rows) + 1) * 8

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"aims/internal/compress"
@@ -66,7 +67,7 @@ func edgeFrames(quant []compress.Quantizer, base [][]float64, tick int, rng *ran
 			case 1:
 				t = math.NaN()
 			case 2:
-				t = 1e9
+				t = [...]float64{1e9, 1e19, math.MaxFloat64, math.Inf(1), math.Inf(-1)}[rng.Intn(5)]
 			default:
 				t = float64(tick) / 100
 				tick += rng.Intn(3)
@@ -89,15 +90,61 @@ func encode(ts []float64, frames [][]float64) []byte {
 	return body
 }
 
+// TestFrameBucketDecidesOnTheFloat pins where a frame's timestamp puts it,
+// the same on every platform: a timestamp that is NaN or ±Inf, or whose
+// tick is negative, is skipped, and every finite one past the horizon —
+// however large, even where its tick overflows to +Inf — clamps into the
+// last bucket. Under GOARCH=386, where int holds 32 bits, a conversion
+// made before the range check skipped T = 1e9 s at 100 Hz.
+func TestFrameBucketDecidesOnTheFloat(t *testing.T) {
+	ls, err := NewLiveStore([]float64{-1}, []float64{1}, LiveStoreConfig{
+		Rate: 100, TimeBuckets: 64, ValueBins: 32, HorizonTicks: 6400,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := uint32(63)
+	for _, c := range []struct {
+		t    float64
+		want uint32
+		err  string
+	}{
+		{0, 0, ""},
+		{-0.004, 0, ""}, // tick −0.4 rounds half up to 0
+		{-0.01, skipBucket, "negative tick"},
+		{63.99, last, ""}, // the horizon's last tick, 6 399
+		{64, last, ""},
+		{1e9, last, ""},
+		{1e15, last, ""},
+		{1e19, last, ""},
+		{math.MaxFloat64, last, ""},
+		{-math.MaxFloat64, skipBucket, "negative tick"},
+		{math.Inf(1), skipBucket, "no finite timestamp"},
+		{math.Inf(-1), skipBucket, "no finite timestamp"},
+		{math.NaN(), skipBucket, "no finite timestamp"},
+	} {
+		if got := ls.binner.frameBucket(c.t); got != c.want {
+			t.Errorf("T = %v s: bucket %d, want %d", c.t, got, c.want)
+		}
+		stored, err := ls.AppendFrames([]stream.Frame{{T: c.t, Values: []float64{0}}})
+		if c.err == "" {
+			if stored != 1 || err != nil {
+				t.Errorf("T = %v s: stored %d (%v), want 1", c.t, stored, err)
+			}
+		} else if stored != 0 || err == nil || !strings.Contains(err.Error(), c.err) {
+			t.Errorf("T = %v s: stored %d, error %v; want 0 and %q", c.t, stored, err, c.err)
+		}
+	}
+}
+
 // TestBinsRecordIsAppendFrames pins the bins record of a batch's wire
 // encoding to the decoded frames' path: over the benchmark's glove and
 // tracker recordings, with every edge value edgeFrames makes and negative,
-// NaN and past-horizon ticks, at cube widths 4, 8, 16 and 32 and at 64 and
-// 512 value bins (one-byte and two-byte cells), a store fed
+// NaN, infinite and past-horizon timestamps, at cube widths 4, 8, 16 and 32
+// and at 64 and 512 value bins (one-byte and two-byte cells), a store fed
 // AppendBins(Bin(body)) batch by batch and one fed AppendFrames(frames)
 // store the same frames and snapshot to the same bytes, and both hold
-// exactly the cube a fold of compress.Quantize over the frames builds, a
-// frame's tick its timestamp times the rate rounded half up.
+// exactly the cube a fold of compress.Quantize over the frames builds.
 func TestBinsRecordIsAppendFrames(t *testing.T) {
 	for name, recording := range benchInputs() {
 		mins, maxs := paddedRanges(recording)
@@ -128,12 +175,15 @@ func TestBinsRecordIsAppendFrames(t *testing.T) {
 				}
 				want := make([]uint32, a.cells())
 				for i, fr := range frames {
+					// The rule: a frame whose timestamp is not finite, or whose
+					// tick — its timestamp times the rate rounded half up — is
+					// negative, is skipped; any other lands in its tick's
+					// bucket, every tick past the horizon in the last one.
 					x := math.Floor(ts[i]*cfg.Rate + 0.5)
-					tick := int(x) // past int's range: implementation-defined, as in Bin
-					if !(x >= 0) || tick < 0 {
+					if math.IsNaN(ts[i]) || math.IsInf(ts[i], 0) || x < 0 {
 						continue
 					}
-					tb := min(tick/a.TicksPerBucket(), cfg.TimeBuckets-1)
+					tb := int(math.Min(math.Floor(x/float64(a.TicksPerBucket())), float64(cfg.TimeBuckets-1)))
 					for c, v := range fr {
 						want[(c*cfg.TimeBuckets+tb)*bins+quant[c].Quantize(v)]++
 					}

@@ -363,10 +363,10 @@ const binChunkBytes = 8 << 10
 
 // AppendFrames ingests a batch of stream frames under a single write-lock
 // acquisition, deriving each frame's tick from its timestamp and the
-// device rate. Frames that fail validation — wrong width, negative tick —
-// are skipped rather than aborting the batch. It returns how many frames
-// were stored; err reports the first skip reason and is nil when all
-// landed.
+// device rate. Frames that fail validation — wrong width, a timestamp that
+// is not finite, negative tick — are skipped rather than aborting the
+// batch. It returns how many frames were stored; err reports the first
+// skip reason and is nil when all landed.
 func (ls *LiveStore) AppendFrames(frames []stream.Frame) (int, error) {
 	// The frames are binned a chunk at a time into a stack buffer, so an
 	// append neither allocates nor keeps a buffer.
@@ -400,12 +400,15 @@ func (ls *LiveStore) AppendFrames(frames []stream.Frame) (int, error) {
 }
 
 // checkTick returns the error a frame stamped t seconds is skipped with,
-// nil when its tick is not negative.
+// nil when it is stored.
 func (ls *LiveStore) checkTick(t float64) error {
-	if ls.binner.frameBucket(t) == skipBucket {
-		return fmt.Errorf("core: frame at %v s has a negative tick", t)
+	switch {
+	case ls.binner.frameBucket(t) != skipBucket:
+		return nil
+	case math.IsNaN(t) || math.IsInf(t, 0):
+		return fmt.Errorf("core: frame at %v s has no finite timestamp", t)
 	}
-	return nil
+	return fmt.Errorf("core: frame at %v s has a negative tick", t)
 }
 
 // Bin is the store's Binner.Bin: the bins record of body's encoded frames,

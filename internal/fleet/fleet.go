@@ -1,21 +1,22 @@
 // Package fleet is the cross-session query subsystem of the AIMS middle
 // tier: one range-aggregate evaluated over *all sessions of a device
-// class* (or an explicit session-ID set) by scatter-gather, then merged
-// into a single answer. It is the fan-in layer the paper's multi-user
-// scenarios need — the virtual-classroom study analyses groups of tracked
-// subjects, the haptic scenario aggregates over many simultaneous
-// CyberGlove sessions — and the first query path in this system whose
-// result spans stores owned by different goroutines.
+// class* (or an explicit session-ID set), one session after another, then
+// merged into a single answer. It is the fan-in layer the paper's
+// multi-user scenarios need — the virtual-classroom study analyses groups
+// of tracked subjects, the haptic scenario aggregates over many
+// simultaneous CyberGlove sessions — and the first query path in this
+// system whose result spans stores owned by different goroutines.
 //
 // Consistency contract: sessions keep ingesting while a fleet query runs.
-// Each session contributes frames up to its own high-water mark at scatter
-// time — for exact kinds the rows core.Summarize sums under the store's
-// read lock (each row's cached moments are current for every frame below
-// the watermark it returns), for approximate kinds the sealed engine's
-// state at evaluation — and that watermark is reported back per session in
-// the result, so a caller knows exactly which prefix of each stream the
-// answer covers. There is no cross-session barrier: the fleet answer is a
-// consistent-per-session, best-effort-across-sessions snapshot.
+// Each session contributes frames up to its own high-water mark at the
+// moment its scan runs — for exact kinds the rows core.Summarize sums
+// under the store's read lock (each row's cached moments are current for
+// every frame below the watermark it returns), for approximate kinds the
+// sealed engine's state at evaluation — and that watermark is reported
+// back per session in the result, so a caller knows exactly which prefix
+// of each stream the answer covers. There is no cross-session barrier: the
+// fleet answer is a consistent-per-session, best-effort-across-sessions
+// snapshot.
 //
 // Merge semantics per kind:
 //
@@ -26,39 +27,31 @@
 //     combined guaranteed bound that is the sum of per-session bounds
 //     (|Σeᵢ − Σcᵢ| ≤ Σ|eᵢ − cᵢ| ≤ Σboundᵢ).
 //
-// Merging folds in ascending session-ID order regardless of gather
-// completion order, so a fleet answer over a fixed set of stores is
-// bit-identical to evaluating each session individually and merging
-// client-side with the same fold (the equivalence property the tests pin).
+// Sessions are scanned and merged in ascending session-ID order, so a
+// fleet answer over a fixed set of stores is bit-identical to evaluating
+// each session individually and merging client-side with the same fold
+// (the equivalence property the tests pin).
 //
 // Approximate kinds compile once per distinct engine geometry per fleet
 // query, not once per session: every per-session scan routes through
 // propolyne.SharedCache, whose keys are the engine geometry fingerprint
-// plus the query shape, and whose per-key singleflight collapses the
-// concurrent first-touch misses of a scatter wave into one compilation.
-// Sessions of one device class seal to identical geometry, so a 10k-session
-// scan pays one plan compile and 10k pure sparse dot products.
+// plus the query shape. Sessions of one device class seal to identical
+// geometry, so a 10k-session scan pays one plan compile and 10k pure
+// sparse dot products.
 package fleet
 
 import (
 	"cmp"
 	"context"
-	"errors"
 	"fmt"
 	"slices"
-	"sync/atomic"
+	"strconv"
 	"time"
 
 	"aims/internal/core"
 	"aims/internal/obs"
 	"aims/internal/wire"
 )
-
-// errDeadlineSlot marks a scatter slot whose scan never started because
-// the fleet deadline had already fired when a worker picked it up. The
-// slot is returned immediately so one slow (or unregistered) session
-// cannot starve the pool of workers that later queries share.
-var errDeadlineSlot = errors.New("fleet: scan not started before the fleet deadline")
 
 // Session is one live session as the fleet layer sees it: identity, the
 // device class it registered under, and its store.
@@ -82,22 +75,18 @@ type Request struct {
 	// Timeout caps the query's wall time; 0 uses Config.Timeout.
 	Timeout time.Duration
 	// Trace, when non-nil, collects the evaluation's span tree: Evaluate
-	// attaches one child subtree per scoped session (queue wait, seal, plan
-	// hit/compile, dot product) plus scope-match and merge spans, all under
-	// TraceParent. Workers stamp spans concurrently — obs.Trace is
-	// goroutine-safe and a straggler stamping after Finish is a no-op.
+	// attaches one child subtree per scanned session (the exact scan, or
+	// seal, plan hit/compile and dot product) plus scope-match and merge
+	// spans, all under TraceParent.
 	Trace       *obs.Trace
 	TraceParent obs.SpanID
 }
 
 // Config shapes an evaluator. A nil instrument discards its observations.
 type Config struct {
-	// Workers bounds the scatter fan-out pool (default 16). The pool is
-	// per query; a fleet of 10k sessions is scanned Workers at a time.
-	Workers int
 	// Timeout is the default per-query deadline (default 5s). Sessions
 	// whose scan has not finished when it expires become CodeDeadline
-	// failures, handled under the partial policy.
+	// failures, handled under the partial policy (see Evaluate).
 	Timeout time.Duration
 
 	FanOut       *obs.Histogram // sessions matched per query
@@ -106,9 +95,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Workers <= 0 {
-		c.Workers = 16
-	}
 	if c.Timeout <= 0 {
 		c.Timeout = 5 * time.Second
 	}
@@ -157,8 +143,8 @@ func Match(sessions []Session, scope wire.FleetScope) (matched []Session, missin
 
 // EvalSession answers one fleet request against a single session's store,
 // returning the session's mergeable partial and its frame watermark. This
-// is the per-session scan the scatter pool runs — and what a client doing
-// its own merge would call per session. A non-nil req.Trace receives the
+// is the per-session scan Evaluate runs — and what a client doing its own
+// merge would call per session. A non-nil req.Trace receives the
 // scan's span breakdown under req.TraceParent.
 func EvalSession(s Session, req Request) (wire.FleetPart, error) {
 	part := wire.FleetPart{ID: s.ID}
@@ -273,20 +259,26 @@ func Merge(kind wire.QueryKind, parts []wire.FleetPart) (value, bound float64, c
 }
 
 // Evaluate runs one fleet query over the given session snapshot (the
-// caller snapshots its registry first; the slice is the scatter set).
-// It always returns a well-formed FleetResult — per-session failures are
+// caller snapshots its registry first). It scans the matched sessions one
+// after another, in ascending ID order, on the calling goroutine, and
+// always returns a well-formed FleetResult — per-session failures are
 // folded in according to the request's partial policy rather than
 // surfacing as an error.
+//
+// Deadline contract: the deadline — the request's timeout from the start
+// of Evaluate, or ctx's cancellation — is checked before each scan and
+// again after it, against the clock the scan is timed with. A session
+// whose scan has not started by the deadline, or whose scan ends after it,
+// becomes a CodeDeadline failure, so the answer is late by at most the one
+// scan that crossed the deadline.
 func Evaluate(ctx context.Context, sessions []Session, req Request, cfg Config) wire.FleetResult {
 	cfg = cfg.withDefaults()
 	timeout := req.Timeout
 	if timeout <= 0 || timeout > cfg.Timeout {
 		timeout = cfg.Timeout
 	}
-	ctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-
 	matchStart := time.Now()
+	deadline := matchStart.Add(timeout)
 	matched, missing := Match(sessions, req.Scope)
 	if req.Trace != nil {
 		req.Trace.AddSpan(req.TraceParent, "scope-match", matchStart, time.Now())
@@ -299,97 +291,43 @@ func Evaluate(ctx context.Context, sessions []Session, req Request, cfg Config) 
 	}
 	cfg.FanOut.Observe(float64(len(matched)))
 
-	// Scatter: a bounded worker pool claims session indices off a shared
-	// counter — no per-session hand-off, so on an otherwise quiet server a
-	// fleet costs one thread wake-up per worker, not one per session. A
-	// worker writes its outcome into the session's slot and sends only the
-	// slot index; the gather reads a slot only once it has received its
-	// index, so a straggler finishing after the deadline writes a slot
-	// nobody reads. The buffered channel means it never blocks either.
-	workers := cfg.Workers
-	if workers > len(matched) {
-		workers = len(matched)
-	}
-	var next atomic.Int64
-	scattered := time.Now()
-	parts := make([]wire.FleetPart, len(matched))
-	errs := make([]error, len(matched))
-	done := make(chan int, len(matched))
-	for w := 0; w < workers; w++ {
-		go func() {
-			for {
-				idx := int(next.Add(1)) - 1
-				if idx >= len(matched) {
-					return
-				}
-				// Expired already? Return the slot without scanning: the
-				// gather marks it CodeDeadline, and the worker is free for
-				// the next job instead of burning its budget on an answer
-				// nobody will read.
-				select {
-				case <-ctx.Done():
-					errs[idx] = errDeadlineSlot
-					done <- idx
-					continue
-				default:
-				}
-				t0 := time.Now()
-				sreq := req
-				if req.Trace != nil {
-					// One child subtree per session: queue wait (scatter start
-					// to worker pickup), then the scan's internal breakdown.
-					// Stamps on a trace a deadline already finished are no-ops.
-					sreq.TraceParent = req.Trace.StartSpan(req.TraceParent,
-						fmt.Sprintf("session-%d", matched[idx].ID))
-					req.Trace.AddSpan(sreq.TraceParent, "queue-wait", scattered, t0)
-				}
-				parts[idx], errs[idx] = EvalSession(matched[idx], sreq)
-				if req.Trace != nil {
-					req.Trace.EndSpan(sreq.TraceParent)
-				}
-				cfg.ScanSeconds.Observe(time.Since(t0).Seconds())
-				done <- idx
-			}
-		}()
-	}
-
-	// Gather until every slot reports or the deadline fires; slots still
-	// outstanding at the deadline become CodeDeadline failures. reported
-	// marks the slots whose index arrived — the only ones read below.
-	reported := make([]bool, len(matched))
-gather:
-	for range matched {
-		select {
-		case idx := <-done:
-			reported[idx] = true
-		case <-ctx.Done():
-			break gather
+	merged := make([]wire.FleetPart, 0, len(matched))
+	for _, s := range matched {
+		t0 := time.Now()
+		if ctx.Err() != nil || !t0.Before(deadline) {
+			res.Failures = append(res.Failures, wire.FleetFailure{
+				ID: s.ID, Code: wire.CodeDeadline, Text: "scan not started before the fleet deadline",
+			})
+			continue
+		}
+		sreq := req
+		if req.Trace != nil {
+			// One child subtree per session holding the scan's breakdown.
+			sreq.TraceParent = req.Trace.StartSpan(req.TraceParent, "session-"+strconv.FormatUint(s.ID, 10))
+		}
+		part, err := EvalSession(s, sreq)
+		if req.Trace != nil {
+			req.Trace.EndSpan(sreq.TraceParent)
+		}
+		t1 := time.Now()
+		cfg.ScanSeconds.Observe(t1.Sub(t0).Seconds())
+		switch {
+		case ctx.Err() != nil || t1.After(deadline):
+			res.Failures = append(res.Failures, wire.FleetFailure{
+				ID: s.ID, Code: wire.CodeDeadline, Text: "scan finished after the fleet deadline",
+			})
+		case err != nil:
+			res.Failures = append(res.Failures, wire.FleetFailure{
+				ID: s.ID, Code: wire.CodeBadQuery, Text: err.Error(),
+			})
+		default:
+			merged = append(merged, part)
 		}
 	}
 
 	t0 := time.Now()
-	merged := make([]wire.FleetPart, 0, len(matched))
-	for i, s := range matched {
-		switch {
-		case !reported[i]:
-			res.Failures = append(res.Failures, wire.FleetFailure{
-				ID: s.ID, Code: wire.CodeDeadline, Text: "scan unfinished at fleet deadline",
-			})
-		case errs[i] == nil:
-			merged = append(merged, parts[i])
-		case errors.Is(errs[i], errDeadlineSlot):
-			res.Failures = append(res.Failures, wire.FleetFailure{
-				ID: s.ID, Code: wire.CodeDeadline, Text: errs[i].Error(),
-			})
-		default:
-			res.Failures = append(res.Failures, wire.FleetFailure{
-				ID: s.ID, Code: wire.CodeBadQuery, Text: errs[i].Error(),
-			})
-		}
-	}
-	// Merged parts are already in ascending session-ID order (matched is
-	// sorted and the fold preserves it), which makes the merge
-	// deterministic no matter how the gather interleaved.
+	// Merged parts are in ascending session-ID order (matched is sorted and
+	// the loop scans it in order), which makes the merge deterministic.
 	res.Merged = uint32(len(merged))
 	res.Value, res.Bound, res.Coefficients, res.OK = Merge(req.Kind, merged)
 	if req.Trace != nil {

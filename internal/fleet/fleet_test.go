@@ -69,8 +69,8 @@ func TestEquivalenceExactKinds(t *testing.T) {
 				Kind: kind, Channel: rng.Intn(2), T0: t0, T1: t0 + rng.Float64()*40,
 				Scope: wire.FleetScope{Class: "glove"},
 			}
-			// Fleet path: concurrent scatter-gather over a 3-worker pool.
-			res := Evaluate(context.Background(), sessions, req, Config{Workers: 3})
+			// Fleet path: one Evaluate over the whole class.
+			res := Evaluate(context.Background(), sessions, req, Config{})
 			if !res.OK || res.Code != wire.CodeOK {
 				t.Fatalf("seed %d kind %d: fleet failed: %+v", seed, kind, res)
 			}
@@ -123,7 +123,7 @@ func TestApproxBoundSound(t *testing.T) {
 				Kind: wire.QueryApproxCount, Channel: rng.Intn(2), T0: t0, T1: t1,
 				Arg: uint32(budget), Scope: wire.FleetScope{Class: "glove"},
 			}
-			res := Evaluate(context.Background(), sessions, req, Config{Workers: 4})
+			res := Evaluate(context.Background(), sessions, req, Config{})
 			if !res.OK {
 				t.Fatalf("seed %d: approx fleet failed: %+v", seed, res)
 			}
@@ -157,14 +157,14 @@ func TestClassSharesOnePlan(t *testing.T) {
 	}
 	propolyne.SharedCache.Purge()
 	before := propolyne.SharedCache.Stats()
-	if res := Evaluate(context.Background(), sessions, req, Config{Workers: 4}); !res.OK {
+	if res := Evaluate(context.Background(), sessions, req, Config{}); !res.OK {
 		t.Fatalf("approx fleet failed: %+v", res)
 	}
 	first := propolyne.SharedCache.Stats()
 	if miss, hit := first.Misses-before.Misses, first.Hits-before.Hits; miss != 1 || hit != n-1 {
 		t.Fatalf("first query: %d misses / %d hits, want 1 / %d", miss, hit, n-1)
 	}
-	if res := Evaluate(context.Background(), sessions, req, Config{Workers: 4}); !res.OK {
+	if res := Evaluate(context.Background(), sessions, req, Config{}); !res.OK {
 		t.Fatalf("repeat approx fleet failed: %+v", res)
 	}
 	if miss := propolyne.SharedCache.Stats().Misses - first.Misses; miss != 0 {
@@ -239,10 +239,10 @@ func TestBadChannelBecomesPerSessionFailure(t *testing.T) {
 	}
 }
 
-// TestDeadlineYieldsPartial forces the scatter past its deadline: 48
+// TestDeadlineYieldsPartial forces the scan loop past its deadline: 48
 // sessions that each need a cold ProPolyne seal, which outlives the 1ms
-// budget, and one worker. Unfinished sessions must come back as
-// CodeDeadline failures under the partial policy, never as a hang.
+// budget. Unfinished sessions must come back as CodeDeadline failures
+// under the partial policy, never as a hang.
 func TestDeadlineYieldsPartial(t *testing.T) {
 	sessions := buildObservedFleet(t, 48, "glove", 13, func(time.Duration, bool, int) { time.Sleep(20 * time.Millisecond) })
 	req := Request{
@@ -251,7 +251,7 @@ func TestDeadlineYieldsPartial(t *testing.T) {
 		Timeout: time.Millisecond,
 	}
 	start := time.Now()
-	res := Evaluate(context.Background(), sessions, req, Config{Workers: 1})
+	res := Evaluate(context.Background(), sessions, req, Config{})
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("deadline did not bound the query: %s", elapsed)
 	}
@@ -299,20 +299,20 @@ func TestProgressiveMergesFinalSteps(t *testing.T) {
 }
 
 // TestExpiredDeadlineReturnsSlotsWithoutScanning: once the fleet deadline
-// has fired, a worker picking up a job must hand its slot straight back as
-// a CodeDeadline failure instead of scanning a store nobody will read —
-// the starvation fix for pools shared across queries. With the context
-// cancelled before the scatter starts, not a single scan may run.
+// has fired, every session not yet scanned must come back as a
+// CodeDeadline failure instead of being scanned for an answer nobody will
+// read. With the context cancelled before the loop starts, not a single
+// scan may run.
 func TestExpiredDeadlineReturnsSlotsWithoutScanning(t *testing.T) {
 	sessions := buildFleet(t, 8, "glove", 31)
 	scans := obs.NewRegistry().Histogram("scan_seconds", "", []float64{1})
-	cfg := Config{Workers: 4, ScanSeconds: scans}
+	cfg := Config{ScanSeconds: scans}
 	req := Request{
 		Kind: wire.QueryCount, Channel: 0, T0: 0, T1: 30,
 		Scope: wire.FleetScope{Class: "glove"}, Partial: true,
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // expired before the scatter begins
+	cancel() // expired before the first scan
 	res := Evaluate(ctx, sessions, req, cfg)
 	if got := scans.Count(); got != 0 {
 		t.Fatalf("%d scans ran after the deadline expired, want 0", got)
@@ -331,10 +331,10 @@ func TestExpiredDeadlineReturnsSlotsWithoutScanning(t *testing.T) {
 }
 
 // TestEvaluateExactAllocations pins what an exact fleet query over 96
-// sessions allocates: the scatter's workers and the gather's slot slices,
-// not a copy per session. A gather that heap-copies each part, or sends
-// whole parts through a channel of structs, makes about 146.
+// sessions allocates: the matched and merged slices, not a copy per
+// session, which would add 96, nor a timer for the deadline.
 func TestEvaluateExactAllocations(t *testing.T) {
+	const maxExactAllocs = 2
 	sessions := buildFleet(t, 96, "glove", 41)
 	req := Request{
 		Kind: wire.QueryAverage, Channel: 1, T0: 1, T1: 12,
@@ -346,22 +346,18 @@ func TestEvaluateExactAllocations(t *testing.T) {
 	allocs := testing.AllocsPerRun(20, func() {
 		Evaluate(context.Background(), sessions, req, Config{})
 	})
-	if allocs > 60 {
-		t.Fatalf("an exact 96-session Evaluate made %v allocations, want at most 60", allocs)
+	if allocs > maxExactAllocs {
+		t.Fatalf("an exact 96-session Evaluate made %v allocations, want at most %d", allocs, maxExactAllocs)
 	}
 }
 
-// TestStragglerFinishingAfterDeadline: a session whose scan outlives the
-// fleet deadline comes back as a deadline failure, and when its worker
-// finally finishes it writes a slot the gather no longer reads. Run with
-// -race: the slow scan is a sleep, not a channel the test releases, so
-// nothing orders that late write after the gather, and a gather that read
-// the slot would be reported.
-func TestStragglerFinishingAfterDeadline(t *testing.T) {
-	sessions := buildFleet(t, 4, "glove", 17)
+// slowSession is one glove session whose store holds a single frame and
+// whose seal — the first step of an approximate scan — takes 150 ms, three
+// times the 50 ms deadline the deadline tests give a query.
+func slowSession(t testing.TB, id uint64) Session {
+	t.Helper()
 	slow, err := core.NewLiveStore([]float64{-1, -1}, []float64{1, 1}, core.LiveStoreConfig{
 		Rate: 100, TimeBuckets: 64, ValueBins: 32, HorizonTicks: 6400,
-		// The approximate scan seals first; this seal outlives the deadline.
 		SealObserver: func(time.Duration, bool, int) { time.Sleep(150 * time.Millisecond) },
 	})
 	if err != nil {
@@ -370,13 +366,63 @@ func TestStragglerFinishingAfterDeadline(t *testing.T) {
 	if _, err := slow.AppendFrames([]stream.Frame{{T: 0, Values: []float64{0.5, -0.5}}}); err != nil {
 		t.Fatal(err)
 	}
-	sessions = append(sessions, Session{ID: 99, Class: "glove", Store: slow})
+	return Session{ID: id, Class: "glove", Store: slow}
+}
+
+// TestDeadlineStopsTheLoop pins the deadline contract: sessions are
+// scanned in ID order on the calling goroutine, and the deadline is checked
+// before each scan and after it. A fast session, then the slow one whose
+// scan starts before the 50 ms deadline and ends after it, then two fast
+// ones: the slow session fails because its scan ended late, the two after
+// it fail without being scanned, and Evaluate returns within the deadline
+// plus the slow scan.
+func TestDeadlineStopsTheLoop(t *testing.T) {
+	sessions := buildFleet(t, 3, "glove", 19)
+	sessions[1].ID, sessions[2].ID = 3, 4
+	sessions = append(sessions, slowSession(t, 2))
+	scans := obs.NewRegistry().Histogram("scan_seconds", "", []float64{1})
+	const timeout = 50 * time.Millisecond
+	req := Request{
+		Kind: wire.QueryApproxCount, Channel: 0, T0: 0, T1: 30, Arg: 16,
+		Scope: wire.FleetScope{Class: "glove"}, Partial: true, Timeout: timeout,
+	}
+	start := time.Now()
+	res := Evaluate(context.Background(), sessions, req, Config{ScanSeconds: scans})
+	elapsed := time.Since(start)
+	if res.Code != wire.CodePartial || res.Merged != 1 || len(res.Parts) != 1 || res.Parts[0].ID != 1 {
+		t.Fatalf("code %s, merged %d, parts %+v; want partial with session 1 alone merged", res.Code, res.Merged, res.Parts)
+	}
+	if len(res.Failures) != 3 {
+		t.Fatalf("failures %+v, want sessions 2, 3 and 4", res.Failures)
+	}
+	for i, f := range res.Failures {
+		if f.ID != uint64(i+2) || f.Code != wire.CodeDeadline {
+			t.Fatalf("failure %d: %+v, want session %d at the deadline", i, f, i+2)
+		}
+	}
+	if got := scans.Count(); got != 2 {
+		t.Fatalf("%d scans ran, want 2: sessions 1 and 2, none after the deadline", got)
+	}
+	// Both scans ran inside Evaluate, one after the other, and the slow one
+	// started before the deadline: the query's wall time is at most the
+	// deadline plus the scans, with a little room for matching and merging.
+	if limit := timeout + time.Duration(scans.Sum()*float64(time.Second)) + 50*time.Millisecond; elapsed > limit {
+		t.Fatalf("Evaluate took %s, want at most %s", elapsed, limit)
+	}
+}
+
+// TestStragglerFinishingAfterDeadline: a session whose scan outlives the
+// fleet deadline comes back as a deadline failure even though its scan
+// finished, and its late answer is not merged: the returned parts re-merge
+// to the returned value.
+func TestStragglerFinishingAfterDeadline(t *testing.T) {
+	sessions := append(buildFleet(t, 4, "glove", 17), slowSession(t, 99))
 	scans := obs.NewRegistry().Histogram("scan_seconds", "", []float64{1})
 	req := Request{
 		Kind: wire.QueryApproxCount, Channel: 0, T0: 0, T1: 30, Arg: 16,
 		Scope: wire.FleetScope{Class: "glove"}, Partial: true, Timeout: 50 * time.Millisecond,
 	}
-	res := Evaluate(context.Background(), sessions, req, Config{Workers: 2, ScanSeconds: scans})
+	res := Evaluate(context.Background(), sessions, req, Config{ScanSeconds: scans})
 	if res.Code != wire.CodePartial || res.Merged != 4 || len(res.Failures) != 1 {
 		t.Fatalf("code %s, merged %d, failures %+v; want partial, 4 merged, session 99 failed", res.Code, res.Merged, res.Failures)
 	}

@@ -53,9 +53,12 @@ func FuzzReplayWAL(f *testing.F) {
 	}
 	f.Add(acks)
 
+	// One directory for the fuzzing process, not one an input: inputs run
+	// one at a time, and each rewrites the directory's only segment whole
+	// (replay may have truncated or removed the last one's).
+	dir = f.TempDir()
+	path := filepath.Join(dir, segName(1))
 	f.Fuzz(func(t *testing.T, seg []byte) {
-		dir := t.TempDir()
-		path := filepath.Join(dir, segName(1))
 		if err := os.WriteFile(path, seg, 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -166,7 +166,7 @@ func newMetrics() *metrics {
 		fleetFanout: reg.Histogram("aims_fleet_fanout_sessions",
 			"Sessions matched per fleet query.", fanoutBounds),
 		fleetScanSeconds: reg.Histogram("aims_fleet_scan_seconds",
-			"Per-session scan time inside fleet scatter.", stageBounds),
+			"Per-session scan time inside a fleet query.", stageBounds),
 		fleetMergeSeconds: reg.Histogram("aims_fleet_merge_seconds",
 			"Merge time per fleet query.", stageBounds),
 		planHits:   reg.Counter("aims_plan_cache_hits_total", "Query-plan cache hits."),

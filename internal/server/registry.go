@@ -79,8 +79,8 @@ func (r *registry) forEach(fn func(*session)) {
 }
 
 // snapshot collects the live session set as the fleet layer sees it, in
-// one walk holding one shard lock at a time. This is the fleet scatter
-// set: a session registered for the whole scan appears exactly once;
+// one walk holding one shard lock at a time. This is the set a fleet query
+// scans: a session registered for the whole scan appears exactly once;
 // sessions registering or unregistering while the walk crosses shards may
 // or may not appear — the per-session high-water-mark contract covers
 // them, and no session is ever double-counted (each lives in exactly one

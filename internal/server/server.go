@@ -125,14 +125,12 @@ type Config struct {
 	// regardless of the 1/N sampler. ≤ 0 means the default,
 	// obs.DefaultSlowQuery (100 ms).
 	SlowQuery time.Duration
-	// FleetWorkers bounds the scatter fan-out pool of cross-session fleet
-	// queries (default 16): a fleet over 10k sessions is scanned
-	// FleetWorkers at a time so one query can never monopolise the box.
-	FleetWorkers int
 	// FleetTimeout is the default per-query fleet deadline (default 5 s);
-	// a query's own TimeoutMillis may only tighten it. Sessions unfinished
-	// at the deadline surface as per-session failures under the query's
-	// fail|partial policy.
+	// a query's own TimeoutMillis may only tighten it. A fleet query scans
+	// its sessions one after another on the asking session's reader
+	// goroutine; sessions not started, or still scanning, at the deadline
+	// surface as per-session failures under the query's fail|partial
+	// policy.
 	FleetTimeout time.Duration
 	// PlanCacheCost sizes the process-wide compiled-query-plan cache, in
 	// plan-entry cost units. ≤ 0 keeps the cache's current budget, by
@@ -192,7 +190,7 @@ type Server struct {
 	namesMu sync.Mutex
 	names   map[string]*owner
 
-	fleetCfg fleet.Config // scatter pool width, deadline, instruments
+	fleetCfg fleet.Config // deadline and instruments
 
 	payloads payloadPool // every session's message payload buffers
 
@@ -222,7 +220,6 @@ func New(cfg Config) *Server {
 		tracer: obs.NewTracer(cfg.TraceSample, obs.DefaultTraceBuffer, cfg.SlowQuery, m.observeSlow),
 		quit:   make(chan struct{}), names: map[string]*owner{}}
 	s.fleetCfg = fleet.Config{
-		Workers:      cfg.FleetWorkers,
 		Timeout:      cfg.FleetTimeout,
 		FanOut:       m.fleetFanout,
 		ScanSeconds:  m.fleetScanSeconds,
@@ -367,9 +364,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 // evaluateFleet answers one cross-session fleet query against the current
 // live-session set: it snapshots the sharded registry (one shard lock at a
-// time — registration stays flat while fleets scan), scatters the query
-// across the matching sessions on the bounded fleet worker pool, and
-// merges the per-session answers under the query's fail|partial policy.
+// time — registration stays flat while fleets scan), scans the matching
+// sessions one after another on the calling goroutine, and merges the
+// per-session answers under the query's fail|partial policy.
 // A non-nil tr receives every per-session evaluation under parent.
 func (s *Server) evaluateFleet(fq wire.FleetQuery, tr *obs.Trace, parent obs.SpanID) wire.FleetResult {
 	targets := s.sessions.snapshot()

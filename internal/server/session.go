@@ -786,9 +786,9 @@ func (sess *session) handleQuery(payload []byte) bool {
 	return ok
 }
 
-// handleFleetQuery answers one cross-session aggregate. Scatter-gather
-// and merge run in this session's reader goroutine (the evaluator fans
-// out internally); decode failures — including malformed ranges and
+// handleFleetQuery answers one cross-session aggregate. The per-session
+// scans and the merge run in this session's reader goroutine; decode
+// failures — including malformed ranges and
 // scopes — tear the session down like any other bad message, while
 // per-session evaluation failures ride back inside the FleetResult.
 func (sess *session) handleFleetQuery(payload []byte) bool {
@@ -803,10 +803,10 @@ func (sess *session) handleFleetQuery(payload []byte) bool {
 		sess.sendError(wire.CodeBadQuery, err.Error())
 		return false
 	}
-	// A live trace gets the scatter's own tree: the workers stitch one
-	// child subtree per scoped session under the evaluate span (queue wait,
-	// seal, plan hit/compile, dot product), so the whole fan-out reads as
-	// one tree on /tracez?id=. A late trace is rebuilt from the root stages
+	// A live trace gets the evaluation's own tree: one child subtree per
+	// scanned session under the evaluate span (the exact scan, or seal,
+	// plan hit/compile and dot product), so the whole fan-out reads as one
+	// tree on /tracez?id=. A late trace is rebuilt from the root stages
 	// alone.
 	evalSpan := tr.StartSpan(0, "evaluate")
 	res := srv.evaluateFleet(fq, tr, evalSpan)

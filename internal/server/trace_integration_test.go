@@ -101,8 +101,8 @@ func TestQueryTraceOverWire(t *testing.T) {
 // TestFleetTraceTreeOverWire is the tentpole acceptance test: a fleet
 // query forced-sampled from the client stitches every per-session
 // evaluation into ONE tree — scope-match and merge at the top, one
-// session-<id> subtree per scoped session, each holding its queue-wait and
-// evaluation spans — retrievable by the client's trace ID.
+// session-<id> subtree per scoped session, each holding its evaluation
+// spans — retrievable by the client's trace ID.
 func TestFleetTraceTreeOverWire(t *testing.T) {
 	const gloves = 3
 	srv, addr := startServer(t, Config{
@@ -152,8 +152,8 @@ func TestFleetTraceTreeOverWire(t *testing.T) {
 	}
 
 	// One session-<id> subtree per scoped session, each a child of the
-	// evaluate span and each holding its own queue-wait plus the session's
-	// evaluation spans (QueryCount is exact, so a scan span).
+	// evaluate span and each holding the session's evaluation spans
+	// (QueryCount is exact, so one scan span and nothing else).
 	var evalID obs.SpanID
 	for _, sp := range snap.Spans {
 		if sp.Name == "evaluate" {
@@ -173,11 +173,8 @@ func TestFleetTraceTreeOverWire(t *testing.T) {
 		for _, kid := range children[sp.ID] {
 			kidNames[kid.Name]++
 		}
-		if kidNames["queue-wait"] == 0 {
-			t.Errorf("subtree %q missing queue-wait: %v", sp.Name, kidNames)
-		}
-		if kidNames["scan"] == 0 {
-			t.Errorf("subtree %q missing scan: %v", sp.Name, kidNames)
+		if kidNames["scan"] != 1 || len(kidNames) != 1 {
+			t.Errorf("subtree %q holds %v, want one scan span", sp.Name, kidNames)
 		}
 	}
 	if sessionSpans != gloves {

@@ -5,9 +5,9 @@ import "fmt"
 // Fleet messages: one range-aggregate evaluated over every live session
 // of a device class — the paper's multi-user haptic scenario, where the
 // question is about the *group* of CyberGlove sessions, not one
-// recording — or over an explicit session-ID set. The server scatters the
-// query across the matching sessions, each contributing frames up to its
-// own high-water mark at scatter time, and merges the per-session answers;
+// recording — or over an explicit session-ID set. The server scans the
+// matching sessions, each contributing frames up to its own high-water
+// mark when its scan runs, and merges the per-session answers;
 // the result carries the merged value plus per-session detail (watermark
 // and mergeable partials on success, a code and message on failure).
 
@@ -160,7 +160,7 @@ type FleetFailure struct {
 }
 
 // FleetResult is the merged answer to a FleetQuery. Sessions is how many
-// sessions the scope matched at scatter time; Merged how many contributed
+// sessions the scope matched when the query ran; Merged how many contributed
 // to Value. Code is CodeOK for a full answer, CodePartial when Partial
 // was set and some sessions failed (Failures has the detail), or an error
 // code with OK=false. Bound is the summed per-session error bound of
