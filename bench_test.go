@@ -374,15 +374,15 @@ func BenchmarkLiveStoreSealIncremental(b *testing.B) {
 
 // BenchmarkLiveApproxAfterAppend times what an analyst querying beside live
 // acquisition pays per answer: append one 128-frame batch, then an
-// approximate COUNT at budget 64 — delta logging, the incremental seal, the
-// plan lookup, the dot product and the data energy behind the error bound
-// together. BenchmarkLiveStoreSealIncremental times the seal alone, so a
-// cube-sized pass after the seal shows only here.
+// approximate COUNT at budget 64. At this geometry the query walks the
+// count cube, so that is the plan lookup, the data energy behind the error
+// bound — the buckets the batch touched rescanned — and the walk together;
+// a cube-sized pass between append and answer shows here.
 func BenchmarkLiveApproxAfterAppend(b *testing.B) {
 	for _, channels := range []int{4, 28} {
 		b.Run(fmt.Sprintf("channels=%d", channels), func(b *testing.B) {
 			ls, rng, tick := benchLiveStore(b, channels, 0)
-			// First query: full build, plan compile and the one energy scan.
+			// First query: plan compile and the first energy pass.
 			if _, _, err := ls.ApproximateCount(0, 0, 60, 64); err != nil {
 				b.Fatal(err)
 			}

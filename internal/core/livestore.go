@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 	"unsafe"
@@ -11,6 +12,7 @@ import (
 	"aims/internal/compress"
 	"aims/internal/propolyne"
 	"aims/internal/stream"
+	"aims/internal/wavelet"
 )
 
 // LiveStore is the middle tier's ingest-side store: the quantised
@@ -29,16 +31,26 @@ import (
 // transform is needed for exactness), through a per-row moment cache:
 // each (channel, time-bucket) row keeps its integer Σbin and Σbin², its
 // Σ1 is its bucket's fill, and a bucket's rows are rescanned together
-// only after a frame lands in it. Approximate and progressive answers go
-// through Seal, which materialises the cube as a full
-// wavelet-transformed ProPolyne Store. The sealed engine is cached and —
+// only after a frame lands in it.
+//
+// Approximate and progressive COUNTs run a ProPolyne plan, whose bases the
+// §3.3.1 hybrid chooser (propolyne.ChooseBases) picks once per store from
+// its geometry. Where it picks the standard basis on every axis — every
+// channel count at the default 256 × 64 geometry — a plan's entries are
+// flat offsets of the count cube itself, so the query walks the cube under
+// the read lock, and the error bound's data energy Σc² is kept per time
+// bucket beside the row moments, as an exact integer rescanned in the
+// same pass. Such a store never seals, keeps no float cube and logs no
+// delta. Where a wavelet axis is chosen (e.g. 512 time buckets, or 128
+// value bins), the query goes through Seal, which materialises the cube as
+// a wavelet-transformed ProPolyne Store. The sealed engine is cached and —
 // because the wavelet transform of a point mass is sparse (§3.1.1) —
 // brought up to date incrementally: appends since the last seal are
 // recorded in a compact delta log of cell offsets and replayed through the
 // engine's AppendOffsets, which also keeps the error bound's data energy
-// current, so the live-query hot path — seal and answer — costs O(delta),
-// not O(cube). A full rebuild happens only on the first seal and when the
-// delta log overflows its threshold.
+// current, so a seal costs O(delta), not O(cube). A full rebuild happens
+// only on the first seal and when the delta log overflows its threshold.
+// Seal stays callable on every store.
 //
 // Counts are stored at the narrowest width they need. A new store's cube
 // has 4-bit cells, two to a byte, when a bucket spans at most 15 ticks,
@@ -52,8 +64,11 @@ import (
 // Concurrency: one RWMutex guards the cube and its width, the bucket
 // fills, the delta log and the seal cache fields. An append takes the
 // write lock for its whole batch, so a query never observes half a frame,
-// and a widening copy happens under it too; exact scans take the read
-// lock and then rowMu, which guards the row cache (lock order mu → rowMu).
+// and a widening copy happens under it too; exact scans and cube walks
+// take the read lock and then rowMu, which guards the row cache and the
+// bucket energies (lock order mu → rowMu). A query on a sealing store
+// holds sealMu from its seal to its answer, so no other seal moves the
+// engine under it (lock order sealMu → mu).
 // Safe for one or more appenders and any number of concurrent readers.
 type LiveStore struct {
 	cfg   LiveStoreConfig
@@ -87,17 +102,29 @@ type LiveStore struct {
 	overflow bool
 
 	rowMu sync.Mutex
-	// rows caches channels × TimeBuckets row moments; every row of bucket
-	// tb is current while rowFill[tb] equals fill[tb], the fill they were
-	// all cached at. Both are made by the first exact scan, so a session
-	// nobody queries exactly never pays for them.
-	rows    []rowMoments
-	rowFill []uint64
+	// rows caches channels × TimeBuckets row moments and energy, per time
+	// bucket, Σc² over every channel's cells of the bucket; every row of
+	// bucket tb and energy[tb] are current while rowFill[tb] equals
+	// fill[tb], the fill they were all cached at. All three are made by the
+	// first exact scan or cube walk, so a session nobody queries never pays
+	// for them. energyTotal caches Σ energy at version energyVersion.
+	rows          []rowMoments
+	rowFill       []uint64
+	energy        []uint64
+	energyTotal   uint64
+	energyVersion uint64
 
 	sealMu        sync.Mutex
 	sealed        *Store
 	sealedVersion uint64
 	spare         []uint32 // the last replayed log, recycled as the next one's buffer
+
+	// rel is the store's geometry as a coefficient-less pure-relational
+	// engine when the hybrid chooser picks the standard basis on every
+	// axis: approximate and progressive queries compile through it and walk
+	// the cube. nil when a wavelet axis is chosen; they then seal. Set by
+	// newLiveStore and never written after.
+	rel *propolyne.Engine
 }
 
 // LiveStoreConfig shapes a live session store.
@@ -201,6 +228,13 @@ func newLiveStore(quant []compress.Quantizer, cfg LiveStoreConfig, maxFill uint6
 		quant:  quant,
 		binner: binner,
 		fill:   make([]uint64, cfg.TimeBuckets),
+	}
+	dims, bases, err := ls.geometry()
+	if err != nil {
+		return nil, err
+	}
+	if !slices.ContainsFunc(bases, func(b propolyne.Basis) bool { return !b.Standard }) {
+		ls.rel = propolyne.Relational(dims)
 	}
 	switch cubeWidth(ls.TicksPerBucket(), maxFill) {
 	case 4:
@@ -568,7 +602,7 @@ func logCells(log []uint32, start, stride int, cells []byte, w int, wide bool) [
 // Footprint is the memory a LiveStore holds, in bytes, part by part.
 type Footprint struct {
 	Cube   int64 `json:"cube"`   // the count cube at its current width
-	Rows   int64 `json:"rows"`   // the exact scans' row-moment cache
+	Rows   int64 `json:"rows"`   // the row-moment cache and the bucket energies
 	Engine int64 `json:"engine"` // the sealed engine's coefficients
 	Delta  int64 `json:"delta"`  // the incremental seal's delta log and its spare
 }
@@ -585,7 +619,7 @@ func (ls *LiveStore) Footprint() Footprint {
 		f.Engine = 8 * int64(len(ls.sealed.Engine.Coeffs))
 	}
 	ls.rowMu.Lock()
-	f.Rows = int64(unsafe.Sizeof(rowMoments{}))*int64(len(ls.rows)) + 8*int64(len(ls.rowFill))
+	f.Rows = int64(unsafe.Sizeof(rowMoments{}))*int64(len(ls.rows)) + 8*int64(len(ls.rowFill)+len(ls.energy))
 	ls.rowMu.Unlock()
 	return f
 }
@@ -627,10 +661,7 @@ func (ls *LiveStore) moments(channel int, t0, t1 float64) (n, sum, sumSq float64
 	var in, isum, isq uint64
 	ls.mu.RLock()
 	ls.rowMu.Lock()
-	if ls.rows == nil {
-		ls.rows = make([]rowMoments, len(ls.quant)*ls.cfg.TimeBuckets)
-		ls.rowFill = make([]uint64, ls.cfg.TimeBuckets)
-	}
+	ls.makeRows()
 	fill, rowFill := ls.fill[lo:hi+1], ls.rowFill[lo:hi+1]
 	rows := ls.rows[base+lo : base+hi+1]
 	for i := range rows {
@@ -647,42 +678,83 @@ func (ls *LiveStore) moments(channel int, t0, t1 float64) (n, sum, sumSq float64
 	return float64(in), float64(isum), float64(isq), frames, nil
 }
 
-// fillBucket recomputes every channel's row of time bucket tb from the
-// cube and marks the bucket current. Callers hold ls.mu for reading and
-// ls.rowMu.
-func (ls *LiveStore) fillBucket(tb int) {
-	for row := tb; row < len(ls.rows); row += ls.cfg.TimeBuckets {
-		ls.fillRow(&ls.rows[row], row)
+// makeRows makes the row cache and the bucket energies on first use.
+// Callers hold ls.mu for reading and ls.rowMu.
+func (ls *LiveStore) makeRows() {
+	if ls.rows == nil {
+		ls.rows = make([]rowMoments, len(ls.quant)*ls.cfg.TimeBuckets)
+		ls.rowFill = make([]uint64, ls.cfg.TimeBuckets)
+		ls.energy = make([]uint64, ls.cfg.TimeBuckets)
 	}
+}
+
+// fillBucket recomputes every channel's row of time bucket tb and the
+// bucket's energy from the cube, in one pass, and marks the bucket
+// current. Callers hold ls.mu for reading and ls.rowMu.
+func (ls *LiveStore) fillBucket(tb int) {
+	var sq uint64
+	for row := tb; row < len(ls.rows); row += ls.cfg.TimeBuckets {
+		sq += ls.fillRow(&ls.rows[row], row)
+	}
+	ls.energy[tb] = sq
 	ls.rowFill[tb] = ls.fill[tb]
 }
 
-// fillRow recomputes r from cube row `row`. Callers hold ls.mu for
-// reading and ls.rowMu.
-func (ls *LiveStore) fillRow(r *rowMoments, row int) {
+// fillRow recomputes r from cube row `row` and returns the row's Σc².
+// Callers hold ls.mu for reading and ls.rowMu.
+func (ls *LiveStore) fillRow(r *rowMoments, row int) (sq uint64) {
 	lo, hi := row*ls.cfg.ValueBins, (row+1)*ls.cfg.ValueBins
 	switch {
 	case ls.c4 != nil:
 		*r = rowMoments{}
 		for i := lo; i < hi; i++ {
-			r.add(i-lo, uint64(ls.c4.at(i)))
+			c := uint64(ls.c4.at(i))
+			r.add(i-lo, c)
+			sq += c * c
 		}
 	case ls.c8 != nil:
-		*r = momentsOf(ls.c8[lo:hi])
+		*r, sq = momentsOf(ls.c8[lo:hi])
 	case ls.c16 != nil:
-		*r = momentsOf(ls.c16[lo:hi])
+		*r, sq = momentsOf(ls.c16[lo:hi])
 	default:
-		*r = momentsOf(ls.c32[lo:hi])
+		*r, sq = momentsOf(ls.c32[lo:hi])
 	}
+	return sq
 }
 
-// momentsOf sums one row's value-bin counts into its moments.
-func momentsOf[T count](row []T) rowMoments {
-	var r rowMoments
-	for bin, cnt := range row {
-		r.add(bin, uint64(cnt))
+// dataEnergy returns Σc² over the whole cube, the data energy of a cube
+// walk's error bound: the sum of the bucket energies, each brought current
+// as moments brings its rows. The sum is cached by version, so an
+// unchanged store pays O(1). It is exact while it stays below 2^64: it is
+// at most channels · frames², so while frames < 2^32/√channels. Callers
+// hold ls.mu for reading.
+func (ls *LiveStore) dataEnergy() uint64 {
+	ls.rowMu.Lock()
+	defer ls.rowMu.Unlock()
+	if ls.energyVersion == ls.version {
+		return ls.energyTotal // an empty store's energy is 0 at version 0
 	}
-	return r
+	ls.makeRows()
+	var total uint64
+	for tb := range ls.fill {
+		if ls.rowFill[tb] != ls.fill[tb] {
+			ls.fillBucket(tb)
+		}
+		total += ls.energy[tb]
+	}
+	ls.energyTotal, ls.energyVersion = total, ls.version
+	return total
+}
+
+// momentsOf sums one row's value-bin counts into its moments, and their
+// squares into sq.
+func momentsOf[T count](row []T) (r rowMoments, sq uint64) {
+	for bin, cnt := range row {
+		c := uint64(cnt)
+		r.add(bin, c)
+		sq += c * c
+	}
+	return r, sq
 }
 
 // add counts cnt samples of value bin `bin` into r.
@@ -724,28 +796,36 @@ func (ls *LiveStore) VarianceValue(channel int, t0, t1 float64) (float64, bool, 
 }
 
 // Seal materialises the count cube as a full wavelet-transformed ProPolyne
-// Store (the paper's off-line query subsystem) for approximate and
-// progressive evaluation. The sealed store is cached; when appends have
-// advanced the version, Seal replays the delta log through the engine's
-// offset append — O(delta since last seal), energy included — instead of
-// retransforming the cube, falling back to a full rebuild on the first
-// seal, after a delta-log overflow, or when incremental sealing is
-// disabled. Because the cached engine is updated in place, a *Store
-// returned by an earlier Seal observes later seals' data too (its engine
-// lock keeps each batch atomic). Appends are paused only for the brief
-// cube snapshot / log hand-off; transform and replay run outside the
-// cube lock.
+// Store (the paper's off-line query subsystem) in the bases the hybrid
+// chooser picks for the store's geometry. Approximate and progressive
+// queries seal only where a wavelet axis is chosen; the cube walk answers
+// them elsewhere, bit for bit as a sealed engine would. The sealed store
+// is cached; when appends have advanced the version, Seal replays the
+// delta log through the engine's offset append — O(delta since last seal),
+// energy included — instead of retransforming the cube, falling back to a
+// full rebuild on the first seal, after a delta-log overflow, or when
+// incremental sealing is disabled. Because the cached engine is updated in
+// place, a *Store returned by an earlier Seal observes later seals' data
+// too (its engine lock keeps each batch atomic). Appends are paused only
+// for the brief cube snapshot / log hand-off; transform and replay run
+// outside the cube lock.
 func (ls *LiveStore) Seal() (*Store, error) {
 	ls.sealMu.Lock()
 	defer ls.sealMu.Unlock()
+	st, _, err := ls.seal()
+	return st, err
+}
 
+// seal is Seal, and also returns the frames the sealed engine holds.
+// Callers hold sealMu.
+func (ls *LiveStore) seal() (*Store, uint64, error) {
 	t0 := time.Now()
 	ls.mu.Lock()
-	version := ls.version
+	version, frames := ls.version, uint64(ls.frames)
 	if ls.sealed != nil && ls.sealedVersion == version {
 		st := ls.sealed
 		ls.mu.Unlock()
-		return st, nil
+		return st, frames, nil
 	}
 	if ls.sealed != nil && ls.track && !ls.overflow {
 		// Incremental path: steal the delta log; appends from here on
@@ -757,7 +837,7 @@ func (ls *LiveStore) Seal() (*Store, error) {
 			ls.mu.Lock()
 			ls.overflow = true // engine state unknown: force a rebuild next
 			ls.mu.Unlock()
-			return nil, err
+			return nil, 0, err
 		}
 		ls.mu.Lock()
 		ls.sealedVersion = version
@@ -766,15 +846,17 @@ func (ls *LiveStore) Seal() (*Store, error) {
 		if ls.cfg.SealObserver != nil {
 			ls.cfg.SealObserver(time.Since(t0), true, len(log))
 		}
-		return st, nil
+		return st, frames, nil
 	}
 	// Full rebuild: snapshot the cube and restart delta tracking from the
 	// snapshot point. The engine transforms the snapshot in place and keeps
 	// it, so a cold seal allocates one float cube.
-	channels := len(ls.quant)
-	chDim := nextPow2(channels)
-	tb, vb := ls.cfg.TimeBuckets, ls.cfg.ValueBins
-	cube := make([]float64, chDim*tb*vb)
+	dims, bases, err := ls.geometry()
+	if err != nil {
+		ls.mu.Unlock()
+		return nil, 0, err
+	}
+	cube := make([]float64, dims[0]*dims[1]*dims[2])
 	switch {
 	case ls.c4 != nil:
 		unpack(cube[:ls.cells()], ls.c4)
@@ -792,23 +874,15 @@ func (ls *LiveStore) Seal() (*Store, error) {
 	}
 	ls.mu.Unlock()
 
-	dims := []int{chDim, tb, vb}
-	bases, err := propolyne.ChooseBases(dims, propolyne.QueryTemplate{
-		RangeFraction: []float64{1 / float64(chDim), 0.25, 1},
-		MaxDegree:     ls.cfg.MaxDegree,
-	}, propolyne.DefaultCostModel)
-	if err != nil {
-		return nil, err
-	}
 	eng, err := propolyne.NewWithBases(cube, dims, bases)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	st := &Store{
 		Engine:         eng,
-		Channels:       channels,
-		TimeBuckets:    tb,
-		ValueBins:      vb,
+		Channels:       len(ls.quant),
+		TimeBuckets:    ls.cfg.TimeBuckets,
+		ValueBins:      ls.cfg.ValueBins,
 		TicksPerBucket: ls.TicksPerBucket(),
 		Rate:           ls.cfg.Rate,
 		quant:          append([]compress.Quantizer(nil), ls.quant...),
@@ -820,23 +894,40 @@ func (ls *LiveStore) Seal() (*Store, error) {
 	if ls.cfg.SealObserver != nil {
 		ls.cfg.SealObserver(time.Since(t0), false, 0)
 	}
-	return st, nil
+	return st, frames, nil
+}
+
+// geometry returns the dims of the store's ProPolyne cube — channels padded
+// to a power of two, time buckets, value bins — and the bases the hybrid
+// chooser picks for them: a query spans one channel, a quarter of the
+// time axis and every value bin, at polynomial degree up to MaxDegree.
+// Padding channels adds cells only past the cube's end, because channel is
+// the leading axis, so the count cube's flat offsets are the engine's.
+func (ls *LiveStore) geometry() ([]int, []propolyne.Basis, error) {
+	chDim := nextPow2(len(ls.quant))
+	dims := []int{chDim, ls.cfg.TimeBuckets, ls.cfg.ValueBins}
+	bases, err := propolyne.ChooseBases(dims, propolyne.QueryTemplate{
+		RangeFraction: []float64{1 / float64(chDim), 0.25, 1},
+		MaxDegree:     ls.cfg.MaxDegree,
+	}, propolyne.DefaultCostModel)
+	return dims, bases, err
 }
 
 // replayDelta applies the logged cube-cell increments to the cached sealed
 // engine as one batched sparse append. The log's cube offsets are the
-// engine's own: channel is the leading dimension, so padding it to a power
-// of two only adds cells past the cube's end. Callers hold sealMu, which
-// is what protects ls.sealed here.
+// engine's own (see geometry). Callers hold sealMu, which is what protects
+// ls.sealed here.
 func (ls *LiveStore) replayDelta(log []uint32) error {
 	return ls.sealed.Engine.AppendOffsets(log)
 }
 
 // QueryTrace reports what one traced store evaluation cost, layer by
-// layer: the seal that brought the transformed engine up to date, whether
-// the wavelet plan path ran (exact scans never compile a plan), and the
-// plan provenance from propolyne. The middle tier reconstructs trace spans
-// from these durations, so core never imports the obs package.
+// layer: the seal that brought the transformed engine up to date (zero on
+// a store whose queries walk the count cube, which never seals), whether
+// a plan ran (exact scans never compile one), and the plan provenance from
+// propolyne, whose EvalNS on a cube walk also covers bringing the data
+// energy current. The middle tier reconstructs trace spans from these
+// durations, so core never imports the obs package.
 type QueryTrace struct {
 	SealNS   int64
 	PlanUsed bool
@@ -844,61 +935,135 @@ type QueryTrace struct {
 }
 
 // ApproximateCount returns a budget-limited estimate of CountSamples with
-// its guaranteed error bound, evaluated on the sealed engine.
+// its guaranteed error bound.
 func (ls *LiveStore) ApproximateCount(channel int, t0, t1 float64, budget int) (est, bound float64, err error) {
-	return ls.ApproximateCountTraced(channel, t0, t1, budget, nil)
+	est, bound, _, err = ls.ApproximateCountTraced(channel, t0, t1, budget, nil)
+	return est, bound, err
 }
 
 // ApproximateCountTraced is ApproximateCount with per-call provenance
-// recorded into a non-nil qt (seal time, plan outcome).
-func (ls *LiveStore) ApproximateCountTraced(channel int, t0, t1 float64, budget int, qt *QueryTrace) (est, bound float64, err error) {
-	st, err := ls.timedSeal(qt)
+// recorded into a non-nil qt (seal time, plan outcome), and the frames the
+// estimate covers (see onCube and onSealed).
+func (ls *LiveStore) ApproximateCountTraced(channel int, t0, t1 float64, budget int, qt *QueryTrace) (est, bound float64, frames uint64, err error) {
+	begin := qt.now()
+	q, err := ls.countQuery(channel, t0, t1, qt)
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	q, err := st.countQuery(channel, t0, t1, qt)
-	if err != nil {
-		return 0, 0, err
+	if ls.rel == nil {
+		frames, err = ls.onSealed(qt, func(e *propolyne.Engine) (err error) {
+			est, bound, err = e.EstimateWithBudget(q, budget)
+			return err
+		})
+		return est, bound, frames, err
 	}
-	return st.Engine.EstimateWithBudget(q, budget)
+	frames, err = ls.onCube(q, qt, begin, func(entries []wavelet.Entry, suffix []float64, energy float64) {
+		est, bound = propolyne.Estimate(entries, suffix, budget, ls.cell, energy)
+	})
+	return est, bound, frames, err
 }
 
-// ProgressiveCount evaluates CountSamples progressively on the sealed
-// engine: at most maxSteps checkpoints of (estimate, guaranteed bound),
-// the last one exact. A non-nil qt records the evaluation's provenance.
-func (ls *LiveStore) ProgressiveCount(channel int, t0, t1 float64, maxSteps int, qt *QueryTrace) ([]propolyne.Step, error) {
-	st, err := ls.timedSeal(qt)
+// ProgressiveCount evaluates CountSamples progressively: at most maxSteps
+// checkpoints of (estimate, guaranteed bound), the last one exact, and the
+// frames they cover (see onCube and onSealed). A non-nil qt records the
+// evaluation's provenance.
+func (ls *LiveStore) ProgressiveCount(channel int, t0, t1 float64, maxSteps int, qt *QueryTrace) (steps []propolyne.Step, frames uint64, err error) {
+	begin := qt.now()
+	q, err := ls.countQuery(channel, t0, t1, qt)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	q, err := st.countQuery(channel, t0, t1, qt)
-	if err != nil {
-		return nil, err
+	if ls.rel == nil {
+		frames, err = ls.onSealed(qt, func(e *propolyne.Engine) (err error) {
+			steps, _, err = e.Progressive(q, maxSteps)
+			return err
+		})
+		return steps, frames, err
 	}
-	steps, _, err := st.Engine.Progressive(q, maxSteps)
-	return steps, err
+	frames, err = ls.onCube(q, qt, begin, func(entries []wavelet.Entry, suffix []float64, energy float64) {
+		steps = propolyne.Steps(entries, suffix, maxSteps, ls.cell, energy)
+	})
+	return steps, frames, err
 }
 
-// timedSeal is Seal, timed into a non-nil qt.
-func (ls *LiveStore) timedSeal(qt *QueryTrace) (*Store, error) {
+// onCube runs walk over the progressive order of q's plan, compiled
+// through the store's relational geometry and ordered before the lock is
+// taken, and the cube's data energy, in one read-lock hold, and returns
+// the frames the cube held then. walk reads the cube through ls.cell. A
+// non-nil qt records the plan's provenance: its LookupNS runs from begin,
+// when the caller started building q, to the plan in hand, and its EvalNS
+// covers the ordering, the energy and the walk, so the two time the whole
+// query.
+func (ls *LiveStore) onCube(q propolyne.Query, qt *QueryTrace, begin time.Time, walk func(entries []wavelet.Entry, suffix []float64, energy float64)) (uint64, error) {
+	p, err := propolyne.SharedCache.Lookup(ls.rel, q)
+	if err != nil {
+		return 0, err
+	}
+	if qt != nil {
+		now := time.Now()
+		qt.Plan.LookupNS, begin = now.Sub(begin).Nanoseconds(), now
+	}
+	entries, suffix := p.Ordered()
+	ls.mu.RLock()
+	walk(entries, suffix, float64(ls.dataEnergy()))
+	frames := uint64(ls.frames)
+	ls.mu.RUnlock()
+	if qt != nil {
+		qt.Plan.EvalNS = time.Since(begin).Nanoseconds()
+	}
+	return frames, nil
+}
+
+// onSealed seals the store and runs eval on the sealed engine, holding
+// sealMu throughout so no other seal moves the engine past the frames it
+// returns, the frames the seal covered. A non-nil qt records the seal's
+// time.
+func (ls *LiveStore) onSealed(qt *QueryTrace, eval func(e *propolyne.Engine) error) (uint64, error) {
+	ls.sealMu.Lock()
+	defer ls.sealMu.Unlock()
 	begin := time.Now()
-	st, err := ls.Seal()
+	st, frames, err := ls.seal()
 	if qt != nil {
 		qt.SealNS = time.Since(begin).Nanoseconds()
 	}
-	return st, err
+	if err != nil {
+		return 0, err
+	}
+	return frames, eval(st.Engine)
 }
 
-// countQuery builds the COUNT query over channel's [t0, t1] box, with the
-// plan trace riding in it when qt is non-nil.
-func (st *Store) countQuery(channel int, t0, t1 float64, qt *QueryTrace) (propolyne.Query, error) {
-	b, err := st.box(channel, t0, t1)
-	if err != nil {
+// now returns the time on a traced call (non-nil qt) and the zero time
+// otherwise, so an untraced query reads no clock.
+func (qt *QueryTrace) now() time.Time {
+	if qt == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// cell returns count cube cell i. Callers hold ls.mu for reading.
+func (ls *LiveStore) cell(i int) float64 {
+	switch {
+	case ls.c8 != nil:
+		return float64(ls.c8[i])
+	case ls.c4 != nil:
+		return float64(ls.c4.at(i))
+	case ls.c16 != nil:
+		return float64(ls.c16[i])
+	}
+	return float64(ls.c32[i])
+}
+
+// countQuery builds the COUNT query over channel's [t0, t1] box — the box
+// the sealed Store's queries take — with the plan trace riding in it when
+// qt is non-nil.
+func (ls *LiveStore) countQuery(channel int, t0, t1 float64, qt *QueryTrace) (propolyne.Query, error) {
+	if err := ls.checkChannel(channel); err != nil {
 		return propolyne.Query{}, err
 	}
-	q := propolyne.Query{Lo: b.Lo, Hi: b.Hi}
+	lo, hi := ls.timeRange(t0, t1)
+	box := []int{channel, lo, 0, channel, hi, ls.cfg.ValueBins - 1}
+	q := propolyne.Query{Lo: box[:3:3], Hi: box[3:]}
 	if qt != nil {
 		qt.PlanUsed = true
 		q.Trace = &qt.Plan

@@ -208,11 +208,13 @@ func TestSealOffsetReplayPaddedChannels(t *testing.T) {
 
 // TestLiveApproxAfterAppendEnergyCurrent runs the live-query cycle —
 // append, then an approximate COUNT — 1000 times on a 28-channel store at
-// the default live geometry. Every answer must sit within its own bound,
-// and the engine's maintained energy must still equal a fresh Σ coeff² at
-// the end: bit for bit, because that geometry seals to a pure-relational
-// engine (all three bases standard), where every update is integer
-// arithmetic.
+// the default live geometry, where the query walks the count cube and
+// keeps its data energy per bucket, sealing the store beside it each cycle
+// so the engine's energy is maintained through delta replays. Every answer
+// must sit within its own bound, and at the end the engine's maintained
+// energy must equal a fresh Σ coeff² and the cube walk's integer Σc², bit
+// for bit: that geometry seals to a pure-relational engine (all three
+// bases standard), where every update is integer arithmetic.
 func TestLiveApproxAfterAppendEnergyCurrent(t *testing.T) {
 	const channels = 28
 	mins, maxs := gloveRange(channels)
@@ -223,6 +225,7 @@ func TestLiveApproxAfterAppendEnergyCurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(1000))
 	fr := make([]float64, channels)
 	tick := 0
+	var st *Store
 	for cycle := 0; cycle < 1000; cycle++ {
 		for k := 0; k < 4; k++ {
 			for c := range fr {
@@ -245,10 +248,9 @@ func TestLiveApproxAfterAppendEnergyCurrent(t *testing.T) {
 		if math.Abs(exact-est) > bound+1e-6 {
 			t.Fatalf("cycle %d: |%v − %v| exceeds bound %v", cycle, exact, est, bound)
 		}
-	}
-	st, err := ls.Seal()
-	if err != nil {
-		t.Fatal(err)
+		if st, err = ls.Seal(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if st.Engine.HasWaveletDims() {
 		t.Fatalf("default live geometry sealed to bases %+v, want pure-relational", st.Engine.Bases)
@@ -259,6 +261,12 @@ func TestLiveApproxAfterAppendEnergyCurrent(t *testing.T) {
 	}
 	if got := st.Engine.Energy(); got != fresh {
 		t.Fatalf("maintained energy %v != fresh sum %v after 1000 append→query cycles", got, fresh)
+	}
+	ls.mu.RLock()
+	cube := ls.dataEnergy()
+	ls.mu.RUnlock()
+	if float64(cube) != fresh {
+		t.Fatalf("the cube walk's energy %d != the engine's %v", cube, fresh)
 	}
 }
 

@@ -213,7 +213,7 @@ func TestLiveStoreApproximateAndProgressive(t *testing.T) {
 	if math.Abs(est-exact) > bound+1e-6 {
 		t.Fatalf("approx %v outside bound %v of exact %v", est, bound, exact)
 	}
-	steps, err := ls.ProgressiveCount(0, 0, 3, 8, nil)
+	steps, _, err := ls.ProgressiveCount(0, 0, 3, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,9 @@ func TestLiveStoreApproximateAndProgressive(t *testing.T) {
 // TestTracedQueryAllocs pins the allocations of a warm traced query: the
 // plan trace rides inside propolyne.Query, and a stack QueryTrace must
 // stay on the stack, so tracing costs no allocation the untraced call
-// does not already make.
+// does not already make. At this relational geometry the query walks the
+// count cube: it allocates the query's box and its plan-cache key, and a
+// progressive query its steps — no seal, no float cube.
 func TestTracedQueryAllocs(t *testing.T) {
 	ls := newLive(t, 2)
 	for tick, fr := range testFrames(600, 2) {
@@ -244,30 +246,30 @@ func TestTracedQueryAllocs(t *testing.T) {
 	}
 	approx := func() {
 		var qt QueryTrace
-		if _, _, err := ls.ApproximateCountTraced(0, 0, 3, 10, &qt); err != nil {
+		if _, _, _, err := ls.ApproximateCountTraced(0, 0, 3, 10, &qt); err != nil {
 			t.Fatal(err)
 		}
 	}
 	prog := func() {
 		var qt QueryTrace
-		if _, err := ls.ProgressiveCount(0, 0, 3, 8, &qt); err != nil {
+		if _, _, err := ls.ProgressiveCount(0, 0, 3, 8, &qt); err != nil {
 			t.Fatal(err)
 		}
 	}
 	approx()
 	prog()
-	if n := testing.AllocsPerRun(200, approx); n != 4 {
-		t.Errorf("traced ApproximateCountTraced: %v allocs, want 4", n)
+	if n := testing.AllocsPerRun(200, approx); n != 2 {
+		t.Errorf("traced ApproximateCountTraced: %v allocs, want 2", n)
 	}
-	if n := testing.AllocsPerRun(200, prog); n != 6 {
-		t.Errorf("traced ProgressiveCount: %v allocs, want 6", n)
+	if n := testing.AllocsPerRun(200, prog); n != 3 {
+		t.Errorf("traced ProgressiveCount: %v allocs, want 3", n)
 	}
 	untraced := func() {
 		ls.ApproximateCount(0, 0, 3, 10)
 		ls.ProgressiveCount(0, 0, 3, 8, nil)
 	}
-	if n := testing.AllocsPerRun(200, untraced); n != 4+6 {
-		t.Errorf("untraced approximate + progressive: %v allocs, want 10", n)
+	if n := testing.AllocsPerRun(200, untraced); n != 2+3 {
+		t.Errorf("untraced approximate + progressive: %v allocs, want 5", n)
 	}
 }
 

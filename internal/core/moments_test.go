@@ -81,10 +81,12 @@ func (b *opBytes) seconds() float64 { return float64(b.next()%96-8) / 100 }
 // its wire encoding and stored with AppendBins, the server's path
 // (negative and past-horizon ticks included), a burst of up to 510 copies
 // of one frame at one tick, enough to widen the cube past 8 bits, binned
-// and stored the same way, Seal, and AppendSnapshot → ReadSnapshot with
-// later ops on the decoded store, whose snapshot must be the original's —
-// and after every step checks the exact aggregates of every channel, over
-// the whole range and over one drawn window, against binMoments over the
+// and stored the same way, Seal followed by every channel's approximate
+// and progressive COUNT, whose cube walk must answer as the sealed engine
+// does (sameApproxAnswers), and AppendSnapshot → ReadSnapshot with later
+// ops on the decoded store, whose snapshot must be the original's — and
+// after every step checks the exact aggregates of every channel, over the
+// whole range and over one drawn window, against binMoments over the
 // cube. A frame is stored exactly when its drawn tick is not negative.
 func runExactOps(t *testing.T, p []byte) {
 	t.Helper()
@@ -139,8 +141,13 @@ func runExactOps(t *testing.T, p []byte) {
 			}
 			frames += n
 		case 3:
-			if _, err := ls.Seal(); err != nil {
+			st, err := ls.Seal()
+			if err != nil {
 				t.Fatalf("step %d: seal: %v", step, err)
+			}
+			for ch := 0; ch < ls.Channels(); ch++ {
+				sameApproxAnswers(t, fmt.Sprintf("step %d", step), ls, st, ch, 0, 1e9)
+				sameApproxAnswers(t, fmt.Sprintf("step %d", step), ls, st, ch, 0.1, 0.3)
 			}
 		case 4:
 			snap := ls.AppendSnapshot(nil)
@@ -231,7 +238,8 @@ func checkExact(t *testing.T, step int, ls *LiveStore, ch int, t0, t1 float64) {
 
 // TestLiveStoreExactMomentsProperty drives random op sequences through
 // runExactOps: after every append, seal and snapshot round trip, each
-// exact answer is bit-identical to a float fold over the cube cells.
+// exact answer is bit-identical to a float fold over the cube cells, and
+// after each seal every approximate answer to the sealed engine's.
 func TestLiveStoreExactMomentsProperty(t *testing.T) {
 	for seed := int64(1); seed <= 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -245,8 +253,10 @@ func TestLiveStoreExactMomentsProperty(t *testing.T) {
 // checked-in corpus (testdata/fuzz/FuzzLiveStoreExactMoments) seeds each
 // append kind, past-horizon and negative ticks, a snapshot round trip
 // followed by queries and appends into the rows those queries cached,
-// bursts that widen the cube before a seal and a round trip, and a
-// decoded 4-bit cube that a burst widens to 8 bits.
+// bursts that widen the cube before a seal and a round trip, a decoded
+// 4-bit cube that a burst widens to 8 bits, and approximate answers
+// checked at every width from 4 to 16 bits, across incremental seals and a
+// round trip.
 func FuzzLiveStoreExactMoments(f *testing.F) {
 	f.Fuzz(func(t *testing.T, p []byte) {
 		if len(p) > 4096 {

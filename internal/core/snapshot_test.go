@@ -71,7 +71,7 @@ func (c snapshotCase) store(t testing.TB) *LiveStore {
 // TestSnapshotRoundTripAtEveryWidth: a store decoded from its snapshot
 // is the store encoded — the same cube at the same width, bit-identical
 // exact answers, the same bytes when encoded again — holds no engine and
-// no delta log, and answers approximately within the bound once sealed.
+// no delta log, and answers approximately within the bound.
 func TestSnapshotRoundTripAtEveryWidth(t *testing.T) {
 	for _, c := range snapshotCases {
 		t.Run(c.name, func(t *testing.T) {

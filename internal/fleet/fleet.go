@@ -9,14 +9,17 @@
 //
 // Consistency contract: sessions keep ingesting while a fleet query runs.
 // Each session contributes frames up to its own high-water mark at the
-// moment its scan runs — for exact kinds the rows core.Summarize sums
-// under the store's read lock (each row's cached moments are current for
-// every frame below the watermark it returns), for approximate kinds the
-// sealed engine's state at evaluation — and that watermark is reported
-// back per session in the result, so a caller knows exactly which prefix
-// of each stream the answer covers. There is no cross-session barrier: the
-// fleet answer is a consistent-per-session, best-effort-across-sessions
-// snapshot.
+// moment its scan runs, read in the same lock hold as its answer: for
+// exact kinds the rows core.Summarize sums under the store's read lock
+// (each row's cached moments are current for every frame below the
+// watermark it returns); for approximate kinds, at a geometry where the
+// hybrid chooser picks the standard basis on every axis (the default),
+// the count cube the plan walks under that lock, and elsewhere the sealed
+// engine, which no other seal moves until the answer is computed. That
+// watermark is reported back per session in the result, so a caller knows
+// exactly which prefix of each stream the answer covers. There is no
+// cross-session barrier: the fleet answer is a consistent-per-session,
+// best-effort-across-sessions snapshot.
 //
 // Merge semantics per kind:
 //
@@ -32,12 +35,13 @@
 // each session individually and merging client-side with the same fold
 // (the equivalence property the tests pin).
 //
-// Approximate kinds compile once per distinct engine geometry per fleet
+// Approximate kinds compile once per distinct store geometry per fleet
 // query, not once per session: every per-session scan routes through
-// propolyne.SharedCache, whose keys are the engine geometry fingerprint
-// plus the query shape. Sessions of one device class seal to identical
-// geometry, so a 10k-session scan pays one plan compile and 10k pure
-// sparse dot products.
+// propolyne.SharedCache, whose keys are the geometry fingerprint plus the
+// query shape. Sessions of one device class share their geometry, so a
+// 10k-session scan pays one plan compile and 10k sparse walks — of each
+// session's count cube at the default geometry, which seals nothing, or of
+// its sealed engine where a wavelet axis is chosen.
 package fleet
 
 import (
@@ -76,8 +80,8 @@ type Request struct {
 	Timeout time.Duration
 	// Trace, when non-nil, collects the evaluation's span tree: Evaluate
 	// attaches one child subtree per scanned session (the exact scan, or
-	// seal, plan hit/compile and dot product) plus scope-match and merge
-	// spans, all under TraceParent.
+	// a seal where the geometry seals, plan hit/compile and dot product)
+	// plus scope-match and merge spans, all under TraceParent.
 	Trace       *obs.Trace
 	TraceParent obs.SpanID
 }
@@ -167,15 +171,15 @@ func EvalSession(s Session, req Request) (wire.FleetPart, error) {
 		part.Frames = frames
 		part.N, part.Sum, part.SumSq = sum.N, sum.Sum, sum.SumSq
 	case wire.QueryApproxCount:
-		est, bound, err := s.Store.ApproximateCountTraced(req.Channel, req.T0, req.T1, int(req.Arg), qt)
+		est, bound, frames, err := s.Store.ApproximateCountTraced(req.Channel, req.T0, req.T1, int(req.Arg), qt)
 		StampQueryTrace(tr, parent, begin, qt)
 		if err != nil {
 			return part, err
 		}
-		part.Frames = uint64(s.Store.Frames())
+		part.Frames = frames
 		part.Sum, part.Bound, part.Coefficients = est, bound, req.Arg
 	case wire.QueryProgressiveCount:
-		steps, err := s.Store.ProgressiveCount(req.Channel, req.T0, req.T1, int(req.Arg), qt)
+		steps, frames, err := s.Store.ProgressiveCount(req.Channel, req.T0, req.T1, int(req.Arg), qt)
 		StampQueryTrace(tr, parent, begin, qt)
 		if err != nil {
 			return part, err
@@ -184,7 +188,7 @@ func EvalSession(s Session, req Request) (wire.FleetPart, error) {
 			return part, fmt.Errorf("fleet: progressive evaluation yielded no steps")
 		}
 		last := steps[len(steps)-1]
-		part.Frames = uint64(s.Store.Frames())
+		part.Frames = frames
 		part.Sum, part.Bound = last.Estimate, last.ErrorBound
 		part.Coefficients = uint32(last.Coefficients)
 	default:
@@ -195,10 +199,10 @@ func EvalSession(s Session, req Request) (wire.FleetPart, error) {
 
 // StampQueryTrace reconstructs a store evaluation's span breakdown under
 // parent from the durations a core.QueryTrace reports: seal, then plan
-// provenance (cache hit, or the compile a miss paid), then the coefficient
-// dot product. The spans are laid out sequentially from start — that is
-// the actual evaluation order inside the store. No-op when tr or qt is
-// nil, so untraced paths never pay for it.
+// provenance (a cache hit's probe, or the compile a miss paid), then the
+// coefficient dot product. The spans are laid out sequentially from start
+// — that is the actual evaluation order inside the store. No-op when tr
+// or qt is nil, so untraced paths never pay for it.
 func StampQueryTrace(tr *obs.Trace, parent obs.SpanID, start time.Time, qt *core.QueryTrace) {
 	if tr == nil || qt == nil {
 		return
@@ -212,13 +216,13 @@ func StampQueryTrace(tr *obs.Trace, parent obs.SpanID, start time.Time, qt *core
 	if !qt.PlanUsed {
 		return
 	}
+	name := "plan-compile"
 	if qt.Plan.Hit {
-		tr.AddSpan(parent, "plan-hit", at, at)
-	} else {
-		end := at.Add(time.Duration(qt.Plan.CompileNS))
-		tr.AddSpan(parent, "plan-compile", at, end)
-		at = end
+		name = "plan-hit"
 	}
+	end := at.Add(time.Duration(qt.Plan.LookupNS))
+	tr.AddSpan(parent, name, at, end)
+	at = end
 	tr.AddSpan(parent, "dot", at, at.Add(time.Duration(qt.Plan.EvalNS)))
 }
 

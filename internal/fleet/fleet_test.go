@@ -14,17 +14,30 @@ import (
 	"aims/internal/wire"
 )
 
+// fleetStoreCfg is the fleet tests' store geometry. At 64 time buckets × 32
+// value bins the hybrid chooser keeps the standard basis on every axis,
+// so approximate scans walk the count cube and never seal.
+var fleetStoreCfg = core.LiveStoreConfig{Rate: 100, TimeBuckets: 64, ValueBins: 32, HorizonTicks: 6400}
+
+// sealingStoreCfg is fleetStoreCfg at 1024 time buckets, where the chooser
+// puts the time axis in a wavelet basis, so an approximate scan seals
+// first; every materialising seal is reported to observe.
+func sealingStoreCfg(observe func(time.Duration, bool, int)) core.LiveStoreConfig {
+	cfg := fleetStoreCfg
+	cfg.TimeBuckets, cfg.SealObserver = 1024, observe
+	return cfg
+}
+
 // buildFleet creates n sessions of the given class, each with its own
 // random frame count and (for odd IDs) its own value range, so merges
 // cross heterogeneous quantisers.
 func buildFleet(t testing.TB, n int, class string, seed int64) []Session {
 	t.Helper()
-	return buildObservedFleet(t, n, class, seed, nil)
+	return buildFleetAt(t, n, class, seed, fleetStoreCfg)
 }
 
-// buildObservedFleet is buildFleet with every store's seals reported to
-// observe, its SealObserver.
-func buildObservedFleet(t testing.TB, n int, class string, seed int64, observe func(time.Duration, bool, int)) []Session {
+// buildFleetAt is buildFleet with every store made at cfg.
+func buildFleetAt(t testing.TB, n int, class string, seed int64, cfg core.LiveStoreConfig) []Session {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	out := make([]Session, 0, n)
@@ -33,10 +46,7 @@ func buildObservedFleet(t testing.TB, n int, class string, seed int64, observe f
 		if i%2 == 1 {
 			lo, hi = 0, 10
 		}
-		ls, err := core.NewLiveStore([]float64{lo, lo}, []float64{hi, hi}, core.LiveStoreConfig{
-			Rate: 100, TimeBuckets: 64, ValueBins: 32, HorizonTicks: 6400,
-			SealObserver: observe,
-		})
+		ls, err := core.NewLiveStore([]float64{lo, lo}, []float64{hi, hi}, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +154,7 @@ func TestApproxBoundSound(t *testing.T) {
 	}
 }
 
-// TestClassSharesOnePlan: every session of a class seals to the same engine
+// TestClassSharesOnePlan: every session of a class has the same store
 // geometry, so an approximate fleet query compiles one plan through the
 // process-wide cache and the other sessions hit it; a repeat query compiles
 // nothing. Not parallel: propolyne.SharedCache is process-global.
@@ -240,11 +250,11 @@ func TestBadChannelBecomesPerSessionFailure(t *testing.T) {
 }
 
 // TestDeadlineYieldsPartial forces the scan loop past its deadline: 48
-// sessions that each need a cold ProPolyne seal, which outlives the 1ms
-// budget. Unfinished sessions must come back as CodeDeadline failures
-// under the partial policy, never as a hang.
+// sessions at a sealing geometry that each need a cold ProPolyne seal,
+// which outlives the 1ms budget. Unfinished sessions must come back as
+// CodeDeadline failures under the partial policy, never as a hang.
 func TestDeadlineYieldsPartial(t *testing.T) {
-	sessions := buildObservedFleet(t, 48, "glove", 13, func(time.Duration, bool, int) { time.Sleep(20 * time.Millisecond) })
+	sessions := buildFleetAt(t, 48, "glove", 13, sealingStoreCfg(func(time.Duration, bool, int) { time.Sleep(20 * time.Millisecond) }))
 	req := Request{
 		Kind: wire.QueryApproxCount, Channel: 0, T0: 0, T1: 30, Arg: 16,
 		Scope: wire.FleetScope{Class: "glove"}, Partial: true,
@@ -352,14 +362,13 @@ func TestEvaluateExactAllocations(t *testing.T) {
 }
 
 // slowSession is one glove session whose store holds a single frame and
-// whose seal — the first step of an approximate scan — takes 150 ms, three
-// times the 50 ms deadline the deadline tests give a query.
+// whose seal — the first step of an approximate scan at its sealing
+// geometry — takes 150 ms, three times the 50 ms deadline the deadline
+// tests give a query.
 func slowSession(t testing.TB, id uint64) Session {
 	t.Helper()
-	slow, err := core.NewLiveStore([]float64{-1, -1}, []float64{1, 1}, core.LiveStoreConfig{
-		Rate: 100, TimeBuckets: 64, ValueBins: 32, HorizonTicks: 6400,
-		SealObserver: func(time.Duration, bool, int) { time.Sleep(150 * time.Millisecond) },
-	})
+	slow, err := core.NewLiveStore([]float64{-1, -1}, []float64{1, 1},
+		sealingStoreCfg(func(time.Duration, bool, int) { time.Sleep(150 * time.Millisecond) }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,5 +447,58 @@ func TestStragglerFinishingAfterDeadline(t *testing.T) {
 	}
 	if got, _, _, _ := Merge(req.Kind, res.Parts); got != res.Value {
 		t.Fatalf("re-merging the returned parts gives %v, the result says %v", got, res.Value)
+	}
+}
+
+// TestWatermarkCoversTheEstimate pins the consistency contract for the
+// approximate kinds: a session's watermark is the frames its answer
+// covers. Appenders keep storing frames while progressive fleet queries
+// run over each session's whole range, where every frame counts once, so
+// every part's final estimate — exact, up to the wavelet sum's rounding
+// on the sealed engine — must equal its Frames, at the cube-walking
+// geometry and at a sealing one.
+func TestWatermarkCoversTheEstimate(t *testing.T) {
+	for name, cfg := range map[string]core.LiveStoreConfig{"cube": fleetStoreCfg, "sealed": sealingStoreCfg(nil)} {
+		t.Run(name, func(t *testing.T) {
+			sessions := buildFleetAt(t, 3, "glove", 23, cfg)
+			stop := make(chan struct{})
+			done := make(chan struct{})
+			defer func() {
+				close(stop)
+				<-done
+			}()
+			go func() {
+				defer close(done)
+				for i := 0; ; i++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					frame := []stream.Frame{{T: float64(i%3000) / 100, Values: []float64{0.5, 0.5}}}
+					for _, s := range sessions {
+						if _, err := s.Store.AppendFrames(frame); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}
+			}()
+			req := Request{
+				Kind: wire.QueryProgressiveCount, Channel: 1, T0: 0, T1: 1e9, Arg: 4,
+				Scope: wire.FleetScope{Class: "glove"},
+			}
+			for q := 0; q < 40; q++ {
+				res := Evaluate(context.Background(), sessions, req, Config{})
+				if !res.OK || len(res.Parts) != len(sessions) {
+					t.Fatalf("query %d: %+v", q, res)
+				}
+				for _, p := range res.Parts {
+					if math.Round(p.Sum) != float64(p.Frames) {
+						t.Fatalf("query %d: session %d answers %v frames at watermark %d", q, p.ID, p.Sum, p.Frames)
+					}
+				}
+			}
+		})
 	}
 }

@@ -141,6 +141,17 @@ func NewWithBases(cube []float64, dims []int, bases []Basis) (*Engine, error) {
 	return e, nil
 }
 
+// Relational returns the pure-relational geometry of dims — the standard
+// basis on every axis — as an engine that holds no coefficients. It
+// compiles plans for a cube its caller keeps (through SharedCache, under
+// the same fingerprint as a populated engine of that geometry), whose
+// entries' indices are then the cube's own flat offsets, for Estimate and
+// Steps to walk. Its coefficient surfaces — Exact, EvalPlan,
+// Energy, the estimates and the appends — are not for use.
+func Relational(dims []int) *Engine {
+	return &Engine{Dims: wavelet.Dims(dims), Bases: AllStandard(dims), Levels: make([]int, len(dims))}
+}
+
 // Energy returns Σ coefficient² — the data-energy term of the progressive
 // error bound. Appends maintain it incrementally, so the cube is scanned
 // only for an engine whose energy was never computed (fresh from New,

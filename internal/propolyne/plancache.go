@@ -140,21 +140,27 @@ func (c *PlanCache) Purge() {
 }
 
 // PlanTrace reports what one traced query evaluation cost at the plan
-// layer: whether the plan came from cache, how long a miss spent compiling,
-// and how long evaluation ran (ordering, the coefficient dot product and the
-// error bound). A caller asks for it by setting Query.Trace; the middle tier
-// stamps the fields into trace spans without propolyne ever importing obs.
+// layer: whether the plan came from cache, how long the lookup took — on a
+// hit, rendering the key and probing the cache; on a miss, the compile —
+// and how long evaluation ran (ordering, the coefficient dot product and
+// the error bound). A caller asks for it by setting Query.Trace; the middle
+// tier stamps the fields into trace spans without propolyne ever importing
+// obs.
 type PlanTrace struct {
-	Hit       bool
-	CompileNS int64
-	EvalNS    int64
+	Hit      bool
+	LookupNS int64
+	EvalNS   int64
 }
 
 // Lookup returns the compiled plan for (engine geometry, query), compiling
 // and caching it on a miss. Concurrent misses on one key compile once. A
-// non-nil q.Trace records whether this call hit the cache and how long a
-// miss compiled.
+// non-nil q.Trace records whether this call hit the cache and how long the
+// hit's probe or the miss's compile took.
 func (c *PlanCache) Lookup(e *Engine, q Query) (*Plan, error) {
+	var t0 time.Time
+	if q.Trace != nil {
+		t0 = time.Now()
+	}
 	key := planKey(e, q)
 	sh := &c.shards[shardOf(key)]
 	sh.mu.Lock()
@@ -166,10 +172,11 @@ func (c *PlanCache) Lookup(e *Engine, q Query) (*Plan, error) {
 		if o := c.obs.Load(); o != nil && o.Hit != nil {
 			o.Hit()
 		}
+		<-en.done
 		if q.Trace != nil {
 			q.Trace.Hit = true
+			q.Trace.LookupNS = time.Since(t0).Nanoseconds()
 		}
-		<-en.done
 		return en.plan, en.err
 	}
 	en := &planEntry{key: key, done: make(chan struct{}), resident: true}
@@ -227,7 +234,7 @@ func (c *PlanCache) compile(e *Engine, q Query) (*Plan, error) {
 	elapsed := time.Since(t0)
 	if q.Trace != nil {
 		q.Trace.Hit = false
-		q.Trace.CompileNS = elapsed.Nanoseconds()
+		q.Trace.LookupNS = elapsed.Nanoseconds()
 	}
 	c.misses.Add(1)
 	if o := c.obs.Load(); o != nil {
@@ -290,9 +297,11 @@ func (e *Engine) Fingerprint() string {
 
 // planKey renders the cache key: engine fingerprint plus the query's box
 // and exact polynomial coefficients (bit-patterns, so -0 ≠ 0 never aliases
-// distinct plans).
+// distinct plans). A key of up to 128 bytes is built on the stack, so
+// rendering one allocates only the returned string.
 func planKey(e *Engine, q Query) string {
-	b := make([]byte, 0, len(e.Fingerprint())+16*len(q.Lo))
+	var buf [128]byte
+	b := buf[:0]
 	b = append(b, e.Fingerprint()...)
 	b = append(b, '|')
 	for d := range q.Lo {

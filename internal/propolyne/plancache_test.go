@@ -245,7 +245,7 @@ func TestPlanCacheTraceRidesInQuery(t *testing.T) {
 	if st := c.Stats(); st.Misses != 1 || st.Hits != 1 || st.Plans != 1 {
 		t.Fatalf("stats %+v, want 1 miss / 1 hit / 1 plan", st)
 	}
-	if first.Hit || first.CompileNS <= 0 {
+	if first.Hit || first.LookupNS <= 0 {
 		t.Fatalf("first trace %+v, want a miss with its compile time", first)
 	}
 	if !second.Hit {

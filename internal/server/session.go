@@ -749,6 +749,10 @@ func (sess *session) handleQuery(payload []byte) bool {
 		return false
 	}
 	var qt core.QueryTrace
+	te := t1
+	if tr != nil {
+		te = time.Now() // beginning the trace is not evaluation
+	}
 	results := sess.evaluate(q, &qt)
 	t2 := time.Now()
 	if tr == nil {
@@ -763,8 +767,8 @@ func (sess *session) handleQuery(payload []byte) bool {
 		if bv, bvErr := sess.store.BoxVolume(int(q.Channel), q.T0, q.T1); bvErr == nil {
 			tr.SetAttr("box_volume", strconv.FormatInt(bv, 10))
 		}
-		evalSpan := tr.AddSpan(0, "evaluate", t1, t2)
-		fleet.StampQueryTrace(tr, evalSpan, t1, &qt)
+		evalSpan := tr.AddSpan(0, "evaluate", te, t2)
+		fleet.StampQueryTrace(tr, evalSpan, te, &qt)
 		if qt.PlanUsed {
 			if qt.Plan.Hit {
 				tr.SetAttr("plan_cache", "hit")
@@ -804,10 +808,10 @@ func (sess *session) handleFleetQuery(payload []byte) bool {
 		return false
 	}
 	// A live trace gets the evaluation's own tree: one child subtree per
-	// scanned session under the evaluate span (the exact scan, or seal,
-	// plan hit/compile and dot product), so the whole fan-out reads as one
-	// tree on /tracez?id=. A late trace is rebuilt from the root stages
-	// alone.
+	// scanned session under the evaluate span (the exact scan, or any
+	// seal, plan hit/compile and dot product), so the whole fan-out reads
+	// as one tree on /tracez?id=. A late trace is rebuilt from the root
+	// stages alone.
 	evalSpan := tr.StartSpan(0, "evaluate")
 	res := srv.evaluateFleet(fq, tr, evalSpan)
 	t2 := time.Now()
@@ -856,10 +860,10 @@ func (sess *session) evaluate(q wire.Query, qt *core.QueryTrace) []wire.Result {
 	case wire.QueryVariance:
 		r.Value, r.OK, err = sess.store.VarianceValue(ch, q.T0, q.T1)
 	case wire.QueryApproxCount:
-		r.Value, r.Bound, err = sess.store.ApproximateCountTraced(ch, q.T0, q.T1, arg, qt)
+		r.Value, r.Bound, _, err = sess.store.ApproximateCountTraced(ch, q.T0, q.T1, arg, qt)
 		r.Coefficients = q.Arg
 	case wire.QueryProgressiveCount:
-		steps, perr := sess.store.ProgressiveCount(ch, q.T0, q.T1, arg, qt)
+		steps, _, perr := sess.store.ProgressiveCount(ch, q.T0, q.T1, arg, qt)
 		if perr != nil || len(steps) == 0 {
 			break
 		}
