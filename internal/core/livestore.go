@@ -92,7 +92,6 @@ type LiveStore struct {
 	fill    []uint64
 	fillMax uint64
 	frames  int
-	version uint64
 	// delta logs the flat cube indices incremented since the last full
 	// seal snapshot; track gates logging (it starts at the first seal so
 	// an unqueried session never pays for it) and overflow marks a log
@@ -107,17 +106,17 @@ type LiveStore struct {
 	// bucket tb and energy[tb] are current while rowFill[tb] equals
 	// fill[tb], the fill they were all cached at. All three are made by the
 	// first exact scan or cube walk, so a session nobody queries never pays
-	// for them. energyTotal caches Σ energy at version energyVersion.
-	rows          []rowMoments
-	rowFill       []uint64
-	energy        []uint64
-	energyTotal   uint64
-	energyVersion uint64
+	// for them. energyTotal caches Σ energy at energyFrames stored frames.
+	rows         []rowMoments
+	rowFill      []uint64
+	energy       []uint64
+	energyTotal  uint64
+	energyFrames int
 
-	sealMu        sync.Mutex
-	sealed        *Store
-	sealedVersion uint64
-	spare         []uint32 // the last replayed log, recycled as the next one's buffer
+	sealMu       sync.Mutex
+	sealed       *Store
+	sealedFrames int      // the frames the sealed engine holds
+	spare        []uint32 // the last replayed log, recycled as the next one's buffer
 
 	// rel is the store's geometry as a coefficient-less pure-relational
 	// engine when the hybrid chooser picks the standard basis on every
@@ -274,13 +273,6 @@ func (ls *LiveStore) Frames() int {
 	ls.mu.RLock()
 	defer ls.mu.RUnlock()
 	return ls.frames
-}
-
-// Version increments on every append; Seal caches by it.
-func (ls *LiveStore) Version() uint64 {
-	ls.mu.RLock()
-	defer ls.mu.RUnlock()
-	return ls.version
 }
 
 // logDelta reports whether an append of n cube-cell increments is to log
@@ -491,7 +483,6 @@ func (ls *LiveStore) storeBins(rec []byte, stored int, logging bool) {
 			cells = cells[len(run):]
 			ls.countCells(tb, run, w, wide, logging)
 			ls.frames += int(k)
-			ls.version += k
 			n -= k
 		}
 	}
@@ -724,15 +715,15 @@ func (ls *LiveStore) fillRow(r *rowMoments, row int) (sq uint64) {
 
 // dataEnergy returns Σc² over the whole cube, the data energy of a cube
 // walk's error bound: the sum of the bucket energies, each brought current
-// as moments brings its rows. The sum is cached by version, so an
+// as moments brings its rows. The sum is cached by frame count, so an
 // unchanged store pays O(1). It is exact while it stays below 2^64: it is
 // at most channels · frames², so while frames < 2^32/√channels. Callers
 // hold ls.mu for reading.
 func (ls *LiveStore) dataEnergy() uint64 {
 	ls.rowMu.Lock()
 	defer ls.rowMu.Unlock()
-	if ls.energyVersion == ls.version {
-		return ls.energyTotal // an empty store's energy is 0 at version 0
+	if ls.energyFrames == ls.frames {
+		return ls.energyTotal // an empty store's energy is 0 at 0 frames
 	}
 	ls.makeRows()
 	var total uint64
@@ -742,7 +733,7 @@ func (ls *LiveStore) dataEnergy() uint64 {
 		}
 		total += ls.energy[tb]
 	}
-	ls.energyTotal, ls.energyVersion = total, ls.version
+	ls.energyTotal, ls.energyFrames = total, ls.frames
 	return total
 }
 
@@ -800,7 +791,7 @@ func (ls *LiveStore) VarianceValue(channel int, t0, t1 float64) (float64, bool, 
 // chooser picks for the store's geometry. Approximate and progressive
 // queries seal only where a wavelet axis is chosen; the cube walk answers
 // them elsewhere, bit for bit as a sealed engine would. The sealed store
-// is cached; when appends have advanced the version, Seal replays the
+// is cached; when appends have advanced the frame count, Seal replays the
 // delta log through the engine's offset append — O(delta since last seal),
 // energy included — instead of retransforming the cube, falling back to a
 // full rebuild on the first seal, after a delta-log overflow, or when
@@ -821,11 +812,11 @@ func (ls *LiveStore) Seal() (*Store, error) {
 func (ls *LiveStore) seal() (*Store, uint64, error) {
 	t0 := time.Now()
 	ls.mu.Lock()
-	version, frames := ls.version, uint64(ls.frames)
-	if ls.sealed != nil && ls.sealedVersion == version {
+	frames := ls.frames
+	if ls.sealed != nil && ls.sealedFrames == frames {
 		st := ls.sealed
 		ls.mu.Unlock()
-		return st, frames, nil
+		return st, uint64(frames), nil
 	}
 	if ls.sealed != nil && ls.track && !ls.overflow {
 		// Incremental path: steal the delta log; appends from here on
@@ -840,13 +831,13 @@ func (ls *LiveStore) seal() (*Store, uint64, error) {
 			return nil, 0, err
 		}
 		ls.mu.Lock()
-		ls.sealedVersion = version
+		ls.sealedFrames = frames
 		st := ls.sealed
 		ls.mu.Unlock()
 		if ls.cfg.SealObserver != nil {
 			ls.cfg.SealObserver(time.Since(t0), true, len(log))
 		}
-		return st, frames, nil
+		return st, uint64(frames), nil
 	}
 	// Full rebuild: snapshot the cube and restart delta tracking from the
 	// snapshot point. The engine transforms the snapshot in place and keeps
@@ -889,12 +880,12 @@ func (ls *LiveStore) seal() (*Store, uint64, error) {
 	}
 	ls.mu.Lock()
 	ls.sealed = st
-	ls.sealedVersion = version
+	ls.sealedFrames = frames
 	ls.mu.Unlock()
 	if ls.cfg.SealObserver != nil {
 		ls.cfg.SealObserver(time.Since(t0), false, 0)
 	}
-	return st, frames, nil
+	return st, uint64(frames), nil
 }
 
 // geometry returns the dims of the store's ProPolyne cube — channels padded

@@ -168,7 +168,6 @@ func TestCubeWalkEnergyPast2to53(t *testing.T) {
 		}
 		ls.frames += int(ls.fill[tb])
 	}
-	ls.version = uint64(ls.frames)
 	ls.mu.Unlock()
 	if energy < 1<<53 {
 		t.Fatalf("Σc² = %d, want past 2^53", energy)

@@ -228,7 +228,6 @@ func ReadSnapshot(b []byte, cfg LiveStoreConfig) (*LiveStore, error) {
 		k++
 	}
 	ls.frames = int(frames)
-	ls.version = frames
 	return ls, nil
 }
 

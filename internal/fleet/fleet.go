@@ -263,7 +263,7 @@ func Merge(kind wire.QueryKind, parts []wire.FleetPart) (value, bound float64, c
 }
 
 // Evaluate runs one fleet query over the given session snapshot (the
-// caller snapshots its registry first). It scans the matched sessions one
+// caller snapshots its live sessions first). It scans the matched sessions one
 // after another, in ascending ID order, on the calling goroutine, and
 // always returns a well-formed FleetResult — per-session failures are
 // folded in according to the request's partial policy rather than

@@ -258,7 +258,6 @@ func TestNilTraceIsNoop(t *testing.T) {
 	}
 	x.EndSpan(1) // must not panic
 	x.Span("c", time.Now(), time.Now())
-	x.Annotate("d")
 	x.SetAttr("e", "f")
 	x.Finish()
 }

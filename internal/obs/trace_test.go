@@ -68,7 +68,6 @@ func TestTraceSealedAfterFinish(t *testing.T) {
 
 	// Every post-Finish mutation must be a no-op: the trace is published.
 	x.Span("late", time.Now(), time.Now().Add(time.Hour))
-	x.Annotate("late-note")
 	x.SetAttr("late", "yes")
 	if id := x.StartSpan(0, "late-span"); id != 0 {
 		t.Fatalf("StartSpan after Finish returned %d, want 0", id)

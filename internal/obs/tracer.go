@@ -267,15 +267,6 @@ func (tr *Trace) Span(name string, start, end time.Time) {
 	tr.AddSpan(0, name, start, end)
 }
 
-// Annotate records an instantaneous root-level event at now.
-func (tr *Trace) Annotate(name string) {
-	if tr == nil {
-		return
-	}
-	now := time.Now()
-	tr.AddSpan(0, name, now, now)
-}
-
 // SetAttr attaches (or overwrites) a key/value annotation.
 func (tr *Trace) SetAttr(key, value string) {
 	if tr == nil {
@@ -299,7 +290,7 @@ func (tr *Trace) SetAttr(key, value string) {
 // trace is sampled, and to the slow ring (firing the slow hook) if its
 // total duration reached the slow threshold. Open spans are clamped to
 // the trace end. Calling Finish more than once is a no-op, and every later
-// Span/Annotate/SetAttr/StartSpan call is too.
+// Span/AddSpan/SetAttr/StartSpan call is too.
 func (tr *Trace) Finish() {
 	if tr == nil {
 		return

@@ -52,7 +52,7 @@ func randomGeometry(t *testing.T, rng *rand.Rand, kind string) ([]int, []Basis) 
 
 // TestEnergyMaintainedIncrementally is the energy property test: over
 // random standard, wavelet and hybrid geometries, ≥ 10⁵ point updates
-// arrive interleaved through Append, AppendBatch and AppendOffsets — with
+// arrive interleaved through single Appends, runs of them and AppendOffsets — with
 // duplicate cells and, where weights are the caller's, negative and
 // fractional ones — and at every checkpoint the maintained energy must
 // still be valid (never fall back to a rescan) and equal a fresh Σ coeff²
@@ -112,14 +112,12 @@ func TestEnergyMaintainedIncrementally(t *testing.T) {
 					}
 					done++
 				case 1, 2, 3:
-					batch := make([]Tuple, 64+rng.Intn(448))
-					for k := range batch {
-						batch[k] = Tuple{Index: tuple(), Weight: weight()}
+					for n := 64 + rng.Intn(448); n > 0; n-- {
+						if err := e.Append(tuple(), weight()); err != nil {
+							t.Fatal(err)
+						}
+						done++
 					}
-					if err := e.AppendBatch(batch); err != nil {
-						t.Fatal(err)
-					}
-					done += len(batch)
 				default:
 					// More entries than cells on the small cubes: duplicates
 					// are the common case, as in a live session's delta log.
@@ -141,10 +139,13 @@ func TestEnergyMaintainedIncrementally(t *testing.T) {
 	}
 }
 
-// TestAppendOffsetsMatchesAppendBatch pins the offset entry point to the
-// tuple one — same cells, unit weights, duplicates included — on a hybrid
-// engine (the dedup branch) and a pure-relational one (the streaming
-// branch), and its all-or-nothing validation.
+// TestAppendOffsetsMatchesAppendBatch pins the offset entry point to a
+// batch of tuples appended one at a time: an AppendOffsets batch against an
+// Append loop over the same cells, on a hybrid engine (the dedup branch)
+// and a pure-relational one (the streaming branch), with heavy collisions.
+// A weight-w Append is w repeats of its offset in the batch, so duplicate
+// collapsing is checked against non-unit weights. Coefficients and the
+// maintained energy must agree.
 func TestAppendOffsetsMatchesAppendBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	dims := []int{4, 16, 8}
@@ -157,49 +158,40 @@ func TestAppendOffsetsMatchesAppendBatch(t *testing.T) {
 		AllStandard(dims),
 	} {
 		cube := randomRelation(rng, dims, 200).Cube()
-		byOffset, err := NewWithBases(slices.Clone(cube), dims, bases)
+		batched, err := NewWithBases(slices.Clone(cube), dims, bases)
 		if err != nil {
 			t.Fatal(err)
 		}
-		byTuple, err := NewWithBases(cube, dims, bases)
+		oneByOne, err := NewWithBases(cube, dims, bases)
 		if err != nil {
 			t.Fatal(err)
 		}
-		offs := make([]uint32, 300)
-		tuples := make([]Tuple, len(offs))
-		for k := range offs {
+		batched.Energy() // computed once; from here the appends maintain it
+		oneByOne.Energy()
+		var offs []uint32
+		for k := 0; k < 200; k++ {
 			ix := []int{rng.Intn(4), rng.Intn(16) % 5, rng.Intn(8) % 3} // heavy collisions
-			offs[k] = uint32(wavelet.Dims(dims).Offset(ix))
-			tuples[k] = Tuple{Index: ix, Weight: 1}
-		}
-		if err := byOffset.AppendOffsets(offs); err != nil {
-			t.Fatal(err)
-		}
-		if err := byTuple.AppendBatch(tuples); err != nil {
-			t.Fatal(err)
-		}
-		for i := range byTuple.Coeffs {
-			if math.Abs(byOffset.Coeffs[i]-byTuple.Coeffs[i]) > 1e-9 {
-				t.Fatalf("coefficient %d: by offset %v, by tuple %v", i, byOffset.Coeffs[i], byTuple.Coeffs[i])
+			w := 1 + rng.Intn(3)
+			if err := oneByOne.Append(ix, float64(w)); err != nil {
+				t.Fatal(err)
+			}
+			for ; w > 0; w-- {
+				offs = append(offs, uint32(wavelet.Dims(dims).Offset(ix)))
 			}
 		}
-
-		before := append([]float64(nil), byOffset.Coeffs...)
-		energy := byOffset.Energy()
-		bad := []uint32{3, 7, uint32(len(before)), 3}
-		if err := byOffset.AppendOffsets(bad); err == nil {
-			t.Fatal("offset past the cube accepted")
+		if err := batched.AppendOffsets(offs); err != nil {
+			t.Fatal(err)
 		}
-		for i := range before {
-			if byOffset.Coeffs[i] != before[i] {
-				t.Fatal("rejected offsets mutated the engine")
+		for i := range oneByOne.Coeffs {
+			if math.Abs(batched.Coeffs[i]-oneByOne.Coeffs[i]) > 1e-9 {
+				t.Fatalf("coefficient %d: batched %v, one by one %v", i, batched.Coeffs[i], oneByOne.Coeffs[i])
 			}
 		}
-		if byOffset.Energy() != energy {
-			t.Fatal("rejected offsets moved the energy")
+		if got, want := batched.Energy(), oneByOne.Energy(); math.Abs(got-want) > 1e-9*want {
+			t.Fatalf("energy: batched %v, one by one %v", got, want)
 		}
-		if err := byOffset.AppendOffsets(nil); err != nil {
-			t.Fatalf("empty log: %v", err)
+		if got, want := batched.Energy(), freshEnergy(batched); math.Abs(got-want) > 1e-9*want {
+			t.Fatalf("maintained energy %v, fresh sum %v", got, want)
 		}
 	}
 }

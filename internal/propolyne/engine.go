@@ -285,12 +285,6 @@ func (e *Engine) Append(tuple []int, weight float64) error {
 	return nil
 }
 
-// Tuple is one weighted point insertion for AppendBatch.
-type Tuple struct {
-	Index  []int
-	Weight float64
-}
-
 // HasWaveletDims reports whether any dimension is wavelet-transformed
 // (false means the engine is pure-relational: a point append touches
 // exactly one coefficient).
@@ -319,35 +313,12 @@ func (e *Engine) cellOffset(tuple []int) (int, error) {
 	return off, nil
 }
 
-// AppendBatch inserts many weighted tuples in one engine transaction. It
-// is the bulk form of Append, with two batch-level savings: the sparse
-// per-dimension DeltaTransform vectors are computed once per distinct
-// (dimension, index) pair — outside the locks — and reused across every
-// tuple that shares the index, and the whole batch is scattered into the
-// coefficient store under a single write-lock acquisition, so concurrent
-// readers observe the batch atomically and the per-tuple work inside the
-// lock is plain slice arithmetic.
-//
-// Validation is up-front and all-or-nothing: a malformed tuple anywhere in
-// the batch leaves the engine untouched.
-func (e *Engine) AppendBatch(tuples []Tuple) error {
-	offs := make([]int, len(tuples))
-	weights := make([]float64, len(tuples))
-	for k, t := range tuples {
-		off, err := e.cellOffset(t.Index)
-		if err != nil {
-			return err
-		}
-		offs[k], weights[k] = off, t.Weight
-	}
-	scatter(e, offs, weights)
-	return nil
-}
-
-// AppendOffsets is AppendBatch for a caller that already addresses a cube
-// of the engine's shape: one unit-weight tuple per entry of offs, each the
-// flat row-major offset of its cell — core.LiveStore's delta log, replayed
-// as it was recorded. Validation is up-front and all-or-nothing. offs may
+// AppendOffsets is the bulk form of Append for a caller that already
+// addresses a cube of the engine's shape: one unit-weight tuple per entry
+// of offs, each the flat row-major offset of its cell — core.LiveStore's
+// delta log, replayed as it was recorded. The whole batch is scattered
+// under one write-lock acquisition, so concurrent readers observe it
+// atomically. Validation is up-front and all-or-nothing. offs may
 // be reordered: where wavelet dimensions make every distinct cell a
 // tensor-product scatter, duplicates are first collapsed (sort + run
 // length) into one weighted mass each; on a pure-relational engine a
@@ -389,7 +360,7 @@ func (e *Engine) bump(off int, w float64) float64 {
 
 // scatter adds the point masses weights[k]·δ(offs[k]) — unit masses when
 // weights is nil — to the transformed cube in one engine transaction: the
-// routine behind Append, AppendBatch and AppendOffsets. offs are validated
+// routine behind Append and AppendOffsets. offs are validated
 // flat row-major cell offsets.
 func scatter[O int | uint32](e *Engine, offs []O, weights []float64) {
 	if len(offs) == 0 {

@@ -10,6 +10,7 @@ import (
 	"aims/internal/datacube"
 	"aims/internal/synth"
 	"aims/internal/vec"
+	"aims/internal/wavelet"
 )
 
 // randomRelation builds a small relation plus its cube for ground truth.
@@ -532,6 +533,11 @@ func TestCovarianceMatrixSymmetricPSDish(t *testing.T) {
 	}
 }
 
+// TestAppendBatchMatchesSequentialAppend: on a pure-wavelet engine, an
+// AppendOffsets batch with duplicate cells and non-unit weights (a weight-w
+// tuple is w repeats of its offset) leaves the same coefficients and
+// maintained energy as appending the tuples one at a time, so the
+// per-dimension vector cache and the delta accumulation both get exercised.
 func TestAppendBatchMatchesSequentialAppend(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	sizes := []int{16, 32}
@@ -544,18 +550,20 @@ func TestAppendBatchMatchesSequentialAppend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Duplicate indices and non-unit weights, so the per-dimension vector
-	// cache and the delta accumulation both get exercised.
-	tuples := make([]Tuple, 0, 60)
+	batched.Energy() // computed once; from here the appends maintain it
+	oneByOne.Energy()
+	var offs []uint32
 	for i := 0; i < 60; i++ {
 		tp := []int{rng.Intn(16) % 4, rng.Intn(32) % 8} // heavy collisions
-		w := float64(1 + rng.Intn(3))
-		tuples = append(tuples, Tuple{Index: tp, Weight: w})
-		if err := oneByOne.Append(tp, w); err != nil {
+		w := 1 + rng.Intn(3)
+		if err := oneByOne.Append(tp, float64(w)); err != nil {
 			t.Fatal(err)
 		}
+		for ; w > 0; w-- {
+			offs = append(offs, uint32(wavelet.Dims(sizes).Offset(tp)))
+		}
 	}
-	if err := batched.AppendBatch(tuples); err != nil {
+	if err := batched.AppendOffsets(offs); err != nil {
 		t.Fatal(err)
 	}
 	for i := range batched.Coeffs {
@@ -563,30 +571,41 @@ func TestAppendBatchMatchesSequentialAppend(t *testing.T) {
 			t.Fatalf("coefficient %d diverged: %v vs %v", i, batched.Coeffs[i], oneByOne.Coeffs[i])
 		}
 	}
+	if got, want := batched.Energy(), oneByOne.Energy(); math.Abs(got-want) > 1e-9*want {
+		t.Fatalf("energy: batched %v, one by one %v", got, want)
+	}
 }
 
-func TestAppendBatchValidationIsAtomic(t *testing.T) {
-	e, err := New(make([]float64, 256), []int{16, 16}, 0)
+// TestAppendOffsetsValidationIsAtomic: an offset past the cube anywhere in
+// a batch rejects the whole batch, leaving coefficients and energy as they
+// were; an empty batch is a no-op.
+func TestAppendOffsetsValidationIsAtomic(t *testing.T) {
+	f, err := wavelet.ForDegree(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := append([]float64(nil), e.Coeffs...)
-	batch := []Tuple{
-		{Index: []int{1, 1}, Weight: 1},
-		{Index: []int{1, 99}, Weight: 1}, // out of domain
-	}
-	if err := e.AppendBatch(batch); err == nil {
-		t.Fatal("out-of-domain tuple accepted")
-	}
-	if err := e.AppendBatch([]Tuple{{Index: []int{1}, Weight: 1}}); err == nil {
-		t.Fatal("arity mismatch accepted")
-	}
-	for i := range before {
-		if e.Coeffs[i] != before[i] {
-			t.Fatal("failed batch mutated the engine")
+	dims := []int{16, 16}
+	for _, bases := range [][]Basis{{{Standard: true}, {Filter: f}}, AllStandard(dims)} {
+		rel := randomRelation(rand.New(rand.NewSource(14)), dims, 80)
+		e, err := NewWithBases(rel.Cube(), dims, bases)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if err := e.AppendBatch(nil); err != nil {
-		t.Fatalf("empty batch: %v", err)
+		before := append([]float64(nil), e.Coeffs...)
+		energy := e.Energy()
+		if err := e.AppendOffsets([]uint32{3, 7, uint32(len(before)), 3}); err == nil {
+			t.Fatal("offset past the cube accepted")
+		}
+		for i := range before {
+			if e.Coeffs[i] != before[i] {
+				t.Fatal("rejected batch mutated the engine")
+			}
+		}
+		if e.Energy() != energy {
+			t.Fatal("rejected batch moved the energy")
+		}
+		if err := e.AppendOffsets(nil); err != nil {
+			t.Fatalf("empty batch: %v", err)
+		}
 	}
 }

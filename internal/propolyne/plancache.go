@@ -2,7 +2,6 @@ package propolyne
 
 import (
 	"container/list"
-	"hash/fnv"
 	"math"
 	"strconv"
 	"sync"
@@ -10,8 +9,8 @@ import (
 	"time"
 )
 
-// PlanCache is a bounded, sharded, concurrency-safe cache of compiled
-// query plans, keyed by engine geometry fingerprint (dims, bases, levels)
+// PlanCache is a bounded, concurrency-safe LRU cache of compiled query
+// plans, keyed by engine geometry fingerprint (dims, bases, levels)
 // plus query shape (box, polynomial coefficients). Because a plan depends
 // only on geometry and query shape — never on coefficient data — appends,
 // incremental seals and even full engine rebuilds with the same geometry
@@ -24,17 +23,19 @@ import (
 // Concurrent misses on the same key collapse into a single compilation
 // (per-entry singleflight): the first looker-up inserts a pending entry
 // and compiles; the rest block on it and share the result. Eviction is LRU
-// per shard against a cost budget measured in resident entries.
+// against a cost budget measured in resident entries.
 type PlanCache struct {
 	capacity  atomic.Int64
 	hits      atomic.Uint64
 	misses    atomic.Uint64
 	evictions atomic.Uint64
 	obs       atomic.Pointer[PlanObserver]
-	shards    [planShards]planShard
-}
 
-const planShards = 16
+	mu   sync.Mutex // guards lru, m and cost
+	lru  *list.List
+	m    map[string]*list.Element
+	cost int
+}
 
 // DefaultPlanCacheCost is the default cache budget in cost units (one unit
 // ≈ one resident plan entry; see planCost). At 16 bytes an entry this
@@ -56,16 +57,9 @@ type PlanObserver struct {
 	CompileSeconds func(s float64)
 }
 
-type planShard struct {
-	mu   sync.Mutex
-	lru  *list.List
-	m    map[string]*list.Element
-	cost int
-}
-
 // planEntry is one cached (or in-flight) compilation. done closes when
-// plan/err are set; resident tracks whether the entry still lives in its
-// shard (an entry can be evicted while waiters hold it — they still get
+// plan/err are set; resident tracks whether the entry still lives in the
+// cache (an entry can be evicted while waiters hold it — they still get
 // the result, it just isn't cached).
 type planEntry struct {
 	key      string
@@ -76,15 +70,11 @@ type planEntry struct {
 	resident bool
 }
 
-// NewPlanCache creates a cache with the given cost budget. Each shard keeps
+// NewPlanCache creates a cache with the given cost budget. The cache keeps
 // at least its most recent plan, however small the budget.
 func NewPlanCache(costCapacity int) *PlanCache {
-	c := &PlanCache{}
+	c := &PlanCache{lru: list.New(), m: map[string]*list.Element{}}
 	c.capacity.Store(int64(costCapacity))
-	for i := range c.shards {
-		c.shards[i].lru = list.New()
-		c.shards[i].m = map[string]*list.Element{}
-	}
 	return c
 }
 
@@ -108,35 +98,28 @@ type PlanCacheStats struct {
 
 // Stats snapshots the cache counters.
 func (c *PlanCache) Stats() PlanCacheStats {
-	st := PlanCacheStats{
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return PlanCacheStats{
 		Hits:      c.hits.Load(),
 		Misses:    c.misses.Load(),
 		Evictions: c.evictions.Load(),
+		Plans:     c.lru.Len(),
+		Cost:      c.cost,
 	}
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		st.Plans += sh.lru.Len()
-		st.Cost += sh.cost
-		sh.mu.Unlock()
-	}
-	return st
 }
 
 // Purge drops every cached plan (counters are kept). Mainly for
 // benchmarks and tests that need a cold cache.
 func (c *PlanCache) Purge() {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		for el := sh.lru.Front(); el != nil; el = el.Next() {
-			el.Value.(*planEntry).resident = false
-		}
-		sh.lru.Init()
-		sh.m = map[string]*list.Element{}
-		sh.cost = 0
-		sh.mu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for el := c.lru.Front(); el != nil; el = el.Next() {
+		el.Value.(*planEntry).resident = false
 	}
+	c.lru.Init()
+	c.m = map[string]*list.Element{}
+	c.cost = 0
 }
 
 // PlanTrace reports what one traced query evaluation cost at the plan
@@ -162,12 +145,11 @@ func (c *PlanCache) Lookup(e *Engine, q Query) (*Plan, error) {
 		t0 = time.Now()
 	}
 	key := planKey(e, q)
-	sh := &c.shards[shardOf(key)]
-	sh.mu.Lock()
-	if el, ok := sh.m[key]; ok {
-		sh.lru.MoveToFront(el)
+	c.mu.Lock()
+	if el, ok := c.m[key]; ok {
+		c.lru.MoveToFront(el)
 		en := el.Value.(*planEntry)
-		sh.mu.Unlock()
+		c.mu.Unlock()
 		c.hits.Add(1)
 		if o := c.obs.Load(); o != nil && o.Hit != nil {
 			o.Hit()
@@ -180,49 +162,46 @@ func (c *PlanCache) Lookup(e *Engine, q Query) (*Plan, error) {
 		return en.plan, en.err
 	}
 	en := &planEntry{key: key, done: make(chan struct{}), resident: true}
-	el := sh.lru.PushFront(en)
-	sh.m[key] = el
-	sh.mu.Unlock()
+	el := c.lru.PushFront(en)
+	c.m[key] = el
+	c.mu.Unlock()
 
 	plan, err := c.compile(e, q)
 	en.plan, en.err = plan, err
 	close(en.done)
 
-	sh.mu.Lock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if err != nil {
 		// Don't cache failures; later lookups revalidate.
 		if en.resident {
 			en.resident = false
-			sh.lru.Remove(el)
-			delete(sh.m, key)
+			c.lru.Remove(el)
+			delete(c.m, key)
 		}
-		sh.mu.Unlock()
 		return nil, err
 	}
-	if en.resident {
-		en.cost = planCost(plan)
-		sh.cost += en.cost
-		budget := int(c.capacity.Load()) / planShards
-		if budget < 1 {
-			budget = 1
+	if !en.resident {
+		return plan, nil // evicted or purged while compiling
+	}
+	en.cost = planCost(plan)
+	c.cost += en.cost
+	budget := max(int(c.capacity.Load()), 1)
+	for c.cost > budget {
+		back := c.lru.Back()
+		if back == el {
+			break
 		}
-		for sh.cost > budget && sh.lru.Len() > 1 {
-			back := sh.lru.Back()
-			if back == el {
-				break
-			}
-			old := back.Value.(*planEntry)
-			old.resident = false
-			sh.lru.Remove(back)
-			delete(sh.m, old.key)
-			sh.cost -= old.cost
-			c.evictions.Add(1)
-			if o := c.obs.Load(); o != nil && o.Evict != nil {
-				o.Evict()
-			}
+		old := back.Value.(*planEntry)
+		old.resident = false
+		c.lru.Remove(back)
+		delete(c.m, old.key)
+		c.cost -= old.cost
+		c.evictions.Add(1)
+		if o := c.obs.Load(); o != nil && o.Evict != nil {
+			o.Evict()
 		}
 	}
-	sh.mu.Unlock()
 	return plan, nil
 }
 
@@ -324,10 +303,4 @@ func planKey(e *Engine, q Query) string {
 		b = append(b, ';')
 	}
 	return string(b)
-}
-
-func shardOf(key string) int {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return int(h.Sum32() % planShards)
 }

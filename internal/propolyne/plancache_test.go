@@ -73,28 +73,56 @@ func TestPlanCacheDistinctQueriesDistinctPlans(t *testing.T) {
 	}
 }
 
+// TestPlanCacheEviction pins the LRU against one global budget: at a budget
+// of 1 exactly the newest plan stays resident, a plan hit recently outlives
+// an older untouched one, and every eviction is counted.
 func TestPlanCacheEviction(t *testing.T) {
 	e := cacheTestEngine(t, []int{32, 32}, 200)
-	// Tiny budget: one cost unit per shard, so every shard holds at most
-	// one resident plan and inserts evict the previous occupant.
-	c := NewPlanCache(planShards)
-	for lo := 0; lo < 16; lo++ {
-		for hi := lo; hi < 16; hi++ {
-			if _, err := c.Lookup(e, Query{Lo: []int{lo, 0}, Hi: []int{hi, 31}}); err != nil {
-				t.Fatal(err)
-			}
+	box := func(lo int) Query { return Query{Lo: []int{lo, 0}, Hi: []int{lo + 8, 31}} }
+	lookup := func(c *PlanCache, q Query) *Plan {
+		t.Helper()
+		p, err := c.Lookup(e, q)
+		if err != nil {
+			t.Fatal(err)
 		}
+		return p
 	}
-	st := c.Stats()
-	if st.Evictions == 0 {
-		t.Fatalf("no evictions under a %d-unit budget after %d inserts", planShards, 16*17/2)
+	resident := func(c *PlanCache, q Query) bool {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		_, ok := c.m[planKey(e, q)]
+		return ok
 	}
-	if st.Plans > planShards {
-		t.Fatalf("%d resident plans exceed the one-per-shard floor", st.Plans)
+
+	tiny := NewPlanCache(1)
+	const inserts = 10
+	for lo := 0; lo < inserts; lo++ {
+		lookup(tiny, box(lo))
 	}
-	// Evicted plans recompile on demand and still evaluate.
-	if _, err := c.Lookup(e, Query{Lo: []int{0, 0}, Hi: []int{0, 31}}); err != nil {
-		t.Fatal(err)
+	if st := tiny.Stats(); st.Plans != 1 || st.Evictions != inserts-1 {
+		t.Fatalf("budget 1 after %d inserts: %+v, want 1 plan and %d evictions", inserts, st, inserts-1)
+	}
+	if !resident(tiny, box(inserts-1)) {
+		t.Fatal("the newest plan is not the one resident")
+	}
+	// Evicted plans recompile on demand.
+	lookup(tiny, box(0))
+	if st := tiny.Stats(); st.Misses != inserts+1 || st.Evictions != inserts {
+		t.Fatalf("re-lookup of an evicted plan: %+v, want %d misses and %d evictions", st, inserts+1, inserts)
+	}
+
+	// Room for exactly two plans: touching the older one makes the newer
+	// one the least recently used, so the third insert evicts it.
+	c := NewPlanCache(1 << 16)
+	old, young := lookup(c, box(0)), lookup(c, box(1))
+	c.SetCapacity(planCost(old) + planCost(young))
+	lookup(c, box(0))
+	lookup(c, box(2))
+	if st := c.Stats(); st.Evictions != 1 || st.Plans != 2 {
+		t.Fatalf("stats %+v, want 1 eviction and 2 plans", st)
+	}
+	if !resident(c, box(0)) || resident(c, box(1)) || !resident(c, box(2)) {
+		t.Fatal("LRU evicted the recently hit plan instead of the untouched one")
 	}
 }
 
@@ -164,7 +192,7 @@ func TestPlanCacheConcurrentWithAppends(t *testing.T) {
 	stop := make(chan struct{})
 	var writers, readers sync.WaitGroup
 
-	// Writer: keeps appending tuples (the seal-path mutation).
+	// Writer: keeps appending cell offsets (the seal-path mutation).
 	writers.Add(1)
 	go func() {
 		defer writers.Done()
@@ -175,11 +203,11 @@ func TestPlanCacheConcurrentWithAppends(t *testing.T) {
 				return
 			default:
 			}
-			batch := make([]Tuple, 8)
+			batch := make([]uint32, 8)
 			for j := range batch {
-				batch[j] = Tuple{Index: []int{rng.Intn(32), rng.Intn(32)}, Weight: 1}
+				batch[j] = uint32(rng.Intn(32 * 32))
 			}
-			if err := e.AppendBatch(batch); err != nil {
+			if err := e.AppendOffsets(batch); err != nil {
 				t.Error(err)
 				return
 			}

@@ -45,7 +45,7 @@ type SessionInfo struct {
 // length.
 func (s *Server) Sessions() []SessionInfo {
 	var out []SessionInfo
-	s.sessions.forEach(func(sess *session) {
+	for _, sess := range s.liveSessions() {
 		info := SessionInfo{
 			ID:             sess.id,
 			Name:           sess.name,
@@ -67,7 +67,7 @@ func (s *Server) Sessions() []SessionInfo {
 			info.JournalDegraded = sess.jsess.Degraded()
 		}
 		out = append(out, info)
-	})
+	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
@@ -85,7 +85,7 @@ type FleetClassInfo struct {
 //	          linking latency buckets to trace IDs
 //	/healthz  readiness: 200 "ok" while serving, 503 "draining" once
 //	          shutdown has begun
-//	/sessions per-session JSON from the sharded registry
+//	/sessions per-session JSON from the session table
 //	/fleet    device classes with live session counts (fleet query scopes)
 //	/tracez   slowest sampled pipeline traces as JSON (?n= to bound,
 //	          clamped to the ring capacity; ?id=<16-hex> serves one trace

@@ -304,8 +304,8 @@ func TestRecoveredSessionsFollowRetainRules(t *testing.T) {
 		if n, err := srv.RecoverSessions(); err != nil || n != 2 {
 			t.Fatalf("recovered %d sessions, err=%v; want 2", n, err)
 		}
-		if rec, orph := srv.RecoveredSessions(); rec != 2 || orph != 2 || srv.metrics.sessionsDetached.Value() != 2 {
-			t.Fatalf("recovered=%d orphans=%d detached=%d, want 2/2/2", rec, orph, srv.metrics.sessionsDetached.Value())
+		if rec, orph := srv.RecoveredSessions(); rec != 2 || orph != 2 || parkedCount(srv) != 2 {
+			t.Fatalf("recovered=%d orphans=%d detached=%d, want 2/2/2", rec, orph, parkedCount(srv))
 		}
 		mustHello(t, addr, namedHello("A", 2), wire.CodeResumed, 40)
 		waitDetached(t, srv, 0) // B expires unclaimed
@@ -330,8 +330,8 @@ func TestRecoveredSessionsFollowRetainRules(t *testing.T) {
 		if n, err := srv.RecoverSessions(); err != nil || n != 3 {
 			t.Fatalf("recovered %d sessions, err=%v; want 3", n, err)
 		}
-		if rec, orph := srv.RecoveredSessions(); rec != 3 || orph != 2 || srv.metrics.sessionsDetached.Value() != 2 {
-			t.Fatalf("recovered=%d orphans=%d detached=%d, want 3/2/2", rec, orph, srv.metrics.sessionsDetached.Value())
+		if rec, orph := srv.RecoveredSessions(); rec != 3 || orph != 2 || parkedCount(srv) != 2 {
+			t.Fatalf("recovered=%d orphans=%d detached=%d, want 3/2/2", rec, orph, parkedCount(srv))
 		}
 		mustHello(t, addr, namedHello("C", 3), wire.CodeDuplicate, 0)
 		mustHello(t, addr, namedHello("C", 2), wire.CodeResumed, 30)

@@ -135,8 +135,8 @@ func TestRecover1024SessionDirectories(t *testing.T) {
 		t.Fatalf("recovered %d sessions, err=%v; want %d", n, err, sessions)
 	}
 	unchanged()
-	if !waitFor(func() bool { return srv.metrics.sessionsDetached.Value() == 0 }) {
-		t.Fatalf("%d sessions still parked past their retention", srv.metrics.sessionsDetached.Value())
+	if !waitFor(func() bool { return parkedCount(srv) == 0 }) {
+		t.Fatalf("%d sessions still parked past their retention", parkedCount(srv))
 	}
 	unchanged()
 	shutdown(t, srv)
@@ -152,7 +152,7 @@ func TestRecover1024SessionDirectories(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	growth := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / sessions
-	if parked := srv.metrics.sessionsDetached.Value(); parked != sessions {
+	if parked := parkedCount(srv); parked != sessions {
 		t.Fatalf("%d sessions parked, want %d", parked, sessions)
 	}
 	if growth >= 4<<10 {

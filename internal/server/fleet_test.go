@@ -5,10 +5,13 @@ import (
 	"fmt"
 	"math"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"aims/internal/core"
 	"aims/internal/wire"
 )
 
@@ -224,50 +227,71 @@ func TestFleetQueryAcrossSessions(t *testing.T) {
 	}
 }
 
-// TestRegistryChurnDuringFleetScan (satellite): concurrent register/
-// unregister while fleet scans snapshot the registry, under -race. Any
-// session live for the whole scan must appear exactly once; no snapshot
-// may ever contain a duplicate or a stale (removed-before-scan) session.
+// TestRegistryChurnDuringFleetScan: sessions register and leave the
+// server's session table — anonymous ones, and named ones that park and are
+// adopted again — while fleet snapshots run, under -race. A session live
+// across a snapshot appears in it exactly once, one that left before it
+// began does not appear, and no snapshot holds a session twice. Once the
+// churn stops, aims_sessions_active and aims_sessions_detached read the
+// table's live and parked counts.
 func TestRegistryChurnDuringFleetScan(t *testing.T) {
-	r := newRegistry()
+	srv := New(Config{Store: testStoreCfg()})
+	t.Cleanup(srv.retireAll) // stops the parked names' retention timers
+	mins, maxs := ranges(2)
+	store, err := core.NewLiveStore(mins, maxs, testStoreCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// A stable population that must never be missed or double-counted.
 	const stable = 500
-	for id := uint64(1); id <= stable; id++ {
-		r.put(id, &session{id: id})
+	for i := 0; i < stable; i++ {
+		srv.register(&session{store: store})
 	}
 
 	const churners = 8
-	const churnPerWorker = 2000
-	var nextID atomic.Uint64
-	nextID.Store(stable)
+	var epoch atomic.Uint64
+	var leftAt sync.Map // session ID → epoch once its leave returned
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < churners; w++ {
 		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < churnPerWorker; i++ {
-				id := nextID.Add(1)
-				r.put(id, &session{id: id})
+			named := w%2 == 0 // a named churner parks its name at every leave
+			h := wire.Hello{Rate: 100, Name: fmt.Sprintf("churn-%d", w), Mins: mins, Maxs: maxs}
+			for {
+				sess := &session{store: store}
+				if named {
+					sess.name, sess.rate = h.Name, h.Rate
+					if code := srv.claim(sess, h); code != wire.CodeOK {
+						t.Errorf("claim %q: %v", h.Name, code)
+						return
+					}
+				}
+				srv.register(sess)
+				srv.leave(sess)
+				leftAt.Store(sess.id, epoch.Add(1))
 				select {
 				case <-stop:
-					r.remove(id)
 					return
 				default:
 				}
-				r.remove(id)
 			}
-		}()
+		}(w)
 	}
 
 	for scan := 0; scan < 200; scan++ {
-		snap := r.snapshot()
+		before := epoch.Load()
+		snap := srv.fleetTargets()
 		seen := make(map[uint64]int, len(snap))
 		for _, sess := range snap {
 			seen[sess.ID]++
 			if seen[sess.ID] > 1 {
 				t.Fatalf("scan %d: session %d double-counted", scan, sess.ID)
+			}
+			if at, ok := leftAt.Load(sess.ID); ok && at.(uint64) <= before {
+				t.Fatalf("scan %d: session %d left before the scan began", scan, sess.ID)
 			}
 		}
 		for id := uint64(1); id <= stable; id++ {
@@ -278,10 +302,21 @@ func TestRegistryChurnDuringFleetScan(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+	if epoch.Load() == 0 {
+		t.Fatal("no session churned during the scans")
+	}
 
-	// After the churners retire their sessions, exactly the stable set
-	// remains.
-	if n := r.len(); n != stable {
-		t.Fatalf("registry len %d after churn, want %d", n, stable)
+	// After the churn, exactly the stable set is live and each named
+	// churner's name is parked, and the gauges read the same counts.
+	live, parked := srv.tableCounts()
+	if live != stable || parked != churners/2 {
+		t.Fatalf("table holds %d live, %d parked after churn, want %d, %d", live, parked, stable, churners/2)
+	}
+	var b strings.Builder
+	srv.metrics.reg.WritePrometheus(&b)
+	for name, want := range map[string]int{"aims_sessions_active": live, "aims_sessions_detached": parked} {
+		if line := name + " " + strconv.Itoa(want) + "\n"; !strings.Contains(b.String(), line) {
+			t.Errorf("exposition lacks %q", line)
+		}
 	}
 }

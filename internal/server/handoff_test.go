@@ -143,7 +143,7 @@ func TestIdleSessionHoldsTwoGoroutines(t *testing.T) {
 		t.Fatalf("%d idle sessions hold %d goroutines, want exactly %d",
 			n, runtime.NumGoroutine()-base, 2*n)
 	}
-	if got := srv.sessions.len(); got != n {
+	if got := liveCount(srv); got != n {
 		t.Fatalf("sessions = %d, want %d", got, n)
 	}
 	for _, rs := range sessions {

@@ -53,11 +53,12 @@ var compileBounds = []float64{
 
 // metrics is the server's instrument block, registered in a per-server
 // obs.Registry (exposed on the admin plane as /metrics). All updates are
-// lock-free from session goroutines.
+// lock-free from session goroutines; the live and parked session counts are
+// the session table's own, read at scrape.
 type metrics struct {
 	reg *obs.Registry
 
-	sessionsActive  *obs.Gauge
+	table           func() (live, parked int)
 	sessionsTotal   *obs.Counter
 	framesIngested  *obs.Counter
 	batchesIngested *obs.Counter
@@ -66,12 +67,10 @@ type metrics struct {
 	appendErrors    *obs.Counter
 	evictions       *obs.Counter
 	// Link-resilience instruments: deduped replay batches, heartbeat pings
-	// answered, sessions parked for reconnection (link lost, closed, taken
-	// over, or found on disk), and resumes announced to their device.
-	dupBatches       *obs.Counter
-	heartbeats       *obs.Counter
-	sessionsDetached *obs.Gauge
-	resumesTotal     *obs.Counter
+	// answered, and resumes announced to their device.
+	dupBatches   *obs.Counter
+	heartbeats   *obs.Counter
+	resumesTotal *obs.Counter
 	// queueDepth is the frames-waiting gauge across all sessions,
 	// incremented at enqueue and decremented at dequeue so Metrics never
 	// has to walk the session map.
@@ -126,11 +125,13 @@ type metrics struct {
 	bytesOut [16]*obs.Counter
 }
 
-func newMetrics() *metrics {
+// newMetrics builds the instrument block; table reports the session
+// table's live and parked counts.
+func newMetrics(table func() (live, parked int)) *metrics {
 	reg := obs.NewRegistry()
 	m := &metrics{
 		reg:             reg,
-		sessionsActive:  reg.Gauge("aims_sessions_active", "Live registered sessions."),
+		table:           table,
 		sessionsTotal:   reg.Counter("aims_sessions_total", "Sessions registered since start."),
 		framesIngested:  reg.Counter("aims_ingest_frames_total", "Frames appended into live stores."),
 		batchesIngested: reg.Counter("aims_ingest_batches_total", "Wire batches accepted for ingest."),
@@ -141,8 +142,6 @@ func newMetrics() *metrics {
 		dupBatches: reg.Counter("aims_dup_batches_total",
 			"Replayed batches dropped or trimmed at the session's acknowledged watermark."),
 		heartbeats: reg.Counter("aims_heartbeats_total", "Heartbeat pings answered."),
-		sessionsDetached: reg.Gauge("aims_sessions_detached",
-			"Sessions parked awaiting their device: link lost, closed, taken over, or found on disk at startup."),
 		resumesTotal: reg.Counter("aims_session_resumes_total",
 			"Sessions resumed by a reconnecting device (parked or journal-recovered)."),
 		queueDepth: reg.Gauge("aims_queue_depth", "Frames waiting in session ingest queues."),
@@ -192,6 +191,11 @@ func newMetrics() *metrics {
 		"fleet-query": reg.CounterWith("aims_slow_queries_total", `kind="fleet-query"`, slowHelp),
 		"ingest":      reg.CounterWith("aims_slow_queries_total", `kind="ingest"`, slowHelp),
 	}
+	reg.GaugeFunc("aims_sessions_active", "Live registered sessions.",
+		func() float64 { live, _ := table(); return float64(live) })
+	reg.GaugeFunc("aims_sessions_detached",
+		"Sessions parked awaiting their device: link lost, closed, taken over, or found on disk at startup.",
+		func() float64 { _, parked := table(); return float64(parked) })
 	reg.GaugeFunc("aims_query_latency_max_seconds", "Slowest query so far.",
 		func() float64 { return time.Duration(m.latencyMaxNS.Load()).Seconds() })
 	reg.GaugeFunc("aims_plan_cache_plans", "Compiled query plans resident in the shared cache.",
@@ -275,9 +279,10 @@ func (m *metrics) countOut(typ byte, payloadLen int) {
 // straight from the instruments.
 func (m *metrics) line() string {
 	queries := m.queryLatency.Count()
+	live, _ := m.table()
 	var b strings.Builder
 	fmt.Fprintf(&b, "sessions=%d/%d frames=%d batches=%d shed=%d/%d queue=%d queries=%d evictions=%d",
-		m.sessionsActive.Value(), m.sessionsTotal.Value(), m.framesIngested.Value(),
+		live, m.sessionsTotal.Value(), m.framesIngested.Value(),
 		m.batchesIngested.Value(), m.batchesShed.Value(), m.framesShed.Value(),
 		m.queueDepth.Value(), queries, m.evictions.Value())
 	if queries > 0 {

@@ -4,20 +4,22 @@ import (
 	"time"
 
 	"aims/internal/core"
+	"aims/internal/fleet"
 	"aims/internal/journal"
 	"aims/internal/wire"
 )
 
-// owner is one entry of the name table (Server.names), the one place that
-// decides who holds a session name and the one place a session adopts
-// state. A name is live while a session holds it — connected, or draining
-// after its reader exited — and parked once that session left (leave) or
-// once RecoverSessions found it on disk. The retention timer,
+// owner is one entry of the session table's names (Server.names), the one
+// place that decides who holds a session name and the one place a session
+// adopts state. A name is live while a session holds it — connected, or
+// draining after its reader exited — and parked once that session left
+// (leave) or once RecoverSessions found it on disk. The retention timer,
 // RetainSessions eviction and shutdown retire it, the one way an entry
 // leaves: it stays in the table, not adoptable, until any journal it holds
 // is closed, and a claim for the name waits meanwhile. Parking and
 // adoption install a new entry, so a timer can tell whether the entry it
-// saw is still current. Anonymous sessions stay out of the table.
+// saw is still current. An anonymous session holds no name: the table
+// keeps it only among the live sessions.
 type owner struct {
 	name     string
 	channels int // the claimed shape: a Hello of another is refused
@@ -114,52 +116,53 @@ func (s *Server) adopt(sess *session, p *owner) {
 	sess.jbase = rec.Processed
 }
 
-// leave takes a drained session out of the registry — before its name
-// moves on, so no fleet scans an adopted store twice — and parks a named
-// one: as its directory once a final snapshot covers its store, else with it.
+// leave takes a drained session out of the table and parks a named one —
+// as its directory once a final snapshot covers its store, else with it —
+// in one lock hold, so no fleet scans an adopted store twice.
 func (s *Server) leave(sess *session) {
-	if s.sessions.remove(sess.id) {
-		s.metrics.sessionsActive.Add(-1)
-	}
+	var p *owner
 	if sess.held != nil {
-		p := &owner{name: sess.name, channels: sess.store.Channels(), rate: sess.rate, ackSeq: sess.ackSeq}
+		p = &owner{name: sess.name, channels: sess.store.Channels(), rate: sess.rate, ackSeq: sess.ackSeq}
 		if j := sess.jsess; j != nil && j.Checkpoint(sess.store) == nil && !j.Degraded() {
 			j.Close(nil) // releases the files and drops the log: the snapshot holds every frame
 		} else {
 			p.store, p.jsess = sess.store, j
 		}
-		s.park(p)
+	}
+	var evicted *owner
+	s.namesMu.Lock()
+	delete(s.live, sess.id)
+	if p != nil {
+		evicted = s.park(p)
+	}
+	s.namesMu.Unlock()
+	if evicted != nil {
+		s.retire(evicted)
 	}
 }
 
 // park installs p, parked, under its name for RetainTimeout, waking any
-// claim waiting on the live entry it replaces; beyond RetainSessions parked
-// names the longest-parked one leaves.
-func (s *Server) park(p *owner) {
+// claim waiting on the live entry it replaces. At RetainSessions parked
+// names the longest-parked one leaves: park unparks it and returns it, for
+// the caller to retire once it has released namesMu, which it holds.
+func (s *Server) park(p *owner) (evicted *owner) {
 	p.left = make(chan struct{})
 	p.at = time.Now()
-	var evicted []*owner
-	s.namesMu.Lock()
-	for s.metrics.sessionsDetached.Value() >= int64(s.cfg.RetainSessions) {
-		var oldest *owner
+	if s.parked >= s.cfg.RetainSessions {
 		for _, o := range s.names {
-			if o.parked() && (oldest == nil || o.at.Before(oldest.at)) {
-				oldest = o
+			if o.parked() && (evicted == nil || o.at.Before(evicted.at)) {
+				evicted = o
 			}
 		}
-		s.unpark(oldest)
-		evicted = append(evicted, oldest)
+		s.unpark(evicted)
 	}
 	if live := s.names[p.name]; live != nil {
 		close(live.left)
 	}
 	p.timer = time.AfterFunc(s.cfg.RetainTimeout, func() { s.expire(p) })
 	s.names[p.name] = p
-	s.metrics.sessionsDetached.Add(1)
-	s.namesMu.Unlock()
-	for _, o := range evicted {
-		s.retire(o)
-	}
+	s.parked++
+	return evicted
 }
 
 // unpark ends p's parked state — it is adopted or leaving; callers hold
@@ -167,7 +170,7 @@ func (s *Server) park(p *owner) {
 func (s *Server) unpark(p *owner) {
 	p.timer.Stop()
 	p.leaving = true
-	s.metrics.sessionsDetached.Add(-1)
+	s.parked--
 }
 
 // expire ends p's parking if it is still parked: its retention ran out, or
@@ -216,4 +219,37 @@ func (s *Server) retireAll() {
 		s.expire(o)
 		<-o.left
 	}
+}
+
+// tableCounts reports how many sessions are live and how many names are
+// parked: what aims_sessions_active and aims_sessions_detached read.
+func (s *Server) tableCounts() (live, parked int) {
+	s.namesMu.Lock()
+	defer s.namesMu.Unlock()
+	return len(s.live), s.parked
+}
+
+// liveSessions copies the live session set out of the table.
+func (s *Server) liveSessions() []*session {
+	s.namesMu.Lock()
+	defer s.namesMu.Unlock()
+	out := make([]*session, 0, len(s.live))
+	for _, sess := range s.live {
+		out = append(out, sess)
+	}
+	return out
+}
+
+// fleetTargets is the live session set as a fleet query scans it, taken in
+// one lock hold: a session live across the snapshot appears exactly once,
+// and one registering or leaving meanwhile either appears or does not —
+// the per-session high-water-mark contract covers it.
+func (s *Server) fleetTargets() []fleet.Session {
+	s.namesMu.Lock()
+	defer s.namesMu.Unlock()
+	out := make([]fleet.Session, 0, len(s.live))
+	for _, sess := range s.live {
+		out = append(out, fleet.Session{ID: sess.id, Class: sess.class, Store: sess.store})
+	}
+	return out
 }

@@ -151,7 +151,7 @@ func testTakeover(t *testing.T, scheme string, durable bool) {
 	if n := srv.metrics.evictions.Value(); n != 0 {
 		t.Fatalf("takeover counted %d evictions", n)
 	}
-	if n := srv.sessions.len(); n != 1 {
+	if n := liveCount(srv); n != 1 {
 		t.Fatalf("sessions = %d after the takeover, want 1", n)
 	}
 	if err := c2.SendBatch(frames[300:]); err != nil {
@@ -221,7 +221,7 @@ func TestDifferentShapeHelloRefused(t *testing.T) {
 	if stored, err := c1.Flush(); err != nil || stored != 200 {
 		t.Fatalf("owner's flush after the refusals: stored=%d err=%v", stored, err)
 	}
-	if n := srv.sessions.len(); n != 1 {
+	if n := liveCount(srv); n != 1 {
 		t.Fatalf("sessions = %d, want 1", n)
 	}
 
@@ -301,7 +301,7 @@ func TestExpiredSessionLeavesBeforeItsNameMovesOn(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("the leaving session never started its final snapshot")
 	}
-	if n := srv.metrics.sessionsDetached.Value(); n != 0 {
+	if n := parkedCount(srv); n != 0 {
 		t.Fatalf("detached = %d while the session leaves, want 0", n)
 	}
 
@@ -351,7 +351,7 @@ func TestRetriedCloseResumesClosedSession(t *testing.T) {
 	rs.write(wire.MsgClose, nil)
 	rs.flush()
 	rs.conn.Close() // the CloseAck is never read
-	if !waitFor(func() bool { return srv.sessions.len() == 0 }) {
+	if !waitFor(func() bool { return liveCount(srv) == 0 }) {
 		t.Fatal("the closed session never left")
 	}
 

@@ -87,7 +87,7 @@ func TestMetricsGolden(t *testing.T) {
 	// drop plans left behind by earlier tests so the exposition is the
 	// zero state the golden file pins regardless of test order.
 	propolyne.SharedCache.Purge()
-	m := newMetrics()
+	m := New(Config{}).metrics
 	var buf bytes.Buffer
 	m.reg.WritePrometheus(&buf)
 	got := buf.String()
@@ -140,7 +140,7 @@ func latencyHist(t *testing.T, line string) []string {
 func TestSnapshotString(t *testing.T) {
 	srv := New(Config{})
 	m := srv.metrics
-	m.sessionsActive.Add(2)
+	srv.live[1], srv.live[2] = &session{id: 1}, &session{id: 2}
 	m.sessionsTotal.Add(5)
 	m.framesIngested.Add(1000)
 	m.batchesIngested.Add(4)

@@ -12,8 +12,7 @@ import (
 // onlySession returns the server's one registered session.
 func onlySession(t *testing.T, srv *Server) *session {
 	t.Helper()
-	var got []*session
-	srv.sessions.forEach(func(s *session) { got = append(got, s) })
+	got := srv.liveSessions()
 	if len(got) != 1 {
 		t.Fatalf("%d sessions registered, want 1", len(got))
 	}
@@ -91,11 +90,11 @@ func TestPayloadBufferNoneHeldAtRest(t *testing.T) {
 		if stored := rs.expectFlushAck(); stored != 16*16 {
 			t.Fatalf("session %d: flush reports %d stored, want %d", i, stored, 16*16)
 		}
-		srv.sessions.forEach(func(s *session) {
+		for _, s := range srv.liveSessions() {
 			if !slices.Contains(sessions, s) {
 				sessions = append(sessions, s)
 			}
-		})
+		}
 		for _, sess := range sessions {
 			wantBuffersBack(t, sess)
 		}
@@ -203,7 +202,7 @@ func TestPayloadBufferGapError(t *testing.T) {
 	if typ, _, err := wire.ReadMessage(rs.br); err != nil || typ != wire.MsgError {
 		t.Fatalf("got msg type %d (err %v) for a gapped batch, want an error", typ, err)
 	}
-	if !waitFor(func() bool { return srv.sessions.len() == 0 }) {
+	if !waitFor(func() bool { return liveCount(srv) == 0 }) {
 		t.Fatal("session survived a gapped batch")
 	}
 	wantBuffersBack(t, sess)
@@ -347,5 +346,7 @@ func TestPayloadBufferConcurrentSessionsKeepTheirFrames(t *testing.T) {
 			}
 		}
 	}
-	srv.sessions.forEach(func(sess *session) { wantBuffersBack(t, sess) })
+	for _, sess := range srv.liveSessions() {
+		wantBuffersBack(t, sess)
+	}
 }

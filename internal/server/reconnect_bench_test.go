@@ -82,7 +82,7 @@ func benchReconnect(b *testing.B, takeover bool, perVisit int) {
 		return c
 	}
 	parked := func() {
-		for srv.metrics.sessionsDetached.Value() != 1 {
+		for parkedCount(srv) != 1 {
 			time.Sleep(50 * time.Microsecond)
 		}
 	}

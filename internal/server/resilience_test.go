@@ -11,10 +11,10 @@ import (
 func waitDetached(t *testing.T, srv *Server, n int) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
-	for srv.metrics.sessionsDetached.Value() != int64(n) && time.Now().Before(deadline) {
+	for parkedCount(srv) != n && time.Now().Before(deadline) {
 		time.Sleep(2 * time.Millisecond)
 	}
-	if got := srv.metrics.sessionsDetached.Value(); got != int64(n) {
+	if got := parkedCount(srv); got != n {
 		t.Fatalf("detached sessions = %d, want %d", got, n)
 	}
 }
@@ -150,8 +150,8 @@ func testParkResumeAfterAbort(t *testing.T, scheme string) {
 	if n := srv.metrics.resumesTotal.Value(); n != 1 {
 		t.Fatalf("aims_session_resumes_total = %d after one resume, want 1", n)
 	}
-	if srv.metrics.sessionsDetached.Value() != 0 {
-		t.Fatalf("detached count = %d after adoption, want 0", srv.metrics.sessionsDetached.Value())
+	if parkedCount(srv) != 0 {
+		t.Fatalf("detached count = %d after adoption, want 0", parkedCount(srv))
 	}
 
 	// At-least-once replay from below the watermark, then fresh frames:

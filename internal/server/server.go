@@ -33,10 +33,10 @@
 // eviction, graceful shutdown that drains in-flight batches, and an atomic
 // metrics block.
 //
-// One table owns every session name (names.go), and is the one place a
-// session adopts state: a named session parks there however it left, and
-// so does one RecoverSessions found on disk; a durable one parks as its
-// directory, no store in memory. A Hello for a held name takes that
+// One table under one lock (names.go) holds every live session and owns
+// every session name, and is the one place a session adopts state: a named
+// session parks there however it left, and so does one RecoverSessions
+// found on disk; a durable one parks as its directory, no store in memory. A Hello for a held name takes that
 // session over when its shape matches, and is refused with a CodeDuplicate
 // Welcome when it does not. Only named sessions are journaled; anonymous
 // ones are memory-only.
@@ -179,16 +179,18 @@ type Server struct {
 	lns  []net.Listener
 	quit chan struct{} // closed by Shutdown
 
-	nextID   atomic.Uint64
-	sessions *registry // sharded: registration/lookup stays flat at scale
+	nextID atomic.Uint64
 
 	journal   *journal.Manager // nil when durability is disabled
 	recovered atomic.Int64     // sessions found on disk at startup
 
-	// names is the name table (names.go): who holds each session name,
-	// live, parked or leaving.
+	// The session table (names.go), under one lock: live holds every
+	// registered session by ID, names who holds each session name — live,
+	// parked or leaving — and parked counts the names parked.
 	namesMu sync.Mutex
+	live    map[uint64]*session
 	names   map[string]*owner
+	parked  int
 
 	fleetCfg fleet.Config // deadline and instruments
 
@@ -203,7 +205,8 @@ type Server struct {
 // New creates a server.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	m := newMetrics()
+	s := &Server{quit: make(chan struct{}), live: map[uint64]*session{}, names: map[string]*owner{}}
+	m := newMetrics(s.tableCounts)
 	if cfg.Store.SealObserver == nil {
 		// Surface every session store's seal timings on this server's
 		// instruments unless the caller installed its own observer.
@@ -216,9 +219,8 @@ func New(cfg Config) *Server {
 		propolyne.SharedCache.SetCapacity(cfg.PlanCacheCost)
 	}
 	propolyne.SharedCache.SetObserver(m.planObserver())
-	s := &Server{cfg: cfg, sessions: newRegistry(), metrics: m,
-		tracer: obs.NewTracer(cfg.TraceSample, obs.DefaultTraceBuffer, cfg.SlowQuery, m.observeSlow),
-		quit:   make(chan struct{}), names: map[string]*owner{}}
+	s.cfg, s.metrics = cfg, m
+	s.tracer = obs.NewTracer(cfg.TraceSample, obs.DefaultTraceBuffer, cfg.SlowQuery, m.observeSlow)
 	s.fleetCfg = fleet.Config{
 		Timeout:      cfg.FleetTimeout,
 		FanOut:       m.fleetFanout,
@@ -260,7 +262,12 @@ func (s *Server) RecoverSessions() (int, error) {
 	}
 	found, err := s.journal.Scan()
 	for _, m := range found {
-		s.park(&owner{name: m.Name, channels: m.Channels(), rate: m.Rate, recovered: true})
+		s.namesMu.Lock()
+		evicted := s.park(&owner{name: m.Name, channels: m.Channels(), rate: m.Rate, recovered: true})
+		s.namesMu.Unlock()
+		if evicted != nil {
+			s.retire(evicted)
+		}
 	}
 	s.recovered.Store(int64(len(found)))
 	return len(found), err
@@ -336,11 +343,11 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	lns := s.lns
 	s.lns = nil
 	s.mu.Unlock()
-	s.sessions.forEach(func(sess *session) {
+	for _, sess := range s.liveSessions() {
 		// An expired read deadline unblocks the session reader; it then
 		// drains its queue and closes.
 		sess.conn.SetReadDeadline(time.Now())
-	})
+	}
 	for _, ln := range lns {
 		ln.Close()
 	}
@@ -363,13 +370,12 @@ func (s *Server) Shutdown(ctx context.Context) error {
 }
 
 // evaluateFleet answers one cross-session fleet query against the current
-// live-session set: it snapshots the sharded registry (one shard lock at a
-// time — registration stays flat while fleets scan), scans the matching
-// sessions one after another on the calling goroutine, and merges the
-// per-session answers under the query's fail|partial policy.
+// live-session set: it snapshots the session table (fleetTargets), scans
+// the matching sessions one after another on the calling goroutine, and
+// merges the per-session answers under the query's fail|partial policy.
 // A non-nil tr receives every per-session evaluation under parent.
 func (s *Server) evaluateFleet(fq wire.FleetQuery, tr *obs.Trace, parent obs.SpanID) wire.FleetResult {
-	targets := s.sessions.snapshot()
+	targets := s.fleetTargets()
 	req := fleet.Request{
 		Kind:        fq.Kind,
 		Channel:     int(fq.Channel),
@@ -397,9 +403,11 @@ func (s *Server) evaluateFleet(fq wire.FleetQuery, tr *obs.Trace, parent obs.Spa
 // under "".
 func (s *Server) DeviceClasses() map[string]int {
 	out := make(map[string]int)
-	s.sessions.forEach(func(sess *session) {
+	s.namesMu.Lock()
+	for _, sess := range s.live {
 		out[sess.class]++
-	})
+	}
+	s.namesMu.Unlock()
 	return out
 }
 
@@ -414,8 +422,9 @@ func (s *Server) register(sess *session) {
 	id := s.nextID.Add(1)
 	sess.id = id
 	sess.idStr = strconv.FormatUint(id, 10)
-	s.sessions.put(id, sess)
-	s.metrics.sessionsActive.Add(1)
+	s.namesMu.Lock()
+	s.live[id] = sess
+	s.namesMu.Unlock()
 	s.metrics.sessionsTotal.Inc()
 	if s.isClosed() {
 		// Shutdown's deadline sweep may have run before this registration;

@@ -21,6 +21,10 @@ func testStoreCfg() core.LiveStoreConfig {
 	return core.LiveStoreConfig{TimeBuckets: 64, ValueBins: 32}
 }
 
+// liveCount and parkedCount read the session table's counts.
+func liveCount(srv *Server) int   { live, _ := srv.tableCounts(); return live }
+func parkedCount(srv *Server) int { _, parked := srv.tableCounts(); return parked }
+
 func startServer(t *testing.T, cfg Config) (*Server, string) {
 	return startServerOn(t, "tcp", cfg)
 }
@@ -110,7 +114,7 @@ func TestServerEightConcurrentClients(t *testing.T) {
 	// CloseAck goes out just before the handler unregisters, so give the
 	// session accounting a moment to settle.
 	settle := time.Now().Add(2 * time.Second)
-	for srv.sessions.len() > 0 && time.Now().Before(settle) {
+	for liveCount(srv) > 0 && time.Now().Before(settle) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	m := srv.metrics
@@ -120,7 +124,7 @@ func TestServerEightConcurrentClients(t *testing.T) {
 	if m.batchesShed.Value() != 0 || m.framesShed.Value() != 0 {
 		t.Fatalf("unexpected shedding: %s", srv.Metrics())
 	}
-	if m.sessionsTotal.Value() != clients || m.sessionsActive.Value() != 0 {
+	if m.sessionsTotal.Value() != clients || liveCount(srv) != 0 {
 		t.Fatalf("session accounting: %s", srv.Metrics())
 	}
 	if m.queryLatency.Count() == 0 {
@@ -359,7 +363,7 @@ func TestServerHelloStallClosed(t *testing.T) {
 		if waited < idle*9/10 {
 			t.Fatalf("sent %x: hung up after %v, before the %v idle timeout", sent, waited, idle)
 		}
-		if got := srv.sessions.len(); got != 0 {
+		if got := liveCount(srv); got != 0 {
 			t.Fatalf("sent %x: %d sessions registered", sent, got)
 		}
 	}
@@ -464,7 +468,7 @@ func TestServerShutdownDrains(t *testing.T) {
 	if got := srv.metrics.framesIngested.Value(); got != 1000 {
 		t.Fatalf("drained %d frames, want 1000", got)
 	}
-	if srv.metrics.sessionsActive.Value() != 0 {
+	if liveCount(srv) != 0 {
 		t.Fatalf("sessions still active: %s", srv.Metrics())
 	}
 	// The client observes the shutdown as a wire error or a closed conn.
@@ -499,55 +503,63 @@ func TestServerServeAfterShutdown(t *testing.T) {
 	}
 }
 
-// TestRegistrySharding unit-tests the sharded session map directly:
-// round-robin distribution, single-removal semantics and forEach
-// coverage, plus concurrent register/unregister churn under -race.
+// TestRegistrySharding unit-tests the session table's live map directly
+// (once split into shards, now one map under one lock): every registration
+// is counted and walked exactly once, a second leave of the same session
+// changes nothing, and concurrent register/leave churn under -race leaves
+// the count where it was.
 func TestRegistrySharding(t *testing.T) {
-	r := newRegistry()
+	srv := New(Config{Store: testStoreCfg()})
 	const n = 500
+	for i := 0; i < n; i++ {
+		srv.register(&session{class: "vr"})
+	}
+	if got := liveCount(srv); got != n {
+		t.Fatalf("live = %d, want %d", got, n)
+	}
+	seen := make(map[uint64]int, n)
+	for _, sess := range srv.liveSessions() {
+		seen[sess.id]++
+	}
 	for id := uint64(1); id <= n; id++ {
-		r.put(id, &session{id: id})
-	}
-	if got := r.len(); got != n {
-		t.Fatalf("len = %d, want %d", got, n)
-	}
-	// Sequential IDs land round-robin: every shard holds some sessions.
-	for i := range r.shards {
-		if len(r.shards[i].m) == 0 {
-			t.Fatalf("shard %d empty after %d sequential registrations", i, n)
+		if seen[id] != 1 {
+			t.Fatalf("session %d walked %d times, want once", id, seen[id])
 		}
 	}
-	seen := 0
-	r.forEach(func(*session) { seen++ })
-	if seen != n {
-		t.Fatalf("forEach visited %d, want %d", seen, n)
+	if got := srv.DeviceClasses()["vr"]; got != n {
+		t.Fatalf("device classes count %d, want %d", got, n)
 	}
-	if !r.remove(7) {
-		t.Fatal("first remove reported absent")
+	var seventh *session
+	for _, sess := range srv.liveSessions() {
+		if sess.id == 7 {
+			seventh = sess
+		}
 	}
-	if r.remove(7) {
-		t.Fatal("second remove reported present")
-	}
-	if got := r.len(); got != n-1 {
-		t.Fatalf("len after remove = %d", got)
+	srv.leave(seventh)
+	srv.leave(seventh)
+	if got := liveCount(srv); got != n-1 {
+		t.Fatalf("live after leaving twice = %d, want %d", got, n-1)
 	}
 
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
-		go func(g int) {
+		go func() {
 			defer wg.Done()
-			base := uint64(10000 + g*1000)
-			for i := uint64(0); i < 200; i++ {
-				r.put(base+i, &session{id: base + i})
-				r.len()
-				r.remove(base + i)
+			for i := 0; i < 200; i++ {
+				sess := &session{}
+				srv.register(sess)
+				liveCount(srv)
+				srv.leave(sess)
 			}
-		}(g)
+		}()
 	}
 	wg.Wait()
-	if got := r.len(); got != n-1 {
-		t.Fatalf("len after churn = %d, want %d", got, n-1)
+	if got := liveCount(srv); got != n-1 {
+		t.Fatalf("live after churn = %d, want %d", got, n-1)
+	}
+	if got := parkedCount(srv); got != 0 {
+		t.Fatalf("anonymous sessions parked %d names", got)
 	}
 }
 
